@@ -228,14 +228,15 @@ def _cmd_blocks(args) -> int:
 
 def _cmd_selfcheck(args) -> int:
     rd, group = _build_context(args)
-    order = SemiInfiniteOrder(group)
     mod = _module(args, group)
+    order = mod.order
     window = _window(args, group)
     checks: list[tuple[str, bool]] = []
 
     mu = order.sufficient_mu(window)
+    ideals = {b: order.below(b, window) for b in window}
     order_ok = all(
-        order.leq(a, b) == order.leq_via_translation(a, b, mu)
+        (a in ideals[b]) == order.leq_via_translation(a, b, mu)
         for a in window
         for b in window
         if a.omega_component == b.omega_component

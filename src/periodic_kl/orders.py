@@ -27,11 +27,21 @@ below, so the closure here always uses all reflections.
 Two elements are comparable only inside a common coset of the length-zero
 subgroup.  Along any descending chain from ``y`` down to ``x`` every
 intermediate ``z`` satisfies ``x dot 0 <= z dot 0 <= y dot 0`` in dominance
-order, which confines all chains to a finite, enumerable slab; the default
-comparison :meth:`SemiInfiniteOrder.leq` searches exactly that slab and is
-therefore exact (no window guesswork).  The window-restricted variant
-returns an explicit indeterminate (``None``) when a negative answer cannot
-be certified inside the window.
+order, which confines all chains to a finite, enumerable slab.  The exact
+comparison is batched: :meth:`SemiInfiniteOrder.below` answers ``x <= y``
+for a whole set of queries ``x`` with one down-closure search of ``y``.  The
+search never leaves the elements ``z`` whose ``z dot 0`` dominates the meet
+(coordinatewise minimum in simple-root coordinates) of the queried
+``x dot 0`` and whose height is at least the lowest queried height.  Every
+chain to a queried ``x`` lies in ``[x dot 0, y dot 0]``, hence inside that
+region, so the pruning loses no answer (no window guesswork), while the
+region stays close to the queries instead of spanning the whole ideal of
+``y``.  The search runs on ``(translation, finite index)`` keys with
+integer root coordinates scaled by the lattice index, and takes its moves
+from per-finite-element tables built on first use.  :meth:`leq` is one
+such search with a single query, memoized per pair.  The window-restricted
+variant reuses the same moves and returns an explicit indeterminate
+(``None``) when a negative answer cannot be certified inside the window.
 
 An independent characterization via deep dominant translation is provided:
 ``x <= y`` iff ``t(mu) x <= t(mu) y`` in Bruhat order once both elements
@@ -42,6 +52,7 @@ two routes is part of the acceptance suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -65,16 +76,6 @@ class SemiInfiniteOrder:
         self._slab_cache: dict = {}
         self._leq_cache: dict = {}
         self._height_cache: dict = {}
-        # <w(beta), 2rho^> for every finite w and positive root beta.
-        two_rho = self.rd.two_rho_check
-        self._pair_table = tuple(
-            tuple(
-                sum(c * x for c, x in zip(two_rho, w.apply(beta).coords))
-                for beta in self.rd.positive_roots
-            )
-            for w in group.finite_elements
-        )
-        self._coroot_heights = tuple(sum(self.rd.coroot(b).coords) for b in self.rd.positive_roots)
 
     def height(self, x: ExtAffineElement) -> int:
         """<x dot_l 0, 2 rho^>, strictly decreasing along the semi-infinite order."""
@@ -101,17 +102,11 @@ class SemiInfiniteOrder:
             self._desc_cache[key] = hit
         return hit
 
-    def ascends(self, x: ExtAffineElement, j: int) -> bool:
-        return not self.descends(x, j)
-
     def generating_relation_holds(self, x: ExtAffineElement, j: int) -> bool:
         """The defining comparison x dot_l 0 >= x s_j dot_l 0, evaluated literally."""
         g = self.group
         xs = g.right_multiply_gen(x, j)
         return dominance_leq(self.rd, g.dot_zero(xs), g.dot_zero(x))
-
-    def down_moves(self, x: ExtAffineElement) -> list[int]:
-        return [j for j in self.group.affine_generator_indices() if self.descends(x, j)]
 
     # -- exact comparison ----------------------------------------------------------
 
@@ -121,84 +116,123 @@ class SemiInfiniteOrder:
             return True
         key = (x.trans.coords, x.w.index, y.trans.coords, y.w.index)
         hit = self._leq_cache.get(key)
-        if hit is not None:
-            return hit
-        result = self._leq_uncached(x, y)
-        self._leq_cache[key] = result
-        return result
+        if hit is None:
+            hit = x in self.below(y, (x,))
+            self._leq_cache[key] = hit
+        return hit
 
-    def _leq_uncached(self, x: ExtAffineElement, y: ExtAffineElement) -> bool:
-        if x.omega_component != y.omega_component:
-            return False
-        g = self.group
-        lo = g.dot_zero(x)
-        hi = g.dot_zero(y)
-        if not dominance_leq(self.rd, lo, hi):
-            return False
-        # Descend from y; every chain to x stays dominance-above x dot 0 and
-        # height-above height(x), so the search space is finite.
-        floor = self.height(x)
-        seen = {y}
-        frontier = [y]
-        while frontier:
-            z = frontier.pop()
-            for nxt in self._down_targets(z, floor):
-                if nxt == x:
-                    return True
-                if nxt in seen:
-                    continue
-                if not dominance_leq(self.rd, lo, g.dot_zero(nxt)):
-                    continue
-                seen.add(nxt)
-                frontier.append(nxt)
-        return False
+    def below(self, y: ExtAffineElement, xs: Iterable[ExtAffineElement]) -> set[ExtAffineElement]:
+        """The elements x of ``xs`` with x <= y, from one down-closure search of y."""
+        return self._reach(y, xs, None)
 
-    def _down_targets(self, z: ExtAffineElement, floor_h: int):
-        """All generating moves z r < z (r = t(k b) s_b a reflection) that do not
-        drop the height below floor_h.
+    def _reach(self, y: ExtAffineElement, xs: Iterable[ExtAffineElement],
+               within: Optional[frozenset]) -> set[ExtAffineElement]:
+        """The elements of ``xs`` reached from y by descending generating moves,
+        through keys ``(trans coords, w index)`` in ``within`` when given.
 
-        The height drop is (ht(b^) - l k) <w(b), 2 rho^>, positive exactly when
-        the generating condition sign(ht(b^) - l k) = sign(w(b)) holds, which
-        bounds the admissible k exactly.
+        Each element carries E(z) = e * rc(z dot 0): x dot 0 <= z dot 0 in
+        dominance order iff E(z) - E(x) is a nonnegative multiple of e in
+        every coordinate, and the height is 2 sum(E) / e.  Only the queries
+        with x dot 0 <= y dot 0 can be reached, and the search stays where E
+        dominates their meet and sum(E) is at least their least sum.
         """
-        g = self.group
-        rd = self.rd
-        budget = self.height(z) - floor_h
-        if budget <= 0:
-            return
-        l = rd.l
-        for pos in range(len(rd.positive_roots)):
-            pair = self._pair_table[z.w.index][pos]
-            ht = self._coroot_heights[pos]
-            cmax = budget // abs(pair)
-            if cmax == 0:
-                continue
-            refl = g.reflection_index[pos]
-            w = g.finite_elements[g._fin_mul[z.w.index][refl]]
-            wbeta = z.w.apply(rd.positive_roots[pos])
-            kmin = -((cmax - ht) // l)  # ceil((ht - cmax) / l)
-            kmax = (ht + cmax) // l
-            for k in range(kmin, kmax + 1):
-                c = ht - l * k
-                if c == 0 or (c > 0) != (pair > 0) or abs(c) > cmax:
-                    continue
-                yield g.element(z.trans + k * wbeta, w)
+        e = self.rd.lattice_index_e
+        ey = self._scaled_rc(y)
+        want: dict[tuple, ExtAffineElement] = {}
+        rcs = []
+        for x in xs:
+            ex = self._scaled_rc(x)
+            if all(d >= 0 and d % e == 0 for d in (b - a for a, b in zip(ex, ey))):
+                want[(x.trans.coords, x.w.index)] = x
+                rcs.append(ex)
+        if not want:
+            return set()
+        meet = tuple(map(min, zip(*rcs)))
+        floor = min(map(sum, rcs))
+        moves = self._moves
+        l = self.rd.l
+        start = (y.trans.coords, y.w.index)
+        seen = {start}
+        left = len(want) - (start in want)
+        stack = [(y.trans.coords, y.w.index, ey)]
+        while stack and left:
+            trans, w, ev = stack.pop()
+            budget = sum(ev) - floor
+            slack = [v - m for v, m in zip(ev, meet)]
+            for a, k, dk, drop, nonzero, wbeta, rc, w2 in moves[w]:
+                amax = budget // drop
+                for i, r in nonzero:
+                    q = slack[i] // r
+                    if q < amax:
+                        amax = q
+                while a <= amax:
+                    nt = tuple(t + k * b for t, b in zip(trans, wbeta))
+                    key = (nt, w2)
+                    if key not in seen and (within is None or key in within):
+                        seen.add(key)
+                        if key in want:
+                            left -= 1
+                        stack.append((nt, w2, tuple(v - a * r for v, r in zip(ev, rc))))
+                    a += l
+                    k += dk
+        return {x for key, x in want.items() if key in seen}
 
-    def _reaches_window(self, top: ExtAffineElement, target: ExtAffineElement,
-                        window: frozenset) -> bool:
-        floor = min(self.height(z) for z in window)
-        floor = min(floor, self.height(target))
-        seen = {top}
-        frontier = [top]
-        while frontier:
-            z = frontier.pop()
-            for nxt in self._down_targets(z, floor):
-                if nxt == target:
-                    return True
-                if nxt in window and nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return False
+    def _scaled_rc(self, z: ExtAffineElement) -> tuple[int, ...]:
+        """E(z) = e * rc(z dot 0) as integers, with z dot 0 = w rho - rho + l lam."""
+        offsets, cols = self._dot_rc
+        lam = z.trans.coords
+        return tuple(
+            off + sum(col[i] * c for col, c in zip(cols, lam))
+            for i, off in enumerate(offsets[z.w.index])
+        )
+
+    @cached_property
+    def _dot_rc(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """E(t(0) w) per finite w, and E(t(omega_s)) - E(e) per fundamental weight."""
+        rd = self.rd
+        offsets = tuple(
+            self._int_rc(w.apply(rd.rho) - rd.rho) for w in self.group.finite_elements
+        )
+        cols = tuple(
+            tuple(rd.l * c for c in self._int_rc(rd.fundamental_weight(s))) for s in range(rd.rank)
+        )
+        return offsets, cols
+
+    def _int_rc(self, lam: Weight) -> tuple[int, ...]:
+        e = self.rd.lattice_index_e
+        return tuple(int(c * e) for c in self.rd.root_coordinates(lam))
+
+    @cached_property
+    def _moves(self) -> tuple[tuple[tuple, ...], ...]:
+        """The generating moves z -> z r < z, r = t(k b) s_b, per finite part w of z.
+
+        For z = t(lam) w the move gives t(lam + k w(b)) (w s_b), lowers
+        z dot 0 by c w(b) with c = ht(b^) - l k, and is a strict descent iff
+        c and w(b) have the same sign.  Since 0 < ht(b^) < l, the admissible
+        |c| are ht(b^), ht(b^) + l, ... (k = 0, -1, ...) when w(b) > 0 and
+        l - ht(b^), 2l - ht(b^), ... (k = 1, 2, ...) when w(b) < 0.  One row
+        per positive root b holds: the least |c|, its k, the step of k per
+        step l of |c|, the drop of sum(E) per unit of |c|, the nonzero
+        entries of |E(w(b))|, w(b), |E(w(b))| and the index of w s_b.
+        """
+        rd, g = self.rd, self.group
+        l = rd.l
+        table = []
+        for w in g.finite_elements:
+            rows = []
+            for pos, beta in enumerate(rd.positive_roots):
+                wbeta = w.apply(beta)
+                rc = tuple(abs(c) for c in self._int_rc(wbeta))
+                ht = sum(rd.coroot(beta).coords)
+                if g.sign_table[w.index][pos] > 0:
+                    first = (ht, 0, -1)
+                else:
+                    first = (l - ht, 1, 1)
+                nonzero = tuple((i, r) for i, r in enumerate(rc) if r)
+                w2 = g._fin_mul[w.index][g.reflection_index[pos]]
+                rows.append(first + (sum(rc), nonzero, wbeta.coords, rc, w2))
+            table.append(tuple(rows))
+        return tuple(table)
 
     def _slab(self, lo: Weight, hi: Weight, tag: tuple[int, ...]) -> frozenset:
         """All z in the given coset with lo <= z dot 0 <= hi (dominance)."""
@@ -260,7 +294,8 @@ class SemiInfiniteOrder:
             return False
         if x == y:
             return True
-        if self._reaches_window(y, x, window_set):
+        within = frozenset((z.trans.coords, z.w.index) for z in window_set)
+        if self._reach(y, (x,), within):
             return True
         lo = self.group.dot_zero(x)
         hi = self.group.dot_zero(y)
@@ -327,6 +362,7 @@ class SemiInfinitePoset:
 
     window: tuple[ExtAffineElement, ...]
     leq_matrix: tuple[tuple[bool, ...], ...]  # leq_matrix[i][j] iff window[i] <= window[j]
+    rows: tuple[int, ...]  # bit j of rows[i] iff window[i] <= window[j]
 
     def leq(self, x: ExtAffineElement, y: ExtAffineElement) -> bool:
         i = self.window.index(x)
@@ -334,38 +370,40 @@ class SemiInfinitePoset:
         return self.leq_matrix[i][j]
 
     def hasse_edges(self) -> list[tuple[ExtAffineElement, ExtAffineElement]]:
-        """Cover relations (a, b) with a covered by b, within the window."""
-        n = len(self.window)
-        m = self.leq_matrix
+        """Cover relations (a, b) with a covered by b, within the window.
+
+        The strict up-set of a minus the strict up-sets of its members leaves
+        exactly the elements covering a.
+        """
+        strict = [row & ~(1 << i) for i, row in enumerate(self.rows)]
         edges = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not m[i][j]:
-                    continue
-                if any(k != i and k != j and m[i][k] and m[k][j] for k in range(n)):
-                    continue
+        for i, up in enumerate(strict):
+            above = 0
+            for j in _bits(up):
+                above |= strict[j]
+            for j in _bits(up & ~above):
                 edges.append((self.window[i], self.window[j]))
         return edges
 
     def check_partial_order(self) -> None:
-        n = len(self.window)
-        m = self.leq_matrix
-        for i in range(n):
-            assert m[i][i]
-            for j in range(n):
-                if m[i][j] and m[j][i]:
-                    assert i == j, "antisymmetry violated"
-                for k in range(n):
-                    if m[i][j] and m[j][k]:
-                        assert m[i][k], "transitivity violated"
+        rows = self.rows
+        for i, row in enumerate(rows):
+            assert row >> i & 1
+            for j in _bits(row):
+                if j != i:
+                    assert not rows[j] >> i & 1, "antisymmetry violated"
+                assert rows[j] & ~row == 0, "transitivity violated"
 
     @staticmethod
     def build(order: SemiInfiniteOrder, window: Sequence[ExtAffineElement]) -> "SemiInfinitePoset":
         win = tuple(window)
-        matrix = tuple(
-            tuple(order.leq(a, b) for b in win) for a in win
-        )
-        poset = SemiInfinitePoset(win, matrix)
+        index = {z: i for i, z in enumerate(win)}
+        rows = [0] * len(win)
+        for j, b in enumerate(win):
+            for a in order.below(b, win):
+                rows[index[a]] |= 1 << j
+        matrix = tuple(tuple(bool(row >> j & 1) for j in range(len(win))) for row in rows)
+        poset = SemiInfinitePoset(win, matrix, tuple(rows))
         poset.check_partial_order()
         return poset
 
@@ -399,6 +437,14 @@ def _box(bounds: Sequence[tuple[int, int]]):
     for first in range(lo, hi + 1):
         for rest in _box(bounds[1:]):
             yield (first,) + rest
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _ceil_frac(x: Fraction) -> int:

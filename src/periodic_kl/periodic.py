@@ -44,13 +44,18 @@ been finalized by the same sweep.  This lazy self-reference is what makes
 the computation terminate: the dependency at the level of whole elements is
 genuinely cyclic through translation, but positionwise it is triangular.
 
-Each computed element is certified after the fact: leading coefficient 1,
-all other coefficients in vZ[v], support inside the semi-infinite ideal of
-the leading term (exact order oracle), and the product relation
-P = SD_w + sum_j m_j SD_{z_j} re-verified on complete vectors.  Together
-with uniqueness of the self-dual element these checks pin the result; a
-failure raises :class:`CertificationError` and indicates a bug, never bad
-input.
+Each computed element is certified before it is cached: leading
+coefficient 1, all other coefficients in vZ[v], support inside the
+semi-infinite ideal of the leading term, and the product relation
+P = SD_w + sum_j m_j SD_{z_j} re-verified on complete vectors.  The sweep
+records every nonzero position it meets, and after the sweep one batched
+down-closure search of the lead (:meth:`.SemiInfiniteOrder.below`) decides
+all of them at once.  That search is exact although it is pruned to the
+dominance meet of the recorded positions: every chain from the lead down to
+a position z stays between z dot 0 and the lead's dot 0.  The same set
+serves the support check of the final certification.  Together with
+uniqueness of the self-dual element these checks pin the result; a failure
+raises :class:`CertificationError` and indicates a bug, never bad input.
 
 The generic polynomials are coordinates of the positive-root geometric
 series applied to SD_x:
@@ -337,6 +342,9 @@ class PeriodicModule:
         for pos in product.terms:
             push(pos)
 
+        # Positions whose order check against the lead waits for one batched
+        # search after the sweep.
+        checked: list[ExtAffineElement] = []
         steps = 0
         while heap:
             steps += 1
@@ -361,8 +369,7 @@ class PeriodicModule:
                 continue
             if val.is_zero():
                 continue
-            if not self.order.leq(pos, lead):
-                raise CertificationError("support escapes the semi-infinite ideal of the lead")
+            checked.append(pos)
             low = val.lower_symmetrization()
             if not low.is_zero():
                 cls = pos.w.index
@@ -386,8 +393,11 @@ class PeriodicModule:
                 fin[pos] = val
                 self._push_self_shifts(pos, corrections, push, w_index)
 
+        ideal = self.order.below(lead, checked)
+        if not ideal.issuperset(checked):
+            raise CertificationError("support escapes the semi-infinite ideal of the lead")
         result = PeriodicElement(self, fin)
-        self._certify(result, lead, product, corrections, w_index)
+        self._certify(result, lead, product, corrections, w_index, ideal)
         return result
 
     def _push_self_shifts(self, pos: ExtAffineElement, corrections, push, w_index: int) -> None:
@@ -397,7 +407,8 @@ class PeriodicModule:
                 push(g.translate_left(shift_nu, pos))
 
     def _certify(self, result: PeriodicElement, lead: ExtAffineElement,
-                 product: PeriodicElement, corrections, w_index: int) -> None:
+                 product: PeriodicElement, corrections, w_index: int,
+                 ideal: set[ExtAffineElement]) -> None:
         if result.coefficient(lead) != ONE:
             raise CertificationError("certification: leading coefficient")
         for pos, p in result.terms.items():
@@ -405,7 +416,7 @@ class PeriodicModule:
                 continue
             if not p.in_v_times_Zv():
                 raise CertificationError("certification: coefficient not in vZ[v]")
-            if not self.order.leq(pos, lead):
+            if pos not in ideal:
                 raise CertificationError("certification: support outside the ideal")
         # product relation on complete vectors
         acc = result

@@ -44,6 +44,11 @@ def b2():
 
 
 @pytest.fixture(scope="session")
+def c2():
+    return Context("C", 2, 5)
+
+
+@pytest.fixture(scope="session")
 def g2():
     return Context("G", 2, 7)
 

@@ -1,0 +1,32 @@
+"""Output bytes of B2, G2 and A3 runs, pinned by the benchmark's recorded digests.
+
+The golden files under ``golden/`` cover A1 and A2 only.  ``bench/digests.json``
+holds the stdout sha256 of every benchmark invocation; this module replays
+the Hasse diagrams and the p tables beyond A1 through the command line and
+compares their digests.  The file is only read here.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from periodic_kl.cli import main
+
+DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
+PINNED = sorted(
+    argv for argv in DIGESTS
+    if argv.startswith("orders hasse ") or (argv.startswith("table p ") and "--rank 1 " not in argv)
+)
+
+
+@pytest.mark.parametrize("argv", PINNED)
+def test_stdout_digest(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv.split(" "))
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DIGESTS[argv]

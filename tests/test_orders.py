@@ -80,6 +80,17 @@ def test_translation_characterization_agrees(fixture, height, coset, request):
             assert O.leq(a, b) == O.leq_via_translation(a, b, mu)
 
 
+@pytest.mark.parametrize("fixture,height", [("a1", 3), ("a2", 1), ("b2", 1), ("c2", 1), ("g2", 1), ("a3", 0)])
+def test_below_matches_translation_oracle(fixture, height, request):
+    # one batched search per y against the independent Bruhat characterization
+    ctx = request.getfixturevalue(fixture)
+    W, O = ctx.group, ctx.order
+    win = standard_window(W, height)
+    mu = O.sufficient_mu(win)
+    for y in win:
+        assert O.below(y, win) == {x for x in win if O.leq_via_translation(x, y, mu)}
+
+
 def test_translation_characterization_rejects_shallow_mu(a1):
     W, O = a1.group, a1.order
     alpha = a1.rd.simple_roots[0]
@@ -110,6 +121,8 @@ def test_left_translation_invariance(a1, a2):
             x, y = random.choice(win), random.choice(win)
             nu = Weight(tuple(random.randint(-2, 2) for _ in range(ctx.rd.rank)))
             assert O.leq(x, y) == O.leq(W.translate_left(nu, x), W.translate_left(nu, y))
+            moved = O.below(W.translate_left(nu, y), [W.translate_left(nu, z) for z in win])
+            assert moved == {W.translate_left(nu, z) for z in O.below(y, win)}
 
 
 def test_monotone_under_dot_values(a2):

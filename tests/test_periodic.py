@@ -289,6 +289,27 @@ def test_resource_bound_raises(a1):
         M.selfdual(a1.group.simple_reflection(0))
 
 
+def test_certification_catches_support_outside_ideal(a2, monkeypatch):
+    # an order search that loses one non-lead position must stop the class solve
+    from periodic_kl.orders import SemiInfiniteOrder
+    from periodic_kl.periodic import CertificationError, PeriodicModule
+
+    real_below = SemiInfiniteOrder.below
+
+    def lossy_below(self, y, xs):
+        found = real_below(self, y, xs)
+        lower = sorted(found - {y}, key=lambda z: (z.trans.coords, z.w.index))
+        if lower:
+            found.discard(lower[0])
+        return found
+
+    monkeypatch.setattr(SemiInfiniteOrder, "below", lossy_below)
+    M = PeriodicModule(a2.group, SemiInfiniteOrder(a2.group), a2.hecke)
+    with pytest.raises(CertificationError, match="^support escapes the semi-infinite ideal of the lead$"):
+        M._class_element(a2.group.w0.index)
+    assert list(M._class_cache) == [0]  # only the base case, which needs no solve
+
+
 def test_experimental_bar_oracle_rank_one(a1):
     # sound in rank 1: accepts the certified elements, rejects a v-scaled one
     M, W = a1.module, a1.group
