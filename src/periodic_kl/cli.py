@@ -14,15 +14,18 @@ Elements use the textual form ``t(a1,...,ar)*w[i1 i2 ...]`` everywhere.
 Output is deterministic byte for byte for a fixed configuration: elements
 are listed in a canonical order and JSON is emitted with sorted keys.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 resource bound
-exceeded, 4 internal consistency failure (must never happen).
+Exit codes: 0 success, 2 usage or configuration error (including an
+unreadable or malformed cache file and an unwritable output or cache
+path), 3 resource bound exceeded, 4 internal consistency failure (must
+never happen).
 
 The self-dual class vectors (the expensive part) can be cached on disk with
 ``--cache-dir`` or the ``PERIODIC_KL_CACHE`` environment variable; cache
-files carry a format version and the full (type, rank, l) key.  ``--jobs``
-is accepted for interface stability but computations run sequentially; the
-table computation is dominated by the shared class solve, which is
-memoized, so extra processes would not help at the supported scales.
+files carry a format version and the full (type, rank, l) key, and are
+written through a temporary file so a reader never sees a partial one.  A
+loaded class whose index is out of range, whose leading coefficient is not
+1 or whose other coefficients are not all in vZ[v] is discarded with a
+warning on stderr and solved again.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import sys
 from typing import Optional, Sequence
 
 from .hecke import HeckeAlgebra, ResourceError
-from .laurent import LaurentPoly
+from .laurent import ONE, LaurentPoly
 from .multiplicity import MultiplicityTables, enumerate_blocks
 from .orders import SemiInfiniteOrder, SemiInfinitePoset, standard_window
 from .periodic import CertificationError, PeriodicModule
@@ -63,7 +66,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     parser.add_argument("--cache-dir", default=None,
                         help="cache directory (or set PERIODIC_KL_CACHE)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallelism degree (advisory)")
 
 
 def _build_context(args) -> tuple[RootDatum, AffineWeyl]:
@@ -78,8 +80,6 @@ def _build_context(args) -> tuple[RootDatum, AffineWeyl]:
         raise UsageError(
             "; ".join(warnings) + " (pass --force to proceed)"
         )
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
     return rd, AffineWeyl(rd)
 
 
@@ -104,16 +104,34 @@ def _load_class_cache(mod: PeriodicModule, cache: str, args) -> None:
     path = _cache_path(args, cache)
     if not os.path.exists(path):
         return
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("format_version") != FORMAT_VERSION:
-        return
     g = mod.group
-    for idx_str, terms in data["classes"].items():
-        terms_map = {
-            g.parse_element(el): LaurentPoly.from_json(coeffs) for el, coeffs in terms
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if data.get("format_version") != FORMAT_VERSION:
+            return
+        loaded = {
+            int(idx_str): mod.from_terms({
+                g.parse_element(el): LaurentPoly.from_json(coeffs) for el, coeffs in terms
+            })
+            for idx_str, terms in data["classes"].items()
         }
-        mod._class_cache[int(idx_str)] = mod.from_terms(terms_map)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed cache file {path}: {exc}") from None
+    zero = Weight((0,) * g.rd.rank)
+    rejected = []
+    for idx, el in sorted(loaded.items()):
+        if 0 <= idx < len(g.finite_elements):
+            lead = g.element(zero, idx)
+            if el.coefficient(lead) == ONE and all(
+                p.in_v_times_Zv() for x, p in el.terms.items() if x != lead
+            ):
+                mod._class_cache[idx] = el
+                continue
+        rejected.append(str(idx))
+    if rejected:
+        print(f"warning: discarded uncertified cached classes {', '.join(rejected)} "
+              f"from {path}; solving them again", file=sys.stderr)
 
 
 def _save_class_cache(mod: PeriodicModule, args) -> None:
@@ -135,9 +153,16 @@ def _save_class_cache(mod: PeriodicModule, args) -> None:
             for idx, el in sorted(mod._class_cache.items())
         },
     }
-    with open(_cache_path(args, cache), "w") as fh:
-        json.dump(data, fh, sort_keys=True)
-        fh.write("\n")
+    path = _cache_path(args, cache)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(data, fh, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _window(args, group: AffineWeyl):
@@ -450,7 +475,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceError as exc:

@@ -27,9 +27,9 @@ the usual CPython guarantees.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
-from .laurent import ONE, V, VINV, ZERO, LaurentPoly
+from .laurent import ONE, V, VINV, Combination, LaurentPoly
 from .rootdata import Weight
 from .weyl import AffineWeyl, ExtAffineElement
 
@@ -38,52 +38,17 @@ __all__ = ["HeckeAlgebra", "HeckeElement"]
 _V_MINUS_VINV = V - VINV  # v - v^{-1}
 
 
-class HeckeElement:
+class HeckeElement(Combination):
     """A finite Z[v^{+-1}]-linear combination of standard basis elements."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra: "HeckeAlgebra", terms: Mapping[ExtAffineElement, LaurentPoly]):
         self.algebra = algebra
-        self.terms = {x: p for x, p in terms.items() if not p.is_zero()}
+        Combination.__init__(self, terms)
 
-    # -- linear structure ------------------------------------------------------
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        d = dict(self.terms)
-        for x, p in other.terms.items():
-            q = d.get(x)
-            d[x] = p if q is None else q + p
-        return HeckeElement(self.algebra, d)
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        d = dict(self.terms)
-        for x, p in other.terms.items():
-            q = d.get(x, ZERO)
-            d[x] = q - p
-        return HeckeElement(self.algebra, d)
-
-    def scale(self, p: LaurentPoly | int) -> "HeckeElement":
-        if isinstance(p, int):
-            p = LaurentPoly({0: p})
-        return HeckeElement(self.algebra, {x: q * p for x, q in self.terms.items()})
-
-    def coefficient(self, x: ExtAffineElement) -> LaurentPoly:
-        return self.terms.get(x, ZERO)
-
-    def support(self) -> list[ExtAffineElement]:
-        return list(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key in hot paths
-        return hash(frozenset((x, p) for x, p in self.terms.items()))
+    def _new(self, terms: Mapping[ExtAffineElement, LaurentPoly]) -> "HeckeElement":
+        return HeckeElement(self.algebra, terms)
 
     # -- products ----------------------------------------------------------------
 

@@ -4,13 +4,17 @@ Sparse dict representation {exponent: coefficient} with no zero entries;
 the empty dict is the zero polynomial.  Coefficients are Python integers,
 so all arithmetic is exact and overflow-free.  The bar involution sends
 v to v^{-1} (exponent negation).
+
+:class:`Combination` is the free Z[v^{+-1}]-module structure on top: a
+sparse {basis label: polynomial} dict, shared by the Hecke algebra and the
+periodic module.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
-__all__ = ["LaurentPoly", "ZERO", "ONE", "V", "VINV"]
+__all__ = ["Combination", "LaurentPoly", "ZERO", "ONE", "V", "VINV"]
 
 
 class LaurentPoly:
@@ -19,20 +23,6 @@ class LaurentPoly:
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         d = dict(coeffs)
         self.coeffs = {e: c for e, c in d.items() if c != 0}
-
-    # -- constructors ---------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return ZERO
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return ONE
-
-    @staticmethod
-    def monomial(exp: int, coeff: int = 1) -> "LaurentPoly":
-        return LaurentPoly({exp: coeff})
 
     # -- ring operations -------------------------------------------------------
 
@@ -135,12 +125,6 @@ class LaurentPoly:
         out.coeffs = {e: c for e, c in d.items() if c}
         return out
 
-    def min_exp(self) -> int | None:
-        return min(self.coeffs) if self.coeffs else None
-
-    def max_exp(self) -> int | None:
-        return max(self.coeffs) if self.coeffs else None
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             if other == 0:
@@ -190,3 +174,55 @@ ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
 V = LaurentPoly({1: 1})
 VINV = LaurentPoly({-1: 1})
+
+
+class Combination:
+    """A finite Z[v^{+-1}]-linear combination of hashable basis labels.
+
+    Zero coefficients are dropped on construction.  A subclass holds its
+    owner (the algebra or module the basis belongs to) and builds new
+    elements through :meth:`_new`; elements of different subclasses never
+    compare equal, even with the same terms.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping[Hashable, LaurentPoly]):
+        self.terms = {x: p for x, p in terms.items() if not p.is_zero()}
+
+    def _new(self, terms: Mapping[Hashable, LaurentPoly]):
+        """An element of the same type and owner with the given terms."""
+        raise NotImplementedError
+
+    def __add__(self, other):
+        d = dict(self.terms)
+        for x, p in other.terms.items():
+            q = d.get(x)
+            d[x] = p if q is None else q + p
+        return self._new(d)
+
+    def __sub__(self, other):
+        d = dict(self.terms)
+        for x, p in other.terms.items():
+            q = d.get(x, ZERO)
+            d[x] = q - p
+        return self._new(d)
+
+    def scale(self, p: LaurentPoly | int):
+        if isinstance(p, int):
+            p = LaurentPoly({0: p})
+        return self._new({x: q * p for x, q in self.terms.items()})
+
+    def coefficient(self, x: Hashable) -> LaurentPoly:
+        return self.terms.get(x, ZERO)
+
+    def support(self) -> list:
+        return list(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms

@@ -29,11 +29,12 @@ is 1 (no overall grading shift); tables are reported in that convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Literal, Optional, Sequence
 
-from .laurent import ONE, ZERO, LaurentPoly
+from .laurent import ZERO, LaurentPoly
 from .periodic import PeriodicModule
-from .rootdata import RootDatum, Weight, dominance_leq, pairing
+from .rootdata import Weight, dominance_leq, pairing
 from .weyl import AffineWeyl, ExtAffineElement
 
 __all__ = [
@@ -63,7 +64,7 @@ def enumerate_blocks(group: AffineWeyl) -> list[BlockLabel]:
     eta = rd.short_dominant_root
     eta_check = rd.coroot(eta)
     out = []
-    for coords in _box(rank, -1, l - 1):
+    for coords in product(range(-1, l), repeat=rank):
         lam = Weight(coords)
         shifted = lam + rd.rho
         if any(pairing(rd, shifted, rd.coroot(b)) < 0 for b in rd.positive_roots):
@@ -187,11 +188,3 @@ class MultiplicityTables:
                     entries[(x, y)] = p
         return MultiplicityTable(kind, win, nu, entries)
 
-
-def _box(rank: int, lo: int, hi: int):
-    if rank == 0:
-        yield ()
-        return
-    for first in range(lo, hi + 1):
-        for rest in _box(rank - 1, lo, hi):
-            yield (first,) + rest

@@ -39,9 +39,7 @@ region stays close to the queries instead of spanning the whole ideal of
 ``y``.  The search runs on ``(translation, finite index)`` keys with
 integer root coordinates scaled by the lattice index, and takes its moves
 from per-finite-element tables built on first use.  :meth:`leq` is one
-such search with a single query, memoized per pair.  The window-restricted
-variant reuses the same moves and returns an explicit indeterminate
-(``None``) when a negative answer cannot be certified inside the window.
+such search with a single query, memoized per pair.
 
 An independent characterization via deep dominant translation is provided:
 ``x <= y`` iff ``t(mu) x <= t(mu) y`` in Bruhat order once both elements
@@ -54,9 +52,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .rootdata import RootDatum, Weight, dominance_leq, pairing
+from .rootdata import Weight, dominance_leq, pairing
 from .weyl import AffineWeyl, ExtAffineElement
 
 __all__ = [
@@ -73,7 +72,6 @@ class SemiInfiniteOrder:
         self.group = group
         self.rd = group.rd
         self._desc_cache: dict[tuple[int, int], bool] = {}
-        self._slab_cache: dict = {}
         self._leq_cache: dict = {}
         self._height_cache: dict = {}
 
@@ -122,19 +120,14 @@ class SemiInfiniteOrder:
         return hit
 
     def below(self, y: ExtAffineElement, xs: Iterable[ExtAffineElement]) -> set[ExtAffineElement]:
-        """The elements x of ``xs`` with x <= y, from one down-closure search of y."""
-        return self._reach(y, xs, None)
+        """The elements x of ``xs`` with x <= y, from one down-closure search of y.
 
-    def _reach(self, y: ExtAffineElement, xs: Iterable[ExtAffineElement],
-               within: Optional[frozenset]) -> set[ExtAffineElement]:
-        """The elements of ``xs`` reached from y by descending generating moves,
-        through keys ``(trans coords, w index)`` in ``within`` when given.
-
-        Each element carries E(z) = e * rc(z dot 0): x dot 0 <= z dot 0 in
-        dominance order iff E(z) - E(x) is a nonnegative multiple of e in
-        every coordinate, and the height is 2 sum(E) / e.  Only the queries
-        with x dot 0 <= y dot 0 can be reached, and the search stays where E
-        dominates their meet and sum(E) is at least their least sum.
+        The search descends by generating moves on keys ``(trans coords,
+        w index)``.  Each element carries E(z) = e * rc(z dot 0): x dot 0 <=
+        z dot 0 in dominance order iff E(z) - E(x) is a nonnegative multiple
+        of e in every coordinate, and the height is 2 sum(E) / e.  Only the
+        queries with x dot 0 <= y dot 0 can be reached, and the search stays
+        where E dominates their meet and sum(E) is at least their least sum.
         """
         e = self.rd.lattice_index_e
         ey = self._scaled_rc(y)
@@ -168,7 +161,7 @@ class SemiInfiniteOrder:
                 while a <= amax:
                     nt = tuple(t + k * b for t, b in zip(trans, wbeta))
                     key = (nt, w2)
-                    if key not in seen and (within is None or key in within):
+                    if key not in seen:
                         seen.add(key)
                         if key in want:
                             left -= 1
@@ -234,78 +227,6 @@ class SemiInfiniteOrder:
             table.append(tuple(rows))
         return tuple(table)
 
-    def _slab(self, lo: Weight, hi: Weight, tag: tuple[int, ...]) -> frozenset:
-        """All z in the given coset with lo <= z dot 0 <= hi (dominance)."""
-        key = (lo.coords, hi.coords, tag)
-        hit = self._slab_cache.get(key)
-        if hit is not None:
-            return hit
-        rd = self.rd
-        g = self.group
-        e = rd.lattice_index_e
-        rc_lo = rd.root_coordinates(lo)
-        rc_hi = rd.root_coordinates(hi)
-        out = set()
-        for w in g.finite_elements:
-            # z = t(lam) w has z dot 0 = l*lam + w rho - rho.
-            off = w.apply(rd.rho) - rd.rho
-            rc_off = rd.root_coordinates(off)
-            bounds = []
-            for i in range(rd.rank):
-                lo_i = (rc_lo[i] - rc_off[i]) / rd.l  # bounds for rc(lam)_i
-                hi_i = (rc_hi[i] - rc_off[i]) / rd.l
-                bounds.append((_ceil_frac(lo_i * e), _floor_frac(hi_i * e)))
-            for n in _box(bounds):
-                rc_lam = [Fraction(c, e) for c in n]
-                fc = [
-                    sum(rd.cartan[r][t] * rc_lam[t] for t in range(rd.rank))
-                    for r in range(rd.rank)
-                ]
-                if any(c.denominator != 1 for c in fc):
-                    continue
-                lam = Weight(tuple(int(c) for c in fc))
-                if rd.coset_tag(lam) != tag:
-                    continue
-                z = g.element(lam, w)
-                z0 = g.dot_zero(z)
-                if dominance_leq(rd, lo, z0) and dominance_leq(rd, z0, hi):
-                    out.add(z)
-        result = frozenset(out)
-        self._slab_cache[key] = result
-        return result
-
-    # -- window-restricted comparison -------------------------------------------------
-
-    def leq_generated(
-        self,
-        x: ExtAffineElement,
-        y: ExtAffineElement,
-        window: Iterable[ExtAffineElement],
-    ) -> Optional[bool]:
-        """Transitive closure of the generating covers restricted to ``window``.
-
-        Returns True/False when certain; ``None`` when the window is too small
-        to certify a negative answer (chains might leave and re-enter).
-        """
-        window_set = frozenset(window)
-        if x not in window_set or y not in window_set:
-            raise ValueError("both elements must lie in the declared window")
-        if x.omega_component != y.omega_component:
-            return False
-        if x == y:
-            return True
-        within = frozenset((z.trans.coords, z.w.index) for z in window_set)
-        if self._reach(y, (x,), within):
-            return True
-        lo = self.group.dot_zero(x)
-        hi = self.group.dot_zero(y)
-        if not dominance_leq(self.rd, lo, hi):
-            return False
-        slab = self._slab(lo, hi, x.omega_component)
-        if slab <= window_set:
-            return False
-        return None
-
     # -- translation characterization ---------------------------------------------------
 
     def dominant_alcove_certificate(self, z: ExtAffineElement) -> list[str]:
@@ -361,13 +282,10 @@ class SemiInfinitePoset:
     """The semi-infinite order restricted to a finite window, as explicit data."""
 
     window: tuple[ExtAffineElement, ...]
-    leq_matrix: tuple[tuple[bool, ...], ...]  # leq_matrix[i][j] iff window[i] <= window[j]
     rows: tuple[int, ...]  # bit j of rows[i] iff window[i] <= window[j]
 
     def leq(self, x: ExtAffineElement, y: ExtAffineElement) -> bool:
-        i = self.window.index(x)
-        j = self.window.index(y)
-        return self.leq_matrix[i][j]
+        return bool(self.rows[self.window.index(x)] >> self.window.index(y) & 1)
 
     def hasse_edges(self) -> list[tuple[ExtAffineElement, ExtAffineElement]]:
         """Cover relations (a, b) with a covered by b, within the window.
@@ -402,8 +320,7 @@ class SemiInfinitePoset:
         for j, b in enumerate(win):
             for a in order.below(b, win):
                 rows[index[a]] |= 1 << j
-        matrix = tuple(tuple(bool(row >> j & 1) for j in range(len(win))) for row in rows)
-        poset = SemiInfinitePoset(win, matrix, tuple(rows))
+        poset = SemiInfinitePoset(win, tuple(rows))
         poset.check_partial_order()
         return poset
 
@@ -419,24 +336,14 @@ def standard_window(
     """
     rd = group.rd
     out = []
-    for coords in _box([(-height, height)] * rd.rank):
-        lam = Weight(tuple(coords))
+    for coords in product(range(-height, height + 1), repeat=rd.rank):
+        lam = Weight(coords)
         if coset is not None and rd.coset_tag(lam) != coset:
             continue
         for w in group.finite_elements:
             out.append(group.element(lam, w))
     out.sort(key=lambda z: (z.trans.coords, z.w.index))
     return out
-
-
-def _box(bounds: Sequence[tuple[int, int]]):
-    if not bounds:
-        yield ()
-        return
-    lo, hi = bounds[0]
-    for first in range(lo, hi + 1):
-        for rest in _box(bounds[1:]):
-            yield (first,) + rest
 
 
 def _bits(mask: int):
@@ -446,10 +353,3 @@ def _bits(mask: int):
         yield low.bit_length() - 1
         mask ^= low
 
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator

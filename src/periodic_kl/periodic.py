@@ -75,11 +75,11 @@ is exposed as a checkable report and exercised by the acceptance suite.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Iterable, Literal, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Literal, Mapping, Optional, Sequence
 
-from .hecke import HeckeAlgebra, HeckeElement, ResourceError
-from .laurent import ONE, V, VINV, ZERO, LaurentPoly
+from .hecke import HeckeElement, ResourceError
+from .laurent import ONE, V, VINV, ZERO, Combination, LaurentPoly
 from .orders import SemiInfiniteOrder
 from .rootdata import Weight
 from .weyl import AffineWeyl, ExtAffineElement
@@ -98,47 +98,17 @@ class CertificationError(AssertionError):
     """Internal consistency failure in the self-dual basis computation."""
 
 
-class PeriodicElement:
+class PeriodicElement(Combination):
     """Finite linear combination of periodic basis elements B_x."""
 
-    __slots__ = ("module", "terms")
+    __slots__ = ("module",)
 
     def __init__(self, module: "PeriodicModule", terms: Mapping[ExtAffineElement, LaurentPoly]):
         self.module = module
-        self.terms = {x: p for x, p in terms.items() if not p.is_zero()}
+        Combination.__init__(self, terms)
 
-    def __add__(self, other: "PeriodicElement") -> "PeriodicElement":
-        d = dict(self.terms)
-        for x, p in other.terms.items():
-            q = d.get(x)
-            d[x] = p if q is None else q + p
-        return PeriodicElement(self.module, d)
-
-    def __sub__(self, other: "PeriodicElement") -> "PeriodicElement":
-        d = dict(self.terms)
-        for x, p in other.terms.items():
-            q = d.get(x, ZERO)
-            d[x] = q - p
-        return PeriodicElement(self.module, d)
-
-    def scale(self, p: LaurentPoly | int) -> "PeriodicElement":
-        if isinstance(p, int):
-            p = LaurentPoly({0: p})
-        return PeriodicElement(self.module, {x: q * p for x, q in self.terms.items()})
-
-    def coefficient(self, x: ExtAffineElement) -> LaurentPoly:
-        return self.terms.get(x, ZERO)
-
-    def support(self) -> list[ExtAffineElement]:
-        return list(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PeriodicElement):
-            return NotImplemented
-        return self.terms == other.terms
+    def _new(self, terms: Mapping[ExtAffineElement, LaurentPoly]) -> "PeriodicElement":
+        return PeriodicElement(self.module, terms)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -164,11 +134,10 @@ class PolynomialTable:
 
 class PeriodicModule:
     def __init__(self, group: AffineWeyl, order: Optional[SemiInfiniteOrder] = None,
-                 hecke: Optional[HeckeAlgebra] = None, max_sweep_steps: int = 500_000):
+                 max_sweep_steps: int = 500_000):
         self.group = group
         self.rd = group.rd
         self.order = order or SemiInfiniteOrder(group)
-        self.hecke = hecke or HeckeAlgebra(group)
         self.max_sweep_steps = max_sweep_steps
         self._class_cache: dict[int, PeriodicElement] = {}
         self._in_progress: set[int] = set()
@@ -536,58 +505,6 @@ class PeriodicModule:
             if not q.is_zero():
                 total = total + q.shift(2 * size).scale(sign)
         return total
-
-    def geometric_series_window(self, x: ExtAffineElement,
-                                targets: Iterable[ExtAffineElement],
-                                kind: Literal["q", "qprime"] = "q") -> PeriodicElement:
-        """The series expansion of the self-dual element at x, restricted to targets."""
-        terms = {}
-        for y in targets:
-            p = self.generic_polynomial(y, x, kind)
-            if not p.is_zero():
-                terms[y] = p
-        return self.from_terms(terms)
-
-    # -- experimental bar-invariance verifier ------------------------------------------------
-
-    def bar_check_via_translation(self, m: PeriodicElement, depth_factor: int = 1) -> bool:
-        """Experimental cross-check, not used by any production path.
-
-        Transports m into the Hecke algebra by the window map
-        B_y -> H_{t(mu) y} for a deep dominant mu (which intertwines the
-        right action on certified windows), applies the algebra bar
-        involution there, and compares the pull-back with m on positions at
-        or above the support's minimum height, at two depths.
-
-        In rank 1 this reproduces the module involution exactly on-window
-        and the check is a sound (if non-proving) self-duality oracle.  In
-        rank >= 2 the transported involution stabilizes to something that
-        differs from the module involution by on-window terms divisible by
-        v^2 - 1, so the check reports false negatives there; it is kept for
-        diagnostics only.  Certified results never rely on it - the
-        production verification is the constructive certification plus the
-        signed inversion identity and the Koszul round trip.
-        """
-        if m.is_zero():
-            return True
-        g = self.group
-        support = list(m.terms)
-        floor = min(self.height(y) for y in support)
-        results = []
-        mu = self.order.sufficient_mu(support, extra=2 * depth_factor)
-        for mu_s in (mu, mu + 2 * self.rd.rho):
-            transported = self.hecke.from_terms(
-                {g.translate_left(mu_s, y): p for y, p in m.terms.items()}
-            )
-            barred = self.hecke.bar(transported)
-            pulled = {}
-            for z, p in barred.terms.items():
-                y = g.translate_left(-mu_s, z)
-                if self.height(y) >= floor:
-                    pulled[y] = p
-            results.append(pulled)
-        expected = dict(m.terms)
-        return results[0] == expected and results[1] == expected
 
     # -- inversion identity -----------------------------------------------------------------
 

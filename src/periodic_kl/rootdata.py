@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "Weight",
@@ -218,10 +218,6 @@ class RootDatum:
         except KeyError:
             raise ValueError(f"{beta} is not a root") from None
 
-    def is_root(self, wc: Weight | tuple[int, ...]) -> bool:
-        coords = wc.coords if isinstance(wc, Weight) else wc
-        return coords in self._root_coords
-
     def root_sign(self, beta: Weight) -> int:
         """+1 for a positive root, -1 for a negative root."""
         rc = self._root_coords[beta.coords]
@@ -254,23 +250,6 @@ class RootDatum:
             assert scaled.denominator == 1
             tag.append(int(scaled) % e)
         return tuple(tag)
-
-    def sym_pairing_scaled(self, lam: Weight, mu: Weight) -> int:
-        """e * (lam, mu) for the symmetrized pairing extended to the weight lattice.
-
-        The extension takes values in (1/e)Z, so scaling by the lattice index
-        keeps the arithmetic integral.  Documentation-level: none of the
-        polynomial computations use it.
-        """
-        rc_l = self.root_coordinates(lam)
-        rc_m = self.root_coordinates(mu)
-        val = sum(
-            rc_l[s] * self.sym[s][t] * rc_m[t]
-            for s in range(self.rank)
-            for t in range(self.rank)
-        ) * self.lattice_index_e
-        assert val.denominator == 1
-        return int(val)
 
     def fundamental_weight(self, i: int) -> Weight:
         return Weight(tuple(1 if j == i else 0 for j in range(self.rank)))
@@ -308,10 +287,6 @@ def dominance_leq(rd: RootDatum, mu: Weight, lam: Weight) -> bool:
     """True iff ``lam - mu`` is a nonnegative integer combination of simple roots."""
     diff = rd.root_coordinates(lam - mu)
     return all(c.denominator == 1 and c >= 0 for c in diff)
-
-
-def is_dominant(rd: RootDatum, lam: Weight) -> bool:
-    return all(c >= 0 for c in lam.coords)
 
 
 def validate_l(rd: RootDatum) -> tuple[list[str], list[str]]:

@@ -20,7 +20,7 @@ class Context:
         self.group = AffineWeyl(self.rd)
         self.order = SemiInfiniteOrder(self.group)
         self.hecke = HeckeAlgebra(self.group)
-        self.module = PeriodicModule(self.group, self.order, self.hecke)
+        self.module = PeriodicModule(self.group, self.order)
 
 
 @pytest.fixture(scope="session")

@@ -132,7 +132,6 @@ def test_usage_errors():
     assert main(["mult", "verma-in-projective", *BASE_A1, "--x", "t(0)*w[]", "--y", "t(0)*w[]"]) == 2
     assert main(["mult", "simple-in-verma", *BASE_A1, "--x", "nonsense", "--y", "t(0)*w[]"]) == 2
     assert main(["table", "p", *BASE_A1, "--height", "-1"]) == 2
-    assert main(["blocks", *BASE_A1, "--jobs", "0"]) == 2
 
 
 def test_force_for_warnings(tmp_path):
@@ -173,6 +172,65 @@ def test_cache_round_trip(tmp_path):
     assert len(files) == 1 and files[0].name.startswith("classes-A1-l3-v")
     _, second = run_cli(args, tmp_path, "b.json")
     assert first == second
+
+
+A1_CACHE_NAME = "classes-A1-l3-v1.json"
+A1_H0 = ["table", "p", *BASE_A1, "--height", "0", "--format", "text"]
+
+
+def _write_cache(cache, classes):
+    cache.mkdir()
+    (cache / A1_CACHE_NAME).write_text(json.dumps({"format_version": 1, "classes": classes}))
+
+
+def _one_stderr_line(capsys, prefix):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), lines
+    return lines[0]
+
+
+@pytest.mark.parametrize("classes", [
+    {"1": [["t(0)*w[1]", {"0": 7}]]},  # leading coefficient not 1
+    {"0": [["t(0)*w[]", {"0": 1}], ["t(0)*w[1]", {"-1": 1}]]},  # off-lead coefficient not in vZ[v]
+    {"1": [["t(0)*w[1]", {"0": 1}]], "2": [["t(0)*w[1]", {"0": 1}]]},  # index outside W
+])
+def test_cache_load_discards_uncertified_classes(tmp_path, capsys, classes):
+    _, expected = run_cli(A1_H0, tmp_path, "fresh.txt")
+    capsys.readouterr()
+    cache = tmp_path / "cache"
+    _write_cache(cache, classes)
+    code, data = run_cli([*A1_H0, "--cache-dir", str(cache)], tmp_path, "cached.txt")
+    assert code == 0 and data == expected
+    assert "solving them again" in _one_stderr_line(capsys, "warning: discarded uncertified cached classes")
+    # the re-solved classes were written back, so the next load is silent
+    assert run_cli([*A1_H0, "--cache-dir", str(cache)], tmp_path, "again.txt") == (0, expected)
+    assert capsys.readouterr().err == ""
+
+
+def test_truncated_cache_file_is_a_usage_error(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / A1_CACHE_NAME).write_text('{"format_version": 1, "classes": {"1": [["t(0)*w[1]"')
+    assert main([*A1_H0, "--cache-dir", str(cache)]) == 2
+    _one_stderr_line(capsys, "error: malformed cache file")
+
+
+def test_malformed_cache_structure_is_a_usage_error(tmp_path, capsys):
+    _write_cache(tmp_path / "cache", {"1": [["t(0)*w[1]"]]})
+    assert main([*A1_H0, "--cache-dir", str(tmp_path / "cache")]) == 2
+    _one_stderr_line(capsys, "error: malformed cache file")
+
+
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
+    assert main([*A1_H0, "-o", str(tmp_path / "missing" / "x.json")]) == 2
+    _one_stderr_line(capsys, "error: ")
+
+
+def test_cache_dir_under_a_regular_file_is_a_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([*A1_H0, "--cache-dir", str(blocker / "sub")]) == 2
+    _one_stderr_line(capsys, "error: ")
 
 
 def test_console_entry_point():
