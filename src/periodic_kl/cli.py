@@ -25,7 +25,9 @@ files carry a format version and the full (type, rank, l) key, and are
 written through a temporary file so a reader never sees a partial one.  A
 loaded class whose index is out of range, whose leading coefficient is not
 1 or whose other coefficients are not all in vZ[v] is discarded with a
-warning on stderr and solved again.
+warning on stderr and solved again.  The file is rewritten only when it
+does not already hold exactly the classes of the run: a run served wholly
+from the cache leaves it untouched.
 """
 
 from __future__ import annotations
@@ -87,12 +89,16 @@ def _cache_dir(args) -> Optional[str]:
     return args.cache_dir or os.environ.get("PERIODIC_KL_CACHE")
 
 
-def _module(args, group: AffineWeyl) -> PeriodicModule:
+def _module(args, group: AffineWeyl) -> tuple[PeriodicModule, Optional[set[int]]]:
+    """The module, with its classes preloaded from the cache file if there is one.
+
+    Also returns the class indices the file holds as they would be saved,
+    or None when the file is absent, stale or had a class discarded.
+    """
     mod = PeriodicModule(group)
     cache = _cache_dir(args)
-    if cache:
-        _load_class_cache(mod, cache, args)
-    return mod
+    on_disk = _load_class_cache(mod, cache, args) if cache else None
+    return mod, on_disk
 
 
 def _cache_path(args, cache: str) -> str:
@@ -100,16 +106,16 @@ def _cache_path(args, cache: str) -> str:
     return os.path.join(cache, name)
 
 
-def _load_class_cache(mod: PeriodicModule, cache: str, args) -> None:
+def _load_class_cache(mod: PeriodicModule, cache: str, args) -> Optional[set[int]]:
     path = _cache_path(args, cache)
     if not os.path.exists(path):
-        return
+        return None
     g = mod.group
     try:
         with open(path) as fh:
             data = json.load(fh)
         if data.get("format_version") != FORMAT_VERSION:
-            return
+            return None
         loaded = {
             int(idx_str): mod.from_terms({
                 g.parse_element(el): LaurentPoly.from_json(coeffs) for el, coeffs in terms
@@ -132,11 +138,14 @@ def _load_class_cache(mod: PeriodicModule, cache: str, args) -> None:
     if rejected:
         print(f"warning: discarded uncertified cached classes {', '.join(rejected)} "
               f"from {path}; solving them again", file=sys.stderr)
+        return None
+    return set(loaded)
 
 
-def _save_class_cache(mod: PeriodicModule, args) -> None:
+def _save_class_cache(mod: PeriodicModule, args, on_disk: Optional[set[int]]) -> None:
+    """Write the class cache, unless the file already holds exactly these classes."""
     cache = _cache_dir(args)
-    if not cache:
+    if not cache or on_disk == set(mod._class_cache):
         return
     os.makedirs(cache, exist_ok=True)
     g = mod.group
@@ -253,7 +262,7 @@ def _cmd_blocks(args) -> int:
 
 def _cmd_selfcheck(args) -> int:
     rd, group = _build_context(args)
-    mod = _module(args, group)
+    mod, on_disk = _module(args, group)
     order = mod.order
     window = _window(args, group)
     checks: list[tuple[str, bool]] = []
@@ -279,7 +288,7 @@ def _cmd_selfcheck(args) -> int:
                 koszul_ok = False
     checks.append(("Koszul operator inverts the geometric series", koszul_ok))
 
-    _save_class_cache(mod, args)
+    _save_class_cache(mod, args, on_disk)
     lines = [f"{'ok' if ok else 'FAIL'}  {name}" for name, ok in checks]
     text = "\n".join(lines)
     payload = {"checks": [{"name": n, "ok": ok} for n, ok in checks]}
@@ -291,7 +300,7 @@ def _cmd_selfcheck(args) -> int:
 
 def _cmd_mult(args) -> int:
     rd, group = _build_context(args)
-    mod = _module(args, group)
+    mod, on_disk = _module(args, group)
     tables = MultiplicityTables(mod)
     x = _parse_elt(group, args.x)
     y = _parse_elt(group, args.y)
@@ -303,7 +312,7 @@ def _cmd_mult(args) -> int:
         value = tables.verma_in_projective(x, y, _parse_weight(group, args.nu))
     else:
         value = tables.baby_verma_in_projective(x, y)
-    _save_class_cache(mod, args)
+    _save_class_cache(mod, args, on_disk)
     payload = {
         "op": args.which,
         "x": group.format_element(x),
@@ -367,7 +376,7 @@ _TABLE_KINDS = {
 
 def _cmd_table(args) -> int:
     rd, group = _build_context(args)
-    mod = _module(args, group)
+    mod, on_disk = _module(args, group)
     window = _sorted_elements(group, _window(args, group))
     kind = _TABLE_KINDS[args.which]
     nu = None
@@ -382,7 +391,7 @@ def _cmd_table(args) -> int:
         tables = MultiplicityTables(mod)
         raw = tables.table(kind, window, nu=nu)
         entries_map = {(y, x): p for (x, y), p in raw.entries.items()}
-    _save_class_cache(mod, args)
+    _save_class_cache(mod, args, on_disk)
     entries = [
         {
             "y": group.format_element(y),

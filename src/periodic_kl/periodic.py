@@ -70,12 +70,35 @@ inverts the first series.  The signed inversion identity
     sum_x (-1)^{len(x)+len(y)} q_{x,y} p_{w0 x, w0 z} = delta_{y,z}
 
 is exposed as a checkable report and exercised by the acceptance suite.
+
+Evaluation on integer keys and translation orbits.  A generic polynomial
+q_{y,x} is looked up by (y.trans - x.trans, y.w, x.w) in translation
+coordinates.  On a miss it reads a table built once per (x.w, y.w): the
+terms t(lam) y.w of SD_{t(0) x.w} as E = e * rc(lam) (integer, e the
+lattice index), grouped by E mod e; a term contributes iff E - E(y.trans -
+x.trans) is nonnegative and divisible by e, and the residue grouping
+settles the divisibility.  The inversion and Koszul checks are evaluated
+once per orbit of simultaneous left translation and memoized: q, p and the
+Koszul sum are translation-equivariant, and (-1)^{len} is a character of
+the extended group (its value on a length-zero element is +1 and
+conjugation by one permutes the simple reflections), so len(t(nu) x) +
+len(t(nu) y) has the parity of len(x) + len(y).  The inversion sum at (y,
+z) therefore depends only on (z.trans - y.trans, y.w, z.w); it is
+evaluated at y = t(0) y.w, z = t(d) z.w from a per-class table of the rows
+x0 = w0 pos, pos in SD_{w0 t(0) z.w}, with x = t(d) x0 and len(t(d)) = <d,
+2 rho^> mod 2.  The Koszul sum at (y, x) depends only on (y.trans -
+x.trans, y.w, x.w) and still expands the operator over all subsets of the
+positive roots (grouped by subset sum), so the round trip is not a
+tautology.  Every value stays an exact Laurent polynomial; the memos only
+avoid recomputing it.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add, sub
 from typing import Literal, Mapping, Optional, Sequence
 
 from .hecke import HeckeElement, ResourceError
@@ -143,7 +166,35 @@ class PeriodicModule:
         self._in_progress: set[int] = set()
         self._repgen_cache: dict[tuple[tuple[int, ...], bool], LaurentPoly] = {}
         self._generic_cache: dict = {}
+        self._generic_rows: dict[tuple[int, int], dict[tuple[int, ...], list]] = {}
+        self._inversion_rows: dict[int, list[tuple[tuple[int, ...], int, int, LaurentPoly]]] = {}
+        self._inversion_memo: dict = {}
+        self._koszul_memo: dict = {}
         self._down_policy = self._choose_down_moves()
+        self._e = self.rd.lattice_index_e
+
+    # Tables built on first use, so that constructing a module stays cheap.
+
+    @cached_property
+    def _rc_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """e * C^{-1}: translation coordinates -> e * root coordinates, as integers."""
+        rd = self.rd
+        omega_rc = [rd.root_coordinates(rd.fundamental_weight(t)) for t in range(rd.rank)]
+        return tuple(
+            tuple(int(self._e * omega_rc[t][i]) for t in range(rd.rank)) for i in range(rd.rank)
+        )
+
+    @cached_property
+    def _koszul_terms(self) -> list[tuple[tuple[int, ...], LaurentPoly]]:
+        """prod_{a > 0} (1 - v^2 <-a>) expanded over the subsets S of the positive
+        roots, one factor at a time: the sum of the monomials (-1)^|S| v^{2|S|}
+        per subset sum sigma, as (sigma, polynomial)."""
+        koszul: dict[tuple[int, ...], LaurentPoly] = {(0,) * self.rd.rank: ONE}
+        for b in self.rd.positive_roots:
+            for sigma, poly in list(koszul.items()):
+                with_b = tuple(map(add, sigma, b.coords))
+                koszul[with_b] = koszul.get(with_b, ZERO) - poly.shift(2)
+        return [(sigma, poly) for sigma, poly in koszul.items() if poly]
 
     # -- basic constructions -----------------------------------------------------
 
@@ -439,55 +490,47 @@ class PeriodicModule:
         contribute, enumerated exactly.  By translation equivariance only the
         relative position of y and x matters, which keys the memo.
         """
-        rel = self.group.translate_left(-x.trans, y)
-        key = (rel.trans.coords, rel.w.index, x.w.index, kind)
+        rel = tuple(a - b for a, b in zip(y.trans.coords, x.trans.coords))
+        return self._generic(rel, y.w.index, x.w.index, kind == "q")
+
+    def _generic(self, rel: tuple[int, ...], u: int, c: int, weighted: bool) -> LaurentPoly:
+        """The generic polynomial at y = t(rel) u, x = t(0) c (translation coordinates)."""
+        key = (rel, u, c, weighted)
         hit = self._generic_cache.get(key)
         if hit is not None:
             return hit
-        sd = self._class_element(x.w.index)
-        result = self._generic_from_selfdual(sd, rel, kind)
-        self._generic_cache[key] = result
-        return result
-
-    def _generic_from_selfdual(self, sd: PeriodicElement, y: ExtAffineElement,
-                               kind: Literal["q", "qprime"]) -> LaurentPoly:
-        rd = self.rd
+        rows = self._generic_rows.get((c, u))
+        if rows is None:
+            rows = self._generic_rows[(c, u)] = self._build_generic_rows(c, u)
+        e = self._e
+        target = tuple(sum(m * r for m, r in zip(row, rel)) for row in self._rc_matrix)
         total = ZERO
-        for z, p in sd.terms.items():
-            if z.w.index != y.w.index:
-                continue
-            sigma = z.trans - y.trans
-            rc = rd.root_coordinates(sigma)
-            if any(c.denominator != 1 or c < 0 for c in rc):
-                continue
-            series = self._partition_series(tuple(int(c) for c in rc), kind == "q")
-            if not series.is_zero():
-                total = total + p * series
+        for scaled, p in rows.get(tuple(t % e for t in target), ()):
+            sigma = tuple(map(sub, scaled, target))
+            if min(sigma) >= 0:
+                series = self._partition_series(tuple(s // e for s in sigma), weighted)
+                if series:
+                    total = total + p * series
+        self._generic_cache[key] = total
         return total
 
-    def _koszul_subsets(self) -> list[tuple[Weight, int, int]]:
-        """(sum of subset, |subset|, sign) over all subsets of the positive roots."""
-        cached = getattr(self, "_koszul_cache", None)
-        if cached is not None:
-            return cached
-        rd = self.rd
-        n = len(rd.positive_roots)
-        out = []
-        for mask in range(1 << n):
-            size = bin(mask).count("1")
-            total = Weight((0,) * rd.rank)
-            for i in range(n):
-                if mask >> i & 1:
-                    total = total + rd.positive_roots[i]
-            out.append((total, size, -1 if size % 2 else 1))
-        self._koszul_cache = out
-        return out
+    def _build_generic_rows(self, c: int, u: int) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], LaurentPoly]]]:
+        """The terms t(lam) u of SD_{t(0)c} as (E, coefficient) with E = e * rc(lam),
+        grouped by E mod e: sigma = (E - E(rel)) / e is integral exactly when
+        the residues agree."""
+        e = self._e
+        rows: dict[tuple[int, ...], list[tuple[tuple[int, ...], LaurentPoly]]] = {}
+        for z, p in self._class_element(c).terms.items():
+            if z.w.index == u:
+                scaled = tuple(sum(m * t for m, t in zip(row, z.trans.coords)) for row in self._rc_matrix)
+                rows.setdefault(tuple(s % e for s in scaled), []).append((scaled, p))
+        return rows
 
     def koszul_apply(self, m: PeriodicElement) -> PeriodicElement:
         """Apply prod_{a > 0} (1 - v^2 <-a>), the finite inverse of the q-series."""
         out = self.zero()
-        for sigma, size, sign in self._koszul_subsets():
-            out = out + self.shift(m, -sigma).scale(LaurentPoly({2 * size: sign}))
+        for sigma, poly in self._koszul_terms:
+            out = out + self.shift(m, Weight(tuple(-s for s in sigma))).scale(poly)
         return out
 
     def koszul_of_series(self, y: ExtAffineElement, x: ExtAffineElement) -> LaurentPoly:
@@ -496,33 +539,67 @@ class PeriodicModule:
 
         Evaluating positionwise keeps everything exact: the operator pulls the
         series coefficient at t(sigma) y for each subset sum sigma.  By the
-        inverse relation between the two operators this equals p_{y,x}.
+        inverse relation between the two operators this equals p_{y,x}.  The
+        value depends only on the orbit (y.trans - x.trans, y.w, x.w) and is
+        memoized by it.
         """
-        g = self.group
-        total = ZERO
-        for sigma, size, sign in self._koszul_subsets():
-            q = self.generic_polynomial(g.translate_left(sigma, y), x, "q")
-            if not q.is_zero():
-                total = total + q.shift(2 * size).scale(sign)
-        return total
+        rel = tuple(a - b for a, b in zip(y.trans.coords, x.trans.coords))
+        key = (rel, y.w.index, x.w.index)
+        hit = self._koszul_memo.get(key)
+        if hit is None:
+            hit = ZERO
+            for sigma, poly in self._koszul_terms:
+                q = self._generic(tuple(map(add, rel, sigma)), key[1], key[2], True)
+                if q:
+                    hit = hit + q * poly
+            self._koszul_memo[key] = hit
+        return hit
 
     # -- inversion identity -----------------------------------------------------------------
 
     def inversion_sum(self, y: ExtAffineElement, z: ExtAffineElement) -> LaurentPoly:
-        """sum_x (-1)^{len(x)+len(y)} q_{x,y} p_{w0 x, w0 z}; equals delta_{y,z}."""
+        """sum_x (-1)^{len(x)+len(y)} q_{x,y} p_{w0 x, w0 z}; equals delta_{y,z}.
+
+        Memoized by the orbit (z.trans - y.trans, y.w, z.w) under simultaneous
+        left translation and evaluated at y = t(0) y.w, z = t(d) z.w.
+        """
+        d = tuple(b - a for a, b in zip(y.trans.coords, z.trans.coords))
+        key = (d, y.w.index, z.w.index)
+        hit = self._inversion_memo.get(key)
+        if hit is None:
+            hit = self._inversion_memo[key] = self._inversion_orbit(*key)
+        return hit
+
+    def _inversion_orbit(self, d: tuple[int, ...], yw: int, zw: int) -> LaurentPoly:
+        """The inversion sum at y = t(0) yw, z = t(d) zw."""
+        rows = self._inversion_rows.get(zw)
+        if rows is None:
+            rows = self._inversion_rows[zw] = self._build_inversion_rows(zw)
+        # x = t(d) x0 and length parity is a character, so len(x) = len(t(d)) + len(x0)
+        # mod 2, with len(t(d)) = <d, 2 rho^> mod 2.
+        parity = (sum(c * t for c, t in zip(self.rd.two_rho_check, d))
+                  + self.group.finite_elements[yw].length) % 2
+        acc: dict[int, int] = {}
+        for trans, u, x_parity, p in rows:
+            q = self._generic(tuple(map(add, d, trans)), u, yw, True)
+            if not q:
+                continue
+            sign = -1 if (x_parity + parity) % 2 else 1
+            for e1, c1 in q.coeffs.items():
+                for e2, c2 in p.coeffs.items():
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + sign * c1 * c2
+        return LaurentPoly(acc)
+
+    def _build_inversion_rows(self, zw: int) -> list[tuple[tuple[int, ...], int, int, LaurentPoly]]:
+        """(trans, finite index, length parity, p) of x0 = w0 pos over pos in SD_{w0 t(0) zw}."""
         g = self.group
         w0 = g.element(Weight((0,) * self.rd.rank), g.w0.index)
-        sd = self.selfdual(g.multiply(w0, z))
-        total = ZERO
-        ly = y.length
+        sd = self.selfdual(g.multiply(w0, g.element(Weight((0,) * self.rd.rank), zw)))
+        rows = []
         for pos, p in sd.terms.items():
-            x = g.multiply(w0, pos)  # pos = w0 x
-            q = self.generic_polynomial(x, y, "q")
-            if q.is_zero():
-                continue
-            sign = -1 if (x.length + ly) % 2 else 1
-            total = total + (q * p).scale(sign)
-        return total
+            x0 = g.multiply(w0, pos)
+            rows.append((x0.trans.coords, x0.w.index, x0.length % 2, p))
+        return rows
 
     def inversion_report(self, window: Sequence[ExtAffineElement]) -> list[tuple[ExtAffineElement, ExtAffineElement, LaurentPoly]]:
         """All deviations of the inversion identity from delta on the window."""

@@ -2,18 +2,21 @@
 
 Everything here is deliberately naive: breadth-first word search for
 lengths, exhaustive subword enumeration for the Bruhat order, a dense
-linear solve for self-dual basis elements, and orbit enumeration for block
-combinatorics.  None of it shares code paths with the production
-implementations it checks.
+linear solve for self-dual basis elements, orbit enumeration for block
+combinatorics, and the per-pair element formulas of the inversion sum and
+the Koszul round trip (the module memoizes both per translation orbit).
+Apart from the last two, which read q and p from the module, none of it
+shares code paths with the production implementations it checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from periodic_kl.hecke import HeckeAlgebra
 from periodic_kl.laurent import LaurentPoly, ONE, ZERO
+from periodic_kl.periodic import PeriodicModule
 from periodic_kl.rootdata import Weight
 from periodic_kl.weyl import AffineWeyl, ExtAffineElement
 
@@ -166,3 +169,33 @@ def dot_stabilizer(group: AffineWeyl, lam: Weight, n: int, max_len: int = 4) -> 
         if group.dot_action(g, lam, n) == lam:
             out.append(g)
     return out
+
+
+def inversion_sum_per_pair(module: PeriodicModule, y: ExtAffineElement, z: ExtAffineElement) -> LaurentPoly:
+    """sum_x (-1)^{len(x)+len(y)} q_{x,y} p_{w0 x, w0 z}, summed over the support
+    of the self-dual element at w0 z for this one pair."""
+    g = module.group
+    w0 = g.element(Weight((0,) * g.rd.rank), g.w0.index)
+    total = ZERO
+    for pos, p in module.selfdual(g.multiply(w0, z)).terms.items():
+        x = g.multiply(w0, pos)  # pos = w0 x
+        q = module.generic_polynomial(x, y, "q")
+        sign = -1 if (x.length + y.length) % 2 else 1
+        total = total + (q * p).scale(sign)
+    return total
+
+
+def koszul_of_series_per_pair(module: PeriodicModule, y: ExtAffineElement, x: ExtAffineElement) -> LaurentPoly:
+    """sum over subsets S of the positive roots of (-1)^|S| v^{2|S|} q_{t(sum S) y, x}."""
+    g = module.group
+    roots = g.rd.positive_roots
+    total = ZERO
+    for subset in product((0, 1), repeat=len(roots)):
+        sigma = Weight((0,) * g.rd.rank)
+        for k, b in zip(subset, roots):
+            if k:
+                sigma = sigma + b
+        size = sum(subset)
+        q = module.generic_polynomial(g.translate_left(sigma, y), x, "q")
+        total = total + q.shift(2 * size).scale(-1 if size % 2 else 1)
+    return total

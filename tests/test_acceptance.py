@@ -121,19 +121,20 @@ def test_criterion_3_periodic_basis_certification():
 
 
 def test_criterion_4_inversion_identity():
-    gate = _Gate(4, "signed inversion identity q*p = delta (A1 h<=3; A2 h<=2, l=5)", 300.0)
-    rd1, W1 = _fresh("A", 1, 3)
-    M1 = PeriodicModule(W1)
-    assert M1.inversion_report(standard_window(W1, 3)) == []
-    rd2, W2 = _fresh("A", 2, 5)
-    M2 = PeriodicModule(W2)
-    assert M2.inversion_report(standard_window(W2, 2)) == []
+    gate = _Gate(4, "signed inversion identity q*p = delta "
+                    "(A1 h<=3; A2, B2, C2 h<=2, l=5; A3 h0, l=5; G2 h<=1, l=7)", 300.0)
+    for typ, rank, l, height in [("A", 1, 3, 3), ("A", 2, 5, 2), ("B", 2, 5, 2),
+                                 ("C", 2, 5, 2), ("A", 3, 5, 0), ("G", 2, 7, 1)]:
+        rd, W = _fresh(typ, rank, l)
+        M = PeriodicModule(W)
+        assert M.inversion_report(standard_window(W, height)) == []
     gate.done()
 
 
 def test_criterion_5_koszul_inverse():
     gate = _Gate(5, "Koszul operator inverts the geometric series on test windows", 60.0)
-    for typ, rank, l, height in [("A", 1, 3, 3), ("A", 2, 5, 2)]:
+    for typ, rank, l, height in [("A", 1, 3, 3), ("A", 2, 5, 2), ("B", 2, 5, 2),
+                                 ("C", 2, 5, 2), ("A", 3, 5, 0)]:
         rd, W = _fresh(typ, rank, l)
         M = PeriodicModule(W)
         window = standard_window(W, height)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -205,6 +206,37 @@ def test_cache_load_discards_uncertified_classes(tmp_path, capsys, classes):
     # the re-solved classes were written back, so the next load is silent
     assert run_cli([*A1_H0, "--cache-dir", str(cache)], tmp_path, "again.txt") == (0, expected)
     assert capsys.readouterr().err == ""
+
+
+def _age(path):
+    """Backdate a file, so that any rewrite shows in its st_mtime_ns."""
+    os.utime(path, ns=(10**18, 10**18))
+    return path.read_bytes(), path.stat().st_mtime_ns
+
+
+def test_warm_run_leaves_the_cache_file_untouched(tmp_path):
+    cache = tmp_path / "cache"
+    _, expected = run_cli([*A1_H0, "--cache-dir", str(cache)], tmp_path, "cold.txt")
+    before = _age(cache / A1_CACHE_NAME)
+    assert run_cli([*A1_H0, "--cache-dir", str(cache)], tmp_path, "warm.txt") == (0, expected)
+    assert (cache / A1_CACHE_NAME).read_bytes() == before[0]
+    assert (cache / A1_CACHE_NAME).stat().st_mtime_ns == before[1]
+
+
+def test_run_that_discards_a_class_rewrites_the_cache_file(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    run_cli([*A1_H0, "--cache-dir", str(cache)], tmp_path, "cold.txt")
+    path = cache / A1_CACHE_NAME
+    data = json.loads(path.read_text())
+    lead = {"t(0)*w[1]": {"0": 7}}  # class 1 with a wrong leading coefficient
+    data["classes"]["1"] = [[x, lead.get(x, p)] for x, p in data["classes"]["1"]]
+    path.write_text(json.dumps(data))
+    tampered = _age(path)
+    assert run_cli([*A1_H0, "--cache-dir", str(cache)], tmp_path, "warm.txt")[0] == 0
+    _one_stderr_line(capsys, "warning: discarded uncertified cached classes 1 ")
+    assert path.read_bytes() != tampered[0]
+    assert path.stat().st_mtime_ns != tampered[1]
+    assert dict(json.loads(path.read_text())["classes"]["1"])["t(0)*w[1]"] == {"0": 1}
 
 
 def test_truncated_cache_file_is_a_usage_error(tmp_path, capsys):

@@ -2,8 +2,8 @@
 
 The golden files under ``golden/`` cover A1 and A2 only.  ``bench/digests.json``
 holds the stdout sha256 of every benchmark invocation; this module replays
-the Hasse diagrams and the p tables beyond A1 through the command line and
-compares their digests.  The file is only read here.
+the Hasse diagrams, the selfcheck runs and the p tables beyond A1 through
+the command line and compares their digests.  The file is only read here.
 """
 
 import contextlib
@@ -19,7 +19,8 @@ from periodic_kl.cli import main
 DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
 PINNED = sorted(
     argv for argv in DIGESTS
-    if argv.startswith("orders hasse ") or (argv.startswith("table p ") and "--rank 1 " not in argv)
+    if argv.startswith(("orders hasse ", "selfcheck "))
+    or (argv.startswith("table p ") and "--rank 1 " not in argv)
 )
 
 

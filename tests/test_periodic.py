@@ -4,7 +4,9 @@ import pytest
 
 from periodic_kl.laurent import LaurentPoly, ONE, V, VINV, ZERO
 from periodic_kl.orders import standard_window
+from periodic_kl.periodic import PeriodicModule
 from periodic_kl.rootdata import Weight
+from oracles import inversion_sum_per_pair, koszul_of_series_per_pair
 
 
 def test_action_examples(a1):
@@ -241,6 +243,43 @@ def test_inversion_identity_small(a1):
     assert M.inversion_sum(e, s) == ZERO
     assert M.inversion_sum(s, e) == ZERO
     assert M.inversion_report(standard_window(W, 2)) == []
+
+
+def _same_coset_pairs(window):
+    return [(y, z) for y in window for z in window if y.omega_component == z.omega_component]
+
+
+def test_orbit_memos_match_per_pair_formulas_on_all_a2_pairs(a2):
+    # every same-coset pair of the A2 l5 h1 window, in window order: most
+    # pairs find their orbit already filled by an earlier translate
+    M = PeriodicModule(a2.group, a2.order)
+    pairs = _same_coset_pairs(standard_window(a2.group, 1))
+    for y, z in pairs:
+        assert M.inversion_sum(y, z) == inversion_sum_per_pair(M, y, z)
+        assert M.koszul_of_series(y, z) == koszul_of_series_per_pair(M, y, z)
+    assert len(M._inversion_memo) < len(pairs) / 2
+    assert len(M._koszul_memo) < len(pairs) / 2
+
+
+@pytest.mark.parametrize("name,height", [("b2", 1), ("g2", 1)])
+def test_orbit_memos_match_per_pair_formulas_on_sampled_pairs(request, name, height):
+    ctx = request.getfixturevalue(name)
+    M, W = PeriodicModule(ctx.group, ctx.order), ctx.group
+    rng = random.Random(11)
+    window = standard_window(W, height)
+    pairs = rng.sample(_same_coset_pairs(window), 60)
+    # pairs (y, x) with y in the support of the self-dual element at x
+    pairs += [(rng.choice(sorted(M.selfdual(x).terms, key=lambda z: (z.trans.coords, z.w.index))), x)
+              for x in rng.sample(window, 30)]
+    for y, z in pairs:
+        nu = Weight(tuple(rng.choice((-2, -1, 1, 2)) for _ in range(ctx.rd.rank)))
+        # fill both orbit memos from a different translate of the pair first
+        M.inversion_sum(W.translate_left(nu, y), W.translate_left(nu, z))
+        M.koszul_of_series(W.translate_left(nu, y), W.translate_left(nu, z))
+        sizes = len(M._inversion_memo), len(M._koszul_memo)
+        assert M.inversion_sum(y, z) == inversion_sum_per_pair(M, y, z)
+        assert M.koszul_of_series(y, z) == koszul_of_series_per_pair(M, y, z)
+        assert (len(M._inversion_memo), len(M._koszul_memo)) == sizes
 
 
 def test_p_table_shape(a2):
