@@ -338,10 +338,12 @@ def _cmd_hecke(args) -> int:
         result = alg.bar_basis(x)
     else:
         result = alg.kl_basis(x)
-    payload = {"op": args.which, "x": group.format_element(x),
-               "y": args.y, "terms": result.to_json()}
-    lines = [f"{entry['element']}: {LaurentPoly.from_json(entry['polynomial'])}" for entry in result.to_json()]
-    _emit(args, payload, "\n".join(lines))
+    terms = result.to_json()
+    payload = {"op": args.which, "x": group.format_element(x), "y": args.y, "terms": terms}
+    text = ""
+    if args.format == "text":
+        text = "\n".join(f"{entry['element']}: {LaurentPoly.from_json(entry['polynomial'])}" for entry in terms)
+    _emit(args, payload, text)
     return 0
 
 

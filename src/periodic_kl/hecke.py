@@ -12,7 +12,9 @@ polynomial cost).  The bar involution is the ring homomorphism fixing the
 basis-free structure with v -> v^{-1} and H_x -> (H_{x^{-1}})^{-1}; the
 self-dual (Kazhdan-Lusztig) basis element at x is the unique bar-invariant
 element of H_x + sum_{y < x} vZ[v] H_y (Bruhat order), computed by the
-standard multiply-by-(H_s + v)-and-correct recursion.  It is used in this
+standard multiply-by-(H_s + v)-and-correct recursion: the product is formed
+on mutable {exponent: coefficient} dicts by exponent shifts alone, and the
+corrections are made in one pass down the lengths.  It is used in this
 package as an internal cross-check oracle; the periodic module carries its
 own self-dual basis.
 
@@ -118,10 +120,6 @@ class HeckeAlgebra:
         """h * (H_{s_j})^{-1} = h * (H_{s_j} + (v - v^{-1}))."""
         return self.right_mul_gen(h, j) + h.scale(_V_MINUS_VINV)
 
-    def right_mul_cs(self, h: HeckeElement, j: int) -> HeckeElement:
-        """h * (H_{s_j} + v), the self-dual generator product."""
-        return self.right_mul_gen(h, j) + h.scale(V)
-
     def right_mul_element(self, h: HeckeElement, y: ExtAffineElement) -> HeckeElement:
         """h * H_y via a reduced word for y."""
         word, omega = self.group.reduced_word(y)
@@ -171,36 +169,78 @@ class HeckeAlgebra:
     # -- Kazhdan-Lusztig basis (internal oracle) ----------------------------------------------
 
     def kl_basis(self, x: ExtAffineElement, max_length: int = 64) -> HeckeElement:
-        """The self-dual basis element at x for the Bruhat order.
+        """The self-dual basis element C_x for the Bruhat order.
 
-        Unique bar-invariant element of H_x + sum_{y<x} vZ[v] H_y.  The
-        recursion multiplies the element one step down by (H_s + v) and
-        subtracts integer multiples of shorter self-dual elements until all
-        off-leading coefficients lie in vZ[v].
+        Unique bar-invariant element of H_x + sum_{y<x} vZ[v] H_y.  With s_j
+        the lowest right descent of x and u = x s_j, the product C_u (H_s + v)
+        is built in one mutable {element: {exponent: coefficient}} dict by
+        exponent shifts alone:
+
+            H_y (H_s + v) = H_{ys} + v^{-1} H_y   if ys < y,
+                            H_{ys} + v H_y        otherwise.
+
+        One pass over the lengths len(x) - 1, ..., 0 then subtracts m C_y at
+        every y whose coefficient is not in vZ[v], where m is its
+        bar-symmetric lower part, one shifted and scaled copy of C_y per
+        monomial of m.  Every coefficient of C_u (H_s + v) and of the C_y
+        lies in Z[v], so m is the constant term, an integer, and the copy is
+        one integer scaling.  C_y adds terms only strictly below y, so each
+        length is final when the pass reaches it.
         """
         hit = self._kl_cache.get(x)
         if hit is not None:
             return hit
-        if x.length > max_length:
-            raise ResourceError(f"KL recursion exceeds configured length bound {max_length}")
-        if x.length == 0:
+        n = x.length
+        if n > max_length:
+            raise ResourceError(
+                f"KL recursion at an element of length {n} exceeds the configured length bound {max_length}"
+            )
+        if n == 0:
             result = self.basis(x)
         else:
-            j = next(k for k in self.group.affine_generator_indices() if self.group.right_descent(x, k))
-            u = self.group.right_multiply_gen(x, j)
-            cur = self.right_mul_cs(self.kl_basis(u, max_length), j)
-            while True:
-                offenders = [
-                    y for y, p in cur.terms.items() if y != x and not p.in_v_times_Zv()
-                ]
-                if not offenders:
-                    break
-                y = max(offenders, key=lambda z: z.length)
-                m = cur.terms[y].lower_symmetrization()
-                if not m.is_bar_symmetric() or m.coefficient(0) != cur.terms[y].coefficient(0):
-                    raise AssertionError("unexpected correction shape in KL recursion")
-                cur = cur - self.kl_basis(y, max_length).scale(m)
-            result = cur
+            g = self.group
+            j = next(k for k in g.affine_generator_indices() if g.right_descent(x, k))
+            acc: dict[ExtAffineElement, dict[int, int]] = {}
+            by_length: list[list[ExtAffineElement]] = [[] for _ in range(n + 1)]
+
+            def add(terms: Mapping[ExtAffineElement, LaurentPoly], shift: int, factor: int) -> None:
+                # acc += factor * v^shift * terms, dropping zero coefficients.
+                for z, q in terms.items():
+                    d = acc.get(z)
+                    if d is None:
+                        acc[z] = {e + shift: factor * c for e, c in q.coeffs.items()}
+                        by_length[z.length].append(z)
+                        continue
+                    for e, c in q.coeffs.items():
+                        e += shift
+                        k = d.get(e, 0) + factor * c
+                        if k:
+                            d[e] = k
+                        else:
+                            del d[e]
+
+            cu = self.kl_basis(g.right_multiply_gen(x, j), max_length).terms
+            moved, down, up = {}, {}, {}
+            for y, p in cu.items():
+                ys = g.right_multiply_gen(y, j)
+                moved[ys] = p
+                (down if ys.length < y.length else up)[y] = p
+            add(moved, 0, 1)
+            add(down, -1, 1)
+            add(up, 1, 1)
+            for level in range(n - 1, -1, -1):
+                for y in by_length[level]:
+                    d = acc[y]
+                    if not d or min(d) >= 1:
+                        continue
+                    p = LaurentPoly(d)
+                    m = p.lower_symmetrization()
+                    if not m.is_bar_symmetric() or m.coefficient(0) != p.coefficient(0):
+                        raise AssertionError("unexpected correction shape in KL recursion")
+                    cy = self.kl_basis(y, max_length).terms
+                    for shift, c in m.coeffs.items():
+                        add(cy, shift, -c)
+            result = HeckeElement(self, {z: LaurentPoly(d) for z, d in acc.items()})
         lead = result.coefficient(x)
         if lead != ONE:
             raise AssertionError("KL basis element has wrong leading coefficient")

@@ -25,15 +25,18 @@ Lengths are computed by the Iwahori-Matsumoto formula
     len(t(lam) w) = sum_{b > 0, w^{-1} b > 0} |<lam, b^>|
                   + sum_{b > 0, w^{-1} b < 0} |<lam, b^> - 1|,
 
-and the Bruhat order by the standard descent recursion, with comparability
+evaluated from integer tables built once per group: the coroot coordinates
+of the positive roots and, per finite element w, the offsets 0 or 1.  The
+Bruhat order comes from the standard descent recursion, with comparability
 only inside a common coset of the length-zero subgroup.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .rootdata import Coroot, RootDatum, Weight, pairing
+from .rootdata import RootDatum, Weight, pairing
 
 __all__ = [
     "AffineWeyl",
@@ -167,8 +170,13 @@ class AffineWeyl:
         self.sign_table = tuple(
             tuple(rd.root_sign(w.apply(beta)) for beta in rd.positive_roots) for w in elements
         )
+        # Length forms: len(t(lam) w) = sum_k |<lam, beta_k^> - o_k(w)|, with the
+        # coroot coordinates of every positive root and o_k(w) = 1 iff w^{-1} beta_k < 0.
+        self._coroot_rows = tuple(rd.coroot(beta).coords for beta in rd.positive_roots)
+        self._length_offsets = tuple(
+            tuple(0 if s > 0 else 1 for s in self.sign_table[w.inverse_index]) for w in elements
+        )
         self._pos_root_index = {beta.coords: k for k, beta in enumerate(rd.positive_roots)}
-        # image_root[w][k] = weight coords of w(beta_k), used by the length formula.
         self.simple_root_pos = tuple(self._pos_root_index[rd.simple_roots[i].coords] for i in range(rank))
         # finite reflection s_beta for each positive root, as a group index.
         self.reflection_index = tuple(
@@ -295,16 +303,11 @@ class AffineWeyl:
 
     def length(self, x: ExtAffineElement) -> int:
         self._check(x)
-        rd = self.rd
-        total = 0
-        inv_sign = self.sign_table[x.w.inverse_index]
-        for k, beta in enumerate(rd.positive_roots):
-            p = pairing(rd, x.trans, rd.coroot(beta))
-            if inv_sign[k] > 0:
-                total += abs(p)
-            else:
-                total += abs(p - 1)
-        return total
+        lam = x.trans.coords
+        return sum(
+            abs(sum(map(mul, row, lam)) - o)
+            for row, o in zip(self._coroot_rows, self._length_offsets[x.w.index])
+        )
 
     def longest_element(self) -> FiniteWeylElement:
         return self.w0

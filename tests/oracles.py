@@ -21,28 +21,25 @@ from periodic_kl.rootdata import Weight
 from periodic_kl.weyl import AffineWeyl, ExtAffineElement
 
 
-def bfs_length(group: AffineWeyl, target: ExtAffineElement, max_len: int = 12) -> int | None:
-    """Shortest word in the affine simple reflections reaching target (None if > max_len).
+def bfs_lengths(group: AffineWeyl, start: ExtAffineElement, radius: int) -> dict:
+    """{start * w: length of w} over the affine Coxeter words w of length <= radius.
 
-    Only meaningful for elements of the non-extended affine group (trivial
-    length-zero part).
+    Breadth-first search over right multiplication by the affine simple
+    reflections.  For a length-zero start these are the lengths of the
+    elements of its coset, by shortest words.
     """
-    frontier = {group.identity()}
-    seen = set(frontier)
-    if target in frontier:
-        return 0
-    for depth in range(1, max_len + 1):
-        nxt = set()
+    dist = {start: 0}
+    frontier = [start]
+    for depth in range(1, radius + 1):
+        nxt = []
         for x in frontier:
             for j in group.affine_generator_indices():
                 y = group.right_multiply_gen(x, j)
-                if y == target:
-                    return depth
-                if y not in seen:
-                    seen.add(y)
-                    nxt.add(y)
+                if y not in dist:
+                    dist[y] = depth
+                    nxt.append(y)
         frontier = nxt
-    return None
+    return dist
 
 
 def subword_bruhat(group: AffineWeyl, x: ExtAffineElement, y: ExtAffineElement) -> bool:

@@ -154,6 +154,16 @@ def test_resource_exit_code(monkeypatch, tmp_path):
     assert code == 3
 
 
+def test_kl_length_bound_exit_code(capsys):
+    # t(70) has length 70, above the default bound 64: refused before any work
+    code = main(["hecke", "kl", *BASE_A1, "--x", "t(70)*w[]"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource bound exceeded:"), lines
+    assert "length 70" in lines[0] and "bound 64" in lines[0]
+
+
 def test_internal_failure_exit_code(monkeypatch, tmp_path):
     from periodic_kl import periodic
 

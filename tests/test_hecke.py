@@ -167,6 +167,22 @@ def test_kl_basis_against_linear_solve_finite_a2(a2):
         assert H.kl_basis(x) == kl_by_linear_solve(H, x)
 
 
+@pytest.mark.parametrize("fixture", ["a2", "b2", "g2", "a3"])
+def test_kl_basis_against_linear_solve_affine(fixture, request):
+    # the first elements of length 4 with a non-zero translation part, in
+    # every length-zero coset (three non-identity ones in A3)
+    ctx = request.getfixturevalue(fixture)
+    H, W = ctx.hecke, ctx.group
+    by_coset: dict = {}
+    for x in W.elements_of_length_leq(4):
+        if x.length == 4 and any(x.trans.coords):
+            by_coset.setdefault(x.omega_component, []).append(x)
+    assert len(by_coset) == len(W.omega_elements)
+    for xs in by_coset.values():
+        for x in sorted(xs, key=lambda z: (z.trans.coords, z.w.index))[:3]:
+            assert H.kl_basis(x) == kl_by_linear_solve(H, x), W.format_element(x)
+
+
 def test_bernstein_examples(a1):
     H, W = a1.hecke, a1.group
     alpha = a1.rd.simple_roots[0]

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from periodic_kl.rootdata import Weight
-from oracles import bfs_length, subword_bruhat
+from oracles import bfs_lengths, subword_bruhat
 
 
 def test_multiply_examples(a1):
@@ -40,18 +40,25 @@ def test_length_examples(a1):
     assert W.simple_reflection(0).length == 1
     assert W.translation(alpha).length == 2
     # oracle: shortest affine word reaching t(alpha)
-    assert bfs_length(W, W.translation(alpha)) == 2
-    assert bfs_length(W, W.multiply(W.translation(-alpha), W.simple_reflection(0))) == 3
+    lengths = bfs_lengths(W, W.identity(), 3)
+    assert lengths[W.translation(alpha)] == 2
+    assert lengths[W.multiply(W.translation(-alpha), W.simple_reflection(0))] == 3
 
 
-@pytest.mark.parametrize("fixture", ["a1", "a2", "b2"])
+@pytest.mark.parametrize("fixture", ["a1", "a2", "b2", "c2", "g2", "a3"])
 def test_length_against_bfs(fixture, request):
     ctx = request.getfixturevalue(fixture)
     W = ctx.group
-    for x in W.elements_of_length_leq(4):
-        if x.omega_component != W.identity().omega_component:
-            continue
-        assert bfs_length(W, x, max_len=5) == x.length
+    gens = {W.affine_generator(j) for j in W.affine_generator_indices()}
+    by_coset: dict = {}
+    for x in W.elements_of_length_leq(5):
+        by_coset.setdefault(x.omega_component, {})[x] = x.length
+    assert len(by_coset) == len(W.omega_elements)
+    for tag, om in W.omega_elements.items():
+        # om permutes the affine simple reflections by conjugation, so it has
+        # length zero and word length from om is the length in its coset
+        assert {W.multiply(W.multiply(om, s), W.inverse(om)) for s in gens} == gens
+        assert bfs_lengths(W, om, 5) == by_coset[tag]
 
 
 def test_length_changes_by_one(a1, a2, b2):
