@@ -157,7 +157,7 @@ def _save_class_cache(mod: PeriodicModule, args, on_disk: Optional[set[int]]) ->
         "classes": {
             str(idx): [
                 [g.format_element(x), p.to_json()]
-                for x, p in sorted(el.terms.items(), key=lambda kv: (kv[0].trans.coords, kv[0].w.index))
+                for x, p in sorted(el.terms.items(), key=lambda kv: kv[0].key)
             ]
             for idx, el in sorted(mod._class_cache.items())
         },
@@ -222,10 +222,6 @@ def _parse_elt(group: AffineWeyl, text: str):
         return group.parse_element(text)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _sorted_elements(group: AffineWeyl, elements):
-    return sorted(elements, key=lambda z: (z.trans.coords, z.w.index))
 
 
 # -- subcommands -------------------------------------------------------------------------
@@ -351,7 +347,7 @@ def _cmd_orders(args) -> int:
     rd, group = _build_context(args)
     order = SemiInfiniteOrder(group)
     window = _window(args, group)
-    poset = SemiInfinitePoset.build(order, _sorted_elements(group, window))
+    poset = SemiInfinitePoset.build(order, window)
     edges = [
         [group.format_element(a), group.format_element(b)] for a, b in poset.hasse_edges()
     ]
@@ -379,7 +375,7 @@ _TABLE_KINDS = {
 def _cmd_table(args) -> int:
     rd, group = _build_context(args)
     mod, on_disk = _module(args, group)
-    window = _sorted_elements(group, _window(args, group))
+    window = _window(args, group)
     kind = _TABLE_KINDS[args.which]
     nu = None
     if args.which == "verma-in-projective":
@@ -402,8 +398,7 @@ def _cmd_table(args) -> int:
         }
         for (y, x), p in sorted(
             entries_map.items(),
-            key=lambda kv: (kv[0][1].trans.coords, kv[0][1].w.index,
-                            kv[0][0].trans.coords, kv[0][0].w.index),
+            key=lambda kv: (kv[0][1].key, kv[0][0].key),
         )
     ]
     payload = {

@@ -98,7 +98,7 @@ class HeckeAlgebra:
         return HeckeElement(self, terms)
 
     def sort_support(self, terms: Iterable[ExtAffineElement]) -> list[ExtAffineElement]:
-        return sorted(terms, key=lambda x: (x.length, x.trans.coords, x.w.index))
+        return sorted(terms, key=lambda x: (x.length, x.key))
 
     # -- products ----------------------------------------------------------------------
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence, get_args
 
 from .laurent import ZERO, LaurentPoly
 from .periodic import PeriodicModule
@@ -168,23 +168,29 @@ class MultiplicityTables:
         window: Sequence[ExtAffineElement],
         nu: Optional[Weight] = None,
     ) -> MultiplicityTable:
+        """The nonzero entries (x, y) over the window, twisting each element by w0 once."""
+        if kind not in get_args(TableKind):
+            raise ValueError(f"unknown table kind {kind!r}")
+        truncated = kind == "verma_in_projective_truncated"
+        if truncated and nu is None:
+            raise ValueError("truncated table needs a truncation weight nu")
         win = tuple(window)
+        mod = self.module
+        twisted = [(x, self._twist(x)) for x in win]
+        columns = twisted
+        if truncated:
+            top = self.rd.l * nu
+            columns = [(y, ty) for y, ty in twisted
+                       if dominance_leq(self.rd, self.group.dot_zero(y), top)]
         entries: dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly] = {}
-        for x in win:
-            for y in win:
+        for x, tx in twisted:
+            for y, ty in columns:
                 if kind == "simple_in_verma":
-                    p = self.simple_in_verma(x, y)
-                elif kind == "verma_in_projective_truncated":
-                    if nu is None:
-                        raise ValueError("truncated table needs a truncation weight nu")
-                    p = self.verma_in_projective(x, y, nu)
-                elif kind == "babyverma_in_projective":
-                    p = self.baby_verma_in_projective(x, y)
-                elif kind == "simple_in_babyverma":
-                    p = self.simple_in_baby_verma(x, y)
-                else:
-                    raise ValueError(f"unknown table kind {kind!r}")
+                    p = mod.generic_polynomial(tx, ty, "q")
+                elif truncated:
+                    p = mod.generic_polynomial(ty, tx, "qprime")
+                else:  # both baby kinds are p_{w0 x, w0 y}
+                    p = mod.p_polynomial(tx, ty)
                 if not p.is_zero():
                     entries[(x, y)] = p
         return MultiplicityTable(kind, win, nu, entries)
-

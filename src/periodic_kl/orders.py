@@ -72,17 +72,16 @@ class SemiInfiniteOrder:
         self.group = group
         self.rd = group.rd
         self._desc_cache: dict[tuple[int, int], bool] = {}
-        self._leq_cache: dict = {}
-        self._height_cache: dict = {}
+        self._leq_cache: dict[tuple[ExtAffineElement, ExtAffineElement], bool] = {}
+        self._height_cache: dict[ExtAffineElement, int] = {}
 
     def height(self, x: ExtAffineElement) -> int:
         """<x dot_l 0, 2 rho^>, strictly decreasing along the semi-infinite order."""
-        key = (x.trans.coords, x.w.index)
-        hit = self._height_cache.get(key)
+        hit = self._height_cache.get(x)
         if hit is None:
             z0 = self.group.dot_zero(x)
             hit = sum(c * v for c, v in zip(self.rd.two_rho_check, z0.coords))
-            self._height_cache[key] = hit
+            self._height_cache[x] = hit
         return hit
 
     # -- generating relations ----------------------------------------------------
@@ -110,9 +109,9 @@ class SemiInfiniteOrder:
 
     def leq(self, x: ExtAffineElement, y: ExtAffineElement) -> bool:
         """Exact semi-infinite comparison x <= y."""
-        if x == y:
+        if x is y:
             return True
-        key = (x.trans.coords, x.w.index, y.trans.coords, y.w.index)
+        key = (x, y)
         hit = self._leq_cache.get(key)
         if hit is None:
             hit = x in self.below(y, (x,))
@@ -136,7 +135,7 @@ class SemiInfiniteOrder:
         for x in xs:
             ex = self._scaled_rc(x)
             if all(d >= 0 and d % e == 0 for d in (b - a for a, b in zip(ex, ey))):
-                want[(x.trans.coords, x.w.index)] = x
+                want[x.key] = x
                 rcs.append(ex)
         if not want:
             return set()
@@ -144,10 +143,10 @@ class SemiInfiniteOrder:
         floor = min(map(sum, rcs))
         moves = self._moves
         l = self.rd.l
-        start = (y.trans.coords, y.w.index)
+        start = y.key
         seen = {start}
         left = len(want) - (start in want)
-        stack = [(y.trans.coords, y.w.index, ey)]
+        stack = [(*start, ey)]
         while stack and left:
             trans, w, ev = stack.pop()
             budget = sum(ev) - floor
@@ -331,8 +330,8 @@ def standard_window(
     """All elements t(lam) w with max |fundamental coordinate of lam| <= height.
 
     Restricted to one coset of the length-zero subgroup when ``coset`` is
-    given, otherwise all cosets.  Ordered canonically (translation, then
-    finite index) so serialized tables are deterministic.
+    given, otherwise all cosets.  Ascending translations, each with the finite
+    elements in index order, give the canonical ``key`` order.
     """
     rd = group.rd
     out = []
@@ -342,7 +341,6 @@ def standard_window(
             continue
         for w in group.finite_elements:
             out.append(group.element(lam, w))
-    out.sort(key=lambda z: (z.trans.coords, z.w.index))
     return out
 
 

@@ -136,7 +136,7 @@ class PeriodicElement(Combination):
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        keys = sorted(self.terms, key=lambda x: (-self.module.height(x), x.trans.coords, x.w.index))
+        keys = sorted(self.terms, key=lambda x: (-self.module.height(x), x.key))
         return " + ".join(f"({self.terms[x]})*B[{x!r}]" for x in keys)
 
 
@@ -347,17 +347,16 @@ class PeriodicModule:
         # registered as offenders appear and contribute lazily below z.
         fin: dict[ExtAffineElement, LaurentPoly] = {}
         corrections: list[tuple[ExtAffineElement, LaurentPoly, int, Weight]] = []
-        heap: list[tuple[int, tuple, int]] = []
+        # Heap entries (-height, key, element): keys are unique, so the
+        # element itself is never compared.
+        heap: list[tuple[int, tuple, ExtAffineElement]] = []
         queued: set[ExtAffineElement] = set()
-        pos_of: dict[tuple, ExtAffineElement] = {}
 
         def push(pos: ExtAffineElement) -> None:
             if pos in queued:
                 return
             queued.add(pos)
-            key = (pos.trans.coords, pos.w.index)
-            pos_of[key] = pos
-            heapq.heappush(heap, (-self.height(pos), key, 0))
+            heapq.heappush(heap, (-self.height(pos), pos.key, pos))
 
         for pos in product.terms:
             push(pos)
@@ -370,8 +369,7 @@ class PeriodicModule:
             steps += 1
             if steps > self.max_sweep_steps:
                 raise ResourceError("self-dual basis sweep exceeded the configured step bound")
-            _, key, _ = heapq.heappop(heap)
-            pos = pos_of[key]
+            pos = heapq.heappop(heap)[2]
             val = product.coefficient(pos)
             for (z, m, cls, shift_nu) in corrections:
                 src = g.translate_left(-shift_nu, pos)
@@ -598,7 +596,7 @@ class PeriodicModule:
         rows = []
         for pos, p in sd.terms.items():
             x0 = g.multiply(w0, pos)
-            rows.append((x0.trans.coords, x0.w.index, x0.length % 2, p))
+            rows.append((*x0.key, x0.length % 2, p))
         return rows
 
     def inversion_report(self, window: Sequence[ExtAffineElement]) -> list[tuple[ExtAffineElement, ExtAffineElement, LaurentPoly]]:

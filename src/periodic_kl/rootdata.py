@@ -254,11 +254,6 @@ class RootDatum:
     def fundamental_weight(self, i: int) -> Weight:
         return Weight(tuple(1 if j == i else 0 for j in range(self.rank)))
 
-    def weight(self, coords: Sequence[int]) -> Weight:
-        if len(coords) != self.rank:
-            raise ValueError(f"expected {self.rank} coordinates, got {len(coords)}")
-        return Weight(tuple(int(c) for c in coords))
-
     def __repr__(self) -> str:
         return f"RootDatum({self.cartan_type}{self.rank}, l={self.l})"
 

@@ -9,9 +9,12 @@ the finite Weyl group; the group law is
 The finite group is small for the supported ranks, so :class:`AffineWeyl`
 tabulates it completely at construction (matrices on fundamental-weight
 coordinates, lengths, reduced words, inverses, and the signs of ``w(beta)``
-for every root ``beta``).  An :class:`ExtAffineElement` is then just a
-translation vector plus an index into that table, which makes elements cheap
-to hash and compare.
+for every root ``beta``).  An :class:`ExtAffineElement` is then a
+translation vector plus an index into that table.  Elements are interned per
+group: :class:`AffineWeyl` alone creates them, from one table keyed by
+``key = (translation coordinates, finite index)``, so equality is identity
+(elements of two groups never compare equal) and ``key`` is the canonical
+sort order.
 
 Affine simple reflections are indexed ``0, 1, ..., rank`` where index ``0``
 is the reflection through the wall of the fundamental alcove not containing
@@ -33,7 +36,7 @@ only inside a common coset of the length-zero subgroup.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .rootdata import RootDatum, Weight, pairing
@@ -71,29 +74,22 @@ class FiniteWeylElement:
 
 
 class ExtAffineElement:
-    """Element ``t(lam) w`` of the extended affine Weyl group."""
+    """Element ``t(lam) w`` of the extended affine Weyl group.
 
-    __slots__ = ("group", "trans", "w", "_length", "_hash", "_omega")
+    Built only through its :class:`AffineWeyl`, which interns it: equality is
+    identity.  ``key = (trans coords, w index)`` is the intern key and the
+    canonical sort key.
+    """
 
-    def __init__(self, group: "AffineWeyl", trans: Weight, w: FiniteWeylElement):
+    __slots__ = ("group", "trans", "w", "key", "_length", "_omega")
+
+    def __init__(self, group: "AffineWeyl", key: tuple[tuple[int, ...], int]):
         self.group = group
-        self.trans = trans
-        self.w = w
+        self.trans = Weight(key[0])
+        self.w = group.finite_elements[key[1]]
+        self.key = key
         self._length: Optional[int] = None
-        self._hash: Optional[int] = None
         self._omega: Optional[tuple[int, ...]] = None
-
-    # Equality ignores the context object itself: elements from different
-    # contexts never meet in correct code, and operations check for that.
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExtAffineElement):
-            return NotImplemented
-        return self.trans.coords == other.trans.coords and self.w.index == other.w.index
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.trans.coords, self.w.index))
-        return self._hash
 
     @property
     def length(self) -> int:
@@ -116,7 +112,8 @@ class AffineWeyl:
 
     def __init__(self, rd: RootDatum):
         self.rd = rd
-        self._gen_product_cache: dict = {}
+        self._elements: dict[tuple[tuple[int, ...], int], ExtAffineElement] = {}
+        self._gen_product_cache: dict[tuple[ExtAffineElement, int], ExtAffineElement] = {}
         self._build_finite_group()
         self._build_affine_data()
         self._build_omega()
@@ -235,20 +232,26 @@ class AffineWeyl:
 
     # -- element constructors ------------------------------------------------------
 
+    def _intern(self, coords: tuple[int, ...], w_index: int) -> ExtAffineElement:
+        """The element t(coords) w: the one constructor of elements of this group."""
+        key = (coords, w_index)
+        x = self._elements.get(key)
+        if x is None:
+            x = self._elements[key] = ExtAffineElement(self, key)
+        return x
+
     def identity(self) -> ExtAffineElement:
-        return ExtAffineElement(self, Weight((0,) * self.rd.rank), self.finite_elements[0])
+        return self._intern((0,) * self.rd.rank, 0)
 
     def element(self, trans: Weight, w: FiniteWeylElement | int) -> ExtAffineElement:
-        if isinstance(w, int):
-            w = self.finite_elements[w]
-        return ExtAffineElement(self, trans, w)
+        return self._intern(trans.coords, w if isinstance(w, int) else w.index)
 
     def translation(self, lam: Weight) -> ExtAffineElement:
-        return ExtAffineElement(self, lam, self.finite_elements[0])
+        return self._intern(lam.coords, 0)
 
     def simple_reflection(self, i: int) -> ExtAffineElement:
-        """The i-th finite simple reflection as an extended affine element (i >= 1 one-based? no: 0-based)."""
-        return self.element(Weight((0,) * self.rd.rank), self._gen_indices[i])
+        """The finite simple reflection s_{i+1} (``i`` is 0-based) as an extended affine element."""
+        return self._intern((0,) * self.rd.rank, self._gen_indices[i])
 
     def affine_generator(self, j: int) -> ExtAffineElement:
         """Affine simple reflection: j = 0 is s_0, j >= 1 is the finite s_j."""
@@ -268,14 +271,15 @@ class AffineWeyl:
 
     def multiply(self, x: ExtAffineElement, y: ExtAffineElement) -> ExtAffineElement:
         self._check(x, y)
-        trans = x.trans + x.w.apply(y.trans)
-        w = self.finite_elements[self._fin_mul[x.w.index][y.w.index]]
-        return ExtAffineElement(self, trans, w)
+        mu = y.trans.coords
+        coords = tuple(a + sum(map(mul, row, mu)) for a, row in zip(x.trans.coords, x.w.matrix))
+        return self._intern(coords, self._fin_mul[x.w.index][y.w.index])
 
     def inverse(self, x: ExtAffineElement) -> ExtAffineElement:
         self._check(x)
         winv = self.finite_elements[x.w.inverse_index]
-        return ExtAffineElement(self, -winv.apply(x.trans), winv)
+        lam = x.trans.coords
+        return self._intern(tuple(-sum(map(mul, row, lam)) for row in winv.matrix), winv.index)
 
     def right_multiply_gen(self, x: ExtAffineElement, j: int) -> ExtAffineElement:
         """x * s_j for an affine simple reflection, without building s_j.
@@ -283,23 +287,21 @@ class AffineWeyl:
         Memoized: generator products dominate the basis recursions, so the
         (element, generator) -> element map is kept for the context's lifetime.
         """
-        key = (x.trans.coords, x.w.index, j)
-        hit = self._gen_product_cache.get(key)
+        hit = self._gen_product_cache.get((x, j))
         if hit is not None:
             return hit
         if j == 0:
-            trans = x.trans + x.w.apply(self.s0_root)
-            w = self.finite_elements[self._fin_mul[x.w.index][self.s0_finite_index]]
+            coords = (x.trans + x.w.apply(self.s0_root)).coords
+            w = self._fin_mul[x.w.index][self.s0_finite_index]
         else:
-            trans = x.trans
-            w = self.finite_elements[self._fin_mul[x.w.index][self._gen_indices[j - 1]]]
-        result = ExtAffineElement(self, trans, w)
-        self._gen_product_cache[key] = result
-        return result
+            coords = x.trans.coords
+            w = self._fin_mul[x.w.index][self._gen_indices[j - 1]]
+        hit = self._gen_product_cache[(x, j)] = self._intern(coords, w)
+        return hit
 
     def translate_left(self, nu: Weight, x: ExtAffineElement) -> ExtAffineElement:
         """t(nu) * x; cheap because it only shifts the translation part."""
-        return ExtAffineElement(self, nu + x.trans, x.w)
+        return self._intern(tuple(map(add, nu.coords, x.trans.coords)), x.w.index)
 
     def length(self, x: ExtAffineElement) -> int:
         self._check(x)
@@ -308,9 +310,6 @@ class AffineWeyl:
             abs(sum(map(mul, row, lam)) - o)
             for row, o in zip(self._coroot_rows, self._length_offsets[x.w.index])
         )
-
-    def longest_element(self) -> FiniteWeylElement:
-        return self.w0
 
     # -- dot action -----------------------------------------------------------------
 
@@ -416,12 +415,12 @@ class AffineWeyl:
         if not (wpart.startswith("w[") and wpart.endswith("]")):
             raise ValueError(f"bad element syntax: {text!r}")
         idxs = [int(t) for t in wpart[2:-1].split()] if wpart[2:-1].strip() else []
-        w = self.finite_elements[0]
+        w = 0
         for i in idxs:
             if not 1 <= i <= self.rd.rank:
                 raise ValueError(f"finite reflection index {i} out of range in {text!r}")
-            w = self.finite_elements[self._fin_mul[w.index][self._gen_indices[i - 1]]]
-        return self.element(Weight(tuple(coords)), w)
+            w = self._fin_mul[w][self._gen_indices[i - 1]]
+        return self._intern(tuple(coords), w)
 
     def elements_of_length_leq(self, bound: int) -> Iterator[ExtAffineElement]:
         """All extended elements of length <= bound (BFS over generators and omega)."""

@@ -74,7 +74,7 @@ def kl_by_linear_solve(algebra: HeckeAlgebra, x: ExtAffineElement):
         for y in group.elements_of_length_leq(max(x.length - 1, 0))
         if y != x and group.bruhat_leq(y, x)
     ]
-    below.sort(key=lambda z: (z.length, z.trans.coords, z.w.index))
+    below.sort(key=lambda z: (z.length, z.key))
     unknowns = [(y, k) for y in below for k in range(1, x.length - y.length + 1)]
 
     # residual(a) = bar(candidate) - candidate must vanish; it is affine-linear
@@ -93,7 +93,7 @@ def kl_by_linear_solve(algebra: HeckeAlgebra, x: ExtAffineElement):
         for z, p in h.terms.items():
             for e in p.coeffs:
                 coords.add((z, e))
-    coords = sorted(coords, key=lambda c: (c[0].length, c[0].trans.coords, c[0].w.index, c[1]))
+    coords = sorted(coords, key=lambda c: (c[0].length, c[0].key, c[1]))
 
     rows = []
     rhs = []

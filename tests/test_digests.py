@@ -1,10 +1,11 @@
-"""Output bytes of B2, G2 and A3 runs, pinned by the benchmark's recorded digests.
+"""Output bytes of every benchmark invocation, pinned by its recorded digest.
 
 The golden files under ``golden/`` cover A1 and A2 only.  ``bench/digests.json``
-holds the stdout sha256 of every benchmark invocation; this module replays
-the Hasse diagrams, the selfcheck runs, the p tables beyond A1 and the
-``hecke kl`` elements through the command line and compares their digests.
-The file is only read here.
+holds the stdout sha256 of every benchmark invocation (Hasse diagrams,
+selfcheck runs, polynomial and multiplicity tables, ``mult`` queries and
+``hecke kl`` elements, over A1 to A3, B2, C2 and G2); this module replays
+each of them through the command line and compares its digest.  The file
+is only read here.
 """
 
 import contextlib
@@ -19,11 +20,7 @@ import pytest
 from periodic_kl.cli import main
 
 DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
-PINNED = sorted(
-    argv for argv in DIGESTS
-    if argv.startswith(("orders hasse ", "selfcheck ", "hecke kl "))
-    or (argv.startswith("table p ") and "--rank 1 " not in argv)
-)
+PINNED = sorted(DIGESTS)
 
 
 def _tokens(argv: str) -> list[str]:

@@ -177,3 +177,32 @@ def test_table_builder(a1):
     t3 = T.table("babyverma_in_projective", win)
     t4 = T.table("simple_in_babyverma", win)
     assert t3.entries == t4.entries
+
+
+def test_table_checks_its_arguments_before_the_window(a1):
+    T = MultiplicityTables(a1.module)
+    with pytest.raises(ValueError, match="truncation weight"):
+        T.table("verma_in_projective_truncated", [])
+    with pytest.raises(ValueError, match="unknown table kind"):
+        T.table("no_such_kind", [])
+
+
+def test_tables_match_point_queries(a2):
+    T = MultiplicityTables(a2.module)
+    W = a2.group
+    win = standard_window(W, 1, coset=(0, 0))
+    nu = Weight((0, 0))
+    truncated_away = [y for y in win if not dominance_leq(a2.rd, W.dot_zero(y), a2.rd.l * nu)]
+    assert 0 < len(truncated_away) < len(win)
+    point = {
+        "simple_in_verma": T.simple_in_verma,
+        "verma_in_projective_truncated": lambda x, y: T.verma_in_projective(x, y, nu),
+        "babyverma_in_projective": T.baby_verma_in_projective,
+        "simple_in_babyverma": T.simple_in_baby_verma,
+    }
+    for kind, value in point.items():
+        table = T.table(kind, win, nu=nu)
+        assert table.entries
+        for x in win:
+            for y in win:
+                assert table.get(x, y) == value(x, y)

@@ -4,6 +4,16 @@ from periodic_kl.orders import SemiInfinitePoset, standard_window
 from periodic_kl.rootdata import Weight, dominance_leq
 
 
+@pytest.mark.parametrize("fixture", ["a1", "a2", "b2", "c2", "g2", "a3"])
+def test_standard_window_is_in_key_order(fixture, request):
+    W = request.getfixturevalue(fixture).group
+    for height in (0, 1, 2):
+        for coset in (None, *W.omega_elements):
+            win = standard_window(W, height, coset)
+            assert win == sorted(win, key=lambda z: z.key)
+            assert len(set(win)) == len(win)
+
+
 def test_generating_relation_examples(a1):
     W, O = a1.group, a1.order
     e = W.identity()

@@ -269,7 +269,7 @@ def test_orbit_memos_match_per_pair_formulas_on_sampled_pairs(request, name, hei
     window = standard_window(W, height)
     pairs = rng.sample(_same_coset_pairs(window), 60)
     # pairs (y, x) with y in the support of the self-dual element at x
-    pairs += [(rng.choice(sorted(M.selfdual(x).terms, key=lambda z: (z.trans.coords, z.w.index))), x)
+    pairs += [(rng.choice(sorted(M.selfdual(x).terms, key=lambda z: z.key)), x)
               for x in rng.sample(window, 30)]
     for y, z in pairs:
         nu = Weight(tuple(rng.choice((-2, -1, 1, 2)) for _ in range(ctx.rd.rank)))
@@ -337,7 +337,7 @@ def test_certification_catches_support_outside_ideal(a2, monkeypatch):
 
     def lossy_below(self, y, xs):
         found = real_below(self, y, xs)
-        lower = sorted(found - {y}, key=lambda z: (z.trans.coords, z.w.index))
+        lower = sorted(found - {y}, key=lambda z: z.key)
         if lower:
             found.discard(lower[0])
         return found

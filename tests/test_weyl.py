@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from periodic_kl.rootdata import Weight
+from periodic_kl.rootdata import Weight, root_datum
+from periodic_kl.weyl import AffineWeyl, ExtAffineElement
 from oracles import bfs_lengths, subword_bruhat
 
 
@@ -164,3 +165,34 @@ def test_element_text_round_trip(a2):
         W.parse_element("t(1)*w[1]")
     with pytest.raises(ValueError):
         W.parse_element("t(1,0)*w[7]")
+
+
+def test_equal_results_are_the_same_object(a2):
+    W = a2.group
+    x = W.parse_element("t(1,-2)*w[1 2]")
+    assert W.parse_element("t(1,-2)*w[1 2]") is x
+    assert W.parse_element(W.format_element(x)) is x
+    assert W.multiply(W.translation(x.trans), W.element(Weight((0, 0)), x.w)) is x
+    assert W.right_multiply_gen(W.right_multiply_gen(x, 0), 0) is x
+    assert W.translate_left(Weight((-1, 2)), W.translate_left(Weight((1, -2)), x)) is x
+    assert W.inverse(W.inverse(x)) is x
+    assert W.multiply(x, W.inverse(x)) is W.identity()
+    word, omega = W.reduced_word(x)
+    assert W.from_word(word, omega) is x
+    assert x.key == (x.trans.coords, x.w.index)
+
+
+def test_elements_of_two_groups_never_meet():
+    rd = root_datum("A", 2, 5)
+    W1, W2 = AffineWeyl(rd), AffineWeyl(rd)
+    x1, x2 = W1.parse_element("t(1,0)*w[2]"), W2.parse_element("t(1,0)*w[2]")
+    assert x1.key == x2.key
+    assert x1 != x2
+    assert len({x1, x2}) == 2
+    with pytest.raises(ValueError):
+        W1.multiply(x1, x2)
+
+
+def test_equality_is_identity_not_a_method():
+    assert "__eq__" not in ExtAffineElement.__dict__
+    assert "__hash__" not in ExtAffineElement.__dict__
