@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -426,7 +427,11 @@ def _cmd_table(args) -> int:
 # -- entry point ------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than a small
+    query and leaves cyclic garbage.  Each ``_cmd_*`` is bound at first use,
+    so reassigning one later has no effect."""
     parser = argparse.ArgumentParser(
         prog="periodic-kl",
         description="Exact periodic/generic Kazhdan-Lusztig polynomials and multiplicity tables",
@@ -477,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, OSError) as exc:

@@ -29,7 +29,7 @@ the usual CPython guarantees.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .laurent import ONE, V, VINV, Combination, LaurentPoly
 from .rootdata import Weight
@@ -43,36 +43,20 @@ _V_MINUS_VINV = V - VINV  # v - v^{-1}
 class HeckeElement(Combination):
     """A finite Z[v^{+-1}]-linear combination of standard basis elements."""
 
-    __slots__ = ("algebra",)
+    __slots__ = ()
 
-    def __init__(self, algebra: "HeckeAlgebra", terms: Mapping[ExtAffineElement, LaurentPoly]):
-        self.algebra = algebra
-        Combination.__init__(self, terms)
-
-    def _new(self, terms: Mapping[ExtAffineElement, LaurentPoly]) -> "HeckeElement":
-        return HeckeElement(self.algebra, terms)
-
-    # -- products ----------------------------------------------------------------
-
-    def __mul__(self, other: "HeckeElement") -> "HeckeElement":
-        return self.algebra.multiply(self, other)
-
-    def bar(self) -> "HeckeElement":
-        return self.algebra.bar(self)
+    def _support_by_length(self) -> list[ExtAffineElement]:
+        return sorted(self.terms, key=lambda x: (x.length, x.key))
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for x in self.algebra.sort_support(self.terms):
-            parts.append(f"({self.terms[x]})*H[{x!r}]")
-        return " + ".join(parts)
+        return " + ".join(f"({self.terms[x]})*H[{x!r}]" for x in self._support_by_length())
 
     def to_json(self) -> list:
-        alg = self.algebra
         return [
-            {"element": alg.group.format_element(x), "polynomial": self.terms[x].to_json()}
-            for x in alg.sort_support(self.terms)
+            {"element": repr(x), "polynomial": self.terms[x].to_json()}
+            for x in self._support_by_length()
         ]
 
 
@@ -86,19 +70,16 @@ class HeckeAlgebra:
     # -- constructors --------------------------------------------------------------
 
     def zero(self) -> HeckeElement:
-        return HeckeElement(self, {})
+        return HeckeElement({})
 
     def unit(self) -> HeckeElement:
-        return HeckeElement(self, {self.group.identity(): ONE})
+        return HeckeElement({self.group.identity(): ONE})
 
     def basis(self, x: ExtAffineElement) -> HeckeElement:
-        return HeckeElement(self, {x: ONE})
+        return HeckeElement({x: ONE})
 
     def from_terms(self, terms: Mapping[ExtAffineElement, LaurentPoly]) -> HeckeElement:
-        return HeckeElement(self, terms)
-
-    def sort_support(self, terms: Iterable[ExtAffineElement]) -> list[ExtAffineElement]:
-        return sorted(terms, key=lambda x: (x.length, x.key))
+        return HeckeElement(terms)
 
     # -- products ----------------------------------------------------------------------
 
@@ -114,7 +95,7 @@ class HeckeAlgebra:
                 extra = p * _V_MINUS_VINV
                 q = out.get(x)
                 out[x] = -extra if q is None else q - extra
-        return HeckeElement(self, out)
+        return HeckeElement(out)
 
     def right_mul_gen_inverse(self, h: HeckeElement, j: int) -> HeckeElement:
         """h * (H_{s_j})^{-1} = h * (H_{s_j} + (v - v^{-1}))."""
@@ -134,7 +115,7 @@ class HeckeAlgebra:
         if omega.length != 0:
             raise ValueError("expected a length-zero element")
         g = self.group
-        return HeckeElement(self, {g.multiply(x, omega): p for x, p in h.terms.items()})
+        return HeckeElement({g.multiply(x, omega): p for x, p in h.terms.items()})
 
     def multiply(self, h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
         out = self.zero()
@@ -240,7 +221,7 @@ class HeckeAlgebra:
                     cy = self.kl_basis(y, max_length).terms
                     for shift, c in m.coeffs.items():
                         add(cy, shift, -c)
-            result = HeckeElement(self, {z: LaurentPoly(d) for z, d in acc.items()})
+            result = HeckeElement({z: LaurentPoly(d) for z, d in acc.items()})
         lead = result.coefficient(x)
         if lead != ONE:
             raise AssertionError("KL basis element has wrong leading coefficient")

@@ -179,10 +179,11 @@ VINV = LaurentPoly({-1: 1})
 class Combination:
     """A finite Z[v^{+-1}]-linear combination of hashable basis labels.
 
-    Zero coefficients are dropped on construction.  A subclass holds its
-    owner (the algebra or module the basis belongs to) and builds new
-    elements through :meth:`_new`; elements of different subclasses never
-    compare equal, even with the same terms.
+    Zero coefficients are dropped on construction.  A combination holds its
+    terms and nothing else, no pointer to the algebra or module its basis
+    belongs to, so it closes no reference cycle with that owner's caches.
+    Results are built as ``type(self)(terms)``; elements of different
+    subclasses never compare equal, even with the same terms.
     """
 
     __slots__ = ("terms",)
@@ -190,28 +191,24 @@ class Combination:
     def __init__(self, terms: Mapping[Hashable, LaurentPoly]):
         self.terms = {x: p for x, p in terms.items() if not p.is_zero()}
 
-    def _new(self, terms: Mapping[Hashable, LaurentPoly]):
-        """An element of the same type and owner with the given terms."""
-        raise NotImplementedError
-
     def __add__(self, other):
         d = dict(self.terms)
         for x, p in other.terms.items():
             q = d.get(x)
             d[x] = p if q is None else q + p
-        return self._new(d)
+        return type(self)(d)
 
     def __sub__(self, other):
         d = dict(self.terms)
         for x, p in other.terms.items():
             q = d.get(x, ZERO)
             d[x] = q - p
-        return self._new(d)
+        return type(self)(d)
 
     def scale(self, p: LaurentPoly | int):
         if isinstance(p, int):
             p = LaurentPoly({0: p})
-        return self._new({x: q * p for x, q in self.terms.items()})
+        return type(self)({x: q * p for x, q in self.terms.items()})
 
     def coefficient(self, x: Hashable) -> LaurentPoly:
         return self.terms.get(x, ZERO)

@@ -55,6 +55,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
+from .hecke import ResourceError
 from .rootdata import Weight, dominance_leq, pairing
 from .weyl import AffineWeyl, ExtAffineElement
 
@@ -63,6 +64,10 @@ __all__ = [
     "SemiInfinitePoset",
     "standard_window",
 ]
+
+# Window size bound: tests enumerate up to 3,000 elements (A3, height 2) and
+# compute on up to 648 (A3, height 1).
+MAX_WINDOW = 10_000
 
 
 class SemiInfiniteOrder:
@@ -331,9 +336,15 @@ def standard_window(
 
     Restricted to one coset of the length-zero subgroup when ``coset`` is
     given, otherwise all cosets.  Ascending translations, each with the finite
-    elements in index order, give the canonical ``key`` order.
+    elements in index order, give the canonical ``key`` order.  A window of
+    more than ``MAX_WINDOW`` elements is refused before it is enumerated.
     """
     rd = group.rd
+    size = len(group.finite_elements) * (2 * height + 1) ** rd.rank
+    if size > MAX_WINDOW:
+        raise ResourceError(
+            f"window of height {height} has {size} elements, above the bound of {MAX_WINDOW}"
+        )
     out = []
     for coords in product(range(-height, height + 1), repeat=rd.rank):
         lam = Weight(coords)

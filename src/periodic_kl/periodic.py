@@ -124,20 +124,12 @@ class CertificationError(AssertionError):
 class PeriodicElement(Combination):
     """Finite linear combination of periodic basis elements B_x."""
 
-    __slots__ = ("module",)
-
-    def __init__(self, module: "PeriodicModule", terms: Mapping[ExtAffineElement, LaurentPoly]):
-        self.module = module
-        Combination.__init__(self, terms)
-
-    def _new(self, terms: Mapping[ExtAffineElement, LaurentPoly]) -> "PeriodicElement":
-        return PeriodicElement(self.module, terms)
+    __slots__ = ()
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        keys = sorted(self.terms, key=lambda x: (-self.module.height(x), x.key))
-        return " + ".join(f"({self.terms[x]})*B[{x!r}]" for x in keys)
+        return " + ".join(f"({self.terms[x]})*B[{x!r}]" for x in sorted(self.terms, key=lambda x: x.key))
 
 
 KindName = Literal["periodic_p", "generic_q", "generic_qprime"]
@@ -199,13 +191,13 @@ class PeriodicModule:
     # -- basic constructions -----------------------------------------------------
 
     def zero(self) -> PeriodicElement:
-        return PeriodicElement(self, {})
+        return PeriodicElement({})
 
     def basis(self, x: ExtAffineElement) -> PeriodicElement:
-        return PeriodicElement(self, {x: ONE})
+        return PeriodicElement({x: ONE})
 
     def from_terms(self, terms: Mapping[ExtAffineElement, LaurentPoly]) -> PeriodicElement:
-        return PeriodicElement(self, terms)
+        return PeriodicElement(terms)
 
     def height(self, x: ExtAffineElement) -> int:
         """<x dot_l 0, 2 rho^>; strictly decreasing along the semi-infinite order."""
@@ -217,12 +209,12 @@ class PeriodicModule:
             g.element(lam, w): LaurentPoly({w.length: 1})
             for w in g.finite_elements
         }
-        return PeriodicElement(self, terms)
+        return PeriodicElement(terms)
 
     def shift(self, m: PeriodicElement, nu: Weight) -> PeriodicElement:
         """The translation operator <nu>: B_x -> B_{t(nu) x}."""
         g = self.group
-        return PeriodicElement(self, {g.translate_left(nu, x): p for x, p in m.terms.items()})
+        return PeriodicElement({g.translate_left(nu, x): p for x, p in m.terms.items()})
 
     # -- right module action ---------------------------------------------------------
 
@@ -238,7 +230,7 @@ class PeriodicModule:
                 extra = p * _VINV_MINUS_V
                 q = out.get(x)
                 out[x] = extra if q is None else q + extra
-        return PeriodicElement(self, out)
+        return PeriodicElement(out)
 
     def act_cs(self, m: PeriodicElement, j: int) -> PeriodicElement:
         """m . (H_{s_j} + v)."""
@@ -248,7 +240,7 @@ class PeriodicModule:
         if omega.length != 0:
             raise ValueError("expected a length-zero element")
         g = self.group
-        return PeriodicElement(self, {g.multiply(x, omega): p for x, p in m.terms.items()})
+        return PeriodicElement({g.multiply(x, omega): p for x, p in m.terms.items()})
 
     def act_hecke(self, m: PeriodicElement, h: HeckeElement) -> PeriodicElement:
         out = self.zero()
@@ -414,7 +406,7 @@ class PeriodicModule:
         ideal = self.order.below(lead, checked)
         if not ideal.issuperset(checked):
             raise CertificationError("support escapes the semi-infinite ideal of the lead")
-        result = PeriodicElement(self, fin)
+        result = PeriodicElement(fin)
         self._certify(result, lead, product, corrections, w_index, ideal)
         return result
 
@@ -456,26 +448,7 @@ class PeriodicModule:
             return hit
         rd = self.rd
         roots_rc = [tuple(int(c) for c in rd.root_coordinates(b)) for b in rd.positive_roots]
-
-        def rec(idx: int, rem: tuple[int, ...]) -> LaurentPoly:
-            if all(c == 0 for c in rem):
-                return ONE
-            if idx == len(roots_rc):
-                return ZERO
-            rc = roots_rc[idx]
-            cap = min((rem[i] // rc[i] for i in range(len(rem)) if rc[i] > 0), default=0)
-            total = ZERO
-            for k in range(cap + 1):
-                nxt = tuple(rem[i] - k * rc[i] for i in range(len(rem)))
-                if any(c < 0 for c in nxt):
-                    continue
-                sub = rec(idx + 1, nxt)
-                if sub.is_zero():
-                    continue
-                total = total + (sub.shift(2 * k) if weighted else sub)
-            return total
-
-        result = rec(0, sigma_rc) if all(c >= 0 for c in sigma_rc) else ZERO
+        result = _vector_partitions(roots_rc, 0, sigma_rc, weighted) if min(sigma_rc) >= 0 else ZERO
         self._repgen_cache[key] = result
         return result
 
@@ -631,3 +604,24 @@ class PeriodicModule:
                     if not p.is_zero():
                         entries[(y, x)] = p
         return PolynomialTable(kind, win, entries)
+
+
+def _vector_partitions(roots_rc: Sequence[tuple[int, ...]], idx: int, rem: tuple[int, ...],
+                       weighted: bool) -> LaurentPoly:
+    """The partition series of ``rem`` over the roots from ``idx`` on, in root coordinates."""
+    if all(c == 0 for c in rem):
+        return ONE
+    if idx == len(roots_rc):
+        return ZERO
+    rc = roots_rc[idx]
+    cap = min((rem[i] // rc[i] for i in range(len(rem)) if rc[i] > 0), default=0)
+    total = ZERO
+    for k in range(cap + 1):
+        nxt = tuple(rem[i] - k * rc[i] for i in range(len(rem)))
+        if any(c < 0 for c in nxt):
+            continue
+        tail = _vector_partitions(roots_rc, idx + 1, nxt, weighted)
+        if tail.is_zero():
+            continue
+        total = total + (tail.shift(2 * k) if weighted else tail)
+    return total

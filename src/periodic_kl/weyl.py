@@ -10,11 +10,13 @@ The finite group is small for the supported ranks, so :class:`AffineWeyl`
 tabulates it completely at construction (matrices on fundamental-weight
 coordinates, lengths, reduced words, inverses, and the signs of ``w(beta)``
 for every root ``beta``).  An :class:`ExtAffineElement` is then a
-translation vector plus an index into that table.  Elements are interned per
+translation vector plus an entry of that table.  Elements are interned per
 group: :class:`AffineWeyl` alone creates them, from one table keyed by
 ``key = (translation coordinates, finite index)``, so equality is identity
 (elements of two groups never compare equal) and ``key`` is the canonical
-sort order.
+sort order.  An element points to its root datum and finite part, never to
+its group, so a group and all built on it form an acyclic graph, freed by
+reference counting.
 
 Affine simple reflections are indexed ``0, 1, ..., rank`` where index ``0``
 is the reflection through the wall of the fundamental alcove not containing
@@ -28,8 +30,8 @@ Lengths are computed by the Iwahori-Matsumoto formula
     len(t(lam) w) = sum_{b > 0, w^{-1} b > 0} |<lam, b^>|
                   + sum_{b > 0, w^{-1} b < 0} |<lam, b^> - 1|,
 
-evaluated from integer tables built once per group: the coroot coordinates
-of the positive roots and, per finite element w, the offsets 0 or 1.  The
+evaluated from an integer form stored on each finite element w: the
+coroot coordinates of the positive roots, each with its offset 0 or 1.  The
 Bruhat order comes from the standard descent recursion, with comparability
 only inside a common coset of the length-zero subgroup.
 """
@@ -55,7 +57,7 @@ class FiniteWeylElement:
     identity comparison through the context index is valid.
     """
 
-    __slots__ = ("index", "matrix", "word", "length", "inverse_index")
+    __slots__ = ("index", "matrix", "word", "length", "inverse_index", "length_form")
 
     def __init__(self, index: int, matrix: tuple[tuple[int, ...], ...], word: tuple[int, ...]):
         self.index = index
@@ -63,6 +65,8 @@ class FiniteWeylElement:
         self.word = word  # reduced word in simple-reflection indices (0-based)
         self.length = len(word)
         self.inverse_index: int = -1  # filled by the context
+        # len(t(lam) w) = sum |<lam, row> - offset| over these pairs; filled by the context
+        self.length_form: tuple[tuple[tuple[int, ...], int], ...] = ()
 
     def apply(self, lam: Weight) -> Weight:
         m = self.matrix
@@ -78,15 +82,17 @@ class ExtAffineElement:
 
     Built only through its :class:`AffineWeyl`, which interns it: equality is
     identity.  ``key = (trans coords, w index)`` is the intern key and the
-    canonical sort key.
+    canonical sort key.  The element holds its root datum ``rd`` and finite
+    part ``w`` but not its group, so it closes no reference cycle with the
+    group's tables.
     """
 
-    __slots__ = ("group", "trans", "w", "key", "_length", "_omega")
+    __slots__ = ("rd", "trans", "w", "key", "_length", "_omega")
 
-    def __init__(self, group: "AffineWeyl", key: tuple[tuple[int, ...], int]):
-        self.group = group
+    def __init__(self, rd: RootDatum, w: FiniteWeylElement, key: tuple[tuple[int, ...], int]):
+        self.rd = rd
         self.trans = Weight(key[0])
-        self.w = group.finite_elements[key[1]]
+        self.w = w
         self.key = key
         self._length: Optional[int] = None
         self._omega: Optional[tuple[int, ...]] = None
@@ -94,17 +100,20 @@ class ExtAffineElement:
     @property
     def length(self) -> int:
         if self._length is None:
-            self._length = self.group.length(self)
+            lam = self.trans.coords
+            self._length = sum(abs(sum(map(mul, row, lam)) - o) for row, o in self.w.length_form)
         return self._length
 
     @property
     def omega_component(self) -> tuple[int, ...]:
         if self._omega is None:
-            self._omega = self.group.rd.coset_tag(self.trans)
+            self._omega = self.rd.coset_tag(self.trans)
         return self._omega
 
     def __repr__(self) -> str:
-        return self.group.format_element(self)
+        coords = ",".join(str(c) for c in self.trans.coords)
+        word = " ".join(str(i + 1) for i in self.w.word)
+        return f"t({coords})*w[{word}]"
 
 
 class AffineWeyl:
@@ -169,10 +178,11 @@ class AffineWeyl:
         )
         # Length forms: len(t(lam) w) = sum_k |<lam, beta_k^> - o_k(w)|, with the
         # coroot coordinates of every positive root and o_k(w) = 1 iff w^{-1} beta_k < 0.
-        self._coroot_rows = tuple(rd.coroot(beta).coords for beta in rd.positive_roots)
-        self._length_offsets = tuple(
-            tuple(0 if s > 0 else 1 for s in self.sign_table[w.inverse_index]) for w in elements
-        )
+        coroot_rows = tuple(rd.coroot(beta).coords for beta in rd.positive_roots)
+        for w in elements:
+            w.length_form = tuple(
+                (row, 0 if s > 0 else 1) for row, s in zip(coroot_rows, self.sign_table[w.inverse_index])
+            )
         self._pos_root_index = {beta.coords: k for k, beta in enumerate(rd.positive_roots)}
         self.simple_root_pos = tuple(self._pos_root_index[rd.simple_roots[i].coords] for i in range(rank))
         # finite reflection s_beta for each positive root, as a group index.
@@ -237,7 +247,7 @@ class AffineWeyl:
         key = (coords, w_index)
         x = self._elements.get(key)
         if x is None:
-            x = self._elements[key] = ExtAffineElement(self, key)
+            x = self._elements[key] = ExtAffineElement(self.rd, self.finite_elements[w_index], key)
         return x
 
     def identity(self) -> ExtAffineElement:
@@ -266,7 +276,7 @@ class AffineWeyl:
 
     def _check(self, *xs: ExtAffineElement) -> None:
         for x in xs:
-            if x.group is not self:
+            if self._elements.get(x.key) is not x:
                 raise ValueError("elements belong to different root data")
 
     def multiply(self, x: ExtAffineElement, y: ExtAffineElement) -> ExtAffineElement:
@@ -305,11 +315,7 @@ class AffineWeyl:
 
     def length(self, x: ExtAffineElement) -> int:
         self._check(x)
-        lam = x.trans.coords
-        return sum(
-            abs(sum(map(mul, row, lam)) - o)
-            for row, o in zip(self._coroot_rows, self._length_offsets[x.w.index])
-        )
+        return x.length
 
     # -- dot action -----------------------------------------------------------------
 
@@ -389,9 +395,7 @@ class AffineWeyl:
     # -- element text form ---------------------------------------------------------
 
     def format_element(self, x: ExtAffineElement) -> str:
-        coords = ",".join(str(c) for c in x.trans.coords)
-        word = " ".join(str(i + 1) for i in x.w.word)
-        return f"t({coords})*w[{word}]"
+        return repr(x)
 
     def parse_element(self, text: str) -> ExtAffineElement:
         """Parse the textual form ``t(a1,...,ar)*w[i1 i2 ...]``.

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -162,6 +163,19 @@ def test_kl_length_bound_exit_code(capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("resource bound exceeded:"), lines
     assert "length 70" in lines[0] and "bound 64" in lines[0]
+
+
+def test_window_bound_exit_code(capsys):
+    # 2 * (2 * 10^8 + 1) elements: refused from its size, before enumerating any
+    start = time.perf_counter()
+    code = main(["orders", "hasse", *BASE_A1, "--height", "100000000"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource bound exceeded:"), lines
+    assert "400000002" in lines[0] and "10000" in lines[0]
+    assert elapsed < 1.0
 
 
 def test_internal_failure_exit_code(monkeypatch, tmp_path):
