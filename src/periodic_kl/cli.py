@@ -339,7 +339,7 @@ def _cmd_hecke(args) -> int:
     payload = {"op": args.which, "x": group.format_element(x), "y": args.y, "terms": terms}
     text = ""
     if args.format == "text":
-        text = "\n".join(f"{entry['element']}: {LaurentPoly.from_json(entry['polynomial'])}" for entry in terms)
+        text = "\n".join(f"{x!r}: {result.terms[x]}" for x in result.sorted_support())
     _emit(args, payload, text)
     return 0
 

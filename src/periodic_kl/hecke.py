@@ -12,11 +12,17 @@ polynomial cost).  The bar involution is the ring homomorphism fixing the
 basis-free structure with v -> v^{-1} and H_x -> (H_{x^{-1}})^{-1}; the
 self-dual (Kazhdan-Lusztig) basis element at x is the unique bar-invariant
 element of H_x + sum_{y < x} vZ[v] H_y (Bruhat order), computed by the
-standard multiply-by-(H_s + v)-and-correct recursion: the product is formed
-on mutable {exponent: coefficient} dicts by exponent shifts alone, and the
-corrections are made in one pass down the lengths.  It is used in this
-package as an internal cross-check oracle; the periodic module carries its
-own self-dual basis.
+standard multiply-by-(H_s + v)-and-correct recursion with the corrections
+made in one pass down the lengths.  Every coefficient that recursion meets
+lies in Z[v], so it runs on packed integers: c_0 + c_1 v + ... + c_k v^k is
+the Python int sum c_e 2^(B e), B = ``_WIDTH`` bits per exponent, each c_e a
+balanced digit in [-2^(B-1), 2^(B-1)).  A sum of polynomials is one integer
+add, v^{+-1} is a shift by B bits, and the constant term is the signed low
+digit.  Only the element returned is decoded into a HeckeElement; the
+decode is exact while every |c_e| < 2^(B-1), which a tracked bound proves
+(see ``HeckeAlgebra.kl_basis``).  The recursion is used in this package as
+an internal cross-check oracle; the periodic module carries its own
+self-dual basis.
 
 Bernstein translation elements are theta_lam = H_{t(mu)} (H_{t(nu)})^{-1}
 for any splitting lam = mu - nu into dominant parts; independence of the
@@ -39,24 +45,44 @@ __all__ = ["HeckeAlgebra", "HeckeElement"]
 
 _V_MINUS_VINV = V - VINV  # v - v^{-1}
 
+# Bits per exponent of a packed Z[v] coefficient sum c_e 2^(_WIDTH e).
+_WIDTH = 128
+
+
+def _unpack(p: int) -> LaurentPoly:
+    """The polynomial sum c_e v^e of a packed sum c_e 2^(_WIDTH e), |c_e| < 2^(_WIDTH - 1)."""
+    width = _WIDTH
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    coeffs = {}
+    e = 0
+    while p:
+        c = ((p + half) & mask) - half
+        if c:
+            coeffs[e] = c
+        p = (p - c) >> width
+        e += 1
+    return LaurentPoly(coeffs)
+
 
 class HeckeElement(Combination):
     """A finite Z[v^{+-1}]-linear combination of standard basis elements."""
 
     __slots__ = ()
 
-    def _support_by_length(self) -> list[ExtAffineElement]:
+    def sorted_support(self) -> list[ExtAffineElement]:
+        """The support by length, then key: the order of every printed form."""
         return sorted(self.terms, key=lambda x: (x.length, x.key))
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(f"({self.terms[x]})*H[{x!r}]" for x in self._support_by_length())
+        return " + ".join(f"({self.terms[x]})*H[{x!r}]" for x in self.sorted_support())
 
     def to_json(self) -> list:
         return [
             {"element": repr(x), "polynomial": self.terms[x].to_json()}
-            for x in self._support_by_length()
+            for x in self.sorted_support()
         ]
 
 
@@ -152,81 +178,119 @@ class HeckeAlgebra:
     def kl_basis(self, x: ExtAffineElement, max_length: int = 64) -> HeckeElement:
         """The self-dual basis element C_x for the Bruhat order.
 
-        Unique bar-invariant element of H_x + sum_{y<x} vZ[v] H_y.  With s_j
-        the lowest right descent of x and u = x s_j, the product C_u (H_s + v)
-        is built in one mutable {element: {exponent: coefficient}} dict by
-        exponent shifts alone:
+        Unique bar-invariant element of H_x + sum_{y<x} vZ[v] H_y.  The bound
+        ``max_length`` on len(x) is checked before any work.
 
-            H_y (H_s + v) = H_{ys} + v^{-1} H_y   if ys < y,
-                            H_{ys} + v H_y        otherwise.
+        Recursion: with s_j the lowest right descent of x and u = x s_j, the
+        product C_u (H_s + v) is built in one {element: packed int} dict by
+        one integer add per term:
+
+            H_y (H_s + v) = H_{ys} + v^{-1} H_y   if ys < y  (shift right),
+                            H_{ys} + v H_y        otherwise  (shift left).
 
         One pass over the lengths len(x) - 1, ..., 0 then subtracts m C_y at
-        every y whose coefficient is not in vZ[v], where m is its
-        bar-symmetric lower part, one shifted and scaled copy of C_y per
-        monomial of m.  Every coefficient of C_u (H_s + v) and of the C_y
-        lies in Z[v], so m is the constant term, an integer, and the copy is
-        one integer scaling.  C_y adds terms only strictly below y, so each
-        length is final when the pass reaches it.
+        every y whose coefficient is not in vZ[v].  As every coefficient is
+        in Z[v], m (its bar-symmetric lower part) is the constant term, the
+        low digit, and the correction is one integer multiply-add per term
+        of C_y.  C_y adds terms only strictly below y, so each length is
+        final when the pass reaches it.  Every C_y visited stays packed in
+        the memo; only C_x is decoded.
+
+        Decode: if p = sum c_e 2^(B e) with every |c_e| < 2^(B-1), then
+        p = c_0 mod 2^B with c_0 in [-2^(B-1), 2^(B-1)), so
+        c_0 = ((p + 2^(B-1)) mod 2^B) - 2^(B-1) and (p - c_0) / 2^B packs the
+        rest.  Checks: the right shift is exact only on a coefficient in
+        vZ[v], so a down move first tests that its low digit is zero (this
+        keeps every coefficient in Z[v], which makes m an integer); and the
+        coefficient of H_x must come out 1.
+
+        Overflow bound: each C_y carries a bound M_y on |coefficient|.  Every
+        coefficient of C_u (H_s + v) is the sum of at most two coefficients
+        of C_u, and subtracting m C_y moves a coefficient by at most |m| M_y,
+        so every coefficient of the accumulator stays within
+        2 M_u + sum |m| M_y over the corrections made so far, and that sum
+        becomes M_x.  While it stays below 2^(B-1) no digit wraps, so every
+        m, low-digit test and decode is exact.  It only grows, so it is
+        checked once, when C_x is complete and before its lead is read: if
+        it reached 2^(B-1), a ResourceError names it, and no digit that may
+        have wrapped leaves the recursion.  The bound is loose: it grows by
+        about 1.3 bits per length, while the true coefficients stay below
+        2^14 up to length 90 in G2.
         """
-        hit = self._kl_cache.get(x)
-        if hit is not None:
-            return hit
         n = x.length
         if n > max_length:
             raise ResourceError(
                 f"KL recursion at an element of length {n} exceeds the configured length bound {max_length}"
             )
+        terms, _ = self._kl_packed(x)
+        return HeckeElement({z: _unpack(p) for z, p in terms.items()})
+
+    def _kl_packed(self, x: ExtAffineElement) -> tuple[dict[ExtAffineElement, int], int]:
+        """C_x as {element: packed coefficient} and the bound M_x on its
+        coefficients, memoized: the recursion of ``kl_basis``."""
+        hit = self._kl_cache.get(x)
+        if hit is not None:
+            return hit
+        n = x.length
         if n == 0:
-            result = self.basis(x)
-        else:
-            g = self.group
-            j = next(k for k in g.affine_generator_indices() if g.right_descent(x, k))
-            acc: dict[ExtAffineElement, dict[int, int]] = {}
-            by_length: list[list[ExtAffineElement]] = [[] for _ in range(n + 1)]
-
-            def add(terms: Mapping[ExtAffineElement, LaurentPoly], shift: int, factor: int) -> None:
-                # acc += factor * v^shift * terms, dropping zero coefficients.
-                for z, q in terms.items():
-                    d = acc.get(z)
-                    if d is None:
-                        acc[z] = {e + shift: factor * c for e, c in q.coeffs.items()}
+            hit = ({x: 1}, 1)
+            self._kl_cache[x] = hit
+            return hit
+        width = _WIDTH
+        half = 1 << (width - 1)
+        mask = (1 << width) - 1
+        g = self.group
+        step = g.right_multiply_gen
+        j = next(k for k in g.affine_generator_indices() if g.right_descent(x, k))
+        cu, bound_u = self._kl_packed(step(x, j))
+        bound = 2 * bound_u
+        acc: dict[ExtAffineElement, int] = {}
+        by_length: list[list[ExtAffineElement]] = [[] for _ in range(n + 1)]
+        for y, p in cu.items():
+            ys = step(y, j)
+            k = y.length
+            if ys.length < k:
+                if p & mask:
+                    raise AssertionError("unexpected correction shape in KL recursion")
+                q = p >> width
+            else:
+                q = p << width
+            r = acc.get(y)
+            if r is None:
+                acc[y] = q
+                by_length[k].append(y)
+            else:
+                acc[y] = r + q
+            r = acc.get(ys)
+            if r is None:
+                acc[ys] = p
+                by_length[ys.length].append(ys)
+            else:
+                acc[ys] = r + p
+        for level in range(n - 1, -1, -1):
+            for y in by_length[level]:
+                m = ((acc[y] + half) & mask) - half
+                if not m:
+                    continue
+                cy, bound_y = self._kl_packed(y)
+                bound += abs(m) * bound_y
+                for z, q in cy.items():
+                    r = acc.get(z)
+                    if r is None:
+                        acc[z] = -m * q
                         by_length[z.length].append(z)
-                        continue
-                    for e, c in q.coeffs.items():
-                        e += shift
-                        k = d.get(e, 0) + factor * c
-                        if k:
-                            d[e] = k
-                        else:
-                            del d[e]
-
-            cu = self.kl_basis(g.right_multiply_gen(x, j), max_length).terms
-            moved, down, up = {}, {}, {}
-            for y, p in cu.items():
-                ys = g.right_multiply_gen(y, j)
-                moved[ys] = p
-                (down if ys.length < y.length else up)[y] = p
-            add(moved, 0, 1)
-            add(down, -1, 1)
-            add(up, 1, 1)
-            for level in range(n - 1, -1, -1):
-                for y in by_length[level]:
-                    d = acc[y]
-                    if not d or min(d) >= 1:
-                        continue
-                    p = LaurentPoly(d)
-                    m = p.lower_symmetrization()
-                    if not m.is_bar_symmetric() or m.coefficient(0) != p.coefficient(0):
-                        raise AssertionError("unexpected correction shape in KL recursion")
-                    cy = self.kl_basis(y, max_length).terms
-                    for shift, c in m.coeffs.items():
-                        add(cy, shift, -c)
-            result = HeckeElement({z: LaurentPoly(d) for z, d in acc.items()})
-        lead = result.coefficient(x)
-        if lead != ONE:
+                    else:
+                        acc[z] = r - m * q
+        if bound >= half:
+            raise ResourceError(
+                f"KL recursion at an element of length {n}: the coefficient bound "
+                f"({bound.bit_length()} bits) reaches the packed digit width of {width} bits"
+            )
+        if acc.get(x) != 1:
             raise AssertionError("KL basis element has wrong leading coefficient")
-        self._kl_cache[x] = result
-        return result
+        hit = ({z: p for z, p in acc.items() if p}, bound)
+        self._kl_cache[x] = hit
+        return hit
 
     # -- Bernstein translation elements -----------------------------------------------------------
 

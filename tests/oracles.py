@@ -6,15 +6,18 @@ linear solve for self-dual basis elements, orbit enumeration for block
 combinatorics, and the per-pair element formulas of the inversion sum and
 the Koszul round trip (the module memoizes both per translation orbit).
 Apart from the last two, which read q and p from the module, none of it
-shares code paths with the production implementations it checks.
+shares code paths with the production implementations it checks.  The
+classical KL recursion on {exponent: coefficient} dicts is kept here too,
+as the formula the packed-integer recursion of ``HeckeAlgebra`` replaced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Mapping
 
-from periodic_kl.hecke import HeckeAlgebra
+from periodic_kl.hecke import HeckeAlgebra, HeckeElement
 from periodic_kl.laurent import LaurentPoly, ONE, ZERO
 from periodic_kl.periodic import PeriodicModule
 from periodic_kl.rootdata import Weight
@@ -109,6 +112,78 @@ def kl_by_linear_solve(algebra: HeckeAlgebra, x: ExtAffineElement):
             cur = terms.get(y, ZERO)
             terms[y] = cur + LaurentPoly({k: int(a)})
     return algebra.from_terms(terms)
+
+
+def kl_basis_by_dicts(algebra: HeckeAlgebra, x: ExtAffineElement, memo: dict) -> HeckeElement:
+    """The self-dual basis element C_x by the classical recursion on dicts.
+
+    With s_j the lowest right descent of x and u = x s_j, the product
+    C_u (H_s + v) is built in one mutable {element: {exponent: coefficient}}
+    dict by exponent shifts alone:
+
+        H_y (H_s + v) = H_{ys} + v^{-1} H_y   if ys < y,
+                        H_{ys} + v H_y        otherwise.
+
+    One pass over the lengths len(x) - 1, ..., 0 then subtracts m C_y at
+    every y whose coefficient is not in vZ[v], where m is its bar-symmetric
+    lower part, one shifted and scaled copy of C_y per monomial of m.
+    ``memo`` maps elements to their computed C_y and may be shared between
+    calls on the same algebra.
+    """
+    hit = memo.get(x)
+    if hit is not None:
+        return hit
+    n = x.length
+    if n == 0:
+        result = algebra.basis(x)
+    else:
+        g = algebra.group
+        j = next(k for k in g.affine_generator_indices() if g.right_descent(x, k))
+        acc: dict[ExtAffineElement, dict[int, int]] = {}
+        by_length: list[list[ExtAffineElement]] = [[] for _ in range(n + 1)]
+
+        def add(terms: Mapping[ExtAffineElement, LaurentPoly], shift: int, factor: int) -> None:
+            # acc += factor * v^shift * terms, dropping zero coefficients.
+            for z, q in terms.items():
+                d = acc.get(z)
+                if d is None:
+                    acc[z] = {e + shift: factor * c for e, c in q.coeffs.items()}
+                    by_length[z.length].append(z)
+                    continue
+                for e, c in q.coeffs.items():
+                    e += shift
+                    k = d.get(e, 0) + factor * c
+                    if k:
+                        d[e] = k
+                    else:
+                        del d[e]
+
+        cu = kl_basis_by_dicts(algebra, g.right_multiply_gen(x, j), memo).terms
+        moved, down, up = {}, {}, {}
+        for y, p in cu.items():
+            ys = g.right_multiply_gen(y, j)
+            moved[ys] = p
+            (down if ys.length < y.length else up)[y] = p
+        add(moved, 0, 1)
+        add(down, -1, 1)
+        add(up, 1, 1)
+        for level in range(n - 1, -1, -1):
+            for y in by_length[level]:
+                d = acc[y]
+                if not d or min(d) >= 1:
+                    continue
+                p = LaurentPoly(d)
+                m = p.lower_symmetrization()
+                if not m.is_bar_symmetric() or m.coefficient(0) != p.coefficient(0):
+                    raise AssertionError("unexpected correction shape in KL recursion")
+                cy = kl_basis_by_dicts(algebra, y, memo).terms
+                for shift, c in m.coeffs.items():
+                    add(cy, shift, -c)
+        result = HeckeElement({z: LaurentPoly(d) for z, d in acc.items()})
+    if result.coefficient(x) != ONE:
+        raise AssertionError("KL basis element has wrong leading coefficient")
+    memo[x] = result
+    return result
 
 
 def _solve_unique(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

@@ -1,10 +1,40 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+from periodic_kl import hecke
+from periodic_kl.cli import main
+from periodic_kl.hecke import HeckeAlgebra, ResourceError
 from periodic_kl.laurent import LaurentPoly, ONE, V, VINV
 from periodic_kl.rootdata import Weight
-from oracles import kl_by_linear_solve
+from oracles import kl_basis_by_dicts, kl_by_linear_solve
+
+_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def _kl_orbits() -> dict:
+    """``KL_ORBITS`` of the benchmark: (type, rank, l) -> base elements of length 20-26."""
+    spec = importlib.util.spec_from_file_location("_bench_workloads", _WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses resolve their module by name
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads.KL_ORBITS
+
+
+def random_ascent(group, start, length, rng):
+    """start * s_j1 * ... * s_jk of the given length, each factor a random ascent."""
+    x = start
+    while x.length < length:
+        ups = [y for y in (group.right_multiply_gen(x, j) for j in group.affine_generator_indices())
+               if y.length > x.length]
+        x = rng.choice(ups)
+    return x
 
 
 def rand_element(ctx, rng, size=3, max_len=3):
@@ -181,6 +211,68 @@ def test_kl_basis_against_linear_solve_affine(fixture, request):
     for xs in by_coset.values():
         for x in sorted(xs, key=lambda z: z.key)[:3]:
             assert H.kl_basis(x) == kl_by_linear_solve(H, x), W.format_element(x)
+
+
+# Seeded element lengths per datum: 8-30, capped on A3, whose intervals grow fastest.
+_DICT_ORACLE_LENGTHS = {"a1": (8, 30), "a2": (8, 30), "b2": (8, 30), "c2": (8, 30), "g2": (8, 30), "a3": (8, 16)}
+
+
+@pytest.mark.parametrize("fixture", sorted(_DICT_ORACLE_LENGTHS))
+def test_kl_basis_against_dict_recursion(fixture, request):
+    # seeded elements in every length-zero coset, plus every KL_ORBITS base
+    # element of the datum, against the {exponent: coefficient} dict recursion
+    ctx = request.getfixturevalue(fixture)
+    W = ctx.group
+    H = HeckeAlgebra(W)
+    memo: dict = {}
+    rng = random.Random(f"kl-dicts:{fixture}")
+    lo, hi = _DICT_ORACLE_LENGTHS[fixture]
+    xs = [random_ascent(W, om, rng.randint(lo, hi), rng) for om in W.omega_elements.values() for _ in range(2)]
+    datum = (ctx.rd.cartan_type, ctx.rd.rank, ctx.rd.l)
+    xs += [W.parse_element(text) for text in _kl_orbits().get(datum, ())]
+    for x in xs:
+        assert H.kl_basis(x).to_json() == kl_basis_by_dicts(H, x, memo).to_json(), W.format_element(x)
+
+
+def test_kl_basis_at_a_narrow_digit_width(monkeypatch, a2):
+    # 8 bits per exponent hold the tracked bound of every A2 element up to
+    # length 6, so the balanced-digit decode must agree with the dicts there
+    monkeypatch.setattr(hecke, "_WIDTH", 8)
+    H = HeckeAlgebra(a2.group)
+    memo: dict = {}
+    for x in a2.group.elements_of_length_leq(6):
+        assert H.kl_basis(x).to_json() == kl_basis_by_dicts(H, x, memo).to_json()
+
+
+@pytest.mark.parametrize("width", [4, 128])
+def test_unpack_reads_balanced_digits(monkeypatch, width):
+    # every digit in [-2^(B-1), 2^(B-1)), the extremes and negative ones included
+    monkeypatch.setattr(hecke, "_WIDTH", width)
+    half = 1 << (width - 1)
+    rng = random.Random(width)
+    for _ in range(200):
+        coeffs = {e: rng.choice([-half, half - 1, -1, 1, rng.randrange(-half, half)]) for e in range(rng.randint(0, 6))}
+        packed = sum(c << (width * e) for e, c in coeffs.items())
+        assert hecke._unpack(packed) == LaurentPoly(coeffs)
+
+
+def test_kl_overflow_guard(monkeypatch, capsys, b2):
+    # C_x at this benchmark element has a coefficient 8, which a 4-bit balanced
+    # digit in [-8, 8) cannot hold: without the guard the decode comes out wrong
+    W = b2.group
+    x = W.parse_element("t(4,-10)*w[1 2]")
+    assert x.length >= 12
+    true = kl_basis_by_dicts(HeckeAlgebra(W), x, {})
+    assert max(c for p in true.terms.values() for c in p.coeffs.values()) == 8
+    monkeypatch.setattr(hecke, "_WIDTH", 4)
+    with pytest.raises(ResourceError, match="coefficient bound"):
+        HeckeAlgebra(W).kl_basis(x)
+    code = main(["hecke", "kl", "--type", "B", "--rank", "2", "--l", "5", "--x", "t(4,-10)*w[1 2]"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource bound exceeded:"), lines
+    assert "4 bits" in lines[0]
 
 
 def test_bernstein_examples(a1):
