@@ -24,14 +24,13 @@ from .multiplicity import (
 )
 from .orders import SemiInfiniteOrder, SemiInfinitePoset, standard_window
 from .periodic import CertificationError, PeriodicElement, PeriodicModule, PolynomialTable
-from .rootdata import Coroot, RootDatum, Weight, dominance_leq, pairing, root_datum, validate_l
+from .rootdata import RootDatum, Weight, dominance_leq, pairing, root_datum, validate_l
 from .weyl import AffineWeyl, ExtAffineElement, FiniteWeylElement
 
 __all__ = [
     "AffineWeyl",
     "BlockLabel",
     "CertificationError",
-    "Coroot",
     "ExtAffineElement",
     "FiniteWeylElement",
     "HeckeAlgebra",

@@ -218,6 +218,12 @@ def _parse_weight(group: AffineWeyl, text: str) -> Weight:
     return Weight(coords)
 
 
+def _only_for(args, option: str, which: str) -> None:
+    """Refuse ``--option`` on a subcommand kind that would ignore it."""
+    if getattr(args, option) is not None and args.which != which:
+        raise UsageError(f"--{option} applies only to {args.command} {which}, not {args.which}")
+
+
 def _parse_elt(group: AffineWeyl, text: str):
     try:
         return group.parse_element(text)
@@ -237,7 +243,7 @@ def _cmd_blocks(args) -> int:
         "l": args.l,
         "blocks": [
             {
-                "representative": list(b.representative.coords),
+                "representative": list(b.representative),
                 "walls": list(b.walls),
                 "regular": b.regular,
                 "stabilizer_generators": [group.format_element(x) for x in b.stabilizer_generators],
@@ -248,7 +254,7 @@ def _cmd_blocks(args) -> int:
     rows = [["representative", "walls", "regular", "stabilizer_generators"]]
     lines = []
     for b in labels:
-        rep = ",".join(str(c) for c in b.representative.coords)
+        rep = ",".join(map(str, b.representative))
         walls = " ".join(b.walls)
         gens = " ".join(group.format_element(x) for x in b.stabilizer_generators)
         rows.append([rep, walls, str(b.regular).lower(), gens])
@@ -296,6 +302,7 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _cmd_mult(args) -> int:
+    _only_for(args, "nu", "verma-in-projective")
     rd, group = _build_context(args)
     mod, on_disk = _module(args, group)
     tables = MultiplicityTables(mod)
@@ -323,6 +330,7 @@ def _cmd_mult(args) -> int:
 
 
 def _cmd_hecke(args) -> int:
+    _only_for(args, "y", "mul")
     rd, group = _build_context(args)
     alg = HeckeAlgebra(group)
     x = _parse_elt(group, args.x)
@@ -374,6 +382,7 @@ _TABLE_KINDS = {
 
 
 def _cmd_table(args) -> int:
+    _only_for(args, "nu", "verma-in-projective")
     rd, group = _build_context(args)
     mod, on_disk = _module(args, group)
     window = _window(args, group)
@@ -391,36 +400,31 @@ def _cmd_table(args) -> int:
         raw = tables.table(kind, window, nu=nu)
         entries_map = {(y, x): p for (x, y), p in raw.entries.items()}
     _save_class_cache(mod, args, on_disk)
-    entries = [
-        {
-            "y": group.format_element(y),
-            "x": group.format_element(x),
-            "polynomial": p.to_json(),
+    # Every entry pairs two window elements: name each once, and build only
+    # the requested format.
+    names = {z: group.format_element(z) for z in window}
+    ordered = sorted(entries_map.items(), key=lambda kv: (kv[0][1].key, kv[0][0].key))
+    payload, text, rows = {}, "", None
+    if args.format == "json":
+        payload = {
+            "kind": kind,
+            "type": args.type.upper(),
+            "rank": args.rank,
+            "l": args.l,
+            "window": {"height": args.height, "coset": args.coset},
+            "truncation": args.nu,
+            "elements": list(names.values()),
+            "entries": [
+                {"y": names[y], "x": names[x], "polynomial": p.to_json()} for (y, x), p in ordered
+            ],
+            "omitted_entries_are": "zero",
+            "format_version": FORMAT_VERSION,
         }
-        for (y, x), p in sorted(
-            entries_map.items(),
-            key=lambda kv: (kv[0][1].key, kv[0][0].key),
-        )
-    ]
-    payload = {
-        "kind": kind,
-        "type": args.type.upper(),
-        "rank": args.rank,
-        "l": args.l,
-        "window": {"height": args.height, "coset": args.coset},
-        "truncation": args.nu,
-        "elements": [group.format_element(z) for z in window],
-        "entries": entries,
-        "omitted_entries_are": "zero",
-        "format_version": FORMAT_VERSION,
-    }
-    rows = [["y", "x", "polynomial"]]
-    lines = []
-    for entry in entries:
-        poly = str(LaurentPoly.from_json(entry["polynomial"]))
-        rows.append([entry["y"], entry["x"], poly])
-        lines.append(f"p[{entry['y']}, {entry['x']}] = {poly}")
-    _emit(args, payload, "\n".join(lines), rows)
+    elif args.format == "csv":
+        rows = [["y", "x", "polynomial"]] + [[names[y], names[x], str(p)] for (y, x), p in ordered]
+    else:
+        text = "\n".join(f"p[{names[y]}, {names[x]}] = {p}" for (y, x), p in ordered)
+    _emit(args, payload, text, rows)
     return 0
 
 

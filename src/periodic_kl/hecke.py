@@ -296,8 +296,8 @@ class HeckeAlgebra:
 
     def bernstein(self, lam: Weight) -> HeckeElement:
         """theta_lam = H_{t(lam_+)} (H_{t(lam_-)})^{-1} with dominant lam_+ and lam_-."""
-        plus = Weight(tuple(max(c, 0) for c in lam.coords))
-        minus = Weight(tuple(max(-c, 0) for c in lam.coords))
+        plus = Weight(max(c, 0) for c in lam)
+        minus = Weight(max(-c, 0) for c in lam)
         g = self.group
         h = self.basis(g.translation(plus))
         if minus.is_zero():

@@ -64,8 +64,7 @@ def enumerate_blocks(group: AffineWeyl) -> list[BlockLabel]:
     eta = rd.short_dominant_root
     eta_check = rd.coroot(eta)
     out = []
-    for coords in product(range(-1, l), repeat=rank):
-        lam = Weight(coords)
+    for lam in map(Weight, product(range(-1, l), repeat=rank)):
         shifted = lam + rd.rho
         if any(pairing(rd, shifted, rd.coroot(b)) < 0 for b in rd.positive_roots):
             continue
@@ -88,7 +87,7 @@ def enumerate_blocks(group: AffineWeyl) -> list[BlockLabel]:
                 regular=not gens,
             )
         )
-    out.sort(key=lambda b: b.representative.coords)
+    out.sort(key=lambda b: b.representative)
     return out
 
 
@@ -118,9 +117,6 @@ class MultiplicityTable:
     window: tuple[ExtAffineElement, ...]
     truncation: Optional[Weight]
     entries: dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly]
-
-    def get(self, x: ExtAffineElement, y: ExtAffineElement) -> LaurentPoly:
-        return self.entries.get((x, y), ZERO)
 
 
 class MultiplicityTables:

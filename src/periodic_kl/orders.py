@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .hecke import ResourceError
@@ -78,16 +79,11 @@ class SemiInfiniteOrder:
         self.rd = group.rd
         self._desc_cache: dict[tuple[int, int], bool] = {}
         self._leq_cache: dict[tuple[ExtAffineElement, ExtAffineElement], bool] = {}
-        self._height_cache: dict[ExtAffineElement, int] = {}
 
     def height(self, x: ExtAffineElement) -> int:
-        """<x dot_l 0, 2 rho^>, strictly decreasing along the semi-infinite order."""
-        hit = self._height_cache.get(x)
-        if hit is None:
-            z0 = self.group.dot_zero(x)
-            hit = sum(c * v for c, v in zip(self.rd.two_rho_check, z0.coords))
-            self._height_cache[x] = hit
-        return hit
+        """<x dot_l 0, 2 rho^> = 2 sum(E(x)) / e, strictly decreasing along the
+        semi-infinite order."""
+        return 2 * sum(self._scaled_rc(x)) // self.rd.lattice_index_e
 
     # -- generating relations ----------------------------------------------------
 
@@ -176,28 +172,19 @@ class SemiInfiniteOrder:
 
     def _scaled_rc(self, z: ExtAffineElement) -> tuple[int, ...]:
         """E(z) = e * rc(z dot 0) as integers, with z dot 0 = w rho - rho + l lam."""
-        offsets, cols = self._dot_rc
-        lam = z.trans.coords
-        return tuple(
-            off + sum(col[i] * c for col, c in zip(cols, lam))
-            for i, off in enumerate(offsets[z.w.index])
-        )
+        offsets, rows = self._dot_rc
+        lam = z.trans
+        return tuple(off + sum(map(mul, row, lam)) for off, row in zip(offsets[z.w.index], rows))
 
     @cached_property
     def _dot_rc(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """E(t(0) w) per finite w, and E(t(omega_s)) - E(e) per fundamental weight."""
+        """E(t(0) w) per finite w, and the rows of l * e * C^{-1}."""
         rd = self.rd
         offsets = tuple(
-            self._int_rc(w.apply(rd.rho) - rd.rho) for w in self.group.finite_elements
+            rd.scaled_root_coordinates(w.apply(rd.rho) - rd.rho) for w in self.group.finite_elements
         )
-        cols = tuple(
-            tuple(rd.l * c for c in self._int_rc(rd.fundamental_weight(s))) for s in range(rd.rank)
-        )
-        return offsets, cols
-
-    def _int_rc(self, lam: Weight) -> tuple[int, ...]:
-        e = self.rd.lattice_index_e
-        return tuple(int(c * e) for c in self.rd.root_coordinates(lam))
+        rows = tuple(tuple(rd.l * c for c in row) for row in rd.scaled_inverse_cartan)
+        return offsets, rows
 
     @cached_property
     def _moves(self) -> tuple[tuple[tuple, ...], ...]:
@@ -219,15 +206,15 @@ class SemiInfiniteOrder:
             rows = []
             for pos, beta in enumerate(rd.positive_roots):
                 wbeta = w.apply(beta)
-                rc = tuple(abs(c) for c in self._int_rc(wbeta))
-                ht = sum(rd.coroot(beta).coords)
+                rc = tuple(map(abs, rd.scaled_root_coordinates(wbeta)))
+                ht = sum(rd.coroot(beta))
                 if g.sign_table[w.index][pos] > 0:
                     first = (ht, 0, -1)
                 else:
                     first = (l - ht, 1, 1)
                 nonzero = tuple((i, r) for i, r in enumerate(rc) if r)
                 w2 = g._fin_mul[w.index][g.reflection_index[pos]]
-                rows.append(first + (sum(rc), nonzero, wbeta.coords, rc, w2))
+                rows.append(first + (sum(rc), nonzero, wbeta, rc, w2))
             table.append(tuple(rows))
         return tuple(table)
 
@@ -271,7 +258,7 @@ class SemiInfiniteOrder:
         the alcove certificates pass.
         """
         rd = self.rd
-        height = max((max(abs(c) for c in z.trans.coords) for z in elements), default=0)
+        height = max((max(map(abs, z.trans)) for z in elements), default=0)
         n = height + extra
         for _ in range(64):
             mu = n * rd.rho
@@ -346,8 +333,7 @@ def standard_window(
             f"window of height {height} has {size} elements, above the bound of {MAX_WINDOW}"
         )
     out = []
-    for coords in product(range(-height, height + 1), repeat=rd.rank):
-        lam = Weight(coords)
+    for lam in product(range(-height, height + 1), repeat=rd.rank):
         if coset is not None and rd.coset_tag(lam) != coset:
             continue
         for w in group.finite_elements:

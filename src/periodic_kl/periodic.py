@@ -143,9 +143,6 @@ class PolynomialTable:
     window: tuple[ExtAffineElement, ...]
     entries: dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly]
 
-    def get(self, y: ExtAffineElement, x: ExtAffineElement) -> LaurentPoly:
-        return self.entries.get((y, x), ZERO)
-
 
 class PeriodicModule:
     def __init__(self, group: AffineWeyl, order: Optional[SemiInfiniteOrder] = None,
@@ -163,28 +160,18 @@ class PeriodicModule:
         self._inversion_memo: dict = {}
         self._koszul_memo: dict = {}
         self._down_policy = self._choose_down_moves()
-        self._e = self.rd.lattice_index_e
 
     # Tables built on first use, so that constructing a module stays cheap.
 
     @cached_property
-    def _rc_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """e * C^{-1}: translation coordinates -> e * root coordinates, as integers."""
-        rd = self.rd
-        omega_rc = [rd.root_coordinates(rd.fundamental_weight(t)) for t in range(rd.rank)]
-        return tuple(
-            tuple(int(self._e * omega_rc[t][i]) for t in range(rd.rank)) for i in range(rd.rank)
-        )
-
-    @cached_property
-    def _koszul_terms(self) -> list[tuple[tuple[int, ...], LaurentPoly]]:
+    def _koszul_terms(self) -> list[tuple[Weight, LaurentPoly]]:
         """prod_{a > 0} (1 - v^2 <-a>) expanded over the subsets S of the positive
         roots, one factor at a time: the sum of the monomials (-1)^|S| v^{2|S|}
         per subset sum sigma, as (sigma, polynomial)."""
-        koszul: dict[tuple[int, ...], LaurentPoly] = {(0,) * self.rd.rank: ONE}
+        koszul: dict[Weight, LaurentPoly] = {Weight((0,) * self.rd.rank): ONE}
         for b in self.rd.positive_roots:
             for sigma, poly in list(koszul.items()):
-                with_b = tuple(map(add, sigma, b.coords))
+                with_b = sigma + b
                 koszul[with_b] = koszul.get(with_b, ZERO) - poly.shift(2)
         return [(sigma, poly) for sigma, poly in koszul.items() if poly]
 
@@ -447,7 +434,8 @@ class PeriodicModule:
         if hit is not None:
             return hit
         rd = self.rd
-        roots_rc = [tuple(int(c) for c in rd.root_coordinates(b)) for b in rd.positive_roots]
+        e = rd.lattice_index_e
+        roots_rc = [tuple(c // e for c in rd.scaled_root_coordinates(b)) for b in rd.positive_roots]
         result = _vector_partitions(roots_rc, 0, sigma_rc, weighted) if min(sigma_rc) >= 0 else ZERO
         self._repgen_cache[key] = result
         return result
@@ -461,8 +449,7 @@ class PeriodicModule:
         contribute, enumerated exactly.  By translation equivariance only the
         relative position of y and x matters, which keys the memo.
         """
-        rel = tuple(a - b for a, b in zip(y.trans.coords, x.trans.coords))
-        return self._generic(rel, y.w.index, x.w.index, kind == "q")
+        return self._generic(tuple(map(sub, y.trans, x.trans)), y.w.index, x.w.index, kind == "q")
 
     def _generic(self, rel: tuple[int, ...], u: int, c: int, weighted: bool) -> LaurentPoly:
         """The generic polynomial at y = t(rel) u, x = t(0) c (translation coordinates)."""
@@ -473,8 +460,8 @@ class PeriodicModule:
         rows = self._generic_rows.get((c, u))
         if rows is None:
             rows = self._generic_rows[(c, u)] = self._build_generic_rows(c, u)
-        e = self._e
-        target = tuple(sum(m * r for m, r in zip(row, rel)) for row in self._rc_matrix)
+        e = self.rd.lattice_index_e
+        target = self.rd.scaled_root_coordinates(rel)
         total = ZERO
         for scaled, p in rows.get(tuple(t % e for t in target), ()):
             sigma = tuple(map(sub, scaled, target))
@@ -489,11 +476,11 @@ class PeriodicModule:
         """The terms t(lam) u of SD_{t(0)c} as (E, coefficient) with E = e * rc(lam),
         grouped by E mod e: sigma = (E - E(rel)) / e is integral exactly when
         the residues agree."""
-        e = self._e
+        e = self.rd.lattice_index_e
         rows: dict[tuple[int, ...], list[tuple[tuple[int, ...], LaurentPoly]]] = {}
         for z, p in self._class_element(c).terms.items():
             if z.w.index == u:
-                scaled = tuple(sum(m * t for m, t in zip(row, z.trans.coords)) for row in self._rc_matrix)
+                scaled = self.rd.scaled_root_coordinates(z.trans)
                 rows.setdefault(tuple(s % e for s in scaled), []).append((scaled, p))
         return rows
 
@@ -501,7 +488,7 @@ class PeriodicModule:
         """Apply prod_{a > 0} (1 - v^2 <-a>), the finite inverse of the q-series."""
         out = self.zero()
         for sigma, poly in self._koszul_terms:
-            out = out + self.shift(m, Weight(tuple(-s for s in sigma))).scale(poly)
+            out = out + self.shift(m, -sigma).scale(poly)
         return out
 
     def koszul_of_series(self, y: ExtAffineElement, x: ExtAffineElement) -> LaurentPoly:
@@ -514,7 +501,7 @@ class PeriodicModule:
         value depends only on the orbit (y.trans - x.trans, y.w, x.w) and is
         memoized by it.
         """
-        rel = tuple(a - b for a, b in zip(y.trans.coords, x.trans.coords))
+        rel = tuple(map(sub, y.trans, x.trans))
         key = (rel, y.w.index, x.w.index)
         hit = self._koszul_memo.get(key)
         if hit is None:
@@ -534,7 +521,7 @@ class PeriodicModule:
         Memoized by the orbit (z.trans - y.trans, y.w, z.w) under simultaneous
         left translation and evaluated at y = t(0) y.w, z = t(d) z.w.
         """
-        d = tuple(b - a for a, b in zip(y.trans.coords, z.trans.coords))
+        d = tuple(map(sub, z.trans, y.trans))
         key = (d, y.w.index, z.w.index)
         hit = self._inversion_memo.get(key)
         if hit is None:

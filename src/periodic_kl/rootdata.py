@@ -2,18 +2,24 @@
 
 Conventions used throughout the package:
 
-- Weights live in the weight lattice and are stored in *fundamental-weight
-  coordinates*: a weight ``lam`` is the integer vector ``(<lam, a_1^>, ...,
-  <lam, a_r^>)`` of pairings against the simple coroots.  In these
-  coordinates the pairing against any coroot is a plain integer dot product.
-- Roots additionally carry *root coordinates* (their expansion in the simple
-  roots); a weight lies in the root lattice iff its root coordinates are
-  integral.  Root coordinates of a general weight are rational with
-  denominator dividing the lattice index ``e = |weight lattice / root
-  lattice|``.
-- Coroots are stored by their expansion in the simple coroots, so that
-  ``pairing(lam, beta^) = sum_s c_s * lam_s`` where ``c`` are the coroot's
-  coordinates.
+- Weights live in the weight lattice and are their own *fundamental-weight
+  coordinates*: a :class:`Weight` is the integer tuple ``(<lam, a_1^>, ...,
+  <lam, a_r^>)`` of pairings against the simple coroots, a ``tuple``
+  subclass that adds only vector arithmetic (it equals and hashes as the
+  plain tuple).  In these coordinates the pairing against any coroot is a
+  plain integer dot product.
+- A coroot is a plain integer tuple, its expansion in the simple coroots,
+  so that ``pairing(lam, beta^) = sum_s c_s * lam_s`` where ``c`` are the
+  coroot's coordinates.
+- Root coordinates (the expansion in the simple roots) of a general weight
+  are rational with denominator dividing the lattice index ``e = |weight
+  lattice / root lattice| = det C``.  Their one integer form is
+  ``E = e * C^{-1} lam`` (:meth:`RootDatum.scaled_root_coordinates`, with
+  ``e * C^{-1}`` the adjugate of the Cartan matrix ``C``): ``lam`` lies in
+  the root lattice iff every ``E_i`` is divisible by ``e``, ``E mod e`` is
+  its coset tag, dominance is ``E >= 0`` and divisible by ``e``, and
+  ``<lam, 2 rho^> = 2 sum(E) / e``.  Every other module reads root
+  coordinates from this form.
 - ``rho`` is the half sum of positive roots, i.e. ``(1, ..., 1)`` in
   fundamental coordinates.
 
@@ -31,14 +37,13 @@ warning since it is not needed for any computation done here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add, mul, neg, sub
 from typing import Sequence
 
 __all__ = [
     "Weight",
-    "Coroot",
     "RootDatum",
     "root_datum",
     "pairing",
@@ -61,39 +66,31 @@ _CARTAN = {
 }
 
 
-@dataclass(frozen=True)
-class Weight:
-    """A weight in fundamental-weight coordinates."""
+class Weight(tuple):
+    """A weight: its tuple of fundamental-weight coordinates, with vector arithmetic."""
 
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+    def __add__(self, other: Sequence[int]) -> "Weight":
+        return Weight(map(add, self, other))
 
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
+    def __sub__(self, other: Sequence[int]) -> "Weight":
+        return Weight(map(sub, self, other))
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
+        return Weight(map(neg, self))
 
     def __rmul__(self, n: int) -> "Weight":
-        return Weight(tuple(n * a for a in self.coords))
+        return Weight(n * a for a in self)
+
+    # without this, ``w * n`` would fall back to tuple repetition
+    __mul__ = __rmul__
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
+        return not any(self)
 
     def __repr__(self) -> str:
-        return f"Weight{self.coords}"
-
-
-@dataclass(frozen=True)
-class Coroot:
-    """A coroot, stored by its coordinates in the simple coroots."""
-
-    coords: tuple[int, ...]
-
-    def __repr__(self) -> str:
-        return f"Coroot{self.coords}"
+        return f"Weight{tuple.__repr__(self)}"
 
 
 class RootDatum:
@@ -125,66 +122,59 @@ class RootDatum:
                 if self.sym[s][t] != self.sym[t][s]:
                     raise AssertionError("symmetrized Cartan matrix is not symmetric")
 
-        # Inverse of the Cartan matrix, exact.  Column t gives the root
-        # coordinates of the fundamental weight w_t.
-        self._cartan_inv = _invert_rational(self.cartan)
-        self._rc_cache: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-        det = _det(self.cartan)
-        self.lattice_index_e = abs(det)
+        # The one integer form of the root coordinates: e * C^{-1}, the
+        # adjugate of C, since det C = e > 0 for every supported type.  Row i
+        # maps fundamental coordinates to e times the i-th root coordinate.
+        self.lattice_index_e = _det(self.cartan)
+        if self.lattice_index_e <= 0:
+            raise AssertionError("Cartan matrix has no positive determinant")
+        self.scaled_inverse_cartan = _adjugate(self.cartan)
 
         # Simple roots: weight coordinates are the columns of the Cartan matrix.
-        self.simple_roots = tuple(
-            Weight(tuple(self.cartan[s][t] for s in range(rank))) for t in range(rank)
-        )
-        self.simple_coroots = tuple(Coroot(tuple(1 if s == t else 0 for s in range(rank))) for t in range(rank))
+        self.simple_roots = tuple(Weight(col) for col in zip(*self.cartan))
+        self.simple_coroots = tuple(tuple(1 if s == t else 0 for s in range(rank)) for t in range(rank))
 
         self._build_roots()
 
         self.rho = Weight((1,) * rank)
-        two_rho = Weight(tuple(sum(r.coords[i] for r in self.positive_roots) for i in range(rank)))
-        if two_rho != self.rho + self.rho:
+        if tuple(map(sum, zip(*self.positive_roots))) != 2 * self.rho:
             raise AssertionError("sum of positive roots is not 2*rho")
 
         self.coxeter_number = 2 * len(self.positive_roots) // rank
         # Height of the highest coroot is h - 1; cross-check.
-        if sum(self.coroot(self.short_dominant_root).coords) != self.coxeter_number - 1:
+        if sum(self.coroot(self.short_dominant_root)) != self.coxeter_number - 1:
             raise AssertionError("highest coroot height does not match Coxeter number")
 
-        self.two_rho_check = tuple(
-            sum(self.coroot(b).coords[i] for b in self.positive_roots) for i in range(rank)
-        )
+        self.two_rho_check = tuple(map(sum, zip(*map(self.coroot, self.positive_roots))))
 
     # -- roots ---------------------------------------------------------------
 
     def _build_roots(self) -> None:
         rank = self.rank
-        # Track (weight coords, root coords) pairs; close under simple reflections.
-        seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-        frontier = []
-        for t in range(rank):
-            rc = tuple(1 if i == t else 0 for i in range(rank))
-            seen[self.simple_roots[t].coords] = rc
-            frontier.append((self.simple_roots[t].coords, rc))
+        # Close the simple roots under the simple reflections
+        # s_i(beta) = beta - <beta, a_i^> a_i.
+        roots = set(self.simple_roots)
+        frontier = list(roots)
         while frontier:
-            wc, rc = frontier.pop()
-            for i in range(rank):
-                # s_i(beta) = beta - <beta, a_i^> a_i in both coordinate systems.
-                k = wc[i]
-                nwc = tuple(wc[j] - k * self.cartan[j][i] for j in range(rank))
-                nrc = tuple(rc[j] - (k if j == i else 0) for j in range(rank))
-                if nwc not in seen:
-                    seen[nwc] = nrc
-                    frontier.append((nwc, nrc))
-        pos = [(wc, rc) for wc, rc in seen.items() if all(c >= 0 for c in rc)]
-        # Sort by height then root coordinates for a stable canonical order.
-        pos.sort(key=lambda p: (sum(p[1]), p[1]))
-        self.positive_roots: tuple[Weight, ...] = tuple(Weight(wc) for wc, _ in pos)
-        self._root_coords: dict[tuple[int, ...], tuple[int, ...]] = {wc: rc for wc, rc in seen.items()}
+            beta = frontier.pop()
+            for i, alpha in enumerate(self.simple_roots):
+                image = beta - beta[i] * alpha
+                if image not in roots:
+                    roots.add(image)
+                    frontier.append(image)
+        # Root coordinates of a root are integers, E / e.
+        e = self.lattice_index_e
+        self._root_coords = {b: tuple(c // e for c in self.scaled_root_coordinates(b)) for b in roots}
+        # Positive roots sorted by height, then root coordinates: a canonical order.
+        self.positive_roots: tuple[Weight, ...] = tuple(sorted(
+            (b for b, rc in self._root_coords.items() if min(rc) >= 0),
+            key=lambda b: (sum(self._root_coords[b]), self._root_coords[b]),
+        ))
 
-        # Coroot of beta = sum_s c_s a_s: beta^ = sum_s (d_s c_s / d_beta) a_s^
+        # The coroot of beta = sum_s c_s a_s: beta^ = sum_s (d_s c_s / d_beta) a_s^
         # where d_beta = (beta, beta)/2.
-        self._coroots: dict[tuple[int, ...], Coroot] = {}
-        for wc, rc in seen.items():
+        self._coroots: dict[Weight, tuple[int, ...]] = {}
+        for wc, rc in self._root_coords.items():
             norm2 = sum(rc[s] * self.sym[s][t] * rc[t] for s in range(rank) for t in range(rank))
             d_beta, rem = divmod(norm2, 2)
             assert rem == 0
@@ -194,62 +184,51 @@ class RootDatum:
                 q, r = divmod(num, d_beta)
                 assert r == 0, "coroot coordinates must be integral"
                 coords.append(q)
-            self._coroots[wc] = Coroot(tuple(coords))
+            self._coroots[wc] = tuple(coords)
 
         # Highest root: maximal root coordinates among positive roots.
-        self.highest_root = max(self.positive_roots, key=lambda b: self._root_coords[b.coords])
+        self.highest_root = max(self.positive_roots, key=lambda b: self._root_coords[b])
         for b in self.positive_roots:
-            assert all(
-                x <= y
-                for x, y in zip(self._root_coords[b.coords], self._root_coords[self.highest_root.coords])
-            )
+            assert all(x <= y for x, y in zip(self._root_coords[b], self._root_coords[self.highest_root]))
         # Short dominant root: the positive root whose coroot is the highest
         # coroot.  This is the root through whose wall the affine simple
         # reflection acts.
-        best = max(self.positive_roots, key=lambda b: self._coroots[b.coords].coords)
+        best = max(self.positive_roots, key=lambda b: self._coroots[b])
         for b in self.positive_roots:
-            assert all(x <= y for x, y in zip(self._coroots[b.coords].coords, self._coroots[best.coords].coords))
+            assert all(x <= y for x, y in zip(self._coroots[b], self._coroots[best]))
         self.short_dominant_root = best
 
-    def coroot(self, beta: Weight) -> Coroot:
-        """The coroot of a root ``beta``."""
+    def coroot(self, beta: Weight) -> tuple[int, ...]:
+        """The coroot of a root ``beta``, as its coordinates in the simple coroots."""
         try:
-            return self._coroots[beta.coords]
+            return self._coroots[beta]
         except KeyError:
             raise ValueError(f"{beta} is not a root") from None
 
     def root_sign(self, beta: Weight) -> int:
         """+1 for a positive root, -1 for a negative root."""
-        rc = self._root_coords[beta.coords]
+        rc = self._root_coords[beta]
         return 1 if all(c >= 0 for c in rc) else -1
 
     # -- coordinates ---------------------------------------------------------
 
-    def root_coordinates(self, lam: Weight) -> tuple[Fraction, ...]:
-        """Expansion of a weight in the simple roots (exact rationals, memoized)."""
-        hit = self._rc_cache.get(lam.coords)
-        if hit is not None:
-            return hit
-        rank = self.rank
-        rc = tuple(
-            sum((self._cartan_inv[t][s] * lam.coords[s] for s in range(rank)), Fraction(0))
-            for t in range(rank)
-        )
-        self._rc_cache[lam.coords] = rc
-        return rc
+    def scaled_root_coordinates(self, lam: Sequence[int]) -> tuple[int, ...]:
+        """E = e * C^{-1} lam: e times the expansion of ``lam`` in the simple roots."""
+        return tuple(sum(map(mul, row, lam)) for row in self.scaled_inverse_cartan)
 
-    def in_root_lattice(self, lam: Weight) -> bool:
-        return all(c.denominator == 1 for c in self.root_coordinates(lam))
+    def root_coordinates(self, lam: Sequence[int]) -> tuple[Fraction, ...]:
+        """Expansion of a weight in the simple roots (exact rationals)."""
+        e = self.lattice_index_e
+        return tuple(Fraction(c, e) for c in self.scaled_root_coordinates(lam))
 
-    def coset_tag(self, lam: Weight) -> tuple[int, ...]:
+    def in_root_lattice(self, lam: Sequence[int]) -> bool:
+        e = self.lattice_index_e
+        return all(c % e == 0 for c in self.scaled_root_coordinates(lam))
+
+    def coset_tag(self, lam: Sequence[int]) -> tuple[int, ...]:
         """Class of ``lam`` in (weight lattice)/(root lattice), as a hashable tag."""
         e = self.lattice_index_e
-        tag = []
-        for c in self.root_coordinates(lam):
-            scaled = c * e
-            assert scaled.denominator == 1
-            tag.append(int(scaled) % e)
-        return tuple(tag)
+        return tuple(c % e for c in self.scaled_root_coordinates(lam))
 
     def fundamental_weight(self, i: int) -> Weight:
         return Weight(tuple(1 if j == i else 0 for j in range(self.rank)))
@@ -266,22 +245,22 @@ def root_datum(cartan_type: str, rank: int, l: int) -> RootDatum:
 # -- operations ----------------------------------------------------------------
 
 
-def pairing(rd: RootDatum, lam: Weight, coroot: Coroot | int) -> int:
+def pairing(rd: RootDatum, lam: Weight, coroot: Sequence[int] | int) -> int:
     """Exact pairing ``<lam, beta^>`` of a weight with a coroot.
 
-    ``coroot`` may be a :class:`Coroot` or the index of a simple coroot.
+    ``coroot`` may be a coroot's coordinate tuple or the index of a simple coroot.
     """
     if isinstance(coroot, int):
         coroot = rd.simple_coroots[coroot]
-    if len(coroot.coords) != rd.rank or len(lam.coords) != rd.rank:
+    if len(coroot) != rd.rank or len(lam) != rd.rank:
         raise ValueError("dimension mismatch between weight and coroot")
-    return sum(c * x for c, x in zip(coroot.coords, lam.coords))
+    return sum(map(mul, coroot, lam))
 
 
 def dominance_leq(rd: RootDatum, mu: Weight, lam: Weight) -> bool:
     """True iff ``lam - mu`` is a nonnegative integer combination of simple roots."""
-    diff = rd.root_coordinates(lam - mu)
-    return all(c.denominator == 1 and c >= 0 for c in diff)
+    e = rd.lattice_index_e
+    return all(c >= 0 and c % e == 0 for c in rd.scaled_root_coordinates(lam - mu))
 
 
 def validate_l(rd: RootDatum) -> tuple[list[str], list[str]]:
@@ -312,30 +291,20 @@ def validate_l(rd: RootDatum) -> tuple[list[str], list[str]]:
 # -- small exact linear algebra helpers ----------------------------------------
 
 
+def _minor(m: Sequence[Sequence[int]], i: int, j: int) -> list[list[int]]:
+    return [[x for k, x in enumerate(row) if k != j] for r, row in enumerate(m) if r != i]
+
+
 def _det(m: Sequence[Sequence[int]]) -> int:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        total += (-1) ** j * m[0][j] * _det(minor)
-    return total
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det(_minor(m, 0, j)) for j in range(len(m)))
 
 
-def _invert_rational(m: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
+def _adjugate(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """adj(m), with m adj(m) = det(m) I."""
     n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    return tuple(tuple((-1) ** (i + j) * _det(_minor(m, j, i)) for j in range(n)) for i in range(n))
 
 
 def _is_prime_power(n: int) -> bool:

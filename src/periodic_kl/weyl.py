@@ -69,9 +69,7 @@ class FiniteWeylElement:
         self.length_form: tuple[tuple[tuple[int, ...], int], ...] = ()
 
     def apply(self, lam: Weight) -> Weight:
-        m = self.matrix
-        n = len(m)
-        return Weight(tuple(sum(m[i][j] * lam.coords[j] for j in range(n)) for i in range(n)))
+        return Weight(sum(map(mul, row, lam)) for row in self.matrix)
 
     def __repr__(self) -> str:
         return f"w[{' '.join(str(i + 1) for i in self.word)}]"
@@ -81,17 +79,17 @@ class ExtAffineElement:
     """Element ``t(lam) w`` of the extended affine Weyl group.
 
     Built only through its :class:`AffineWeyl`, which interns it: equality is
-    identity.  ``key = (trans coords, w index)`` is the intern key and the
-    canonical sort key.  The element holds its root datum ``rd`` and finite
-    part ``w`` but not its group, so it closes no reference cycle with the
-    group's tables.
+    identity.  ``key = (trans, w index)`` is the intern key and the canonical
+    sort key; ``trans`` is the :class:`Weight` ``key[0]`` itself.  The element
+    holds its root datum ``rd`` and finite part ``w`` but not its group, so it
+    closes no reference cycle with the group's tables.
     """
 
     __slots__ = ("rd", "trans", "w", "key", "_length", "_omega")
 
-    def __init__(self, rd: RootDatum, w: FiniteWeylElement, key: tuple[tuple[int, ...], int]):
+    def __init__(self, rd: RootDatum, w: FiniteWeylElement, key: tuple[Weight, int]):
         self.rd = rd
-        self.trans = Weight(key[0])
+        self.trans = key[0]
         self.w = w
         self.key = key
         self._length: Optional[int] = None
@@ -100,7 +98,7 @@ class ExtAffineElement:
     @property
     def length(self) -> int:
         if self._length is None:
-            lam = self.trans.coords
+            lam = self.trans
             self._length = sum(abs(sum(map(mul, row, lam)) - o) for row, o in self.w.length_form)
         return self._length
 
@@ -111,7 +109,7 @@ class ExtAffineElement:
         return self._omega
 
     def __repr__(self) -> str:
-        coords = ",".join(str(c) for c in self.trans.coords)
+        coords = ",".join(map(str, self.trans))
         word = " ".join(str(i + 1) for i in self.w.word)
         return f"t({coords})*w[{word}]"
 
@@ -121,7 +119,7 @@ class AffineWeyl:
 
     def __init__(self, rd: RootDatum):
         self.rd = rd
-        self._elements: dict[tuple[tuple[int, ...], int], ExtAffineElement] = {}
+        self._elements: dict[tuple[Weight, int], ExtAffineElement] = {}
         self._gen_product_cache: dict[tuple[ExtAffineElement, int], ExtAffineElement] = {}
         self._build_finite_group()
         self._build_affine_data()
@@ -136,7 +134,7 @@ class AffineWeyl:
         gens = []
         for i in range(rank):
             # s_i(lam) = lam - lam_i * alpha_i.
-            col = rd.simple_roots[i].coords
+            col = rd.simple_roots[i]
             gens.append(tuple(tuple((1 if r == c else 0) - (col[r] if c == i else 0) for c in range(rank)) for r in range(rank)))
         elements: list[FiniteWeylElement] = [FiniteWeylElement(0, ident, ())]
         index_of = {ident: 0}
@@ -178,13 +176,13 @@ class AffineWeyl:
         )
         # Length forms: len(t(lam) w) = sum_k |<lam, beta_k^> - o_k(w)|, with the
         # coroot coordinates of every positive root and o_k(w) = 1 iff w^{-1} beta_k < 0.
-        coroot_rows = tuple(rd.coroot(beta).coords for beta in rd.positive_roots)
+        coroot_rows = tuple(map(rd.coroot, rd.positive_roots))
         for w in elements:
             w.length_form = tuple(
                 (row, 0 if s > 0 else 1) for row, s in zip(coroot_rows, self.sign_table[w.inverse_index])
             )
-        self._pos_root_index = {beta.coords: k for k, beta in enumerate(rd.positive_roots)}
-        self.simple_root_pos = tuple(self._pos_root_index[rd.simple_roots[i].coords] for i in range(rank))
+        self._pos_root_index = {beta: k for k, beta in enumerate(rd.positive_roots)}
+        self.simple_root_pos = tuple(self._pos_root_index[a] for a in rd.simple_roots)
         # finite reflection s_beta for each positive root, as a group index.
         self.reflection_index = tuple(
             self._findex[self._reflection_matrix(beta)] for beta in rd.positive_roots
@@ -196,7 +194,7 @@ class AffineWeyl:
         rd = self.rd
         eta = rd.short_dominant_root
         self.s0_root = eta
-        self.s0_root_pos = self._pos_root_index[eta.coords]
+        self.s0_root_pos = self._pos_root_index[eta]
         refl = self._reflection_matrix(eta)
         self.s0_finite_index = self._findex[refl]
         # affine generator list: index 0 is s_0, index i >= 1 is s_i.
@@ -205,10 +203,10 @@ class AffineWeyl:
     def _reflection_matrix(self, beta: Weight) -> tuple[tuple[int, ...], ...]:
         rd = self.rd
         rank = rd.rank
-        cor = rd.coroot(beta).coords
+        cor = rd.coroot(beta)
         # s_beta(lam) = lam - <lam, beta^> beta
         return tuple(
-            tuple((1 if r == c else 0) - beta.coords[r] * cor[c] for c in range(rank)) for r in range(rank)
+            tuple((1 if r == c else 0) - beta[r] * cor[c] for c in range(rank)) for r in range(rank)
         )
 
     # -- length-zero subgroup ------------------------------------------------------
@@ -242,11 +240,12 @@ class AffineWeyl:
 
     # -- element constructors ------------------------------------------------------
 
-    def _intern(self, coords: tuple[int, ...], w_index: int) -> ExtAffineElement:
-        """The element t(coords) w: the one constructor of elements of this group."""
-        key = (coords, w_index)
-        x = self._elements.get(key)
+    def _intern(self, coords: Sequence[int], w_index: int) -> ExtAffineElement:
+        """The element t(coords) w: the one constructor of elements of this group.
+        Any coordinate tuple finds an element; only a new one gets a Weight key."""
+        x = self._elements.get((coords, w_index))
         if x is None:
+            key = (Weight(coords), w_index)
             x = self._elements[key] = ExtAffineElement(self.rd, self.finite_elements[w_index], key)
         return x
 
@@ -254,10 +253,10 @@ class AffineWeyl:
         return self._intern((0,) * self.rd.rank, 0)
 
     def element(self, trans: Weight, w: FiniteWeylElement | int) -> ExtAffineElement:
-        return self._intern(trans.coords, w if isinstance(w, int) else w.index)
+        return self._intern(trans, w if isinstance(w, int) else w.index)
 
     def translation(self, lam: Weight) -> ExtAffineElement:
-        return self._intern(lam.coords, 0)
+        return self._intern(lam, 0)
 
     def simple_reflection(self, i: int) -> ExtAffineElement:
         """The finite simple reflection s_{i+1} (``i`` is 0-based) as an extended affine element."""
@@ -281,14 +280,14 @@ class AffineWeyl:
 
     def multiply(self, x: ExtAffineElement, y: ExtAffineElement) -> ExtAffineElement:
         self._check(x, y)
-        mu = y.trans.coords
-        coords = tuple(a + sum(map(mul, row, mu)) for a, row in zip(x.trans.coords, x.w.matrix))
+        mu = y.trans
+        coords = tuple(a + sum(map(mul, row, mu)) for a, row in zip(x.trans, x.w.matrix))
         return self._intern(coords, self._fin_mul[x.w.index][y.w.index])
 
     def inverse(self, x: ExtAffineElement) -> ExtAffineElement:
         self._check(x)
         winv = self.finite_elements[x.w.inverse_index]
-        lam = x.trans.coords
+        lam = x.trans
         return self._intern(tuple(-sum(map(mul, row, lam)) for row in winv.matrix), winv.index)
 
     def right_multiply_gen(self, x: ExtAffineElement, j: int) -> ExtAffineElement:
@@ -301,17 +300,17 @@ class AffineWeyl:
         if hit is not None:
             return hit
         if j == 0:
-            coords = (x.trans + x.w.apply(self.s0_root)).coords
+            coords = x.trans + x.w.apply(self.s0_root)
             w = self._fin_mul[x.w.index][self.s0_finite_index]
         else:
-            coords = x.trans.coords
+            coords = x.trans
             w = self._fin_mul[x.w.index][self._gen_indices[j - 1]]
         hit = self._gen_product_cache[(x, j)] = self._intern(coords, w)
         return hit
 
     def translate_left(self, nu: Weight, x: ExtAffineElement) -> ExtAffineElement:
         """t(nu) * x; cheap because it only shifts the translation part."""
-        return self._intern(tuple(map(add, nu.coords, x.trans.coords)), x.w.index)
+        return self._intern(tuple(map(add, nu, x.trans)), x.w.index)
 
     def length(self, x: ExtAffineElement) -> int:
         self._check(x)

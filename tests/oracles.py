@@ -217,17 +217,17 @@ def _solve_unique(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
 def dot_orbit(group: AffineWeyl, lam: Weight, box: int, n: int) -> frozenset:
     """Orbit of lam under the n-dilated dot action of the affine Weyl group,
     restricted to weights with coordinates bounded by box."""
-    seen = {lam.coords}
+    seen = {lam}
     frontier = [lam]
     while frontier:
         mu = frontier.pop()
         for j in group.affine_generator_indices():
             g = group.affine_generator(j)
             nu = group.dot_action(g, mu, n)
-            if max(abs(c) for c in nu.coords) > box:
+            if max(abs(c) for c in nu) > box:
                 continue
-            if nu.coords not in seen:
-                seen.add(nu.coords)
+            if nu not in seen:
+                seen.add(nu)
                 frontier.append(nu)
     return frozenset(seen)
 

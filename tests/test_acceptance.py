@@ -175,7 +175,7 @@ def test_criterion_7_block_combinatorics():
     gate = _Gate(7, "A1 l=3 block labels: 4 points, 2 regular, one of each singular type", 10.0)
     rd, W = _fresh("A", 1, 3)
     labels = enumerate_blocks(W)
-    assert [b.representative.coords for b in labels] == [(-1,), (0,), (1,), (2,)]
+    assert [b.representative for b in labels] == [(-1,), (0,), (1,), (2,)]
     assert sum(b.regular for b in labels) == 2
     singular_walls = sorted(b.walls for b in labels if not b.regular)
     assert singular_walls == [("s0",), ("s1",)]

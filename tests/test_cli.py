@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -134,6 +135,43 @@ def test_usage_errors():
     assert main(["mult", "verma-in-projective", *BASE_A1, "--x", "t(0)*w[]", "--y", "t(0)*w[]"]) == 2
     assert main(["mult", "simple-in-verma", *BASE_A1, "--x", "nonsense", "--y", "t(0)*w[]"]) == 2
     assert main(["table", "p", *BASE_A1, "--height", "-1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "p", *BASE_A1, "--height", "0", "--nu", "5"],
+    ["mult", "simple-in-verma", *BASE_A1, "--x", "t(0)*w[]", "--y", "t(0)*w[]", "--nu", "7"],
+    ["hecke", "kl", *BASE_A1, "--x", "t(0)*w[1]", "--y", "t(0)*w[1]"],
+    ["hecke", "bar", *BASE_A1, "--x", "t(0)*w[1]", "--y", "t(0)*w[1]"],
+], ids=["table-nu", "mult-nu", "hecke-kl-y", "hecke-bar-y"])
+def test_a_flag_the_kind_would_ignore_is_refused(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert ("--nu" if "--nu" in argv else "--y") in lines[0]
+
+
+B2_Q_H1 = ["table", "q", "--type", "B", "--rank", "2", "--l", "5", "--height", "1"]
+
+
+def test_table_formats_its_polynomials_from_memory(monkeypatch, tmp_path):
+    def refuse(data):
+        raise AssertionError("table output re-parsed a polynomial")
+
+    monkeypatch.delenv("PERIODIC_KL_CACHE", raising=False)
+    monkeypatch.setattr(LaurentPoly, "from_json", staticmethod(refuse))
+    code, data = run_cli(B2_Q_H1, tmp_path)
+    assert code == 0 and json.loads(data)["entries"]
+
+
+def test_table_formats_agree(tmp_path):
+    _, data = run_cli(B2_Q_H1, tmp_path, "t.json")
+    entries = [(e["y"], e["x"], str(LaurentPoly.from_json(e["polynomial"])))
+               for e in json.loads(data)["entries"]]
+    _, text = run_cli([*B2_Q_H1, "--format", "text"], tmp_path, "t.txt")
+    assert text.decode().splitlines() == [f"p[{y}, {x}] = {p}" for y, x, p in entries]
+    _, rows = run_cli([*B2_Q_H1, "--format", "csv"], tmp_path, "t.csv")
+    assert [tuple(row) for row in csv.reader(rows.decode().splitlines()[1:])] == entries
 
 
 def test_force_for_warnings(tmp_path):

@@ -205,7 +205,7 @@ def test_kl_basis_against_linear_solve_affine(fixture, request):
     H, W = ctx.hecke, ctx.group
     by_coset: dict = {}
     for x in W.elements_of_length_leq(4):
-        if x.length == 4 and any(x.trans.coords):
+        if x.length == 4 and any(x.trans):
             by_coset.setdefault(x.omega_component, []).append(x)
     assert len(by_coset) == len(W.omega_elements)
     for xs in by_coset.values():
@@ -298,8 +298,8 @@ def test_bernstein_additivity_and_splitting_independence(a2):
         lam = Weight((rng.randint(-2, 2), rng.randint(-2, 2)))
         extra = Weight((rng.randint(0, 2), rng.randint(0, 2)))
         w = a2.group
-        plus = Weight(tuple(max(c, 0) for c in lam.coords)) + extra
-        minus = Weight(tuple(max(-c, 0) for c in lam.coords)) + extra
+        plus = Weight(tuple(max(c, 0) for c in lam)) + extra
+        minus = Weight(tuple(max(-c, 0) for c in lam)) + extra
         alt = H.multiply(H.basis(w.translation(plus)), H.inverse_basis(w.translation(minus)))
         assert alt == H.bernstein(lam)
 

@@ -12,9 +12,9 @@ from oracles import dot_orbit, dot_stabilizer
 def test_blocks_a1(a1):
     W = a1.group
     labels = enumerate_blocks(W)
-    reps = [b.representative.coords for b in labels]
+    reps = [b.representative for b in labels]
     assert reps == [(-1,), (0,), (1,), (2,)]
-    by_rep = {b.representative.coords: b for b in labels}
+    by_rep = {b.representative: b for b in labels}
     assert by_rep[(-1,)].walls == ("s1",) and not by_rep[(-1,)].regular
     assert by_rep[(2,)].walls == ("s0",) and not by_rep[(2,)].regular
     assert by_rep[(0,)].regular and by_rep[(1,)].regular
@@ -169,7 +169,7 @@ def test_table_builder(a1):
     W = a1.group
     win = standard_window(W, 1, coset=(0,))
     t1 = T.table("simple_in_verma", win)
-    assert all(t1.get(x, x) == ONE for x in win)
+    assert all(t1.entries.get((x, x)) == ONE for x in win)
     t2 = T.table("verma_in_projective_truncated", win, nu=Weight((2,)))
     assert t2.truncation == Weight((2,))
     with pytest.raises(ValueError):
@@ -205,4 +205,4 @@ def test_tables_match_point_queries(a2):
         assert table.entries
         for x in win:
             for y in win:
-                assert table.get(x, y) == value(x, y)
+                assert table.entries.get((x, y), ZERO) == value(x, y)

@@ -1,11 +1,15 @@
+import importlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from periodic_kl.rootdata import Weight, dominance_leq, pairing, root_datum, validate_l
 
+ALL_TYPES = [("A", 1, 3), ("A", 2, 5), ("A", 3, 5), ("B", 2, 5), ("C", 2, 5), ("G", 2, 7)]
 
-@pytest.mark.parametrize("typ,rank,l", [("A", 1, 3), ("A", 2, 5), ("A", 3, 5), ("B", 2, 5), ("C", 2, 5), ("G", 2, 7)])
+
+@pytest.mark.parametrize("typ,rank,l", ALL_TYPES)
 def test_structural_invariants(typ, rank, l):
     rd = root_datum(typ, rank, l)
     # sum of positive roots is 2 rho
@@ -110,3 +114,36 @@ def test_coxeter_numbers_and_lattice_index():
 def test_unsupported_type_rejected():
     with pytest.raises(ValueError):
         root_datum("E", 6, 13)
+
+
+@pytest.mark.parametrize("typ,rank,l", ALL_TYPES)
+def test_scaled_inverse_cartan_is_e_times_the_inverse(typ, rank, l):
+    rd = root_datum(typ, rank, l)
+    C, M, e = rd.cartan, rd.scaled_inverse_cartan, rd.lattice_index_e
+    product_cm = [[sum(C[i][k] * M[k][j] for k in range(rank)) for j in range(rank)] for i in range(rank)]
+    assert product_cm == [[e if i == j else 0 for j in range(rank)] for i in range(rank)]
+
+
+@pytest.mark.parametrize("typ,rank,l", ALL_TYPES)
+def test_integer_forms_match_their_fraction_definitions(typ, rank, l):
+    # Root coordinates c of lam are the rational solution of C c = lam.
+    rd = root_datum(typ, rank, l)
+    e, zero = rd.lattice_index_e, Weight((0,) * rank)
+    for lam in map(Weight, product(range(-3, 4), repeat=rank)):
+        rc = rd.root_coordinates(lam)
+        assert all(type(c) is Fraction for c in rc)
+        assert all(sum(rd.cartan[s][t] * rc[t] for t in range(rank)) == lam[s] for s in range(rank))
+        integral = all(c.denominator == 1 for c in rc)
+        assert rd.in_root_lattice(lam) == integral
+        assert rd.coset_tag(lam) == tuple(int(c * e) % e for c in rc)
+        assert dominance_leq(rd, zero, lam) == (integral and all(c >= 0 for c in rc))
+        assert dominance_leq(rd, lam, zero) == (integral and all(c <= 0 for c in rc))
+        assert dominance_leq(rd, rd.rho, lam + rd.rho) == dominance_leq(rd, zero, lam)
+
+
+@pytest.mark.parametrize("module", ["periodic_kl", *(f"periodic_kl.{m}" for m in (
+    "cli", "hecke", "laurent", "multiplicity", "orders", "periodic", "rootdata", "weyl"))])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing

@@ -179,7 +179,7 @@ def test_equal_results_are_the_same_object(a2):
     assert W.multiply(x, W.inverse(x)) is W.identity()
     word, omega = W.reduced_word(x)
     assert W.from_word(word, omega) is x
-    assert x.key == (x.trans.coords, x.w.index)
+    assert x.key == (tuple(x.trans), x.w.index)
 
 
 def test_elements_of_two_groups_never_meet():
@@ -196,3 +196,19 @@ def test_elements_of_two_groups_never_meet():
 def test_equality_is_identity_not_a_method():
     assert "__eq__" not in ExtAffineElement.__dict__
     assert "__hash__" not in ExtAffineElement.__dict__
+
+
+def test_weights_are_their_coordinate_tuples(a2):
+    W, rd = a2.group, a2.rd
+    a, b = Weight((1, -2)), Weight((3, 0))
+    x = W.parse_element("t(1,-2)*w[1 2]")
+    for value in (a + b, a - b, -a, 3 * a, a * 3, x.trans, W.dot_zero(x), x.w.apply(a), rd.rho):
+        assert type(value) is Weight
+    assert a * 3 == 3 * a == Weight((3, -6))
+    assert (a + b, a - b, -a) == ((4, -2), (-2, -2), (-1, 2))
+    t = (1, -2)
+    assert Weight(t) == t and hash(Weight(t)) == hash(t)
+    assert Weight((0, 0)).is_zero() and not a.is_zero()
+    assert type(rd.coroot(rd.positive_roots[0])) is tuple
+    for y in W.elements_of_length_leq(3):
+        assert y.trans is y.key[0]
