@@ -271,11 +271,11 @@ def _cmd_selfcheck(args) -> int:
     checks: list[tuple[str, bool]] = []
 
     mu = order.sufficient_mu(window)
-    ideals = {b: order.below(b, window) for b in window}
+    poset = SemiInfinitePoset.build(order, window)
     order_ok = all(
-        (a in ideals[b]) == order.leq_via_translation(a, b, mu)
-        for a in window
-        for b in window
+        bool(row >> j & 1) == order.leq_via_translation(a, b, mu)
+        for a, row in zip(poset.window, poset.rows)
+        for j, b in enumerate(poset.window)
         if a.omega_component == b.omega_component
     )
     checks.append(("order generated == translation characterization", order_ok))
@@ -357,14 +357,9 @@ def _cmd_orders(args) -> int:
     order = SemiInfiniteOrder(group)
     window = _window(args, group)
     poset = SemiInfinitePoset.build(order, window)
-    edges = [
-        [group.format_element(a), group.format_element(b)] for a, b in poset.hasse_edges()
-    ]
-    edges.sort()
-    payload = {
-        "window": [group.format_element(z) for z in poset.window],
-        "edges": edges,
-    }
+    names = {z: group.format_element(z) for z in poset.window}
+    edges = sorted([names[a], names[b]] for a, b in poset.hasse_edges())
+    payload = {"window": list(names.values()), "edges": edges}
     text = "\n".join(f"{a} < {b}" for a, b in edges)
     rows = [["lower", "upper"]] + edges
     _emit(args, payload, text, rows)

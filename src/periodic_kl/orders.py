@@ -41,14 +41,26 @@ integer root coordinates scaled by the lattice index, and takes its moves
 from per-finite-element tables built on first use.  :meth:`leq` is one
 such search with a single query, memoized per pair.
 
+The order on a whole window (:meth:`SemiInfinitePoset.build`) is one pass
+that decides the window's columns (the ideals of its elements within it) in
+ascending height.  Every generating move strictly lowers the height, so a
+window element that the search of ``y`` reaches is lower than ``y`` and
+already decided: the search ORs in its finished column and does not expand
+it.  Any chain from ``y`` to a queried ``x`` either reaches ``x`` directly
+or passes a first window element ``z >= x``, whose column holds ``x``; so
+the pass is exact for any window.  It and :meth:`SemiInfiniteOrder.below`
+run the same search loop.
+
 An independent characterization via deep dominant translation is provided:
 ``x <= y`` iff ``t(mu) x <= t(mu) y`` in Bruhat order once both elements
-translate the fundamental alcove into the dominant cone.  Agreement of the
-two routes is part of the acceptance suite.
+translate the fundamental alcove into the dominant cone.  Each translate is
+certified once per ``(z, mu)`` and memoized.  Agreement of the two routes
+is part of the acceptance suite.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -79,6 +91,7 @@ class SemiInfiniteOrder:
         self.rd = group.rd
         self._desc_cache: dict[tuple[int, int], bool] = {}
         self._leq_cache: dict[tuple[ExtAffineElement, ExtAffineElement], bool] = {}
+        self._translate_cache: dict[tuple[ExtAffineElement, Weight], ExtAffineElement] = {}
 
     def height(self, x: ExtAffineElement) -> int:
         """<x dot_l 0, 2 rho^> = 2 sum(E(x)) / e, strictly decreasing along the
@@ -122,12 +135,11 @@ class SemiInfiniteOrder:
     def below(self, y: ExtAffineElement, xs: Iterable[ExtAffineElement]) -> set[ExtAffineElement]:
         """The elements x of ``xs`` with x <= y, from one down-closure search of y.
 
-        The search descends by generating moves on keys ``(trans coords,
-        w index)``.  Each element carries E(z) = e * rc(z dot 0): x dot 0 <=
-        z dot 0 in dominance order iff E(z) - E(x) is a nonnegative multiple
-        of e in every coordinate, and the height is 2 sum(E) / e.  Only the
-        queries with x dot 0 <= y dot 0 can be reached, and the search stays
-        where E dominates their meet and sum(E) is at least their least sum.
+        Each element carries E(z) = e * rc(z dot 0): x dot 0 <= z dot 0 in
+        dominance order iff E(z) - E(x) is a nonnegative multiple of e in
+        every coordinate, and the height is 2 sum(E) / e.  Only the queries
+        with x dot 0 <= y dot 0 can be reached, and the search stays where E
+        dominates their meet and sum(E) is at least their least sum.
         """
         e = self.rd.lattice_index_e
         ey = self._scaled_rc(y)
@@ -140,15 +152,29 @@ class SemiInfiniteOrder:
                 rcs.append(ex)
         if not want:
             return set()
+        marks = {key: 1 << i for i, key in enumerate(want)}
+        found = self._descend(y.key, ey, rcs, marks, marks.get(y.key, 0), (1 << len(want)) - 1, closed=False)
+        return {x for i, x in enumerate(want.values()) if found >> i & 1}
+
+    def _descend(self, start: tuple, ey: tuple[int, ...], rcs: list[tuple[int, ...]],
+                 marks: dict[tuple, int], found: int, goal: int, closed: bool) -> int:
+        """The down-closure search of the element with key ``start`` and E = ``ey``.
+
+        It descends by generating moves on keys ``(trans coords, w index)``,
+        only to elements whose E dominates the meet of the candidates' E
+        vectors ``rcs`` and whose sum(E) is at least their least sum.
+        Reaching a key of ``marks`` ORs its mask into ``found``; a ``closed``
+        search does not expand such a key any further.  The search ends when
+        ``found`` equals ``goal`` or nothing is left to expand, and returns
+        ``found``.
+        """
         meet = tuple(map(min, zip(*rcs)))
         floor = min(map(sum, rcs))
         moves = self._moves
         l = self.rd.l
-        start = y.key
         seen = {start}
-        left = len(want) - (start in want)
         stack = [(*start, ey)]
-        while stack and left:
+        while stack and found != goal:
             trans, w, ev = stack.pop()
             budget = sum(ev) - floor
             slack = [v - m for v, m in zip(ev, meet)]
@@ -163,12 +189,15 @@ class SemiInfiniteOrder:
                     key = (nt, w2)
                     if key not in seen:
                         seen.add(key)
-                        if key in want:
-                            left -= 1
-                        stack.append((nt, w2, tuple(v - a * r for v, r in zip(ev, rc))))
+                        if key not in marks:
+                            stack.append((nt, w2, tuple(v - a * r for v, r in zip(ev, rc))))
+                        else:
+                            found |= marks[key]
+                            if not closed:
+                                stack.append((nt, w2, tuple(v - a * r for v, r in zip(ev, rc))))
                     a += l
                     k += dk
-        return {x for key, x in want.items() if key in seen}
+        return found
 
     def _scaled_rc(self, z: ExtAffineElement) -> tuple[int, ...]:
         """E(z) = e * rc(z dot 0) as integers, with z dot 0 = w rho - rho + l lam."""
@@ -243,13 +272,19 @@ class SemiInfiniteOrder:
         Raises ``ValueError`` with the violated alcove-dominance certificate
         when ``mu`` is not dominant enough.
         """
-        g = self.group
-        tx = g.translate_left(mu, x)
-        ty = g.translate_left(mu, y)
-        problems = self.dominant_alcove_certificate(tx) + self.dominant_alcove_certificate(ty)
-        if problems:
-            raise ValueError("mu is not sufficiently dominant: " + "; ".join(problems))
-        return g.bruhat_leq(tx, ty)
+        return self.group.bruhat_leq(self._certified_translate(x, mu), self._certified_translate(y, mu))
+
+    def _certified_translate(self, z: ExtAffineElement, mu: Weight) -> ExtAffineElement:
+        """t(mu) z once its alcove certificate passes, memoized per (z, mu)."""
+        key = (z, mu)
+        tz = self._translate_cache.get(key)
+        if tz is None:
+            tz = self.group.translate_left(mu, z)
+            problems = self.dominant_alcove_certificate(tz)
+            if problems:
+                raise ValueError("mu is not sufficiently dominant: " + "; ".join(problems))
+            self._translate_cache[key] = tz
+        return tz
 
     def sufficient_mu(self, elements: Sequence[ExtAffineElement], extra: int = 2) -> Weight:
         """A dominant mu certified to work for all given elements.
@@ -274,9 +309,6 @@ class SemiInfinitePoset:
 
     window: tuple[ExtAffineElement, ...]
     rows: tuple[int, ...]  # bit j of rows[i] iff window[i] <= window[j]
-
-    def leq(self, x: ExtAffineElement, y: ExtAffineElement) -> bool:
-        return bool(self.rows[self.window.index(x)] >> self.window.index(y) & 1)
 
     def hasse_edges(self) -> list[tuple[ExtAffineElement, ExtAffineElement]]:
         """Cover relations (a, b) with a covered by b, within the window.
@@ -305,12 +337,55 @@ class SemiInfinitePoset:
 
     @staticmethod
     def build(order: SemiInfiniteOrder, window: Sequence[ExtAffineElement]) -> "SemiInfinitePoset":
+        """The order on ``window`` from one pass that decides its columns in
+        ascending height.
+
+        The column of y is the set of window elements x <= y.  Its
+        candidates, the x with E(y) - E(x) >= 0 and = 0 mod e in every
+        coordinate, are the bits of one mask per residue class of E mod e
+        ANDed with one prefix mask "E_c <= E_c(y)" per coordinate c.  Their
+        meet and least sum(E) bound the down-closure search of y exactly as
+        in :meth:`SemiInfiniteOrder.below`.  When that search reaches a window
+        element z, it ORs in the column of z and does not expand z.
+
+        This is exact for any window.  Every generating move strictly lowers
+        the height 2 sum(E) / e, so a window element z reached from y has
+        lower height than y and its column is already decided; by induction
+        on the height that column is exactly the ideal of z within the
+        window, and each of its members lies below y.  Conversely, every
+        chain of moves from y down to a candidate x stays in the searched
+        region and either reaches x without meeting another window element
+        or meets a first window element z with x <= z; either way x lands in
+        the column of y.
+        """
         win = tuple(window)
-        index = {z: i for i, z in enumerate(win)}
-        rows = [0] * len(win)
-        for j, b in enumerate(win):
-            for a in order.below(b, win):
-                rows[index[a]] |= 1 << j
+        n = len(win)
+        e = order.rd.lattice_index_e
+        es = [order._scaled_rc(z) for z in win]
+        classes: dict[tuple[int, ...], int] = {}
+        for i, ev in enumerate(es):
+            r = tuple(v % e for v in ev)
+            classes[r] = classes.get(r, 0) | 1 << i
+        prefixes = []
+        for c in range(order.rd.rank):
+            by = sorted(range(n), key=lambda i: es[i][c])
+            masks = [0]
+            for i in by:
+                masks.append(masks[-1] | 1 << i)
+            prefixes.append(([es[i][c] for i in by], masks))
+        decided: dict[tuple, int] = {}
+        for j in sorted(range(n), key=lambda j: sum(es[j])):
+            ey = es[j]
+            cand = classes[tuple(v % e for v in ey)]
+            for (values, masks), v in zip(prefixes, ey):
+                cand &= masks[bisect_right(values, v)]
+            rcs = [es[i] for i in _bits(cand)]
+            key = win[j].key
+            decided[key] = order._descend(key, ey, rcs, decided, 1 << j, cand, closed=True)
+        rows = [0] * n
+        for j, z in enumerate(win):
+            for i in _bits(decided[z.key]):
+                rows[i] |= 1 << j
         poset = SemiInfinitePoset(win, tuple(rows))
         poset.check_partial_order()
         return poset

@@ -8,7 +8,10 @@ the Koszul round trip (the module memoizes both per translation orbit).
 Apart from the last two, which read q and p from the module, none of it
 shares code paths with the production implementations it checks.  The
 classical KL recursion on {exponent: coefficient} dicts is kept here too,
-as the formula the packed-integer recursion of ``HeckeAlgebra`` replaced.
+as the formula the packed-integer recursion of ``HeckeAlgebra`` replaced,
+and so is the semi-infinite poset as one independent ``below`` search per
+column, which the ascending-height window pass of ``SemiInfinitePoset.build``
+replaced.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Mapping
 
 from periodic_kl.hecke import HeckeAlgebra, HeckeElement
 from periodic_kl.laurent import LaurentPoly, ONE, ZERO
+from periodic_kl.orders import SemiInfiniteOrder
 from periodic_kl.periodic import PeriodicModule
 from periodic_kl.rootdata import Weight
 from periodic_kl.weyl import AffineWeyl, ExtAffineElement
@@ -271,3 +275,15 @@ def koszul_of_series_per_pair(module: PeriodicModule, y: ExtAffineElement, x: Ex
         q = module.generic_polynomial(g.translate_left(sigma, y), x, "q")
         total = total + q.shift(2 * size).scale(-1 if size % 2 else 1)
     return total
+
+
+def poset_rows_per_column(order: SemiInfiniteOrder, window) -> tuple[int, ...]:
+    """The rows of ``SemiInfinitePoset`` (bit j of row i iff window[i] <= window[j])
+    from one ``below`` search per column, sharing nothing between columns."""
+    win = tuple(window)
+    index = {z: i for i, z in enumerate(win)}
+    rows = [0] * len(win)
+    for j, b in enumerate(win):
+        for a in order.below(b, win):
+            rows[index[a]] |= 1 << j
+    return tuple(rows)

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from oracles import poset_rows_per_column
 from periodic_kl.orders import SemiInfinitePoset, standard_window
 from periodic_kl.rootdata import Weight, dominance_leq
 
@@ -91,6 +94,9 @@ def test_translation_characterization_rejects_shallow_mu(a1):
     deep = W.translation(-3 * alpha)
     with pytest.raises(ValueError, match="not sufficiently dominant"):
         O.leq_via_translation(deep, W.identity(), Weight((0,)))
+    # a failed certificate is not memoized: the same query raises again
+    with pytest.raises(ValueError, match="not sufficiently dominant"):
+        O.leq_via_translation(W.identity(), deep, Weight((0,)))
 
 
 def test_l_independence(a1, a1_l5):
@@ -138,3 +144,28 @@ def test_poset_and_hasse(a1):
     assert (s, W.identity()) in edges
     assert len(edges) == 1  # only the cover s < e inside this window
     poset.check_partial_order()
+
+
+@pytest.mark.parametrize("fixture,height", [("a1", 6), ("a2", 2), ("b2", 1), ("c2", 1), ("g2", 1), ("a3", 0)])
+def test_build_matches_per_column_oracle(fixture, height, request):
+    ctx = request.getfixturevalue(fixture)
+    win = standard_window(ctx.group, height)
+    assert SemiInfinitePoset.build(ctx.order, win).rows == poset_rows_per_column(ctx.order, win)
+
+
+def test_build_matches_per_column_oracle_on_cosets(a2):
+    for coset in a2.group.omega_elements:
+        win = standard_window(a2.group, 1, coset)
+        assert SemiInfinitePoset.build(a2.order, win).rows == poset_rows_per_column(a2.order, win)
+
+
+@pytest.mark.parametrize("fixture,height", [("a2", 2), ("b2", 2), ("c2", 1), ("g2", 1), ("a3", 1)])
+def test_build_matches_per_column_oracle_on_shuffled_subwindows(fixture, height, request):
+    # the pass sorts by height itself, so neither the order nor the gaps of
+    # the window may matter
+    ctx = request.getfixturevalue(fixture)
+    full = standard_window(ctx.group, height)
+    rng = random.Random(f"subwindow:{fixture}")
+    for _ in range(6):
+        win = rng.sample(full, rng.randint(5, 60))
+        assert SemiInfinitePoset.build(ctx.order, win).rows == poset_rows_per_column(ctx.order, win)
