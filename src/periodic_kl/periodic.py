@@ -47,15 +47,25 @@ genuinely cyclic through translation, but positionwise it is triangular.
 Each computed element is certified before it is cached: leading
 coefficient 1, all other coefficients in vZ[v], support inside the
 semi-infinite ideal of the leading term, and the product relation
-P = SD_w + sum_j m_j SD_{z_j} re-verified on complete vectors.  The sweep
-records every nonzero position it meets, and after the sweep one batched
-down-closure search of the lead (:meth:`.SemiInfiniteOrder.below`) decides
-all of them at once.  That search is exact although it is pruned to the
-dominance meet of the recorded positions: every chain from the lead down to
-a position z stays between z dot 0 and the lead's dot 0.  The same set
-serves the support check of the final certification.  Together with
-uniqueness of the self-dual element these checks pin the result; a failure
-raises :class:`CertificationError` and indicates a bug, never bad input.
+P = SD_w + sum_j m_j SD_{z_j} re-verified on complete vectors.  The support
+check needs no order search.  Two facts carry it.  The order is invariant
+under left translation, and x <= y iff t(mu)x <= t(mu)y in the Bruhat order
+for deep dominant mu; right multiplication by s commutes with t(mu), so
+the order inherits Deodhar's lifting property (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, Prop. 2.2.7): if ws < w and x <= ws, then
+x <= w and xs <= w.  The sweep records one witness per position when it is
+first queued, and after the sweep the witnesses are checked in sweep order,
+i.e. by induction in decreasing height.  Once per class, ws < w is the
+local descent test and ws = t(nu) sigma is the lead of SD_{ws}, whose
+support lies below it (class sigma is certified; translation invariance).
+A term of P lies in supp(SD_{ws}) or in supp(SD_{ws}) s, hence below w by
+lifting.  A position pushed by the correction at z is t(z.trans) src with z
+already checked and src in the support of the certified class z.w (or,
+for a correction by SD_w itself, already checked), hence below z and so
+below w.  Each witness costs a few lookups.  The checked set serves the
+support check of the final certification.  Together with uniqueness of
+the self-dual element these checks pin the result; a failure raises
+:class:`CertificationError` and indicates a bug, never bad input.
 
 The generic polynomials are coordinates of the positive-root geometric
 series applied to SD_x:
@@ -329,26 +339,29 @@ class PeriodicModule:
         # Heap entries (-height, key, element): keys are unique, so the
         # element itself is never compared.
         heap: list[tuple[int, tuple, ExtAffineElement]] = []
-        queued: set[ExtAffineElement] = set()
+        # The witness of each queued position, recorded when it is first
+        # pushed: None for a term of the product, (z, src) for a position
+        # t(z.trans) src pushed by the correction at z.
+        witness: dict[ExtAffineElement, Optional[tuple[ExtAffineElement, ExtAffineElement]]] = {}
 
-        def push(pos: ExtAffineElement) -> None:
-            if pos in queued:
+        def push(pos: ExtAffineElement, via=None) -> None:
+            if pos in witness:
                 return
-            queued.add(pos)
+            witness[pos] = via
             heapq.heappush(heap, (-self.height(pos), pos.key, pos))
 
         for pos in product.terms:
             push(pos)
 
-        # Positions whose order check against the lead waits for one batched
-        # search after the sweep.
-        checked: list[ExtAffineElement] = []
-        steps = 0
+        swept: list[ExtAffineElement] = []
         while heap:
-            steps += 1
-            if steps > self.max_sweep_steps:
-                raise ResourceError("self-dual basis sweep exceeded the configured step bound")
+            if len(swept) >= self.max_sweep_steps:
+                raise ResourceError(
+                    f"self-dual basis sweep of class {g.format_element(lead)} exceeded "
+                    f"max_sweep_steps={self.max_sweep_steps} with {len(heap)} positions queued"
+                )
             pos = heapq.heappop(heap)[2]
+            swept.append(pos)
             val = product.coefficient(pos)
             for (z, m, cls, shift_nu) in corrections:
                 src = g.translate_left(-shift_nu, pos)
@@ -366,7 +379,6 @@ class PeriodicModule:
                 continue
             if val.is_zero():
                 continue
-            checked.append(pos)
             low = val.lower_symmetrization()
             if not low.is_zero():
                 cls = pos.w.index
@@ -379,10 +391,10 @@ class PeriodicModule:
                     # element being built; seed with what is finalized so far.
                     for done in list(fin):
                         if not fin[done].is_zero():
-                            push(g.translate_left(shift_nu, done))
+                            push(g.translate_left(shift_nu, done), (pos, done))
                 else:
                     for src in self._class_cache[cls].terms:
-                        push(g.translate_left(shift_nu, src))
+                        push(g.translate_left(shift_nu, src), (pos, src))
                 val = val - low
                 if not val.in_v_times_Zv():
                     raise CertificationError("correction did not normalize the coefficient")
@@ -390,18 +402,49 @@ class PeriodicModule:
                 fin[pos] = val
                 self._push_self_shifts(pos, corrections, push, w_index)
 
-        ideal = self.order.below(lead, checked)
-        if not ideal.issuperset(checked):
-            raise CertificationError("support escapes the semi-infinite ideal of the lead")
+        ideal = self._check_witnesses(w_index, base, swept, witness)
         result = PeriodicElement(fin)
         self._certify(result, lead, product, corrections, w_index, ideal)
         return result
 
     def _push_self_shifts(self, pos: ExtAffineElement, corrections, push, w_index: int) -> None:
         g = self.group
-        for (_, _, cls, shift_nu) in corrections:
+        for (z, _, cls, shift_nu) in corrections:
             if cls == w_index:
-                push(g.translate_left(shift_nu, pos))
+                push(g.translate_left(shift_nu, pos), (z, pos))
+
+    def _check_witnesses(self, w_index: int, base: PeriodicElement, swept: Sequence[ExtAffineElement],
+                         witness: Mapping[ExtAffineElement, Optional[tuple[ExtAffineElement, ExtAffineElement]]],
+                         ) -> set[ExtAffineElement]:
+        """The swept positions of class ``w_index``, each checked to lie below the
+        lead t(0)w by its witness, in sweep order (see the module docstring).
+
+        ``base`` is SD_{ws} for the class's down move (j, nu, sigma).  A
+        product term must lie in supp(base) or in supp(base) . s_j.  A
+        position pushed by the correction at z must equal t(z.trans) src,
+        with z already checked and src either already checked (z in class
+        w) or in the support of the certified class z.w.
+        """
+        g = self.group
+        j, nu, sigma = self._down_policy[w_index]
+        lead = g.element(Weight((0,) * self.rd.rank), w_index)
+        if not (self.order.descends(lead, j) and g.right_multiply_gen(lead, j) is g.element(nu, sigma)):
+            raise CertificationError("support escapes the semi-infinite ideal of the lead")
+        lifted = set(base.terms)
+        lifted.update([g.right_multiply_gen(x, j) for x in base.terms])
+        ideal: set[ExtAffineElement] = set()
+        for pos in swept:
+            via = witness[pos]
+            if via is None:
+                ok = pos in lifted
+            else:
+                z, src = via
+                ok = z in ideal and g.translate_left(z.trans, src) is pos and src in (
+                    ideal if z.w.index == w_index else self._class_cache[z.w.index].terms)
+            if not ok:
+                raise CertificationError("support escapes the semi-infinite ideal of the lead")
+            ideal.add(pos)
+        return ideal
 
     def _certify(self, result: PeriodicElement, lead: ExtAffineElement,
                  product: PeriodicElement, corrections, w_index: int,

@@ -11,7 +11,8 @@ classical KL recursion on {exponent: coefficient} dicts is kept here too,
 as the formula the packed-integer recursion of ``HeckeAlgebra`` replaced,
 and so is the semi-infinite poset as one independent ``below`` search per
 column, which the ascending-height window pass of ``SemiInfinitePoset.build``
-replaced.
+replaced, and the down-closure search of each class's lead over its support,
+which the class solve's checked witnesses replaced.
 """
 
 from __future__ import annotations
@@ -287,3 +288,11 @@ def poset_rows_per_column(order: SemiInfiniteOrder, window) -> tuple[int, ...]:
         for a in order.below(b, win):
             rows[index[a]] |= 1 << j
     return tuple(rows)
+
+
+def class_support_below_lead(module: PeriodicModule, w_index: int) -> bool:
+    """Every position of the class element SD_{t(0)w} lies below its lead
+    t(0)w, decided by one down-closure search of the lead."""
+    lead = module.group.element(Weight((0,) * module.rd.rank), w_index)
+    support = module._class_element(w_index).terms
+    return module.order.below(lead, support).issuperset(support)

@@ -6,7 +6,7 @@ from periodic_kl.laurent import LaurentPoly, ONE, V, VINV, ZERO
 from periodic_kl.orders import standard_window
 from periodic_kl.periodic import PeriodicModule
 from periodic_kl.rootdata import Weight
-from oracles import inversion_sum_per_pair, koszul_of_series_per_pair
+from oracles import class_support_below_lead, inversion_sum_per_pair, koszul_of_series_per_pair
 
 
 def test_action_examples(a1):
@@ -324,30 +324,80 @@ def test_resource_bound_raises(a1):
     from periodic_kl.periodic import PeriodicModule
 
     M = PeriodicModule(a1.group, a1.order, max_sweep_steps=1)
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match=r"^self-dual basis sweep of class t\(0\)\*w\[1\] "
+                                            r"exceeded max_sweep_steps=1 with [1-9]\d* positions queued$"):
         M.selfdual(a1.group.simple_reflection(0))
 
 
-def test_certification_catches_support_outside_ideal(a2, monkeypatch):
-    # an order search that loses one non-lead position must stop the class solve
+def test_certification_catches_product_term_outside_ideal(a2, monkeypatch):
+    # a product with one extra term far above the lead must stop the class solve
     from periodic_kl.orders import SemiInfiniteOrder
-    from periodic_kl.periodic import CertificationError, PeriodicModule
+    from periodic_kl.periodic import CertificationError
 
-    real_below = SemiInfiniteOrder.below
+    real_act_cs = PeriodicModule.act_cs
+    stray = a2.group.translation(Weight((1, 1)))
 
-    def lossy_below(self, y, xs):
-        found = real_below(self, y, xs)
-        lower = sorted(found - {y}, key=lambda z: z.key)
-        if lower:
-            found.discard(lower[0])
-        return found
+    def act_cs_with_stray_term(self, m, j):
+        return real_act_cs(self, m, j) + self.basis(stray).scale(V)
 
-    monkeypatch.setattr(SemiInfiniteOrder, "below", lossy_below)
+    monkeypatch.setattr(PeriodicModule, "act_cs", act_cs_with_stray_term)
     M = PeriodicModule(a2.group, SemiInfiniteOrder(a2.group))
     with pytest.raises(CertificationError, match="^support escapes the semi-infinite ideal of the lead$"):
         M._class_element(a2.group.w0.index)
     assert list(M._class_cache) == [0]  # only the base case, which needs no solve
 
+
+def test_witness_check_correction_branch(a2):
+    # witnesses (z, src) of positions t(z.trans) src pushed by a correction at z
+    from periodic_kl.periodic import CertificationError
+
+    M, W = a2.module, a2.group
+    w = W.w0.index
+    j, nu, sigma = M._down_policy[w]
+    base = M.shift(M._class_element(sigma), nu)
+    lead, z = W.element(Weight((0, 0)), w), W.element(nu, sigma)
+    src = next(x for x in M._class_element(sigma).terms if x.w.index != sigma)
+    pos = W.translate_left(nu, src)
+    escapes = "^support escapes the semi-infinite ideal of the lead$"
+
+    # z = t(nu) sigma lies below the lead, but its own witness is checked first
+    ok = M._check_witnesses(w, base, [lead, z, pos], {lead: None, z: None, pos: (z, src)})
+    assert ok == {lead, z, pos}
+    with pytest.raises(CertificationError, match=escapes):
+        M._check_witnesses(w, base, [lead, pos], {lead: None, pos: (z, src)})
+    # src outside the support of class sigma
+    far = W.translation(Weight((1, 1)))
+    pos_far = W.translate_left(nu, far)
+    with pytest.raises(CertificationError, match=escapes):
+        M._check_witnesses(w, base, [lead, z, pos_far], {lead: None, z: None, pos_far: (z, far)})
+    # a self-correction whose src is not yet checked
+    with pytest.raises(CertificationError, match=escapes):
+        M._check_witnesses(w, base, [lead, pos], {lead: None, pos: (lead, pos)})
+    # a position that is not t(z.trans) src
+    with pytest.raises(CertificationError, match=escapes):
+        M._check_witnesses(w, base, [lead, z, far], {lead: None, z: None, far: (z, src)})
+
+
+def test_witness_check_requires_a_down_move(a2):
+    # product terms are witnessed by SD_{ws}, which only helps if ws < w
+    from periodic_kl.periodic import CertificationError
+
+    M, W = PeriodicModule(a2.group, a2.order), a2.group
+    w = W.w0.index
+    lead = W.element(Weight((0, 0)), w)
+    up = W.right_multiply_gen(lead, 1)  # w0 s_1 lies above w0 in the order
+    assert not a2.order.descends(lead, 1)
+    M._down_policy[w] = (1, up.trans, up.w.index)
+    base = M.shift(a2.module._class_element(up.w.index), up.trans)
+    with pytest.raises(CertificationError, match="^support escapes the semi-infinite ideal of the lead$"):
+        M._check_witnesses(w, base, [lead], {lead: None})
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "a3", "b2", "c2", "g2"])
+def test_class_support_below_lead_by_order_search(request, name):
+    ctx = request.getfixturevalue(name)
+    for w in ctx.group.finite_elements:
+        assert class_support_below_lead(ctx.module, w.index)
 
 
 def test_equality_is_type_strict(a1):
