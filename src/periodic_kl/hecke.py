@@ -14,13 +14,14 @@ self-dual (Kazhdan-Lusztig) basis element at x is the unique bar-invariant
 element of H_x + sum_{y < x} vZ[v] H_y (Bruhat order), computed by the
 standard multiply-by-(H_s + v)-and-correct recursion with the corrections
 made in one pass down the lengths.  Every coefficient that recursion meets
-lies in Z[v], so it runs on packed integers: c_0 + c_1 v + ... + c_k v^k is
-the Python int sum c_e 2^(B e), B = ``_WIDTH`` bits per exponent, each c_e a
-balanced digit in [-2^(B-1), 2^(B-1)).  A sum of polynomials is one integer
-add, v^{+-1} is a shift by B bits, and the constant term is the signed low
-digit.  Only the element returned is decoded into a HeckeElement; the
-decode is exact while every |c_e| < 2^(B-1), which a tracked bound proves
-(see ``HeckeAlgebra.kl_basis``).  The recursion is used in this package as
+lies in Z[v], so it runs on the packed integers of :mod:`.laurent`
+(``pack``/``unpack``, B = ``laurent._WIDTH`` bits per exponent, each c_e a
+balanced digit in [-2^(B-1), 2^(B-1))).  A sum of polynomials is one
+integer add, v^{+-1} is a shift by B bits, and the constant term is the
+signed low digit.  Only the element returned is decoded into a
+HeckeElement, through the guarded ``unpack``; the decode is exact while
+every |c_e| < 2^(B-1), which a tracked bound proves (see
+``HeckeAlgebra.kl_basis``).  The recursion is used in this package as
 an internal cross-check oracle; the periodic module carries its own
 self-dual basis.
 
@@ -37,32 +38,14 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .laurent import ONE, V, VINV, Combination, LaurentPoly
+from . import laurent
+from .laurent import ONE, V, VINV, Combination, LaurentPoly, ResourceError, unpack
 from .rootdata import Weight
 from .weyl import AffineWeyl, ExtAffineElement
 
 __all__ = ["HeckeAlgebra", "HeckeElement"]
 
 _V_MINUS_VINV = V - VINV  # v - v^{-1}
-
-# Bits per exponent of a packed Z[v] coefficient sum c_e 2^(_WIDTH e).
-_WIDTH = 128
-
-
-def _unpack(p: int) -> LaurentPoly:
-    """The polynomial sum c_e v^e of a packed sum c_e 2^(_WIDTH e), |c_e| < 2^(_WIDTH - 1)."""
-    width = _WIDTH
-    half = 1 << (width - 1)
-    mask = (1 << width) - 1
-    coeffs = {}
-    e = 0
-    while p:
-        c = ((p + half) & mask) - half
-        if c:
-            coeffs[e] = c
-        p = (p - c) >> width
-        e += 1
-    return LaurentPoly(coeffs)
 
 
 class HeckeElement(Combination):
@@ -222,8 +205,8 @@ class HeckeAlgebra:
             raise ResourceError(
                 f"KL recursion at an element of length {n} exceeds the configured length bound {max_length}"
             )
-        terms, _ = self._kl_packed(x)
-        return HeckeElement({z: _unpack(p) for z, p in terms.items()})
+        terms, bound = self._kl_packed(x)
+        return HeckeElement({z: unpack(p, bound, "KL basis coefficient", z) for z, p in terms.items()})
 
     def _kl_packed(self, x: ExtAffineElement) -> tuple[dict[ExtAffineElement, int], int]:
         """C_x as {element: packed coefficient} and the bound M_x on its
@@ -236,7 +219,7 @@ class HeckeAlgebra:
             hit = ({x: 1}, 1)
             self._kl_cache[x] = hit
             return hit
-        width = _WIDTH
+        width = laurent._WIDTH
         half = 1 << (width - 1)
         mask = (1 << width) - 1
         g = self.group
@@ -303,7 +286,3 @@ class HeckeAlgebra:
         if minus.is_zero():
             return h
         return self.multiply(h, self.inverse_basis(g.translation(minus)))
-
-
-class ResourceError(RuntimeError):
-    """Raised when a configured resource bound is exceeded."""

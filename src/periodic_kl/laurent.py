@@ -5,6 +5,19 @@ the empty dict is the zero polynomial.  Coefficients are Python integers,
 so all arithmetic is exact and overflow-free.  The bar involution sends
 v to v^{-1} (exponent negation).
 
+Hot loops whose polynomials all lie in Z[v] run on packed integers instead:
+``pack`` sends c_0 + c_1 v + ... + c_k v^k to the Python int sum c_e 2^(B e),
+B = ``_WIDTH`` bits per exponent.  v -> 2^B is a ring homomorphism
+Z[v] -> Z, so every packed sum and product is exact, whatever the digit
+sizes.  ``unpack`` reads the balanced digits c_e in [-2^(B-1), 2^(B-1))
+back: if every |c_e| < 2^(B-1), then p = c_0 mod 2^B, so
+c_0 = ((p + 2^(B-1)) mod 2^B) - 2^(B-1) and (p - c_0) / 2^B packs the rest.
+The caller passes a bound on every |c_e| (an l1 bound sum |c_e| is one; l1
+is subadditive and submultiplicative, so a sum of products is bounded by
+the sum of the products of the bounds), and ``unpack`` refuses with a
+:class:`ResourceError` when the bound reaches 2^(B-1), before a wrapped
+digit could be read.  There is one width and no knob.
+
 :class:`Combination` is the free Z[v^{+-1}]-module structure on top: a
 sparse {basis label: polynomial} dict, shared by the Hecke algebra and the
 periodic module.
@@ -14,7 +27,14 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
 
-__all__ = ["Combination", "LaurentPoly", "ZERO", "ONE", "V", "VINV"]
+__all__ = ["Combination", "LaurentPoly", "ResourceError", "ZERO", "ONE", "V", "VINV", "pack", "unpack"]
+
+# Bits per exponent of a packed Z[v] polynomial sum c_e 2^(_WIDTH e).
+_WIDTH = 128
+
+
+class ResourceError(RuntimeError):
+    """Raised when a configured resource bound is exceeded."""
 
 
 class LaurentPoly:
@@ -174,6 +194,40 @@ ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
 V = LaurentPoly({1: 1})
 VINV = LaurentPoly({-1: 1})
+
+
+def pack(p: LaurentPoly) -> int:
+    """The packed form sum c_e 2^(_WIDTH e) of a polynomial p in Z[v]."""
+    width = _WIDTH
+    return sum(c << (width * e) for e, c in p.coeffs.items())
+
+
+def unpack(packed: int, bound: int, what: str, key: object) -> LaurentPoly:
+    """The polynomial sum c_e v^e of a packed sum c_e 2^(_WIDTH e), given
+    ``bound`` >= every |c_e|.
+
+    Raises :class:`ResourceError` naming ``what`` at ``key`` if the bound
+    reaches 2^(_WIDTH - 1), where a balanced digit could have wrapped.
+    """
+    width = _WIDTH
+    half = 1 << (width - 1)
+    if bound >= half:
+        raise ResourceError(
+            f"{what} at {key}: the coefficient bound ({bound.bit_length()} bits) "
+            f"reaches the packed digit width of {width} bits"
+        )
+    mask = (1 << width) - 1
+    coeffs = {}
+    e = 0
+    while packed:
+        c = ((packed + half) & mask) - half
+        if c:
+            coeffs[e] = c
+        packed = (packed - c) >> width
+        e += 1
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.coeffs = coeffs
+    return out
 
 
 class Combination:

@@ -53,19 +53,22 @@ under left translation, and x <= y iff t(mu)x <= t(mu)y in the Bruhat order
 for deep dominant mu; right multiplication by s commutes with t(mu), so
 the order inherits Deodhar's lifting property (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, Prop. 2.2.7): if ws < w and x <= ws, then
-x <= w and xs <= w.  The sweep records one witness per position when it is
-first queued, and after the sweep the witnesses are checked in sweep order,
-i.e. by induction in decreasing height.  Once per class, ws < w is the
-local descent test and ws = t(nu) sigma is the lead of SD_{ws}, whose
-support lies below it (class sigma is certified; translation invariance).
-A term of P lies in supp(SD_{ws}) or in supp(SD_{ws}) s, hence below w by
-lifting.  A position pushed by the correction at z is t(z.trans) src with z
-already checked and src in the support of the certified class z.w (or,
-for a correction by SD_w itself, already checked), hence below z and so
-below w.  Each witness costs a few lookups.  The checked set serves the
-support check of the final certification.  Together with uniqueness of
-the self-dual element these checks pin the result; a failure raises
-:class:`CertificationError` and indicates a bug, never bad input.
+x <= w and xs <= w.  Before the sweep, once per class, ws < w is the local
+descent test and ws = t(nu) sigma is the lead of SD_{ws}, whose support
+lies below it (class sigma is certified; translation invariance); and
+every term of P must lie in supp(SD_{ws}) or in supp(SD_{ws}) s, hence
+below w by lifting.  These checks read no other position, so a stray term
+stops the solve before it can seed a sweep.  The sweep records one witness
+per position when it is first queued, and after the sweep the witnesses of
+the remaining positions are checked in sweep order, i.e. by induction in
+decreasing height.  A position pushed by the correction at z is
+t(z.trans) src with z already checked and src in the support of the
+certified class z.w (or, for a correction by SD_w itself, already
+checked), hence below z and so below w.  Each witness costs a few
+lookups.  The checked set serves the support check of the final
+certification.  Together with uniqueness of the self-dual element these
+checks pin the result; a failure raises :class:`CertificationError` and
+indicates a bug, never bad input.
 
 The generic polynomials are coordinates of the positive-root geometric
 series applied to SD_x:
@@ -87,9 +90,18 @@ coordinates.  On a miss it reads a table built once per (x.w, y.w): the
 terms t(lam) y.w of SD_{t(0) x.w} as E = e * rc(lam) (integer, e the
 lattice index), grouped by E mod e; a term contributes iff E - E(y.trans -
 x.trans) is nonnegative and divisible by e, and the residue grouping
-settles the divisibility.  The inversion and Koszul checks are evaluated
-once per orbit of simultaneous left translation and memoized: q, p and the
-Koszul sum are translation-equivariant, and (-1)^{len} is a character of
+settles the divisibility.  Nonnegativity needs sum E >= sum E(y.trans -
+x.trans), so each residue group is scanned by descending sum E until that
+fails, and q_{y,x} is zero outright when sum E(y.trans - x.trans) exceeds
+the table's largest sum E.  The Koszul and inversion sums memoize q per
+table keyed by E(y.trans - x.trans), which is additive: a term's key is
+the orbit's E plus a precomputed offset, and the terms are scanned by
+ascending offset sum, so each sum stops at the first term whose key sum
+exceeds that largest sum: its q and every later one are zero.
+
+The inversion and Koszul checks are evaluated once per orbit of
+simultaneous left translation and memoized: q, p and the Koszul sum are
+translation-equivariant, and (-1)^{len} is a character of
 the extended group (its value on a length-zero element is +1 and
 conjugation by one permutes the simple reflections), so len(t(nu) x) +
 len(t(nu) y) has the parity of len(x) + len(y).  The inversion sum at (y,
@@ -99,8 +111,25 @@ x0 = w0 pos, pos in SD_{w0 t(0) z.w}, with x = t(d) x0 and len(t(d)) = <d,
 2 rho^> mod 2.  The Koszul sum at (y, x) depends only on (y.trans -
 x.trans, y.w, x.w) and still expands the operator over all subsets of the
 positive roots (grouped by subset sum), so the round trip is not a
-tautology.  Every value stays an exact Laurent polynomial; the memos only
-avoid recomputing it.
+tautology.
+
+Packed sums.  Every polynomial these sums touch lies in Z[v]: p is in
+{1} + vZ[v], and the partition series and the Koszul factors have only
+exponents >= 0.  So they run on the packed integers of :mod:`.laurent`,
+f -> f(2^B) with B = ``laurent._WIDTH``: a generic value is the integer
+sum of p * series over its rows, a Koszul or inversion sum the integer sum
+of q * factor or q * (+-p), each term one integer multiply-add.  v -> 2^B
+is a ring homomorphism Z[v] -> Z, so every packed sum and product is
+exact, whatever the digit sizes.  Each value carries a bound on its l1
+norm sum |c_e|, accumulated alongside it (bound += l1(q) * l1(p)): l1 is
+subadditive and submultiplicative, the l1 norm of a partition series is
+its number of partitions (every coefficient is positive), and |c_e| <= l1.
+A summand whose bound is 0 is the zero polynomial and is skipped.  A value
+is decoded once per memo entry (the Koszul and inversion memos, and the
+decoded memo behind ``generic_polynomial``), through the guarded
+``laurent.unpack``: the decode is exact when the bound is below 2^(B-1),
+and otherwise a ResourceError names the value, its key and the bound's
+size before any digit that may have wrapped is read.
 """
 
 from __future__ import annotations
@@ -108,11 +137,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, sub
-from typing import Literal, Mapping, Optional, Sequence
+from operator import add, mul, sub
+from typing import Iterable, Literal, Mapping, Optional, Sequence
 
+from . import laurent
 from .hecke import HeckeElement, ResourceError
-from .laurent import ONE, V, VINV, ZERO, Combination, LaurentPoly
+from .laurent import ONE, V, VINV, ZERO, Combination, LaurentPoly, pack, unpack
 from .orders import SemiInfiniteOrder
 from .rootdata import Weight
 from .weyl import AffineWeyl, ExtAffineElement
@@ -163,10 +193,11 @@ class PeriodicModule:
         self.max_sweep_steps = max_sweep_steps
         self._class_cache: dict[int, PeriodicElement] = {}
         self._in_progress: set[int] = set()
-        self._repgen_cache: dict[tuple[tuple[int, ...], bool], LaurentPoly] = {}
-        self._generic_cache: dict = {}
-        self._generic_rows: dict[tuple[int, int], dict[tuple[int, ...], list]] = {}
-        self._inversion_rows: dict[int, list[tuple[tuple[int, ...], int, int, LaurentPoly]]] = {}
+        self._partition_memo: dict[tuple[int, tuple[int, ...], bool], tuple[int, int]] = {}
+        self._generic_tables: dict[tuple[int, int], tuple[dict, dict, Optional[int]]] = {}
+        self._generic_decoded: dict[tuple[tuple[int, ...], int, int, bool], LaurentPoly] = {}
+        self._inversion_rows: dict[int, dict[int, list[tuple[int, tuple[int, ...], int, int]]]] = {}
+        self._inversion_plans: dict[tuple[int, int], list[tuple[dict, dict, int, list]]] = {}
         self._inversion_memo: dict = {}
         self._koszul_memo: dict = {}
         self._down_policy = self._choose_down_moves()
@@ -332,10 +363,10 @@ class PeriodicModule:
         lead = g.element(Weight((0,) * self.rd.rank), w_index)
 
         # Top-down sweep in height.  fin holds finalized coefficients of the
-        # element under construction; corrections (z, m, class, shift) are
-        # registered as offenders appear and contribute lazily below z.
+        # element under construction; corrections (z, m, class, shift, -shift)
+        # are registered as offenders appear and contribute lazily below z.
         fin: dict[ExtAffineElement, LaurentPoly] = {}
-        corrections: list[tuple[ExtAffineElement, LaurentPoly, int, Weight]] = []
+        corrections: list[tuple[ExtAffineElement, LaurentPoly, int, Weight, Weight]] = []
         # Heap entries (-height, key, element): keys are unique, so the
         # element itself is never compared.
         heap: list[tuple[int, tuple, ExtAffineElement]] = []
@@ -350,6 +381,7 @@ class PeriodicModule:
             witness[pos] = via
             heapq.heappush(heap, (-self.height(pos), pos.key, pos))
 
+        self._check_product_terms(w_index, base, product.terms)
         for pos in product.terms:
             push(pos)
 
@@ -363,8 +395,8 @@ class PeriodicModule:
             pos = heapq.heappop(heap)[2]
             swept.append(pos)
             val = product.coefficient(pos)
-            for (z, m, cls, shift_nu) in corrections:
-                src = g.translate_left(-shift_nu, pos)
+            for (z, m, cls, shift_nu, back) in corrections:
+                src = g.translate_left(back, pos)
                 if cls == w_index:
                     contrib = fin.get(src)
                 else:
@@ -385,7 +417,7 @@ class PeriodicModule:
                 shift_nu = pos.trans
                 if cls != w_index and cls not in self._class_cache:
                     self._class_element(cls)
-                corrections.append((pos, low, cls, shift_nu))
+                corrections.append((pos, low, cls, shift_nu, -shift_nu))
                 if cls == w_index:
                     # contributions of this correction appear at shifts of the
                     # element being built; seed with what is finalized so far.
@@ -402,28 +434,26 @@ class PeriodicModule:
                 fin[pos] = val
                 self._push_self_shifts(pos, corrections, push, w_index)
 
-        ideal = self._check_witnesses(w_index, base, swept, witness)
+        ideal = self._check_witnesses(w_index, swept, witness)
         result = PeriodicElement(fin)
         self._certify(result, lead, product, corrections, w_index, ideal)
         return result
 
     def _push_self_shifts(self, pos: ExtAffineElement, corrections, push, w_index: int) -> None:
         g = self.group
-        for (z, _, cls, shift_nu) in corrections:
+        for (z, _, cls, shift_nu, _) in corrections:
             if cls == w_index:
                 push(g.translate_left(shift_nu, pos), (z, pos))
 
-    def _check_witnesses(self, w_index: int, base: PeriodicElement, swept: Sequence[ExtAffineElement],
-                         witness: Mapping[ExtAffineElement, Optional[tuple[ExtAffineElement, ExtAffineElement]]],
-                         ) -> set[ExtAffineElement]:
-        """The swept positions of class ``w_index``, each checked to lie below the
-        lead t(0)w by its witness, in sweep order (see the module docstring).
+    def _check_product_terms(self, w_index: int, base: PeriodicElement,
+                             terms: Iterable[ExtAffineElement]) -> None:
+        """Check, before the sweep, that every term of the product P lies below
+        the lead t(0)w (see the module docstring).
 
-        ``base`` is SD_{ws} for the class's down move (j, nu, sigma).  A
-        product term must lie in supp(base) or in supp(base) . s_j.  A
-        position pushed by the correction at z must equal t(z.trans) src,
-        with z already checked and src either already checked (z in class
-        w) or in the support of the certified class z.w.
+        ``base`` is SD_{ws} for the class's down move (j, nu, sigma): ws < w
+        must be the local descent onto its lead, and each term must lie in
+        supp(base) or in supp(base) . s_j.  No term's check reads another
+        position, so a stray term stops the solve before its sweep starts.
         """
         g = self.group
         j, nu, sigma = self._down_policy[w_index]
@@ -432,17 +462,30 @@ class PeriodicModule:
             raise CertificationError("support escapes the semi-infinite ideal of the lead")
         lifted = set(base.terms)
         lifted.update([g.right_multiply_gen(x, j) for x in base.terms])
+        if not lifted.issuperset(terms):
+            raise CertificationError("support escapes the semi-infinite ideal of the lead")
+
+    def _check_witnesses(self, w_index: int, swept: Sequence[ExtAffineElement],
+                         witness: Mapping[ExtAffineElement, Optional[tuple[ExtAffineElement, ExtAffineElement]]],
+                         ) -> set[ExtAffineElement]:
+        """The swept positions of class ``w_index``, each checked to lie below the
+        lead t(0)w by its witness, in sweep order (see the module docstring).
+
+        A witness ``None`` marks a term of the product, which
+        ``_check_product_terms`` checked before the sweep.  A position
+        pushed by the correction at z must equal t(z.trans) src, with z
+        already checked and src either already checked (z in class w) or in
+        the support of the certified class z.w.
+        """
+        g = self.group
         ideal: set[ExtAffineElement] = set()
         for pos in swept:
             via = witness[pos]
-            if via is None:
-                ok = pos in lifted
-            else:
+            if via is not None:
                 z, src = via
-                ok = z in ideal and g.translate_left(z.trans, src) is pos and src in (
-                    ideal if z.w.index == w_index else self._class_cache[z.w.index].terms)
-            if not ok:
-                raise CertificationError("support escapes the semi-infinite ideal of the lead")
+                if not (z in ideal and g.translate_left(z.trans, src) is pos and src in (
+                        ideal if z.w.index == w_index else self._class_cache[z.w.index].terms)):
+                    raise CertificationError("support escapes the semi-infinite ideal of the lead")
             ideal.add(pos)
         return ideal
 
@@ -460,7 +503,7 @@ class PeriodicModule:
                 raise CertificationError("certification: support outside the ideal")
         # product relation on complete vectors
         acc = result
-        for (z, m, cls, shift_nu) in corrections:
+        for (z, m, cls, shift_nu, _) in corrections:
             if not m.is_bar_symmetric():
                 raise CertificationError("certification: correction not bar-symmetric")
             base = result if cls == w_index else self._class_cache[cls]
@@ -470,18 +513,39 @@ class PeriodicModule:
 
     # -- generic polynomials and the Koszul-type inverse -------------------------------------
 
-    def _partition_series(self, sigma_rc: tuple[int, ...], weighted: bool) -> LaurentPoly:
-        """sum over (k_a) with sum k_a a = sigma of v^{2 sum k_a} (or 1 if unweighted)."""
-        key = (sigma_rc, weighted)
-        hit = self._repgen_cache.get(key)
+    def _partitions(self, idx: int, rem: tuple[int, ...], weighted: bool) -> tuple[int, int]:
+        """The partition series of ``rem`` over the positive roots from ``idx`` on, in
+        root coordinates: sum over (k_a) with sum k_a a = rem of v^{2 sum k_a} (or 1
+        if unweighted), packed, with the number of partitions, which is its l1
+        norm (every coefficient is positive).  Memoized on (idx, rem, weighted)."""
+        key = (idx, rem, weighted)
+        hit = self._partition_memo.get(key)
         if hit is not None:
             return hit
+        roots = self._roots_rc
+        if not any(rem):
+            hit = (1, 1)
+        elif idx == len(roots):
+            hit = (0, 0)
+        else:
+            rc = roots[idx]
+            step = 2 * laurent._WIDTH if weighted else 0
+            series = count = 0
+            for k in range(min(r // c for r, c in zip(rem, rc) if c > 0) + 1):
+                tail, n = self._partitions(idx + 1, tuple(r - k * c for r, c in zip(rem, rc)), weighted)
+                if n:
+                    series += tail << (k * step)
+                    count += n
+            hit = (series, count)
+        self._partition_memo[key] = hit
+        return hit
+
+    @cached_property
+    def _roots_rc(self) -> list[tuple[int, ...]]:
+        """The positive roots in root coordinates (all nonnegative)."""
         rd = self.rd
         e = rd.lattice_index_e
-        roots_rc = [tuple(c // e for c in rd.scaled_root_coordinates(b)) for b in rd.positive_roots]
-        result = _vector_partitions(roots_rc, 0, sigma_rc, weighted) if min(sigma_rc) >= 0 else ZERO
-        self._repgen_cache[key] = result
-        return result
+        return [tuple(c // e for c in rd.scaled_root_coordinates(b)) for b in rd.positive_roots]
 
     def generic_polynomial(self, y: ExtAffineElement, x: ExtAffineElement,
                            kind: Literal["q", "qprime"] = "q") -> LaurentPoly:
@@ -492,40 +556,76 @@ class PeriodicModule:
         contribute, enumerated exactly.  By translation equivariance only the
         relative position of y and x matters, which keys the memo.
         """
-        return self._generic(tuple(map(sub, y.trans, x.trans)), y.w.index, x.w.index, kind == "q")
+        key = (tuple(map(sub, y.trans, x.trans)), y.w.index, x.w.index, kind == "q")
+        hit = self._generic_decoded.get(key)
+        if hit is None:
+            rel, u, c, weighted = key
+            _, rows, top = self._generic_table(u, c)
+            target = self.rd.scaled_root_coordinates(rel)
+            if top is None or sum(target) > top:
+                hit = ZERO
+            else:
+                hit = unpack(*self._generic_sum(target, rows, weighted),
+                             "generic q (y.trans - x.trans, y.w, x.w)" if weighted else
+                             "generic qprime (y.trans - x.trans, y.w, x.w)", key[:3])
+            self._generic_decoded[key] = hit
+        return hit
 
-    def _generic(self, rel: tuple[int, ...], u: int, c: int, weighted: bool) -> LaurentPoly:
-        """The generic polynomial at y = t(rel) u, x = t(0) c (translation coordinates)."""
-        key = (rel, u, c, weighted)
-        hit = self._generic_cache.get(key)
-        if hit is not None:
-            return hit
-        rows = self._generic_rows.get((c, u))
-        if rows is None:
-            rows = self._generic_rows[(c, u)] = self._build_generic_rows(c, u)
+    def _generic_table(self, u: int, c: int) -> tuple[dict, dict, Optional[int]]:
+        """(memo, rows, top) of the generic polynomials at y = t(rel) u, x = t(0) c.
+
+        ``memo`` maps E(rel) = e * rc(rel) (injective in rel, and additive,
+        so callers add precomputed offsets) to q packed, with a bound on its
+        l1 norm, filled by ``_generic_sum`` from ``rows``, the terms t(lam) u
+        of SD_{t(0)c} (see ``_build_generic_rows``), for the Koszul and
+        inversion sums.  ``top`` is the largest sum E(lam) over these terms,
+        or None if there is none: a term contributes at rel only if
+        E(lam) - E(rel) >= 0, so q and q' are zero unless sum E(rel) <= top.
+        """
+        key = (u, c)
+        hit = self._generic_tables.get(key)
+        if hit is None:
+            hit = self._generic_tables[key] = ({}, *self._build_generic_rows(c, u))
+        return hit
+
+    def _generic_sum(self, target: tuple[int, ...], rows: dict, weighted: bool) -> tuple[int, int]:
+        """The generic polynomial with E(rel) = target over ``rows``, packed, with
+        a bound on its l1 norm."""
         e = self.rd.lattice_index_e
-        target = self.rd.scaled_root_coordinates(rel)
-        total = ZERO
-        for scaled, p in rows.get(tuple(t % e for t in target), ()):
-            sigma = tuple(map(sub, scaled, target))
+        floor = tuple(t // e for t in target)
+        need = sum(floor)
+        memo = self._partition_memo
+        total = bound = 0
+        for row_sum, row_floor, p, lp in rows.get(tuple(t % e for t in target), ()):
+            if row_sum < need:
+                break  # every later row has a sigma with a negative sum
+            sigma = tuple(map(sub, row_floor, floor))
             if min(sigma) >= 0:
-                series = self._partition_series(tuple(s // e for s in sigma), weighted)
-                if series:
-                    total = total + p * series
-        self._generic_cache[key] = total
-        return total
+                series, n = memo.get((0, sigma, weighted)) or self._partitions(0, sigma, weighted)
+                if n:
+                    total += p * series
+                    bound += lp * n
+        return total, bound
 
-    def _build_generic_rows(self, c: int, u: int) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], LaurentPoly]]]:
-        """The terms t(lam) u of SD_{t(0)c} as (E, coefficient) with E = e * rc(lam),
-        grouped by E mod e: sigma = (E - E(rel)) / e is integral exactly when
-        the residues agree."""
+    def _build_generic_rows(self, c: int, u: int) -> tuple[dict, Optional[int]]:
+        """The terms t(lam) u of SD_{t(0)c} as (sum F, F = floor(E / e), packed
+        coefficient, its l1 norm) with E = e * rc(lam), grouped by E mod e and
+        sorted by descending sum F: sigma = (E - E(rel)) / e is integral
+        exactly when the residues agree, and then it is F - F(rel), which
+        can only be >= 0 while sum F >= sum F(rel).  With the largest sum E,
+        or None if there is no such term."""
         e = self.rd.lattice_index_e
-        rows: dict[tuple[int, ...], list[tuple[tuple[int, ...], LaurentPoly]]] = {}
+        rows: dict[tuple[int, ...], list[tuple[int, tuple[int, ...], int, int]]] = {}
+        top = None
         for z, p in self._class_element(c).terms.items():
             if z.w.index == u:
                 scaled = self.rd.scaled_root_coordinates(z.trans)
-                rows.setdefault(tuple(s % e for s in scaled), []).append((scaled, p))
-        return rows
+                floor = tuple(s // e for s in scaled)
+                rows.setdefault(tuple(s % e for s in scaled), []).append((sum(floor), floor, *_packed(p)))
+                top = sum(scaled) if top is None else max(top, sum(scaled))
+        for group in rows.values():
+            group.sort(key=lambda row: -row[0])
+        return rows, top
 
     def koszul_apply(self, m: PeriodicElement) -> PeriodicElement:
         """Apply prod_{a > 0} (1 - v^2 <-a>), the finite inverse of the q-series."""
@@ -533,6 +633,16 @@ class PeriodicModule:
         for sigma, poly in self._koszul_terms:
             out = out + self.shift(m, -sigma).scale(poly)
         return out
+
+    @cached_property
+    def _koszul_packed(self) -> list[tuple[int, tuple[int, ...], int, int]]:
+        """``_koszul_terms`` as (sum E(sigma), E(sigma), packed polynomial, its l1
+        norm), by ascending sum E(sigma)."""
+        terms = []
+        for sigma, poly in self._koszul_terms:
+            at = self.rd.scaled_root_coordinates(sigma)
+            terms.append((sum(at), at, *_packed(poly)))
+        return sorted(terms, key=lambda term: term[0])
 
     def koszul_of_series(self, y: ExtAffineElement, x: ExtAffineElement) -> LaurentPoly:
         """Coefficient at y of the Koszul operator applied to the full (untruncated)
@@ -548,12 +658,22 @@ class PeriodicModule:
         key = (rel, y.w.index, x.w.index)
         hit = self._koszul_memo.get(key)
         if hit is None:
-            hit = ZERO
-            for sigma, poly in self._koszul_terms:
-                q = self._generic(tuple(map(add, rel, sigma)), key[1], key[2], True)
-                if q:
-                    hit = hit + q * poly
-            self._koszul_memo[key] = hit
+            memo, rows, top = self._generic_table(key[1], key[2])
+            total = bound = 0
+            if top is not None:
+                target = self.rd.scaled_root_coordinates(rel)
+                limit = top - sum(target)
+                for reach, sigma, poly, lpoly in self._koszul_packed:
+                    if reach > limit:
+                        break  # q is zero here and at every later sigma
+                    at = tuple(map(add, target, sigma))
+                    q = memo.get(at)
+                    if q is None:
+                        q = memo[at] = self._generic_sum(at, rows, True)
+                    if q[1]:
+                        total += q[0] * poly
+                        bound += q[1] * lpoly
+            hit = self._koszul_memo[key] = unpack(total, bound, "Koszul sum (y.trans - x.trans, y.w, x.w)", key)
         return hit
 
     # -- inversion identity -----------------------------------------------------------------
@@ -573,42 +693,65 @@ class PeriodicModule:
 
     def _inversion_orbit(self, d: tuple[int, ...], yw: int, zw: int) -> LaurentPoly:
         """The inversion sum at y = t(0) yw, z = t(d) zw."""
-        rows = self._inversion_rows.get(zw)
-        if rows is None:
-            rows = self._inversion_rows[zw] = self._build_inversion_rows(zw)
+        plan = self._inversion_plans.get((yw, zw))
+        if plan is None:
+            groups = self._inversion_rows.get(zw)
+            if groups is None:
+                groups = self._inversion_rows[zw] = self._build_inversion_rows(zw)
+            # each group of rows with the generic table it reads
+            plan = []
+            for u, group in groups.items():
+                memo, rows, top = self._generic_table(u, yw)
+                if top is not None:  # otherwise every q of the group is zero
+                    plan.append((memo, rows, top, group))
+            self._inversion_plans[(yw, zw)] = plan
+        target = self.rd.scaled_root_coordinates(d)
+        reach_d = sum(target)
+        total = bound = 0
+        for memo, rows, top, group in plan:
+            limit = top - reach_d
+            for reach, offset, p, lp in group:
+                if reach > limit:
+                    break  # q is zero here and at every later row
+                at = tuple(map(add, target, offset))
+                q = memo.get(at)
+                if q is None:
+                    q = memo[at] = self._generic_sum(at, rows, True)
+                if q[1]:
+                    total += q[0] * p
+                    bound += q[1] * lp
         # x = t(d) x0 and length parity is a character, so len(x) = len(t(d)) + len(x0)
-        # mod 2, with len(t(d)) = <d, 2 rho^> mod 2.
-        parity = (sum(c * t for c, t in zip(self.rd.two_rho_check, d))
-                  + self.group.finite_elements[yw].length) % 2
-        acc: dict[int, int] = {}
-        for trans, u, x_parity, p in rows:
-            q = self._generic(tuple(map(add, d, trans)), u, yw, True)
-            if not q:
-                continue
-            sign = -1 if (x_parity + parity) % 2 else 1
-            for e1, c1 in q.coeffs.items():
-                for e2, c2 in p.coeffs.items():
-                    acc[e1 + e2] = acc.get(e1 + e2, 0) + sign * c1 * c2
-        return LaurentPoly(acc)
+        # mod 2, with len(t(d)) = <d, 2 rho^> mod 2; the rows carry (-1)^len(x0).
+        if (sum(map(mul, self.rd.two_rho_check, d)) + self.group.finite_elements[yw].length) % 2:
+            total = -total
+        return unpack(total, bound, "inversion sum (z.trans - y.trans, y.w, z.w)", (d, yw, zw))
 
-    def _build_inversion_rows(self, zw: int) -> list[tuple[tuple[int, ...], int, int, LaurentPoly]]:
-        """(trans, finite index, length parity, p) of x0 = w0 pos over pos in SD_{w0 t(0) zw}."""
+    def _build_inversion_rows(self, zw: int) -> dict[int, list[tuple[int, tuple[int, ...], int, int]]]:
+        """The rows x0 = w0 pos over pos in SD_{w0 t(0) zw}, grouped by the finite
+        index of x0, as (sum E(x0.trans), E(x0.trans), (-1)^len(x0) p packed, l1
+        norm of p), by ascending sum E(x0.trans)."""
         g = self.group
         w0 = g.element(Weight((0,) * self.rd.rank), g.w0.index)
         sd = self.selfdual(g.multiply(w0, g.element(Weight((0,) * self.rd.rank), zw)))
-        rows = []
+        groups: dict[int, list[tuple[int, tuple[int, ...], int, int]]] = {}
         for pos, p in sd.terms.items():
             x0 = g.multiply(w0, pos)
-            rows.append((*x0.key, x0.length % 2, p))
-        return rows
+            offset = self.rd.scaled_root_coordinates(x0.trans)
+            packed, lp = _packed(p)
+            groups.setdefault(x0.w.index, []).append(
+                (sum(offset), offset, -packed if x0.length % 2 else packed, lp))
+        for group in groups.values():
+            group.sort(key=lambda row: row[0])
+        return groups
 
     def inversion_report(self, window: Sequence[ExtAffineElement]) -> list[tuple[ExtAffineElement, ExtAffineElement, LaurentPoly]]:
         """All deviations of the inversion identity from delta on the window."""
+        cosets: dict[tuple, list[ExtAffineElement]] = {}
+        for z in window:
+            cosets.setdefault(z.omega_component, []).append(z)
         bad = []
         for y in window:
-            for z in window:
-                if y.omega_component != z.omega_component:
-                    continue
+            for z in cosets[y.omega_component]:
                 val = self.inversion_sum(y, z)
                 expected = ONE if y == z else ZERO
                 if val != expected:
@@ -636,22 +779,6 @@ class PeriodicModule:
         return PolynomialTable(kind, win, entries)
 
 
-def _vector_partitions(roots_rc: Sequence[tuple[int, ...]], idx: int, rem: tuple[int, ...],
-                       weighted: bool) -> LaurentPoly:
-    """The partition series of ``rem`` over the roots from ``idx`` on, in root coordinates."""
-    if all(c == 0 for c in rem):
-        return ONE
-    if idx == len(roots_rc):
-        return ZERO
-    rc = roots_rc[idx]
-    cap = min((rem[i] // rc[i] for i in range(len(rem)) if rc[i] > 0), default=0)
-    total = ZERO
-    for k in range(cap + 1):
-        nxt = tuple(rem[i] - k * rc[i] for i in range(len(rem)))
-        if any(c < 0 for c in nxt):
-            continue
-        tail = _vector_partitions(roots_rc, idx + 1, nxt, weighted)
-        if tail.is_zero():
-            continue
-        total = total + (tail.shift(2 * k) if weighted else tail)
-    return total
+def _packed(p: LaurentPoly) -> tuple[int, int]:
+    """A polynomial in Z[v] packed, with its l1 norm."""
+    return pack(p), sum(map(abs, p.coeffs.values()))

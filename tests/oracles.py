@@ -11,14 +11,17 @@ classical KL recursion on {exponent: coefficient} dicts is kept here too,
 as the formula the packed-integer recursion of ``HeckeAlgebra`` replaced,
 and so is the semi-infinite poset as one independent ``below`` search per
 column, which the ascending-height window pass of ``SemiInfinitePoset.build``
-replaced, and the down-closure search of each class's lead over its support,
-which the class solve's checked witnesses replaced.
+replaced, the down-closure search of each class's lead over its support,
+which the class solve's checked witnesses replaced, and the generic
+polynomial as a sum of LaurentPoly products over an unmemoized vector
+partition enumeration, which the packed-integer sums replaced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from operator import sub
 from typing import Mapping
 
 from periodic_kl.hecke import HeckeAlgebra, HeckeElement
@@ -296,3 +299,56 @@ def class_support_below_lead(module: PeriodicModule, w_index: int) -> bool:
     lead = module.group.element(Weight((0,) * module.rd.rank), w_index)
     support = module._class_element(w_index).terms
     return module.order.below(lead, support).issuperset(support)
+
+
+def generic_polynomial_by_dicts(module: PeriodicModule, y: ExtAffineElement, x: ExtAffineElement,
+                                kind: str = "q") -> LaurentPoly:
+    """q_{y,x} (or q'_{y,x} for ``kind="qprime"``) on LaurentPoly dicts: the sum
+    of p times series over ``generic_terms_by_dicts``."""
+    total = ZERO
+    for p, series in generic_terms_by_dicts(module, y, x, kind):
+        total = total + p * series
+    return total
+
+
+def generic_terms_by_dicts(module: PeriodicModule, y: ExtAffineElement, x: ExtAffineElement,
+                           kind: str = "q") -> list[tuple[LaurentPoly, LaurentPoly]]:
+    """The pairs (p, series) whose products sum to q_{y,x} (or q'_{y,x}): for
+    every term p B_{t(lam) y.w} of the class element SD_{t(0) x.w} with
+    sigma = rc(lam - (y.trans - x.trans)) integral and >= 0, the partition
+    series of sigma, enumerated afresh, with no memo, for each term."""
+    rd = module.rd
+    e = rd.lattice_index_e
+    roots_rc = [tuple(c // e for c in rd.scaled_root_coordinates(b)) for b in rd.positive_roots]
+    target = rd.scaled_root_coordinates(tuple(map(sub, y.trans, x.trans)))
+    terms = []
+    for z, p in module._class_element(x.w.index).terms.items():
+        if z.w.index != y.w.index:
+            continue
+        diff = tuple(map(sub, rd.scaled_root_coordinates(z.trans), target))
+        if any(d < 0 or d % e for d in diff):
+            continue
+        series = _vector_partitions(roots_rc, 0, tuple(d // e for d in diff), kind == "q")
+        if series:
+            terms.append((p, series))
+    return terms
+
+
+def _vector_partitions(roots_rc, idx: int, rem: tuple[int, ...], weighted: bool) -> LaurentPoly:
+    """The partition series of ``rem`` over the roots from ``idx`` on, in root coordinates."""
+    if all(c == 0 for c in rem):
+        return ONE
+    if idx == len(roots_rc):
+        return ZERO
+    rc = roots_rc[idx]
+    cap = min((rem[i] // rc[i] for i in range(len(rem)) if rc[i] > 0), default=0)
+    total = ZERO
+    for k in range(cap + 1):
+        nxt = tuple(rem[i] - k * rc[i] for i in range(len(rem)))
+        if any(c < 0 for c in nxt):
+            continue
+        tail = _vector_partitions(roots_rc, idx + 1, nxt, weighted)
+        if tail.is_zero():
+            continue
+        total = total + (tail.shift(2 * k) if weighted else tail)
+    return total

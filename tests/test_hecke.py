@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from periodic_kl import hecke
+from periodic_kl import laurent
 from periodic_kl.cli import main
 from periodic_kl.hecke import HeckeAlgebra, ResourceError
 from periodic_kl.laurent import LaurentPoly, ONE, V, VINV
@@ -237,7 +237,7 @@ def test_kl_basis_against_dict_recursion(fixture, request):
 def test_kl_basis_at_a_narrow_digit_width(monkeypatch, a2):
     # 8 bits per exponent hold the tracked bound of every A2 element up to
     # length 6, so the balanced-digit decode must agree with the dicts there
-    monkeypatch.setattr(hecke, "_WIDTH", 8)
+    monkeypatch.setattr(laurent, "_WIDTH", 8)
     H = HeckeAlgebra(a2.group)
     memo: dict = {}
     for x in a2.group.elements_of_length_leq(6):
@@ -246,14 +246,18 @@ def test_kl_basis_at_a_narrow_digit_width(monkeypatch, a2):
 
 @pytest.mark.parametrize("width", [4, 128])
 def test_unpack_reads_balanced_digits(monkeypatch, width):
-    # every digit in [-2^(B-1), 2^(B-1)), the extremes and negative ones included
-    monkeypatch.setattr(hecke, "_WIDTH", width)
+    # every digit with |c| < 2^(B-1), the extremes and negative ones included,
+    # decodes under its bound; a bound of 2^(B-1) is refused
+    monkeypatch.setattr(laurent, "_WIDTH", width)
     half = 1 << (width - 1)
     rng = random.Random(width)
     for _ in range(200):
-        coeffs = {e: rng.choice([-half, half - 1, -1, 1, rng.randrange(-half, half)]) for e in range(rng.randint(0, 6))}
+        coeffs = {e: rng.choice([1 - half, half - 1, -1, 1, rng.randrange(1 - half, half)]) for e in range(rng.randint(0, 6))}
         packed = sum(c << (width * e) for e, c in coeffs.items())
-        assert hecke._unpack(packed) == LaurentPoly(coeffs)
+        bound = max(map(abs, coeffs.values()), default=0)
+        assert laurent.unpack(packed, bound, "value", "key") == LaurentPoly(coeffs)
+        with pytest.raises(ResourceError, match=f"^value at key: the coefficient bound \\({width} bits\\)"):
+            laurent.unpack(packed, half, "value", "key")
 
 
 def test_kl_overflow_guard(monkeypatch, capsys, b2):
@@ -264,7 +268,7 @@ def test_kl_overflow_guard(monkeypatch, capsys, b2):
     assert x.length >= 12
     true = kl_basis_by_dicts(HeckeAlgebra(W), x, {})
     assert max(c for p in true.terms.values() for c in p.coeffs.values()) == 8
-    monkeypatch.setattr(hecke, "_WIDTH", 4)
+    monkeypatch.setattr(laurent, "_WIDTH", 4)
     with pytest.raises(ResourceError, match="coefficient bound"):
         HeckeAlgebra(W).kl_basis(x)
     code = main(["hecke", "kl", "--type", "B", "--rank", "2", "--l", "5", "--x", "t(4,-10)*w[1 2]"])

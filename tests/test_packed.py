@@ -1,0 +1,136 @@
+"""The packed Z[v] sums of the periodic layer against LaurentPoly oracles,
+at the shared digit width and at narrow ones."""
+
+import random
+from itertools import product
+from operator import sub
+
+import pytest
+
+from periodic_kl import laurent, periodic
+from periodic_kl.cli import main
+from periodic_kl.hecke import ResourceError
+from periodic_kl.laurent import ZERO, LaurentPoly
+from periodic_kl.orders import standard_window
+from periodic_kl.periodic import PeriodicModule
+from periodic_kl.rootdata import Weight
+from oracles import generic_polynomial_by_dicts, generic_terms_by_dicts
+
+
+def _same_coset_pairs(window):
+    return [(y, x) for x in window for y in window if y.omega_component == x.omega_component]
+
+
+@pytest.mark.parametrize("name,height", [
+    ("a1", 2), ("a2", 1), ("b2", 1), ("c2", 1), ("g2", 0), ("a3", 0),
+])
+def test_generic_polynomials_match_the_dict_oracle(request, name, height):
+    ctx = request.getfixturevalue(name)
+    M = ctx.module
+    for y, x in _same_coset_pairs(standard_window(ctx.group, height)):
+        for kind in ("q", "qprime"):
+            assert M.generic_polynomial(y, x, kind) == generic_polynomial_by_dicts(M, y, x, kind), (y, x, kind)
+
+
+def test_narrow_width_matches_the_oracles_a2_h1(monkeypatch, a2):
+    # 8 bits per exponent hold every l1 bound of the A2 l5 h1 checks, so
+    # every decode must still give the exact values
+    monkeypatch.setattr(laurent, "_WIDTH", 8)
+    M = PeriodicModule(a2.group, a2.order)
+    window = standard_window(a2.group, 1)
+    for y, x in _same_coset_pairs(window):
+        for kind in ("q", "qprime"):
+            assert M.generic_polynomial(y, x, kind) == generic_polynomial_by_dicts(M, y, x, kind), (y, x, kind)
+    assert M.inversion_report(window) == []
+    for x in window:
+        sd = M.selfdual(x)
+        for y in set(sd.terms) | set(window):
+            assert M.koszul_of_series(y, x) == sd.coefficient(y)
+
+
+def test_guard_refuses_a_digit_that_would_wrap(monkeypatch, a2):
+    # q = 2v^3 + v^5 here, and a 2-bit balanced digit in [-2, 2) cannot hold the 2
+    W = a2.group
+    y, x = W.parse_element("t(0,0)*w[2 1]"), W.parse_element("t(1,1)*w[1]")
+    monkeypatch.setattr(laurent, "_WIDTH", 2)
+    M = PeriodicModule(W, a2.order)
+    true = generic_polynomial_by_dicts(M, y, x)
+    assert true == LaurentPoly({3: 2, 5: 1})
+    with pytest.raises(ResourceError, match=r"^generic q \(y.trans - x.trans, y.w, x.w\) at \(\(-1, -1\), \d+, \d+\): "
+                                            r"the coefficient bound \(\d+ bits\) reaches the packed digit width of 2 bits$"):
+        M.generic_polynomial(y, x, "q")
+    # what the guard keeps out: the same packed value read without it
+    _, rows, _ = M._generic_table(y.w.index, x.w.index)
+    rel = tuple(map(sub, y.trans, x.trans))
+    packed, bound = M._generic_sum(a2.rd.scaled_root_coordinates(rel), rows, True)
+    assert bound >= 2 and laurent.unpack(packed, 0, "", "") != true
+
+
+def test_selfcheck_exits_3_when_the_guard_fires(monkeypatch, capsys):
+    monkeypatch.setattr(laurent, "_WIDTH", 4)
+    code = main(["selfcheck", "--type", "A", "--rank", "2", "--l", "5", "--height", "1", "--format", "text"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("resource bound exceeded: inversion sum (z.trans - y.trans, y.w, z.w) at ")
+    assert lines[0].endswith("reaches the packed digit width of 4 bits")
+    assert "the coefficient bound (" in lines[0]
+
+
+def _l1(p: LaurentPoly) -> int:
+    return sum(map(abs, p.coeffs.values()))
+
+
+@pytest.mark.parametrize("name,height,generic,sample", [("a2", 1, True, None), ("g2", 1, False, 500)])
+def test_each_bound_dominates_the_l1_norms_of_its_terms(monkeypatch, request, name, height, generic, sample):
+    # every decode's bound is at least sum l1(a) * l1(b) over the products
+    # a * b it sums (q from the checked generic values, p and the series
+    # from dicts), which bounds every |c_e| of the value; a bound that drops
+    # a factor falls below it somewhere here
+    ctx = request.getfixturevalue(name)
+    seen = {}
+    real_unpack = periodic.unpack
+
+    def recording_unpack(packed, bound, what, key):
+        seen[what, key] = bound
+        return real_unpack(packed, bound, what, key)
+
+    monkeypatch.setattr(periodic, "unpack", recording_unpack)
+    M, W, roots = PeriodicModule(ctx.group, ctx.order), ctx.group, ctx.rd.positive_roots
+    zero = Weight((0,) * ctx.rd.rank)
+    for y, x in _same_coset_pairs(standard_window(W, height)):
+        if generic:  # the dict series are too slow for every G2 h1 pair
+            M.generic_polynomial(y, x, "q")
+            M.generic_polynomial(y, x, "qprime")
+        M.inversion_sum(y, x)
+        M.koszul_of_series(y, x)
+    koszul: dict = {}
+    for subset in product((0, 1), repeat=len(roots)):
+        sigma = zero
+        for k, b in zip(subset, roots):
+            if k:
+                sigma = sigma + b
+        size = sum(subset)
+        koszul[sigma] = koszul.get(sigma, ZERO) + LaurentPoly({2 * size: -1 if size % 2 else 1})
+    w0 = W.element(zero, W.w0.index)
+    kinds = set()
+    decoded = list(seen.items())
+    for (what, key), bound in decoded if sample is None else random.Random(0).sample(decoded, sample):
+        kind = what.split()[0] if what.startswith(("Koszul", "inversion")) else what.split()[1]
+        kinds.add(kind)
+        if kind == "inversion":
+            d, yw, zw = key
+            y, z = W.element(zero, yw), W.element(Weight(d), zw)
+            need = sum(_l1(M.generic_polynomial(W.multiply(w0, pos), y)) * _l1(p)
+                       for pos, p in M.selfdual(W.multiply(w0, z)).terms.items())
+        else:
+            rel, u, c = key
+            y, x = W.element(Weight(rel), u), W.element(zero, c)
+            if kind == "Koszul":
+                need = sum(_l1(M.generic_polynomial(W.translate_left(sigma, y), x)) * _l1(k)
+                           for sigma, k in koszul.items())
+            else:
+                need = sum(_l1(p) * _l1(series) for p, series in generic_terms_by_dicts(M, y, x, kind))
+        assert bound >= need, (what, key, bound, need)
+    assert kinds == ({"q", "qprime"} if generic else set()) | {"Koszul", "inversion"}

@@ -347,6 +347,26 @@ def test_certification_catches_product_term_outside_ideal(a2, monkeypatch):
     assert list(M._class_cache) == [0]  # only the base case, which needs no solve
 
 
+def test_stray_product_term_stops_the_solve_before_its_sweep(a2, monkeypatch):
+    # class w0 descends onto the translation class, so no other sweep runs
+    # first; the stray term must be refused before the sweep's step bound
+    from periodic_kl.orders import SemiInfiniteOrder
+    from periodic_kl.periodic import CertificationError
+
+    w = a2.group.w0.index
+    assert a2.module._down_policy[w][2] == 0
+    real_act_cs = PeriodicModule.act_cs
+    stray = a2.group.translation(Weight((1, 1)))
+
+    def act_cs_with_stray_term(self, m, j):
+        return real_act_cs(self, m, j) + self.basis(stray).scale(V)
+
+    monkeypatch.setattr(PeriodicModule, "act_cs", act_cs_with_stray_term)
+    M = PeriodicModule(a2.group, SemiInfiniteOrder(a2.group), max_sweep_steps=1)
+    with pytest.raises(CertificationError, match="^support escapes the semi-infinite ideal of the lead$"):
+        M._class_element(w)
+
+
 def test_witness_check_correction_branch(a2):
     # witnesses (z, src) of positions t(z.trans) src pushed by a correction at z
     from periodic_kl.periodic import CertificationError
@@ -360,22 +380,25 @@ def test_witness_check_correction_branch(a2):
     pos = W.translate_left(nu, src)
     escapes = "^support escapes the semi-infinite ideal of the lead$"
 
-    # z = t(nu) sigma lies below the lead, but its own witness is checked first
-    ok = M._check_witnesses(w, base, [lead, z, pos], {lead: None, z: None, pos: (z, src)})
+    # witness None marks a product term, checked before the sweep: the lead
+    # and z = t(nu) sigma both lie in supp(base) or supp(base) . s_j
+    M._check_product_terms(w, base, [lead, z])
+    # z lies below the lead, but its own witness is checked first
+    ok = M._check_witnesses(w, [lead, z, pos], {lead: None, z: None, pos: (z, src)})
     assert ok == {lead, z, pos}
     with pytest.raises(CertificationError, match=escapes):
-        M._check_witnesses(w, base, [lead, pos], {lead: None, pos: (z, src)})
+        M._check_witnesses(w, [lead, pos], {lead: None, pos: (z, src)})
     # src outside the support of class sigma
     far = W.translation(Weight((1, 1)))
     pos_far = W.translate_left(nu, far)
     with pytest.raises(CertificationError, match=escapes):
-        M._check_witnesses(w, base, [lead, z, pos_far], {lead: None, z: None, pos_far: (z, far)})
+        M._check_witnesses(w, [lead, z, pos_far], {lead: None, z: None, pos_far: (z, far)})
     # a self-correction whose src is not yet checked
     with pytest.raises(CertificationError, match=escapes):
-        M._check_witnesses(w, base, [lead, pos], {lead: None, pos: (lead, pos)})
+        M._check_witnesses(w, [lead, pos], {lead: None, pos: (lead, pos)})
     # a position that is not t(z.trans) src
     with pytest.raises(CertificationError, match=escapes):
-        M._check_witnesses(w, base, [lead, z, far], {lead: None, z: None, far: (z, src)})
+        M._check_witnesses(w, [lead, z, far], {lead: None, z: None, far: (z, src)})
 
 
 def test_witness_check_requires_a_down_move(a2):
@@ -390,7 +413,7 @@ def test_witness_check_requires_a_down_move(a2):
     M._down_policy[w] = (1, up.trans, up.w.index)
     base = M.shift(a2.module._class_element(up.w.index), up.trans)
     with pytest.raises(CertificationError, match="^support escapes the semi-infinite ideal of the lead$"):
-        M._check_witnesses(w, base, [lead], {lead: None})
+        M._check_product_terms(w, base, [lead])
 
 
 @pytest.mark.parametrize("name", ["a1", "a2", "a3", "b2", "c2", "g2"])

@@ -6,9 +6,10 @@ Deselected by the ``addopts`` in ``pyproject.toml``; run them with
 
 import pytest
 
-from oracles import poset_rows_per_column
+from oracles import generic_polynomial_by_dicts, poset_rows_per_column
 from periodic_kl.cli import main
 from periodic_kl.orders import SemiInfinitePoset, standard_window
+from periodic_kl.periodic import PeriodicModule
 
 pytestmark = pytest.mark.slow
 
@@ -30,3 +31,23 @@ def test_selfcheck_text(cartan, rank, l, height, tmp_path):
     assert main(argv) == 0
     lines = out.read_text().splitlines()
     assert lines and all(line.startswith("ok ") for line in lines)
+
+
+def test_koszul_round_trip_over_support_and_window_a3_h1(a3):
+    # every window x and every y in supp(SD_x) or the window, zeros included
+    M = PeriodicModule(a3.group, a3.order)
+    win = standard_window(a3.group, 1)
+    for x in win:
+        sd = M.selfdual(x)
+        for y in set(sd.terms) | set(win):
+            assert M.koszul_of_series(y, x) == sd.coefficient(y), (y, x)
+
+
+def test_generic_polynomials_match_the_dict_oracle_g2_h1(g2):
+    M = g2.module
+    win = standard_window(g2.group, 1)
+    for x in win:
+        for y in win:
+            if y.omega_component == x.omega_component:
+                for kind in ("q", "qprime"):
+                    assert M.generic_polynomial(y, x, kind) == generic_polynomial_by_dicts(M, y, x, kind)
