@@ -19,15 +19,19 @@ unreadable or malformed cache file and an unwritable output or cache
 path), 3 resource bound exceeded, 4 internal consistency failure (must
 never happen).
 
-The self-dual class vectors (the expensive part) can be cached on disk with
-``--cache-dir`` or the ``PERIODIC_KL_CACHE`` environment variable; cache
-files carry a format version and the full (type, rank, l) key, and are
-written through a temporary file so a reader never sees a partial one.  A
-loaded class whose index is out of range, whose leading coefficient is not
-1 or whose other coefficients are not all in vZ[v] is discarded with a
-warning on stderr and solved again.  The file is rewritten only when it
-does not already hold exactly the classes of the run: a run served wholly
-from the cache leaves it untouched.
+An option given where it does not apply exits 2 before any work:
+``--format csv`` outside ``blocks``/``orders``/``table``, ``--cache-dir``
+outside ``selfcheck``/``mult``/``table``, and ``--nu`` or ``--y`` on a kind
+that does not take it.
+
+The self-dual class vectors (the expensive part) are cached on disk only
+with ``--cache-dir``.  Cache files carry a format version and the full
+(type, rank, l) key, and are written through a temporary file so a reader
+never sees a partial one.  A loaded class whose index is out of range,
+whose leading coefficient is not 1 or whose other coefficients are not all
+in vZ[v] is discarded with a warning on stderr and solved again.  The file
+is rewritten only when it does not already hold exactly the classes of the
+run: a run served wholly from the cache leaves it untouched.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .hecke import HeckeAlgebra, ResourceError
-from .laurent import ONE, LaurentPoly
+from .hecke import HeckeAlgebra
+from .laurent import ONE, LaurentPoly, ResourceError
 from .multiplicity import MultiplicityTables, enumerate_blocks
 from .orders import SemiInfiniteOrder, SemiInfinitePoset, standard_window
 from .periodic import CertificationError, PeriodicModule
@@ -68,7 +72,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["json", "csv", "text"], default="json")
     parser.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     parser.add_argument("--cache-dir", default=None,
-                        help="cache directory (or set PERIODIC_KL_CACHE)")
+                        help="class cache directory (selfcheck, mult and table only)")
 
 
 def _build_context(args) -> tuple[RootDatum, AffineWeyl]:
@@ -86,10 +90,6 @@ def _build_context(args) -> tuple[RootDatum, AffineWeyl]:
     return rd, AffineWeyl(rd)
 
 
-def _cache_dir(args) -> Optional[str]:
-    return args.cache_dir or os.environ.get("PERIODIC_KL_CACHE")
-
-
 def _module(args, group: AffineWeyl) -> tuple[PeriodicModule, Optional[set[int]]]:
     """The module, with its classes preloaded from the cache file if there is one.
 
@@ -97,8 +97,7 @@ def _module(args, group: AffineWeyl) -> tuple[PeriodicModule, Optional[set[int]]
     or None when the file is absent, stale or had a class discarded.
     """
     mod = PeriodicModule(group)
-    cache = _cache_dir(args)
-    on_disk = _load_class_cache(mod, cache, args) if cache else None
+    on_disk = _load_class_cache(mod, args.cache_dir, args) if args.cache_dir else None
     return mod, on_disk
 
 
@@ -145,7 +144,7 @@ def _load_class_cache(mod: PeriodicModule, cache: str, args) -> Optional[set[int
 
 def _save_class_cache(mod: PeriodicModule, args, on_disk: Optional[set[int]]) -> None:
     """Write the class cache, unless the file already holds exactly these classes."""
-    cache = _cache_dir(args)
+    cache = args.cache_dir
     if not cache or on_disk == set(mod._class_cache):
         return
     os.makedirs(cache, exist_ok=True)
@@ -193,8 +192,6 @@ def _emit(args, payload_json: dict, text: str, csv_rows: Optional[list[list[str]
     if args.format == "json":
         out = json.dumps(payload_json, sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
-        if csv_rows is None:
-            raise UsageError("csv format is not available for this subcommand")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(csv_rows)
@@ -216,6 +213,15 @@ def _parse_weight(group: AffineWeyl, text: str) -> Weight:
     if len(coords) != group.rd.rank:
         raise UsageError(f"weight needs {group.rd.rank} coordinates")
     return Weight(coords)
+
+
+def _refuse_ignored(args) -> None:
+    """Refuse ``--format csv`` where there is no csv form, and ``--cache-dir``
+    where no class is computed."""
+    for option, given, applies in (("--format csv", args.format == "csv", ("blocks", "orders", "table")),
+                                   ("--cache-dir", args.cache_dir is not None, ("selfcheck", "mult", "table"))):
+        if given and args.command not in applies:
+            raise UsageError(f"{option} applies only to {', '.join(applies)}, not {args.command}")
 
 
 def _only_for(args, option: str, which: str) -> None:
@@ -483,6 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _refuse_ignored(args)
         return args.func(args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,9 +6,8 @@ extended affine Weyl group) subject to
     (H_s + v)(H_s - v^{-1}) = 0          for affine simple reflections s,
     H_x H_y = H_{xy}                     whenever len(x) + len(y) = len(xy).
 
-Products are computed by expanding the right factor into a reduced word
-times its length-zero part (which multiplies by index relabelling at no
-polynomial cost).  The bar involution is the ring homomorphism fixing the
+Products are the right action of :class:`RightHeckeModule`, shared with
+the periodic module, of the algebra on itself.  The bar involution is the ring homomorphism fixing the
 basis-free structure with v -> v^{-1} and H_x -> (H_{x^{-1}})^{-1}; the
 self-dual (Kazhdan-Lusztig) basis element at x is the unique bar-invariant
 element of H_x + sum_{y < x} vZ[v] H_y (Bruhat order), computed by the
@@ -36,16 +35,16 @@ the usual CPython guarantees.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import laurent
 from .laurent import ONE, V, VINV, Combination, LaurentPoly, ResourceError, unpack
 from .rootdata import Weight
 from .weyl import AffineWeyl, ExtAffineElement
 
-__all__ = ["HeckeAlgebra", "HeckeElement"]
+__all__ = ["HeckeAlgebra", "HeckeElement", "RightHeckeModule"]
 
-_V_MINUS_VINV = V - VINV  # v - v^{-1}
+_VINV_MINUS_V = VINV - V  # v^{-1} - v
 
 
 class HeckeElement(Combination):
@@ -69,68 +68,90 @@ class HeckeElement(Combination):
         ]
 
 
-class HeckeAlgebra:
-    def __init__(self, group: AffineWeyl):
+class RightHeckeModule:
+    """The free Z[v^{+-1}]-module on {B_x}, x in the extended affine Weyl group,
+    with the right action of the Hecke algebra
+
+        B_x . H_s     = B_{xs} + [s descends x] (v^{-1} - v) B_x   (s affine simple),
+        B_x . H_omega = B_{x omega}                                (len(omega) = 0),
+
+    and H_y = H_omega H_{s_j1} ... H_{s_jk} along a reduced word for y.  A
+    subclass sets its ``element`` type and passes ``descends(x, j)``, bound
+    once: the Bruhat order (len(xs) < len(x)) for the algebra acting on
+    itself, the semi-infinite order for the periodic module.
+    """
+
+    element: type[Combination]
+
+    def __init__(self, group: AffineWeyl, descends: Callable[[ExtAffineElement, int], bool]):
         self.group = group
         self.rd = group.rd
-        self._bar_cache: dict = {}
-        self._kl_cache: dict = {}
+        self.descends = descends
 
-    # -- constructors --------------------------------------------------------------
+    def zero(self) -> Combination:
+        return self.element({})
 
-    def zero(self) -> HeckeElement:
-        return HeckeElement({})
+    def basis(self, x: ExtAffineElement) -> Combination:
+        return self.element({x: ONE})
 
-    def unit(self) -> HeckeElement:
-        return HeckeElement({self.group.identity(): ONE})
+    def from_terms(self, terms: Mapping[ExtAffineElement, LaurentPoly]) -> Combination:
+        return self.element(terms)
 
-    def basis(self, x: ExtAffineElement) -> HeckeElement:
-        return HeckeElement({x: ONE})
-
-    def from_terms(self, terms: Mapping[ExtAffineElement, LaurentPoly]) -> HeckeElement:
-        return HeckeElement(terms)
-
-    # -- products ----------------------------------------------------------------------
-
-    def right_mul_gen(self, h: HeckeElement, j: int) -> HeckeElement:
-        """h * H_{s_j} for an affine simple reflection s_j."""
-        g = self.group
+    def act_gen(self, m: Combination, j: int) -> Combination:
+        """m . H_{s_j} for an affine simple reflection s_j."""
+        step = self.group.right_multiply_gen
+        descends = self.descends
         out: dict[ExtAffineElement, LaurentPoly] = {}
-        for x, p in h.terms.items():
-            xs = g.right_multiply_gen(x, j)
+        for x, p in m.terms.items():
+            xs = step(x, j)
             q = out.get(xs)
             out[xs] = p if q is None else q + p
-            if xs.length < x.length:
-                extra = p * _V_MINUS_VINV
+            if descends(x, j):
+                extra = p * _VINV_MINUS_V
                 q = out.get(x)
-                out[x] = -extra if q is None else q - extra
-        return HeckeElement(out)
+                out[x] = extra if q is None else q + extra
+        return self.element(out)
 
-    def right_mul_gen_inverse(self, h: HeckeElement, j: int) -> HeckeElement:
-        """h * (H_{s_j})^{-1} = h * (H_{s_j} + (v - v^{-1}))."""
-        return self.right_mul_gen(h, j) + h.scale(_V_MINUS_VINV)
-
-    def right_mul_element(self, h: HeckeElement, y: ExtAffineElement) -> HeckeElement:
-        """h * H_y via a reduced word for y."""
-        word, omega = self.group.reduced_word(y)
-        # H_y = H_omega H_{s_j1} ... H_{s_jk}; multiply left-to-right.
-        cur = self.right_mul_basis_translate(h, omega)
-        for j in word:
-            cur = self.right_mul_gen(cur, j)
-        return cur
-
-    def right_mul_basis_translate(self, h: HeckeElement, omega: ExtAffineElement) -> HeckeElement:
-        """h * H_omega for a length-zero omega: pure index relabelling."""
+    def act_omega(self, m: Combination, omega: ExtAffineElement) -> Combination:
+        """m . H_omega for a length-zero omega: pure index relabelling."""
         if omega.length != 0:
             raise ValueError("expected a length-zero element")
         g = self.group
-        return HeckeElement({g.multiply(x, omega): p for x, p in h.terms.items()})
+        return self.element({g.multiply(x, omega): p for x, p in m.terms.items()})
 
-    def multiply(self, h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
+    def act_hecke(self, m: Combination, h: HeckeElement) -> Combination:
+        """m . h, each H_y of h expanded along a reduced word for y."""
         out = self.zero()
-        for y, p in h2.terms.items():
-            out = out + self.right_mul_element(h1.scale(p), y)
+        for y, p in h.terms.items():
+            word, omega = self.group.reduced_word(y)
+            cur = self.act_omega(m.scale(p), omega)
+            for j in word:
+                cur = self.act_gen(cur, j)
+            out = out + cur
         return out
+
+
+class HeckeAlgebra(RightHeckeModule):
+    """The regular representation: H_x . H_s descends exactly when len(xs) < len(x)."""
+
+    element = HeckeElement
+
+    def __init__(self, group: AffineWeyl):
+        super().__init__(group, group.right_descent)
+        self._bar_cache: dict = {}
+        self._kl_cache: dict = {}
+
+    # -- products: h * H_{s_j} and h1 * h2 are the shared action ------------------------
+
+    right_mul_gen = RightHeckeModule.act_gen
+    multiply = RightHeckeModule.act_hecke
+
+    def unit(self) -> HeckeElement:
+        return self.basis(self.group.identity())
+
+    def right_mul_gen_inverse(self, h: HeckeElement, j: int) -> HeckeElement:
+        """h * (H_{s_j})^{-1} = h * (H_{s_j} + (v - v^{-1}))."""
+        return self.right_mul_gen(h, j) - h.scale(_VINV_MINUS_V)
 
     def inverse_basis(self, x: ExtAffineElement) -> HeckeElement:
         """(H_x)^{-1}, via the reversed word of generator inverses."""
@@ -138,7 +159,7 @@ class HeckeAlgebra:
         cur = self.unit()
         for j in reversed(word):
             cur = self.right_mul_gen_inverse(cur, j)
-        return self.right_mul_basis_translate(cur, self.group.inverse(omega))
+        return self.act_omega(cur, self.group.inverse(omega))
 
     # -- bar involution --------------------------------------------------------------------
 

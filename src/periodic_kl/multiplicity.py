@@ -148,13 +148,12 @@ class MultiplicityTables:
         return self.module.generic_polynomial(self._twist(y), self._twist(x), "qprime")
 
     def baby_verma_in_projective(self, x: ExtAffineElement, y: ExtAffineElement) -> LaurentPoly:
-        """(projective at y : baby Verma at x), graded."""
+        """(projective at y : baby Verma at x), graded.  By reciprocity it equals
+        [baby Verma at x : simple at y], so ``simple_in_baby_verma`` is this
+        same function."""
         return self.module.p_polynomial(self._twist(x), self._twist(y))
 
-    def simple_in_baby_verma(self, x: ExtAffineElement, y: ExtAffineElement) -> LaurentPoly:
-        """[baby Verma at x : simple at y], graded; equals the reciprocal
-        multiplicity baby_verma_in_projective(x, y)."""
-        return self.module.p_polynomial(self._twist(x), self._twist(y))
+    simple_in_baby_verma = baby_verma_in_projective
 
     # -- tables ------------------------------------------------------------------
 

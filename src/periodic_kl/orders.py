@@ -68,7 +68,7 @@ from itertools import product
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .hecke import ResourceError
+from .laurent import ResourceError
 from .rootdata import Weight, dominance_leq, pairing
 from .weyl import AffineWeyl, ExtAffineElement
 

@@ -1,13 +1,10 @@
 """The periodic module over the extended affine Hecke algebra.
 
 Free Z[v^{+-1}]-module with basis {B_x} indexed by the extended affine Weyl
-group, carrying the right action
-
-    B_x . H_s = B_{xs}                          if x < xs  (semi-infinite),
-    B_x . H_s = B_{xs} + (v^{-1} - v) B_x       if xs < x,
-
-for affine simple reflections s; the comparison is the local sign test from
-:mod:`.orders`.  For each weight lam the element
+group, carrying the right action of :class:`.hecke.RightHeckeModule`, whose
+docstring states the rule, with the semi-infinite order deciding when s
+descends x (xs < x, the local sign test from :mod:`.orders`).  For each
+weight lam the element
 
     e(lam) = sum_{w in W} v^{len(w)} B_{t(lam) w}
 
@@ -141,8 +138,8 @@ from operator import add, mul, sub
 from typing import Iterable, Literal, Mapping, Optional, Sequence
 
 from . import laurent
-from .hecke import HeckeElement, ResourceError
-from .laurent import ONE, V, VINV, ZERO, Combination, LaurentPoly, pack, unpack
+from .hecke import RightHeckeModule
+from .laurent import ONE, V, ZERO, Combination, LaurentPoly, ResourceError, pack, unpack
 from .orders import SemiInfiniteOrder
 from .rootdata import Weight
 from .weyl import AffineWeyl, ExtAffineElement
@@ -153,8 +150,6 @@ __all__ = [
     "PolynomialTable",
     "CertificationError",
 ]
-
-_VINV_MINUS_V = VINV - V
 
 
 class CertificationError(AssertionError):
@@ -184,12 +179,16 @@ class PolynomialTable:
     entries: dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly]
 
 
-class PeriodicModule:
+class PeriodicModule(RightHeckeModule):
+    """The periodic module: B_x . H_s descends exactly when xs < x in the
+    semi-infinite order."""
+
+    element = PeriodicElement
+
     def __init__(self, group: AffineWeyl, order: Optional[SemiInfiniteOrder] = None,
                  max_sweep_steps: int = 500_000):
-        self.group = group
-        self.rd = group.rd
         self.order = order or SemiInfiniteOrder(group)
+        super().__init__(group, self.order.descends)
         self.max_sweep_steps = max_sweep_steps
         self._class_cache: dict[int, PeriodicElement] = {}
         self._in_progress: set[int] = set()
@@ -197,7 +196,7 @@ class PeriodicModule:
         self._generic_tables: dict[tuple[int, int], tuple[dict, dict, Optional[int]]] = {}
         self._generic_decoded: dict[tuple[tuple[int, ...], int, int, bool], LaurentPoly] = {}
         self._inversion_rows: dict[int, dict[int, list[tuple[int, tuple[int, ...], int, int]]]] = {}
-        self._inversion_plans: dict[tuple[int, int], list[tuple[dict, dict, int, list]]] = {}
+        self._inversion_plans: dict[tuple[int, int], list[tuple[tuple[dict, dict, int], list]]] = {}
         self._inversion_memo: dict = {}
         self._koszul_memo: dict = {}
         self._down_policy = self._choose_down_moves()
@@ -218,15 +217,6 @@ class PeriodicModule:
 
     # -- basic constructions -----------------------------------------------------
 
-    def zero(self) -> PeriodicElement:
-        return PeriodicElement({})
-
-    def basis(self, x: ExtAffineElement) -> PeriodicElement:
-        return PeriodicElement({x: ONE})
-
-    def from_terms(self, terms: Mapping[ExtAffineElement, LaurentPoly]) -> PeriodicElement:
-        return PeriodicElement(terms)
-
     def height(self, x: ExtAffineElement) -> int:
         """<x dot_l 0, 2 rho^>; strictly decreasing along the semi-infinite order."""
         return self.order.height(x)
@@ -246,39 +236,13 @@ class PeriodicModule:
 
     # -- right module action ---------------------------------------------------------
 
-    def act_gen(self, m: PeriodicElement, j: int) -> PeriodicElement:
-        """m . H_{s_j} for an affine simple reflection."""
-        g = self.group
-        out: dict[ExtAffineElement, LaurentPoly] = {}
-        for x, p in m.terms.items():
-            xs = g.right_multiply_gen(x, j)
-            q = out.get(xs)
-            out[xs] = p if q is None else q + p
-            if self.order.descends(x, j):
-                extra = p * _VINV_MINUS_V
-                q = out.get(x)
-                out[x] = extra if q is None else q + extra
-        return PeriodicElement(out)
+    # Bound here rather than inherited, so that it is found in this class's
+    # own __dict__ (the per-layer tracing of bench/tracing.py wraps it there).
+    act_gen = RightHeckeModule.act_gen
 
     def act_cs(self, m: PeriodicElement, j: int) -> PeriodicElement:
         """m . (H_{s_j} + v)."""
         return self.act_gen(m, j) + m.scale(V)
-
-    def act_omega(self, m: PeriodicElement, omega: ExtAffineElement) -> PeriodicElement:
-        if omega.length != 0:
-            raise ValueError("expected a length-zero element")
-        g = self.group
-        return PeriodicElement({g.multiply(x, omega): p for x, p in m.terms.items()})
-
-    def act_hecke(self, m: PeriodicElement, h: HeckeElement) -> PeriodicElement:
-        out = self.zero()
-        for y, p in h.terms.items():
-            word, omega = self.group.reduced_word(y)
-            cur = self.act_omega(m.scale(p), omega)
-            for j in word:
-                cur = self.act_gen(cur, j)
-            out = out + cur
-        return out
 
     # -- self-dual basis ------------------------------------------------------------------
 
@@ -658,23 +622,35 @@ class PeriodicModule:
         key = (rel, y.w.index, x.w.index)
         hit = self._koszul_memo.get(key)
         if hit is None:
-            memo, rows, top = self._generic_table(key[1], key[2])
-            total = bound = 0
-            if top is not None:
-                target = self.rd.scaled_root_coordinates(rel)
-                limit = top - sum(target)
-                for reach, sigma, poly, lpoly in self._koszul_packed:
-                    if reach > limit:
-                        break  # q is zero here and at every later sigma
-                    at = tuple(map(add, target, sigma))
-                    q = memo.get(at)
-                    if q is None:
-                        q = memo[at] = self._generic_sum(at, rows, True)
-                    if q[1]:
-                        total += q[0] * poly
-                        bound += q[1] * lpoly
+            total, bound = self._q_sum(self._generic_table(key[1], key[2]),
+                                       self.rd.scaled_root_coordinates(rel), self._koszul_packed)
             hit = self._koszul_memo[key] = unpack(total, bound, "Koszul sum (y.trans - x.trans, y.w, x.w)", key)
         return hit
+
+    def _q_sum(self, table: tuple[dict, dict, Optional[int]], target: tuple[int, ...],
+               terms: Iterable[tuple[int, tuple[int, ...], int, int]]) -> tuple[int, int]:
+        """sum of q * f over the terms (reach, offset, f, l1 norm of f), packed, with
+        a bound on its l1 norm.  q is the weighted generic polynomial of
+        ``table`` = (memo, rows, top) at E(rel) = target + offset, read from the
+        memo or filled by ``_generic_sum``.  The terms come by ascending reach
+        (the sum of the offset), so the sum stops at the first whose reach
+        exceeds top - sum(target): its q and every later one are zero."""
+        memo, rows, top = table
+        total = bound = 0
+        if top is None:
+            return total, bound
+        limit = top - sum(target)
+        for reach, offset, f, lf in terms:
+            if reach > limit:
+                break
+            at = tuple(map(add, target, offset))
+            q = memo.get(at)
+            if q is None:
+                q = memo[at] = self._generic_sum(at, rows, True)
+            if q[1]:
+                total += q[0] * f
+                bound += q[1] * lf
+        return total, bound
 
     # -- inversion identity -----------------------------------------------------------------
 
@@ -701,25 +677,16 @@ class PeriodicModule:
             # each group of rows with the generic table it reads
             plan = []
             for u, group in groups.items():
-                memo, rows, top = self._generic_table(u, yw)
-                if top is not None:  # otherwise every q of the group is zero
-                    plan.append((memo, rows, top, group))
+                table = self._generic_table(u, yw)
+                if table[2] is not None:  # otherwise every q of the group is zero
+                    plan.append((table, group))
             self._inversion_plans[(yw, zw)] = plan
         target = self.rd.scaled_root_coordinates(d)
-        reach_d = sum(target)
         total = bound = 0
-        for memo, rows, top, group in plan:
-            limit = top - reach_d
-            for reach, offset, p, lp in group:
-                if reach > limit:
-                    break  # q is zero here and at every later row
-                at = tuple(map(add, target, offset))
-                q = memo.get(at)
-                if q is None:
-                    q = memo[at] = self._generic_sum(at, rows, True)
-                if q[1]:
-                    total += q[0] * p
-                    bound += q[1] * lp
+        for table, group in plan:
+            part, part_bound = self._q_sum(table, target, group)
+            total += part
+            bound += part_bound
         # x = t(d) x0 and length parity is a character, so len(x) = len(t(d)) + len(x0)
         # mod 2, with len(t(d)) = <d, 2 rho^> mod 2; the rows carry (-1)^len(x0).
         if (sum(map(mul, self.rd.two_rho_check, d)) + self.group.finite_elements[yw].length) % 2:

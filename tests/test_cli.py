@@ -137,18 +137,31 @@ def test_usage_errors():
     assert main(["table", "p", *BASE_A1, "--height", "-1"]) == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["table", "p", *BASE_A1, "--height", "0", "--nu", "5"],
-    ["mult", "simple-in-verma", *BASE_A1, "--x", "t(0)*w[]", "--y", "t(0)*w[]", "--nu", "7"],
-    ["hecke", "kl", *BASE_A1, "--x", "t(0)*w[1]", "--y", "t(0)*w[1]"],
-    ["hecke", "bar", *BASE_A1, "--x", "t(0)*w[1]", "--y", "t(0)*w[1]"],
-], ids=["table-nu", "mult-nu", "hecke-kl-y", "hecke-bar-y"])
-def test_a_flag_the_kind_would_ignore_is_refused(argv, capsys):
-    assert main(argv) == 2
+CACHE_DIR = "<cache dir>"  # replaced by a path under the test's tmp_path
+
+
+@pytest.mark.parametrize("flag,argv", [
+    ("--nu", ["table", "p", *BASE_A1, "--height", "0", "--nu", "5"]),
+    ("--nu", ["mult", "simple-in-verma", *BASE_A1, "--x", "t(0)*w[]", "--y", "t(0)*w[]", "--nu", "7"]),
+    ("--y", ["hecke", "kl", *BASE_A1, "--x", "t(0)*w[1]", "--y", "t(0)*w[1]"]),
+    ("--y", ["hecke", "bar", *BASE_A1, "--x", "t(0)*w[1]", "--y", "t(0)*w[1]"]),
+    ("--format csv", ["selfcheck", *BASE_A1, "--height", "2", "--format", "csv", "--cache-dir", CACHE_DIR]),
+    ("--format csv", ["mult", "baby", *BASE_A1, "--x", "t(0)*w[]", "--y", "t(0)*w[1]",
+                      "--format", "csv", "--cache-dir", CACHE_DIR]),
+    ("--format csv", ["hecke", "mul", *BASE_A1, "--x", "t(0)*w[1]", "--y", "t(0)*w[1]", "--format", "csv"]),
+    ("--cache-dir", ["blocks", *BASE_A1, "--cache-dir", CACHE_DIR]),
+    ("--cache-dir", ["hecke", "kl", *BASE_A1, "--x", "t(0)*w[1]", "--cache-dir", CACHE_DIR]),
+    ("--cache-dir", ["orders", "hasse", *BASE_A1, "--height", "1", "--cache-dir", CACHE_DIR]),
+], ids=["table-nu", "mult-nu", "hecke-kl-y", "hecke-bar-y", "selfcheck-csv", "mult-csv", "hecke-csv",
+        "blocks-cache-dir", "hecke-cache-dir", "orders-cache-dir"])
+def test_a_flag_the_kind_would_ignore_is_refused(flag, argv, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert main([str(cache) if a == CACHE_DIR else a for a in argv]) == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: "), lines
-    assert ("--nu" if "--nu" in argv else "--y") in lines[0]
+    assert flag in lines[0]
+    assert not cache.exists()
 
 
 B2_Q_H1 = ["table", "q", "--type", "B", "--rank", "2", "--l", "5", "--height", "1"]
@@ -158,7 +171,6 @@ def test_table_formats_its_polynomials_from_memory(monkeypatch, tmp_path):
     def refuse(data):
         raise AssertionError("table output re-parsed a polynomial")
 
-    monkeypatch.delenv("PERIODIC_KL_CACHE", raising=False)
     monkeypatch.setattr(LaurentPoly, "from_json", staticmethod(refuse))
     code, data = run_cli(B2_Q_H1, tmp_path)
     assert code == 0 and json.loads(data)["entries"]
@@ -239,6 +251,14 @@ def test_cache_round_trip(tmp_path):
 
 A1_CACHE_NAME = "classes-A1-l3-v1.json"
 A1_H0 = ["table", "p", *BASE_A1, "--height", "0", "--format", "text"]
+
+
+def test_the_cache_is_never_turned_on_by_the_environment(monkeypatch, tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("PERIODIC_KL_CACHE", str(cache))
+    assert run_cli(A1_H0, tmp_path)[0] == 0
+    assert list(cache.iterdir()) == []
 
 
 def _write_cache(cache, classes):

@@ -20,37 +20,45 @@ def test_action_examples(a1):
     assert r2 == M.basis(e)
 
 
-def test_action_satisfies_quadratic_relation(a1, a2):
+DATA = ["a1", "a2", "a3", "b2", "c2", "g2"]
+# The periodic module, and the Hecke algebra as its own regular module.
+MODULES = ["module", "hecke"]
+
+
+@pytest.mark.parametrize("datum", DATA)
+@pytest.mark.parametrize("which", MODULES)
+def test_action_satisfies_quadratic_relation(request, datum, which):
+    ctx = request.getfixturevalue(datum)
+    M, W = getattr(ctx, which), ctx.group
     rng = random.Random(0)
-    for ctx in (a1, a2):
-        M, W = ctx.module, ctx.group
-        elts = list(W.elements_of_length_leq(3))
-        for _ in range(10):
-            terms = {x: LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)}) for x in rng.sample(elts, 3)}
-            m = M.from_terms(terms)
-            for j in W.affine_generator_indices():
-                lhs = M.act_gen(M.act_gen(m, j), j)
-                rhs = m + M.act_gen(m, j).scale(VINV - V)
-                assert lhs == rhs
+    elts = list(W.elements_of_length_leq(3))
+    for _ in range(10):
+        terms = {x: LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)}) for x in rng.sample(elts, 3)}
+        m = M.from_terms(terms)
+        for j in W.affine_generator_indices():
+            lhs = M.act_gen(M.act_gen(m, j), j)
+            rhs = m + M.act_gen(m, j).scale(VINV - V)
+            assert lhs == rhs
 
 
-def test_action_satisfies_braid_relations(a2, b2):
+@pytest.mark.parametrize("datum", DATA)
+@pytest.mark.parametrize("which", MODULES)
+def test_action_satisfies_braid_relations(request, datum, which):
+    ctx = request.getfixturevalue(datum)
+    M, W = getattr(ctx, which), ctx.group
     rng = random.Random(1)
-    for ctx in (a2, b2):
-        M, W = ctx.module, ctx.group
-        elts = list(W.elements_of_length_leq(2))
-        orders = {("A", 2): 3, ("B", 2): 4}
-        for i in W.affine_generator_indices():
-            for j in W.affine_generator_indices():
-                if i >= j:
-                    continue
-                m_ord = _braid_order(W, i, j)
-                if m_ord is None:
-                    continue
-                for _ in range(4):
-                    terms = {x: LaurentPoly({rng.randint(-1, 1): 1}) for x in rng.sample(elts, 2)}
-                    m = M.from_terms(terms)
-                    assert _act_alternating(M, m, i, j, m_ord) == _act_alternating(M, m, j, i, m_ord)
+    elts = list(W.elements_of_length_leq(2))
+    for i in W.affine_generator_indices():
+        for j in W.affine_generator_indices():
+            if i >= j:
+                continue
+            m_ord = _braid_order(W, i, j)
+            if m_ord is None:
+                continue
+            for _ in range(4):
+                terms = {x: LaurentPoly({rng.randint(-1, 1): 1}) for x in rng.sample(elts, 2)}
+                m = M.from_terms(terms)
+                assert _act_alternating(M, m, i, j, m_ord) == _act_alternating(M, m, j, i, m_ord)
 
 
 def _braid_order(W, i, j, cap=8):
@@ -70,9 +78,11 @@ def _act_alternating(M, m, i, j, order):
     return m
 
 
-def test_action_module_over_algebra(a1):
+@pytest.mark.parametrize("datum", DATA)
+def test_action_module_over_algebra(request, datum):
     # acting by a product equals acting twice (uses reduced-word expansion)
-    M, W, H = a1.module, a1.group, a1.hecke
+    ctx = request.getfixturevalue(datum)
+    M, W, H = ctx.module, ctx.group, ctx.hecke
     rng = random.Random(2)
     elts = list(W.elements_of_length_leq(3))
     for _ in range(10):
