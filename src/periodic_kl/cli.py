@@ -166,8 +166,7 @@ def _save_class_cache(mod: PeriodicModule, args, on_disk: Optional[set[int]]) ->
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(data, fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(data, sort_keys=True) + "\n")  # json.dump never takes the C encoder
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -11,8 +11,9 @@ the periodic module, of the algebra on itself.  The bar involution is the ring h
 basis-free structure with v -> v^{-1} and H_x -> (H_{x^{-1}})^{-1}; the
 self-dual (Kazhdan-Lusztig) basis element at x is the unique bar-invariant
 element of H_x + sum_{y < x} vZ[v] H_y (Bruhat order), computed by the
-standard multiply-by-(H_s + v)-and-correct recursion with the corrections
-made in one pass down the lengths.  Every coefficient that recursion meets
+standard multiply-by-(H_s + v)-and-correct recursion on dense integer ids,
+with the corrections made in one walk down the lengths of the product's
+support.  Every coefficient that recursion meets
 lies in Z[v], so it runs on the packed integers of :mod:`.laurent`
 (``pack``/``unpack``, B = ``laurent._WIDTH`` bits per exponent, each c_e a
 balanced digit in [-2^(B-1), 2^(B-1))).  A sum of polynomials is one
@@ -28,9 +29,10 @@ Bernstein translation elements are theta_lam = H_{t(mu)} (H_{t(nu)})^{-1}
 for any splitting lam = mu - nu into dominant parts; independence of the
 splitting is asserted in the test suite.
 
-All caches are plain dicts owned by the algebra object; operations are pure
-apart from cache insertion, so sharing an algebra across threads only needs
-the usual CPython guarantees.
+All caches are plain dicts and lists owned by the algebra object;
+operations are pure apart from cache insertion.  The dense-id tables of the
+KL recursion grow several lists per new id, so one algebra computes
+``kl_basis`` in one thread at a time.
 """
 
 from __future__ import annotations
@@ -139,7 +141,14 @@ class HeckeAlgebra(RightHeckeModule):
     def __init__(self, group: AffineWeyl):
         super().__init__(group, group.right_descent)
         self._bar_cache: dict = {}
-        self._kl_cache: dict = {}
+        # dense ids of the KL recursion: id -> element, id -> length, and per
+        # affine generator s_j, id -> the id of its s_j-neighbour b when it is
+        # longer, ~b when it is shorter, None until first needed
+        self._ids: dict[ExtAffineElement, int] = {}
+        self._elts: list[ExtAffineElement] = []
+        self._lens: list[int] = []
+        self._nbrs: list[list[int | None]] = [[] for _ in group.affine_generator_indices()]
+        self._kl_cache: dict[int, tuple[dict[int, int], int]] = {}
 
     # -- products: h * H_{s_j} and h1 * h2 are the shared action ------------------------
 
@@ -186,19 +195,29 @@ class HeckeAlgebra(RightHeckeModule):
         ``max_length`` on len(x) is checked before any work.
 
         Recursion: with s_j the lowest right descent of x and u = x s_j, the
-        product C_u (H_s + v) is built in one {element: packed int} dict by
-        one integer add per term:
+        product C_u (H_s + v) is built in one {id: packed int} dict, on the
+        dense ids of ``_id``.  Every s-orbit {a, b = as} with a < b meeting
+        the support of C_u is visited once, by one partner lookup:
 
-            H_y (H_s + v) = H_{ys} + v^{-1} H_y   if ys < y  (shift right),
-                            H_{ys} + v H_y        otherwise  (shift left).
+            acc[a] = v p_a + p_b,    acc[b] = p_a + v^{-1} p_b,
 
-        One pass over the lengths len(x) - 1, ..., 0 then subtracts m C_y at
-        every y whose coefficient is not in vZ[v].  As every coefficient is
-        in Z[v], m (its bar-symmetric lower part) is the constant term, the
-        low digit, and the correction is one integer multiply-add per term
-        of C_y.  C_y adds terms only strictly below y, so each length is
-        final when the pass reaches it.  Every C_y visited stays packed in
-        the memo; only C_x is decoded.
+        from H_a (H_s + v) = H_b + v H_a and H_b (H_s + v) = H_a + v^{-1} H_b.
+        One walk over its keys, sorted by descending length, then subtracts
+        m C_y at every y below len(x) whose coefficient is not in vZ[v].  As
+        every coefficient is in Z[v], m (its bar-symmetric lower part) is the
+        constant term, the low digit, and the correction is one integer
+        multiply-add per term of C_y, applied as one bulk update.  C_y adds
+        terms only strictly below y, so each key is final when the walk
+        reaches it.  Every C_y visited stays packed in the memo; only C_x is
+        decoded.
+
+        Support: the keys of the product are supp C_u together with its
+        s-translates, which is [e, u] u [e, u]s = [e, x].  By positivity
+        (Kazhdan-Lusztig, "Schubert varieties and Poincare duality", 1980)
+        every coefficient of C_u (H_s + v) = C_x + sum mu C_z is a non-negative
+        sum, and supp C_y = [e, y] for every y, so each correction term lies
+        in [e, y], inside [e, x]: it is already a key.  A miss is an internal
+        error (AssertionError), so no key is ever added behind the walk.
 
         Decode: if p = sum c_e 2^(B e) with every |c_e| < 2^(B-1), then
         p = c_0 mod 2^B with c_0 in [-2^(B-1), 2^(B-1)), so
@@ -226,65 +245,94 @@ class HeckeAlgebra(RightHeckeModule):
             raise ResourceError(
                 f"KL recursion at an element of length {n} exceeds the configured length bound {max_length}"
             )
-        terms, bound = self._kl_packed(x)
-        return HeckeElement({z: unpack(p, bound, "KL basis coefficient", z) for z, p in terms.items()})
+        terms, bound = self._kl_packed(self._id(x))
+        elts = self._elts
+        return HeckeElement({
+            elts[z]: unpack(p, bound, "KL basis coefficient", elts[z]) for z, p in terms.items()
+        })
 
-    def _kl_packed(self, x: ExtAffineElement) -> tuple[dict[ExtAffineElement, int], int]:
-        """C_x as {element: packed coefficient} and the bound M_x on its
-        coefficients, memoized: the recursion of ``kl_basis``."""
-        hit = self._kl_cache.get(x)
+    def _id(self, x: ExtAffineElement) -> int:
+        """The dense id of x, assigned on first sight."""
+        i = self._ids.get(x)
+        if i is None:
+            i = self._ids[x] = len(self._elts)
+            self._elts.append(x)
+            self._lens.append(x.length)
+            for nbr in self._nbrs:
+                nbr.append(None)
+        return i
+
+    def _neighbour(self, a: int, j: int) -> int:
+        """Fill the s_j-neighbour slots of a and of b = a s_j, both at once:
+        b in a's slot and ~a in b's when b is longer, ~b and a otherwise."""
+        b = self._id(self.group.right_multiply_gen(self._elts[a], j))
+        nbr = self._nbrs[j]
+        if self._lens[b] > self._lens[a]:
+            nbr[a], nbr[b] = b, ~a
+        else:
+            nbr[a], nbr[b] = ~b, a
+        return nbr[a]
+
+    def _kl_packed(self, x: int) -> tuple[dict[int, int], int]:
+        """C_x as {id: packed coefficient} and the bound M_x on its
+        coefficients, memoized by id: the recursion of ``kl_basis``."""
+        cache = self._kl_cache
+        hit = cache.get(x)
         if hit is not None:
             return hit
-        n = x.length
+        lens = self._lens
+        n = lens[x]
         if n == 0:
-            hit = ({x: 1}, 1)
-            self._kl_cache[x] = hit
+            hit = cache[x] = ({x: 1}, 1)
             return hit
         width = laurent._WIDTH
         half = 1 << (width - 1)
         mask = (1 << width) - 1
-        g = self.group
-        step = g.right_multiply_gen
-        j = next(k for k in g.affine_generator_indices() if g.right_descent(x, k))
-        cu, bound_u = self._kl_packed(step(x, j))
+        for j, nbr in enumerate(self._nbrs):  # j, nbr: the lowest right descent s_j of x
+            u = nbr[x]
+            if u is None:
+                u = self._neighbour(x, j)
+            if u < 0:
+                break
+        else:
+            raise AssertionError("positive-length element with no descent")
+        cu, bound_u = self._kl_packed(~u)
         bound = 2 * bound_u
-        acc: dict[ExtAffineElement, int] = {}
-        by_length: list[list[ExtAffineElement]] = [[] for _ in range(n + 1)]
-        for y, p in cu.items():
-            ys = step(y, j)
-            k = y.length
-            if ys.length < k:
+        acc: dict[int, int] = {}
+        get = cu.get
+        for a, p in cu.items():
+            b = nbr[a]
+            if b is None:
+                b = self._neighbour(a, j)
+            if b >= 0:  # the orbit {a < b}: p_a = p
+                q = get(b)
+                if q is None:  # p_b = 0: acc[b] shares p's int
+                    acc[a] = p << width
+                    acc[b] = p
+                    continue
+                if q & mask:
+                    raise AssertionError("unexpected correction shape in KL recursion")
+                acc[a] = (p << width) + q
+                acc[b] = p + (q >> width)
+            elif ~b not in cu:  # the orbit {~b < a}: p_{~b} = 0, p_a = p (else done at ~b)
                 if p & mask:
                     raise AssertionError("unexpected correction shape in KL recursion")
-                q = p >> width
-            else:
-                q = p << width
-            r = acc.get(y)
-            if r is None:
-                acc[y] = q
-                by_length[k].append(y)
-            else:
-                acc[y] = r + q
-            r = acc.get(ys)
-            if r is None:
-                acc[ys] = p
-                by_length[ys.length].append(ys)
-            else:
-                acc[ys] = r + p
-        for level in range(n - 1, -1, -1):
-            for y in by_length[level]:
-                m = ((acc[y] + half) & mask) - half
-                if not m:
-                    continue
-                cy, bound_y = self._kl_packed(y)
-                bound += abs(m) * bound_y
-                for z, q in cy.items():
-                    r = acc.get(z)
-                    if r is None:
-                        acc[z] = -m * q
-                        by_length[z.length].append(z)
-                    else:
-                        acc[z] = r - m * q
+                acc[~b] = p
+                acc[a] = p >> width
+        order = sorted(acc, key=lens.__getitem__, reverse=True)
+        top = 0
+        while lens[order[top]] == n:
+            top += 1
+        for y in order[top:]:
+            m = ((acc[y] + half) & mask) - half
+            if not m:
+                continue
+            cy, bound_y = cache.get(y) or self._kl_packed(y)
+            bound += abs(m) * bound_y
+            try:
+                acc.update({z: acc[z] - m * q for z, q in cy.items()})
+            except KeyError:
+                raise AssertionError("KL correction term outside the support of the product") from None
         if bound >= half:
             raise ResourceError(
                 f"KL recursion at an element of length {n}: the coefficient bound "
@@ -292,8 +340,7 @@ class HeckeAlgebra(RightHeckeModule):
             )
         if acc.get(x) != 1:
             raise AssertionError("KL basis element has wrong leading coefficient")
-        hit = ({z: p for z, p in acc.items() if p}, bound)
-        self._kl_cache[x] = hit
+        hit = cache[x] = ({z: p for z, p in acc.items() if p}, bound)
         return hit
 
     # -- Bernstein translation elements -----------------------------------------------------------

@@ -57,12 +57,13 @@ class FiniteWeylElement:
     identity comparison through the context index is valid.
     """
 
-    __slots__ = ("index", "matrix", "word", "length", "inverse_index", "length_form")
+    __slots__ = ("index", "matrix", "word", "text", "length", "inverse_index", "length_form")
 
     def __init__(self, index: int, matrix: tuple[tuple[int, ...], ...], word: tuple[int, ...]):
         self.index = index
         self.matrix = matrix
         self.word = word  # reduced word in simple-reflection indices (0-based)
+        self.text = f"w[{' '.join(str(i + 1) for i in word)}]"  # the printed form, 1-based
         self.length = len(word)
         self.inverse_index: int = -1  # filled by the context
         # len(t(lam) w) = sum |<lam, row> - offset| over these pairs; filled by the context
@@ -72,7 +73,7 @@ class FiniteWeylElement:
         return Weight(sum(map(mul, row, lam)) for row in self.matrix)
 
     def __repr__(self) -> str:
-        return f"w[{' '.join(str(i + 1) for i in self.word)}]"
+        return self.text
 
 
 class ExtAffineElement:
@@ -109,9 +110,7 @@ class ExtAffineElement:
         return self._omega
 
     def __repr__(self) -> str:
-        coords = ",".join(map(str, self.trans))
-        word = " ".join(str(i + 1) for i in self.w.word)
-        return f"t({coords})*w[{word}]"
+        return f"t({','.join(map(str, self.trans))})*{self.w.text}"
 
 
 class AffineWeyl:
@@ -138,30 +137,31 @@ class AffineWeyl:
             gens.append(tuple(tuple((1 if r == c else 0) - (col[r] if c == i else 0) for c in range(rank)) for r in range(rank)))
         elements: list[FiniteWeylElement] = [FiniteWeylElement(0, ident, ())]
         index_of = {ident: 0}
-        frontier = [elements[0]]
-        while frontier:
-            el = frontier.pop(0)
+        # right[a][i] = index of a * s_i: the right Cayley table, one matrix product per entry
+        right: list[list[int]] = []
+        for el in elements:  # grows while it runs: a breadth-first search
+            row = []
             for i, g in enumerate(gens):
-                # right multiplication: (el * s_i) acts by el.matrix @ g
                 m = _matmul(el.matrix, g)
                 if m not in index_of:
-                    new = FiniteWeylElement(len(elements), m, el.word + (i,))
-                    index_of[m] = new.index
-                    elements.append(new)
-                    frontier.append(new)
+                    index_of[m] = len(elements)
+                    elements.append(FiniteWeylElement(len(elements), m, el.word + (i,)))
+                row.append(index_of[m])
+            right.append(row)
         self.finite_elements: tuple[FiniteWeylElement, ...] = tuple(elements)
         self._findex = index_of
         self._gen_indices = [index_of[g] for g in gens]
 
-        n = len(elements)
-        self._fin_mul = [[0] * n for _ in range(n)]
+        # a * b follows b's reduced word from a: row[b] = right[row[b s_i]][i] with
+        # i the last letter of b's word, whose prefix b s_i precedes b in the search
+        parents = [(right[b.index][b.word[-1]], b.word[-1]) for b in elements[1:]]
+        self._fin_mul = []
         for a in elements:
-            for b in elements:
-                self._fin_mul[a.index][b.index] = index_of[_matmul(a.matrix, b.matrix)]
-        for a in elements:
-            for b in elements:
-                if self._fin_mul[a.index][b.index] == 0:
-                    a.inverse_index = b.index
+            row = [a.index]
+            for p, i in parents:
+                row.append(right[row[p]][i])
+            self._fin_mul.append(row)
+            a.inverse_index = row.index(0)
         # Reduced words from BFS are geodesic, so word length is the Coxeter length;
         # cross-check against the inversion count.
         for a in elements:

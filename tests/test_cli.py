@@ -245,6 +245,8 @@ def test_cache_round_trip(tmp_path):
     _, first = run_cli(args, tmp_path, "a.json")
     files = list(cache.iterdir())
     assert len(files) == 1 and files[0].name.startswith("classes-A1-l3-v")
+    text = files[0].read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
     _, second = run_cli(args, tmp_path, "b.json")
     assert first == second
 

@@ -234,6 +234,44 @@ def test_kl_basis_against_dict_recursion(fixture, request):
         assert H.kl_basis(x).to_json() == kl_basis_by_dicts(H, x, memo).to_json(), W.format_element(x)
 
 
+@pytest.mark.parametrize("fixture", ["a2", "b2", "g2", "a3"])
+def test_kl_basis_is_equivariant_under_length_zero_elements(fixture, request):
+    # left multiplication by a length-zero omega is a length-preserving
+    # automorphism of the Bruhat order, so C_{omega x} is C_x with every H_y
+    # relabelled H_{omega y}: the premise on which the benchmark seeds its
+    # ``hecke kl`` queries from one base element per datum
+    ctx = request.getfixturevalue(fixture)
+    W = ctx.group
+    H = HeckeAlgebra(W)
+    datum = (ctx.rd.cartan_type, ctx.rd.rank, ctx.rd.l)
+    for text in _kl_orbits()[datum]:
+        x = W.parse_element(text)
+        kl = H.kl_basis(x)
+        for omega in W.omega_elements.values():
+            moved = {W.multiply(omega, y): p for y, p in kl.terms.items()}
+            assert H.kl_basis(W.multiply(omega, x)).terms == moved, (text, repr(omega))
+
+
+def test_kl_correction_outside_the_product_support_is_an_internal_error(a2):
+    # C_u (H_s + v) = C_{w0} + C_{s_1} for w0 = s_1 s_2 s_1 and u = w0 s_1, so
+    # the recursion at w0 corrects by a memoized C_y; a stray term planted in
+    # every memoized C_y except C_u lies outside [e, w0], the product's support
+    W = a2.group
+    H = HeckeAlgebra(W)
+    w0 = W.element(Weight((0, 0)), W.w0.index)
+    u = W.right_multiply_gen(w0, 1)
+    assert u.length == 2
+    for y in W.elements_of_length_leq(2):
+        if y.omega_component == w0.omega_component:
+            H.kl_basis(y)
+    stray = H._id(W.translation(Weight((3, 3))))
+    for i, (cy, bound) in list(H._kl_cache.items()):
+        if i != H._id(u):
+            H._kl_cache[i] = ({**cy, stray: 1}, bound)
+    with pytest.raises(AssertionError, match="outside the support of the product"):
+        H.kl_basis(w0)
+
+
 def test_kl_basis_at_a_narrow_digit_width(monkeypatch, a2):
     # 8 bits per exponent hold the tracked bound of every A2 element up to
     # length 6, so the balanced-digit decode must agree with the dicts there

@@ -6,8 +6,9 @@ Deselected by the ``addopts`` in ``pyproject.toml``; run them with
 
 import pytest
 
-from oracles import generic_polynomial_by_dicts, poset_rows_per_column
+from oracles import generic_polynomial_by_dicts, kl_basis_by_dicts, poset_rows_per_column
 from periodic_kl.cli import main
+from periodic_kl.hecke import HeckeAlgebra
 from periodic_kl.orders import SemiInfinitePoset, standard_window
 from periodic_kl.periodic import PeriodicModule
 
@@ -31,6 +32,14 @@ def test_selfcheck_text(cartan, rank, l, height, tmp_path):
     assert main(argv) == 0
     lines = out.read_text().splitlines()
     assert lines and all(line.startswith("ok ") for line in lines)
+
+
+def test_kl_basis_matches_the_dict_oracle_g2_length_42(g2):
+    W = g2.group
+    x = W.parse_element("t(3,3)*w[1 2 1 2 1 2]")
+    assert x.length == 42
+    H = HeckeAlgebra(W)
+    assert H.kl_basis(x).to_json() == kl_basis_by_dicts(H, x, {}).to_json()
 
 
 def test_koszul_round_trip_over_support_and_window_a3_h1(a3):
