@@ -222,10 +222,12 @@ class HeckeAlgebra(RightHeckeModule):
         Decode: if p = sum c_e 2^(B e) with every |c_e| < 2^(B-1), then
         p = c_0 mod 2^B with c_0 in [-2^(B-1), 2^(B-1)), so
         c_0 = ((p + 2^(B-1)) mod 2^B) - 2^(B-1) and (p - c_0) / 2^B packs the
-        rest.  Checks: the right shift is exact only on a coefficient in
-        vZ[v], so a down move first tests that its low digit is zero (this
-        keeps every coefficient in Z[v], which makes m an integer); and the
-        coefficient of H_x must come out 1.
+        rest.  The walk reads the same digit with one big-integer operation,
+        c_0 = (p mod 2^B) - [p mod 2^B >= 2^(B-1)] 2^B.  Checks: the right
+        shift is exact only on a coefficient in vZ[v], so a down move first
+        tests that its low digit is zero (this keeps every coefficient in
+        Z[v], which makes m an integer); and the coefficient of H_x must come
+        out 1.
 
         Overflow bound: each C_y carries a bound M_y on |coefficient|.  Every
         coefficient of C_u (H_s + v) is the sum of at most two coefficients
@@ -264,8 +266,9 @@ class HeckeAlgebra(RightHeckeModule):
 
     def _neighbour(self, a: int, j: int) -> int:
         """Fill the s_j-neighbour slots of a and of b = a s_j, both at once:
-        b in a's slot and ~a in b's when b is longer, ~b and a otherwise."""
-        b = self._id(self.group.right_multiply_gen(self._elts[a], j))
+        b in a's slot and ~a in b's when b is longer, ~b and a otherwise.
+        The slots are the memo of the pair, so the group's is not used."""
+        b = self._id(self.group._gen_step(self._elts[a], j))
         nbr = self._nbrs[j]
         if self._lens[b] > self._lens[a]:
             nbr[a], nbr[b] = b, ~a
@@ -287,7 +290,8 @@ class HeckeAlgebra(RightHeckeModule):
             return hit
         width = laurent._WIDTH
         half = 1 << (width - 1)
-        mask = (1 << width) - 1
+        full = 1 << width
+        mask = full - 1
         for j, nbr in enumerate(self._nbrs):  # j, nbr: the lowest right descent s_j of x
             u = nbr[x]
             if u is None:
@@ -324,9 +328,11 @@ class HeckeAlgebra(RightHeckeModule):
         while lens[order[top]] == n:
             top += 1
         for y in order[top:]:
-            m = ((acc[y] + half) & mask) - half
+            m = acc[y] & mask  # the low digit, made balanced below
             if not m:
                 continue
+            if m >= half:
+                m -= full
             cy, bound_y = cache.get(y) or self._kl_packed(y)
             bound += abs(m) * bound_y
             try:

@@ -28,9 +28,8 @@ is 1 (no overall grading shift); tables are reported in that convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Literal, Optional, Sequence, get_args
+from typing import Literal, NamedTuple, Optional, Sequence, get_args
 
 from .laurent import ZERO, LaurentPoly
 from .periodic import PeriodicModule
@@ -46,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BlockLabel:
+class BlockLabel(NamedTuple):
     """An orbit label: a lattice point of the closed fundamental alcove."""
 
     representative: Weight
@@ -111,8 +109,7 @@ TableKind = Literal[
 ]
 
 
-@dataclass
-class MultiplicityTable:
+class MultiplicityTable(NamedTuple):
     kind: TableKind
     window: tuple[ExtAffineElement, ...]
     truncation: Optional[Weight]

@@ -54,19 +54,18 @@ run the same search loop.
 An independent characterization via deep dominant translation is provided:
 ``x <= y`` iff ``t(mu) x <= t(mu) y`` in Bruhat order once both elements
 translate the fundamental alcove into the dominant cone.  Each translate is
-certified once per ``(z, mu)`` and memoized.  Agreement of the two routes
-is part of the acceptance suite.
+certified once per ``(z, mu)`` and memoized, and a whole column (all ``x``
+against one ``y``) is decided by one Bruhat walk down ``t(mu) y``.
+Agreement of the two routes is part of the acceptance suite.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from itertools import product
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .laurent import ResourceError
 from .rootdata import Weight, dominance_leq, pairing
@@ -234,7 +233,7 @@ class SemiInfiniteOrder:
         for w in g.finite_elements:
             rows = []
             for pos, beta in enumerate(rd.positive_roots):
-                wbeta = w.apply(beta)
+                wbeta = g.root_images[w.index][pos]
                 rc = tuple(map(abs, rd.scaled_root_coordinates(wbeta)))
                 ht = sum(rd.coroot(beta))
                 if g.sign_table[w.index][pos] > 0:
@@ -261,18 +260,29 @@ class SemiInfiniteOrder:
         for i in range(rd.rank):
             val = pairing(rd, p, rd.simple_coroots[i])
             if val <= 0:
+                from fractions import Fraction  # only a failed certificate prints one
+
                 violations.append(f"<{z!r}(rho/h), alpha_{i+1}^> = {Fraction(val, h)} <= 0")
         return violations
 
     def leq_via_translation(
         self, x: ExtAffineElement, y: ExtAffineElement, mu: Weight
     ) -> bool:
-        """Bruhat comparison of t(mu)x and t(mu)y for sufficiently dominant mu.
+        """Bruhat comparison of t(mu)x and t(mu)y for sufficiently dominant mu:
+        the one-query case of :meth:`column_via_translation`."""
+        return self.column_via_translation((x,), y, mu)[0]
+
+    def column_via_translation(
+        self, xs: Sequence[ExtAffineElement], y: ExtAffineElement, mu: Weight
+    ) -> list[bool]:
+        """``[t(mu)x <= t(mu)y for x in xs]`` in the Bruhat order, for
+        sufficiently dominant mu, from one walk down t(mu)y.
 
         Raises ``ValueError`` with the violated alcove-dominance certificate
         when ``mu`` is not dominant enough.
         """
-        return self.group.bruhat_leq(self._certified_translate(x, mu), self._certified_translate(y, mu))
+        translate = self._certified_translate
+        return self.group.bruhat_column([translate(x, mu) for x in xs], translate(y, mu))
 
     def _certified_translate(self, z: ExtAffineElement, mu: Weight) -> ExtAffineElement:
         """t(mu) z once its alcove certificate passes, memoized per (z, mu)."""
@@ -303,8 +313,7 @@ class SemiInfiniteOrder:
         raise AssertionError("no sufficiently dominant mu found")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class SemiInfinitePoset:
+class SemiInfinitePoset(NamedTuple):
     """The semi-infinite order restricted to a finite window, as explicit data."""
 
     window: tuple[ExtAffineElement, ...]

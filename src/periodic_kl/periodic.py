@@ -132,10 +132,9 @@ size before any digit that may have wrapped is read.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cached_property
 from operator import add, mul, sub
-from typing import Iterable, Literal, Mapping, Optional, Sequence
+from typing import Iterable, Literal, Mapping, NamedTuple, Optional, Sequence
 
 from . import laurent
 from .hecke import RightHeckeModule
@@ -170,8 +169,7 @@ class PeriodicElement(Combination):
 KindName = Literal["periodic_p", "generic_q", "generic_qprime"]
 
 
-@dataclass
-class PolynomialTable:
+class PolynomialTable(NamedTuple):
     """A windowed table of polynomials p_{y,x}, q_{y,x} or q'_{y,x}."""
 
     kind: KindName

@@ -37,10 +37,12 @@ warning since it is not needed for any computation done here.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import add, mul, neg, sub
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Weight",
@@ -218,6 +220,8 @@ class RootDatum:
 
     def root_coordinates(self, lam: Sequence[int]) -> tuple[Fraction, ...]:
         """Expansion of a weight in the simple roots (exact rationals)."""
+        from fractions import Fraction  # off the import path: no production caller
+
         e = self.lattice_index_e
         return tuple(Fraction(c, e) for c in self.scaled_root_coordinates(lam))
 

@@ -8,15 +8,15 @@ the finite Weyl group; the group law is
 
 The finite group is small for the supported ranks, so :class:`AffineWeyl`
 tabulates it completely at construction (matrices on fundamental-weight
-coordinates, lengths, reduced words, inverses, and the signs of ``w(beta)``
-for every root ``beta``).  An :class:`ExtAffineElement` is then a
-translation vector plus an entry of that table.  Elements are interned per
-group: :class:`AffineWeyl` alone creates them, from one table keyed by
-``key = (translation coordinates, finite index)``, so equality is identity
-(elements of two groups never compare equal) and ``key`` is the canonical
-sort order.  An element points to its root datum and finite part, never to
-its group, so a group and all built on it form an acyclic graph, freed by
-reference counting.
+coordinates, lengths, reduced words, inverses, and the images ``w(beta)``
+with their signs for every positive root ``beta``).  An
+:class:`ExtAffineElement` is then a translation vector plus an entry of
+that table.  Elements are interned per group: :class:`AffineWeyl` alone
+creates them, from one table keyed by ``key = (translation coordinates,
+finite index)``, so equality is identity (elements of two groups never
+compare equal) and ``key`` is the canonical sort order.  An element points
+to its root datum and finite part, never to its group, so a group and all
+built on it form an acyclic graph, freed by reference counting.
 
 Affine simple reflections are indexed ``0, 1, ..., rank`` where index ``0``
 is the reflection through the wall of the fundamental alcove not containing
@@ -32,8 +32,9 @@ Lengths are computed by the Iwahori-Matsumoto formula
 
 evaluated from an integer form stored on each finite element w: the
 coroot coordinates of the positive roots, each with its offset 0 or 1.  The
-Bruhat order comes from the standard descent recursion, with comparability
-only inside a common coset of the length-zero subgroup.
+Bruhat order is decided a column at a time (all x <= y for one y) by one
+walk down a reduced word of y, with comparability only inside a common
+coset of the length-zero subgroup.
 """
 
 from __future__ import annotations
@@ -170,10 +171,10 @@ class AffineWeyl:
         self.w0 = max(elements, key=lambda e: e.length)
         assert self.w0.length == len(rd.positive_roots)
 
-        # sign_table[w][k] = sign of w(beta_k) for the k-th positive root.
-        self.sign_table = tuple(
-            tuple(rd.root_sign(w.apply(beta)) for beta in rd.positive_roots) for w in elements
-        )
+        # root_images[w][k] = w(beta_k) and sign_table[w][k] = its sign, for
+        # the k-th positive root.
+        self.root_images = tuple(tuple(map(w.apply, rd.positive_roots)) for w in elements)
+        self.sign_table = tuple(tuple(map(rd.root_sign, row)) for row in self.root_images)
         # Length forms: len(t(lam) w) = sum_k |<lam, beta_k^> - o_k(w)|, with the
         # coroot coordinates of every positive root and o_k(w) = 1 iff w^{-1} beta_k < 0.
         coroot_rows = tuple(map(rd.coroot, rd.positive_roots))
@@ -297,16 +298,19 @@ class AffineWeyl:
         (element, generator) -> element map is kept for the context's lifetime.
         """
         hit = self._gen_product_cache.get((x, j))
-        if hit is not None:
-            return hit
-        if j == 0:
-            coords = x.trans + x.w.apply(self.s0_root)
-            w = self._fin_mul[x.w.index][self.s0_finite_index]
-        else:
-            coords = x.trans
-            w = self._fin_mul[x.w.index][self._gen_indices[j - 1]]
-        hit = self._gen_product_cache[(x, j)] = self._intern(coords, w)
+        if hit is None:
+            hit = self._gen_product_cache[(x, j)] = self._gen_step(x, j)
         return hit
+
+    def _gen_step(self, x: ExtAffineElement, j: int) -> ExtAffineElement:
+        """x * s_j, not memoized: for callers that keep their own record of
+        the pair.  t(lam) w s_0 = t(lam + w(eta)) (w s_eta), with w(eta) read
+        from ``root_images``; t(lam) w s_i = t(lam) (w s_i)."""
+        fin = self._fin_mul[x.w.index]
+        if j == 0:
+            offset = self.root_images[x.w.index][self.s0_root_pos]
+            return self._intern(tuple(map(add, x.trans, offset)), fin[self.s0_finite_index])
+        return self._intern(x.trans, fin[self._gen_indices[j - 1]])
 
     def translate_left(self, nu: Weight, x: ExtAffineElement) -> ExtAffineElement:
         """t(nu) * x; cheap because it only shifts the translation part."""
@@ -366,30 +370,65 @@ class AffineWeyl:
 
     def bruhat_leq(self, x: ExtAffineElement, y: ExtAffineElement) -> bool:
         """Bruhat order on the extended group: subword order after splitting off
-        the common length-zero part; False across different cosets."""
-        self._check(x, y)
-        if x.omega_component != y.omega_component:
-            return False
-        return self._bruhat_af(x, y)
+        the common length-zero part; False across different cosets.  The
+        one-query case of :meth:`bruhat_column`."""
+        return self.bruhat_column((x,), y)[0]
 
-    def _bruhat_af(self, x: ExtAffineElement, y: ExtAffineElement) -> bool:
-        # Descent recursion: if ys < y then x <= y iff (xs <= ys if xs < x else x <= ys).
-        lx, ly = x.length, y.length
-        while True:
-            if lx > ly:
-                return False
-            if ly == 0:
-                return x == y
-            for j in range(self.num_affine_gens):
-                ys = self.right_multiply_gen(y, j)
+    def bruhat_column(self, xs: Sequence[ExtAffineElement], y: ExtAffineElement) -> list[bool]:
+        """``[x <= y for x in xs]`` in the Bruhat order, from one walk down y.
+
+        Write x = omega x' and y = omega' y' with omega, omega' of length zero
+        and x', y' in the affine Weyl group; then x <= y iff omega = omega' and
+        x' <= y' in the Coxeter group, so an x from another coset is False
+        without walking.  Right multiplication by s_j keeps the length-zero
+        part, so the affine parts walk together.
+
+        The walk follows y's canonical reduced word from the right: at each
+        step s is y's lowest right descent, found once for the whole column.
+        By the lifting property (Deodhar's property Z; Bjorner-Brenti,
+        Combinatorics of Coxeter Groups, Prop. 2.2.7), if ys < y then
+
+            x <= y  iff  min(x, xs) <= ys:
+
+        for xs < x, x <= y iff xs <= ys; for x < xs, x <= ys <= y gives one
+        direction, and x <= y with s a descent of y but not of x gives
+        x <= ys.  So every live x is replaced by xs when xs < x, and y by ys.
+        An x whose length reaches that of y is decided there: x <= y with
+        len(x) >= len(y) holds iff x is y.  An x with len(x) < len(y) stays
+        live, so y still has a descent while anything is live, and at
+        len(y) = 0 nothing is.
+        """
+        self._check(y, *xs)
+        out = [False] * len(xs)
+        memo, step = self._gen_product_cache, self.right_multiply_gen
+        tag, ly = y.omega_component, y.length
+        live = []
+        for i, x in enumerate(xs):
+            if x.omega_component == tag:
+                if x.length < ly:
+                    live.append((i, x, x.length))
+                else:
+                    out[i] = x is y
+        gens = range(self.num_affine_gens)
+        while live:
+            for j in gens:
+                ys = step(y, j)
                 if ys.length < ly:
-                    xs = self.right_multiply_gen(x, j)
-                    if xs.length < lx:
-                        x, lx = xs, lx - 1
-                    y, ly = ys, ly - 1
                     break
             else:  # pragma: no cover
                 raise AssertionError("positive-length element with no descent")
+            y, ly = ys, ly - 1
+            nxt = []
+            for i, x, lx in live:
+                xj = memo.get((x, j)) or step(x, j)
+                if xj.length < lx:
+                    x, lx = xj, lx - 1
+                if lx < ly:
+                    nxt.append((i, x, lx))
+                else:
+                    out[i] = x is y
+            live = nxt
+        return out
 
     # -- element text form ---------------------------------------------------------
 

@@ -1,9 +1,14 @@
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 sys.path.insert(0, str(Path(__file__).parent))
+# While collecting property tests, hypothesis caches the constants of loaded
+# modules under its home directory, ./.hypothesis by default; keep the tree clean.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "periodic-kl-hypothesis")
 
 from periodic_kl.hecke import HeckeAlgebra
 from periodic_kl.orders import SemiInfiniteOrder

@@ -9,12 +9,14 @@ Apart from the last two, which read q and p from the module, none of it
 shares code paths with the production implementations it checks.  The
 classical KL recursion on {exponent: coefficient} dicts is kept here too,
 as the formula the packed-integer recursion of ``HeckeAlgebra`` replaced,
-and so is the semi-infinite poset as one independent ``below`` search per
-column, which the ascending-height window pass of ``SemiInfinitePoset.build``
-replaced, the down-closure search of each class's lead over its support,
-which the class solve's checked witnesses replaced, and the generic
-polynomial as a sum of LaurentPoly products over an unmemoized vector
-partition enumeration, which the packed-integer sums replaced.
+and so is the Bruhat order as one descent recursion per pair, which the
+column walk of ``AffineWeyl.bruhat_column`` replaced, the semi-infinite
+poset as one independent ``below`` search per column, which the
+ascending-height window pass of ``SemiInfinitePoset.build`` replaced, the
+down-closure search of each class's lead over its support, which the class
+solve's checked witnesses replaced, and the generic polynomial as a sum of
+LaurentPoly products over an unmemoized vector partition enumeration, which
+the packed-integer sums replaced.
 """
 
 from __future__ import annotations
@@ -69,6 +71,29 @@ def subword_bruhat(group: AffineWeyl, x: ExtAffineElement, y: ExtAffineElement) 
         if cur == x:
             return True
     return False
+
+
+def bruhat_leq_by_descent(group: AffineWeyl, x: ExtAffineElement, y: ExtAffineElement) -> bool:
+    """x <= y by the per-pair descent recursion: False across cosets, and
+    if ys < y then x <= y iff (xs <= ys if xs < x else x <= ys)."""
+    if x.omega_component != y.omega_component:
+        return False
+    lx, ly = x.length, y.length
+    while True:
+        if lx > ly:
+            return False
+        if ly == 0:
+            return x == y
+        for j in group.affine_generator_indices():
+            ys = group.right_multiply_gen(y, j)
+            if ys.length < ly:
+                xs = group.right_multiply_gen(x, j)
+                if xs.length < lx:
+                    x, lx = xs, lx - 1
+                y, ly = ys, ly - 1
+                break
+        else:
+            raise AssertionError("positive-length element with no descent")
 
 
 def kl_by_linear_solve(algebra: HeckeAlgebra, x: ExtAffineElement):

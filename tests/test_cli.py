@@ -356,3 +356,18 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["l"] == 3
+
+
+def test_cli_import_leaves_heavy_stdlib_modules_unloaded():
+    # every CLI call pays for the package import: dataclasses (with inspect),
+    # fractions (with decimal) and csv stay off its path
+    import periodic_kl
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(periodic_kl.__file__)))
+    probe = ("import sys; before = set(sys.modules); import periodic_kl.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    loaded = set(result.stdout.split())
+    assert "periodic_kl.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "fractions", "decimal", "csv"}), sorted(loaded)

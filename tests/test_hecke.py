@@ -354,3 +354,27 @@ def test_json_encoding(a1):
         {"element": "t(0)*w[]", "polynomial": {"1": 1}},
         {"element": "t(0)*w[1]", "polynomial": {"0": 1}},
     ]
+
+
+def test_kl_neighbours_bypass_the_group_product_memo(a3):
+    # the neighbour slots are the KL recursion's own memo of each pair: an A3
+    # kl_basis adds nothing to the group's (element, generator) product memo,
+    # and every filled slot agrees with right_multiply_gen and the lengths
+    W = a3.group
+    H = HeckeAlgebra(W)
+    x = W.parse_element(_kl_orbits()[("A", 3, 5)][0])
+    before = len(W._gen_product_cache)
+    H.kl_basis(x)
+    assert len(W._gen_product_cache) == before
+    filled = 0
+    for j, nbr in enumerate(H._nbrs):
+        for a, b in enumerate(nbr):
+            if b is None:
+                continue
+            filled += 1
+            longer = b >= 0
+            b = b if longer else ~b
+            assert W.right_multiply_gen(H._elts[a], j) is H._elts[b]
+            assert H._lens[a] == H._elts[a].length and H._lens[b] == H._elts[b].length
+            assert (H._lens[b] > H._lens[a]) == longer
+    assert filled > 1000

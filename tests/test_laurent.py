@@ -1,6 +1,15 @@
 import random
 
-from periodic_kl.laurent import LaurentPoly, ONE, V, VINV, ZERO
+from hypothesis import given, settings, strategies as st
+
+from periodic_kl.laurent import LaurentPoly, ONE, V, VINV, ZERO, pack, unpack
+
+# Fixed example sequence and no example database: the property tests below
+# draw the same examples on every run.
+_settings = settings(derandomize=True, database=None)
+_coeffs = st.integers(-50, 50)
+laurent_polys = st.dictionaries(st.integers(-6, 6), _coeffs, max_size=5).map(LaurentPoly)
+zv_polys = st.dictionaries(st.integers(0, 8), _coeffs, max_size=6).map(LaurentPoly)
 
 
 def rand_poly(rng, span=4, size=3):
@@ -70,3 +79,30 @@ def test_json_round_trip():
     for _ in range(20):
         p = rand_poly(rng)
         assert LaurentPoly.from_json(p.to_json()) == p
+
+
+@_settings
+@given(laurent_polys, laurent_polys, laurent_polys)
+def test_ring_laws(a, b, c):
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + ZERO == a and a * ONE == a and a * ZERO == ZERO
+    assert a - a == ZERO and a + (-b) == a - b
+    assert (a * V) * VINV == a == a.shift(3).shift(-3)
+
+
+@_settings
+@given(laurent_polys, laurent_polys)
+def test_bar_is_an_involutive_ring_homomorphism(a, b):
+    assert a.bar().bar() == a
+    assert (a + b).bar() == a.bar() + b.bar()
+    assert (a * b).bar() == a.bar() * b.bar()
+    assert (a * V).bar() == a.bar() * VINV
+
+
+@_settings
+@given(zv_polys)
+def test_unpack_inverts_pack(p):
+    bound = max(map(abs, p.coeffs.values()), default=0)
+    assert unpack(pack(p), bound, "value", "key") == p
