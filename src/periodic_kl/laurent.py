@@ -267,9 +267,6 @@ class Combination:
     def coefficient(self, x: Hashable) -> LaurentPoly:
         return self.terms.get(x, ZERO)
 
-    def support(self) -> list:
-        return list(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 

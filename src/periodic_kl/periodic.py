@@ -33,13 +33,18 @@ is self-dual with leading term B_w, and SD_w = P - sum_j m_j SD_{z_j} for
 the unique bar-symmetric corrections m_j that leave all off-leading
 coefficients in vZ[v].  The corrections are found by one top-down sweep of
 the support in the height function h(z) = <z dot_l 0, 2 rho^> (every strict
-semi-infinite relation strictly drops h): when the sweep reaches an
-offending position z, the correction SD_z is a translate of some class
-element - possibly of SD_w itself at a strictly lower height, in which case
-its coefficients at the required (strictly higher) positions have already
-been finalized by the same sweep.  This lazy self-reference is what makes
-the computation terminate: the dependency at the level of whole elements is
-genuinely cyclic through translation, but positionwise it is triangular.
+semi-infinite relation strictly drops h), keeping one running coefficient
+per queued position: P's coefficient minus every correction so far.  At an
+offending position z the correction m SD_z = m t(z.trans) SD_u is
+subtracted, m c at t(z.trans) src for each term c B_src of SD_u: in full
+when registered if u != w; if u = w (SD_w corrects itself), for the terms
+finalized so far and then for each as it is finalized.  Each target but z
+(the lead's image; val - low normalizes z) lies strictly below z in height,
+as h(t(nu) x) = h(x) + l <nu, 2 rho^>: for u != w, SD_u's support lies
+below its lead; for u = w, h(t(z.trans) p) = h(p) - (h(t(0)w) - h(z)) <
+h(z) for p != t(0)w.  So no target is swept before the correction reaches
+it, and each value read is final: the dependency of whole elements is
+cyclic through translation, but positionwise it is triangular.
 
 Each computed element is certified before it is cached: leading
 coefficient 1, all other coefficients in vZ[v], support inside the
@@ -215,10 +220,6 @@ class PeriodicModule(RightHeckeModule):
 
     # -- basic constructions -----------------------------------------------------
 
-    def height(self, x: ExtAffineElement) -> int:
-        """<x dot_l 0, 2 rho^>; strictly decreasing along the semi-infinite order."""
-        return self.order.height(x)
-
     def e_element(self, lam: Weight) -> PeriodicElement:
         g = self.group
         terms = {
@@ -324,11 +325,15 @@ class PeriodicModule(RightHeckeModule):
         product = self.act_cs(base, j)
         lead = g.element(Weight((0,) * self.rd.rank), w_index)
 
-        # Top-down sweep in height.  fin holds finalized coefficients of the
-        # element under construction; corrections (z, m, class, shift, -shift)
-        # are registered as offenders appear and contribute lazily below z.
+        # Top-down sweep in height.  acc holds, at each queued position, the
+        # product's coefficient minus every correction (z, m, class, shift)
+        # registered so far, fin the finalized coefficients of the element
+        # under construction, and selfs the corrections by SD_w itself, which
+        # reach each position of fin as it is finalized (module docstring).
+        acc = dict(product.terms)
         fin: dict[ExtAffineElement, LaurentPoly] = {}
-        corrections: list[tuple[ExtAffineElement, LaurentPoly, int, Weight, Weight]] = []
+        corrections: list[tuple[ExtAffineElement, LaurentPoly, int, Weight]] = []
+        selfs: list[tuple[ExtAffineElement, LaurentPoly]] = []
         # Heap entries (-height, key, element): keys are unique, so the
         # element itself is never compared.
         heap: list[tuple[int, tuple, ExtAffineElement]] = []
@@ -341,7 +346,15 @@ class PeriodicModule(RightHeckeModule):
             if pos in witness:
                 return
             witness[pos] = via
-            heapq.heappush(heap, (-self.height(pos), pos.key, pos))
+            heapq.heappush(heap, (-self.order.height(pos), pos.key, pos))
+
+        def subtract(z: ExtAffineElement, m: LaurentPoly, terms) -> None:
+            # m c at t(z.trans) src for each (src, c), bar z itself (val - low)
+            for src, c in terms:
+                at = g.translate_left(z.trans, src)
+                if at is not z:
+                    acc[at] = acc.get(at, ZERO) - m * c
+                    push(at, (z, src))
 
         self._check_product_terms(w_index, base, product.terms)
         for pos in product.terms:
@@ -356,56 +369,33 @@ class PeriodicModule(RightHeckeModule):
                 )
             pos = heapq.heappop(heap)[2]
             swept.append(pos)
-            val = product.coefficient(pos)
-            for (z, m, cls, shift_nu, back) in corrections:
-                src = g.translate_left(back, pos)
-                if cls == w_index:
-                    contrib = fin.get(src)
-                else:
-                    contrib = self._class_cache[cls].terms.get(src)
-                if contrib is not None:
-                    val = val - m * contrib
+            val = acc.pop(pos, ZERO)
             if pos == lead:
                 if val != ONE:
                     raise CertificationError("leading coefficient is not 1")
-                fin[pos] = val
-                self._push_self_shifts(pos, corrections, push, w_index)
-                continue
-            if val.is_zero():
-                continue
-            low = val.lower_symmetrization()
-            if not low.is_zero():
-                cls = pos.w.index
-                shift_nu = pos.trans
-                if cls != w_index and cls not in self._class_cache:
-                    self._class_element(cls)
-                corrections.append((pos, low, cls, shift_nu, -shift_nu))
-                if cls == w_index:
-                    # contributions of this correction appear at shifts of the
-                    # element being built; seed with what is finalized so far.
-                    for done in list(fin):
-                        if not fin[done].is_zero():
-                            push(g.translate_left(shift_nu, done), (pos, done))
-                else:
-                    for src in self._class_cache[cls].terms:
-                        push(g.translate_left(shift_nu, src), (pos, src))
-                val = val - low
-                if not val.in_v_times_Zv():
-                    raise CertificationError("correction did not normalize the coefficient")
-            if not val.is_zero():
-                fin[pos] = val
-                self._push_self_shifts(pos, corrections, push, w_index)
+            else:
+                low = val.lower_symmetrization()
+                if not low.is_zero():
+                    cls = pos.w.index
+                    corrections.append((pos, low, cls, pos.trans))
+                    if cls == w_index:
+                        selfs.append((pos, low))
+                        subtract(pos, low, fin.items())
+                    else:
+                        subtract(pos, low, self._class_element(cls).terms.items())
+                    val = val - low
+                    if not val.in_v_times_Zv():
+                        raise CertificationError("correction did not normalize the coefficient")
+                if val.is_zero():
+                    continue
+            fin[pos] = val
+            for z, m in selfs:
+                subtract(z, m, ((pos, val),))
 
         ideal = self._check_witnesses(w_index, swept, witness)
         result = PeriodicElement(fin)
         self._certify(result, lead, product, corrections, w_index, ideal)
         return result
-
-    def _push_self_shifts(self, pos: ExtAffineElement, corrections, push, w_index: int) -> None:
-        g = self.group
-        for (z, _, cls, shift_nu, _) in corrections:
-            if cls == w_index:
-                push(g.translate_left(shift_nu, pos), (z, pos))
 
     def _check_product_terms(self, w_index: int, base: PeriodicElement,
                              terms: Iterable[ExtAffineElement]) -> None:
@@ -465,7 +455,7 @@ class PeriodicModule(RightHeckeModule):
                 raise CertificationError("certification: support outside the ideal")
         # product relation on complete vectors
         acc = result
-        for (z, m, cls, shift_nu, _) in corrections:
+        for (z, m, cls, shift_nu) in corrections:
             if not m.is_bar_symmetric():
                 raise CertificationError("certification: correction not bar-symmetric")
             base = result if cls == w_index else self._class_cache[cls]

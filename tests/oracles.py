@@ -16,7 +16,10 @@ ascending-height window pass of ``SemiInfinitePoset.build`` replaced, the
 down-closure search of each class's lead over its support, which the class
 solve's checked witnesses replaced, and the generic polynomial as a sum of
 LaurentPoly products over an unmemoized vector partition enumeration, which
-the packed-integer sums replaced.
+the packed-integer sums replaced.  Lusztig's q-analogue of weight
+multiplicity, from Kostant's q-partition function over the positive roots
+and a signed sum over the finite Weyl group, gives the spherical
+coefficients of the Kazhdan-Lusztig basis without any KL recursion.
 """
 
 from __future__ import annotations
@@ -24,13 +27,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from operator import sub
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from periodic_kl.hecke import HeckeAlgebra, HeckeElement
 from periodic_kl.laurent import LaurentPoly, ONE, ZERO
 from periodic_kl.orders import SemiInfiniteOrder
 from periodic_kl.periodic import PeriodicModule
-from periodic_kl.rootdata import Weight
+from periodic_kl.rootdata import RootDatum, Weight
 from periodic_kl.weyl import AffineWeyl, ExtAffineElement
 
 
@@ -376,4 +379,34 @@ def _vector_partitions(roots_rc, idx: int, rem: tuple[int, ...], weighted: bool)
         if tail.is_zero():
             continue
         total = total + (tail.shift(2 * k) if weighted else tail)
+    return total
+
+
+def kostant_q_partition(rd: RootDatum, gamma: Sequence[int]) -> LaurentPoly:
+    """Kostant's q-partition function P_q(gamma): the sum of q^k over the ways
+    of writing the weight gamma as a sum of k positive roots, with repetition,
+    as a polynomial in q; zero unless gamma is a nonnegative integer
+    combination of the simple roots.  The weighted partition series of
+    ``_vector_partitions`` at q = v^2."""
+    e = rd.lattice_index_e
+    scaled = rd.scaled_root_coordinates(gamma)
+    if any(c < 0 or c % e for c in scaled):
+        return ZERO
+    roots_rc = [tuple(c // e for c in rd.scaled_root_coordinates(b)) for b in rd.positive_roots]
+    series = _vector_partitions(roots_rc, 0, tuple(c // e for c in scaled), True)
+    return LaurentPoly({k // 2: c for k, c in series.coeffs.items()})
+
+
+def q_weight_multiplicity(group: AffineWeyl, lam: Weight, mu: Weight) -> LaurentPoly:
+    """Lusztig's q-analogue of the multiplicity of the weight mu in the simple
+    module of highest weight lam, as a polynomial in q:
+
+        m^mu_lam(q) = sum_{w in W} (-1)^len(w) P_q(w(lam + rho) - (mu + rho)).
+
+    At q = 1 this is Kostant's multiplicity formula."""
+    rho = group.rd.rho
+    total = ZERO
+    for w in group.finite_elements:
+        term = kostant_q_partition(group.rd, w.apply(lam + rho) - (mu + rho))
+        total = total - term if w.length % 2 else total + term
     return total

@@ -272,6 +272,29 @@ def test_kl_correction_outside_the_product_support_is_an_internal_error(a2):
         H.kl_basis(w0)
 
 
+def test_kl_correction_by_a_negative_low_digit(a2):
+    # x = t(1,1) has lowest right descent s_1 and u = x s_1; y = s_1 < u with
+    # ys < y, and h_{y,u} = v^2 has no v term.  Planting C_u - v H_y makes the
+    # product's constant term at y equal p_{ys,u}(0) + [v] p_{y,u} - 1 = -1, so
+    # the walk corrects by m = -1: the balanced low digit's negative branch
+    W = a2.group
+    x = W.parse_element("t(1,1)*w[]")
+    u, y = W.right_multiply_gen(x, 1), W.simple_reflection(0)
+    assert u.length == x.length - 1 and W.right_descent(y, 1)
+    true_u = kl_basis_by_dicts(HeckeAlgebra(W), u, {})
+    assert true_u.coefficient(y) == LaurentPoly({2: 1})
+    planted = true_u - HeckeAlgebra(W).basis(y).scale(V)
+
+    H = HeckeAlgebra(W)
+    cu, bound = H._kl_packed(H._id(u))
+    H._kl_cache[H._id(u)] = ({**cu, H._id(y): cu[H._id(y)] - (1 << laurent._WIDTH)}, bound + 1)
+    expected = kl_basis_by_dicts(HeckeAlgebra(W), x, {u: planted})
+    assert H.kl_basis(x).to_json() == expected.to_json()
+    # the planted -v H_y (H_s + v) = -v H_{ys} - H_y is exactly what the
+    # correction by m C_y = -(H_y + v H_{ys}) takes back: C_x comes out true
+    assert expected == kl_basis_by_dicts(HeckeAlgebra(W), x, {})
+
+
 def test_kl_basis_at_a_narrow_digit_width(monkeypatch, a2):
     # 8 bits per exponent hold the tracked bound of every A2 element up to
     # length 6, so the balanced-digit decode must agree with the dicts there

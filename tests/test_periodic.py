@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -431,6 +433,66 @@ def test_class_support_below_lead_by_order_search(request, name):
     ctx = request.getfixturevalue(name)
     for w in ctx.group.finite_elements:
         assert class_support_below_lead(ctx.module, w.index)
+
+
+# sha256 of every class element of the datum, as in ``_class_digest``
+_CLASS_DIGESTS = {
+    "a1": "b64bbcb0e57805deca37ed638500146bf8b6f86f276abf3b860493c0890b7e87",
+    "a2": "14a765f16becd25b5c2f8fe1221bb4d6090b0ea94af57c28ab03619ba628a98c",
+    "b2": "f9fdcb9e78159896c2b52db74a4ecc70e942e6b247cb84920c2aa8a5f1d9bb1b",
+    "c2": "1b59e55678840e7f5955ea34f027645f675642bf99ffd587bab81c13b7481ead",
+    "g2": "e84f29baef6db2fe0e54984af1cdd8bb4b68ce3a9b9623260b980e4e1423d899",
+    "a3": "0bd5c8df85ac1e79ecb05c727995eaa88e30d876d4c2a3eeebbc8bb2c51b007c",
+}
+
+
+def _class_digest(module) -> str:
+    """sha256 of the class elements SD_{t(0)w} in finite-index order, each as
+    its [repr(x), polynomial] terms sorted by x.key."""
+    classes = [module._class_element(w.index) for w in module.group.finite_elements]
+    payload = [[[repr(x), c.terms[x].to_json()] for x in sorted(c.terms, key=lambda x: x.key)] for c in classes]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_CLASS_DIGESTS))
+def test_every_class_element_is_pinned(request, name):
+    ctx = request.getfixturevalue(name)
+    assert _class_digest(PeriodicModule(ctx.group, ctx.order)) == _CLASS_DIGESTS[name]
+
+
+def test_planted_correction_term_queues_a_new_position(b2):
+    # B2 class w[2] descends onto class w[2 1] and is corrected once, by class
+    # w[2 1 2] at its lead z; the product does not read that class.  A term
+    # v^3 B_far planted in it, far below z, lies outside the product's support:
+    # the correction alone queues far, witnessed by (z, far), and leaves
+    # -m v^3 there, which is in vZ[v] and so needs no further correction
+    W = b2.group
+    lead = W.parse_element("t(0,0)*w[2]")
+    z = W.parse_element("t(0,0)*w[2 1 2]")
+    far = W.translate_left(Weight((-2, -2)), z)
+    true = b2.module._class_element(lead.w.index)
+    M = PeriodicModule(W, b2.order)
+    assert M._down_policy[lead.w.index][2] != z.w.index
+    M._class_cache[z.w.index] = b2.module._class_element(z.w.index) + M.basis(far).scale(LaurentPoly({3: 1}))
+    seen = {}
+    check_witnesses, certify = M._check_witnesses, M._certify
+
+    def record_witnesses(w_index, swept, witness):
+        seen["witness"] = dict(witness)
+        return check_witnesses(w_index, swept, witness)
+
+    def record_certify(result, lead, product, corrections, *rest):
+        seen["product"], seen["corrections"] = product, [c[:3] for c in corrections]
+        return certify(result, lead, product, corrections, *rest)
+
+    M._check_witnesses, M._certify = record_witnesses, record_certify
+    solved = M._class_element(lead.w.index)
+    [(at, m, cls)] = seen["corrections"]
+    assert at is z and cls == z.w.index
+    assert far not in seen["product"].terms and far not in true.terms
+    assert seen["witness"][far] == (z, far)
+    assert solved == true - M.basis(far).scale(m * LaurentPoly({3: 1}))
+    assert M._class_cache[lead.w.index] is solved
 
 
 def test_equality_is_type_strict(a1):
