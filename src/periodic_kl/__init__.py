@@ -20,7 +20,6 @@ from .multiplicity import (
     MultiplicityTable,
     MultiplicityTables,
     enumerate_blocks,
-    select_omega_s,
 )
 from .orders import SemiInfiniteOrder, SemiInfinitePoset, standard_window
 from .periodic import CertificationError, PeriodicElement, PeriodicModule, PolynomialTable
@@ -50,7 +49,6 @@ __all__ = [
     "enumerate_blocks",
     "pairing",
     "root_datum",
-    "select_omega_s",
     "standard_window",
     "validate_l",
 ]

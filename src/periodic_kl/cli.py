@@ -44,7 +44,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .hecke import HeckeAlgebra
+from .hecke import HeckeAlgebra, check_length
 from .laurent import ONE, LaurentPoly, ResourceError
 from .multiplicity import MultiplicityTables, enumerate_blocks
 from .orders import SemiInfiniteOrder, SemiInfinitePoset, standard_window
@@ -181,6 +181,9 @@ def _window(args, group: AffineWeyl):
             raise UsageError(f"bad coset tag {args.coset!r}") from None
         if len(coset) != group.rd.rank:
             raise UsageError(f"coset tag needs {group.rd.rank} components")
+        if coset not in group.omega_elements:
+            valid = " ".join(",".join(map(str, tag)) for tag in sorted(group.omega_elements))
+            raise UsageError(f"coset tag {args.coset!r} names no coset; valid tags: {valid}")
     if args.height < 0:
         raise UsageError("window height must be >= 0")
     return standard_window(group, args.height, coset)
@@ -271,9 +274,9 @@ def _cmd_blocks(args) -> int:
 
 def _cmd_selfcheck(args) -> int:
     rd, group = _build_context(args)
+    window = _window(args, group)
     mod, on_disk = _module(args, group)
     order = mod.order
-    window = _window(args, group)
     checks: list[tuple[str, bool]] = []
 
     mu = order.sufficient_mu(window)
@@ -348,8 +351,11 @@ def _cmd_hecke(args) -> int:
         if args.y is None:
             raise UsageError("hecke mul needs --y")
         y = _parse_elt(group, args.y)
+        check_length(x, "hecke mul")
+        check_length(y, "hecke mul")
         result = alg.multiply(alg.basis(x), alg.basis(y))
     elif args.which == "bar":
+        check_length(x, "hecke bar")
         result = alg.bar_basis(x)
     else:
         result = alg.kl_basis(x)
@@ -389,8 +395,8 @@ _TABLE_KINDS = {
 def _cmd_table(args) -> int:
     _only_for(args, "nu", "verma-in-projective")
     rd, group = _build_context(args)
-    mod, on_disk = _module(args, group)
     window = _window(args, group)
+    mod, on_disk = _module(args, group)
     kind = _TABLE_KINDS[args.which]
     nu = None
     if args.which == "verma-in-projective":

@@ -7,27 +7,22 @@ extended affine Weyl group) subject to
     H_x H_y = H_{xy}                     whenever len(x) + len(y) = len(xy).
 
 Products are the right action of :class:`RightHeckeModule`, shared with
-the periodic module, of the algebra on itself.  The bar involution is the ring homomorphism fixing the
-basis-free structure with v -> v^{-1} and H_x -> (H_{x^{-1}})^{-1}; the
+the periodic module, of the algebra on itself.  The bar involution is the
+ring homomorphism with v -> v^{-1} and H_x -> (H_{x^{-1}})^{-1}; the
 self-dual (Kazhdan-Lusztig) basis element at x is the unique bar-invariant
 element of H_x + sum_{y < x} vZ[v] H_y (Bruhat order), computed by the
 standard multiply-by-(H_s + v)-and-correct recursion on dense integer ids,
 with the corrections made in one walk down the lengths of the product's
-support.  Every coefficient that recursion meets
-lies in Z[v], so it runs on the packed integers of :mod:`.laurent`
-(``pack``/``unpack``, B = ``laurent._WIDTH`` bits per exponent, each c_e a
-balanced digit in [-2^(B-1), 2^(B-1))).  A sum of polynomials is one
+support.  Every coefficient that recursion meets lies in Z[v], so it runs
+on the packed integers of :mod:`.laurent` (``pack``/``unpack``, B =
+``laurent._WIDTH`` bits per exponent, each c_e a balanced digit in
+[-2^(B-1), 2^(B-1))).  A sum of polynomials is one
 integer add, v^{+-1} is a shift by B bits, and the constant term is the
 signed low digit.  Only the element returned is decoded into a
 HeckeElement, through the guarded ``unpack``; the decode is exact while
 every |c_e| < 2^(B-1), which a tracked bound proves (see
-``HeckeAlgebra.kl_basis``).  The recursion is used in this package as
-an internal cross-check oracle; the periodic module carries its own
-self-dual basis.
-
-Bernstein translation elements are theta_lam = H_{t(mu)} (H_{t(nu)})^{-1}
-for any splitting lam = mu - nu into dominant parts; independence of the
-splitting is asserted in the test suite.
+``HeckeAlgebra.kl_basis``).  The recursion serves ``hecke kl`` on the
+command line; the periodic module carries its own self-dual basis.
 
 All caches are plain dicts and lists owned by the algebra object;
 operations are pure apart from cache insertion.  The dense-id tables of the
@@ -41,12 +36,23 @@ from typing import Callable, Mapping
 
 from . import laurent
 from .laurent import ONE, V, VINV, Combination, LaurentPoly, ResourceError, unpack
-from .rootdata import Weight
 from .weyl import AffineWeyl, ExtAffineElement
 
 __all__ = ["HeckeAlgebra", "HeckeElement", "RightHeckeModule"]
 
 _VINV_MINUS_V = VINV - V  # v^{-1} - v
+
+# The longest element the KL recursion and the command line's products and
+# bar accept: their work grows with the length.
+MAX_LENGTH = 64
+
+
+def check_length(x: ExtAffineElement, what: str) -> None:
+    """Refuse, before any work, an element longer than ``MAX_LENGTH``."""
+    if x.length > MAX_LENGTH:
+        raise ResourceError(
+            f"{what} at an element of length {x.length} exceeds the configured length bound {MAX_LENGTH}"
+        )
 
 
 class HeckeElement(Combination):
@@ -180,19 +186,13 @@ class HeckeAlgebra(RightHeckeModule):
             self._bar_cache[x] = hit
         return hit
 
-    def bar(self, h: HeckeElement) -> HeckeElement:
-        out = self.zero()
-        for x, p in h.terms.items():
-            out = out + self.bar_basis(x).scale(p.bar())
-        return out
+    # -- Kazhdan-Lusztig basis ----------------------------------------------------------------
 
-    # -- Kazhdan-Lusztig basis (internal oracle) ----------------------------------------------
-
-    def kl_basis(self, x: ExtAffineElement, max_length: int = 64) -> HeckeElement:
+    def kl_basis(self, x: ExtAffineElement) -> HeckeElement:
         """The self-dual basis element C_x for the Bruhat order.
 
         Unique bar-invariant element of H_x + sum_{y<x} vZ[v] H_y.  The bound
-        ``max_length`` on len(x) is checked before any work.
+        ``MAX_LENGTH`` on len(x) is checked before any work.
 
         Recursion: with s_j the lowest right descent of x and u = x s_j, the
         product C_u (H_s + v) is built in one {id: packed int} dict, on the
@@ -242,11 +242,7 @@ class HeckeAlgebra(RightHeckeModule):
         about 1.3 bits per length, while the true coefficients stay below
         2^14 up to length 90 in G2.
         """
-        n = x.length
-        if n > max_length:
-            raise ResourceError(
-                f"KL recursion at an element of length {n} exceeds the configured length bound {max_length}"
-            )
+        check_length(x, "KL recursion")
         terms, bound = self._kl_packed(self._id(x))
         elts = self._elts
         return HeckeElement({
@@ -348,15 +344,3 @@ class HeckeAlgebra(RightHeckeModule):
             raise AssertionError("KL basis element has wrong leading coefficient")
         hit = cache[x] = ({z: p for z, p in acc.items() if p}, bound)
         return hit
-
-    # -- Bernstein translation elements -----------------------------------------------------------
-
-    def bernstein(self, lam: Weight) -> HeckeElement:
-        """theta_lam = H_{t(lam_+)} (H_{t(lam_-)})^{-1} with dominant lam_+ and lam_-."""
-        plus = Weight(max(c, 0) for c in lam)
-        minus = Weight(max(-c, 0) for c in lam)
-        g = self.group
-        h = self.basis(g.translation(plus))
-        if minus.is_zero():
-            return h
-        return self.multiply(h, self.inverse_basis(g.translation(minus)))

@@ -2,8 +2,7 @@
 
 Sparse dict representation {exponent: coefficient} with no zero entries;
 the empty dict is the zero polynomial.  Coefficients are Python integers,
-so all arithmetic is exact and overflow-free.  The bar involution sends
-v to v^{-1} (exponent negation).
+so all arithmetic is exact and overflow-free.
 
 Hot loops whose polynomials all lie in Z[v] run on packed integers instead:
 ``pack`` sends c_0 + c_1 v + ... + c_k v^k to the Python int sum c_e 2^(B e),
@@ -108,17 +107,8 @@ class LaurentPoly:
 
     # -- structure -------------------------------------------------------------
 
-    def bar(self) -> "LaurentPoly":
-        """The involution v -> v^{-1}."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {-e: c for e, c in self.coeffs.items()}
-        return out
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_bar_symmetric(self) -> bool:
-        return all(self.coeffs.get(-e, 0) == c for e, c in self.coeffs.items())
 
     def in_v_times_Zv(self) -> bool:
         """True iff every exponent is >= 1 (vacuously true for zero)."""
@@ -126,24 +116,6 @@ class LaurentPoly:
 
     def coefficient(self, exp: int) -> int:
         return self.coeffs.get(exp, 0)
-
-    def lower_symmetrization(self) -> "LaurentPoly":
-        """The unique bar-symmetric q with p - q in vZ[v].
-
-        Concretely c_0 + sum_{k>0} c_{-k} (v^k + v^{-k}); this is the
-        correction coefficient used in canonical-basis normalization.
-        """
-        d: dict[int, int] = {}
-        c0 = self.coeffs.get(0, 0)
-        if c0:
-            d[0] = c0
-        for e, c in self.coeffs.items():
-            if e < 0:
-                d[e] = d.get(e, 0) + c
-                d[-e] = d.get(-e, 0) + c
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {e: c for e, c in d.items() if c}
-        return out
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):

@@ -40,7 +40,6 @@ __all__ = [
     "BlockLabel",
     "MultiplicityTable",
     "enumerate_blocks",
-    "select_omega_s",
     "MultiplicityTables",
 ]
 
@@ -89,23 +88,10 @@ def enumerate_blocks(group: AffineWeyl) -> list[BlockLabel]:
     return out
 
 
-def select_omega_s(group: AffineWeyl, j: int) -> BlockLabel:
-    """A block label whose dot-action stabilizer is {1, s_j} exactly.
-
-    ``j`` indexes the affine simple reflections (0 is the affine one).
-    """
-    want = "s0" if j == 0 else f"s{j}"
-    for label in enumerate_blocks(group):
-        if label.walls == (want,):
-            return label
-    raise ValueError(f"no block label with stabilizer {{1, {want}}} (is l large enough?)")
-
-
 TableKind = Literal[
     "simple_in_verma",
     "verma_in_projective_truncated",
     "babyverma_in_projective",
-    "simple_in_babyverma",
 ]
 
 
@@ -145,12 +131,9 @@ class MultiplicityTables:
         return self.module.generic_polynomial(self._twist(y), self._twist(x), "qprime")
 
     def baby_verma_in_projective(self, x: ExtAffineElement, y: ExtAffineElement) -> LaurentPoly:
-        """(projective at y : baby Verma at x), graded.  By reciprocity it equals
-        [baby Verma at x : simple at y], so ``simple_in_baby_verma`` is this
-        same function."""
+        """(projective at y : baby Verma at x), graded.  By reciprocity it also
+        equals [baby Verma at x : simple at y]."""
         return self.module.p_polynomial(self._twist(x), self._twist(y))
-
-    simple_in_baby_verma = baby_verma_in_projective
 
     # -- tables ------------------------------------------------------------------
 
@@ -181,7 +164,7 @@ class MultiplicityTables:
                     p = mod.generic_polynomial(tx, ty, "q")
                 elif truncated:
                     p = mod.generic_polynomial(ty, tx, "qprime")
-                else:  # both baby kinds are p_{w0 x, w0 y}
+                else:  # p_{w0 x, w0 y}
                     p = mod.p_polynomial(tx, ty)
                 if not p.is_zero():
                     entries[(x, y)] = p

@@ -68,7 +68,7 @@ from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .laurent import ResourceError
-from .rootdata import Weight, dominance_leq, pairing
+from .rootdata import Weight, pairing
 from .weyl import AffineWeyl, ExtAffineElement
 
 __all__ = [
@@ -80,6 +80,10 @@ __all__ = [
 # Window size bound: tests enumerate up to 3,000 elements (A3, height 2) and
 # compute on up to 648 (A3, height 1).
 MAX_WINDOW = 10_000
+
+# The first mu that ``SemiInfiniteOrder.sufficient_mu`` tries is
+# (max translation height + MU_MARGIN) * rho.
+MU_MARGIN = 2
 
 
 class SemiInfiniteOrder:
@@ -111,12 +115,6 @@ class SemiInfiniteOrder:
                 hit = g.sign_table[x.w.index][g.simple_root_pos[j - 1]] > 0
             self._desc_cache[key] = hit
         return hit
-
-    def generating_relation_holds(self, x: ExtAffineElement, j: int) -> bool:
-        """The defining comparison x dot_l 0 >= x s_j dot_l 0, evaluated literally."""
-        g = self.group
-        xs = g.right_multiply_gen(x, j)
-        return dominance_leq(self.rd, g.dot_zero(xs), g.dot_zero(x))
 
     # -- exact comparison ----------------------------------------------------------
 
@@ -296,15 +294,15 @@ class SemiInfiniteOrder:
             self._translate_cache[key] = tz
         return tz
 
-    def sufficient_mu(self, elements: Sequence[ExtAffineElement], extra: int = 2) -> Weight:
+    def sufficient_mu(self, elements: Sequence[ExtAffineElement]) -> Weight:
         """A dominant mu certified to work for all given elements.
 
-        Starts from (max translation height + extra) * rho and doubles until
-        the alcove certificates pass.
+        Starts from (max translation height + ``MU_MARGIN``) * rho and doubles
+        until the alcove certificates pass.
         """
         rd = self.rd
         height = max((max(map(abs, z.trans)) for z in elements), default=0)
-        n = height + extra
+        n = height + MU_MARGIN
         for _ in range(64):
             mu = n * rd.rho
             if all(not self.dominant_alcove_certificate(self.group.translate_left(mu, z)) for z in elements):

@@ -31,20 +31,31 @@ construction).  Then
 
 is self-dual with leading term B_w, and SD_w = P - sum_j m_j SD_{z_j} for
 the unique bar-symmetric corrections m_j that leave all off-leading
-coefficients in vZ[v].  The corrections are found by one top-down sweep of
-the support in the height function h(z) = <z dot_l 0, 2 rho^> (every strict
-semi-infinite relation strictly drops h), keeping one running coefficient
-per queued position: P's coefficient minus every correction so far.  At an
-offending position z the correction m SD_z = m t(z.trans) SD_u is
-subtracted, m c at t(z.trans) src for each term c B_src of SD_u: in full
-when registered if u != w; if u = w (SD_w corrects itself), for the terms
-finalized so far and then for each as it is finalized.  Each target but z
-(the lead's image; val - low normalizes z) lies strictly below z in height,
-as h(t(nu) x) = h(x) + l <nu, 2 rho^>: for u != w, SD_u's support lies
-below its lead; for u = w, h(t(z.trans) p) = h(p) - (h(t(0)w) - h(z)) <
-h(z) for p != t(0)w.  So no target is swept before the correction reaches
-it, and each value read is final: the dependency of whole elements is
-cyclic through translation, but positionwise it is triangular.
+coefficients in vZ[v].  Each m_j is an integer, the constant term of the
+coefficient it corrects.  Write SD_{ws} = B_{ws} + sum_{y < ws} p_y B_y with
+p_y in vZ[v]; the action gives B_x (H_s + v) = B_{xs} + v^{-1} B_x when s
+descends x and B_{xs} + v B_x otherwise.  The lead ws does not descend at
+s (ws s = w lies above it), so its 1 goes to w and, times v, to ws; every
+other p_y goes to ys unchanged and to y times v or v^{-1}, which keeps it
+in Z[v].  So P lies in the sum of the Z[v] B_x, and subtracting integer
+multiples of vectors there keeps every later value there.  The
+bar-symmetric m with c - m in vZ[v] of a c in Z[v] is its constant term.
+The sweep therefore reads m off each swept value, and a negative exponent
+(which this proof excludes) raises CertificationError.  The corrections
+are found by one top-down sweep of the support in the height function
+h(z) = <z dot_l 0, 2 rho^> (every strict semi-infinite relation strictly
+drops h), keeping one running coefficient per queued position: P's
+coefficient minus every correction so far.  At an offending position z the
+correction m SD_z = m t(z.trans) SD_u is subtracted, m c at t(z.trans) src
+for each term c B_src of SD_u: in full when registered if u != w; if u = w
+(SD_w corrects itself), for the terms finalized so far and then for each as
+it is finalized.  Each target but z (the lead's image; val - m normalizes
+z) lies strictly below z in height, as h(t(nu) x) = h(x) + l <nu, 2 rho^>:
+for u != w, SD_u's support lies below its lead; for u = w, h(t(z.trans) p)
+= h(p) - (h(t(0)w) - h(z)) < h(z) for p != t(0)w.  So no target is swept
+before the correction reaches it, and each value read is final: the
+dependency of whole elements is cyclic through translation, but
+positionwise it is triangular.
 
 Each computed element is certified before it is cached: leading
 coefficient 1, all other coefficients in vZ[v], support inside the
@@ -155,6 +166,9 @@ __all__ = [
     "CertificationError",
 ]
 
+# Positions one class solve may sweep before it raises ResourceError.
+MAX_SWEEP_STEPS = 500_000
+
 
 class CertificationError(AssertionError):
     """Internal consistency failure in the self-dual basis computation."""
@@ -188,11 +202,9 @@ class PeriodicModule(RightHeckeModule):
 
     element = PeriodicElement
 
-    def __init__(self, group: AffineWeyl, order: Optional[SemiInfiniteOrder] = None,
-                 max_sweep_steps: int = 500_000):
+    def __init__(self, group: AffineWeyl, order: Optional[SemiInfiniteOrder] = None):
         self.order = order or SemiInfiniteOrder(group)
         super().__init__(group, self.order.descends)
-        self.max_sweep_steps = max_sweep_steps
         self._class_cache: dict[int, PeriodicElement] = {}
         self._in_progress: set[int] = set()
         self._partition_memo: dict[tuple[int, tuple[int, ...], bool], tuple[int, int]] = {}
@@ -203,20 +215,6 @@ class PeriodicModule(RightHeckeModule):
         self._inversion_memo: dict = {}
         self._koszul_memo: dict = {}
         self._down_policy = self._choose_down_moves()
-
-    # Tables built on first use, so that constructing a module stays cheap.
-
-    @cached_property
-    def _koszul_terms(self) -> list[tuple[Weight, LaurentPoly]]:
-        """prod_{a > 0} (1 - v^2 <-a>) expanded over the subsets S of the positive
-        roots, one factor at a time: the sum of the monomials (-1)^|S| v^{2|S|}
-        per subset sum sigma, as (sigma, polynomial)."""
-        koszul: dict[Weight, LaurentPoly] = {Weight((0,) * self.rd.rank): ONE}
-        for b in self.rd.positive_roots:
-            for sigma, poly in list(koszul.items()):
-                with_b = sigma + b
-                koszul[with_b] = koszul.get(with_b, ZERO) - poly.shift(2)
-        return [(sigma, poly) for sigma, poly in koszul.items() if poly]
 
     # -- basic constructions -----------------------------------------------------
 
@@ -327,13 +325,14 @@ class PeriodicModule(RightHeckeModule):
 
         # Top-down sweep in height.  acc holds, at each queued position, the
         # product's coefficient minus every correction (z, m, class, shift)
-        # registered so far, fin the finalized coefficients of the element
-        # under construction, and selfs the corrections by SD_w itself, which
-        # reach each position of fin as it is finalized (module docstring).
+        # registered so far, m the integer constant term at z; fin the
+        # finalized coefficients of the element under construction; and
+        # selfs the corrections by SD_w itself, which reach each position of
+        # fin as it is finalized (module docstring).
         acc = dict(product.terms)
         fin: dict[ExtAffineElement, LaurentPoly] = {}
-        corrections: list[tuple[ExtAffineElement, LaurentPoly, int, Weight]] = []
-        selfs: list[tuple[ExtAffineElement, LaurentPoly]] = []
+        corrections: list[tuple[ExtAffineElement, int, int, Weight]] = []
+        selfs: list[tuple[ExtAffineElement, int]] = []
         # Heap entries (-height, key, element): keys are unique, so the
         # element itself is never compared.
         heap: list[tuple[int, tuple, ExtAffineElement]] = []
@@ -348,12 +347,12 @@ class PeriodicModule(RightHeckeModule):
             witness[pos] = via
             heapq.heappush(heap, (-self.order.height(pos), pos.key, pos))
 
-        def subtract(z: ExtAffineElement, m: LaurentPoly, terms) -> None:
-            # m c at t(z.trans) src for each (src, c), bar z itself (val - low)
+        def subtract(z: ExtAffineElement, m: int, terms) -> None:
+            # m c at t(z.trans) src for each (src, c), bar z itself (val - m)
             for src, c in terms:
                 at = g.translate_left(z.trans, src)
                 if at is not z:
-                    acc[at] = acc.get(at, ZERO) - m * c
+                    acc[at] = acc.get(at, ZERO) - c.scale(m)
                     push(at, (z, src))
 
         self._check_product_terms(w_index, base, product.terms)
@@ -362,10 +361,10 @@ class PeriodicModule(RightHeckeModule):
 
         swept: list[ExtAffineElement] = []
         while heap:
-            if len(swept) >= self.max_sweep_steps:
+            if len(swept) >= MAX_SWEEP_STEPS:
                 raise ResourceError(
                     f"self-dual basis sweep of class {g.format_element(lead)} exceeded "
-                    f"max_sweep_steps={self.max_sweep_steps} with {len(heap)} positions queued"
+                    f"MAX_SWEEP_STEPS={MAX_SWEEP_STEPS} with {len(heap)} positions queued"
                 )
             pos = heapq.heappop(heap)[2]
             swept.append(pos)
@@ -374,18 +373,21 @@ class PeriodicModule(RightHeckeModule):
                 if val != ONE:
                     raise CertificationError("leading coefficient is not 1")
             else:
-                low = val.lower_symmetrization()
-                if not low.is_zero():
+                coeffs = val.coeffs
+                if coeffs and min(coeffs) < 0:
+                    raise CertificationError(
+                        f"coefficient at {g.format_element(pos)} of class {g.format_element(lead)} "
+                        "outside Z[v]")
+                m = coeffs.get(0)
+                if m:
                     cls = pos.w.index
-                    corrections.append((pos, low, cls, pos.trans))
+                    corrections.append((pos, m, cls, pos.trans))
                     if cls == w_index:
-                        selfs.append((pos, low))
-                        subtract(pos, low, fin.items())
+                        selfs.append((pos, m))
+                        subtract(pos, m, fin.items())
                     else:
-                        subtract(pos, low, self._class_element(cls).terms.items())
-                    val = val - low
-                    if not val.in_v_times_Zv():
-                        raise CertificationError("correction did not normalize the coefficient")
+                        subtract(pos, m, self._class_element(cls).terms.items())
+                    val = LaurentPoly({e: c for e, c in coeffs.items() if e})
                 if val.is_zero():
                     continue
             fin[pos] = val
@@ -456,8 +458,6 @@ class PeriodicModule(RightHeckeModule):
         # product relation on complete vectors
         acc = result
         for (z, m, cls, shift_nu) in corrections:
-            if not m.is_bar_symmetric():
-                raise CertificationError("certification: correction not bar-symmetric")
             base = result if cls == w_index else self._class_cache[cls]
             acc = acc + self.shift(base, shift_nu).scale(m)
         if acc != product:
@@ -579,22 +579,24 @@ class PeriodicModule(RightHeckeModule):
             group.sort(key=lambda row: -row[0])
         return rows, top
 
-    def koszul_apply(self, m: PeriodicElement) -> PeriodicElement:
-        """Apply prod_{a > 0} (1 - v^2 <-a>), the finite inverse of the q-series."""
-        out = self.zero()
-        for sigma, poly in self._koszul_terms:
-            out = out + self.shift(m, -sigma).scale(poly)
-        return out
-
     @cached_property
     def _koszul_packed(self) -> list[tuple[int, tuple[int, ...], int, int]]:
-        """``_koszul_terms`` as (sum E(sigma), E(sigma), packed polynomial, its l1
-        norm), by ascending sum E(sigma)."""
-        terms = []
-        for sigma, poly in self._koszul_terms:
-            at = self.rd.scaled_root_coordinates(sigma)
-            terms.append((sum(at), at, *_packed(poly)))
-        return sorted(terms, key=lambda term: term[0])
+        """prod_{a > 0} (1 - v^2 <-a>) expanded over the subsets S of the positive
+        roots, one factor at a time: per subset sum sigma, the sum of the
+        monomials (-1)^|S| v^{2|S|}, as (sum E(sigma), E(sigma), that polynomial
+        packed, its l1 norm), by ascending sum E(sigma).  The subsets of one
+        size share a sign, so no two monomials cancel and the l1 norm is the
+        number of subsets.  Built on first use, so that constructing a module
+        stays cheap."""
+        step = 2 * laurent._WIDTH
+        koszul: dict[tuple[int, ...], tuple[int, int]] = {(0,) * self.rd.rank: (1, 1)}
+        for b in self.rd.positive_roots:
+            eb = self.rd.scaled_root_coordinates(b)
+            for at, (f, n) in list(koszul.items()):
+                with_b = tuple(map(add, at, eb))
+                g, k = koszul.get(with_b, (0, 0))
+                koszul[with_b] = (g - (f << step), k + n)
+        return sorted(((sum(at), at, f, n) for at, (f, n) in koszul.items()), key=lambda term: term[0])
 
     def koszul_of_series(self, y: ExtAffineElement, x: ExtAffineElement) -> LaurentPoly:
         """Coefficient at y of the Koszul operator applied to the full (untruncated)

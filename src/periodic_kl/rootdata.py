@@ -88,9 +88,6 @@ class Weight(tuple):
     # without this, ``w * n`` would fall back to tuple repetition
     __mul__ = __rmul__
 
-    def is_zero(self) -> bool:
-        return not any(self)
-
     def __repr__(self) -> str:
         return f"Weight{tuple.__repr__(self)}"
 
@@ -224,10 +221,6 @@ class RootDatum:
 
         e = self.lattice_index_e
         return tuple(Fraction(c, e) for c in self.scaled_root_coordinates(lam))
-
-    def in_root_lattice(self, lam: Sequence[int]) -> bool:
-        e = self.lattice_index_e
-        return all(c % e == 0 for c in self.scaled_root_coordinates(lam))
 
     def coset_tag(self, lam: Sequence[int]) -> tuple[int, ...]:
         """Class of ``lam`` in (weight lattice)/(root lattice), as a hashable tag."""

@@ -40,7 +40,7 @@ coset of the length-zero subgroup.
 from __future__ import annotations
 
 from operator import add, mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .rootdata import RootDatum, Weight, pairing
 
@@ -322,12 +322,6 @@ class AffineWeyl:
 
     # -- dot action -----------------------------------------------------------------
 
-    def dot_action(self, x: ExtAffineElement, lam: Weight, n: int) -> Weight:
-        """The n-dilated rho-shifted action: for x = t(nu) w this is w(lam+rho) + n*nu - rho."""
-        self._check(x)
-        rd = self.rd
-        return x.w.apply(lam + rd.rho) + n * x.trans - rd.rho
-
     def dot_zero(self, x: ExtAffineElement, n: Optional[int] = None) -> Weight:
         """x dot 0 at dilation n (default: the datum's l)."""
         if n is None:
@@ -360,13 +354,6 @@ class AffineWeyl:
             else:
                 raise AssertionError("positive-length element with no descent")
         return tuple(reversed(word_rev)), cur
-
-    def from_word(self, word: Iterable[int], omega: Optional[ExtAffineElement] = None) -> ExtAffineElement:
-        """Rebuild ``omega * s_{j1} ... s_{jk}`` from a word and optional omega part."""
-        cur = self.identity() if omega is None else omega
-        for j in word:
-            cur = self.right_multiply_gen(cur, j)
-        return cur
 
     def bruhat_leq(self, x: ExtAffineElement, y: ExtAffineElement) -> bool:
         """Bruhat order on the extended group: subword order after splitting off
@@ -463,26 +450,6 @@ class AffineWeyl:
                 raise ValueError(f"finite reflection index {i} out of range in {text!r}")
             w = self._fin_mul[w][self._gen_indices[i - 1]]
         return self._intern(tuple(coords), w)
-
-    def elements_of_length_leq(self, bound: int) -> Iterator[ExtAffineElement]:
-        """All extended elements of length <= bound (BFS over generators and omega)."""
-        seen = set()
-        frontier: list[ExtAffineElement] = []
-        for om in self.omega_elements.values():
-            if om not in seen:
-                seen.add(om)
-                frontier.append(om)
-        yield from frontier
-        while frontier:
-            nxt: list[ExtAffineElement] = []
-            for x in frontier:
-                for j in range(self.num_affine_gens):
-                    y = self.right_multiply_gen(x, j)
-                    if y not in seen and y.length <= bound:
-                        seen.add(y)
-                        nxt.append(y)
-                        yield y
-            frontier = nxt
 
 
 def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

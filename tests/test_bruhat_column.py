@@ -9,7 +9,7 @@ import pytest
 from periodic_kl.cli import main
 from periodic_kl.orders import SemiInfinitePoset, standard_window
 from periodic_kl.rootdata import Weight
-from oracles import bruhat_leq_by_descent, subword_bruhat
+from oracles import bruhat_leq_by_descent, from_word, subword_bruhat
 
 
 @pytest.mark.parametrize("fixture,height", [("a1", 2), ("a2", 1), ("b2", 1)])
@@ -41,7 +41,7 @@ def test_bruhat_column_edge_cases(a2):
     W = a2.group
     e = W.identity()
     omega = next(om for om in W.omega_elements.values() if om is not e)
-    x = W.from_word([1, 2, 1, 0])
+    x = from_word(W, [1, 2, 1, 0])
     assert W.bruhat_column([], x) == []
     # at length 0 only the element itself lies below; other cosets never do
     assert W.bruhat_column([e, omega, x], e) == [True, False, False]

@@ -206,13 +206,37 @@ def test_resource_exit_code(monkeypatch, tmp_path):
 
 
 def test_kl_length_bound_exit_code(capsys):
-    # t(70) has length 70, above the default bound 64: refused before any work
-    code = main(["hecke", "kl", *BASE_A1, "--x", "t(70)*w[]"])
+    # an element of length 70, above the default bound 64, is refused before
+    # any work by kl, mul (either factor) and bar
+    for argv in (["kl", *BASE_A1, "--x", "t(70)*w[]"],
+                 ["mul", *BASE_A1, "--x", "t(70)*w[]", "--y", "t(0)*w[]"],
+                 ["mul", *BASE_A1, "--x", "t(0)*w[]", "--y", "t(70)*w[]"],
+                 ["bar", *BASE_A1, "--x", "t(70)*w[]"]):
+        code = main(["hecke", *argv])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "", argv
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("resource bound exceeded:"), lines
+        assert "length 70" in lines[0] and "bound 64" in lines[0]
+    # bar at this G2 element of length 96 took 20 s before it had a bound
+    start = time.perf_counter()
+    code = main(["hecke", "bar", "--type", "G", "--rank", "2", "--l", "7", "--x", "t(6,6)*w[]"])
+    elapsed = time.perf_counter() - start
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 3 and len(lines) == 1 and "length 96" in lines[0] and "bound 64" in lines[0]
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("command", [["table", "p"], ["orders", "hasse"], ["selfcheck"]])
+def test_coset_tag_naming_no_coset_is_refused(capsys, command):
+    # the A2 coset tags are 0,0 1,2 2,1; 1,1 names none and must not run on an
+    # empty window
+    code = main([*command, "--type", "A", "--rank", "2", "--l", "5", "--height", "1", "--coset", "1,1"])
     captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
+    assert code == 2 and captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("resource bound exceeded:"), lines
-    assert "length 70" in lines[0] and "bound 64" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "'1,1'" in lines[0] and lines[0].endswith("valid tags: 0,0 1,2 2,1")
 
 
 def test_window_bound_exit_code(capsys):

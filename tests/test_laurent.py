@@ -2,6 +2,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import is_bar_symmetric, lower_symmetrization, poly_bar
 from periodic_kl.laurent import LaurentPoly, ONE, V, VINV, ZERO, pack, unpack
 
 # Fixed example sequence and no example database: the property tests below
@@ -36,13 +37,13 @@ def test_ring_axioms_randomized():
 
 
 def test_bar_examples():
-    assert V.bar() == VINV
-    assert (ONE + LaurentPoly({2: 1})).bar() == ONE + LaurentPoly({-2: 1})
+    assert poly_bar(V) == VINV
+    assert poly_bar(ONE + LaurentPoly({2: 1})) == ONE + LaurentPoly({-2: 1})
     rng = random.Random(1)
     for _ in range(30):
         p, q = rand_poly(rng), rand_poly(rng)
-        assert p.bar().bar() == p
-        assert (p * q).bar() == p.bar() * q.bar()
+        assert poly_bar(poly_bar(p)) == p
+        assert poly_bar(p * q) == poly_bar(p) * poly_bar(q)
 
 
 def test_in_v_times_Zv():
@@ -54,15 +55,15 @@ def test_in_v_times_Zv():
 
 def test_lower_symmetrization():
     p = LaurentPoly({-2: 3, 0: 1, 1: 7})
-    m = p.lower_symmetrization()
+    m = lower_symmetrization(p)
     assert m == LaurentPoly({-2: 3, 0: 1, 2: 3})
-    assert m.is_bar_symmetric()
+    assert is_bar_symmetric(m)
     assert (p - m).in_v_times_Zv()
     rng = random.Random(2)
     for _ in range(30):
         p = rand_poly(rng)
-        m = p.lower_symmetrization()
-        assert m.is_bar_symmetric()
+        m = lower_symmetrization(p)
+        assert is_bar_symmetric(m)
         assert (p - m).in_v_times_Zv()
 
 
@@ -95,10 +96,10 @@ def test_ring_laws(a, b, c):
 @_settings
 @given(laurent_polys, laurent_polys)
 def test_bar_is_an_involutive_ring_homomorphism(a, b):
-    assert a.bar().bar() == a
-    assert (a + b).bar() == a.bar() + b.bar()
-    assert (a * b).bar() == a.bar() * b.bar()
-    assert (a * V).bar() == a.bar() * VINV
+    assert poly_bar(poly_bar(a)) == a
+    assert poly_bar(a + b) == poly_bar(a) + poly_bar(b)
+    assert poly_bar(a * b) == poly_bar(a) * poly_bar(b)
+    assert poly_bar(a * V) == poly_bar(a) * VINV
 
 
 @_settings

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from periodic_kl.laurent import ONE, ZERO
-from periodic_kl.multiplicity import MultiplicityTables, enumerate_blocks, select_omega_s
+from periodic_kl.multiplicity import MultiplicityTables, enumerate_blocks
 from periodic_kl.orders import standard_window
 from periodic_kl.rootdata import Weight, dominance_leq
-from oracles import dot_orbit, dot_stabilizer
+from oracles import dot_action, dot_orbit, dot_stabilizer
 
 
 def test_blocks_a1(a1):
@@ -21,7 +21,7 @@ def test_blocks_a1(a1):
     # stabilizer of the singular points: the wall reflections fix them
     for b in labels:
         for g in b.stabilizer_generators:
-            assert W.dot_action(g, b.representative, a1.rd.l) == b.representative
+            assert dot_action(W, g, b.representative, a1.rd.l) == b.representative
 
 
 def test_blocks_against_orbit_oracle(a1):
@@ -60,18 +60,6 @@ def test_blocks_a2_structure(a2):
     assert regular, "l > h guarantees a regular point"
     for b in labels:
         assert b.regular == (not b.stabilizer_generators)
-
-
-def test_select_omega_s(a1, a2):
-    for ctx in (a1, a2):
-        W = ctx.group
-        for j in W.affine_generator_indices():
-            label = select_omega_s(W, j)
-            assert len(label.stabilizer_generators) == 1
-            g = label.stabilizer_generators[0]
-            assert W.dot_action(g, label.representative, ctx.rd.l) == label.representative
-            expected = W.affine_generator(j)
-            assert g == expected
 
 
 def test_simple_in_verma(a1):
@@ -123,7 +111,7 @@ def test_truncation_monotonicity(a1):
                 assert v2 == v1  # enlarging nu never zeroes an entry
 
 
-def test_baby_reciprocity_and_shift(a2):
+def test_baby_translation_invariance(a2):
     T = MultiplicityTables(a2.module)
     W = a2.group
     rng = random.Random(0)
@@ -131,8 +119,6 @@ def test_baby_reciprocity_and_shift(a2):
     for _ in range(20):
         x, y = rng.choice(win), rng.choice(win)
         lhs = T.baby_verma_in_projective(x, y)
-        rhs = T.simple_in_baby_verma(x, y)
-        assert lhs == rhs
         nu = Weight((rng.randint(-2, 2), rng.randint(-2, 2)))
         assert lhs == T.baby_verma_in_projective(W.translate_left(nu, x), W.translate_left(nu, y))
 
@@ -140,7 +126,7 @@ def test_baby_reciprocity_and_shift(a2):
 def test_diagonal_normalization(a2):
     T = MultiplicityTables(a2.module)
     for x in standard_window(a2.group, 1):
-        assert T.simple_in_baby_verma(x, x) == ONE
+        assert T.baby_verma_in_projective(x, x) == ONE
         assert T.simple_in_verma(x, x) == ONE
 
 
@@ -175,8 +161,7 @@ def test_table_builder(a1):
     with pytest.raises(ValueError):
         T.table("verma_in_projective_truncated", win)
     t3 = T.table("babyverma_in_projective", win)
-    t4 = T.table("simple_in_babyverma", win)
-    assert t3.entries == t4.entries
+    assert all(t3.entries.get((x, x)) == ONE for x in win)
 
 
 def test_table_checks_its_arguments_before_the_window(a1):
@@ -198,7 +183,6 @@ def test_tables_match_point_queries(a2):
         "simple_in_verma": T.simple_in_verma,
         "verma_in_projective_truncated": lambda x, y: T.verma_in_projective(x, y, nu),
         "babyverma_in_projective": T.baby_verma_in_projective,
-        "simple_in_babyverma": T.simple_in_baby_verma,
     }
     for kind, value in point.items():
         table = T.table(kind, win, nu=nu)

@@ -1,14 +1,21 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
+from periodic_kl import periodic
 from periodic_kl.laurent import LaurentPoly, ONE, V, VINV, ZERO
 from periodic_kl.orders import standard_window
 from periodic_kl.periodic import PeriodicModule
 from periodic_kl.rootdata import Weight
-from oracles import class_support_below_lead, inversion_sum_per_pair, koszul_of_series_per_pair
+from oracles import (
+    class_support_below_lead,
+    elements_of_length_leq,
+    inversion_sum_per_pair,
+    koszul_of_series_per_pair,
+)
 
 
 def test_action_examples(a1):
@@ -33,7 +40,7 @@ def test_action_satisfies_quadratic_relation(request, datum, which):
     ctx = request.getfixturevalue(datum)
     M, W = getattr(ctx, which), ctx.group
     rng = random.Random(0)
-    elts = list(W.elements_of_length_leq(3))
+    elts = list(elements_of_length_leq(W, 3))
     for _ in range(10):
         terms = {x: LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)}) for x in rng.sample(elts, 3)}
         m = M.from_terms(terms)
@@ -49,7 +56,7 @@ def test_action_satisfies_braid_relations(request, datum, which):
     ctx = request.getfixturevalue(datum)
     M, W = getattr(ctx, which), ctx.group
     rng = random.Random(1)
-    elts = list(W.elements_of_length_leq(2))
+    elts = list(elements_of_length_leq(W, 2))
     for i in W.affine_generator_indices():
         for j in W.affine_generator_indices():
             if i >= j:
@@ -86,7 +93,7 @@ def test_action_module_over_algebra(request, datum):
     ctx = request.getfixturevalue(datum)
     M, W, H = ctx.module, ctx.group, ctx.hecke
     rng = random.Random(2)
-    elts = list(W.elements_of_length_leq(3))
+    elts = list(elements_of_length_leq(W, 3))
     for _ in range(10):
         m = M.from_terms({x: ONE for x in rng.sample(elts, 2)})
         h1 = H.basis(rng.choice(elts))
@@ -213,16 +220,6 @@ def test_generic_polynomial_against_truncated_series(a1, a2):
                 assert expanded.coefficient(y) == M.generic_polynomial(y, x, "q")
 
 
-def test_koszul_examples(a1):
-    M, W = a1.module, a1.group
-    alpha = a1.rd.simple_roots[0]
-    e = W.identity()
-    k = M.koszul_apply(M.basis(e))
-    assert k.coefficient(e) == ONE
-    assert k.coefficient(W.translation(-alpha)) == LaurentPoly({2: -1})
-    assert len(k.terms) == 2
-
-
 def test_koszul_inverts_geometric_series_per_root(a1):
     # (1 - v^2 <-a>) (1 + v^2 <-a> + ...) = 1, checked on a truncated window
     M, W = a1.module, a1.group
@@ -331,13 +328,13 @@ def test_selfdual_nontrivial_coset(a1):
             assert p.in_v_times_Zv() and O.leq(y, x)
 
 
-def test_resource_bound_raises(a1):
+def test_resource_bound_raises(a1, monkeypatch):
     from periodic_kl.hecke import ResourceError
-    from periodic_kl.periodic import PeriodicModule
 
-    M = PeriodicModule(a1.group, a1.order, max_sweep_steps=1)
+    monkeypatch.setattr(periodic, "MAX_SWEEP_STEPS", 1)
+    M = PeriodicModule(a1.group, a1.order)
     with pytest.raises(ResourceError, match=r"^self-dual basis sweep of class t\(0\)\*w\[1\] "
-                                            r"exceeded max_sweep_steps=1 with [1-9]\d* positions queued$"):
+                                            r"exceeded MAX_SWEEP_STEPS=1 with [1-9]\d* positions queued$"):
         M.selfdual(a1.group.simple_reflection(0))
 
 
@@ -374,9 +371,36 @@ def test_stray_product_term_stops_the_solve_before_its_sweep(a2, monkeypatch):
         return real_act_cs(self, m, j) + self.basis(stray).scale(V)
 
     monkeypatch.setattr(PeriodicModule, "act_cs", act_cs_with_stray_term)
-    M = PeriodicModule(a2.group, SemiInfiniteOrder(a2.group), max_sweep_steps=1)
+    monkeypatch.setattr(periodic, "MAX_SWEEP_STEPS", 1)
+    M = PeriodicModule(a2.group, SemiInfiniteOrder(a2.group))
     with pytest.raises(CertificationError, match="^support escapes the semi-infinite ideal of the lead$"):
         M._class_element(w)
+
+
+def test_negative_exponent_in_the_product_is_refused(a2, monkeypatch):
+    # every value the class solve sweeps lies in Z[v] (module docstring), so a
+    # v^{-1} planted at a non-lead term of the product must stop the solve
+    # with its own error, before the certification could see the result
+    from periodic_kl.orders import SemiInfiniteOrder
+    from periodic_kl.periodic import CertificationError
+
+    W = a2.group
+    w = W.w0.index
+    j, nu, sigma = a2.module._down_policy[w]
+    lead = W.element(Weight((0, 0)), w)
+    real_act_cs = PeriodicModule.act_cs
+    product = real_act_cs(a2.module, a2.module.shift(a2.module._class_element(sigma), nu), j)
+    pos = min((x for x in product.terms if x is not lead), key=lambda x: x.key)
+
+    def act_cs_with_negative_exponent(self, m, j):
+        return real_act_cs(self, m, j) + self.basis(pos).scale(VINV)
+
+    monkeypatch.setattr(PeriodicModule, "act_cs", act_cs_with_negative_exponent)
+    M = PeriodicModule(W, SemiInfiniteOrder(W))
+    with pytest.raises(CertificationError, match=f"^coefficient at {re.escape(repr(pos))} of class "
+                                                 f"{re.escape(repr(lead))} outside Z\\[v\\]$"):
+        M._class_element(w)
+    assert list(M._class_cache) == [0]
 
 
 def test_witness_check_correction_branch(a2):

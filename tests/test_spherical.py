@@ -20,6 +20,7 @@ from operator import mul
 import pytest
 
 from oracles import q_weight_multiplicity
+from periodic_kl import hecke
 from periodic_kl.hecke import HeckeAlgebra
 from periodic_kl.laurent import LaurentPoly
 from periodic_kl.rootdata import Weight
@@ -51,7 +52,7 @@ def _check_spherical(ctx, lams, box: int) -> int:
         n_lam = W.multiply(w0, W.translation(lam))
         assert n_lam is W.element(W.w0.apply(lam), W.w0.index)
         assert n_lam.length == W.w0.length + sum(map(mul, lam, rd.two_rho_check))
-        kl = H.kl_basis(n_lam, max_length=n_lam.length)
+        kl = H.kl_basis(n_lam)
         mus = boxed | {mu for mu in (W.w0.apply(y.trans) for y in kl.terms if y.w.index == W.w0.index)
                        if min(mu) >= 0}
         for mu in mus:
@@ -71,7 +72,8 @@ def test_spherical_kl_coefficients_are_q_weight_multiplicities(request, name, bo
 
 
 @pytest.mark.slow
-def test_spherical_kl_coefficients_g2_up_to_5rho(g2):
-    # n_{5 rho} has length 86
+def test_spherical_kl_coefficients_g2_up_to_5rho(g2, monkeypatch):
+    # n_{5 rho} has length 86, above the default length bound
+    monkeypatch.setattr(hecke, "MAX_LENGTH", 86)
     lams = [k * g2.rd.rho for k in (3, 4, 5)]
     assert _check_spherical(g2, lams, 5) > len(lams)

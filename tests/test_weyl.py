@@ -4,7 +4,7 @@ import pytest
 
 from periodic_kl.rootdata import Weight, root_datum
 from periodic_kl.weyl import AffineWeyl, ExtAffineElement
-from oracles import bfs_lengths, subword_bruhat
+from oracles import bfs_lengths, dot_action, elements_of_length_leq, from_word, subword_bruhat
 
 
 def test_multiply_examples(a1):
@@ -25,7 +25,7 @@ def test_multiply_rejects_mixed_contexts(a1, a2):
 def test_semidirect_product_law(a2):
     W = a2.group
     random.seed(7)
-    elts = list(W.elements_of_length_leq(3))
+    elts = list(elements_of_length_leq(W, 3))
     for _ in range(30):
         x, y = random.choice(elts), random.choice(elts)
         z = W.multiply(x, y)
@@ -52,7 +52,7 @@ def test_length_against_bfs(fixture, request):
     W = ctx.group
     gens = {W.affine_generator(j) for j in W.affine_generator_indices()}
     by_coset: dict = {}
-    for x in W.elements_of_length_leq(5):
+    for x in elements_of_length_leq(W, 5):
         by_coset.setdefault(x.omega_component, {})[x] = x.length
     assert len(by_coset) == len(W.omega_elements)
     for tag, om in W.omega_elements.items():
@@ -66,7 +66,7 @@ def test_length_changes_by_one(a1, a2, b2):
     # exhaustive up to length 6 in every rank <= 2 datum
     for ctx in (a1, a2, b2):
         W = ctx.group
-        for x in W.elements_of_length_leq(6):
+        for x in elements_of_length_leq(W, 6):
             for j in W.affine_generator_indices():
                 assert abs(W.right_multiply_gen(x, j).length - x.length) == 1
 
@@ -74,7 +74,7 @@ def test_length_changes_by_one(a1, a2, b2):
 def test_length_subadditive(a2):
     W = a2.group
     random.seed(3)
-    elts = list(W.elements_of_length_leq(4))
+    elts = list(elements_of_length_leq(W, 4))
     for _ in range(60):
         x, y = random.choice(elts), random.choice(elts)
         z = W.multiply(x, y)
@@ -92,11 +92,11 @@ def test_omega_elements(a1, a2, g2):
 
 def test_reduced_words_reconstruct(a2):
     W = a2.group
-    for x in W.elements_of_length_leq(4):
+    for x in elements_of_length_leq(W, 4):
         word, omega = W.reduced_word(x)
         assert len(word) == x.length
         assert omega.length == 0
-        assert W.from_word(word, omega) == x
+        assert from_word(W, word, omega) == x
 
 
 def test_bruhat_examples(a1):
@@ -117,7 +117,7 @@ def test_bruhat_examples(a1):
 def test_bruhat_against_subword_oracle(fixture, request):
     ctx = request.getfixturevalue(fixture)
     W = ctx.group
-    elts = [x for x in W.elements_of_length_leq(5 if fixture == "a1" else 3)]
+    elts = [x for x in elements_of_length_leq(W, 5 if fixture == "a1" else 3)]
     for x in elts:
         for y in elts:
             assert W.bruhat_leq(x, y) == subword_bruhat(W, x, y)
@@ -128,21 +128,21 @@ def test_dot_action_examples(a1):
     rd = a1.rd
     alpha = rd.simple_roots[0]
     zero = Weight((0,))
-    assert W.dot_action(W.identity(), zero, rd.l) == zero
-    assert W.dot_action(W.translation(alpha), zero, 3) == 3 * alpha
-    assert W.dot_action(W.simple_reflection(0), zero, 5) == -alpha
+    assert dot_action(W, W.identity(), zero, rd.l) == zero
+    assert dot_action(W, W.translation(alpha), zero, 3) == 3 * alpha
+    assert dot_action(W, W.simple_reflection(0), zero, 5) == -alpha
 
 
 def test_dot_action_is_group_action(a2):
     W = a2.group
     rd = a2.rd
     random.seed(11)
-    elts = list(W.elements_of_length_leq(3))
+    elts = list(elements_of_length_leq(W, 3))
     for _ in range(40):
         x, y = random.choice(elts), random.choice(elts)
         lam = Weight((random.randint(-4, 4), random.randint(-4, 4)))
-        lhs = W.dot_action(W.multiply(x, y), lam, rd.l)
-        rhs = W.dot_action(x, W.dot_action(y, lam, rd.l), rd.l)
+        lhs = dot_action(W, W.multiply(x, y), lam, rd.l)
+        rhs = dot_action(W, x, dot_action(W, y, lam, rd.l), rd.l)
         assert lhs == rhs
 
 
@@ -155,7 +155,7 @@ def test_longest_element(a1, a2, b2):
 
 def test_element_text_round_trip(a2):
     W = a2.group
-    for x in W.elements_of_length_leq(4):
+    for x in elements_of_length_leq(W, 4):
         assert W.parse_element(W.format_element(x)) == x
     assert W.parse_element("t(1,0)*w[1 2]") == W.multiply(
         W.translation(Weight((1, 0))), W.multiply(W.simple_reflection(0), W.simple_reflection(1))
@@ -178,7 +178,7 @@ def test_equal_results_are_the_same_object(a2):
     assert W.inverse(W.inverse(x)) is x
     assert W.multiply(x, W.inverse(x)) is W.identity()
     word, omega = W.reduced_word(x)
-    assert W.from_word(word, omega) is x
+    assert from_word(W, word, omega) is x
     assert x.key == (tuple(x.trans), x.w.index)
 
 
@@ -208,7 +208,6 @@ def test_weights_are_their_coordinate_tuples(a2):
     assert (a + b, a - b, -a) == ((4, -2), (-2, -2), (-1, 2))
     t = (1, -2)
     assert Weight(t) == t and hash(Weight(t)) == hash(t)
-    assert Weight((0, 0)).is_zero() and not a.is_zero()
     assert type(rd.coroot(rd.positive_roots[0])) is tuple
-    for y in W.elements_of_length_leq(3):
+    for y in elements_of_length_leq(W, 3):
         assert y.trans is y.key[0]
