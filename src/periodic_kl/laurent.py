@@ -99,12 +99,6 @@ class LaurentPoly:
         out.coeffs = {e: n * c for e, c in self.coeffs.items()}
         return out
 
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by v^k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {e + k: c for e, c in self.coeffs.items()}
-        return out
-
     # -- structure -------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -113,9 +107,6 @@ class LaurentPoly:
     def in_v_times_Zv(self) -> bool:
         """True iff every exponent is >= 1 (vacuously true for zero)."""
         return all(e >= 1 for e in self.coeffs)
-
-    def coefficient(self, exp: int) -> int:
-        return self.coeffs.get(exp, 0)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):

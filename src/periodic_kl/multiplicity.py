@@ -31,7 +31,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Literal, NamedTuple, Optional, Sequence, get_args
 
-from .laurent import ZERO, LaurentPoly
+from .laurent import ZERO, LaurentPoly, ResourceError
 from .periodic import PeriodicModule
 from .rootdata import Weight, dominance_leq, pairing
 from .weyl import AffineWeyl, ExtAffineElement
@@ -42,6 +42,9 @@ __all__ = [
     "enumerate_blocks",
     "MultiplicityTables",
 ]
+
+# Bound on the points the alcove enumeration visits, (l + 1)^rank.
+MAX_BLOCK_POINTS = 100_000
 
 
 class BlockLabel(NamedTuple):
@@ -54,10 +57,19 @@ class BlockLabel(NamedTuple):
 
 
 def enumerate_blocks(group: AffineWeyl) -> list[BlockLabel]:
-    """All lattice points of the closed fundamental alcove with stabilizers."""
+    """All lattice points of the closed fundamental alcove with stabilizers.
+
+    The walk visits the (l + 1)^rank points of the box [-1, l - 1]^rank; a box
+    of more than ``MAX_BLOCK_POINTS`` points is refused before the walk.
+    """
     rd = group.rd
     l = rd.l
     rank = rd.rank
+    size = (l + 1) ** rank
+    if size > MAX_BLOCK_POINTS:
+        raise ResourceError(
+            f"the alcove walk at l={l} in rank {rank} visits {size} points, above the bound of {MAX_BLOCK_POINTS}"
+        )
     eta = rd.short_dominant_root
     eta_check = rd.coroot(eta)
     out = []

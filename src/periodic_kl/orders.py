@@ -25,31 +25,30 @@ reflection set makes the order agree with its Bruhat characterization
 below, so the closure here always uses all reflections.
 
 Two elements are comparable only inside a common coset of the length-zero
-subgroup.  Along any descending chain from ``y`` down to ``x`` every
-intermediate ``z`` satisfies ``x dot 0 <= z dot 0 <= y dot 0`` in dominance
-order, which confines all chains to a finite, enumerable slab.  The exact
-comparison is batched: :meth:`SemiInfiniteOrder.below` answers ``x <= y``
-for a whole set of queries ``x`` with one down-closure search of ``y``.  The
-search never leaves the elements ``z`` whose ``z dot 0`` dominates the meet
-(coordinatewise minimum in simple-root coordinates) of the queried
-``x dot 0`` and whose height is at least the lowest queried height.  Every
-chain to a queried ``x`` lies in ``[x dot 0, y dot 0]``, hence inside that
-region, so the pruning loses no answer (no window guesswork), while the
-region stays close to the queries instead of spanning the whole ideal of
-``y``.  The search runs on ``(translation, finite index)`` keys with
-integer root coordinates scaled by the lattice index, and takes its moves
-from per-finite-element tables built on first use.  :meth:`leq` is one
-such search with a single query, memoized per pair.
+subgroup.  The order is decided one way, a finite window at a time
+(:meth:`SemiInfinitePoset.build`): one pass decides the window's columns
+(the ideal of each element within the window) in ascending height, each
+by a down-closure search along the generating moves.  Every element z
+carries E(z) = e * rc(z dot 0) as integers (scaled simple-root
+coordinates), so x dot 0 <= z dot 0 in dominance order iff E(z) - E(x) is
+a nonnegative multiple of e in every coordinate, and the height
+2 sum(E) / e strictly drops along every move.
 
-The order on a whole window (:meth:`SemiInfinitePoset.build`) is one pass
-that decides the window's columns (the ideals of its elements within it) in
-ascending height.  Every generating move strictly lowers the height, so a
-window element that the search of ``y`` reaches is lower than ``y`` and
-already decided: the search ORs in its finished column and does not expand
-it.  Any chain from ``y`` to a queried ``x`` either reaches ``x`` directly
-or passes a first window element ``z >= x``, whose column holds ``x``; so
-the pass is exact for any window.  It and :meth:`SemiInfiniteOrder.below`
-run the same search loop.
+The pass is exact for any window.  The candidates of the column of y are
+the window elements x with x dot 0 <= y dot 0.  Every chain of moves from
+y down to a candidate x stays in [x dot 0, y dot 0], so the search never
+leaves the elements whose E dominates the meet (coordinatewise minimum)
+of the candidates' E and whose sum(E) is at least their least sum; the
+pruning loses no answer.  A window element z that the search reaches has
+lower height than y, so its column is already decided, and by induction
+on the height it is exactly the ideal of z within the window, each member
+of it below y: the search ORs it in and does not expand z.  Conversely, a
+chain from y to a candidate x either reaches x without meeting another
+window element or meets a first window element z >= x; either way x lands
+in the column of y.  The search runs on ``(translation, finite index)``
+keys and takes its moves from per-finite-element tables built on first
+use.  :meth:`SemiInfiniteOrder.leq` is the pass on the two-element window
+(x, y).
 
 An independent characterization via deep dominant translation is provided:
 ``x <= y`` iff ``t(mu) x <= t(mu) y`` in Bruhat order once both elements
@@ -65,7 +64,7 @@ from bisect import bisect_right
 from functools import cached_property
 from itertools import product
 from operator import mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .laurent import ResourceError
 from .rootdata import Weight, pairing
@@ -92,8 +91,11 @@ class SemiInfiniteOrder:
     def __init__(self, group: AffineWeyl):
         self.group = group
         self.rd = group.rd
-        self._desc_cache: dict[tuple[int, int], bool] = {}
-        self._leq_cache: dict[tuple[ExtAffineElement, ExtAffineElement], bool] = {}
+        # _descents[w][j]: x s_j <= x for every x with finite part w
+        self._descents = tuple(
+            (signs[group.s0_root_pos] < 0, *(signs[pos] > 0 for pos in group.simple_root_pos))
+            for signs in group.sign_table
+        )
         self._translate_cache: dict[tuple[ExtAffineElement, Weight], ExtAffineElement] = {}
 
     def height(self, x: ExtAffineElement) -> int:
@@ -105,65 +107,24 @@ class SemiInfiniteOrder:
 
     def descends(self, x: ExtAffineElement, j: int) -> bool:
         """True iff x s_j <= x in the semi-infinite order (a local test)."""
-        key = (x.w.index, j)
-        hit = self._desc_cache.get(key)
-        if hit is None:
-            g = self.group
-            if j == 0:
-                hit = g.sign_table[x.w.index][g.s0_root_pos] < 0
-            else:
-                hit = g.sign_table[x.w.index][g.simple_root_pos[j - 1]] > 0
-            self._desc_cache[key] = hit
-        return hit
+        return self._descents[x.w.index][j]
 
     # -- exact comparison ----------------------------------------------------------
 
     def leq(self, x: ExtAffineElement, y: ExtAffineElement) -> bool:
-        """Exact semi-infinite comparison x <= y."""
-        if x is y:
-            return True
-        key = (x, y)
-        hit = self._leq_cache.get(key)
-        if hit is None:
-            hit = x in self.below(y, (x,))
-            self._leq_cache[key] = hit
-        return hit
-
-    def below(self, y: ExtAffineElement, xs: Iterable[ExtAffineElement]) -> set[ExtAffineElement]:
-        """The elements x of ``xs`` with x <= y, from one down-closure search of y.
-
-        Each element carries E(z) = e * rc(z dot 0): x dot 0 <= z dot 0 in
-        dominance order iff E(z) - E(x) is a nonnegative multiple of e in
-        every coordinate, and the height is 2 sum(E) / e.  Only the queries
-        with x dot 0 <= y dot 0 can be reached, and the search stays where E
-        dominates their meet and sum(E) is at least their least sum.
-        """
-        e = self.rd.lattice_index_e
-        ey = self._scaled_rc(y)
-        want: dict[tuple, ExtAffineElement] = {}
-        rcs = []
-        for x in xs:
-            ex = self._scaled_rc(x)
-            if all(d >= 0 and d % e == 0 for d in (b - a for a, b in zip(ex, ey))):
-                want[x.key] = x
-                rcs.append(ex)
-        if not want:
-            return set()
-        marks = {key: 1 << i for i, key in enumerate(want)}
-        found = self._descend(y.key, ey, rcs, marks, marks.get(y.key, 0), (1 << len(want)) - 1, closed=False)
-        return {x for i, x in enumerate(want.values()) if found >> i & 1}
+        """Exact semi-infinite comparison x <= y: the window pass on (x, y)."""
+        return x is y or bool(SemiInfinitePoset.build(self, (x, y)).rows[0] >> 1 & 1)
 
     def _descend(self, start: tuple, ey: tuple[int, ...], rcs: list[tuple[int, ...]],
-                 marks: dict[tuple, int], found: int, goal: int, closed: bool) -> int:
+                 decided: dict[tuple, int], found: int, goal: int) -> int:
         """The down-closure search of the element with key ``start`` and E = ``ey``.
 
         It descends by generating moves on keys ``(trans coords, w index)``,
         only to elements whose E dominates the meet of the candidates' E
         vectors ``rcs`` and whose sum(E) is at least their least sum.
-        Reaching a key of ``marks`` ORs its mask into ``found``; a ``closed``
-        search does not expand such a key any further.  The search ends when
-        ``found`` equals ``goal`` or nothing is left to expand, and returns
-        ``found``.
+        Reaching a key of ``decided`` ORs its column into ``found`` and does
+        not expand that key.  The search ends when ``found`` equals ``goal``
+        or nothing is left to expand, and returns ``found``.
         """
         meet = tuple(map(min, zip(*rcs)))
         floor = min(map(sum, rcs))
@@ -186,12 +147,10 @@ class SemiInfiniteOrder:
                     key = (nt, w2)
                     if key not in seen:
                         seen.add(key)
-                        if key not in marks:
-                            stack.append((nt, w2, tuple(v - a * r for v, r in zip(ev, rc))))
+                        if key in decided:
+                            found |= decided[key]
                         else:
-                            found |= marks[key]
-                            if not closed:
-                                stack.append((nt, w2, tuple(v - a * r for v, r in zip(ev, rc))))
+                            stack.append((nt, w2, tuple(v - a * r for v, r in zip(ev, rc))))
                     a += l
                     k += dk
         return found
@@ -298,16 +257,21 @@ class SemiInfiniteOrder:
         """A dominant mu certified to work for all given elements.
 
         Starts from (max translation height + ``MU_MARGIN``) * rho and doubles
-        until the alcove certificates pass.
+        until the alcove certificates pass; the certified translates are
+        memoized for :meth:`column_via_translation`.
         """
         rd = self.rd
         height = max((max(map(abs, z.trans)) for z in elements), default=0)
         n = height + MU_MARGIN
         for _ in range(64):
             mu = n * rd.rho
-            if all(not self.dominant_alcove_certificate(self.group.translate_left(mu, z)) for z in elements):
+            try:
+                for z in elements:
+                    self._certified_translate(z, mu)
+            except ValueError:
+                n *= 2
+            else:
                 return mu
-            n *= 2
         raise AssertionError("no sufficiently dominant mu found")  # pragma: no cover
 
 
@@ -351,19 +315,9 @@ class SemiInfinitePoset(NamedTuple):
         candidates, the x with E(y) - E(x) >= 0 and = 0 mod e in every
         coordinate, are the bits of one mask per residue class of E mod e
         ANDed with one prefix mask "E_c <= E_c(y)" per coordinate c.  Their
-        meet and least sum(E) bound the down-closure search of y exactly as
-        in :meth:`SemiInfiniteOrder.below`.  When that search reaches a window
-        element z, it ORs in the column of z and does not expand z.
-
-        This is exact for any window.  Every generating move strictly lowers
-        the height 2 sum(E) / e, so a window element z reached from y has
-        lower height than y and its column is already decided; by induction
-        on the height that column is exactly the ideal of z within the
-        window, and each of its members lies below y.  Conversely, every
-        chain of moves from y down to a candidate x stays in the searched
-        region and either reaches x without meeting another window element
-        or meets a first window element z with x <= z; either way x lands in
-        the column of y.
+        meet and least sum(E) bound the down-closure search of y, which ORs
+        in the column of every window element it reaches and does not
+        expand it (exact for any window: see the module docstring).
         """
         win = tuple(window)
         n = len(win)
@@ -388,7 +342,7 @@ class SemiInfinitePoset(NamedTuple):
                 cand &= masks[bisect_right(values, v)]
             rcs = [es[i] for i in _bits(cand)]
             key = win[j].key
-            decided[key] = order._descend(key, ey, rcs, decided, 1 << j, cand, closed=True)
+            decided[key] = order._descend(key, ey, rcs, decided, 1 << j, cand)
         rows = [0] * n
         for j, z in enumerate(win):
             for i in _bits(decided[z.key]):

@@ -202,8 +202,8 @@ class PeriodicModule(RightHeckeModule):
 
     element = PeriodicElement
 
-    def __init__(self, group: AffineWeyl, order: Optional[SemiInfiniteOrder] = None):
-        self.order = order or SemiInfiniteOrder(group)
+    def __init__(self, group: AffineWeyl):
+        self.order = SemiInfiniteOrder(group)
         super().__init__(group, self.order.descends)
         self._class_cache: dict[int, PeriodicElement] = {}
         self._in_progress: set[int] = set()

@@ -32,7 +32,8 @@ The root-of-unity order ``l`` attached to a :class:`RootDatum` must be odd,
 larger than the Coxeter number, coprime to the lattice index ``e``, and
 coprime to 3 in type G2.  ``validate_l`` reports violations of these
 constraints; the additional prime-power condition is reported only as a
-warning since it is not needed for any computation done here.
+warning since it is not needed for any computation done here.  An ``l``
+above ``MAX_L`` is refused before any check.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from __future__ import annotations
 from math import gcd
 from operator import add, mul, neg, sub
 from typing import TYPE_CHECKING, Sequence
+
+from .laurent import ResourceError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -52,6 +55,10 @@ __all__ = [
     "dominance_leq",
     "validate_l",
 ]
+
+# Bound on l: the prime-power test is trial division, up to sqrt(l) steps.
+# The tests, goldens and bench use l <= 15.
+MAX_L = 1_000_000
 
 # Cartan matrices A[s][t] = <a_s^, a_t> and symmetrizers d_s (so that
 # d_s * A[s][t] is symmetric positive definite, with gcd(d_s) = 1).
@@ -265,8 +272,11 @@ def validate_l(rd: RootDatum) -> tuple[list[str], list[str]]:
 
     Returns ``(violations, warnings)``; the datum is admissible iff
     ``violations`` is empty.  A non-prime-power ``l`` only produces a warning.
+    An ``l`` above ``MAX_L`` raises ``ResourceError`` before any check.
     """
     l = rd.l
+    if l > MAX_L:
+        raise ResourceError(f"l={l} is above the bound of {MAX_L}")
     violations = []
     warnings = []
     if l <= 0:

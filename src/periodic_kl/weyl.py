@@ -322,11 +322,9 @@ class AffineWeyl:
 
     # -- dot action -----------------------------------------------------------------
 
-    def dot_zero(self, x: ExtAffineElement, n: Optional[int] = None) -> Weight:
-        """x dot 0 at dilation n (default: the datum's l)."""
-        if n is None:
-            n = self.rd.l
-        return x.w.apply(self.rd.rho) + n * x.trans - self.rd.rho
+    def dot_zero(self, x: ExtAffineElement) -> Weight:
+        """x dot_l 0 = w(rho) + l lam - rho for x = t(lam) w."""
+        return x.w.apply(self.rd.rho) + self.rd.l * x.trans - self.rd.rho
 
     # -- descents, words, Bruhat order -------------------------------------------------
 

@@ -11,7 +11,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "periodic-kl-hypothesis")
 
 from periodic_kl.hecke import HeckeAlgebra
-from periodic_kl.orders import SemiInfiniteOrder
 from periodic_kl.periodic import PeriodicModule
 from periodic_kl.rootdata import root_datum
 from periodic_kl.weyl import AffineWeyl
@@ -23,9 +22,9 @@ class Context:
     def __init__(self, cartan_type: str, rank: int, l: int):
         self.rd = root_datum(cartan_type, rank, l)
         self.group = AffineWeyl(self.rd)
-        self.order = SemiInfiniteOrder(self.group)
         self.hecke = HeckeAlgebra(self.group)
-        self.module = PeriodicModule(self.group, self.order)
+        self.module = PeriodicModule(self.group)
+        self.order = self.module.order
 
 
 @pytest.fixture(scope="session")

@@ -10,21 +10,22 @@ shares code paths with the production implementations it checks.  The
 classical KL recursion on {exponent: coefficient} dicts is kept here too,
 as the formula the packed-integer recursion of ``HeckeAlgebra`` replaced,
 and so is the Bruhat order as one descent recursion per pair, which the
-column walk of ``AffineWeyl.bruhat_column`` replaced, the semi-infinite
-poset as one independent ``below`` search per column, which the
-ascending-height window pass of ``SemiInfinitePoset.build`` replaced, the
-down-closure search of each class's lead over its support, which the class
-solve's checked witnesses replaced, and the generic polynomial as a sum of
-LaurentPoly products over an unmemoized vector partition enumeration, which
-the packed-integer sums replaced.  Lusztig's q-analogue of weight
-multiplicity, from Kostant's q-partition function over the positive roots
-and a signed sum over the finite Weyl group, gives the spherical
-coefficients of the Kazhdan-Lusztig basis without any KL recursion.
+column walk of ``AffineWeyl.bruhat_column`` replaced, and the generic
+polynomial as a sum of LaurentPoly products over an unmemoized vector
+partition enumeration, which the packed-integer sums replaced.  The
+semi-infinite order of a window, and the support of each class below its
+lead, are decided here by the translation characterization (Bruhat order
+after a certified deep dominant translation), which shares no search with
+the window pass of ``SemiInfinitePoset.build`` or with the class solve's
+checked witnesses.  Lusztig's q-analogue of weight multiplicity, from
+Kostant's q-partition function over the positive roots and a signed sum
+over the finite Weyl group, gives the spherical coefficients of the
+Kazhdan-Lusztig basis without any KL recursion.
 
 The first section holds the small helpers the tests read as references
 but the library itself never calls: enumeration by length, words, the dot
-action, the literal generating relation of the semi-infinite order, and
-the bar involution with the lower symmetrization it normalizes by.
+action, the literal generating relation of the semi-infinite order, the
+bar involution and the shift by v^k, and the lower symmetrization.
 """
 
 from __future__ import annotations
@@ -92,6 +93,11 @@ def poly_bar(p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly({-e: c for e, c in p.coeffs.items()})
 
 
+def poly_shift(p: LaurentPoly, k: int) -> LaurentPoly:
+    """p times v^k."""
+    return LaurentPoly({e + k: c for e, c in p.coeffs.items()})
+
+
 def is_bar_symmetric(p: LaurentPoly) -> bool:
     return all(p.coeffs.get(-e, 0) == c for e, c in p.coeffs.items())
 
@@ -99,7 +105,7 @@ def is_bar_symmetric(p: LaurentPoly) -> bool:
 def lower_symmetrization(p: LaurentPoly) -> LaurentPoly:
     """The unique bar-symmetric q with p - q in vZ[v]:
     c_0 + sum_{k>0} c_{-k} (v^k + v^{-k})."""
-    d: dict[int, int] = {0: p.coefficient(0)}
+    d: dict[int, int] = {0: p.coeffs.get(0, 0)}
     for e, c in p.coeffs.items():
         if e < 0:
             d[e] = d.get(e, 0) + c
@@ -218,8 +224,8 @@ def kl_by_linear_solve(algebra: HeckeAlgebra, x: ExtAffineElement):
     rows = []
     rhs = []
     for z, e in coords:
-        rows.append([Fraction(col.coefficient(z).coefficient(e)) for col in columns])
-        rhs.append(Fraction(-const.coefficient(z).coefficient(e)))
+        rows.append([Fraction(col.coefficient(z).coeffs.get(e, 0)) for col in columns])
+        rhs.append(Fraction(-const.coefficient(z).coeffs.get(e, 0)))
     solution = _solve_unique(rows, rhs)
 
     terms = {x: ONE}
@@ -291,7 +297,7 @@ def kl_basis_by_dicts(algebra: HeckeAlgebra, x: ExtAffineElement, memo: dict) ->
                     continue
                 p = LaurentPoly(d)
                 m = lower_symmetrization(p)
-                if not is_bar_symmetric(m) or m.coefficient(0) != p.coefficient(0):
+                if not is_bar_symmetric(m) or m.coeffs.get(0, 0) != p.coeffs.get(0, 0):
                     raise AssertionError("unexpected correction shape in KL recursion")
                 cy = kl_basis_by_dicts(algebra, y, memo).terms
                 for shift, c in m.coeffs.items():
@@ -386,28 +392,32 @@ def koszul_of_series_per_pair(module: PeriodicModule, y: ExtAffineElement, x: Ex
                 sigma = sigma + b
         size = sum(subset)
         q = module.generic_polynomial(g.translate_left(sigma, y), x, "q")
-        total = total + q.shift(2 * size).scale(-1 if size % 2 else 1)
+        total = total + poly_shift(q, 2 * size).scale(-1 if size % 2 else 1)
     return total
 
 
 def poset_rows_per_column(order: SemiInfiniteOrder, window) -> tuple[int, ...]:
     """The rows of ``SemiInfinitePoset`` (bit j of row i iff window[i] <= window[j])
-    from one ``below`` search per column, sharing nothing between columns."""
+    from the translation characterization, one Bruhat column walk per window
+    element, sharing no search with the generating moves."""
     win = tuple(window)
-    index = {z: i for i, z in enumerate(win)}
+    mu = order.sufficient_mu(win)
     rows = [0] * len(win)
     for j, b in enumerate(win):
-        for a in order.below(b, win):
-            rows[index[a]] |= 1 << j
+        for i, below in enumerate(order.column_via_translation(win, b, mu)):
+            if below:
+                rows[i] |= 1 << j
     return tuple(rows)
 
 
 def class_support_below_lead(module: PeriodicModule, w_index: int) -> bool:
     """Every position of the class element SD_{t(0)w} lies below its lead
-    t(0)w, decided by one down-closure search of the lead."""
+    t(0)w, decided by the translation characterization in one Bruhat column
+    walk down the translated lead."""
+    order = module.order
     lead = module.group.element(Weight((0,) * module.rd.rank), w_index)
-    support = module._class_element(w_index).terms
-    return module.order.below(lead, support).issuperset(support)
+    support = list(module._class_element(w_index).terms)
+    return all(order.column_via_translation(support, lead, order.sufficient_mu([lead, *support])))
 
 
 def generic_polynomial_by_dicts(module: PeriodicModule, y: ExtAffineElement, x: ExtAffineElement,
@@ -459,7 +469,7 @@ def _vector_partitions(roots_rc, idx: int, rem: tuple[int, ...], weighted: bool)
         tail = _vector_partitions(roots_rc, idx + 1, nxt, weighted)
         if tail.is_zero():
             continue
-        total = total + (tail.shift(2 * k) if weighted else tail)
+        total = total + (poly_shift(tail, 2 * k) if weighted else tail)
     return total
 
 

@@ -106,8 +106,8 @@ def test_criterion_2_classical_kl_oracle():
 def test_criterion_3_periodic_basis_certification():
     gate = _Gate(3, "self-dual basis certification, A1 l=3, height <= 3, all cosets", 60.0)
     rd, W = _fresh("A", 1, 3)
-    order = SemiInfiniteOrder(W)
-    M = PeriodicModule(W, order)
+    M = PeriodicModule(W)
+    order = M.order
     window = standard_window(W, 3)
     assert len(window) == 14  # 7 translations x 2 finite parts, both cosets included
     for x in window:

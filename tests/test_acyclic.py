@@ -14,7 +14,7 @@ import pytest
 from periodic_kl.cli import build_parser, main
 from periodic_kl.hecke import HeckeAlgebra, HeckeElement
 from periodic_kl.multiplicity import MultiplicityTables
-from periodic_kl.orders import SemiInfiniteOrder, SemiInfinitePoset, standard_window
+from periodic_kl.orders import SemiInfinitePoset, standard_window
 from periodic_kl.periodic import PeriodicElement, PeriodicModule
 from periodic_kl.rootdata import root_datum
 from periodic_kl.weyl import AffineWeyl, ExtAffineElement
@@ -40,8 +40,8 @@ def _collector_off():
 def _exercise(cartan_type: str, rank: int, l: int, height: int) -> None:
     rd = root_datum(cartan_type, rank, l)
     group = AffineWeyl(rd)
-    order = SemiInfiniteOrder(group)
-    module = PeriodicModule(group, order)
+    module = PeriodicModule(group)
+    order = module.order
     algebra = HeckeAlgebra(group)
     window = standard_window(group, height)
     module.polynomial_table("periodic_p", window)

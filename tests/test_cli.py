@@ -227,6 +227,25 @@ def test_kl_length_bound_exit_code(capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("argv,bound", [
+    # trial division for the prime-power warning would take O(sqrt l) steps
+    ("table p --type A --rank 1 --l 1000000000000000003 --height 0", "above the bound of 1000000"),
+    # the alcove walk visits (l + 1)^rank points
+    ("blocks --type A --rank 2 --l 30011", "visits 900720144 points, above the bound of 100000"),
+    # range(-1, l) would be materialized whole: a MemoryError before the bound
+    ("blocks --type A --rank 1 --l 100000000000031", "above the bound of 1000000"),
+])
+def test_large_l_is_refused_before_any_work(capsys, argv, bound):
+    start = time.perf_counter()
+    code = main(argv.split())
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource bound exceeded:") and lines[0].endswith(bound), lines
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize("command", [["table", "p"], ["orders", "hasse"], ["selfcheck"]])
 def test_coset_tag_naming_no_coset_is_refused(capsys, command):
     # the A2 coset tags are 0,0 1,2 2,1; 1,1 names none and must not run on an

@@ -2,7 +2,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import is_bar_symmetric, lower_symmetrization, poly_bar
+from oracles import is_bar_symmetric, lower_symmetrization, poly_bar, poly_shift
 from periodic_kl.laurent import LaurentPoly, ONE, V, VINV, ZERO, pack, unpack
 
 # Fixed example sequence and no example database: the property tests below
@@ -90,7 +90,8 @@ def test_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + ZERO == a and a * ONE == a and a * ZERO == ZERO
     assert a - a == ZERO and a + (-b) == a - b
-    assert (a * V) * VINV == a == a.shift(3).shift(-3)
+    assert (a * V) * VINV == a == poly_shift(poly_shift(a, 3), -3)
+    assert poly_shift(a, 2) == a * V * V and poly_shift(a, -1) == a * VINV
 
 
 @_settings

@@ -36,7 +36,7 @@ def test_narrow_width_matches_the_oracles_a2_h1(monkeypatch, a2):
     # 8 bits per exponent hold every l1 bound of the A2 l5 h1 checks, so
     # every decode must still give the exact values
     monkeypatch.setattr(laurent, "_WIDTH", 8)
-    M = PeriodicModule(a2.group, a2.order)
+    M = PeriodicModule(a2.group)
     window = standard_window(a2.group, 1)
     for y, x in _same_coset_pairs(window):
         for kind in ("q", "qprime"):
@@ -53,7 +53,7 @@ def test_guard_refuses_a_digit_that_would_wrap(monkeypatch, a2):
     W = a2.group
     y, x = W.parse_element("t(0,0)*w[2 1]"), W.parse_element("t(1,1)*w[1]")
     monkeypatch.setattr(laurent, "_WIDTH", 2)
-    M = PeriodicModule(W, a2.order)
+    M = PeriodicModule(W)
     true = generic_polynomial_by_dicts(M, y, x)
     assert true == LaurentPoly({3: 2, 5: 1})
     with pytest.raises(ResourceError, match=r"^generic q \(y.trans - x.trans, y.w, x.w\) at \(\(-1, -1\), \d+, \d+\): "
@@ -97,7 +97,7 @@ def test_each_bound_dominates_the_l1_norms_of_its_terms(monkeypatch, request, na
         return real_unpack(packed, bound, what, key)
 
     monkeypatch.setattr(periodic, "unpack", recording_unpack)
-    M, W, roots = PeriodicModule(ctx.group, ctx.order), ctx.group, ctx.rd.positive_roots
+    M, W, roots = PeriodicModule(ctx.group), ctx.group, ctx.rd.positive_roots
     zero = Weight((0,) * ctx.rd.rank)
     for y, x in _same_coset_pairs(standard_window(W, height)):
         if generic:  # the dict series are too slow for every G2 h1 pair

@@ -261,7 +261,7 @@ def _same_coset_pairs(window):
 def test_orbit_memos_match_per_pair_formulas_on_all_a2_pairs(a2):
     # every same-coset pair of the A2 l5 h1 window, in window order: most
     # pairs find their orbit already filled by an earlier translate
-    M = PeriodicModule(a2.group, a2.order)
+    M = PeriodicModule(a2.group)
     pairs = _same_coset_pairs(standard_window(a2.group, 1))
     for y, z in pairs:
         assert M.inversion_sum(y, z) == inversion_sum_per_pair(M, y, z)
@@ -273,7 +273,7 @@ def test_orbit_memos_match_per_pair_formulas_on_all_a2_pairs(a2):
 @pytest.mark.parametrize("name,height", [("b2", 1), ("g2", 1)])
 def test_orbit_memos_match_per_pair_formulas_on_sampled_pairs(request, name, height):
     ctx = request.getfixturevalue(name)
-    M, W = PeriodicModule(ctx.group, ctx.order), ctx.group
+    M, W = PeriodicModule(ctx.group), ctx.group
     rng = random.Random(11)
     window = standard_window(W, height)
     pairs = rng.sample(_same_coset_pairs(window), 60)
@@ -332,7 +332,7 @@ def test_resource_bound_raises(a1, monkeypatch):
     from periodic_kl.hecke import ResourceError
 
     monkeypatch.setattr(periodic, "MAX_SWEEP_STEPS", 1)
-    M = PeriodicModule(a1.group, a1.order)
+    M = PeriodicModule(a1.group)
     with pytest.raises(ResourceError, match=r"^self-dual basis sweep of class t\(0\)\*w\[1\] "
                                             r"exceeded MAX_SWEEP_STEPS=1 with [1-9]\d* positions queued$"):
         M.selfdual(a1.group.simple_reflection(0))
@@ -340,7 +340,6 @@ def test_resource_bound_raises(a1, monkeypatch):
 
 def test_certification_catches_product_term_outside_ideal(a2, monkeypatch):
     # a product with one extra term far above the lead must stop the class solve
-    from periodic_kl.orders import SemiInfiniteOrder
     from periodic_kl.periodic import CertificationError
 
     real_act_cs = PeriodicModule.act_cs
@@ -350,7 +349,7 @@ def test_certification_catches_product_term_outside_ideal(a2, monkeypatch):
         return real_act_cs(self, m, j) + self.basis(stray).scale(V)
 
     monkeypatch.setattr(PeriodicModule, "act_cs", act_cs_with_stray_term)
-    M = PeriodicModule(a2.group, SemiInfiniteOrder(a2.group))
+    M = PeriodicModule(a2.group)
     with pytest.raises(CertificationError, match="^support escapes the semi-infinite ideal of the lead$"):
         M._class_element(a2.group.w0.index)
     assert list(M._class_cache) == [0]  # only the base case, which needs no solve
@@ -359,7 +358,6 @@ def test_certification_catches_product_term_outside_ideal(a2, monkeypatch):
 def test_stray_product_term_stops_the_solve_before_its_sweep(a2, monkeypatch):
     # class w0 descends onto the translation class, so no other sweep runs
     # first; the stray term must be refused before the sweep's step bound
-    from periodic_kl.orders import SemiInfiniteOrder
     from periodic_kl.periodic import CertificationError
 
     w = a2.group.w0.index
@@ -372,7 +370,7 @@ def test_stray_product_term_stops_the_solve_before_its_sweep(a2, monkeypatch):
 
     monkeypatch.setattr(PeriodicModule, "act_cs", act_cs_with_stray_term)
     monkeypatch.setattr(periodic, "MAX_SWEEP_STEPS", 1)
-    M = PeriodicModule(a2.group, SemiInfiniteOrder(a2.group))
+    M = PeriodicModule(a2.group)
     with pytest.raises(CertificationError, match="^support escapes the semi-infinite ideal of the lead$"):
         M._class_element(w)
 
@@ -381,7 +379,6 @@ def test_negative_exponent_in_the_product_is_refused(a2, monkeypatch):
     # every value the class solve sweeps lies in Z[v] (module docstring), so a
     # v^{-1} planted at a non-lead term of the product must stop the solve
     # with its own error, before the certification could see the result
-    from periodic_kl.orders import SemiInfiniteOrder
     from periodic_kl.periodic import CertificationError
 
     W = a2.group
@@ -396,7 +393,7 @@ def test_negative_exponent_in_the_product_is_refused(a2, monkeypatch):
         return real_act_cs(self, m, j) + self.basis(pos).scale(VINV)
 
     monkeypatch.setattr(PeriodicModule, "act_cs", act_cs_with_negative_exponent)
-    M = PeriodicModule(W, SemiInfiniteOrder(W))
+    M = PeriodicModule(W)
     with pytest.raises(CertificationError, match=f"^coefficient at {re.escape(repr(pos))} of class "
                                                  f"{re.escape(repr(lead))} outside Z\\[v\\]$"):
         M._class_element(w)
@@ -441,7 +438,7 @@ def test_witness_check_requires_a_down_move(a2):
     # product terms are witnessed by SD_{ws}, which only helps if ws < w
     from periodic_kl.periodic import CertificationError
 
-    M, W = PeriodicModule(a2.group, a2.order), a2.group
+    M, W = PeriodicModule(a2.group), a2.group
     w = W.w0.index
     lead = W.element(Weight((0, 0)), w)
     up = W.right_multiply_gen(lead, 1)  # w0 s_1 lies above w0 in the order
@@ -481,7 +478,7 @@ def _class_digest(module) -> str:
 @pytest.mark.parametrize("name", sorted(_CLASS_DIGESTS))
 def test_every_class_element_is_pinned(request, name):
     ctx = request.getfixturevalue(name)
-    assert _class_digest(PeriodicModule(ctx.group, ctx.order)) == _CLASS_DIGESTS[name]
+    assert _class_digest(PeriodicModule(ctx.group)) == _CLASS_DIGESTS[name]
 
 
 def test_planted_correction_term_queues_a_new_position(b2):
@@ -495,7 +492,7 @@ def test_planted_correction_term_queues_a_new_position(b2):
     z = W.parse_element("t(0,0)*w[2 1 2]")
     far = W.translate_left(Weight((-2, -2)), z)
     true = b2.module._class_element(lead.w.index)
-    M = PeriodicModule(W, b2.order)
+    M = PeriodicModule(W)
     assert M._down_policy[lead.w.index][2] != z.w.index
     M._class_cache[z.w.index] = b2.module._class_element(z.w.index) + M.basis(far).scale(LaurentPoly({3: 1}))
     seen = {}

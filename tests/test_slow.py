@@ -44,7 +44,7 @@ def test_kl_basis_matches_the_dict_oracle_g2_length_42(g2):
 
 def test_koszul_round_trip_over_support_and_window_a3_h1(a3):
     # every window x and every y in supp(SD_x) or the window, zeros included
-    M = PeriodicModule(a3.group, a3.order)
+    M = PeriodicModule(a3.group)
     win = standard_window(a3.group, 1)
     for x in win:
         sd = M.selfdual(x)
