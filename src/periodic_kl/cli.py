@@ -116,7 +116,7 @@ def _load_class_cache(mod: PeriodicModule, cache: str, args) -> Optional[set[int
         if data.get("format_version") != FORMAT_VERSION:
             return None
         loaded = {
-            int(idx_str): mod.from_terms({
+            int(idx_str): mod.element({
                 g.parse_element(el): LaurentPoly.from_json(coeffs) for el, coeffs in terms
             })
             for idx_str, terms in data["classes"].items()

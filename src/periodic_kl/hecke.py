@@ -7,13 +7,13 @@ extended affine Weyl group) subject to
     H_x H_y = H_{xy}                     whenever len(x) + len(y) = len(xy).
 
 Products are the right action of :class:`RightHeckeModule`, shared with
-the periodic module, of the algebra on itself.  The bar involution is the
-ring homomorphism with v -> v^{-1} and H_x -> (H_{x^{-1}})^{-1}; the
-self-dual (Kazhdan-Lusztig) basis element at x is the unique bar-invariant
-element of H_x + sum_{y < x} vZ[v] H_y (Bruhat order), computed by the
-standard multiply-by-(H_s + v)-and-correct recursion on dense integer ids,
-with the corrections made in one walk down the lengths of the product's
-support.  Every coefficient that recursion meets lies in Z[v], so it runs
+the periodic module, of the algebra on itself; its one rule is the action
+of H_s + v.  The bar involution is the ring homomorphism with v -> v^{-1}
+and H_x -> (H_{x^{-1}})^{-1}; the self-dual (Kazhdan-Lusztig) basis
+element at x is the unique bar-invariant element of H_x + sum_{y < x}
+vZ[v] H_y (Bruhat order), computed by the standard multiply-by-(H_s +
+v)-and-correct recursion on dense integer ids, with the corrections made
+in one walk down the lengths of the product's support.  Every coefficient that recursion meets lies in Z[v], so it runs
 on the packed integers of :mod:`.laurent` (``pack``/``unpack``, B =
 ``laurent._WIDTH`` bits per exponent, each c_e a balanced digit in
 [-2^(B-1), 2^(B-1))).  A sum of polynomials is one
@@ -32,15 +32,13 @@ KL recursion grow several lists per new id, so one algebra computes
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable
 
 from . import laurent
 from .laurent import ONE, V, VINV, Combination, LaurentPoly, ResourceError, unpack
 from .weyl import AffineWeyl, ExtAffineElement
 
 __all__ = ["HeckeAlgebra", "HeckeElement", "RightHeckeModule"]
-
-_VINV_MINUS_V = VINV - V  # v^{-1} - v
 
 # The longest element the KL recursion and the command line's products and
 # bar accept: their work grows with the length.
@@ -78,15 +76,17 @@ class HeckeElement(Combination):
 
 class RightHeckeModule:
     """The free Z[v^{+-1}]-module on {B_x}, x in the extended affine Weyl group,
-    with the right action of the Hecke algebra
+    with the right action of the Hecke algebra.  Its one rule is the action of
+    C_s = H_s + v (``act_cs``),
 
-        B_x . H_s     = B_{xs} + [s descends x] (v^{-1} - v) B_x   (s affine simple),
-        B_x . H_omega = B_{x omega}                                (len(omega) = 0),
+        B_x . (H_s + v) = B_{xs} + v^{-1} B_x   if s descends x,
+                          B_{xs} + v B_x        otherwise          (s affine simple),
+        B_x . H_omega   = B_{x omega}                              (len(omega) = 0),
 
-    and H_y = H_omega H_{s_j1} ... H_{s_jk} along a reduced word for y.  A
-    subclass sets its ``element`` type and passes ``descends(x, j)``, bound
-    once: the Bruhat order (len(xs) < len(x)) for the algebra acting on
-    itself, the semi-infinite order for the periodic module.
+    so H_s = C_s - v, H_s^{-1} = C_s - v^{-1}, and H_y = H_omega H_{s_j1} ...
+    H_{s_jk} along a reduced word for y.  A subclass sets its ``element``
+    type and passes ``descends(x, j)``, bound once: the Bruhat order for the
+    algebra acting on itself, the semi-infinite order for the periodic module.
     """
 
     element: type[Combination]
@@ -96,17 +96,12 @@ class RightHeckeModule:
         self.rd = group.rd
         self.descends = descends
 
-    def zero(self) -> Combination:
-        return self.element({})
-
     def basis(self, x: ExtAffineElement) -> Combination:
         return self.element({x: ONE})
 
-    def from_terms(self, terms: Mapping[ExtAffineElement, LaurentPoly]) -> Combination:
-        return self.element(terms)
-
-    def act_gen(self, m: Combination, j: int) -> Combination:
-        """m . H_{s_j} for an affine simple reflection s_j."""
+    def act_cs(self, m: Combination, j: int) -> Combination:
+        """m . (H_{s_j} + v) for an affine simple reflection s_j, in one pass: the
+        rule ``HeckeAlgebra._kl_packed`` runs on packed ids."""
         step = self.group.right_multiply_gen
         descends = self.descends
         out: dict[ExtAffineElement, LaurentPoly] = {}
@@ -114,11 +109,14 @@ class RightHeckeModule:
             xs = step(x, j)
             q = out.get(xs)
             out[xs] = p if q is None else q + p
-            if descends(x, j):
-                extra = p * _VINV_MINUS_V
-                q = out.get(x)
-                out[x] = extra if q is None else q + extra
+            pv = p * (VINV if descends(x, j) else V)
+            q = out.get(x)
+            out[x] = pv if q is None else q + pv
         return self.element(out)
+
+    def act_gen(self, m: Combination, j: int) -> Combination:
+        """m . H_{s_j} = m . (H_{s_j} + v) - v m."""
+        return self.act_cs(m, j) - m.scale(V)
 
     def act_omega(self, m: Combination, omega: ExtAffineElement) -> Combination:
         """m . H_omega for a length-zero omega: pure index relabelling."""
@@ -129,7 +127,7 @@ class RightHeckeModule:
 
     def act_hecke(self, m: Combination, h: HeckeElement) -> Combination:
         """m . h, each H_y of h expanded along a reduced word for y."""
-        out = self.zero()
+        out = self.element({})
         for y, p in h.terms.items():
             word, omega = self.group.reduced_word(y)
             cur = self.act_omega(m.scale(p), omega)
@@ -146,7 +144,6 @@ class HeckeAlgebra(RightHeckeModule):
 
     def __init__(self, group: AffineWeyl):
         super().__init__(group, group.right_descent)
-        self._bar_cache: dict = {}
         # dense ids of the KL recursion: id -> element, id -> length, and per
         # affine generator s_j, id -> the id of its s_j-neighbour b when it is
         # longer, ~b when it is shorter, None until first needed
@@ -161,30 +158,16 @@ class HeckeAlgebra(RightHeckeModule):
     right_mul_gen = RightHeckeModule.act_gen
     multiply = RightHeckeModule.act_hecke
 
-    def unit(self) -> HeckeElement:
-        return self.basis(self.group.identity())
-
-    def right_mul_gen_inverse(self, h: HeckeElement, j: int) -> HeckeElement:
-        """h * (H_{s_j})^{-1} = h * (H_{s_j} + (v - v^{-1}))."""
-        return self.right_mul_gen(h, j) - h.scale(_VINV_MINUS_V)
-
-    def inverse_basis(self, x: ExtAffineElement) -> HeckeElement:
-        """(H_x)^{-1}, via the reversed word of generator inverses."""
-        word, omega = self.group.reduced_word(x)
-        cur = self.unit()
-        for j in reversed(word):
-            cur = self.right_mul_gen_inverse(cur, j)
-        return self.act_omega(cur, self.group.inverse(omega))
-
     # -- bar involution --------------------------------------------------------------------
 
     def bar_basis(self, x: ExtAffineElement) -> HeckeElement:
-        """bar(H_x) = (H_{x^{-1}})^{-1}, cached."""
-        hit = self._bar_cache.get(x)
-        if hit is None:
-            hit = self.inverse_basis(self.group.inverse(x))
-            self._bar_cache[x] = hit
-        return hit
+        """bar(H_x) = H_omega H_{s_j1}^{-1} ... H_{s_jk}^{-1} along a reduced word
+        x = omega s_j1 ... s_jk, each factor H_s^{-1} = (H_s + v) - v^{-1}."""
+        word, omega = self.group.reduced_word(x)
+        cur = self.basis(omega)
+        for j in word:
+            cur = self.act_cs(cur, j) - cur.scale(VINV)
+        return cur
 
     # -- Kazhdan-Lusztig basis ----------------------------------------------------------------
 
@@ -201,7 +184,8 @@ class HeckeAlgebra(RightHeckeModule):
 
             acc[a] = v p_a + p_b,    acc[b] = p_a + v^{-1} p_b,
 
-        from H_a (H_s + v) = H_b + v H_a and H_b (H_s + v) = H_a + v^{-1} H_b.
+        from H_a (H_s + v) = H_b + v H_a and H_b (H_s + v) = H_a + v^{-1} H_b,
+        the rule of ``RightHeckeModule.act_cs``.
         One walk over its keys, sorted by descending length, then subtracts
         m C_y at every y below len(x) whose coefficient is not in vZ[v].  As
         every coefficient is in Z[v], m (its bar-symmetric lower part) is the

@@ -80,8 +80,8 @@ __all__ = [
 # compute on up to 648 (A3, height 1).
 MAX_WINDOW = 10_000
 
-# The first mu that ``SemiInfiniteOrder.sufficient_mu`` tries is
-# (max translation height + MU_MARGIN) * rho.
+# ``SemiInfiniteOrder.sufficient_mu`` takes (max translation height +
+# MU_MARGIN) * rho; any MU_MARGIN >= 1 passes every certificate.
 MU_MARGIN = 2
 
 
@@ -254,25 +254,25 @@ class SemiInfiniteOrder:
         return tz
 
     def sufficient_mu(self, elements: Sequence[ExtAffineElement]) -> Weight:
-        """A dominant mu certified to work for all given elements.
+        """mu = (H + ``MU_MARGIN``) * rho, H the largest |coordinate| of the
+        elements' translation parts, with every alcove certificate checked and
+        the certified translates memoized for :meth:`column_via_translation`.
 
-        Starts from (max translation height + ``MU_MARGIN``) * rho and doubles
-        until the alcove certificates pass; the certified translates are
-        memoized for :meth:`column_via_translation`.
+        Every certificate passes: for z = t(lam) w it pairs w(rho) + h (mu +
+        lam) with each simple coroot alpha_i^.  <w rho, alpha_i^> = <rho,
+        w^{-1} alpha_i^> is at least -(h - 1), as h - 1 is the height of the
+        highest coroot, and h <mu + lam, alpha_i^> = h (H + MU_MARGIN + lam_i)
+        >= MU_MARGIN h, so the sum is positive.  A failure is an internal
+        error (AssertionError).
         """
-        rd = self.rd
         height = max((max(map(abs, z.trans)) for z in elements), default=0)
-        n = height + MU_MARGIN
-        for _ in range(64):
-            mu = n * rd.rho
-            try:
-                for z in elements:
-                    self._certified_translate(z, mu)
-            except ValueError:
-                n *= 2
-            else:
-                return mu
-        raise AssertionError("no sufficiently dominant mu found")  # pragma: no cover
+        mu = (height + MU_MARGIN) * self.rd.rho
+        try:
+            for z in elements:
+                self._certified_translate(z, mu)
+        except ValueError as exc:
+            raise AssertionError(f"sufficient_mu: {exc}") from None
+        return mu
 
 
 class SemiInfinitePoset(NamedTuple):

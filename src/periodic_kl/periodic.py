@@ -2,9 +2,9 @@
 
 Free Z[v^{+-1}]-module with basis {B_x} indexed by the extended affine Weyl
 group, carrying the right action of :class:`.hecke.RightHeckeModule`, whose
-docstring states the rule, with the semi-infinite order deciding when s
-descends x (xs < x, the local sign test from :mod:`.orders`).  For each
-weight lam the element
+docstring states its one rule, the action of H_s + v, with the
+semi-infinite order deciding when s descends x (xs < x, the local sign
+test from :mod:`.orders`).  For each weight lam the element
 
     e(lam) = sum_{w in W} v^{len(w)} B_{t(lam) w}
 
@@ -27,7 +27,7 @@ ws < w in the semi-infinite order (preferring s_0, which keeps the chain of
 class dependencies acyclic for the supported types; this is asserted at
 construction).  Then
 
-    P := SD_{ws} . (H_s + v)
+    P := SD_{ws} . (H_s + v)        (``act_cs``)
 
 is self-dual with leading term B_w, and SD_w = P - sum_j m_j SD_{z_j} for
 the unique bar-symmetric corrections m_j that leave all off-leading
@@ -90,8 +90,9 @@ series applied to SD_x:
     (prod_{a > 0} (1 +     <-a> +     <-2a> + ...)) SD_x = sum_y q'_{y,x} B_y,
 
 computed per target by exact enumeration of vector partitions (no series
-truncation), and the finite Koszul-type operator prod_{a>0}(1 - v^2 <-a>)
-inverts the first series.  The signed inversion identity
+truncation; the unweighted series is the number of partitions), and the
+finite Koszul-type operator prod_{a>0}(1 - v^2 <-a>) inverts the first
+series.  The signed inversion identity
 
     sum_x (-1)^{len(x)+len(y)} q_{x,y} p_{w0 x, w0 z} = delta_{y,z}
 
@@ -154,7 +155,7 @@ from typing import Iterable, Literal, Mapping, NamedTuple, Optional, Sequence
 
 from . import laurent
 from .hecke import RightHeckeModule
-from .laurent import ONE, V, ZERO, Combination, LaurentPoly, ResourceError, pack, unpack
+from .laurent import ONE, ZERO, Combination, LaurentPoly, ResourceError, pack, unpack
 from .orders import SemiInfiniteOrder
 from .rootdata import Weight
 from .weyl import AffineWeyl, ExtAffineElement
@@ -168,6 +169,10 @@ __all__ = [
 
 # Positions one class solve may sweep before it raises ResourceError.
 MAX_SWEEP_STEPS = 500_000
+
+# Memo entries of ``_partitions`` one module may hold before it raises
+# ResourceError.
+MAX_PARTITION_STATES = 20_000
 
 
 class CertificationError(AssertionError):
@@ -207,7 +212,7 @@ class PeriodicModule(RightHeckeModule):
         super().__init__(group, self.order.descends)
         self._class_cache: dict[int, PeriodicElement] = {}
         self._in_progress: set[int] = set()
-        self._partition_memo: dict[tuple[int, tuple[int, ...], bool], tuple[int, int]] = {}
+        self._partition_memo: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
         self._generic_tables: dict[tuple[int, int], tuple[dict, dict, Optional[int]]] = {}
         self._generic_decoded: dict[tuple[tuple[int, ...], int, int, bool], LaurentPoly] = {}
         self._inversion_rows: dict[int, dict[int, list[tuple[int, tuple[int, ...], int, int]]]] = {}
@@ -236,10 +241,6 @@ class PeriodicModule(RightHeckeModule):
     # Bound here rather than inherited, so that it is found in this class's
     # own __dict__ (the per-layer tracing of bench/tracing.py wraps it there).
     act_gen = RightHeckeModule.act_gen
-
-    def act_cs(self, m: PeriodicElement, j: int) -> PeriodicElement:
-        """m . (H_{s_j} + v)."""
-        return self.act_gen(m, j) + m.scale(V)
 
     # -- self-dual basis ------------------------------------------------------------------
 
@@ -465,15 +466,22 @@ class PeriodicModule(RightHeckeModule):
 
     # -- generic polynomials and the Koszul-type inverse -------------------------------------
 
-    def _partitions(self, idx: int, rem: tuple[int, ...], weighted: bool) -> tuple[int, int]:
+    def _partitions(self, idx: int, rem: tuple[int, ...]) -> tuple[int, int]:
         """The partition series of ``rem`` over the positive roots from ``idx`` on, in
-        root coordinates: sum over (k_a) with sum k_a a = rem of v^{2 sum k_a} (or 1
-        if unweighted), packed, with the number of partitions, which is its l1
-        norm (every coefficient is positive).  Memoized on (idx, rem, weighted)."""
-        key = (idx, rem, weighted)
-        hit = self._partition_memo.get(key)
+        root coordinates: sum over (k_a) with sum k_a a = rem of v^{2 sum k_a},
+        packed, with the number of partitions, which is its l1 norm (every
+        coefficient is positive) and the unweighted series of q'.  Memoized on
+        (idx, rem); a module holds at most ``MAX_PARTITION_STATES`` of them."""
+        key = (idx, rem)
+        memo = self._partition_memo
+        hit = memo.get(key)
         if hit is not None:
             return hit
+        if len(memo) >= MAX_PARTITION_STATES:
+            raise ResourceError(
+                f"partition series at {key} exceeded MAX_PARTITION_STATES={MAX_PARTITION_STATES} "
+                "memoized states of this module"
+            )
         roots = self._roots_rc
         if not any(rem):
             hit = (1, 1)
@@ -481,15 +489,15 @@ class PeriodicModule(RightHeckeModule):
             hit = (0, 0)
         else:
             rc = roots[idx]
-            step = 2 * laurent._WIDTH if weighted else 0
+            step = 2 * laurent._WIDTH
             series = count = 0
             for k in range(min(r // c for r, c in zip(rem, rc) if c > 0) + 1):
-                tail, n = self._partitions(idx + 1, tuple(r - k * c for r, c in zip(rem, rc)), weighted)
+                tail, n = self._partitions(idx + 1, tuple(r - k * c for r, c in zip(rem, rc)))
                 if n:
                     series += tail << (k * step)
                     count += n
             hit = (series, count)
-        self._partition_memo[key] = hit
+        memo[key] = hit
         return hit
 
     @cached_property
@@ -553,9 +561,9 @@ class PeriodicModule(RightHeckeModule):
                 break  # every later row has a sigma with a negative sum
             sigma = tuple(map(sub, row_floor, floor))
             if min(sigma) >= 0:
-                series, n = memo.get((0, sigma, weighted)) or self._partitions(0, sigma, weighted)
+                series, n = memo.get((0, sigma)) or self._partitions(0, sigma)
                 if n:
-                    total += p * series
+                    total += p * (series if weighted else n)
                     bound += lp * n
         return total, bound
 

@@ -249,13 +249,9 @@ def root_datum(cartan_type: str, rank: int, l: int) -> RootDatum:
 # -- operations ----------------------------------------------------------------
 
 
-def pairing(rd: RootDatum, lam: Weight, coroot: Sequence[int] | int) -> int:
-    """Exact pairing ``<lam, beta^>`` of a weight with a coroot.
-
-    ``coroot`` may be a coroot's coordinate tuple or the index of a simple coroot.
-    """
-    if isinstance(coroot, int):
-        coroot = rd.simple_coroots[coroot]
+def pairing(rd: RootDatum, lam: Weight, coroot: Sequence[int]) -> int:
+    """Exact pairing ``<lam, beta^>`` of a weight with a coroot, given by its
+    coordinates in the simple coroots."""
     if len(coroot) != rd.rank or len(lam) != rd.rank:
         raise ValueError("dimension mismatch between weight and coroot")
     return sum(map(mul, coroot, lam))

@@ -115,7 +115,7 @@ def lower_symmetrization(p: LaurentPoly) -> LaurentPoly:
 
 def hecke_bar(algebra: HeckeAlgebra, h: HeckeElement) -> HeckeElement:
     """bar(h): v -> v^{-1} on the coefficients and H_x -> bar(H_x)."""
-    out = algebra.zero()
+    out = algebra.element({})
     for x, p in h.terms.items():
         out = out + algebra.bar_basis(x).scale(poly_bar(p))
     return out
@@ -234,7 +234,7 @@ def kl_by_linear_solve(algebra: HeckeAlgebra, x: ExtAffineElement):
         if a:
             cur = terms.get(y, ZERO)
             terms[y] = cur + LaurentPoly({k: int(a)})
-    return algebra.from_terms(terms)
+    return algebra.element(terms)
 
 
 def kl_basis_by_dicts(algebra: HeckeAlgebra, x: ExtAffineElement, memo: dict) -> HeckeElement:

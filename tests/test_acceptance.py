@@ -50,7 +50,8 @@ def test_criterion_1_hecke_relations():
         # quadratic relation for every affine simple reflection
         for j in W.affine_generator_indices():
             s = H.basis(W.affine_generator(j))
-            lhs = H.multiply(s + H.unit().scale(V), s - H.unit().scale(VINV))
+            one = H.basis(W.identity())
+            lhs = H.multiply(s + one.scale(V), s - one.scale(VINV))
             assert lhs.is_zero()
         # braid relations, exhaustively over generator pairs of finite order
         for i in W.affine_generator_indices():
@@ -60,8 +61,7 @@ def test_criterion_1_hecke_relations():
                 m = _braid_order(W, i, j)
                 if m is None:
                     continue  # infinite order: no braid relation (affine A1 pair)
-                a = H.unit()
-                b = H.unit()
+                a = b = H.basis(W.identity())
                 for k in range(m):
                     a = H.right_mul_gen(a, (i, j)[k % 2])
                     b = H.right_mul_gen(b, (j, i)[k % 2])

@@ -9,6 +9,7 @@ import pytest
 
 from periodic_kl.cli import main
 from periodic_kl.laurent import LaurentPoly
+from periodic_kl.periodic import MAX_PARTITION_STATES
 
 
 def run_cli(args, tmp_path=None, name="out"):
@@ -227,6 +228,24 @@ def test_kl_length_bound_exit_code(capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("x,y", [
+    # a far-apart pair: its partition series ran for minutes with no bound
+    ("t(3000,3000)*w[]", "t(0,0)*w[]"),
+    ("t(40,40,40)*w[]", "t(0,0,0)*w[]"),
+])
+def test_partition_state_bound_exit_code(capsys, x, y):
+    rank = str(x.count(",") + 1)
+    start = time.perf_counter()
+    code = main(["mult", "simple-in-verma", "--type", "A", "--rank", rank, "--l", "5", "--x", x, "--y", y])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource bound exceeded: partition series at ("), lines
+    assert f"MAX_PARTITION_STATES={MAX_PARTITION_STATES}" in lines[0]
+    assert elapsed < 2.0
+
+
 @pytest.mark.parametrize("argv,bound", [
     # trial division for the prime-power warning would take O(sqrt l) steps
     ("table p --type A --rank 1 --l 1000000000000000003 --height 0", "above the bound of 1000000"),
@@ -280,6 +299,18 @@ def test_internal_failure_exit_code(monkeypatch, tmp_path):
     monkeypatch.setattr(periodic.PeriodicModule, "inversion_report", bad)
     code = main(["selfcheck", *BASE_A1, "--height", "1", "-o", str(tmp_path / "z.json")])
     assert code == 4
+
+
+def test_failed_mu_certificate_is_an_internal_failure(monkeypatch, capsys):
+    # sufficient_mu's mu always passes (its docstring proves it); a failed
+    # certificate is a bug, reported as such
+    from periodic_kl.orders import SemiInfiniteOrder
+
+    monkeypatch.setattr(SemiInfiniteOrder, "dominant_alcove_certificate", lambda self, z: ["synthetic"])
+    code = main(["selfcheck", *BASE_A1, "--height", "1"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert "synthetic" in captured.err
 
 
 def test_cache_round_trip(tmp_path):

@@ -18,7 +18,7 @@ def test_structural_invariants(typ, rank, l):
         total = total + b
     assert total == rd.rho + rd.rho
     # rho pairs to 1 with every simple coroot
-    assert all(pairing(rd, rd.rho, i) == 1 for i in range(rank))
+    assert all(pairing(rd, rd.rho, rd.simple_coroots[i]) == 1 for i in range(rank))
     # symmetrized pairing matrix is symmetric positive definite (Sylvester minors)
     sym = [list(row) for row in rd.sym]
     for k in range(1, rank + 1):
@@ -42,10 +42,10 @@ def _det(m):
 def test_pairing_examples():
     a1 = root_datum("A", 1, 3)
     w = a1.fundamental_weight(0)
-    assert pairing(a1, w, 0) == 1
-    assert pairing(a1, a1.rho, 0) == 1
+    assert pairing(a1, w, a1.simple_coroots[0]) == 1
+    assert pairing(a1, a1.rho, a1.simple_coroots[0]) == 1
     a2 = root_datum("A", 2, 5)
-    assert pairing(a2, a2.simple_roots[0], 0) == 2
+    assert pairing(a2, a2.simple_roots[0], a2.simple_coroots[0]) == 2
 
 
 def test_pairing_dimension_mismatch():
