@@ -131,7 +131,7 @@ def _load_class_cache(mod: PeriodicModule, cache: str, args) -> Optional[set[int
             if el.coefficient(lead) == ONE and all(
                 p.in_v_times_Zv() for x, p in el.terms.items() if x != lead
             ):
-                mod._class_cache[idx] = el
+                mod.preload_class(idx, el)
                 continue
         rejected.append(str(idx))
     if rejected:
@@ -144,7 +144,8 @@ def _load_class_cache(mod: PeriodicModule, cache: str, args) -> Optional[set[int
 def _save_class_cache(mod: PeriodicModule, args, on_disk: Optional[set[int]]) -> None:
     """Write the class cache, unless the file already holds exactly these classes."""
     cache = args.cache_dir
-    if not cache or on_disk == set(mod._class_cache):
+    classes = mod.class_elements()
+    if not cache or on_disk == set(classes):
         return
     os.makedirs(cache, exist_ok=True)
     g = mod.group
@@ -158,7 +159,7 @@ def _save_class_cache(mod: PeriodicModule, args, on_disk: Optional[set[int]]) ->
                 [g.format_element(x), p.to_json()]
                 for x, p in sorted(el.terms.items(), key=lambda kv: kv[0].key)
             ]
-            for idx, el in sorted(mod._class_cache.items())
+            for idx, el in sorted(classes.items())
         },
     }
     path = _cache_path(args, cache)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
 
-__all__ = ["Combination", "LaurentPoly", "ResourceError", "ZERO", "ONE", "V", "VINV", "pack", "unpack"]
+__all__ = ["Combination", "LaurentPoly", "ResourceError", "ZERO", "ONE", "V", "VINV", "bound_error", "pack", "unpack"]
 
 # Bits per exponent of a packed Z[v] polynomial sum c_e 2^(_WIDTH e).
 _WIDTH = 128
@@ -162,31 +162,41 @@ VINV = LaurentPoly({-1: 1})
 def pack(p: LaurentPoly) -> int:
     """The packed form sum c_e 2^(_WIDTH e) of a polynomial p in Z[v]."""
     width = _WIDTH
-    return sum(c << (width * e) for e, c in p.coeffs.items())
+    packed = 0
+    for e, c in p.coeffs.items():
+        packed += c << (width * e)
+    return packed
+
+
+def bound_error(bound: int, what: str, key: object) -> ResourceError:
+    """The refusal of a packed value of ``what`` at ``key`` whose coefficient
+    bound reaches 2^(_WIDTH - 1), where a balanced digit could have wrapped."""
+    return ResourceError(
+        f"{what} at {key}: the coefficient bound ({bound.bit_length()} bits) "
+        f"reaches the packed digit width of {_WIDTH} bits"
+    )
 
 
 def unpack(packed: int, bound: int, what: str, key: object) -> LaurentPoly:
     """The polynomial sum c_e v^e of a packed sum c_e 2^(_WIDTH e), given
     ``bound`` >= every |c_e|.
 
-    Raises :class:`ResourceError` naming ``what`` at ``key`` if the bound
-    reaches 2^(_WIDTH - 1), where a balanced digit could have wrapped.
+    Raises ``bound_error`` if the bound reaches 2^(_WIDTH - 1), where a
+    balanced digit could have wrapped.
     """
     width = _WIDTH
     half = 1 << (width - 1)
     if bound >= half:
-        raise ResourceError(
-            f"{what} at {key}: the coefficient bound ({bound.bit_length()} bits) "
-            f"reaches the packed digit width of {width} bits"
-        )
+        raise bound_error(bound, what, key)
     mask = (1 << width) - 1
     coeffs = {}
     e = 0
     while packed:
-        c = ((packed + half) & mask) - half
+        packed += half
+        c = (packed & mask) - half
         if c:
             coeffs[e] = c
-        packed = (packed - c) >> width
+        packed >>= width  # (p - c_0) / 2^B, as p + 2^(B-1) - (c_0 + 2^(B-1)) has no low digit
         e += 1
     out = LaurentPoly.__new__(LaurentPoly)
     out.coeffs = coeffs

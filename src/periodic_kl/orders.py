@@ -100,8 +100,19 @@ class SemiInfiniteOrder:
 
     def height(self, x: ExtAffineElement) -> int:
         """<x dot_l 0, 2 rho^> = 2 sum(E(x)) / e, strictly decreasing along the
-        semi-infinite order."""
-        return 2 * sum(self._scaled_rc(x)) // self.rd.lattice_index_e
+        semi-infinite order, from the linear form ``height_form``."""
+        base, row = self.height_form
+        return base[x.w.index] + sum(map(mul, row, x.trans))
+
+    @cached_property
+    def height_form(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(h(t(0) w) per finite w, the row l * 2 rho^): the height is linear in
+        the translation, h(t(lam) w) = h(t(0) w) + l <lam, 2 rho^>, since
+        t(lam) w dot 0 = (w dot 0) + l lam and <mu, 2 rho^> = 2 sum(E(mu)) / e."""
+        e = self.rd.lattice_index_e
+        offsets = self._dot_rc[0]
+        return (tuple(2 * sum(off) // e for off in offsets),
+                tuple(self.rd.l * c for c in self.rd.two_rho_check))
 
     # -- generating relations ----------------------------------------------------
 

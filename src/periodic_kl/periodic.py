@@ -27,40 +27,72 @@ ws < w in the semi-infinite order (preferring s_0, which keeps the chain of
 class dependencies acyclic for the supported types; this is asserted at
 construction).  Then
 
-    P := SD_{ws} . (H_s + v)        (``act_cs``)
+    P := SD_{ws} . (H_s + v)        (the rule of ``act_cs``)
 
 is self-dual with leading term B_w, and SD_w = P - sum_j m_j SD_{z_j} for
 the unique bar-symmetric corrections m_j that leave all off-leading
 coefficients in vZ[v].  Each m_j is an integer, the constant term of the
-coefficient it corrects.  Write SD_{ws} = B_{ws} + sum_{y < ws} p_y B_y with
-p_y in vZ[v]; the action gives B_x (H_s + v) = B_{xs} + v^{-1} B_x when s
-descends x and B_{xs} + v B_x otherwise.  The lead ws does not descend at
+coefficient it corrects.
+
+The whole solve runs on intern keys (translation coordinates, finite
+index) and packed coefficients (see "Packed sums" below).  A translate of
+a key is one tuple add, so no element is built until the class is stored.
+The product is computed on keys: the term c B_x of SD_{ws} = t(nu) SD_sigma
+goes to xs, with x s from the per-(s, finite part) table of
+``AffineWeyl.right_steps``, and to x times v, or times v^{-1} when s
+descends x (a test on the finite part of x).  The corrections are found by
+one top-down sweep of the support in the height function h(z) = <z dot_l 0,
+2 rho^> (every strict semi-infinite relation strictly drops h), which is
+linear in the translation, h(t(lam) w) = h(t(0) w) + l <lam, 2 rho^>
+(``SemiInfiniteOrder.height_form``).  The sweep keeps one running
+coefficient per queued position: P's coefficient minus every correction
+so far.  At an offending position z the correction m SD_z = m t(z.trans)
+SD_u is subtracted, m c at t(z.trans) src for each term c B_src of SD_u: in
+full when registered if u != w; if u = w (SD_w corrects itself), for the
+terms finalized so far and then for each as it is finalized.  Each target
+but z (the lead's image; val - m normalizes z) lies strictly below z in
+height: for u != w, SD_u's support lies below its lead; for u = w,
+h(t(z.trans) p) = h(p) - (h(t(0)w) - h(z)) < h(z) for p != t(0)w.  So no
+target is swept before the correction reaches it, and each value read is
+final: the dependency of whole elements is cyclic through translation, but
+positionwise it is triangular.
+
+Exactness.  Every value of the solve lies in Z[v].  Write SD_{ws} = B_{ws}
++ sum_{y < ws} p_y B_y with p_y in vZ[v].  The lead ws does not descend at
 s (ws s = w lies above it), so its 1 goes to w and, times v, to ws; every
 other p_y goes to ys unchanged and to y times v or v^{-1}, which keeps it
 in Z[v].  So P lies in the sum of the Z[v] B_x, and subtracting integer
-multiples of vectors there keeps every later value there.  The
-bar-symmetric m with c - m in vZ[v] of a c in Z[v] is its constant term.
-The sweep therefore reads m off each swept value, and a negative exponent
-(which this proof excludes) raises CertificationError.  The corrections
-are found by one top-down sweep of the support in the height function
-h(z) = <z dot_l 0, 2 rho^> (every strict semi-infinite relation strictly
-drops h), keeping one running coefficient per queued position: P's
-coefficient minus every correction so far.  At an offending position z the
-correction m SD_z = m t(z.trans) SD_u is subtracted, m c at t(z.trans) src
-for each term c B_src of SD_u: in full when registered if u != w; if u = w
-(SD_w corrects itself), for the terms finalized so far and then for each as
-it is finalized.  Each target but z (the lead's image; val - m normalizes
-z) lies strictly below z in height, as h(t(nu) x) = h(x) + l <nu, 2 rho^>:
-for u != w, SD_u's support lies below its lead; for u = w, h(t(z.trans) p)
-= h(p) - (h(t(0)w) - h(z)) < h(z) for p != t(0)w.  So no target is swept
-before the correction reaches it, and each value read is final: the
-dependency of whole elements is cyclic through translation, but
-positionwise it is triangular.
+multiples of vectors there keeps every later value there.  On packed
+integers v^{-1} p is a right shift, exact only if p has no constant term,
+so each down move of the product first tests that the low digit of p is
+zero, and a nonzero one (which this proof excludes) raises
+CertificationError.  The bar-symmetric m with c - m in vZ[v] of a c in
+Z[v] is its constant term: the balanced low digit of the packed c, and
+c - m is one integer subtraction.  Every queued position carries a bound
+on the l1 norm of its value: the l1 norms of the product terms that reach
+it, and bound += |m| l1(c) for each correction term m c (its own l1 for a
+stored class, the exact l1 of the finalized coefficient for SD_w itself).
+l1 is subadditive and |c_e| <= l1, so while the bound is below 2^(B-1)
+every digit of the value is its coefficient.  A position is read only
+when the sweep reaches it, after its last correction; if its bound reached
+2^(B-1) by then, a ResourceError names the class, the position and the
+bound's size (``laurent.bound_error``) before any digit is read.  A
+nonzero value that remains is decoded once, through the guarded
+``laurent.unpack``, and stored with its exact l1 norm.
 
-Each computed element is certified before it is cached: leading
-coefficient 1, all other coefficients in vZ[v], support inside the
-semi-infinite ideal of the leading term, and the product relation
-P = SD_w + sum_j m_j SD_{z_j} re-verified on complete vectors.  The support
+Each computed element is certified, on keys and packed integers, before
+it is stored: leading coefficient 1, all other coefficients in vZ[v] (low
+digit zero), support inside the semi-infinite ideal of the leading term,
+and the product relation P = SD_w + sum_j m_j SD_{z_j} re-verified on
+complete vectors.  Both sides of that relation have every coefficient
+below 2^(B-1) at every position (P's by the product's bounds, the other
+side's by the sweep's), and a packed integer with balanced digits
+determines its polynomial, so comparing the integers compares the
+polynomials.  The module keeps each class once (``SolvedClass``): its
+terms by key, each packed with its exact l1 norm and decoded, and the
+decoded element built from them.  The tables below read the terms by key;
+a class read from the command line's cache enters the same store through
+``preload_class`` and is packed when first read.  The support
 check needs no order search.  Two facts carry it.  The order is invariant
 under left translation, and x <= y iff t(mu)x <= t(mu)y in the Bruhat order
 for deep dominant mu; right multiplication by s commutes with t(mu), so
@@ -130,16 +162,17 @@ tautology.
 Packed sums.  Every polynomial these sums touch lies in Z[v]: p is in
 {1} + vZ[v], and the partition series and the Koszul factors have only
 exponents >= 0.  So they run on the packed integers of :mod:`.laurent`,
-f -> f(2^B) with B = ``laurent._WIDTH``: a generic value is the integer
-sum of p * series over its rows, a Koszul or inversion sum the integer sum
-of q * factor or q * (+-p), each term one integer multiply-add.  v -> 2^B
-is a ring homomorphism Z[v] -> Z, so every packed sum and product is
-exact, whatever the digit sizes.  Each value carries a bound on its l1
-norm sum |c_e|, accumulated alongside it (bound += l1(q) * l1(p)): l1 is
-subadditive and submultiplicative, the l1 norm of a partition series is
-its number of partitions (every coefficient is positive), and |c_e| <= l1.
-A summand whose bound is 0 is the zero polynomial and is skipped.  A value
-is decoded once per memo entry (the Koszul and inversion memos, and the
+f -> f(2^B) with B = ``laurent._WIDTH``, as the class solve does and from
+the same stored terms: a generic value is the integer sum of p * series
+over its rows, a Koszul or inversion sum the integer sum of q * factor or
+q * (+-p), each term one integer multiply-add.  v -> 2^B is a ring
+homomorphism Z[v] -> Z, so every packed sum and product is exact, whatever
+the digit sizes.  Each value carries a bound on its l1 norm sum |c_e|,
+accumulated alongside it (bound += l1(q) * l1(p)): l1 is subadditive and
+submultiplicative, the l1 norm of a partition series is its number of
+partitions (every coefficient is positive), and |c_e| <= l1.  A summand
+whose bound is 0 is the zero polynomial and is skipped.  A value is
+decoded once per memo entry (the Koszul and inversion memos, and the
 decoded memo behind ``generic_polynomial``), through the guarded
 ``laurent.unpack``: the decode is exact when the bound is below 2^(B-1),
 and otherwise a ResourceError names the value, its key and the bound's
@@ -151,11 +184,11 @@ from __future__ import annotations
 import heapq
 from functools import cached_property
 from operator import add, mul, sub
-from typing import Iterable, Literal, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Literal, Mapping, NamedTuple, Optional, Sequence, get_args
 
 from . import laurent
 from .hecke import RightHeckeModule
-from .laurent import ONE, ZERO, Combination, LaurentPoly, ResourceError, pack, unpack
+from .laurent import ONE, ZERO, Combination, LaurentPoly, ResourceError, bound_error, pack, unpack
 from .orders import SemiInfiniteOrder
 from .rootdata import Weight
 from .weyl import AffineWeyl, ExtAffineElement
@@ -191,6 +224,7 @@ class PeriodicElement(Combination):
 
 
 KindName = Literal["periodic_p", "generic_q", "generic_qprime"]
+GenericKind = Literal["q", "qprime"]
 
 
 class PolynomialTable(NamedTuple):
@@ -199,6 +233,24 @@ class PolynomialTable(NamedTuple):
     kind: KindName
     window: tuple[ExtAffineElement, ...]
     entries: dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly]
+
+
+# An element's intern key (translation coordinates, finite index), and one
+# class term: its packed coefficient, the coefficient's exact l1 norm and the
+# coefficient decoded.
+Key = tuple[tuple[int, ...], int]
+Term = tuple[int, int, LaurentPoly]
+
+
+class SolvedClass:
+    """One class element SD_{t(0)w}, kept once: its terms by key, and the
+    decoded element built from them in the same step."""
+
+    __slots__ = ("terms", "element")
+
+    def __init__(self, terms: dict[Key, Term], element: PeriodicElement):
+        self.terms = terms
+        self.element = element
 
 
 class PeriodicModule(RightHeckeModule):
@@ -210,7 +262,8 @@ class PeriodicModule(RightHeckeModule):
     def __init__(self, group: AffineWeyl):
         self.order = SemiInfiniteOrder(group)
         super().__init__(group, self.order.descends)
-        self._class_cache: dict[int, PeriodicElement] = {}
+        self._classes: dict[int, SolvedClass] = {}
+        self._preloaded: dict[int, PeriodicElement] = {}
         self._in_progress: set[int] = set()
         self._partition_memo: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
         self._generic_tables: dict[tuple[int, int], tuple[dict, dict, Optional[int]]] = {}
@@ -222,14 +275,6 @@ class PeriodicModule(RightHeckeModule):
         self._down_policy = self._choose_down_moves()
 
     # -- basic constructions -----------------------------------------------------
-
-    def e_element(self, lam: Weight) -> PeriodicElement:
-        g = self.group
-        terms = {
-            g.element(lam, w): LaurentPoly({w.length: 1})
-            for w in g.finite_elements
-        }
-        return PeriodicElement(terms)
 
     def shift(self, m: PeriodicElement, nu: Weight) -> PeriodicElement:
         """The translation operator <nu>: B_x -> B_{t(nu) x}."""
@@ -246,13 +291,12 @@ class PeriodicModule(RightHeckeModule):
 
     def selfdual(self, x: ExtAffineElement) -> PeriodicElement:
         """The self-dual basis element with leading term B_x (certified)."""
-        cls = self._class_element(x.w.index)
-        return self.shift(cls, x.trans)
+        return self.shift(self._class(x.w.index).element, x.trans)
 
     def p_polynomial(self, y: ExtAffineElement, x: ExtAffineElement) -> LaurentPoly:
         """Periodic polynomial p_{y,x}: coefficient of B_y in the self-dual element at x."""
-        cls = self._class_element(x.w.index)
-        return cls.coefficient(self.group.translate_left(-x.trans, y))
+        hit = self._class(x.w.index).terms.get((tuple(map(sub, y.trans, x.trans)), y.w.index))
+        return ZERO if hit is None else hit[2]
 
     def _choose_down_moves(self) -> dict[int, tuple[int, Weight, int]]:
         """For each non-identity finite class w: (generator j, shift nu, class sigma)
@@ -298,9 +342,16 @@ class PeriodicModule(RightHeckeModule):
             raise AssertionError("no acyclic down-move assignment exists for this datum")
         return policy
 
-    def _class_element(self, w_index: int) -> PeriodicElement:
-        hit = self._class_cache.get(w_index)
+    def _class(self, w_index: int) -> SolvedClass:
+        """The class element SD_{t(0)w} from the store: on first use packed
+        from its preloaded element if there is one, else solved."""
+        hit = self._classes.get(w_index)
         if hit is not None:
+            return hit
+        element = self._preloaded.pop(w_index, None)
+        if element is not None:
+            terms = {x.key: _term(p) for x, p in element.terms.items()}
+            hit = self._classes[w_index] = SolvedClass(terms, element)
             return hit
         if w_index in self._in_progress:
             raise CertificationError(
@@ -309,120 +360,201 @@ class PeriodicModule(RightHeckeModule):
         self._in_progress.add(w_index)
         try:
             if self.group.finite_elements[w_index].length == 0:
-                result = self.e_element(Weight((0,) * self.rd.rank))
+                # e(0) = sum_w v^{len(w)} B_{t(0)w}
+                zero = (0,) * self.rd.rank
+                terms = {(zero, w.index): _term(LaurentPoly({w.length: 1})) for w in self.group.finite_elements}
             else:
-                result = self._solve_class(w_index)
-            self._class_cache[w_index] = result
-            return result
+                terms = self._solve_class(w_index)
+            intern = self.group._intern
+            hit = self._classes[w_index] = SolvedClass(
+                terms, PeriodicElement({intern(t, u): p for (t, u), (_, _, p) in terms.items()}))
+            return hit
         finally:
             self._in_progress.discard(w_index)
 
-    def _solve_class(self, w_index: int) -> PeriodicElement:
-        g = self.group
+    def preload_class(self, w_index: int, element: PeriodicElement) -> None:
+        """Enter a class element read from outside the solve (the command
+        line's class cache) into the store, to be packed on first use.  The
+        caller has checked that its lead t(0)w has coefficient 1 and every
+        other coefficient lies in vZ[v], so every coefficient packs."""
+        self._preloaded[w_index] = element
+
+    def class_elements(self) -> dict[int, PeriodicElement]:
+        """Every class element the store holds, solved or preloaded, by finite index."""
+        return {**self._preloaded, **{w: solved.element for w, solved in self._classes.items()}}
+
+    def _product(self, w_index: int) -> dict[Key, list[int]]:
+        """P = SD_{ws} . (H_s + v) on keys, with ws = t(nu) sigma the class's down
+        move: per position, [packed coefficient, a bound on its l1 norm].
+
+        The rule of ``RightHeckeModule.act_cs``: the term c B_x of SD_{ws}
+        gives c B_{xs}, and v^{-1} c B_x when s descends x, v c B_x
+        otherwise.  x s comes from ``right_steps`` and the descent from the
+        finite part of x.  v^{-1} c is a right shift of the packed c, exact
+        only when c lies in vZ[v], so each down move first tests that the
+        low digit of c is zero.
+        """
         j, nu, sigma = self._down_policy[w_index]
-        base = self.shift(self._class_element(sigma), nu)
-        product = self.act_cs(base, j)
-        lead = g.element(Weight((0,) * self.rd.rank), w_index)
+        width = laurent._WIDTH
+        mask = (1 << width) - 1
+        steps = self.group.right_steps[j]
+        down = [row[j] for row in self.order._descents]
+        moved = any(nu)
+        acc: dict[Key, list[int]] = {}
+        get = acc.get
+        for (t, u), (c, lc, _) in self._class(sigma).terms.items():
+            if moved:
+                t = tuple(map(add, t, nu))
+            offset, us = steps[u]
+            xs = (tuple(map(add, t, offset)) if j == 0 else t, us)
+            entry = get(xs)
+            if entry is None:
+                acc[xs] = [c, lc]
+            else:
+                entry[0] += c
+                entry[1] += lc
+            if down[u]:
+                if c & mask:
+                    g = self.group
+                    raise CertificationError(
+                        f"coefficient at {g._intern(t, u)!r} of class "
+                        f"{g._intern((0,) * self.rd.rank, w_index)!r} outside Z[v]")
+                c >>= width
+            else:
+                c <<= width
+            x = (t, u)
+            entry = get(x)
+            if entry is None:
+                acc[x] = [c, lc]
+            else:
+                entry[0] += c
+                entry[1] += lc
+        return acc
+
+    def _solve_class(self, w_index: int) -> dict[Key, Term]:
+        """The terms of SD_{t(0)w} by key, certified (module docstring)."""
+        width = laurent._WIDTH
+        half = 1 << (width - 1)
+        mask = (1 << width) - 1
+        lead = ((0,) * self.rd.rank, w_index)
+        what = f"self-dual class {self.group._intern(*lead)!r} (trans, w)"
+        acc = self._product(w_index)
+        self._check_product_terms(w_index, acc)
+        product = {pos: entry[0] for pos, entry in acc.items()}
+        hbase, hrow = self.order.height_form
 
         # Top-down sweep in height.  acc holds, at each queued position, the
-        # product's coefficient minus every correction (z, m, class, shift)
-        # registered so far, m the integer constant term at z; fin the
-        # finalized coefficients of the element under construction; and
-        # selfs the corrections by SD_w itself, which reach each position of
-        # fin as it is finalized (module docstring).
-        acc = dict(product.terms)
-        fin: dict[ExtAffineElement, LaurentPoly] = {}
-        corrections: list[tuple[ExtAffineElement, int, int, Weight]] = []
-        selfs: list[tuple[ExtAffineElement, int]] = []
-        # Heap entries (-height, key, element): keys are unique, so the
-        # element itself is never compared.
-        heap: list[tuple[int, tuple, ExtAffineElement]] = []
+        # product's coefficient minus every correction (z, m) registered so
+        # far, m the integer constant term at z, with an l1 bound of it; fin
+        # the finalized terms of the element under construction; and selfs
+        # the corrections by SD_w itself, which reach each position of fin
+        # as it is finalized (module docstring).
+        fin: dict[Key, Term] = {}
+        corrections: list[tuple[Key, int]] = []
+        selfs: list[tuple[Key, int]] = []
         # The witness of each queued position, recorded when it is first
         # pushed: None for a term of the product, (z, src) for a position
         # t(z.trans) src pushed by the correction at z.
-        witness: dict[ExtAffineElement, Optional[tuple[ExtAffineElement, ExtAffineElement]]] = {}
+        witness: dict[Key, Optional[tuple[Key, Key]]] = dict.fromkeys(acc)
+        # The queued positions by height, with a heap of the heights queued.
+        buckets: dict[int, list[Key]] = {}
+        for t, u in acc:
+            buckets.setdefault(hbase[u] + sum(map(mul, hrow, t)), []).append((t, u))
+        heights = [-h for h in buckets]
+        heapq.heapify(heights)
+        get = acc.get
 
-        def push(pos: ExtAffineElement, via=None) -> None:
-            if pos in witness:
-                return
-            witness[pos] = via
-            heapq.heappush(heap, (-self.order.height(pos), pos.key, pos))
+        def subtract(z: Key, m: int, terms) -> None:
+            # m c at t(z.trans) src for each term (src, c), bar z itself (val - m)
+            zt = z[0]
+            moved = any(zt)
+            dz = sum(map(mul, hrow, zt))
+            am = abs(m)
+            for src, (c, lc, _) in terms:
+                at = (tuple(map(add, zt, src[0])), src[1]) if moved else src
+                entry = get(at)
+                if entry is not None:
+                    entry[0] -= m * c
+                    entry[1] += am * lc
+                elif at != z:
+                    acc[at] = [-m * c, am * lc]
+                    if at not in witness:
+                        witness[at] = (z, src)
+                        h = hbase[at[1]] + sum(map(mul, hrow, src[0])) + dz
+                        bucket = buckets.get(h)
+                        if bucket is None:
+                            buckets[h] = [at]
+                            heapq.heappush(heights, -h)
+                        else:
+                            bucket.append(at)
 
-        def subtract(z: ExtAffineElement, m: int, terms) -> None:
-            # m c at t(z.trans) src for each (src, c), bar z itself (val - m)
-            for src, c in terms:
-                at = g.translate_left(z.trans, src)
-                if at is not z:
-                    acc[at] = acc.get(at, ZERO) - c.scale(m)
-                    push(at, (z, src))
-
-        self._check_product_terms(w_index, base, product.terms)
-        for pos in product.terms:
-            push(pos)
-
-        swept: list[ExtAffineElement] = []
-        while heap:
-            if len(swept) >= MAX_SWEEP_STEPS:
-                raise ResourceError(
-                    f"self-dual basis sweep of class {g.format_element(lead)} exceeded "
-                    f"MAX_SWEEP_STEPS={MAX_SWEEP_STEPS} with {len(heap)} positions queued"
-                )
-            pos = heapq.heappop(heap)[2]
-            swept.append(pos)
-            val = acc.pop(pos, ZERO)
-            if pos == lead:
-                if val != ONE:
-                    raise CertificationError("leading coefficient is not 1")
-            else:
-                coeffs = val.coeffs
-                if coeffs and min(coeffs) < 0:
-                    raise CertificationError(
-                        f"coefficient at {g.format_element(pos)} of class {g.format_element(lead)} "
-                        "outside Z[v]")
-                m = coeffs.get(0)
+        swept: list[Key] = []
+        while heights:
+            for pos in buckets.pop(-heapq.heappop(heights)):
+                if len(swept) >= MAX_SWEEP_STEPS:
+                    raise ResourceError(
+                        f"self-dual basis sweep of class {self.group._intern(*lead)!r} exceeded "
+                        f"MAX_SWEEP_STEPS={MAX_SWEEP_STEPS} with {len(acc)} positions queued"
+                    )
+                swept.append(pos)
+                val, bound = acc.pop(pos)
+                if bound >= half:  # a digit may have wrapped: read none
+                    raise bound_error(bound, what, pos)
+                if pos == lead:
+                    if val != 1:
+                        raise CertificationError("leading coefficient is not 1")
+                    fin[pos] = (1, 1, ONE)
+                    continue
+                m = val & mask  # the low digit, made balanced below
                 if m:
-                    cls = pos.w.index
-                    corrections.append((pos, m, cls, pos.trans))
-                    if cls == w_index:
+                    if m >= half:
+                        m -= mask + 1
+                    corrections.append((pos, m))
+                    val -= m
+                    if pos[1] == w_index:
                         selfs.append((pos, m))
                         subtract(pos, m, fin.items())
                     else:
-                        subtract(pos, m, self._class_element(cls).terms.items())
-                    val = LaurentPoly({e: c for e, c in coeffs.items() if e})
-                if val.is_zero():
+                        subtract(pos, m, self._class(pos[1]).terms.items())
+                if not val:
                     continue
-            fin[pos] = val
-            for z, m in selfs:
-                subtract(z, m, ((pos, val),))
+                poly = unpack(val, bound, what, pos)
+                term = fin[pos] = (val, sum(map(abs, poly.coeffs.values())), poly)
+                for z, m in selfs:
+                    subtract(z, m, ((pos, term),))
 
         ideal = self._check_witnesses(w_index, swept, witness)
-        result = PeriodicElement(fin)
-        self._certify(result, lead, product, corrections, w_index, ideal)
-        return result
+        self._certify(w_index, fin, product, corrections, ideal)
+        return fin
 
-    def _check_product_terms(self, w_index: int, base: PeriodicElement,
-                             terms: Iterable[ExtAffineElement]) -> None:
+    def _check_product_terms(self, w_index: int, terms: Iterable[Key]) -> None:
         """Check, before the sweep, that every term of the product P lies below
         the lead t(0)w (see the module docstring).
 
-        ``base`` is SD_{ws} for the class's down move (j, nu, sigma): ws < w
-        must be the local descent onto its lead, and each term must lie in
-        supp(base) or in supp(base) . s_j.  No term's check reads another
-        position, so a stray term stops the solve before its sweep starts.
+        The class's down move (j, nu, sigma) must be the local descent ws < w
+        onto the lead ws = t(nu) sigma of SD_{ws}, and each term must lie in
+        supp(SD_{ws}) or in supp(SD_{ws}) . s_j, read from the store.  No
+        term's check reads another position, so a stray term stops the
+        solve before its sweep starts.
         """
-        g = self.group
         j, nu, sigma = self._down_policy[w_index]
-        lead = g.element(Weight((0,) * self.rd.rank), w_index)
-        if not (self.order.descends(lead, j) and g.right_multiply_gen(lead, j) is g.element(nu, sigma)):
+        steps = self.group.right_steps[j]
+        if not (self.order._descents[w_index][j] and steps[w_index] == (nu, sigma)):
             raise CertificationError("support escapes the semi-infinite ideal of the lead")
-        lifted = set(base.terms)
-        lifted.update([g.right_multiply_gen(x, j) for x in base.terms])
-        if not lifted.issuperset(terms):
-            raise CertificationError("support escapes the semi-infinite ideal of the lead")
+        # x lies in supp(SD_{ws}) s iff x s does, as s is an involution; the
+        # support of SD_{ws} is t(nu) times that of class sigma
+        base = self._class(sigma).terms
+        moved = any(nu)
+        for t, u in terms:
+            if moved:
+                t = tuple(map(sub, t, nu))
+            if (t, u) not in base:
+                offset, us = steps[u]
+                if (tuple(map(add, t, offset)) if j == 0 else t, us) not in base:
+                    raise CertificationError("support escapes the semi-infinite ideal of the lead")
 
-    def _check_witnesses(self, w_index: int, swept: Sequence[ExtAffineElement],
-                         witness: Mapping[ExtAffineElement, Optional[tuple[ExtAffineElement, ExtAffineElement]]],
-                         ) -> set[ExtAffineElement]:
+    def _check_witnesses(self, w_index: int, swept: Sequence[Key],
+                         witness: Mapping[Key, Optional[tuple[Key, Key]]]) -> set[Key]:
         """The swept positions of class ``w_index``, each checked to lie below the
         lead t(0)w by its witness, in sweep order (see the module docstring).
 
@@ -430,38 +562,38 @@ class PeriodicModule(RightHeckeModule):
         ``_check_product_terms`` checked before the sweep.  A position
         pushed by the correction at z must equal t(z.trans) src, with z
         already checked and src either already checked (z in class w) or in
-        the support of the certified class z.w.
+        the support of the stored class z.w.
         """
-        g = self.group
-        ideal: set[ExtAffineElement] = set()
+        ideal: set[Key] = set()
         for pos in swept:
             via = witness[pos]
             if via is not None:
                 z, src = via
-                if not (z in ideal and g.translate_left(z.trans, src) is pos and src in (
-                        ideal if z.w.index == w_index else self._class_cache[z.w.index].terms)):
+                if not (z in ideal and (tuple(map(add, z[0], src[0])), src[1]) == pos and src in (
+                        ideal if z[1] == w_index else self._classes[z[1]].terms)):
                     raise CertificationError("support escapes the semi-infinite ideal of the lead")
             ideal.add(pos)
         return ideal
 
-    def _certify(self, result: PeriodicElement, lead: ExtAffineElement,
-                 product: PeriodicElement, corrections, w_index: int,
-                 ideal: set[ExtAffineElement]) -> None:
-        if result.coefficient(lead) != ONE:
+    def _certify(self, w_index: int, result: Mapping[Key, Term], product: Mapping[Key, int],
+                 corrections: Sequence[tuple[Key, int]], ideal: set[Key]) -> None:
+        mask = (1 << laurent._WIDTH) - 1
+        lead = ((0,) * self.rd.rank, w_index)
+        if result.get(lead, (0,))[0] != 1:
             raise CertificationError("certification: leading coefficient")
-        for pos, p in result.terms.items():
-            if pos == lead:
-                continue
-            if not p.in_v_times_Zv():
-                raise CertificationError("certification: coefficient not in vZ[v]")
-            if pos not in ideal:
-                raise CertificationError("certification: support outside the ideal")
+        if any(term[0] & mask for pos, term in result.items() if pos != lead):
+            raise CertificationError("certification: coefficient not in vZ[v]")
+        if not ideal.issuperset(result):
+            raise CertificationError("certification: support outside the ideal")
         # product relation on complete vectors
-        acc = result
-        for (z, m, cls, shift_nu) in corrections:
-            base = result if cls == w_index else self._class_cache[cls]
-            acc = acc + self.shift(base, shift_nu).scale(m)
-        if acc != product:
+        acc = {pos: term[0] for pos, term in result.items()}
+        get = acc.get
+        for (zt, cls), m in corrections:
+            moved = any(zt)
+            for src, term in (result if cls == w_index else self._classes[cls].terms).items():
+                at = (tuple(map(add, zt, src[0])), src[1]) if moved else src
+                acc[at] = get(at, 0) + m * term[0]
+        if {x: p for x, p in acc.items() if p} != {x: p for x, p in product.items() if p}:
             raise CertificationError("certification: product relation fails on complete vectors")
 
     # -- generic polynomials and the Koszul-type inverse -------------------------------------
@@ -508,14 +640,18 @@ class PeriodicModule(RightHeckeModule):
         return [tuple(c // e for c in rd.scaled_root_coordinates(b)) for b in rd.positive_roots]
 
     def generic_polynomial(self, y: ExtAffineElement, x: ExtAffineElement,
-                           kind: Literal["q", "qprime"] = "q") -> LaurentPoly:
+                           kind: GenericKind = "q") -> LaurentPoly:
         """q_{y,x} (weighted) or q'_{y,x} (unweighted), exactly.
 
         Coefficient of B_y in the positive-root geometric series applied to
         the self-dual element at x; only finitely many vector partitions
         contribute, enumerated exactly.  By translation equivariance only the
-        relative position of y and x matters, which keys the memo.
+        relative position of y and x matters, which keys the memo.  Any
+        ``kind`` but "q" or "qprime" raises ValueError.
         """
+        if kind != "q" and kind != "qprime":
+            raise ValueError(f"unknown generic polynomial kind {kind!r}; expected one of "
+                             f"{', '.join(get_args(GenericKind))}")
         key = (tuple(map(sub, y.trans, x.trans)), y.w.index, x.w.index, kind == "q")
         hit = self._generic_decoded.get(key)
         if hit is None:
@@ -577,11 +713,11 @@ class PeriodicModule(RightHeckeModule):
         e = self.rd.lattice_index_e
         rows: dict[tuple[int, ...], list[tuple[int, tuple[int, ...], int, int]]] = {}
         top = None
-        for z, p in self._class_element(c).terms.items():
-            if z.w.index == u:
-                scaled = self.rd.scaled_root_coordinates(z.trans)
+        for (t, w), (p, lp, _) in self._class(c).terms.items():
+            if w == u:
+                scaled = self.rd.scaled_root_coordinates(t)
                 floor = tuple(s // e for s in scaled)
-                rows.setdefault(tuple(s % e for s in scaled), []).append((sum(floor), floor, *_packed(p)))
+                rows.setdefault(tuple(s % e for s in scaled), []).append((sum(floor), floor, p, lp))
                 top = sum(scaled) if top is None else max(top, sum(scaled))
         for group in rows.values():
             group.sort(key=lambda row: -row[0])
@@ -695,16 +831,19 @@ class PeriodicModule(RightHeckeModule):
         """The rows x0 = w0 pos over pos in SD_{w0 t(0) zw}, grouped by the finite
         index of x0, as (sum E(x0.trans), E(x0.trans), (-1)^len(x0) p packed, l1
         norm of p), by ascending sum E(x0.trans)."""
-        g = self.group
-        w0 = g.element(Weight((0,) * self.rd.rank), g.w0.index)
-        sd = self.selfdual(g.multiply(w0, g.element(Weight((0,) * self.rd.rank), zw)))
+        g, rd = self.group, self.rd
+        w0 = g.w0
+        w0_mul = g._fin_mul[w0.index]
         groups: dict[int, list[tuple[int, tuple[int, ...], int, int]]] = {}
-        for pos, p in sd.terms.items():
-            x0 = g.multiply(w0, pos)
-            offset = self.rd.scaled_root_coordinates(x0.trans)
-            packed, lp = _packed(p)
-            groups.setdefault(x0.w.index, []).append(
-                (sum(offset), offset, -packed if x0.length % 2 else packed, lp))
+        # SD_{w0 t(0) zw} is the class of w0 zw; its term at pos = t(lam) u
+        # gives x0 = t(w0 lam) (w0 u), whose length has the parity of
+        # <w0 lam, 2 rho^> + len(w0 u)
+        for (lam, u), (p, lp, _) in self._class(w0_mul[zw]).terms.items():
+            trans = w0.apply(lam)
+            x0w = w0_mul[u]
+            offset = rd.scaled_root_coordinates(trans)
+            odd = (sum(map(mul, rd.two_rho_check, trans)) + g.finite_elements[x0w].length) % 2
+            groups.setdefault(x0w, []).append((sum(offset), offset, -p if odd else p, lp))
         for group in groups.values():
             group.sort(key=lambda row: row[0])
         return groups
@@ -726,17 +865,23 @@ class PeriodicModule(RightHeckeModule):
     # -- tables -------------------------------------------------------------------------------
 
     def polynomial_table(self, kind: KindName, window: Sequence[ExtAffineElement]) -> PolynomialTable:
+        """The nonzero entries (y, x) of one kind over the window; any other
+        ``kind`` raises ValueError."""
+        if kind not in get_args(KindName):
+            raise ValueError(f"unknown table kind {kind!r}; expected one of {', '.join(get_args(KindName))}")
         entries: dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly] = {}
         win = tuple(window)
-        for x in win:
-            if kind == "periodic_p":
-                sd = self.selfdual(x)
-                for y in win:
-                    p = sd.coefficient(y)
-                    if not p.is_zero():
+        if kind == "periodic_p":
+            # the terms t(x.trans) src of SD_x, read by key from x's class
+            by_key = {y.key: y for y in win}
+            for x in win:
+                for (t, u), (_, _, p) in self._class(x.w.index).terms.items():
+                    y = by_key.get((tuple(map(add, x.trans, t)), u))
+                    if y is not None:
                         entries[(y, x)] = p
-            else:
-                k: Literal["q", "qprime"] = "q" if kind == "generic_q" else "qprime"
+        else:
+            k: GenericKind = "q" if kind == "generic_q" else "qprime"
+            for x in win:
                 for y in win:
                     p = self.generic_polynomial(y, x, k)
                     if not p.is_zero():
@@ -744,6 +889,6 @@ class PeriodicModule(RightHeckeModule):
         return PolynomialTable(kind, win, entries)
 
 
-def _packed(p: LaurentPoly) -> tuple[int, int]:
-    """A polynomial in Z[v] packed, with its l1 norm."""
-    return pack(p), sum(map(abs, p.coeffs.values()))
+def _term(p: LaurentPoly) -> Term:
+    """A coefficient in Z[v] as a class term: packed, its l1 norm, itself."""
+    return pack(p), sum(map(abs, p.coeffs.values())), p

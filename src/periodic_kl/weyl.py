@@ -39,6 +39,7 @@ coset of the length-zero subgroup.
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import add, mul
 from typing import Optional, Sequence
 
@@ -311,6 +312,16 @@ class AffineWeyl:
             offset = self.root_images[x.w.index][self.s0_root_pos]
             return self._intern(tuple(map(add, x.trans, offset)), fin[self.s0_finite_index])
         return self._intern(x.trans, fin[self._gen_indices[j - 1]])
+
+    @cached_property
+    def right_steps(self) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+        """right_steps[j][w] = (offset, w') with t(lam) w s_j = t(lam + offset) w'
+        for every lam, read off t(0) w s_j; built on first use."""
+        zero = (0,) * self.rd.rank
+        return tuple(
+            tuple((ws.trans, ws.w.index) for ws in (self._gen_step(self._intern(zero, w.index), j)
+                                                     for w in self.finite_elements))
+            for j in self.affine_generator_indices())
 
     def translate_left(self, nu: Weight, x: ExtAffineElement) -> ExtAffineElement:
         """t(nu) * x; cheap because it only shifts the translation part."""

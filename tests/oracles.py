@@ -25,7 +25,8 @@ Kazhdan-Lusztig basis without any KL recursion.
 The first section holds the small helpers the tests read as references
 but the library itself never calls: enumeration by length, words, the dot
 action, the literal generating relation of the semi-infinite order, the
-bar involution and the shift by v^k, and the lower symmetrization.
+bar involution and the shift by v^k, the lower symmetrization, and the
+periodic module's generators e(lam).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from periodic_kl.hecke import HeckeAlgebra, HeckeElement
 from periodic_kl.laurent import LaurentPoly, ONE, ZERO
 from periodic_kl.orders import SemiInfiniteOrder
-from periodic_kl.periodic import PeriodicModule
+from periodic_kl.periodic import PeriodicElement, PeriodicModule
 from periodic_kl.rootdata import RootDatum, Weight, dominance_leq
 from periodic_kl.weyl import AffineWeyl, ExtAffineElement
 
@@ -119,6 +120,12 @@ def hecke_bar(algebra: HeckeAlgebra, h: HeckeElement) -> HeckeElement:
     for x, p in h.terms.items():
         out = out + algebra.bar_basis(x).scale(poly_bar(p))
     return out
+
+
+def e_element(module: PeriodicModule, lam: Weight) -> PeriodicElement:
+    """e(lam) = sum_{w in W} v^{len(w)} B_{t(lam) w}, the self-dual element at t(lam)."""
+    g = module.group
+    return PeriodicElement({g.element(lam, w): LaurentPoly({w.length: 1}) for w in g.finite_elements})
 
 
 # -- brute-force oracles ----------------------------------------------------------------------
@@ -416,7 +423,7 @@ def class_support_below_lead(module: PeriodicModule, w_index: int) -> bool:
     walk down the translated lead."""
     order = module.order
     lead = module.group.element(Weight((0,) * module.rd.rank), w_index)
-    support = list(module._class_element(w_index).terms)
+    support = list(module._class(w_index).element.terms)
     return all(order.column_via_translation(support, lead, order.sufficient_mu([lead, *support])))
 
 
@@ -441,7 +448,7 @@ def generic_terms_by_dicts(module: PeriodicModule, y: ExtAffineElement, x: ExtAf
     roots_rc = [tuple(c // e for c in rd.scaled_root_coordinates(b)) for b in rd.positive_roots]
     target = rd.scaled_root_coordinates(tuple(map(sub, y.trans, x.trans)))
     terms = []
-    for z, p in module._class_element(x.w.index).terms.items():
+    for z, p in module._class(x.w.index).element.terms.items():
         if z.w.index != y.w.index:
             continue
         diff = tuple(map(sub, rd.scaled_root_coordinates(z.trans), target))

@@ -53,7 +53,15 @@ def test_guard_refuses_a_digit_that_would_wrap(monkeypatch, a2):
     W = a2.group
     y, x = W.parse_element("t(0,0)*w[2 1]"), W.parse_element("t(1,1)*w[1]")
     monkeypatch.setattr(laurent, "_WIDTH", 2)
+    # the class solve runs on the same digits, and its bounds (up to 4 on
+    # A2) do not fit in 2 bits either: it refuses before reading one
+    with pytest.raises(ResourceError, match=r"^self-dual class t\(0,0\)\*w\[[12 ]*\] \(trans, w\) at \(\(-?\d+, -?\d+\), \d+\): "
+                                            r"the coefficient bound \(\d+ bits\) reaches the packed digit width of 2 bits$"):
+        PeriodicModule(W)._class(x.w.index)
+    # so the classes enter the store from the full-width solve, packed at 2 bits
     M = PeriodicModule(W)
+    for w in W.finite_elements:
+        M.preload_class(w.index, a2.module._class(w.index).element)
     true = generic_polynomial_by_dicts(M, y, x)
     assert true == LaurentPoly({3: 2, 5: 1})
     with pytest.raises(ResourceError, match=r"^generic q \(y.trans - x.trans, y.w, x.w\) at \(\(-1, -1\), \d+, \d+\): "
@@ -90,13 +98,19 @@ def test_each_bound_dominates_the_l1_norms_of_its_terms(monkeypatch, request, na
     # a factor falls below it somewhere here
     ctx = request.getfixturevalue(name)
     seen = {}
-    real_unpack = periodic.unpack
+    corrections = {}  # the corrections (z, m) of each class solve
+    real_unpack, real_certify = periodic.unpack, PeriodicModule._certify
 
     def recording_unpack(packed, bound, what, key):
         seen[what, key] = bound
         return real_unpack(packed, bound, what, key)
 
+    def recording_certify(self, w_index, result, product, made, ideal):
+        corrections[w_index] = [(W.element(Weight(z[0]), z[1]), m) for z, m in made]
+        return real_certify(self, w_index, result, product, made, ideal)
+
     monkeypatch.setattr(periodic, "unpack", recording_unpack)
+    monkeypatch.setattr(PeriodicModule, "_certify", recording_certify)
     M, W, roots = PeriodicModule(ctx.group), ctx.group, ctx.rd.positive_roots
     zero = Weight((0,) * ctx.rd.rank)
     for y, x in _same_coset_pairs(standard_window(W, height)):
@@ -117,9 +131,21 @@ def test_each_bound_dominates_the_l1_norms_of_its_terms(monkeypatch, request, na
     kinds = set()
     decoded = list(seen.items())
     for (what, key), bound in decoded if sample is None else random.Random(0).sample(decoded, sample):
-        kind = what.split()[0] if what.startswith(("Koszul", "inversion")) else what.split()[1]
+        kind = what.split()[0] if what.startswith(("Koszul", "inversion", "self-dual")) else what.split()[1]
         kinds.add(kind)
-        if kind == "inversion":
+        if kind == "self-dual":
+            # the product's terms l1(c) at x s and at x, plus |m| l1(c) for
+            # each term c of SD_z at this position, over the corrections
+            # m SD_z of the class solve
+            lead = W.parse_element(what[len("self-dual class "):-len(" (trans, w)")])
+            pos = W.element(Weight(key[0]), key[1])
+            j, nu, sigma = M._down_policy[lead.w.index]
+            base = M.shift(M._class(sigma).element, nu)
+            need = sum(_l1(c) for x, c in base.terms.items() if pos in (x, W.right_multiply_gen(x, j)))
+            for z, m in corrections[lead.w.index]:
+                if z is not pos:
+                    need += abs(m) * _l1(M.selfdual(z).coefficient(pos))
+        elif kind == "inversion":
             d, yw, zw = key
             y, z = W.element(zero, yw), W.element(Weight(d), zw)
             need = sum(_l1(M.generic_polynomial(W.multiply(w0, pos), y)) * _l1(p)
@@ -133,4 +159,4 @@ def test_each_bound_dominates_the_l1_norms_of_its_terms(monkeypatch, request, na
             else:
                 need = sum(_l1(p) * _l1(series) for p, series in generic_terms_by_dicts(M, y, x, kind))
         assert bound >= need, (what, key, bound, need)
-    assert kinds == ({"q", "qprime"} if generic else set()) | {"Koszul", "inversion"}
+    assert kinds == ({"q", "qprime"} if generic else set()) | {"Koszul", "inversion", "self-dual"}

@@ -2,16 +2,18 @@ import hashlib
 import json
 import random
 import re
+from operator import add
 
 import pytest
 
-from periodic_kl import periodic
+from periodic_kl import laurent, periodic
 from periodic_kl.laurent import LaurentPoly, ONE, V, VINV, ZERO
 from periodic_kl.orders import standard_window
 from periodic_kl.periodic import PeriodicModule
 from periodic_kl.rootdata import Weight
 from oracles import (
     class_support_below_lead,
+    e_element,
     elements_of_length_leq,
     inversion_sum_per_pair,
     koszul_of_series_per_pair,
@@ -103,24 +105,24 @@ def test_action_module_over_algebra(request, datum):
 
 def test_e_element_examples(a1, a2):
     M1, W1 = a1.module, a1.group
-    e0 = M1.e_element(Weight((0,)))
+    e0 = e_element(M1, Weight((0,)))
     assert e0.coefficient(W1.identity()) == ONE
     assert e0.coefficient(W1.simple_reflection(0)) == V
     assert len(e0.terms) == 2
 
     M2 = a2.module
-    e0 = M2.e_element(Weight((0, 0)))
+    e0 = e_element(M2, Weight((0, 0)))
     exps = sorted(next(iter(p.coeffs)) for p in e0.terms.values())
     assert exps == [0, 1, 1, 2, 2, 3]
 
     lam = Weight((2, -1))
-    assert M2.e_element(lam) == M2.shift(M2.e_element(Weight((0, 0))), lam)
+    assert e_element(M2, lam) == M2.shift(e_element(M2, Weight((0, 0))), lam)
 
 
 def test_e_element_eigenproperty_finite_generators(a2):
     M, W = a2.module, a2.group
     lam = Weight((1, 0))
-    el = M.e_element(lam)
+    el = e_element(M, lam)
     for j in range(1, W.num_affine_gens):
         assert M.act_cs(el, j) == el.scale(V + VINV)
 
@@ -129,7 +131,7 @@ def test_selfdual_base_case(a1):
     M, W = a1.module, a1.group
     e, s = W.identity(), W.simple_reflection(0)
     sd = M.selfdual(e)
-    assert sd == M.e_element(Weight((0,)))
+    assert sd == e_element(M, Weight((0,)))
     assert M.p_polynomial(s, e) == V
     assert M.p_polynomial(e, e) == ONE
 
@@ -182,7 +184,7 @@ def test_selfdual_translation_equivariance(a2):
 def test_translation_operator(a1):
     M, W = a1.module, a1.group
     alpha = a1.rd.simple_roots[0]
-    m = M.e_element(Weight((1,)))
+    m = e_element(M, Weight((1,)))
     zero = Weight((0,))
     assert M.shift(m, zero) == m
     assert M.shift(M.shift(m, alpha), -alpha) == m
@@ -338,21 +340,28 @@ def test_resource_bound_raises(a1, monkeypatch):
         M.selfdual(a1.group.simple_reflection(0))
 
 
+def _product_with_stray_term(monkeypatch):
+    """Plant the term v B_{t(1,1)} in every product the class solve makes."""
+    real_product = PeriodicModule._product
+    stray = ((1, 1), 0)
+
+    def product_with_stray_term(self, w_index):
+        acc = real_product(self, w_index)
+        acc[stray] = [1 << laurent._WIDTH, 1]
+        return acc
+
+    monkeypatch.setattr(PeriodicModule, "_product", product_with_stray_term)
+
+
 def test_certification_catches_product_term_outside_ideal(a2, monkeypatch):
     # a product with one extra term far above the lead must stop the class solve
     from periodic_kl.periodic import CertificationError
 
-    real_act_cs = PeriodicModule.act_cs
-    stray = a2.group.translation(Weight((1, 1)))
-
-    def act_cs_with_stray_term(self, m, j):
-        return real_act_cs(self, m, j) + self.basis(stray).scale(V)
-
-    monkeypatch.setattr(PeriodicModule, "act_cs", act_cs_with_stray_term)
+    _product_with_stray_term(monkeypatch)
     M = PeriodicModule(a2.group)
     with pytest.raises(CertificationError, match="^support escapes the semi-infinite ideal of the lead$"):
-        M._class_element(a2.group.w0.index)
-    assert list(M._class_cache) == [0]  # only the base case, which needs no solve
+        M._class(a2.group.w0.index)
+    assert list(M._classes) == [0]  # only the base case, which needs no solve
 
 
 def test_stray_product_term_stops_the_solve_before_its_sweep(a2, monkeypatch):
@@ -362,68 +371,60 @@ def test_stray_product_term_stops_the_solve_before_its_sweep(a2, monkeypatch):
 
     w = a2.group.w0.index
     assert a2.module._down_policy[w][2] == 0
-    real_act_cs = PeriodicModule.act_cs
-    stray = a2.group.translation(Weight((1, 1)))
-
-    def act_cs_with_stray_term(self, m, j):
-        return real_act_cs(self, m, j) + self.basis(stray).scale(V)
-
-    monkeypatch.setattr(PeriodicModule, "act_cs", act_cs_with_stray_term)
+    _product_with_stray_term(monkeypatch)
     monkeypatch.setattr(periodic, "MAX_SWEEP_STEPS", 1)
     M = PeriodicModule(a2.group)
     with pytest.raises(CertificationError, match="^support escapes the semi-infinite ideal of the lead$"):
-        M._class_element(w)
+        M._class(w)
 
 
-def test_negative_exponent_in_the_product_is_refused(a2, monkeypatch):
-    # every value the class solve sweeps lies in Z[v] (module docstring), so a
-    # v^{-1} planted at a non-lead term of the product must stop the solve
-    # with its own error, before the certification could see the result
+def test_negative_exponent_in_the_product_is_refused(a2):
+    # every value the class solve sweeps lies in Z[v] (module docstring): the
+    # product shifts a coefficient right only at a down move, after testing
+    # that its low digit is zero.  A constant planted in the base class at a
+    # term where s descends would leave v^{-1} in the product, so it must
+    # stop the solve there, before the sweep or the certification could run
     from periodic_kl.periodic import CertificationError
 
     W = a2.group
     w = W.w0.index
     j, nu, sigma = a2.module._down_policy[w]
-    lead = W.element(Weight((0, 0)), w)
-    real_act_cs = PeriodicModule.act_cs
-    product = real_act_cs(a2.module, a2.module.shift(a2.module._class_element(sigma), nu), j)
-    pos = min((x for x in product.terms if x is not lead), key=lambda x: x.key)
-
-    def act_cs_with_negative_exponent(self, m, j):
-        return real_act_cs(self, m, j) + self.basis(pos).scale(VINV)
-
-    monkeypatch.setattr(PeriodicModule, "act_cs", act_cs_with_negative_exponent)
+    base = a2.module._class(sigma).element
+    src = min((x for x in base.terms if x.w.index != sigma and a2.order.descends(x, j)), key=lambda x: x.key)
+    assert base.coefficient(src).in_v_times_Zv()
     M = PeriodicModule(W)
+    M.preload_class(sigma, base + M.basis(src))
+    pos, lead = W.translate_left(nu, src), W.element(Weight((0, 0)), w)
     with pytest.raises(CertificationError, match=f"^coefficient at {re.escape(repr(pos))} of class "
                                                  f"{re.escape(repr(lead))} outside Z\\[v\\]$"):
-        M._class_element(w)
-    assert list(M._class_cache) == [0]
+        M._class(w)
+    assert list(M._classes) == [sigma]
 
 
 def test_witness_check_correction_branch(a2):
-    # witnesses (z, src) of positions t(z.trans) src pushed by a correction at z
+    # witnesses (z, src) of positions t(z.trans) src pushed by a correction
+    # at z, all on keys (translation coordinates, finite index)
     from periodic_kl.periodic import CertificationError
 
     M, W = a2.module, a2.group
     w = W.w0.index
     j, nu, sigma = M._down_policy[w]
-    base = M.shift(M._class_element(sigma), nu)
-    lead, z = W.element(Weight((0, 0)), w), W.element(nu, sigma)
-    src = next(x for x in M._class_element(sigma).terms if x.w.index != sigma)
-    pos = W.translate_left(nu, src)
+    lead, z = ((0, 0), w), (tuple(nu), sigma)
+    src = next(x for x in M._class(sigma).terms if x[1] != sigma)
+    pos = (tuple(map(add, nu, src[0])), src[1])
     escapes = "^support escapes the semi-infinite ideal of the lead$"
 
     # witness None marks a product term, checked before the sweep: the lead
     # and z = t(nu) sigma both lie in supp(base) or supp(base) . s_j
-    M._check_product_terms(w, base, [lead, z])
+    M._check_product_terms(w, [lead, z])
     # z lies below the lead, but its own witness is checked first
     ok = M._check_witnesses(w, [lead, z, pos], {lead: None, z: None, pos: (z, src)})
     assert ok == {lead, z, pos}
     with pytest.raises(CertificationError, match=escapes):
         M._check_witnesses(w, [lead, pos], {lead: None, pos: (z, src)})
     # src outside the support of class sigma
-    far = W.translation(Weight((1, 1)))
-    pos_far = W.translate_left(nu, far)
+    far = ((1, 1), 0)
+    pos_far = (tuple(map(add, nu, far[0])), 0)
     with pytest.raises(CertificationError, match=escapes):
         M._check_witnesses(w, [lead, z, pos_far], {lead: None, z: None, pos_far: (z, far)})
     # a self-correction whose src is not yet checked
@@ -444,9 +445,8 @@ def test_witness_check_requires_a_down_move(a2):
     up = W.right_multiply_gen(lead, 1)  # w0 s_1 lies above w0 in the order
     assert not a2.order.descends(lead, 1)
     M._down_policy[w] = (1, up.trans, up.w.index)
-    base = M.shift(a2.module._class_element(up.w.index), up.trans)
     with pytest.raises(CertificationError, match="^support escapes the semi-infinite ideal of the lead$"):
-        M._check_product_terms(w, base, [lead])
+        M._check_product_terms(w, [lead.key])
 
 
 @pytest.mark.parametrize("name", ["a1", "a2", "a3", "b2", "c2", "g2"])
@@ -470,7 +470,7 @@ _CLASS_DIGESTS = {
 def _class_digest(module) -> str:
     """sha256 of the class elements SD_{t(0)w} in finite-index order, each as
     its [repr(x), polynomial] terms sorted by x.key."""
-    classes = [module._class_element(w.index) for w in module.group.finite_elements]
+    classes = [module._class(w.index).element for w in module.group.finite_elements]
     payload = [[[repr(x), c.terms[x].to_json()] for x in sorted(c.terms, key=lambda x: x.key)] for c in classes]
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
@@ -491,10 +491,10 @@ def test_planted_correction_term_queues_a_new_position(b2):
     lead = W.parse_element("t(0,0)*w[2]")
     z = W.parse_element("t(0,0)*w[2 1 2]")
     far = W.translate_left(Weight((-2, -2)), z)
-    true = b2.module._class_element(lead.w.index)
+    true = b2.module._class(lead.w.index).element
     M = PeriodicModule(W)
     assert M._down_policy[lead.w.index][2] != z.w.index
-    M._class_cache[z.w.index] = b2.module._class_element(z.w.index) + M.basis(far).scale(LaurentPoly({3: 1}))
+    M.preload_class(z.w.index, b2.module._class(z.w.index).element + M.basis(far).scale(LaurentPoly({3: 1})))
     seen = {}
     check_witnesses, certify = M._check_witnesses, M._certify
 
@@ -502,18 +502,169 @@ def test_planted_correction_term_queues_a_new_position(b2):
         seen["witness"] = dict(witness)
         return check_witnesses(w_index, swept, witness)
 
-    def record_certify(result, lead, product, corrections, *rest):
-        seen["product"], seen["corrections"] = product, [c[:3] for c in corrections]
-        return certify(result, lead, product, corrections, *rest)
+    def record_certify(w_index, result, product, corrections, ideal):
+        seen["product"], seen["corrections"] = product, list(corrections)
+        return certify(w_index, result, product, corrections, ideal)
 
     M._check_witnesses, M._certify = record_witnesses, record_certify
-    solved = M._class_element(lead.w.index)
-    [(at, m, cls)] = seen["corrections"]
-    assert at is z and cls == z.w.index
-    assert far not in seen["product"].terms and far not in true.terms
-    assert seen["witness"][far] == (z, far)
-    assert solved == true - M.basis(far).scale(m * LaurentPoly({3: 1}))
-    assert M._class_cache[lead.w.index] is solved
+    solved = M._class(lead.w.index)
+    [(at, m)] = seen["corrections"]
+    assert at == z.key
+    assert far.key not in seen["product"] and far not in true.terms
+    assert seen["witness"][far.key] == (z.key, far.key)
+    assert solved.element == true - M.basis(far).scale(m * LaurentPoly({3: 1}))
+    assert M._classes[lead.w.index] is solved
+
+
+def test_sweep_refuses_a_lead_that_is_not_one(a2, monkeypatch):
+    from periodic_kl.periodic import CertificationError
+
+    real_product = PeriodicModule._product
+
+    def product_with_lead_two(self, w_index):
+        acc = real_product(self, w_index)
+        acc[((0, 0), w_index)][0] += 1
+        return acc
+
+    monkeypatch.setattr(PeriodicModule, "_product", product_with_lead_two)
+    with pytest.raises(CertificationError, match="^leading coefficient is not 1$"):
+        PeriodicModule(a2.group)._class(a2.group.w0.index)
+
+
+def test_correction_cycle_is_refused(a2):
+    # class w0 descends onto the translation class; planted as in progress,
+    # the solve of w0 finds a cycle instead of reading it
+    from periodic_kl.periodic import CertificationError
+
+    M = PeriodicModule(a2.group)
+    M._in_progress.add(M._down_policy[a2.group.w0.index][2])
+    with pytest.raises(CertificationError, match="^cross-class correction cycle; "):
+        M._class(a2.group.w0.index)
+
+
+def test_each_certification_check_fires(b2):
+    # the arguments of a real certification (B2 class w[2], corrected once),
+    # each tampered in one way
+    from periodic_kl.periodic import CertificationError
+
+    M = PeriodicModule(b2.group)
+    certify, seen = M._certify, []
+
+    def record(*args):
+        seen.append(args)
+        return certify(*args)
+
+    M._certify = record
+    w = b2.group.parse_element("t(0,0)*w[2]").w.index
+    M._class(w)
+    [(w_index, result, product, corrections, ideal)] = [args for args in seen if args[0] == w]
+    assert corrections
+    certify(w_index, result, product, corrections, ideal)
+    lead = ((0, 0), w)
+    off = min(pos for pos in result if pos != lead)
+    c, l1, p = result[off]
+
+    def fails(message, result=result, product=product, ideal=ideal):
+        with pytest.raises(CertificationError, match=f"^certification: {message}$"):
+            certify(w_index, result, product, corrections, ideal)
+
+    fails("leading coefficient", result={**result, lead: (2, 2, LaurentPoly({0: 2}))})
+    fails(r"coefficient not in vZ\[v\]", result={**result, off: (c + 1, l1 + 1, p + ONE)})
+    fails("support outside the ideal", ideal=ideal - {off})
+    fails("product relation fails on complete vectors",
+          product={**product, off: product.get(off, 0) + (1 << laurent._WIDTH)})
+
+
+def test_sweep_refuses_a_bound_before_reading_a_digit(a2, monkeypatch):
+    # at 2-bit digits some A2 positions carry an l1 bound of 2 or more; the
+    # sweep itself refuses there, before it reads the low digit, even when
+    # the decode it calls afterwards would check nothing
+    from periodic_kl.hecke import ResourceError
+
+    monkeypatch.setattr(laurent, "_WIDTH", 2)
+    unguarded = laurent.unpack
+    monkeypatch.setattr(periodic, "unpack", lambda packed, bound, what, key: unguarded(packed, 0, what, key))
+    with pytest.raises(ResourceError, match=r"^self-dual class t\(0,0\)\*w\[[12 ]+\] \(trans, w\) at .*: "
+                                            r"the coefficient bound \([2-9] bits\) reaches the packed digit width of 2 bits$"):
+        M = PeriodicModule(a2.group)
+        for w in a2.group.finite_elements:
+            M._class(w.index)
+
+
+@pytest.mark.parametrize("name", DATA)
+def test_packed_product_is_the_dict_action(request, name):
+    # for every class, the product on keys equals the stated rule, the dict
+    # action act_cs of H_s + v on the shifted class SD_{ws} = t(nu) SD_sigma,
+    # and each position's bound dominates the l1 norm of its coefficient
+    ctx = request.getfixturevalue(name)
+    M, W = ctx.module, ctx.group
+    for w in W.finite_elements[1:]:
+        j, nu, sigma = M._down_policy[w.index]
+        expected = M.act_cs(M.shift(M._class(sigma).element, nu), j)
+        product = M._product(w.index)
+        decoded = {W.element(Weight(t), u): laurent.unpack(p, b, "product", (t, u))
+                   for (t, u), (p, b) in product.items()}
+        assert M.element(decoded) == expected, w
+        assert all(b >= sum(map(abs, expected.coefficient(W.element(Weight(t), u)).coeffs.values()))
+                   for (t, u), (_, b) in product.items())
+
+
+@pytest.mark.parametrize("name,height", [("a1", 2), ("a2", 2), ("a3", 1), ("b2", 2), ("c2", 2), ("g2", 2)])
+def test_linear_height_is_twice_the_root_coordinate_sum(request, name, height):
+    # h(t(lam) w) = h(t(0) w) + l <lam, 2 rho^> equals 2 sum(E) / e, E = e * rc(x dot 0)
+    ctx = request.getfixturevalue(name)
+    order, e = ctx.order, ctx.rd.lattice_index_e
+    for x in standard_window(ctx.group, height):
+        doubled = 2 * sum(order._scaled_rc(x))
+        assert doubled % e == 0 and order.height(x) == doubled // e, x
+
+
+def test_polynomial_table_refuses_an_unknown_kind(a1):
+    M, W = a1.module, a1.group
+    with pytest.raises(ValueError, match=r"^unknown table kind 'bogus'; expected one of "
+                                         r"periodic_p, generic_q, generic_qprime$"):
+        M.polynomial_table("bogus", standard_window(W, 0))
+
+
+def test_generic_polynomial_refuses_an_unknown_kind(a1):
+    # also once the memo holds the pair: the kind is checked before the lookup
+    M, W = a1.module, a1.group
+    e = W.identity()
+    assert M.generic_polynomial(e, e, "qprime") == ONE
+    with pytest.raises(ValueError, match=r"^unknown generic polynomial kind 'nonsense'; expected one of q, qprime$"):
+        M.generic_polynomial(e, e, "nonsense")
+
+
+def test_bound_counts_the_size_of_each_correction(b2, monkeypatch):
+    # every real correction has m = 1, so the factor |m| of the bound is
+    # planted: the far term of the previous test, and one more constant in
+    # the product at z, which makes m = 2 there; far is then reached by that
+    # correction alone, with the value -2 v^3 and the bound |m| l1(v^3) = 2
+    W = b2.group
+    lead = W.parse_element("t(0,0)*w[2]")
+    z = W.parse_element("t(0,0)*w[2 1 2]")
+    far = W.translate_left(Weight((-2, -2)), z)
+    M = PeriodicModule(W)
+    M.preload_class(z.w.index, b2.module._class(z.w.index).element + M.basis(far).scale(LaurentPoly({3: 1})))
+    real_product, real_unpack = PeriodicModule._product, periodic.unpack
+    bounds = {}
+
+    def product_with_a_constant_at_z(self, w_index):
+        acc = real_product(self, w_index)
+        if w_index == lead.w.index:
+            acc[z.key][0] += 1
+            acc[z.key][1] += 1
+        return acc
+
+    def recording_unpack(packed, bound, what, key):
+        bounds[key] = bound
+        return real_unpack(packed, bound, what, key)
+
+    monkeypatch.setattr(PeriodicModule, "_product", product_with_a_constant_at_z)
+    monkeypatch.setattr(periodic, "unpack", recording_unpack)
+    solved = M._class(lead.w.index).element
+    assert solved.coefficient(far) == LaurentPoly({3: -2})
+    assert bounds[far.key] == 2
 
 
 def test_equality_is_type_strict(a1):
