@@ -12,8 +12,8 @@ of H_s + v.  The bar involution is the ring homomorphism with v -> v^{-1}
 and H_x -> (H_{x^{-1}})^{-1}; the self-dual (Kazhdan-Lusztig) basis
 element at x is the unique bar-invariant element of H_x + sum_{y < x}
 vZ[v] H_y (Bruhat order), computed by the standard multiply-by-(H_s +
-v)-and-correct recursion on dense integer ids, with the corrections made
-in one walk down the lengths of the product's support.  Every coefficient that recursion meets lies in Z[v], so it runs
+v)-and-correct recursion on the ids of the group's Cayley graph, with the
+corrections made in one walk down the lengths of the product's support.  Every coefficient that recursion meets lies in Z[v], so it runs
 on the packed integers of :mod:`.laurent` (``pack``/``unpack``, B =
 ``laurent._WIDTH`` bits per exponent, each c_e a balanced digit in
 [-2^(B-1), 2^(B-1))).  A sum of polynomials is one
@@ -24,10 +24,8 @@ every |c_e| < 2^(B-1), which a tracked bound proves (see
 ``HeckeAlgebra.kl_basis``).  The recursion serves ``hecke kl`` on the
 command line; the periodic module carries its own self-dual basis.
 
-All caches are plain dicts and lists owned by the algebra object;
-operations are pure apart from cache insertion.  The dense-id tables of the
-KL recursion grow several lists per new id, so one algebra computes
-``kl_basis`` in one thread at a time.
+All caches are plain dicts owned by the algebra object; operations are
+pure apart from cache insertion.
 """
 
 from __future__ import annotations
@@ -144,13 +142,6 @@ class HeckeAlgebra(RightHeckeModule):
 
     def __init__(self, group: AffineWeyl):
         super().__init__(group, group.right_descent)
-        # dense ids of the KL recursion: id -> element, id -> length, and per
-        # affine generator s_j, id -> the id of its s_j-neighbour b when it is
-        # longer, ~b when it is shorter, None until first needed
-        self._ids: dict[ExtAffineElement, int] = {}
-        self._elts: list[ExtAffineElement] = []
-        self._lens: list[int] = []
-        self._nbrs: list[list[int | None]] = [[] for _ in group.affine_generator_indices()]
         self._kl_cache: dict[int, tuple[dict[int, int], int]] = {}
 
     # -- products: h * H_{s_j} and h1 * h2 are the shared action ------------------------
@@ -179,8 +170,8 @@ class HeckeAlgebra(RightHeckeModule):
 
         Recursion: with s_j the lowest right descent of x and u = x s_j, the
         product C_u (H_s + v) is built in one {id: packed int} dict, on the
-        dense ids of ``_id``.  Every s-orbit {a, b = as} with a < b meeting
-        the support of C_u is visited once, by one partner lookup:
+        ids of the group's Cayley graph.  Every s-orbit {a, b = as} with
+        a < b meeting the support of C_u is visited once, by one slot lookup:
 
             acc[a] = v p_a + p_b,    acc[b] = p_a + v^{-1} p_b,
 
@@ -227,34 +218,11 @@ class HeckeAlgebra(RightHeckeModule):
         2^14 up to length 90 in G2.
         """
         check_length(x, "KL recursion")
-        terms, bound = self._kl_packed(self._id(x))
-        elts = self._elts
+        terms, bound = self._kl_packed(self.group._id(x))
+        elts = self.group._elts
         return HeckeElement({
             elts[z]: unpack(p, bound, "KL basis coefficient", elts[z]) for z, p in terms.items()
         })
-
-    def _id(self, x: ExtAffineElement) -> int:
-        """The dense id of x, assigned on first sight."""
-        i = self._ids.get(x)
-        if i is None:
-            i = self._ids[x] = len(self._elts)
-            self._elts.append(x)
-            self._lens.append(x.length)
-            for nbr in self._nbrs:
-                nbr.append(None)
-        return i
-
-    def _neighbour(self, a: int, j: int) -> int:
-        """Fill the s_j-neighbour slots of a and of b = a s_j, both at once:
-        b in a's slot and ~a in b's when b is longer, ~b and a otherwise.
-        The slots are the memo of the pair, so the group's is not used."""
-        b = self._id(self.group._gen_step(self._elts[a], j))
-        nbr = self._nbrs[j]
-        if self._lens[b] > self._lens[a]:
-            nbr[a], nbr[b] = b, ~a
-        else:
-            nbr[a], nbr[b] = ~b, a
-        return nbr[a]
 
     def _kl_packed(self, x: int) -> tuple[dict[int, int], int]:
         """C_x as {id: packed coefficient} and the bound M_x on its
@@ -263,7 +231,8 @@ class HeckeAlgebra(RightHeckeModule):
         hit = cache.get(x)
         if hit is not None:
             return hit
-        lens = self._lens
+        g = self.group
+        lens, step = g._lens, g._step
         n = lens[x]
         if n == 0:
             hit = cache[x] = ({x: 1}, 1)
@@ -272,10 +241,10 @@ class HeckeAlgebra(RightHeckeModule):
         half = 1 << (width - 1)
         full = 1 << width
         mask = full - 1
-        for j, nbr in enumerate(self._nbrs):  # j, nbr: the lowest right descent s_j of x
+        for j, nbr in enumerate(g._nbrs):  # j, nbr: the lowest right descent s_j of x
             u = nbr[x]
             if u is None:
-                u = self._neighbour(x, j)
+                u = step(x, j)
             if u < 0:
                 break
         else:
@@ -287,7 +256,7 @@ class HeckeAlgebra(RightHeckeModule):
         for a, p in cu.items():
             b = nbr[a]
             if b is None:
-                b = self._neighbour(a, j)
+                b = step(a, j)
             if b >= 0:  # the orbit {a < b}: p_a = p
                 q = get(b)
                 if q is None:  # p_b = 0: acc[b] shares p's int

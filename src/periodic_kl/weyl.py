@@ -25,6 +25,13 @@ whose coroot is the highest coroot.  The length-zero subgroup (isomorphic to
 (weight lattice)/(root lattice)) is enumerated once from the minuscule
 fundamental weights.
 
+The right Cayley graph x -> x s_j is kept once, on dense ids (``_ids``,
+``_elts``, ``_lens``): ``_nbrs[j][a]`` is b when a s_j = b is longer, ~b
+when it is shorter, None until ``_step`` fills the slots of a and b through
+``_gen_step``.  Products by s_j, descents, reduced words, the Bruhat walk
+and the KL recursion of :mod:`.hecke` all read it.  A new id grows several
+lists, so a group is used by one thread at a time.
+
 Lengths are computed by the Iwahori-Matsumoto formula
 
     len(t(lam) w) = sum_{b > 0, w^{-1} b > 0} |<lam, b^>|
@@ -121,10 +128,14 @@ class AffineWeyl:
     def __init__(self, rd: RootDatum):
         self.rd = rd
         self._elements: dict[tuple[Weight, int], ExtAffineElement] = {}
-        self._gen_product_cache: dict[tuple[ExtAffineElement, int], ExtAffineElement] = {}
         self._build_finite_group()
         self._build_affine_data()
         self._build_omega()
+        # the right Cayley graph on dense ids (module docstring)
+        self._ids: dict[ExtAffineElement, int] = {}
+        self._elts: list[ExtAffineElement] = []
+        self._lens: list[int] = []
+        self._nbrs: list[list[int | None]] = [[] for _ in self.affine_generator_indices()]
 
     # -- finite group table ----------------------------------------------------
 
@@ -293,25 +304,40 @@ class AffineWeyl:
         return self._intern(tuple(-sum(map(mul, row, lam)) for row in winv.matrix), winv.index)
 
     def right_multiply_gen(self, x: ExtAffineElement, j: int) -> ExtAffineElement:
-        """x * s_j for an affine simple reflection, without building s_j.
-
-        Memoized: generator products dominate the basis recursions, so the
-        (element, generator) -> element map is kept for the context's lifetime.
-        """
-        hit = self._gen_product_cache.get((x, j))
-        if hit is None:
-            hit = self._gen_product_cache[(x, j)] = self._gen_step(x, j)
-        return hit
+        """x * s_j for an affine simple reflection, read from the Cayley graph."""
+        b = self._step(self._id(x), j)
+        return self._elts[b if b >= 0 else ~b]
 
     def _gen_step(self, x: ExtAffineElement, j: int) -> ExtAffineElement:
-        """x * s_j, not memoized: for callers that keep their own record of
-        the pair.  t(lam) w s_0 = t(lam + w(eta)) (w s_eta), with w(eta) read
-        from ``root_images``; t(lam) w s_i = t(lam) (w s_i)."""
+        """x * s_j, not memoized: the filler of the Cayley graph's slots.
+        t(lam) w s_0 = t(lam + w(eta)) (w s_eta), with w(eta) read from
+        ``root_images``; t(lam) w s_i = t(lam) (w s_i)."""
         fin = self._fin_mul[x.w.index]
         if j == 0:
             offset = self.root_images[x.w.index][self.s0_root_pos]
             return self._intern(tuple(map(add, x.trans, offset)), fin[self.s0_finite_index])
         return self._intern(x.trans, fin[self._gen_indices[j - 1]])
+
+    def _id(self, x: ExtAffineElement) -> int:
+        """The dense id of x, assigned on first sight to an element of this group."""
+        i = self._ids.get(x)
+        if i is None:
+            self._check(x)
+            i = self._ids[x] = len(self._elts)
+            self._elts.append(x)
+            self._lens.append(x.length)
+            for nbr in self._nbrs:
+                nbr.append(None)
+        return i
+
+    def _step(self, a: int, j: int) -> int:
+        """The s_j-slot of id a: b when a s_j = b is longer, ~b when shorter.
+        On first use it fills the slots of a and b together."""
+        nbr = self._nbrs[j]
+        if nbr[a] is None:
+            b = self._id(self._gen_step(self._elts[a], j))
+            nbr[a], nbr[b] = (b, ~a) if self._lens[b] > self._lens[a] else (~b, a)
+        return nbr[a]
 
     @cached_property
     def right_steps(self) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
@@ -340,8 +366,8 @@ class AffineWeyl:
     # -- descents, words, Bruhat order -------------------------------------------------
 
     def right_descent(self, x: ExtAffineElement, j: int) -> bool:
-        """True iff len(x s_j) < len(x)."""
-        return self.right_multiply_gen(x, j).length < x.length
+        """True iff len(x s_j) < len(x): the sign of x's s_j-slot."""
+        return self._step(self._id(x), j) < 0
 
     def reduced_word(self, x: ExtAffineElement) -> tuple[tuple[int, ...], ExtAffineElement]:
         """A reduced word for the affine part, and the residual length-zero element.
@@ -350,19 +376,18 @@ class AffineWeyl:
         ``k = len(x)``.  The word is canonical (lowest descent peeled first
         from the right).
         """
-        self._check(x)
+        a = self._id(x)
         word_rev: list[int] = []
-        cur = x
-        while cur.length > 0:
+        while self._lens[a] > 0:
             for j in range(self.num_affine_gens):
-                nxt = self.right_multiply_gen(cur, j)
-                if nxt.length < cur.length:
+                b = self._step(a, j)
+                if b < 0:
                     word_rev.append(j)
-                    cur = nxt
+                    a = ~b
                     break
             else:
                 raise AssertionError("positive-length element with no descent")
-        return tuple(reversed(word_rev)), cur
+        return tuple(reversed(word_rev)), self._elts[a]
 
     def bruhat_leq(self, x: ExtAffineElement, y: ExtAffineElement) -> bool:
         """Bruhat order on the extended group: subword order after splitting off
@@ -396,33 +421,37 @@ class AffineWeyl:
         """
         self._check(y, *xs)
         out = [False] * len(xs)
-        memo, step = self._gen_product_cache, self.right_multiply_gen
+        ids, lens, step = self._id, self._lens, self._step
         tag, ly = y.omega_component, y.length
         live = []
         for i, x in enumerate(xs):
             if x.omega_component == tag:
                 if x.length < ly:
-                    live.append((i, x, x.length))
+                    live.append((i, ids(x)))
                 else:
                     out[i] = x is y
+        y = ids(y)
         gens = range(self.num_affine_gens)
         while live:
             for j in gens:
                 ys = step(y, j)
-                if ys.length < ly:
+                if ys < 0:
                     break
             else:  # pragma: no cover
                 raise AssertionError("positive-length element with no descent")
-            y, ly = ys, ly - 1
+            y, ly = ~ys, ly - 1
+            nbr = self._nbrs[j]
             nxt = []
-            for i, x, lx in live:
-                xj = memo.get((x, j)) or step(x, j)
-                if xj.length < lx:
-                    x, lx = xj, lx - 1
-                if lx < ly:
-                    nxt.append((i, x, lx))
+            for i, x in live:
+                xj = nbr[x]
+                if xj is None:
+                    xj = step(x, j)
+                if xj < 0:
+                    x = ~xj
+                if lens[x] < ly:
+                    nxt.append((i, x))
                 else:
-                    out[i] = x is y
+                    out[i] = x == y
             live = nxt
         return out
 
@@ -444,15 +473,16 @@ class AffineWeyl:
             tpart, wpart = s, "w[]"
         tpart = tpart.strip()
         wpart = wpart.strip()
-        if not (tpart.startswith("t(") and tpart.endswith(")")):
+        if not (tpart.startswith("t(") and tpart.endswith(")") and wpart.startswith("w[") and wpart.endswith("]")):
             raise ValueError(f"bad element syntax: {text!r}")
         inner = tpart[2:-1].strip()
-        coords = [int(c) for c in inner.split(",")] if inner else []
+        try:
+            coords = [int(c) for c in inner.split(",")] if inner else []
+            idxs = [int(t) for t in wpart[2:-1].split()]
+        except ValueError:
+            raise ValueError(f"bad element syntax: {text!r}") from None
         if len(coords) != self.rd.rank:
             raise ValueError(f"expected {self.rd.rank} translation coordinates in {text!r}")
-        if not (wpart.startswith("w[") and wpart.endswith("]")):
-            raise ValueError(f"bad element syntax: {text!r}")
-        idxs = [int(t) for t in wpart[2:-1].split()] if wpart[2:-1].strip() else []
         w = 0
         for i in idxs:
             if not 1 <= i <= self.rd.rank:

@@ -277,6 +277,15 @@ def test_coset_tag_naming_no_coset_is_refused(capsys, command):
     assert "'1,1'" in lines[0] and lines[0].endswith("valid tags: 0,0 1,2 2,1")
 
 
+@pytest.mark.parametrize("text", ["t(0,0)*w[1,2]", "t(a,0)*w[]", "t(0,0.5)"])
+def test_bad_element_syntax_names_the_input(capsys, text):
+    code = main(["hecke", "kl", "--type", "A", "--rank", "2", "--l", "5", "--x", text])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines == [f"error: bad element syntax: {text!r}"], lines
+
+
 def test_window_bound_exit_code(capsys):
     # 2 * (2 * 10^8 + 1) elements: refused from its size, before enumerating any
     start = time.perf_counter()

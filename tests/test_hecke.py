@@ -11,6 +11,7 @@ from periodic_kl.hecke import HeckeAlgebra, ResourceError
 from periodic_kl.laurent import LaurentPoly, ONE, V, VINV
 from periodic_kl.orders import standard_window
 from periodic_kl.rootdata import Weight
+from periodic_kl.weyl import AffineWeyl
 from oracles import elements_of_length_leq, hecke_bar, kl_basis_by_dicts, kl_by_linear_solve
 
 _WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
@@ -270,9 +271,9 @@ def test_kl_correction_outside_the_product_support_is_an_internal_error(a2):
     for y in elements_of_length_leq(W, 2):
         if y.omega_component == w0.omega_component:
             H.kl_basis(y)
-    stray = H._id(W.translation(Weight((3, 3))))
+    stray = W._id(W.translation(Weight((3, 3))))
     for i, (cy, bound) in list(H._kl_cache.items()):
-        if i != H._id(u):
+        if i != W._id(u):
             H._kl_cache[i] = ({**cy, stray: 1}, bound)
     with pytest.raises(AssertionError, match="outside the support of the product"):
         H.kl_basis(w0)
@@ -292,8 +293,8 @@ def test_kl_correction_by_a_negative_low_digit(a2):
     planted = true_u - HeckeAlgebra(W).basis(y).scale(V)
 
     H = HeckeAlgebra(W)
-    cu, bound = H._kl_packed(H._id(u))
-    H._kl_cache[H._id(u)] = ({**cu, H._id(y): cu[H._id(y)] - (1 << laurent._WIDTH)}, bound + 1)
+    cu, bound = H._kl_packed(W._id(u))
+    H._kl_cache[W._id(u)] = ({**cu, W._id(y): cu[W._id(y)] - (1 << laurent._WIDTH)}, bound + 1)
     expected = kl_basis_by_dicts(HeckeAlgebra(W), x, {u: planted})
     assert H.kl_basis(x).to_json() == expected.to_json()
     # the planted -v H_y (H_s + v) = -v H_{ys} - H_y is exactly what the
@@ -356,25 +357,60 @@ def test_json_encoding(a1):
     ]
 
 
-def test_kl_neighbours_bypass_the_group_product_memo(a3):
-    # the neighbour slots are the KL recursion's own memo of each pair: an A3
-    # kl_basis adds nothing to the group's (element, generator) product memo,
-    # and every filled slot agrees with right_multiply_gen and the lengths
-    W = a3.group
+def test_one_cayley_graph_serves_kl_bruhat_and_words(a3):
+    # the group's signed slots are the one record of x s_j: after kl_basis(x),
+    # the reduced word of x and the Bruhat column of supp C_x walk slots the
+    # recursion already filled, and every filled slot agrees with _gen_step
+    # and the lengths
+    text = _kl_orbits()[("A", 3, 5)][0]
+    W = AffineWeyl(a3.rd)
     H = HeckeAlgebra(W)
-    x = W.parse_element(_kl_orbits()[("A", 3, 5)][0])
-    before = len(W._gen_product_cache)
-    H.kl_basis(x)
-    assert len(W._gen_product_cache) == before
-    filled = 0
-    for j, nbr in enumerate(H._nbrs):
+    x = W.parse_element(text)
+    kl = H.kl_basis(x)
+    support = kl.sorted_support()
+
+    def filled():
+        return sum(b is not None for nbr in W._nbrs for b in nbr)
+
+    ids, slots = len(W._elts), filled()
+    W.reduced_word(x)
+    assert all(W.bruhat_column(support, x))
+    assert (len(W._elts), filled()) == (ids, slots)
+    assert slots > 1000
+    for j, nbr in enumerate(W._nbrs):
         for a, b in enumerate(nbr):
             if b is None:
                 continue
-            filled += 1
             longer = b >= 0
             b = b if longer else ~b
-            assert W.right_multiply_gen(H._elts[a], j) is H._elts[b]
-            assert H._lens[a] == H._elts[a].length and H._lens[b] == H._elts[b].length
-            assert (H._lens[b] > H._lens[a]) == longer
-    assert filled > 1000
+            assert W._gen_step(W._elts[a], j) is W._elts[b]
+            assert W._lens[a] == W._elts[a].length and W._lens[b] == W._elts[b].length
+            assert (W._lens[b] > W._lens[a]) == longer
+    # the order in which slots are filled cannot matter: on a fresh group, the
+    # Bruhat column of a window around x first, then kl_basis(x); the window
+    # adds translates of the longest terms, some shorter than x and not below it
+    window = support + [W.translate_left(-nu, z) for z in support[-8:] for nu in a3.rd.simple_roots]
+    column = W.bruhat_column(window, x)
+    assert any(z.length < x.length and not leq for z, leq in zip(window, column))
+    W2 = AffineWeyl(a3.rd)
+    x2 = W2.parse_element(text)
+    assert W2.bruhat_column([W2.parse_element(repr(z)) for z in window], x2) == column
+    assert HeckeAlgebra(W2).kl_basis(x2).to_json() == kl.to_json()
+
+
+def test_foreign_elements_are_refused_by_the_graph(a2):
+    # x comes from another group of the same datum, whose twin of x already
+    # has an id here: no reader of the Cayley graph takes x, and none of them
+    # gives it an id
+    W = AffineWeyl(a2.rd)
+    H = HeckeAlgebra(W)
+    text = "t(1,0)*w[2]"
+    H.kl_basis(W.parse_element(text))
+    ids = len(W._elts)
+    x = a2.group.parse_element(text)
+    for call in (lambda: H.kl_basis(x), lambda: W.right_multiply_gen(x, 0),
+                 lambda: W.right_descent(x, 1), lambda: W.reduced_word(x),
+                 lambda: W.bruhat_column([x], x)):
+        with pytest.raises(ValueError, match="^elements belong to different root data$"):
+            call()
+    assert len(W._elts) == ids

@@ -62,13 +62,20 @@ def test_length_against_bfs(fixture, request):
         assert bfs_lengths(W, om, 5) == by_coset[tag]
 
 
-def test_length_changes_by_one(a1, a2, b2):
-    # exhaustive up to length 6 in every rank <= 2 datum
-    for ctx in (a1, a2, b2):
-        W = ctx.group
-        for x in elements_of_length_leq(W, 6):
-            for j in W.affine_generator_indices():
-                assert abs(W.right_multiply_gen(x, j).length - x.length) == 1
+@pytest.mark.parametrize("fixture,bound", [
+    ("a1", 6), ("a2", 6), ("b2", 6), ("c2", 6), ("g2", 6), ("a3", 4),
+])
+def test_length_changes_by_one(fixture, bound, request):
+    # exhaustive up to the bound; the product by a built generator checks the
+    # Cayley graph's slot, and the slot's sign is the descent
+    W = request.getfixturevalue(fixture).group
+    gens = [W.affine_generator(j) for j in W.affine_generator_indices()]
+    for x in elements_of_length_leq(W, bound):
+        for j, s in enumerate(gens):
+            xs = W.multiply(x, s)
+            assert W.right_multiply_gen(x, j) is xs
+            assert abs(xs.length - x.length) == 1
+            assert W.right_descent(x, j) == (xs.length < x.length)
 
 
 def test_length_subadditive(a2):
@@ -90,9 +97,12 @@ def test_omega_elements(a1, a2, g2):
             assert om.length == 0
 
 
-def test_reduced_words_reconstruct(a2):
-    W = a2.group
-    for x in elements_of_length_leq(W, 4):
+@pytest.mark.parametrize("fixture,bound", [
+    ("a1", 6), ("a2", 6), ("b2", 6), ("c2", 6), ("g2", 4), ("a3", 4),
+])
+def test_reduced_words_reconstruct(fixture, bound, request):
+    W = request.getfixturevalue(fixture).group
+    for x in elements_of_length_leq(W, bound):
         word, omega = W.reduced_word(x)
         assert len(word) == x.length
         assert omega.length == 0
