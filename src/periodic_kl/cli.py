@@ -22,7 +22,8 @@ never happen).
 An option given where it does not apply exits 2 before any work:
 ``--format csv`` outside ``blocks``/``orders``/``table``, ``--cache-dir``
 outside ``selfcheck``/``mult``/``table``, and ``--nu`` or ``--y`` on a kind
-that does not take it.
+that does not take it.  So does a missing ``--nu`` on ``verma-in-projective``
+or ``--y`` on ``hecke mul``.
 
 The self-dual class vectors (the expensive part) are cached on disk only
 with ``--cache-dir``.  Cache files carry a format version and the full
@@ -144,9 +145,9 @@ def _load_class_cache(mod: PeriodicModule, cache: str, args) -> Optional[set[int
 def _save_class_cache(mod: PeriodicModule, args, on_disk: Optional[set[int]]) -> None:
     """Write the class cache, unless the file already holds exactly these classes."""
     cache = args.cache_dir
-    classes = mod.class_elements()
-    if not cache or on_disk == set(classes):
+    if not cache or on_disk == mod.class_indices():
         return
+    classes = mod.class_elements()
     os.makedirs(cache, exist_ok=True)
     g = mod.group
     data = {
@@ -290,10 +291,15 @@ def _refuse_ignored(args) -> None:
             raise UsageError(f"{option} applies only to {', '.join(applies)}, not {args.command}")
 
 
-def _only_for(args, option: str, which: str) -> None:
-    """Refuse ``--option`` on a subcommand kind that would ignore it."""
-    if getattr(args, option) is not None and args.which != which:
+def _only_for(args, option: str, which: str, missing: str) -> None:
+    """Refuse ``--option`` on a subcommand kind that would ignore it, and its
+    absence on the kind ``which``, which needs it, with the message
+    ``missing``; both before any work."""
+    given = getattr(args, option) is not None
+    if given and args.which != which:
         raise UsageError(f"--{option} applies only to {args.command} {which}, not {args.which}")
+    if not given and args.which == which:
+        raise UsageError(missing)
 
 
 def _parse_elt(group: AffineWeyl, text: str):
@@ -378,7 +384,7 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _cmd_mult(args) -> int:
-    _only_for(args, "nu", "verma-in-projective")
+    _only_for(args, "nu", "verma-in-projective", "verma-in-projective needs --nu")
     rd, group = _build_context(args)
     mod, on_disk = _module(args, group)
     tables = MultiplicityTables(mod)
@@ -387,8 +393,6 @@ def _cmd_mult(args) -> int:
     if args.which == "simple-in-verma":
         value = tables.simple_in_verma(x, y)
     elif args.which == "verma-in-projective":
-        if args.nu is None:
-            raise UsageError("verma-in-projective needs --nu")
         value = tables.verma_in_projective(x, y, _parse_weight(group, args.nu))
     else:
         value = tables.baby_verma_in_projective(x, y)
@@ -406,13 +410,11 @@ def _cmd_mult(args) -> int:
 
 
 def _cmd_hecke(args) -> int:
-    _only_for(args, "y", "mul")
+    _only_for(args, "y", "mul", "hecke mul needs --y")
     rd, group = _build_context(args)
     alg = HeckeAlgebra(group)
     x = _parse_elt(group, args.x)
     if args.which == "mul":
-        if args.y is None:
-            raise UsageError("hecke mul needs --y")
         y = _parse_elt(group, args.y)
         check_length(x, "hecke mul")
         check_length(y, "hecke mul")
@@ -456,15 +458,13 @@ _TABLE_KINDS = {
 
 
 def _cmd_table(args) -> int:
-    _only_for(args, "nu", "verma-in-projective")
+    _only_for(args, "nu", "verma-in-projective", "verma-in-projective tables need --nu")
     rd, group = _build_context(args)
     window = _window(args, group)
     mod, on_disk = _module(args, group)
     kind = _TABLE_KINDS[args.which]
     nu = None
     if args.which == "verma-in-projective":
-        if args.nu is None:
-            raise UsageError("verma-in-projective tables need --nu")
         nu = _parse_weight(group, args.nu)
     if args.which in ("p", "q", "qprime"):
         raw = mod.polynomial_table(kind, window)

@@ -35,27 +35,28 @@ coefficients in vZ[v].  Each m_j is an integer, the constant term of the
 coefficient it corrects.
 
 The whole solve runs on intern keys (translation coordinates, finite
-index) and packed coefficients (see "Packed sums" below).  A translate of
-a key is one tuple add, so no element is built until the class is stored.
-The product is computed on keys: the term c B_x of SD_{ws} = t(nu) SD_sigma
-goes to xs, with x s from the per-(s, finite part) table of
-``AffineWeyl.right_steps``, and to x times v, or times v^{-1} when s
-descends x (a test on the finite part of x).  The corrections are found by
-one top-down sweep of the support in the height function h(z) = <z dot_l 0,
-2 rho^> (every strict semi-infinite relation strictly drops h), which is
-linear in the translation, h(t(lam) w) = h(t(0) w) + l <lam, 2 rho^>
-(``SemiInfiniteOrder.height_form``).  The sweep keeps one running
-coefficient per queued position: P's coefficient minus every correction
-so far.  At an offending position z the correction m SD_z = m t(z.trans)
-SD_u is subtracted, m c at t(z.trans) src for each term c B_src of SD_u: in
-full when registered if u != w; if u = w (SD_w corrects itself), for the
-terms finalized so far and then for each as it is finalized.  Each target
-but z (the lead's image; val - m normalizes z) lies strictly below z in
-height: for u != w, SD_u's support lies below its lead; for u = w,
-h(t(z.trans) p) = h(p) - (h(t(0)w) - h(z)) < h(z) for p != t(0)w.  So no
-target is swept before the correction reaches it, and each value read is
-final: the dependency of whole elements is cyclic through translation, but
-positionwise it is triangular.
+index) and packed coefficients (see "Packed sums" below), and builds no
+element: a translate of a key is one tuple add, and the group's finite
+tables give the rest.  The down moves are read from the per-(s, finite
+part) table ``AffineWeyl.right_steps`` and the order's descent table.  The
+product is computed on keys: the term c B_x of SD_{ws} = t(nu) SD_sigma
+goes to xs, with x s from ``right_steps``, and to x times v, or times
+v^{-1} when s descends x (a test on the finite part of x).  The
+corrections are found by one top-down sweep of the support in the height
+function h(z) = <z dot_l 0, 2 rho^> (every strict semi-infinite relation
+strictly drops h), which is linear in the translation, h(t(lam) w) =
+h(t(0) w) + l <lam, 2 rho^> (``SemiInfiniteOrder.height_form``).  The
+sweep keeps one running coefficient per queued position: P's coefficient
+minus every correction so far.  At an offending position z the correction
+m SD_z = m t(z.trans) SD_u is subtracted, m c at t(z.trans) src for each
+term c B_src of SD_u: in full when registered if u != w; if u = w (SD_w
+corrects itself), for the terms finalized so far and then for each as it
+is finalized.  Each target but z (the lead's image; val - m normalizes z)
+lies strictly below z in height: for u != w, SD_u's support lies below its
+lead; for u = w, h(t(z.trans) p) = h(p) - (h(t(0)w) - h(z)) < h(z) for
+p != t(0)w.  So no target is swept before the correction reaches it, and
+each value read is final: the dependency of whole elements is cyclic
+through translation, but positionwise it is triangular.
 
 Exactness.  Every value of the solve lies in Z[v].  Write SD_{ws} = B_{ws}
 + sum_{y < ws} p_y B_y with p_y in vZ[v].  The lead ws does not descend at
@@ -88,11 +89,11 @@ complete vectors.  Both sides of that relation have every coefficient
 below 2^(B-1) at every position (P's by the product's bounds, the other
 side's by the sweep's), and a packed integer with balanced digits
 determines its polynomial, so comparing the integers compares the
-polynomials.  The module keeps each class once (``SolvedClass``): its
-terms by key, each packed with its exact l1 norm and decoded, and the
-decoded element built from them.  The tables below read the terms by key;
-a class read from the command line's cache enters the same store through
-``preload_class`` and is packed when first read.  The support
+polynomials.  The module keeps each class once, as its terms by key, each
+packed with its exact l1 norm and decoded.  The tables below read the
+terms by key; a class read from the command line's cache is packed into
+the same store by ``preload_class``.  Elements are built only where the
+API returns them: ``selfdual`` and ``class_elements``.  The support
 check needs no order search.  Two facts carry it.  The order is invariant
 under left translation, and x <= y iff t(mu)x <= t(mu)y in the Bruhat order
 for deep dominant mu; right multiplication by s commutes with t(mu), so
@@ -184,14 +185,14 @@ from __future__ import annotations
 import heapq
 from functools import cached_property
 from operator import add, mul, sub
-from typing import Iterable, Literal, Mapping, NamedTuple, Optional, Sequence, get_args
+from typing import Iterable, KeysView, Literal, Mapping, NamedTuple, Optional, Sequence, get_args
 
 from . import laurent
 from .hecke import RightHeckeModule
 from .laurent import ONE, ZERO, Combination, LaurentPoly, ResourceError, bound_error, pack, unpack
 from .orders import SemiInfiniteOrder
 from .rootdata import Weight
-from .weyl import AffineWeyl, ExtAffineElement
+from .weyl import AffineWeyl, ExtAffineElement, element_text
 
 __all__ = [
     "PeriodicElement",
@@ -242,17 +243,6 @@ Key = tuple[tuple[int, ...], int]
 Term = tuple[int, int, LaurentPoly]
 
 
-class SolvedClass:
-    """One class element SD_{t(0)w}, kept once: its terms by key, and the
-    decoded element built from them in the same step."""
-
-    __slots__ = ("terms", "element")
-
-    def __init__(self, terms: dict[Key, Term], element: PeriodicElement):
-        self.terms = terms
-        self.element = element
-
-
 class PeriodicModule(RightHeckeModule):
     """The periodic module: B_x . H_s descends exactly when xs < x in the
     semi-infinite order."""
@@ -262,8 +252,7 @@ class PeriodicModule(RightHeckeModule):
     def __init__(self, group: AffineWeyl):
         self.order = SemiInfiniteOrder(group)
         super().__init__(group, self.order.descends)
-        self._classes: dict[int, SolvedClass] = {}
-        self._preloaded: dict[int, PeriodicElement] = {}
+        self._classes: dict[int, dict[Key, Term]] = {}
         self._in_progress: set[int] = set()
         self._partition_memo: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
         self._generic_tables: dict[tuple[int, int], tuple[dict, dict, Optional[int]]] = {}
@@ -290,17 +279,26 @@ class PeriodicModule(RightHeckeModule):
     # -- self-dual basis ------------------------------------------------------------------
 
     def selfdual(self, x: ExtAffineElement) -> PeriodicElement:
-        """The self-dual basis element with leading term B_x (certified)."""
-        return self.shift(self._class(x.w.index).element, x.trans)
+        """The self-dual basis element with leading term B_x (certified): the
+        terms of x's class, translated by x.trans."""
+        self.group._check(x)
+        return self._element(x.w.index, x.trans)
+
+    def _element(self, w_index: int, nu: tuple[int, ...]) -> PeriodicElement:
+        """t(nu) SD_{t(0)w} as an element, built from the class's stored terms."""
+        intern = self.group._intern
+        return PeriodicElement({intern(tuple(map(add, nu, t)), u): p
+                                for (t, u), (_, _, p) in self._class(w_index).items()})
 
     def p_polynomial(self, y: ExtAffineElement, x: ExtAffineElement) -> LaurentPoly:
         """Periodic polynomial p_{y,x}: coefficient of B_y in the self-dual element at x."""
-        hit = self._class(x.w.index).terms.get((tuple(map(sub, y.trans, x.trans)), y.w.index))
+        hit = self._class(x.w.index).get((tuple(map(sub, y.trans, x.trans)), y.w.index))
         return ZERO if hit is None else hit[2]
 
-    def _choose_down_moves(self) -> dict[int, tuple[int, Weight, int]]:
+    def _choose_down_moves(self) -> dict[int, tuple[int, tuple[int, ...], int]]:
         """For each non-identity finite class w: (generator j, shift nu, class sigma)
-        with  t(0)w . s_j = t(nu) sigma  a strict semi-infinite descent.
+        with  t(0)w . s_j = t(nu) sigma  a strict semi-infinite descent, read
+        from ``right_steps`` and the order's descent table.
 
         The assignment is grounded by breadth-first search from the identity
         class, so the chain of class dependencies is a forest rooted at the
@@ -310,21 +308,14 @@ class PeriodicModule(RightHeckeModule):
         cycles in A2.)
         """
         g = self.group
-        zero = Weight((0,) * self.rd.rank)
-        candidates: dict[int, list[tuple[int, Weight, int]]] = {}
-        for w in g.finite_elements:
-            if w.length == 0:
-                continue
-            x = g.element(zero, w)
-            cands = []
-            for j in g.affine_generator_indices():
-                if self.order.descends(x, j):
-                    u = g.right_multiply_gen(x, j)
-                    cands.append((j, u.trans, u.w.index))
+        steps = g.right_steps
+        candidates: dict[int, list[tuple[int, tuple[int, ...], int]]] = {}
+        for w in g.finite_elements[1:]:
+            cands = [(j, *steps[j][w.index]) for j, down in enumerate(self.order._descents[w.index]) if down]
             if not cands:  # pragma: no cover
                 raise AssertionError("non-translation element with no semi-infinite descent")
             candidates[w.index] = cands
-        policy: dict[int, tuple[int, Weight, int]] = {}
+        policy: dict[int, tuple[int, tuple[int, ...], int]] = {}
         grounded = {0}
         progress = True
         while progress:
@@ -342,16 +333,11 @@ class PeriodicModule(RightHeckeModule):
             raise AssertionError("no acyclic down-move assignment exists for this datum")
         return policy
 
-    def _class(self, w_index: int) -> SolvedClass:
-        """The class element SD_{t(0)w} from the store: on first use packed
-        from its preloaded element if there is one, else solved."""
+    def _class(self, w_index: int) -> dict[Key, Term]:
+        """The terms of the class element SD_{t(0)w} by key, from the store or
+        solved into it."""
         hit = self._classes.get(w_index)
         if hit is not None:
-            return hit
-        element = self._preloaded.pop(w_index, None)
-        if element is not None:
-            terms = {x.key: _term(p) for x, p in element.terms.items()}
-            hit = self._classes[w_index] = SolvedClass(terms, element)
             return hit
         if w_index in self._in_progress:
             raise CertificationError(
@@ -365,23 +351,26 @@ class PeriodicModule(RightHeckeModule):
                 terms = {(zero, w.index): _term(LaurentPoly({w.length: 1})) for w in self.group.finite_elements}
             else:
                 terms = self._solve_class(w_index)
-            intern = self.group._intern
-            hit = self._classes[w_index] = SolvedClass(
-                terms, PeriodicElement({intern(t, u): p for (t, u), (_, _, p) in terms.items()}))
-            return hit
+            self._classes[w_index] = terms
+            return terms
         finally:
             self._in_progress.discard(w_index)
 
     def preload_class(self, w_index: int, element: PeriodicElement) -> None:
         """Enter a class element read from outside the solve (the command
-        line's class cache) into the store, to be packed on first use.  The
-        caller has checked that its lead t(0)w has coefficient 1 and every
-        other coefficient lies in vZ[v], so every coefficient packs."""
-        self._preloaded[w_index] = element
+        line's class cache) into the store, packed.  The caller has checked
+        that its lead t(0)w has coefficient 1 and every other coefficient
+        lies in vZ[v], so every coefficient packs."""
+        self._classes[w_index] = {x.key: _term(p) for x, p in element.terms.items()}
+
+    def class_indices(self) -> KeysView[int]:
+        """The finite index of every class the store holds, solved or preloaded."""
+        return self._classes.keys()
 
     def class_elements(self) -> dict[int, PeriodicElement]:
         """Every class element the store holds, solved or preloaded, by finite index."""
-        return {**self._preloaded, **{w: solved.element for w, solved in self._classes.items()}}
+        zero = (0,) * self.rd.rank
+        return {w: self._element(w, zero) for w in self._classes}
 
     def _product(self, w_index: int) -> dict[Key, list[int]]:
         """P = SD_{ws} . (H_s + v) on keys, with ws = t(nu) sigma the class's down
@@ -402,7 +391,7 @@ class PeriodicModule(RightHeckeModule):
         moved = any(nu)
         acc: dict[Key, list[int]] = {}
         get = acc.get
-        for (t, u), (c, lc, _) in self._class(sigma).terms.items():
+        for (t, u), (c, lc, _) in self._class(sigma).items():
             if moved:
                 t = tuple(map(add, t, nu))
             offset, us = steps[u]
@@ -415,10 +404,10 @@ class PeriodicModule(RightHeckeModule):
                 entry[1] += lc
             if down[u]:
                 if c & mask:
-                    g = self.group
+                    fins = self.group.finite_elements
                     raise CertificationError(
-                        f"coefficient at {g._intern(t, u)!r} of class "
-                        f"{g._intern((0,) * self.rd.rank, w_index)!r} outside Z[v]")
+                        f"coefficient at {element_text(t, fins[u])} of class "
+                        f"{element_text((0,) * self.rd.rank, fins[w_index])} outside Z[v]")
                 c >>= width
             else:
                 c <<= width
@@ -437,7 +426,8 @@ class PeriodicModule(RightHeckeModule):
         half = 1 << (width - 1)
         mask = (1 << width) - 1
         lead = ((0,) * self.rd.rank, w_index)
-        what = f"self-dual class {self.group._intern(*lead)!r} (trans, w)"
+        name = element_text(lead[0], self.group.finite_elements[w_index])
+        what = f"self-dual class {name} (trans, w)"
         acc = self._product(w_index)
         self._check_product_terms(w_index, acc)
         product = {pos: entry[0] for pos, entry in acc.items()}
@@ -493,7 +483,7 @@ class PeriodicModule(RightHeckeModule):
             for pos in buckets.pop(-heapq.heappop(heights)):
                 if len(swept) >= MAX_SWEEP_STEPS:
                     raise ResourceError(
-                        f"self-dual basis sweep of class {self.group._intern(*lead)!r} exceeded "
+                        f"self-dual basis sweep of class {name} exceeded "
                         f"MAX_SWEEP_STEPS={MAX_SWEEP_STEPS} with {len(acc)} positions queued"
                     )
                 swept.append(pos)
@@ -515,7 +505,7 @@ class PeriodicModule(RightHeckeModule):
                         selfs.append((pos, m))
                         subtract(pos, m, fin.items())
                     else:
-                        subtract(pos, m, self._class(pos[1]).terms.items())
+                        subtract(pos, m, self._class(pos[1]).items())
                 if not val:
                     continue
                 poly = unpack(val, bound, what, pos)
@@ -543,7 +533,7 @@ class PeriodicModule(RightHeckeModule):
             raise CertificationError("support escapes the semi-infinite ideal of the lead")
         # x lies in supp(SD_{ws}) s iff x s does, as s is an involution; the
         # support of SD_{ws} is t(nu) times that of class sigma
-        base = self._class(sigma).terms
+        base = self._class(sigma)
         moved = any(nu)
         for t, u in terms:
             if moved:
@@ -570,7 +560,7 @@ class PeriodicModule(RightHeckeModule):
             if via is not None:
                 z, src = via
                 if not (z in ideal and (tuple(map(add, z[0], src[0])), src[1]) == pos and src in (
-                        ideal if z[1] == w_index else self._classes[z[1]].terms)):
+                        ideal if z[1] == w_index else self._classes[z[1]])):
                     raise CertificationError("support escapes the semi-infinite ideal of the lead")
             ideal.add(pos)
         return ideal
@@ -590,7 +580,7 @@ class PeriodicModule(RightHeckeModule):
         get = acc.get
         for (zt, cls), m in corrections:
             moved = any(zt)
-            for src, term in (result if cls == w_index else self._classes[cls].terms).items():
+            for src, term in (result if cls == w_index else self._classes[cls]).items():
                 at = (tuple(map(add, zt, src[0])), src[1]) if moved else src
                 acc[at] = get(at, 0) + m * term[0]
         if {x: p for x, p in acc.items() if p} != {x: p for x, p in product.items() if p}:
@@ -713,7 +703,7 @@ class PeriodicModule(RightHeckeModule):
         e = self.rd.lattice_index_e
         rows: dict[tuple[int, ...], list[tuple[int, tuple[int, ...], int, int]]] = {}
         top = None
-        for (t, w), (p, lp, _) in self._class(c).terms.items():
+        for (t, w), (p, lp, _) in self._class(c).items():
             if w == u:
                 scaled = self.rd.scaled_root_coordinates(t)
                 floor = tuple(s // e for s in scaled)
@@ -838,7 +828,7 @@ class PeriodicModule(RightHeckeModule):
         # SD_{w0 t(0) zw} is the class of w0 zw; its term at pos = t(lam) u
         # gives x0 = t(w0 lam) (w0 u), whose length has the parity of
         # <w0 lam, 2 rho^> + len(w0 u)
-        for (lam, u), (p, lp, _) in self._class(w0_mul[zw]).terms.items():
+        for (lam, u), (p, lp, _) in self._class(w0_mul[zw]).items():
             trans = w0.apply(lam)
             x0w = w0_mul[u]
             offset = rd.scaled_root_coordinates(trans)
@@ -875,7 +865,7 @@ class PeriodicModule(RightHeckeModule):
             # the terms t(x.trans) src of SD_x, read by key from x's class
             by_key = {y.key: y for y in win}
             for x in win:
-                for (t, u), (_, _, p) in self._class(x.w.index).terms.items():
+                for (t, u), (_, _, p) in self._class(x.w.index).items():
                     y = by_key.get((tuple(map(add, x.trans, t)), u))
                     if y is not None:
                         entries[(y, x)] = p

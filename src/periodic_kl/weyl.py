@@ -25,12 +25,17 @@ whose coroot is the highest coroot.  The length-zero subgroup (isomorphic to
 (weight lattice)/(root lattice)) is enumerated once from the minuscule
 fundamental weights.
 
-The right Cayley graph x -> x s_j is kept once, on dense ids (``_ids``,
-``_elts``, ``_lens``): ``_nbrs[j][a]`` is b when a s_j = b is longer, ~b
-when it is shorter, None until ``_step`` fills the slots of a and b through
-``_gen_step``.  Products by s_j, descents, reduced words, the Bruhat walk
-and the KL recursion of :mod:`.hecke` all read it.  A new id grows several
-lists, so a group is used by one thread at a time.
+Right multiplication by an affine simple reflection is written once, as
+the table ``right_steps`` built with the finite group: ``right_steps[j][w]
+= (offset, w')`` with t(lam) w s_j = t(lam + offset) w' for every lam.
+``_gen_step`` applies it to an element; the periodic class solve applies it
+to intern keys and builds no element.  The right Cayley graph x -> x s_j
+is kept once, on dense ids (``_ids``, ``_elts``, ``_lens``):
+``_nbrs[j][a]`` is b when a s_j = b is longer, ~b when it is shorter, None
+until ``_step`` fills the slots of a and b through ``_gen_step``.  Products
+by s_j, descents, reduced words, the Bruhat walk and the KL recursion of
+:mod:`.hecke` all read it.  A new id grows several lists, so a group is
+used by one thread at a time.
 
 Lengths are computed by the Iwahori-Matsumoto formula
 
@@ -46,7 +51,6 @@ coset of the length-zero subgroup.
 
 from __future__ import annotations
 
-from functools import cached_property
 from operator import add, mul
 from typing import Optional, Sequence
 
@@ -119,7 +123,13 @@ class ExtAffineElement:
         return self._omega
 
     def __repr__(self) -> str:
-        return f"t({','.join(map(str, self.trans))})*{self.w.text}"
+        return element_text(self.trans, self.w)
+
+
+def element_text(trans: Sequence[int], w: FiniteWeylElement) -> str:
+    """The printed form ``t(a1,...,ar)*w[i1 i2 ...]`` of t(trans) w, also for
+    a key that no element was built for."""
+    return f"t({','.join(map(str, trans))})*{w.text}"
 
 
 class AffineWeyl:
@@ -212,6 +222,14 @@ class AffineWeyl:
         self.s0_finite_index = self._findex[refl]
         # affine generator list: index 0 is s_0, index i >= 1 is s_i.
         self.num_affine_gens = rd.rank + 1
+        # right_steps[j][w] = (offset, w') with t(lam) w s_j = t(lam + offset) w'
+        # for every lam: t(lam) w s_0 = t(lam + w(eta)) (w s_eta), with w(eta)
+        # from root_images, and t(lam) w s_i = t(lam) (w s_i)
+        zero = (0,) * rd.rank
+        self.right_steps: tuple[tuple[tuple[tuple[int, ...], int], ...], ...] = (
+            tuple((images[self.s0_root_pos], row[self.s0_finite_index])
+                  for images, row in zip(self.root_images, self._fin_mul)),
+            *(tuple((zero, row[i]) for row in self._fin_mul) for i in self._gen_indices))
 
     def _reflection_matrix(self, beta: Weight) -> tuple[tuple[int, ...], ...]:
         rd = self.rd
@@ -255,9 +273,12 @@ class AffineWeyl:
 
     def _intern(self, coords: Sequence[int], w_index: int) -> ExtAffineElement:
         """The element t(coords) w: the one constructor of elements of this group.
-        Any coordinate tuple finds an element; only a new one gets a Weight key."""
+        Any coordinate tuple finds an element; only a new one gets a Weight key,
+        and ``coords`` of another rank raise ValueError."""
         x = self._elements.get((coords, w_index))
         if x is None:
+            if len(coords) != self.rd.rank:
+                raise ValueError(f"expected {self.rd.rank} translation coordinates, got {len(coords)}")
             key = (Weight(coords), w_index)
             x = self._elements[key] = ExtAffineElement(self.rd, self.finite_elements[w_index], key)
         return x
@@ -309,14 +330,10 @@ class AffineWeyl:
         return self._elts[b if b >= 0 else ~b]
 
     def _gen_step(self, x: ExtAffineElement, j: int) -> ExtAffineElement:
-        """x * s_j, not memoized: the filler of the Cayley graph's slots.
-        t(lam) w s_0 = t(lam + w(eta)) (w s_eta), with w(eta) read from
-        ``root_images``; t(lam) w s_i = t(lam) (w s_i)."""
-        fin = self._fin_mul[x.w.index]
-        if j == 0:
-            offset = self.root_images[x.w.index][self.s0_root_pos]
-            return self._intern(tuple(map(add, x.trans, offset)), fin[self.s0_finite_index])
-        return self._intern(x.trans, fin[self._gen_indices[j - 1]])
+        """x * s_j, not memoized: the filler of the Cayley graph's slots, read
+        from ``right_steps``."""
+        offset, ws = self.right_steps[j][x.w.index]
+        return self._intern(tuple(map(add, x.trans, offset)) if j == 0 else x.trans, ws)
 
     def _id(self, x: ExtAffineElement) -> int:
         """The dense id of x, assigned on first sight to an element of this group."""
@@ -338,16 +355,6 @@ class AffineWeyl:
             b = self._id(self._gen_step(self._elts[a], j))
             nbr[a], nbr[b] = (b, ~a) if self._lens[b] > self._lens[a] else (~b, a)
         return nbr[a]
-
-    @cached_property
-    def right_steps(self) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
-        """right_steps[j][w] = (offset, w') with t(lam) w s_j = t(lam + offset) w'
-        for every lam, read off t(0) w s_j; built on first use."""
-        zero = (0,) * self.rd.rank
-        return tuple(
-            tuple((ws.trans, ws.w.index) for ws in (self._gen_step(self._intern(zero, w.index), j)
-                                                     for w in self.finite_elements))
-            for j in self.affine_generator_indices())
 
     def translate_left(self, nu: Weight, x: ExtAffineElement) -> ExtAffineElement:
         """t(nu) * x; cheap because it only shifts the translation part."""

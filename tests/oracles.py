@@ -128,6 +128,12 @@ def e_element(module: PeriodicModule, lam: Weight) -> PeriodicElement:
     return PeriodicElement({g.element(lam, w): LaurentPoly({w.length: 1}) for w in g.finite_elements})
 
 
+def class_element(module: PeriodicModule, w_index: int) -> PeriodicElement:
+    """The class element SD_{t(0)w} as a PeriodicElement, built from the terms
+    the module stores by key."""
+    return module._element(w_index, (0,) * module.rd.rank)
+
+
 # -- brute-force oracles ----------------------------------------------------------------------
 
 
@@ -423,7 +429,7 @@ def class_support_below_lead(module: PeriodicModule, w_index: int) -> bool:
     walk down the translated lead."""
     order = module.order
     lead = module.group.element(Weight((0,) * module.rd.rank), w_index)
-    support = list(module._class(w_index).element.terms)
+    support = list(class_element(module, w_index).terms)
     return all(order.column_via_translation(support, lead, order.sufficient_mu([lead, *support])))
 
 
@@ -448,7 +454,7 @@ def generic_terms_by_dicts(module: PeriodicModule, y: ExtAffineElement, x: ExtAf
     roots_rc = [tuple(c // e for c in rd.scaled_root_coordinates(b)) for b in rd.positive_roots]
     target = rd.scaled_root_coordinates(tuple(map(sub, y.trans, x.trans)))
     terms = []
-    for z, p in module._class(x.w.index).element.terms.items():
+    for z, p in class_element(module, x.w.index).terms.items():
         if z.w.index != y.w.index:
             continue
         diff = tuple(map(sub, rd.scaled_root_coordinates(z.trans), target))

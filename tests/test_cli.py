@@ -9,7 +9,7 @@ import pytest
 
 from periodic_kl.cli import main
 from periodic_kl.laurent import LaurentPoly
-from periodic_kl.periodic import MAX_PARTITION_STATES
+from periodic_kl.periodic import MAX_PARTITION_STATES, PeriodicModule
 
 
 def run_cli(args, tmp_path=None, name="out"):
@@ -265,6 +265,21 @@ def test_large_l_is_refused_before_any_work(capsys, argv, bound):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("argv,flag", [
+    # the A3 h9 window is above its bound, which exits 3 once it is built
+    ("table verma-in-projective --type A --rank 3 --l 5 --height 9", "--nu"),
+    # an l this large exits 3 once the root datum is built
+    ("mult verma-in-projective --type A --rank 1 --l 1000000000000000003 --x t(0)*w[] --y t(0)*w[]", "--nu"),
+    ("hecke mul --type A --rank 1 --l 1000000000000000003 --x t(0)*w[1]", "--y"),
+])
+def test_a_missing_option_is_refused_before_any_work(capsys, argv, flag):
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert code == 2 and captured.out == "", lines
+    assert len(lines) == 1 and lines[0].startswith("error: ") and flag in lines[0], lines
+
+
 @pytest.mark.parametrize("command", [["table", "p"], ["orders", "hasse"], ["selfcheck"]])
 def test_coset_tag_naming_no_coset_is_refused(capsys, command):
     # the A2 coset tags are 0,0 1,2 2,1; 1,1 names none and must not run on an
@@ -404,6 +419,19 @@ def test_warm_run_leaves_the_cache_file_untouched(tmp_path):
     assert run_cli([*A1_H0, "--cache-dir", str(cache)], tmp_path, "warm.txt") == (0, expected)
     assert (cache / A1_CACHE_NAME).read_bytes() == before[0]
     assert (cache / A1_CACHE_NAME).stat().st_mtime_ns == before[1]
+
+
+def test_warm_run_builds_no_class_element(monkeypatch, tmp_path):
+    # the save compares the stored class indices with the file's before it
+    # builds anything, so a run that writes nothing builds no element
+    cache = tmp_path / "cache"
+    _, expected = run_cli([*A1_H0, "--cache-dir", str(cache)], tmp_path, "cold.txt")
+
+    def refuse(self):
+        raise AssertionError("class elements built on a warm run")
+
+    monkeypatch.setattr(PeriodicModule, "class_elements", refuse)
+    assert run_cli([*A1_H0, "--cache-dir", str(cache)], tmp_path, "warm.txt") == (0, expected)
 
 
 def test_run_that_discards_a_class_rewrites_the_cache_file(tmp_path, capsys):

@@ -14,7 +14,7 @@ from periodic_kl.laurent import ZERO, LaurentPoly
 from periodic_kl.orders import standard_window
 from periodic_kl.periodic import PeriodicModule
 from periodic_kl.rootdata import Weight
-from oracles import generic_polynomial_by_dicts, generic_terms_by_dicts
+from oracles import class_element, generic_polynomial_by_dicts, generic_terms_by_dicts
 
 
 def _same_coset_pairs(window):
@@ -61,7 +61,7 @@ def test_guard_refuses_a_digit_that_would_wrap(monkeypatch, a2):
     # so the classes enter the store from the full-width solve, packed at 2 bits
     M = PeriodicModule(W)
     for w in W.finite_elements:
-        M.preload_class(w.index, a2.module._class(w.index).element)
+        M.preload_class(w.index, class_element(a2.module, w.index))
     true = generic_polynomial_by_dicts(M, y, x)
     assert true == LaurentPoly({3: 2, 5: 1})
     with pytest.raises(ResourceError, match=r"^generic q \(y.trans - x.trans, y.w, x.w\) at \(\(-1, -1\), \d+, \d+\): "
@@ -140,7 +140,7 @@ def test_each_bound_dominates_the_l1_norms_of_its_terms(monkeypatch, request, na
             lead = W.parse_element(what[len("self-dual class "):-len(" (trans, w)")])
             pos = W.element(Weight(key[0]), key[1])
             j, nu, sigma = M._down_policy[lead.w.index]
-            base = M.shift(M._class(sigma).element, nu)
+            base = M.shift(class_element(M, sigma), nu)
             need = sum(_l1(c) for x, c in base.terms.items() if pos in (x, W.right_multiply_gen(x, j)))
             for z, m in corrections[lead.w.index]:
                 if z is not pos:

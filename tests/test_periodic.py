@@ -11,7 +11,9 @@ from periodic_kl.laurent import LaurentPoly, ONE, V, VINV, ZERO
 from periodic_kl.orders import standard_window
 from periodic_kl.periodic import PeriodicModule
 from periodic_kl.rootdata import Weight
+from periodic_kl.weyl import AffineWeyl
 from oracles import (
+    class_element,
     class_support_below_lead,
     e_element,
     elements_of_length_leq,
@@ -389,7 +391,7 @@ def test_negative_exponent_in_the_product_is_refused(a2):
     W = a2.group
     w = W.w0.index
     j, nu, sigma = a2.module._down_policy[w]
-    base = a2.module._class(sigma).element
+    base = class_element(a2.module, sigma)
     src = min((x for x in base.terms if x.w.index != sigma and a2.order.descends(x, j)), key=lambda x: x.key)
     assert base.coefficient(src).in_v_times_Zv()
     M = PeriodicModule(W)
@@ -410,7 +412,7 @@ def test_witness_check_correction_branch(a2):
     w = W.w0.index
     j, nu, sigma = M._down_policy[w]
     lead, z = ((0, 0), w), (tuple(nu), sigma)
-    src = next(x for x in M._class(sigma).terms if x[1] != sigma)
+    src = next(x for x in M._class(sigma) if x[1] != sigma)
     pos = (tuple(map(add, nu, src[0])), src[1])
     escapes = "^support escapes the semi-infinite ideal of the lead$"
 
@@ -456,6 +458,28 @@ def test_class_support_below_lead_by_order_search(request, name):
         assert class_support_below_lead(ctx.module, w.index)
 
 
+@pytest.mark.parametrize("name", DATA)
+def test_class_solve_builds_no_element(request, name):
+    # the module's construction and every class solve read the group's
+    # finite tables on keys: no element is interned, no Cayley-graph id given
+    W = AffineWeyl(request.getfixturevalue(name).rd)
+    elements, elts = dict(W._elements), list(W._elts)
+    M = PeriodicModule(W)
+    for w in W.finite_elements:
+        M._class(w.index)
+    assert W._elements == elements and W._elts == elts
+
+
+def test_selfdual_refuses_an_element_of_another_group(a1, a2):
+    x = a1.group.parse_element("t(1)*w[1]")
+    W = AffineWeyl(a2.rd)
+    M = PeriodicModule(W)
+    before = dict(W._elements)
+    with pytest.raises(ValueError, match="^elements belong to different root data$"):
+        M.selfdual(x)
+    assert W._elements == before
+
+
 # sha256 of every class element of the datum, as in ``_class_digest``
 _CLASS_DIGESTS = {
     "a1": "b64bbcb0e57805deca37ed638500146bf8b6f86f276abf3b860493c0890b7e87",
@@ -470,7 +494,7 @@ _CLASS_DIGESTS = {
 def _class_digest(module) -> str:
     """sha256 of the class elements SD_{t(0)w} in finite-index order, each as
     its [repr(x), polynomial] terms sorted by x.key."""
-    classes = [module._class(w.index).element for w in module.group.finite_elements]
+    classes = [class_element(module, w.index) for w in module.group.finite_elements]
     payload = [[[repr(x), c.terms[x].to_json()] for x in sorted(c.terms, key=lambda x: x.key)] for c in classes]
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
@@ -491,10 +515,10 @@ def test_planted_correction_term_queues_a_new_position(b2):
     lead = W.parse_element("t(0,0)*w[2]")
     z = W.parse_element("t(0,0)*w[2 1 2]")
     far = W.translate_left(Weight((-2, -2)), z)
-    true = b2.module._class(lead.w.index).element
+    true = class_element(b2.module, lead.w.index)
     M = PeriodicModule(W)
     assert M._down_policy[lead.w.index][2] != z.w.index
-    M.preload_class(z.w.index, b2.module._class(z.w.index).element + M.basis(far).scale(LaurentPoly({3: 1})))
+    M.preload_class(z.w.index, class_element(b2.module, z.w.index) + M.basis(far).scale(LaurentPoly({3: 1})))
     seen = {}
     check_witnesses, certify = M._check_witnesses, M._certify
 
@@ -507,13 +531,14 @@ def test_planted_correction_term_queues_a_new_position(b2):
         return certify(w_index, result, product, corrections, ideal)
 
     M._check_witnesses, M._certify = record_witnesses, record_certify
-    solved = M._class(lead.w.index)
+    terms = M._class(lead.w.index)
+    solved = class_element(M, lead.w.index)
     [(at, m)] = seen["corrections"]
     assert at == z.key
     assert far.key not in seen["product"] and far not in true.terms
     assert seen["witness"][far.key] == (z.key, far.key)
-    assert solved.element == true - M.basis(far).scale(m * LaurentPoly({3: 1}))
-    assert M._classes[lead.w.index] is solved
+    assert solved == true - M.basis(far).scale(m * LaurentPoly({3: 1}))
+    assert M._classes[lead.w.index] is terms
 
 
 def test_sweep_refuses_a_lead_that_is_not_one(a2, monkeypatch):
@@ -600,7 +625,7 @@ def test_packed_product_is_the_dict_action(request, name):
     M, W = ctx.module, ctx.group
     for w in W.finite_elements[1:]:
         j, nu, sigma = M._down_policy[w.index]
-        expected = M.act_cs(M.shift(M._class(sigma).element, nu), j)
+        expected = M.act_cs(M.shift(class_element(M, sigma), nu), j)
         product = M._product(w.index)
         decoded = {W.element(Weight(t), u): laurent.unpack(p, b, "product", (t, u))
                    for (t, u), (p, b) in product.items()}
@@ -645,7 +670,7 @@ def test_bound_counts_the_size_of_each_correction(b2, monkeypatch):
     z = W.parse_element("t(0,0)*w[2 1 2]")
     far = W.translate_left(Weight((-2, -2)), z)
     M = PeriodicModule(W)
-    M.preload_class(z.w.index, b2.module._class(z.w.index).element + M.basis(far).scale(LaurentPoly({3: 1})))
+    M.preload_class(z.w.index, class_element(b2.module, z.w.index) + M.basis(far).scale(LaurentPoly({3: 1})))
     real_product, real_unpack = PeriodicModule._product, periodic.unpack
     bounds = {}
 
@@ -662,7 +687,7 @@ def test_bound_counts_the_size_of_each_correction(b2, monkeypatch):
 
     monkeypatch.setattr(PeriodicModule, "_product", product_with_a_constant_at_z)
     monkeypatch.setattr(periodic, "unpack", recording_unpack)
-    solved = M._class(lead.w.index).element
+    solved = class_element(M, lead.w.index)
     assert solved.coefficient(far) == LaurentPoly({3: -2})
     assert bounds[far.key] == 2
 

@@ -78,6 +78,32 @@ def test_length_changes_by_one(fixture, bound, request):
             assert W.right_descent(x, j) == (xs.length < x.length)
 
 
+@pytest.mark.parametrize("fixture", ["a1", "a2", "a3", "b2", "c2", "g2"])
+def test_right_steps_is_the_group_law(fixture, request):
+    # every row of the x s_j table, at lam = 0 and +-rho, against the product
+    # by the built generator; this also reaches the A3 rows of length above 4
+    ctx = request.getfixturevalue(fixture)
+    W, rho = ctx.group, ctx.rd.rho
+    for j in W.affine_generator_indices():
+        s = W.affine_generator(j)
+        for w in W.finite_elements:
+            offset, ws = W.right_steps[j][w.index]
+            for lam in (0 * rho, rho, -rho):
+                assert W.multiply(W.element(lam, w), s) is W.element(lam + offset, ws), (j, w, lam)
+
+
+def test_a_key_of_another_rank_is_refused():
+    # a translation with the wrong number of coordinates interns nothing
+    W = AffineWeyl(root_datum("A", 2, 5))
+    e = W.identity()
+    before = dict(W._elements)
+    for build in (lambda: W.element(Weight((1,)), 0), lambda: W.translate_left(Weight((1,)), e),
+                  lambda: W.translation(Weight((1, 2, 3)))):
+        with pytest.raises(ValueError, match=r"^expected 2 translation coordinates, got [13]$"):
+            build()
+    assert W._elements == before
+
+
 def test_length_subadditive(a2):
     W = a2.group
     random.seed(3)
