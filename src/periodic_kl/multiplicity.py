@@ -22,6 +22,11 @@ polynomial tables of :mod:`.periodic`:
 - baby-Verma-in-projective and simple-in-baby-Verma, which coincide:
                                    p_{w0 x, w0 y}.
 
+A table is a relabelling of the module's table of q, q' or p over the
+w0-twisted window, w0 t(lam) w = t(w0 lam) (w0 w), back onto the window;
+the truncated projective table restricts its rows w0 y by the dominance
+test before any polynomial is evaluated.
+
 Grading normalization: each lift is normalized so that the diagonal entry
 is 1 (no overall grading shift); tables are reported in that convention.
 """
@@ -155,29 +160,24 @@ class MultiplicityTables:
         window: Sequence[ExtAffineElement],
         nu: Optional[Weight] = None,
     ) -> MultiplicityTable:
-        """The nonzero entries (x, y) over the window, twisting each element by w0 once."""
+        """The nonzero entries (x, y) over the window: the module's table of the
+        view's kind over the w0-twisted window, relabelled (module docstring).
+        ``nu`` is required by the truncated kind and refused by the others."""
         if kind not in get_args(TableKind):
-            raise ValueError(f"unknown table kind {kind!r}")
+            raise ValueError(f"unknown table kind {kind!r}; expected one of {', '.join(get_args(TableKind))}")
         truncated = kind == "verma_in_projective_truncated"
         if truncated and nu is None:
             raise ValueError("truncated table needs a truncation weight nu")
+        if not truncated and nu is not None:
+            raise ValueError(f"a truncation weight nu applies only to verma_in_projective_truncated, not {kind}")
         win = tuple(window)
-        mod = self.module
-        twisted = [(x, self._twist(x)) for x in win]
-        columns = twisted
-        if truncated:
+        back = {self._twist(x): x for x in win}
+        twisted = list(back)
+        if truncated:  # (x : y) = q'_{w0 y, w0 x}, over the y with y dot 0 <= l * nu
             top = self.rd.l * nu
-            columns = [(y, ty) for y, ty in twisted
-                       if dominance_leq(self.rd, self.group.dot_zero(y), top)]
-        entries: dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly] = {}
-        for x, tx in twisted:
-            for y, ty in columns:
-                if kind == "simple_in_verma":
-                    p = mod.generic_polynomial(tx, ty, "q")
-                elif truncated:
-                    p = mod.generic_polynomial(ty, tx, "qprime")
-                else:  # p_{w0 x, w0 y}
-                    p = mod.p_polynomial(tx, ty)
-                if not p.is_zero():
-                    entries[(x, y)] = p
-        return MultiplicityTable(kind, win, nu, entries)
+            rows = [ty for ty, y in back.items() if dominance_leq(self.rd, self.group.dot_zero(y), top)]
+            raw = self.module._table_entries("generic_qprime", rows, twisted)
+            return MultiplicityTable(kind, win, nu, {(back[b], back[a]): p for (a, b), p in raw.items()})
+        # [x : y] = q_{w0 x, w0 y}, and the baby view p_{w0 x, w0 y}
+        raw = self.module._table_entries("generic_q" if kind == "simple_in_verma" else "periodic_p", twisted, twisted)
+        return MultiplicityTable(kind, win, nu, {(back[a], back[b]): p for (a, b), p in raw.items()})

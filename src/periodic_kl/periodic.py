@@ -130,21 +130,26 @@ series.  The signed inversion identity
     sum_x (-1)^{len(x)+len(y)} q_{x,y} p_{w0 x, w0 z} = delta_{y,z}
 
 is exposed as a checkable report and exercised by the acceptance suite.
+A table of q or q' evaluates each distinct translation difference of its
+window once, as a block over pairs of finite parts, through the memo of
+the point queries (``polynomial_table``).
 
 Evaluation on integer keys and translation orbits.  A generic polynomial
-q_{y,x} is looked up by (y.trans - x.trans, y.w, x.w) in translation
-coordinates.  On a miss it reads a table built once per (x.w, y.w): the
-terms t(lam) y.w of SD_{t(0) x.w} as E = e * rc(lam) (integer, e the
-lattice index), grouped by E mod e; a term contributes iff E - E(y.trans -
-x.trans) is nonnegative and divisible by e, and the residue grouping
-settles the divisibility.  Nonnegativity needs sum E >= sum E(y.trans -
-x.trans), so each residue group is scanned by descending sum E until that
-fails, and q_{y,x} is zero outright when sum E(y.trans - x.trans) exceeds
-the table's largest sum E.  The Koszul and inversion sums memoize q per
-table keyed by E(y.trans - x.trans), which is additive: a term's key is
-the orbit's E plus a precomputed offset, and the terms are scanned by
-ascending offset sum, so each sum stops at the first term whose key sum
-exceeds that largest sum: its q and every later one are zero.
+q_{y,x} reads a table built once per (x.w, y.w), and is zero outright when
+it fails the test below on that table's top; otherwise it is looked up by
+(y.trans - x.trans, y.w, x.w) in translation coordinates, and on a miss it
+is evaluated from the table's rows: the terms t(lam) y.w of SD_{t(0) x.w}
+as E = e * rc(lam) (integer, e the lattice index), grouped by E mod e; a
+term contributes iff E - E(y.trans - x.trans) is nonnegative and divisible
+by e, and the residue grouping settles the divisibility.  Nonnegativity
+needs sum E >= sum E(y.trans - x.trans), so each residue group is scanned
+by descending sum E until that fails, and q_{y,x} is zero outright when sum
+E(y.trans - x.trans) exceeds the table's largest sum E, its top.  The
+Koszul and inversion sums memoize q per table keyed by E(y.trans -
+x.trans), which is additive: a term's key is the orbit's E plus a
+precomputed offset, and the terms are scanned by ascending offset sum, so
+each sum stops at the first term whose key sum exceeds that largest sum:
+its q and every later one are zero.
 
 The inversion and Koszul checks are evaluated once per orbit of
 simultaneous left translation and memoized: q, p and the Koszul sum are
@@ -174,8 +179,8 @@ submultiplicative, the l1 norm of a partition series is its number of
 partitions (every coefficient is positive), and |c_e| <= l1.  A summand
 whose bound is 0 is the zero polynomial and is skipped.  A value is
 decoded once per memo entry (the Koszul and inversion memos, and the
-decoded memo behind ``generic_polynomial``), through the guarded
-``laurent.unpack``: the decode is exact when the bound is below 2^(B-1),
+decoded memo behind ``generic_polynomial`` and the tables), through the
+guarded ``laurent.unpack``: the decode is exact when the bound is below 2^(B-1),
 and otherwise a ResourceError names the value, its key and the bound's
 size before any digit that may have wrapped is read.
 """
@@ -642,19 +647,26 @@ class PeriodicModule(RightHeckeModule):
         if kind != "q" and kind != "qprime":
             raise ValueError(f"unknown generic polynomial kind {kind!r}; expected one of "
                              f"{', '.join(get_args(GenericKind))}")
-        key = (tuple(map(sub, y.trans, x.trans)), y.w.index, x.w.index, kind == "q")
+        rel = tuple(map(sub, y.trans, x.trans))
+        return self._generic_entry(rel, y.w.index, x.w.index, kind == "q", self.rd.scaled_root_coordinates(rel))
+
+    def _generic_entry(self, rel: tuple[int, ...], u: int, c: int, weighted: bool,
+                       target: tuple[int, ...]) -> LaurentPoly:
+        """q (``weighted``) or q' at y = t(rel) u, x = t(0) c, given E(rel) =
+        ``target``: the one evaluator of point queries and tables.  Zero
+        outright, with no memo entry, when the table of (u, c) has no term
+        or sum E(rel) exceeds its top; otherwise read from the decoded memo,
+        keyed (rel, u, c, weighted), or evaluated into it."""
+        _, rows, top = self._generic_table(u, c)
+        if top is None or sum(target) > top:
+            return ZERO
+        key = (rel, u, c, weighted)
         hit = self._generic_decoded.get(key)
         if hit is None:
-            rel, u, c, weighted = key
-            _, rows, top = self._generic_table(u, c)
-            target = self.rd.scaled_root_coordinates(rel)
-            if top is None or sum(target) > top:
-                hit = ZERO
-            else:
-                hit = unpack(*self._generic_sum(target, rows, weighted),
-                             "generic q (y.trans - x.trans, y.w, x.w)" if weighted else
-                             "generic qprime (y.trans - x.trans, y.w, x.w)", key[:3])
-            self._generic_decoded[key] = hit
+            hit = self._generic_decoded[key] = unpack(
+                *self._generic_sum(target, rows, weighted),
+                "generic q (y.trans - x.trans, y.w, x.w)" if weighted else
+                "generic qprime (y.trans - x.trans, y.w, x.w)", key[:3])
         return hit
 
     def _generic_table(self, u: int, c: int) -> tuple[dict, dict, Optional[int]]:
@@ -856,27 +868,72 @@ class PeriodicModule(RightHeckeModule):
 
     def polynomial_table(self, kind: KindName, window: Sequence[ExtAffineElement]) -> PolynomialTable:
         """The nonzero entries (y, x) of one kind over the window; any other
-        ``kind`` raises ValueError."""
+        ``kind`` raises ValueError.
+
+        p is read from each x's class by key.  q and q' are evaluated once
+        per distinct translation difference of the window, as a block over
+        the pairs (u, c) of finite indices, and each block value is
+        relabelled onto every window pair with that difference.  This is
+        exact by translation invariance: t(nu) commutes with the right
+        action and fixes every e(lam), so SD_{t(nu) x} is the nu-shift of
+        SD_x, and the series operators commute with the shift; hence q_{y,x}
+        and q'_{y,x} depend only on (y.trans - x.trans, y.w, x.w), which is
+        the memo key of the point queries (``_generic_entry``), and the
+        block reads and fills that same memo.  The window may be any set of
+        elements (a ragged one holds only part of some translation fibers):
+        a block value is evaluated only when a pair of the window needs it,
+        so a table evaluates no (difference, u, c) that the point queries of
+        its pairs would not.
+        """
         if kind not in get_args(KindName):
             raise ValueError(f"unknown table kind {kind!r}; expected one of {', '.join(get_args(KindName))}")
-        entries: dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly] = {}
         win = tuple(window)
+        return PolynomialTable(kind, win, self._table_entries(kind, win, win))
+
+    def _table_entries(self, kind: KindName, ys: Sequence[ExtAffineElement],
+                       xs: Sequence[ExtAffineElement]) -> dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly]:
+        """The nonzero entries (y, x) of one kind over y in ``ys`` and x in ``xs``
+        (see ``polynomial_table``)."""
+        entries: dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly] = {}
         if kind == "periodic_p":
             # the terms t(x.trans) src of SD_x, read by key from x's class
-            by_key = {y.key: y for y in win}
-            for x in win:
+            by_key = {y.key: y for y in ys}
+            for x in xs:
                 for (t, u), (_, _, p) in self._class(x.w.index).items():
                     y = by_key.get((tuple(map(add, x.trans, t)), u))
                     if y is not None:
                         entries[(y, x)] = p
-        else:
-            k: GenericKind = "q" if kind == "generic_q" else "qprime"
-            for x in win:
-                for y in win:
-                    p = self.generic_polynomial(y, x, k)
-                    if not p.is_zero():
-                        entries[(y, x)] = p
-        return PolynomialTable(kind, win, entries)
+            return entries
+        # the window's translation fibers, and their pairs by difference
+        y_fibers: dict[tuple[int, ...], list[ExtAffineElement]] = {}
+        x_fibers: dict[tuple[int, ...], list[ExtAffineElement]] = {}
+        for fibers, elements in ((y_fibers, ys), (x_fibers, xs)):
+            for z in elements:
+                fibers.setdefault(z.trans, []).append(z)
+        by_rel: dict[tuple[int, ...], list[tuple[list, list]]] = {}
+        for ty, y_fiber in y_fibers.items():
+            for tx, x_fiber in x_fibers.items():
+                by_rel.setdefault(tuple(map(sub, ty, tx)), []).append((y_fiber, x_fiber))
+        weighted = kind == "generic_q"
+        entry = self._generic_entry
+        scaled = self.rd.scaled_root_coordinates
+        for rel, pairs in by_rel.items():
+            target = scaled(rel)
+            block: dict[int, dict[int, LaurentPoly]] = {}  # u -> c -> value
+            for y_fiber, x_fiber in pairs:
+                for y in y_fiber:
+                    u = y.w.index
+                    row = block.get(u)
+                    if row is None:
+                        row = block[u] = {}
+                    for x in x_fiber:
+                        c = x.w.index
+                        p = row.get(c)
+                        if p is None:
+                            p = row[c] = entry(rel, u, c, weighted, target)
+                        if p.coeffs:
+                            entries[(y, x)] = p
+        return entries
 
 
 def _term(p: LaurentPoly) -> Term:

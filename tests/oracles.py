@@ -12,7 +12,10 @@ as the formula the packed-integer recursion of ``HeckeAlgebra`` replaced,
 and so is the Bruhat order as one descent recursion per pair, which the
 column walk of ``AffineWeyl.bruhat_column`` replaced, and the generic
 polynomial as a sum of LaurentPoly products over an unmemoized vector
-partition enumeration, which the packed-integer sums replaced.  The
+partition enumeration, which the packed-integer sums replaced, and every
+table kind by one point query per pair, which the tables' evaluation per
+translation difference replaced; like the inversion and Koszul oracles it
+reads q and p from the module, on modules that no table has filled.  The
 semi-infinite order of a window, and the support of each class below its
 lead, are decided here by the translation characterization (Bruhat order
 after a certified deep dominant translation), which shares no search with
@@ -34,12 +37,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from operator import sub
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, get_args
 
 from periodic_kl.hecke import HeckeAlgebra, HeckeElement
 from periodic_kl.laurent import LaurentPoly, ONE, ZERO
+from periodic_kl.multiplicity import MultiplicityTables, TableKind
 from periodic_kl.orders import SemiInfiniteOrder
-from periodic_kl.periodic import PeriodicElement, PeriodicModule
+from periodic_kl.periodic import KindName, PeriodicElement, PeriodicModule
 from periodic_kl.rootdata import RootDatum, Weight, dominance_leq
 from periodic_kl.weyl import AffineWeyl, ExtAffineElement
 
@@ -80,6 +84,17 @@ def dot_action(group: AffineWeyl, x: ExtAffineElement, lam: Weight, n: int) -> W
     """The n-dilated rho-shifted action: for x = t(nu) w this is w(lam+rho) + n*nu - rho."""
     rho = group.rd.rho
     return x.w.apply(lam + rho) + n * x.trans - rho
+
+
+def every_table(module: PeriodicModule, window: Sequence[ExtAffineElement], nu: Weight) -> dict[str, dict]:
+    """Every table kind of ``module`` over ``window``, as the library builds it:
+    p, q and q' keyed (y, x), and the multiplicity views keyed (x, y), the
+    truncated one at ``nu``."""
+    views = MultiplicityTables(module)
+    tables = {kind: module.polynomial_table(kind, window).entries for kind in get_args(KindName)}
+    for kind in get_args(TableKind):
+        tables[kind] = views.table(kind, window, nu=nu if kind == "verma_in_projective_truncated" else None).entries
+    return tables
 
 
 def generating_relation_holds(order: SemiInfiniteOrder, x: ExtAffineElement, j: int) -> bool:
@@ -421,6 +436,45 @@ def poset_rows_per_column(order: SemiInfiniteOrder, window) -> tuple[int, ...]:
             if below:
                 rows[i] |= 1 << j
     return tuple(rows)
+
+
+def module_with_classes_of(module: PeriodicModule) -> PeriodicModule:
+    """A new module over the same group holding every class of ``module``
+    (solved there if need be) and no memo: the classes are shared, the
+    generic polynomials are evaluated afresh."""
+    fresh = PeriodicModule(module.group)
+    for w in module.group.finite_elements:
+        fresh.preload_class(w.index, class_element(module, w.index))
+    return fresh
+
+
+def point_queries(module: PeriodicModule, nu: Weight) -> dict[str, Callable]:
+    """The point query of every table kind on ``module``, by the table's key:
+    p, q and q' at (y, x), the multiplicity views at (x, y), the truncated
+    one at ``nu``."""
+    views = MultiplicityTables(module)
+    return {
+        "periodic_p": module.p_polynomial,
+        "generic_q": lambda y, x: module.generic_polynomial(y, x, "q"),
+        "generic_qprime": lambda y, x: module.generic_polynomial(y, x, "qprime"),
+        "simple_in_verma": views.simple_in_verma,
+        "verma_in_projective_truncated": lambda x, y: views.verma_in_projective(x, y, nu),
+        "babyverma_in_projective": views.baby_verma_in_projective,
+    }
+
+
+def tables_by_point_queries(module: PeriodicModule, window: Sequence[ExtAffineElement],
+                            nu: Weight) -> dict[str, dict]:
+    """Every table kind over ``window`` by one point query per pair, zeros
+    omitted, keyed as ``every_table``: the per-pair loops that the tables'
+    evaluation per translation difference replaced.  Each kind runs on a
+    module of its own with the classes of ``module``, whose memos neither a
+    table nor another kind has filled."""
+    tables = {}
+    for kind in (*get_args(KindName), *get_args(TableKind)):
+        value = point_queries(module_with_classes_of(module), nu)[kind]
+        tables[kind] = {(a, b): p for a in window for b in window if not (p := value(a, b)).is_zero()}
+    return tables
 
 
 def class_support_below_lead(module: PeriodicModule, w_index: int) -> bool:

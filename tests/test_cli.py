@@ -130,6 +130,50 @@ def test_selfcheck_passes(tmp_path):
     assert all(line.startswith(b"ok") for line in data.splitlines())
 
 
+def _selfcheck_lines(capsys):
+    code = main(["selfcheck", "--type", "A", "--rank", "2", "--l", "5", "--height", "1", "--format", "text"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert err.startswith("internal consistency failure: selfcheck failed")
+    return out.splitlines()
+
+
+def test_planted_inversion_row_fails_selfcheck(monkeypatch, capsys):
+    # flip the sign of the lead's row in each class's inversion rows, so the
+    # diagonal sums read -1: only the inversion line may fail
+    build = PeriodicModule._build_inversion_rows
+
+    def planted(self, zw):
+        groups = build(self, zw)
+        zero = (0,) * self.rd.rank
+        groups[zw] = [(reach, at, -p if at == zero else p, lp) for reach, at, p, lp in groups[zw]]
+        return groups
+
+    monkeypatch.setattr(PeriodicModule, "_build_inversion_rows", planted)
+    assert _selfcheck_lines(capsys) == [
+        "ok  order generated == translation characterization",
+        "FAIL  signed inversion identity q * p = delta",
+        "ok  Koszul operator inverts the geometric series",
+    ]
+
+
+def test_planted_koszul_term_fails_selfcheck(monkeypatch, capsys):
+    # double the empty subset's term 1 of the Koszul operator, so each sum
+    # gains a copy of q: only the Koszul line may fail
+    expand = PeriodicModule.__dict__["_koszul_packed"].func
+
+    def planted(self):
+        (reach, at, f, lf), *rest = expand(self)
+        return [(reach, at, 2 * f, 2 * lf), *rest]
+
+    monkeypatch.setattr(PeriodicModule, "_koszul_packed", property(planted))
+    assert _selfcheck_lines(capsys) == [
+        "ok  order generated == translation characterization",
+        "ok  signed inversion identity q * p = delta",
+        "FAIL  Koszul operator inverts the geometric series",
+    ]
+
+
 def test_usage_errors():
     assert main(["blocks", "--type", "Z", "--rank", "1", "--l", "3"]) == 2
     assert main(["blocks", "--type", "A", "--rank", "1", "--l", "4"]) == 2

@@ -20,6 +20,16 @@ CASES = [
         ["table", "qprime", "--type", "A", "--rank", "2", "--l", "5", "--height", "1", "--coset", "0,0"],
         "a2_l5_qprime_h1.json",
     ),
+    (["table", "q", "--type", "G", "--rank", "2", "--l", "7", "--height", "0"], "g2_l7_q_h0.json"),
+    (
+        ["table", "simple-in-verma", "--type", "G", "--rank", "2", "--l", "7", "--height", "0"],
+        "g2_l7_simple_in_verma_h0.json",
+    ),
+    (
+        ["table", "verma-in-projective", "--type", "G", "--rank", "2", "--l", "7", "--height", "0", "--nu", "0,0"],
+        "g2_l7_verma_in_projective_h0_nu0.json",
+    ),
+    (["table", "baby", "--type", "G", "--rank", "2", "--l", "7", "--height", "0"], "g2_l7_baby_h0.json"),
 ]
 
 

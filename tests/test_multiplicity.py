@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodic_kl.laurent import ONE, ZERO
 from periodic_kl.multiplicity import MultiplicityTables, enumerate_blocks
 from periodic_kl.orders import standard_window
 from periodic_kl.rootdata import Weight, dominance_leq
-from oracles import dot_action, dot_orbit, dot_stabilizer
+from oracles import (dot_action, dot_orbit, dot_stabilizer, every_table, module_with_classes_of, point_queries,
+                     tables_by_point_queries)
 
 
 def test_blocks_a1(a1):
@@ -168,25 +170,77 @@ def test_table_checks_its_arguments_before_the_window(a1):
     T = MultiplicityTables(a1.module)
     with pytest.raises(ValueError, match="truncation weight"):
         T.table("verma_in_projective_truncated", [])
-    with pytest.raises(ValueError, match="unknown table kind"):
+    with pytest.raises(ValueError, match=r"^unknown table kind 'no_such_kind'; expected one of simple_in_verma, "
+                                         r"verma_in_projective_truncated, babyverma_in_projective$"):
         T.table("no_such_kind", [])
 
 
-def test_tables_match_point_queries(a2):
-    T = MultiplicityTables(a2.module)
-    W = a2.group
-    win = standard_window(W, 1, coset=(0, 0))
+@pytest.mark.parametrize("kind", ["simple_in_verma", "babyverma_in_projective"])
+def test_table_refuses_a_truncation_it_would_ignore(a1, kind):
+    # only the truncated kind reads nu; the others refuse it before the window
+    def window():
+        raise AssertionError("the window was read")
+        yield
+
+    with pytest.raises(ValueError, match=rf"^a truncation weight nu applies only to "
+                                         rf"verma_in_projective_truncated, not {kind}$"):
+        MultiplicityTables(a1.module).table(kind, window(), nu=Weight((0,)))
+
+
+# (datum, height of the full window, coset of the height-1 coset window, a
+# truncation weight that cuts some rows of the coset window but not all).
+# G2 has one coset; A3 h1 is in the slow tier.
+ORACLE_CASES = [
+    ("a1", 1, (1,), (-1,)),
+    ("a2", 1, (1, 2), (1, -1)),
+    ("b2", 1, (1, 0), (0, 1)),
+    ("c2", 1, (0, 1), (-1, 1)),
+    ("g2", 0, (0, 0), (-1, 0)),
+    ("a3", 0, (1, 2, 3), (0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("name,height,coset,nu", ORACLE_CASES, ids=[case[0] for case in ORACLE_CASES])
+def test_tables_match_point_queries(request, name, height, coset, nu):
+    # every kind, every pair, on a full window, a coset window and a
+    # truncation that cuts some rows but not all; each kind's point queries
+    # run on a module of their own, whose memo no table has filled
+    ctx = request.getfixturevalue(name)
+    W, rd = ctx.group, ctx.rd
+    nu = Weight(nu)
+    full = standard_window(W, height)
+    cosets = standard_window(W, 1, coset=coset)
+    kept = [y for y in cosets if dominance_leq(rd, W.dot_zero(y), rd.l * nu)]
+    assert 0 < len(kept) < len(cosets)
+    for window, truncation in ((full, Weight((0,) * rd.rank)), (cosets, nu)):
+        tables = every_table(module_with_classes_of(ctx.module), window, truncation)
+        assert tables == tables_by_point_queries(ctx.module, window, truncation)
+        assert all(tables[kind] for kind in ("periodic_p", "generic_q", "generic_qprime"))
+
+
+def test_point_queries_after_a_table_add_no_memo_entry(b2):
+    M = module_with_classes_of(b2.module)
+    window = standard_window(b2.group, 1)
     nu = Weight((0, 0))
-    truncated_away = [y for y in win if not dominance_leq(a2.rd, W.dot_zero(y), a2.rd.l * nu)]
-    assert 0 < len(truncated_away) < len(win)
-    point = {
-        "simple_in_verma": T.simple_in_verma,
-        "verma_in_projective_truncated": lambda x, y: T.verma_in_projective(x, y, nu),
-        "babyverma_in_projective": T.baby_verma_in_projective,
-    }
-    for kind, value in point.items():
-        table = T.table(kind, win, nu=nu)
-        assert table.entries
-        for x in win:
-            for y in win:
-                assert table.entries.get((x, y), ZERO) == value(x, y)
+    tables = every_table(M, window, nu)
+    filled = len(M._generic_decoded)
+    assert filled
+    for kind, value in point_queries(M, nu).items():
+        for a in window:
+            for b in window:
+                assert tables[kind].get((a, b), ZERO) == value(a, b)
+    assert len(M._generic_decoded) == filled
+
+
+@settings(derandomize=True, database=None, max_examples=25)
+@given(data=st.data())
+def test_tables_match_point_queries_on_ragged_windows(a2, b2, g2, data):
+    # a random subset of a window holds only part of some translation
+    # fibers, and a random truncation cuts a random set of rows
+    ctx = data.draw(st.sampled_from([a2, b2, g2]), label="datum")
+    window = standard_window(ctx.group, 1)
+    picked = data.draw(st.sets(st.integers(0, len(window) - 1), min_size=1, max_size=24), label="window")
+    ragged = [window[i] for i in sorted(picked)]
+    nu = Weight(data.draw(st.tuples(*[st.integers(-1, 1)] * ctx.rd.rank), label="nu"))
+    tables = every_table(module_with_classes_of(ctx.module), ragged, nu)
+    assert tables == tables_by_point_queries(ctx.module, ragged, nu)

@@ -6,11 +6,13 @@ Deselected by the ``addopts`` in ``pyproject.toml``; run them with
 
 import pytest
 
-from oracles import generic_polynomial_by_dicts, kl_basis_by_dicts, poset_rows_per_column
+from oracles import (every_table, generic_polynomial_by_dicts, kl_basis_by_dicts, module_with_classes_of,
+                     poset_rows_per_column, tables_by_point_queries)
 from periodic_kl.cli import main
 from periodic_kl.hecke import HeckeAlgebra
 from periodic_kl.orders import SemiInfinitePoset, standard_window
 from periodic_kl.periodic import PeriodicModule
+from periodic_kl.rootdata import Weight, dominance_leq
 
 pytestmark = pytest.mark.slow
 
@@ -60,3 +62,17 @@ def test_generic_polynomials_match_the_dict_oracle_g2_h1(g2):
             if y.omega_component == x.omega_component:
                 for kind in ("q", "qprime"):
                     assert M.generic_polynomial(y, x, kind) == generic_polynomial_by_dicts(M, y, x, kind)
+
+
+@pytest.mark.parametrize("name,height", [("b2", 2), ("c2", 2), ("g2", 2), ("a3", 1)])
+def test_tables_match_point_queries_at_scale(request, name, height):
+    # every kind, every pair of a full window, against point queries on a
+    # module whose memo no table has filled (G2 h1 is in the default run)
+    ctx = request.getfixturevalue(name)
+    W, rd = ctx.group, ctx.rd
+    window = standard_window(W, height)
+    nu = Weight((0,) * rd.rank)
+    kept = [y for y in window if dominance_leq(rd, W.dot_zero(y), rd.l * nu)]
+    assert 0 < len(kept) < len(window)
+    tables = every_table(module_with_classes_of(ctx.module), window, nu)
+    assert tables == tables_by_point_queries(ctx.module, window, nu)
