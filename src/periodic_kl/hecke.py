@@ -193,6 +193,9 @@ class HeckeAlgebra(RightHeckeModule):
         sum, and supp C_y = [e, y] for every y, so each correction term lies
         in [e, y], inside [e, x]: it is already a key.  A miss is an internal
         error (AssertionError), so no key is ever added behind the walk.
+        The memo keeps the accumulator itself, with no filter: its keys are
+        [e, x], and no coefficient on [e, x] is zero, as the coefficient of
+        H_y in C_x is v^(len x - len y) P_{y,x}(v^-2) with P_{y,x}(0) = 1.
 
         Decode: if p = sum c_e 2^(B e) with every |c_e| < 2^(B-1), then
         p = c_0 mod 2^B with c_0 in [-2^(B-1), 2^(B-1)), so
@@ -295,5 +298,5 @@ class HeckeAlgebra(RightHeckeModule):
             )
         if acc.get(x) != 1:
             raise AssertionError("KL basis element has wrong leading coefficient")
-        hit = cache[x] = ({z: p for z, p in acc.items() if p}, bound)
+        hit = cache[x] = (acc, bound)
         return hit

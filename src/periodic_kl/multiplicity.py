@@ -126,11 +126,13 @@ class MultiplicityTables:
         self.module = module
         self.group = module.group
         self.rd = module.rd
-        g = self.group
-        self._w0 = g.element(Weight((0,) * self.rd.rank), g.w0.index)
 
     def _twist(self, x: ExtAffineElement) -> ExtAffineElement:
-        return self.group.multiply(self._w0, x)
+        """w0 x = t(w0 lam)(w0 w) for x = t(lam) w."""
+        g = self.group
+        g._check(x)
+        w0 = g.w0
+        return g.element(w0.apply(x.trans), g._fin_mul[w0.index][x.w.index])
 
     # -- operations -------------------------------------------------------------
 

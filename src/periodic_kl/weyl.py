@@ -37,15 +37,32 @@ by s_j, descents, reduced words, the Bruhat walk and the KL recursion of
 :mod:`.hecke` all read it.  A new id grows several lists, so a group is
 used by one thread at a time.
 
-Lengths are computed by the Iwahori-Matsumoto formula
+An element met without a neighbour (parsed input, ``element``,
+``multiply``) gets its length from the Iwahori-Matsumoto formula
 
     len(t(lam) w) = sum_{b > 0, w^{-1} b > 0} |<lam, b^>|
                   + sum_{b > 0, w^{-1} b < 0} |<lam, b^> - 1|,
 
 evaluated from an integer form stored on each finite element w: the
-coroot coordinates of the positive roots, each with its offset 0 or 1.  The
-Bruhat order is decided a column at a time (all x <= y for one y) by one
-walk down a reduced word of y, with comparability only inside a common
+coroot coordinates of the positive roots, each with its offset 0 or 1.
+An element first reached by a graph step gets its neighbour's length
+plus or minus 1, the sign read from one pairing with the table ``rises``,
+built next to ``right_steps``: ``rises[j][w] = (r, o)`` with
+
+    len(t(lam) w s_j) = len(t(lam) w) + 1  iff  <lam, r> >= o,
+
+and len(t(lam) w) - 1 otherwise.  Derivation: x s_j > x iff x(a_j) > 0 for
+the affine simple root a_j, which is alpha_j for j >= 1 and delta - eta for
+j = 0 (Bjorner-Brenti, Combinatorics of Coxeter Groups, 4.4;
+Iwahori-Matsumoto 1965).  The element t(lam) w sends alpha + n delta to
+beta + (n - <lam, beta^>) delta with beta = w(alpha), and beta + m delta > 0
+iff m > 0, or m = 0 and beta > 0.  So with beta = w(alpha_j), x(alpha_j) > 0
+iff <lam, -beta^> >= 0 for beta > 0 and >= 1 for beta < 0; with beta =
+w(eta), x(delta - eta) = -beta + (1 + <lam, beta^>) delta > 0 iff
+<lam, beta^> >= 0 for beta > 0 and >= -1 for beta < 0.
+
+The Bruhat order is decided a column at a time (all x <= y for one y) by
+one walk down a reduced word of y, with comparability only inside a common
 coset of the length-zero subgroup.
 """
 
@@ -153,19 +170,16 @@ class AffineWeyl:
         rd = self.rd
         rank = rd.rank
         ident = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-        gens = []
-        for i in range(rank):
-            # s_i(lam) = lam - lam_i * alpha_i.
-            col = rd.simple_roots[i]
-            gens.append(tuple(tuple((1 if r == c else 0) - (col[r] if c == i else 0) for c in range(rank)) for r in range(rank)))
         elements: list[FiniteWeylElement] = [FiniteWeylElement(0, ident, ())]
         index_of = {ident: 0}
-        # right[a][i] = index of a * s_i: the right Cayley table, one matrix product per entry
+        # right[a][i] = index of a * s_i: the right Cayley table.  As s_i(lam) =
+        # lam - lam_i alpha_i, M s_i differs from M only in column i, which
+        # becomes M[:, i] - M alpha_i.
         right: list[list[int]] = []
         for el in elements:  # grows while it runs: a breadth-first search
             row = []
-            for i, g in enumerate(gens):
-                m = _matmul(el.matrix, g)
+            for i, alpha in enumerate(rd.simple_roots):
+                m = tuple((*r[:i], r[i] - sum(map(mul, r, alpha)), *r[i + 1:]) for r in el.matrix)
                 if m not in index_of:
                     index_of[m] = len(elements)
                     elements.append(FiniteWeylElement(len(elements), m, el.word + (i,)))
@@ -173,7 +187,7 @@ class AffineWeyl:
             right.append(row)
         self.finite_elements: tuple[FiniteWeylElement, ...] = tuple(elements)
         self._findex = index_of
-        self._gen_indices = [index_of[g] for g in gens]
+        self._gen_indices = right[0]
 
         # a * b follows b's reduced word from a: row[b] = right[row[b s_i]][i] with
         # i the last letter of b's word, whose prefix b s_i precedes b in the search
@@ -185,18 +199,17 @@ class AffineWeyl:
                 row.append(right[row[p]][i])
             self._fin_mul.append(row)
             a.inverse_index = row.index(0)
-        # Reduced words from BFS are geodesic, so word length is the Coxeter length;
-        # cross-check against the inversion count.
-        for a in elements:
-            inv = sum(1 for beta in rd.positive_roots if rd.root_sign(a.apply(beta)) < 0)
-            assert inv == a.length, "BFS word is not reduced"
-        self.w0 = max(elements, key=lambda e: e.length)
-        assert self.w0.length == len(rd.positive_roots)
 
         # root_images[w][k] = w(beta_k) and sign_table[w][k] = its sign, for
         # the k-th positive root.
         self.root_images = tuple(tuple(map(w.apply, rd.positive_roots)) for w in elements)
         self.sign_table = tuple(tuple(map(rd.root_sign, row)) for row in self.root_images)
+        # Reduced words from BFS are geodesic, so word length is the Coxeter length;
+        # cross-check against the inversion count.
+        for a, signs in zip(elements, self.sign_table):
+            assert signs.count(-1) == a.length, "BFS word is not reduced"
+        self.w0 = max(elements, key=lambda e: e.length)
+        assert self.w0.length == len(rd.positive_roots)
         # Length forms: len(t(lam) w) = sum_k |<lam, beta_k^> - o_k(w)|, with the
         # coroot coordinates of every positive root and o_k(w) = 1 iff w^{-1} beta_k < 0.
         coroot_rows = tuple(map(rd.coroot, rd.positive_roots))
@@ -230,6 +243,14 @@ class AffineWeyl:
             tuple((images[self.s0_root_pos], row[self.s0_finite_index])
                   for images, row in zip(self.root_images, self._fin_mul)),
             *(tuple((zero, row[i]) for row in self._fin_mul) for i in self._gen_indices))
+        # rises[j][w] = (r, o): len(t(lam) w s_j) = len(t(lam) w) + 1 iff <lam, r> >= o,
+        # and len(t(lam) w) - 1 otherwise (module docstring).  With beta = w(eta)
+        # for j = 0: r = beta^ and o = 0 or -1 for beta > 0 or < 0; with
+        # beta = w(alpha_j) for j >= 1: r = -beta^ and o = 0 or 1.
+        self.rises: tuple[tuple[tuple[tuple[int, ...], int], ...], ...] = tuple(
+            tuple((tuple(e * c for c in rd.coroot(images[k])), 0 if signs[k] > 0 else -e)
+                  for images, signs in zip(self.root_images, self.sign_table))
+            for k, e in ((self.s0_root_pos, 1), *((k, -1) for k in self.simple_root_pos)))
 
     def _reflection_matrix(self, beta: Weight) -> tuple[tuple[int, ...], ...]:
         rd = self.rd
@@ -336,24 +357,38 @@ class AffineWeyl:
         return self._intern(tuple(map(add, x.trans, offset)) if j == 0 else x.trans, ws)
 
     def _id(self, x: ExtAffineElement) -> int:
-        """The dense id of x, assigned on first sight to an element of this group."""
+        """The dense id of x, assigned on first sight to an element of this
+        group, with its length by the Iwahori-Matsumoto formula."""
         i = self._ids.get(x)
         if i is None:
             self._check(x)
-            i = self._ids[x] = len(self._elts)
-            self._elts.append(x)
-            self._lens.append(x.length)
-            for nbr in self._nbrs:
-                nbr.append(None)
+            i = self._new_id(x, x.length)
+        return i
+
+    def _new_id(self, x: ExtAffineElement, length: int) -> int:
+        i = self._ids[x] = len(self._elts)
+        self._elts.append(x)
+        self._lens.append(length)
+        for nbr in self._nbrs:
+            nbr.append(None)
         return i
 
     def _step(self, a: int, j: int) -> int:
         """The s_j-slot of id a: b when a s_j = b is longer, ~b when shorter.
-        On first use it fills the slots of a and b together."""
+        On first use it fills the slots of a and b together: the sign is one
+        pairing with ``rises``, and a new b, just interned by ``_gen_step``,
+        gets the length of a plus or minus 1."""
         nbr = self._nbrs[j]
         if nbr[a] is None:
-            b = self._id(self._gen_step(self._elts[a], j))
-            nbr[a], nbr[b] = (b, ~a) if self._lens[b] > self._lens[a] else (~b, a)
+            x = self._elts[a]
+            r, o = self.rises[j][x.w.index]
+            up = sum(map(mul, r, x.trans)) >= o
+            y = self._gen_step(x, j)
+            b = self._ids.get(y)
+            if b is None:
+                y._length = self._lens[a] + 1 if up else self._lens[a] - 1
+                b = self._new_id(y, y._length)
+            nbr[a], nbr[b] = (b, ~a) if up else (~b, a)
         return nbr[a]
 
     def translate_left(self, nu: Weight, x: ExtAffineElement) -> ExtAffineElement:
@@ -496,8 +531,3 @@ class AffineWeyl:
                 raise ValueError(f"finite reflection index {i} out of range in {text!r}")
             w = self._fin_mul[w][self._gen_indices[i - 1]]
         return self._intern(tuple(coords), w)
-
-
-def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n))

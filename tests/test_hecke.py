@@ -259,6 +259,34 @@ def test_kl_basis_is_equivariant_under_length_zero_elements(fixture, request):
             assert H.kl_basis(W.multiply(omega, x)).terms == moved, (text, repr(omega))
 
 
+@pytest.mark.parametrize("fixture", ["a1", "a2", "b2", "c2", "g2", "a3"])
+def test_every_kl_memo_entry_is_its_bruhat_interval_with_no_zero(fixture, request):
+    # by positivity (Kazhdan-Lusztig 1980) supp C_y = [e, y] and no coefficient
+    # on it vanishes, so the memo keeps the accumulator with no filter.  The
+    # keys lie in [e, y] by the Bruhat column, and fill it: every z in [e, y]
+    # steps down inside [e, y] to its length-zero bottom, which is a key, so a
+    # missing z leaves some k s_j (k a key) below y that is not a key
+    ctx = request.getfixturevalue(fixture)
+    W = ctx.group
+    H = HeckeAlgebra(W)
+    rng = random.Random(f"kl-interval:{fixture}")
+    xs = [random_ascent(W, om, rng.randint(10, 16), rng) for om in W.omega_elements.values()]
+    # and the first KL_ORBITS base element of the datum, a benchmark query
+    xs += [W.parse_element(text) for text in _kl_orbits().get((ctx.rd.cartan_type, ctx.rd.rank, ctx.rd.l), ())[:1]]
+    for x in xs:
+        H.kl_basis(x)
+    gens = W.affine_generator_indices()
+    assert len(H._kl_cache) > 3
+    for i, (cy, _) in H._kl_cache.items():
+        y = W._elts[i]
+        assert all(cy.values()), repr(y)
+        assert W._id(W.reduced_word(y)[1]) in cy
+        keys = sorted(cy)
+        edge = sorted({b if b >= 0 else ~b for a in keys for b in (W._step(a, j) for j in gens)} - cy.keys())
+        column = W.bruhat_column([W._elts[z] for z in keys + edge], y)
+        assert all(column[:len(keys)]) and not any(column[len(keys):]), repr(y)
+
+
 def test_kl_correction_outside_the_product_support_is_an_internal_error(a2):
     # C_u (H_s + v) = C_{w0} + C_{s_1} for w0 = s_1 s_2 s_1 and u = w0 s_1, so
     # the recursion at w0 corrects by a memoized C_y; a stray term planted in
@@ -361,7 +389,7 @@ def test_one_cayley_graph_serves_kl_bruhat_and_words(a3):
     # the group's signed slots are the one record of x s_j: after kl_basis(x),
     # the reduced word of x and the Bruhat column of supp C_x walk slots the
     # recursion already filled, and every filled slot agrees with _gen_step
-    # and the lengths
+    # and with lengths computed without the graph
     text = _kl_orbits()[("A", 3, 5)][0]
     W = AffineWeyl(a3.rd)
     H = HeckeAlgebra(W)
@@ -377,6 +405,12 @@ def test_one_cayley_graph_serves_kl_bruhat_and_words(a3):
     assert all(W.bruhat_column(support, x))
     assert (len(W._elts), filled()) == (ids, slots)
     assert slots > 1000
+    # the graph gives each id met through a slot its neighbour's length +-1;
+    # a group with no graph computes them by the Iwahori-Matsumoto formula
+    fresh = AffineWeyl(a3.rd)
+    lengths = [fresh.element(z.trans, z.w.index).length for z in W._elts]
+    assert not fresh._elts
+    assert W._lens == lengths and [z.length for z in W._elts] == lengths
     for j, nbr in enumerate(W._nbrs):
         for a, b in enumerate(nbr):
             if b is None:
@@ -384,8 +418,7 @@ def test_one_cayley_graph_serves_kl_bruhat_and_words(a3):
             longer = b >= 0
             b = b if longer else ~b
             assert W._gen_step(W._elts[a], j) is W._elts[b]
-            assert W._lens[a] == W._elts[a].length and W._lens[b] == W._elts[b].length
-            assert (W._lens[b] > W._lens[a]) == longer
+            assert (lengths[b] > lengths[a]) == longer
     # the order in which slots are filled cannot matter: on a fresh group, the
     # Bruhat column of a window around x first, then kl_basis(x); the window
     # adds translates of the longest terms, some shorter than x and not below it

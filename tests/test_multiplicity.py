@@ -7,6 +7,7 @@ from periodic_kl.laurent import ONE, ZERO
 from periodic_kl.multiplicity import MultiplicityTables, enumerate_blocks
 from periodic_kl.orders import standard_window
 from periodic_kl.rootdata import Weight, dominance_leq
+from periodic_kl.weyl import AffineWeyl
 from oracles import (dot_action, dot_orbit, dot_stabilizer, every_table, module_with_classes_of, point_queries,
                      tables_by_point_queries)
 
@@ -164,6 +165,19 @@ def test_table_builder(a1):
         T.table("verma_in_projective_truncated", win)
     t3 = T.table("babyverma_in_projective", win)
     assert all(t3.entries.get((x, x)) == ONE for x in win)
+
+
+@pytest.mark.parametrize("fixture", ["a1", "a2", "a3", "b2", "c2", "g2"])
+def test_twist_is_the_product_by_w0(fixture, request):
+    # w0 t(lam) w = t(w0 lam)(w0 w), against the group law, on a window
+    ctx = request.getfixturevalue(fixture)
+    W = ctx.group
+    T = MultiplicityTables(ctx.module)
+    w0 = W.element(Weight((0,) * ctx.rd.rank), W.w0)
+    for x in standard_window(W, 1):
+        assert T._twist(x) is W.multiply(w0, x)
+    with pytest.raises(ValueError, match="different root data"):
+        T._twist(AffineWeyl(ctx.rd).identity())
 
 
 def test_table_checks_its_arguments_before_the_window(a1):

@@ -1,8 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
-from periodic_kl.rootdata import Weight, root_datum
+from periodic_kl.rootdata import Weight, pairing, root_datum
 from periodic_kl.weyl import AffineWeyl, ExtAffineElement
 from oracles import bfs_lengths, dot_action, elements_of_length_leq, from_word, subword_bruhat
 
@@ -90,6 +91,23 @@ def test_right_steps_is_the_group_law(fixture, request):
             offset, ws = W.right_steps[j][w.index]
             for lam in (0 * rho, rho, -rho):
                 assert W.multiply(W.element(lam, w), s) is W.element(lam + offset, ws), (j, w, lam)
+
+
+@pytest.mark.parametrize("fixture", ["a1", "a2", "a3", "b2", "c2", "g2"])
+def test_rises_are_the_length_change(fixture, request):
+    # every row of the rise table, over a box of lam, against the lengths of
+    # both ends by the Iwahori-Matsumoto formula: a group whose Cayley graph
+    # stays empty computes every length by the formula
+    rd = request.getfixturevalue(fixture).rd
+    W = AffineWeyl(rd)
+    for lam in map(Weight, product(range(-2, 3), repeat=rd.rank)):
+        for w in W.finite_elements:
+            x = W.element(lam, w)
+            for j in W.affine_generator_indices():
+                r, o = W.rises[j][w.index]
+                rise = 1 if pairing(rd, lam, r) >= o else -1
+                assert W._gen_step(x, j).length - x.length == rise, (j, w, lam)
+    assert not W._elts
 
 
 def test_a_key_of_another_rank_is_refused():
