@@ -13,6 +13,10 @@ Subcommands
 Elements use the textual form ``t(a1,...,ar)*w[i1 i2 ...]`` everywhere.
 Output is deterministic byte for byte for a fixed configuration: elements
 are listed in a canonical order and JSON is emitted with sorted keys.
+Tables and Hecke elements repeat a few polynomials many times: their
+writers render each distinct value once per format and write the document
+in chunks, never as one string, to stdout or to the ``-o`` file, which is
+opened only after every value is computed.
 
 Exit codes: 0 success, 2 usage or configuration error (including an
 unreadable or malformed cache file and an unwritable output or cache
@@ -38,12 +42,14 @@ run: a run served wholly from the cache leaves it untouched.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
+import itertools
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .hecke import HeckeAlgebra, check_length
 from .laurent import ONE, LaurentPoly, ResourceError
@@ -202,14 +208,15 @@ _SCALARS = {
 }
 
 
-def _dumps(obj) -> str:
+def _dumps(obj, indent: str = "\n") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for a
     payload of dict (str keys), list, str, int, bool and None only; any other
-    type raises ``TypeError``.  ``indent`` sends json.dumps to its pure-Python
+    type raises ``TypeError``.  An indent sends json.dumps to its pure-Python
     encoder, whose closures are cyclic; this one is faster and leaves no
-    cyclic garbage."""
+    cyclic garbage.  ``indent`` is a newline followed by the indentation of
+    the line ``obj`` starts on: deeper for a value inside a larger document."""
     out: list[str] = []
-    _write(obj, out.append, "\n")
+    _write(obj, out.append, indent)
     return "".join(out)
 
 
@@ -253,7 +260,22 @@ def _write(o, emit, indent: str) -> None:
         raise TypeError(f"JSON payload holds a {t.__name__}: {o!r}")
 
 
+# Pieces of output joined into one write.
+_CHUNK = 2048
+
+
+def _write_out(args, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to the ``-o`` file, or to stdout, joined ``_CHUNK`` at
+    a time, so a large document is never one string.  The file is opened
+    here, after every value is computed."""
+    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+        pieces = iter(pieces)
+        while chunk := list(itertools.islice(pieces, _CHUNK)):
+            fh.write("".join(chunk))
+
+
 def _emit(args, payload_json: dict, text: str, csv_rows: Optional[list[list[str]]] = None) -> None:
+    """Write a small payload in the requested format: JSON through ``_dumps``."""
     if args.format == "json":
         out = _dumps(payload_json) + "\n"
     elif args.format == "csv":
@@ -265,11 +287,93 @@ def _emit(args, payload_json: dict, text: str, csv_rows: Optional[list[list[str]
         out = buf.getvalue()
     else:
         out = text if text.endswith("\n") else text + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _write_out(args, (out,))
+
+
+# -- the writers of the large payloads: tables and Hecke elements ------------------------
+#
+# Their entries repeat few distinct polynomials many times, so each writer
+# renders every distinct value once per format, in a ``functools.cache`` of
+# the renderer (keyed by the value, freed with the writer), and encodes every
+# element name once.  Each returns its document as an iterator of pieces for
+# ``_write_out``.
+
+
+def _poly_json(p: LaurentPoly) -> str:
+    """``_dumps(p.to_json(), "\\n      ")``: a polynomial at the depth of a table
+    entry's or a Hecke term's.  Its keys sort as strings, "-1" < "0" < "10"
+    < "2", as ``sort_keys`` sorts them."""
+    if not p.coeffs:
+        return "{}"
+    items = sorted([(str(e), c) for e, c in p.coeffs.items()])
+    return "{" + ",".join([f'\n        "{e}": {c!r}' for e, c in items]) + "\n      }"
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a row."""
+    import csv  # off the import path of the json and text formats
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]  # less the empty last field's comma and the line end
+
+
+def _json_pieces(head: dict, key: str, items: Iterable[str]) -> Iterator[str]:
+    """``_dumps({**head, key: [...]}) + "\\n"``, where ``items`` yields the text
+    of each item of the list at ``key``, as ``_dumps`` writes it there."""
+    sep = "{\n  "
+    for k in sorted([*head, key]):
+        yield sep + _encode_str(k) + ": "
+        sep = ",\n  "
+        if k != key:
+            yield _dumps(head[k], "\n  ")
+            continue
+        item_sep = "[\n    "
+        for item in items:
+            yield item_sep + item
+            item_sep = ",\n    "
+        yield "[]" if item_sep == "[\n    " else "\n  ]"
+    yield "\n}\n"
+
+
+def _lines(lines: Iterable[str]) -> Iterator[str]:
+    """``"\\n".join(lines) + "\\n"``."""
+    sep = ""
+    for line in lines:
+        yield sep + line
+        sep = "\n"
+    yield "\n"
+
+
+def _table_pieces(fmt: str, head: dict, names: dict, ordered: list) -> Iterator[str]:
+    """A polynomial or multiplicity table: ``head`` holds the JSON document's
+    other keys, ``names`` the text of each element and ``ordered`` the
+    entries ``((y, x), polynomial)`` in print order."""
+    if fmt == "json":
+        poly, name = functools.cache(_poly_json), {z: _encode_str(s) for z, s in names.items()}
+        return _json_pieces(head, "entries", (
+            f'{{\n      "polynomial": {poly(p)},\n      "x": {name[x]},\n      "y": {name[y]}\n    }}'
+            for (y, x), p in ordered
+        ))
+    if fmt == "csv":
+        poly, name = functools.cache(lambda p: _csv_field(str(p))), {z: _csv_field(s) for z, s in names.items()}
+        rows = (f"{name[y]},{name[x]},{poly(p)}\n" for (y, x), p in ordered)
+        return itertools.chain(("y,x,polynomial\n",), rows)
+    poly = functools.cache(str)
+    return _lines(f"p[{names[y]}, {names[x]}] = {poly(p)}" for (y, x), p in ordered)
+
+
+def _element_pieces(fmt: str, head: dict, terms: list) -> Iterator[str]:
+    """A Hecke element: ``head`` holds the JSON document's other keys and
+    ``terms`` the pairs (element text, polynomial) in print order."""
+    if fmt == "json":
+        poly = functools.cache(_poly_json)
+        return _json_pieces(head, "terms", (
+            f'{{\n      "element": {_encode_str(name)},\n      "polynomial": {poly(p)}\n    }}'
+            for name, p in terms
+        ))
+    poly = functools.cache(str)
+    return _lines(f"{name}: {poly(p)}" for name, p in terms)
 
 
 def _parse_weight(group: AffineWeyl, text: str) -> Weight:
@@ -424,12 +528,9 @@ def _cmd_hecke(args) -> int:
         result = alg.bar_basis(x)
     else:
         result = alg.kl_basis(x)
-    terms = result.to_json()
-    payload = {"op": args.which, "x": group.format_element(x), "y": args.y, "terms": terms}
-    text = ""
-    if args.format == "text":
-        text = "\n".join(f"{x!r}: {result.terms[x]}" for x in result.sorted_support())
-    _emit(args, payload, text)
+    head = {"op": args.which, "x": group.format_element(x), "y": args.y}
+    terms = [(repr(z), result.terms[z]) for z in result.sorted_support()]
+    _write_out(args, _element_pieces(args.format, head, terms))
     return 0
 
 
@@ -474,31 +575,23 @@ def _cmd_table(args) -> int:
         raw = tables.table(kind, window, nu=nu)
         entries_map = {(y, x): p for (x, y), p in raw.entries.items()}
     _save_class_cache(mod, args, on_disk)
-    # Every entry pairs two window elements: name each once, and build only
-    # the requested format.
+    # Every entry pairs two window elements: name and rank each once.
     names = {z: group.format_element(z) for z in window}
-    ordered = sorted(entries_map.items(), key=lambda kv: (kv[0][1].key, kv[0][0].key))
-    payload, text, rows = {}, "", None
-    if args.format == "json":
-        payload = {
-            "kind": kind,
-            "type": args.type.upper(),
-            "rank": args.rank,
-            "l": args.l,
-            "window": {"height": args.height, "coset": args.coset},
-            "truncation": args.nu,
-            "elements": list(names.values()),
-            "entries": [
-                {"y": names[y], "x": names[x], "polynomial": p.to_json()} for (y, x), p in ordered
-            ],
-            "omitted_entries_are": "zero",
-            "format_version": FORMAT_VERSION,
-        }
-    elif args.format == "csv":
-        rows = [["y", "x", "polynomial"]] + [[names[y], names[x], str(p)] for (y, x), p in ordered]
-    else:
-        text = "\n".join(f"p[{names[y]}, {names[x]}] = {p}" for (y, x), p in ordered)
-    _emit(args, payload, text, rows)
+    rank = {z: i for i, z in enumerate(sorted(window, key=lambda z: z.key))}
+    n = len(rank)
+    ordered = sorted(entries_map.items(), key=lambda kv: rank[kv[0][1]] * n + rank[kv[0][0]])
+    head = {
+        "kind": kind,
+        "type": args.type.upper(),
+        "rank": args.rank,
+        "l": args.l,
+        "window": {"height": args.height, "coset": args.coset},
+        "truncation": args.nu,
+        "elements": list(names.values()),
+        "omitted_entries_are": "zero",
+        "format_version": FORMAT_VERSION,
+    }
+    _write_out(args, _table_pieces(args.format, head, names, ordered))
     return 0
 
 

@@ -19,8 +19,9 @@ on the packed integers of :mod:`.laurent` (``pack``/``unpack``, B =
 [-2^(B-1), 2^(B-1))).  A sum of polynomials is one
 integer add, v^{+-1} is a shift by B bits, and the constant term is the
 signed low digit.  Only the element returned is decoded into a
-HeckeElement, through the guarded ``unpack``; the decode is exact while
-every |c_e| < 2^(B-1), which a tracked bound proves (see
+HeckeElement, each distinct value once, through the guarded ``unpack``;
+the decode is exact while every |c_e| < 2^(B-1), which a tracked bound
+proves (see
 ``HeckeAlgebra.kl_basis``).  The recursion serves ``hecke kl`` on the
 command line; the periodic module carries its own self-dual basis.
 
@@ -64,12 +65,6 @@ class HeckeElement(Combination):
         if not self.terms:
             return "0"
         return " + ".join(f"({self.terms[x]})*H[{x!r}]" for x in self.sorted_support())
-
-    def to_json(self) -> list:
-        return [
-            {"element": repr(x), "polynomial": self.terms[x].to_json()}
-            for x in self.sorted_support()
-        ]
 
 
 class RightHeckeModule:
@@ -223,9 +218,14 @@ class HeckeAlgebra(RightHeckeModule):
         check_length(x, "KL recursion")
         terms, bound = self._kl_packed(self.group._id(x))
         elts = self.group._elts
-        return HeckeElement({
-            elts[z]: unpack(p, bound, "KL basis coefficient", elts[z]) for z, p in terms.items()
-        })
+        decoded: dict[int, LaurentPoly] = {}  # each distinct value once: equal terms share it
+        out = {}
+        for z, p in terms.items():
+            q = decoded.get(p)
+            if q is None:
+                q = decoded[p] = unpack(p, bound, "KL basis coefficient", elts[z])
+            out[elts[z]] = q
+        return HeckeElement(out)
 
     def _kl_packed(self, x: int) -> tuple[dict[int, int], int]:
         """C_x as {id: packed coefficient} and the bound M_x on its

@@ -416,11 +416,14 @@ class AffineWeyl:
 
         Returns ``(word, omega)`` with ``x = omega * s_{j1} ... s_{jk}`` and
         ``k = len(x)``.  The word is canonical (lowest descent peeled first
-        from the right).
+        from the right).  The walk takes exactly len(x) steps, each down one
+        length; a walk that does not end at length 0 then is an internal
+        error (AssertionError), never a loop.
         """
         a = self._id(x)
+        n = self._lens[a]
         word_rev: list[int] = []
-        while self._lens[a] > 0:
+        for _ in range(n):
             for j in range(self.num_affine_gens):
                 b = self._step(a, j)
                 if b < 0:
@@ -429,6 +432,8 @@ class AffineWeyl:
                     break
             else:
                 raise AssertionError("positive-length element with no descent")
+        if self._lens[a] != 0:
+            raise AssertionError(f"reduced word of {x!r}: {n} steps down end at length {self._lens[a]}")
         return tuple(reversed(word_rev)), self._elts[a]
 
     def bruhat_leq(self, x: ExtAffineElement, y: ExtAffineElement) -> bool:
@@ -459,7 +464,8 @@ class AffineWeyl:
         An x whose length reaches that of y is decided there: x <= y with
         len(x) >= len(y) holds iff x is y.  An x with len(x) < len(y) stays
         live, so y still has a descent while anything is live, and at
-        len(y) = 0 nothing is.
+        len(y) = 0 nothing is: the walk takes at most len(y) steps, and
+        anything live after them is an internal error (AssertionError).
         """
         self._check(y, *xs)
         out = [False] * len(xs)
@@ -475,6 +481,8 @@ class AffineWeyl:
         y = ids(y)
         gens = range(self.num_affine_gens)
         while live:
+            if not ly:
+                raise AssertionError(f"Bruhat walk from {self._elts[y]!r} outlives its length")
             for j in gens:
                 ys = step(y, j)
                 if ys < 0:

@@ -52,7 +52,11 @@ from periodic_kl.weyl import AffineWeyl, ExtAffineElement
 
 
 def elements_of_length_leq(group: AffineWeyl, bound: int) -> Iterator[ExtAffineElement]:
-    """All extended elements of length <= bound (BFS over generators and omega)."""
+    """All extended elements of length <= bound (BFS over generators and omega).
+
+    The BFS depth from the length-zero elements is the length, so the search
+    stops at depth ``bound`` without reading the group's own lengths.
+    """
     seen = set()
     frontier: list[ExtAffineElement] = []
     for om in group.omega_elements.values():
@@ -60,12 +64,12 @@ def elements_of_length_leq(group: AffineWeyl, bound: int) -> Iterator[ExtAffineE
             seen.add(om)
             frontier.append(om)
     yield from frontier
-    while frontier:
+    for _ in range(bound):
         nxt: list[ExtAffineElement] = []
         for x in frontier:
             for j in group.affine_generator_indices():
                 y = group.right_multiply_gen(x, j)
-                if y not in seen and y.length <= bound:
+                if y not in seen:
                     seen.add(y)
                     nxt.append(y)
                     yield y

@@ -34,7 +34,7 @@ def _element(data, algebras):
 @given(data=st.data())
 def test_kl_basis_is_the_dict_recursion(algebras, data):
     H, memo, x = _element(data, algebras)
-    assert H.kl_basis(x).to_json() == kl_basis_by_dicts(H, x, memo).to_json()
+    assert H.kl_basis(x).terms == kl_basis_by_dicts(H, x, memo).terms
 
 
 @_settings

@@ -41,7 +41,7 @@ def test_kl_basis_matches_the_dict_oracle_g2_length_42(g2):
     x = W.parse_element("t(3,3)*w[1 2 1 2 1 2]")
     assert x.length == 42
     H = HeckeAlgebra(W)
-    assert H.kl_basis(x).to_json() == kl_basis_by_dicts(H, x, {}).to_json()
+    assert H.kl_basis(x).terms == kl_basis_by_dicts(H, x, {}).terms
 
 
 def test_koszul_round_trip_over_support_and_window_a3_h1(a3):

@@ -1,4 +1,6 @@
+import contextlib
 import random
+import signal
 from itertools import product
 
 import pytest
@@ -151,6 +153,57 @@ def test_reduced_words_reconstruct(fixture, bound, request):
         assert len(word) == x.length
         assert omega.length == 0
         assert from_word(W, word, omega) == x
+
+
+@contextlib.contextmanager
+def _within(seconds: float):
+    """Raise TimeoutError in the body once it has run ``seconds``: a walk that
+    loops fails the test instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _walked_a2():
+    """A fresh A2 group, an element x of length 3 whose reduced word has
+    filled the graph's slots along it, and x's lowest right descent xs."""
+    W = AffineWeyl(root_datum("A", 2, 5))
+    x = W.parse_element("t(1,-1)*w[1 2 1]")
+    assert x.length == 3
+    word, _ = W.reduced_word(x)
+    return W, x, W.right_multiply_gen(x, word[-1])
+
+
+@pytest.mark.parametrize("shift", [-5, -1, 1, 3])
+def test_a_corrupted_length_entry_fails_the_reduced_word(shift):
+    # the walk takes exactly the recorded length in steps: a record too long
+    # runs out of descents, one too short stops above length 0
+    W, x, _ = _walked_a2()
+    W._lens[W._id(x)] += shift
+    with _within(1.0), pytest.raises(AssertionError):
+        W.reduced_word(x)
+
+
+def test_a_slot_cycle_fails_the_walks_instead_of_looping():
+    # x and xs each recorded as the other's descent: a walk down them never
+    # reaches length 0.  With a corrupted length entry at the bottom of the
+    # coset, the Bruhat walk from x would keep it live for a billion steps.
+    W, x, xs = _walked_a2()
+    a, b = W._id(x), W._id(xs)
+    W._nbrs[0][b] = ~a
+    with _within(1.0), pytest.raises(AssertionError):
+        W.reduced_word(x)
+    bottom = next(om for om in W.omega_elements.values() if om.omega_component == x.omega_component)
+    W._lens[W._id(bottom)] = -10 ** 9
+    with _within(1.0), pytest.raises(AssertionError):
+        W.bruhat_column([bottom], x)
 
 
 def test_bruhat_examples(a1):
