@@ -13,10 +13,12 @@ Subcommands
 Elements use the textual form ``t(a1,...,ar)*w[i1 i2 ...]`` everywhere.
 Output is deterministic byte for byte for a fixed configuration: elements
 are listed in a canonical order and JSON is emitted with sorted keys.
-Tables and Hecke elements repeat a few polynomials many times: their
-writers render each distinct value once per format and write the document
-in chunks, never as one string, to stdout or to the ``-o`` file, which is
-opened only after every value is computed.
+There is one writer per format (``_write`` for JSON, ``_csv_field`` for a
+csv field, ``_lines`` for lines), and every document streams through it in
+chunks, never as one string, to stdout or to the ``-o`` file, which is
+opened only after every value is computed.  Tables and Hecke elements
+repeat a few polynomials many times; each distinct value is rendered once
+per format.
 
 Exit codes: 0 success, 2 usage or configuration error (including an
 unreadable or malformed cache file and an unwritable output or cache
@@ -49,6 +51,7 @@ import itertools
 import json
 import os
 import sys
+from types import GeneratorType
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .hecke import HeckeAlgebra, check_length
@@ -197,6 +200,18 @@ def _window(args, group: AffineWeyl):
     return standard_window(group, args.height, coset)
 
 
+# -- output: one writer per format -------------------------------------------------------
+#
+# Every document is a stream of pieces for ``_write_out``: JSON from
+# ``_write``, csv fields from ``_csv_field`` and lines (of csv or text)
+# joined by ``_lines``.  ``_pieces`` chooses among them for a small
+# document.  The writers of tables and Hecke elements hand ``_write`` a
+# generator of their entries' texts, or ``_lines`` their lines.  Their
+# entries repeat few distinct polynomials many times, so each renders every
+# distinct value once per format, in a ``functools.cache`` of the renderer
+# (keyed by the value, freed with the document), and encodes every element
+# name once.
+
 # The encoder of each scalar payload type, as json.dumps writes it: strings
 # through its C escaper, ints through int.__repr__ (never a bool's).
 _encode_str = json.encoder.encode_basestring_ascii
@@ -215,49 +230,76 @@ def _dumps(obj, indent: str = "\n") -> str:
     encoder, whose closures are cyclic; this one is faster and leaves no
     cyclic garbage.  ``indent`` is a newline followed by the indentation of
     the line ``obj`` starts on: deeper for a value inside a larger document."""
-    out: list[str] = []
-    _write(obj, out.append, indent)
-    return "".join(out)
+    return "".join(_write(obj, indent))
 
 
-def _write(o, emit, indent: str) -> None:
-    """Emit ``o`` at the current position; ``indent`` is a newline followed by
-    the indentation of the line ``o`` starts on."""
+def _write(o, indent: str) -> Iterator[str]:
+    """The pieces of ``o`` written at the current position; ``indent`` is a
+    newline followed by the indentation of the line ``o`` starts on.  A list
+    may also be a generator of the texts of its items, each written at the
+    list's inner indentation; they are streamed in place."""
     t = type(o)
     if t is dict:
         if not o:
-            emit("{}")
+            yield "{}"
             return
         inner = indent + "  "
         sep, comma = "{" + inner, "," + inner
         for key, item in sorted(o.items()):  # the escaper refuses a non-str key
             encode = _SCALARS.get(type(item))
             if encode is None:
-                emit(sep + _encode_str(key) + ": ")
-                _write(item, emit, inner)
+                yield sep + _encode_str(key) + ": "
+                yield from _write(item, inner)
             else:
-                emit(sep + _encode_str(key) + ": " + encode(item))
+                yield sep + _encode_str(key) + ": " + encode(item)
             sep = comma
-        emit(indent + "}")
-    elif t is list:
-        if not o:
-            emit("[]")
-            return
+        yield indent + "}"
+    elif t is list or t is GeneratorType:
         inner = indent + "  "
         sep, comma = "[" + inner, "," + inner
         for item in o:
-            encode = _SCALARS.get(type(item))
+            encode = str if t is GeneratorType else _SCALARS.get(type(item))
             if encode is None:
-                emit(sep)
-                _write(item, emit, inner)
+                yield sep
+                yield from _write(item, inner)
             else:
-                emit(sep + encode(item))
+                yield sep + encode(item)
             sep = comma
-        emit(indent + "]")
+        yield indent + "]" if sep is comma else "[]"
     elif t in _SCALARS:
-        emit(_SCALARS[t](o))
+        yield _SCALARS[t](o)
     else:
         raise TypeError(f"JSON payload holds a {t.__name__}: {o!r}")
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a row of two or
+    more fields (the lone field of a one-field row is quoted when empty)."""
+    import csv  # off the import path of the json and text formats
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]  # less the empty last field's comma and the line end
+
+
+def _lines(lines: Iterable[str]) -> Iterator[str]:
+    """``"\\n".join(lines) + "\\n"``."""
+    sep = ""
+    for line in lines:
+        yield sep + line
+        sep = "\n"
+    yield "\n"
+
+
+def _pieces(fmt: str, payload: dict, lines: Iterable[str] = (), rows: Iterable[Sequence[str]] = ()) -> Iterator[str]:
+    """A document in ``fmt``, ending in a newline: ``payload`` as JSON, the
+    csv ``rows`` (each distinct field encoded once) or the text ``lines``."""
+    if fmt == "json":
+        return itertools.chain(_write(payload, "\n"), ("\n",))
+    if fmt == "csv":
+        field = functools.cache(_csv_field)
+        lines = (",".join(map(field, row)) for row in rows)
+    return _lines(lines)
 
 
 # Pieces of output joined into one write.
@@ -274,75 +316,9 @@ def _write_out(args, pieces: Iterable[str]) -> None:
             fh.write("".join(chunk))
 
 
-def _emit(args, payload_json: dict, text: str, csv_rows: Optional[list[list[str]]] = None) -> None:
-    """Write a small payload in the requested format: JSON through ``_dumps``."""
-    if args.format == "json":
-        out = _dumps(payload_json) + "\n"
-    elif args.format == "csv":
-        import csv  # off the import path of the json and text formats
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(csv_rows)
-        out = buf.getvalue()
-    else:
-        out = text if text.endswith("\n") else text + "\n"
-    _write_out(args, (out,))
-
-
-# -- the writers of the large payloads: tables and Hecke elements ------------------------
-#
-# Their entries repeat few distinct polynomials many times, so each writer
-# renders every distinct value once per format, in a ``functools.cache`` of
-# the renderer (keyed by the value, freed with the writer), and encodes every
-# element name once.  Each returns its document as an iterator of pieces for
-# ``_write_out``.
-
-
 def _poly_json(p: LaurentPoly) -> str:
-    """``_dumps(p.to_json(), "\\n      ")``: a polynomial at the depth of a table
-    entry's or a Hecke term's.  Its keys sort as strings, "-1" < "0" < "10"
-    < "2", as ``sort_keys`` sorts them."""
-    if not p.coeffs:
-        return "{}"
-    items = sorted([(str(e), c) for e, c in p.coeffs.items()])
-    return "{" + ",".join([f'\n        "{e}": {c!r}' for e, c in items]) + "\n      }"
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it as one field of a row."""
-    import csv  # off the import path of the json and text formats
-
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((text, ""))
-    return buf.getvalue()[:-2]  # less the empty last field's comma and the line end
-
-
-def _json_pieces(head: dict, key: str, items: Iterable[str]) -> Iterator[str]:
-    """``_dumps({**head, key: [...]}) + "\\n"``, where ``items`` yields the text
-    of each item of the list at ``key``, as ``_dumps`` writes it there."""
-    sep = "{\n  "
-    for k in sorted([*head, key]):
-        yield sep + _encode_str(k) + ": "
-        sep = ",\n  "
-        if k != key:
-            yield _dumps(head[k], "\n  ")
-            continue
-        item_sep = "[\n    "
-        for item in items:
-            yield item_sep + item
-            item_sep = ",\n    "
-        yield "[]" if item_sep == "[\n    " else "\n  ]"
-    yield "\n}\n"
-
-
-def _lines(lines: Iterable[str]) -> Iterator[str]:
-    """``"\\n".join(lines) + "\\n"``."""
-    sep = ""
-    for line in lines:
-        yield sep + line
-        sep = "\n"
-    yield "\n"
+    """A polynomial at the depth of a table entry's or a Hecke term's."""
+    return _dumps(p.to_json(), "\n      ")
 
 
 def _table_pieces(fmt: str, head: dict, names: dict, ordered: list) -> Iterator[str]:
@@ -351,14 +327,14 @@ def _table_pieces(fmt: str, head: dict, names: dict, ordered: list) -> Iterator[
     entries ``((y, x), polynomial)`` in print order."""
     if fmt == "json":
         poly, name = functools.cache(_poly_json), {z: _encode_str(s) for z, s in names.items()}
-        return _json_pieces(head, "entries", (
+        return _pieces("json", {**head, "entries": (
             f'{{\n      "polynomial": {poly(p)},\n      "x": {name[x]},\n      "y": {name[y]}\n    }}'
             for (y, x), p in ordered
-        ))
+        )})
     if fmt == "csv":
         poly, name = functools.cache(lambda p: _csv_field(str(p))), {z: _csv_field(s) for z, s in names.items()}
-        rows = (f"{name[y]},{name[x]},{poly(p)}\n" for (y, x), p in ordered)
-        return itertools.chain(("y,x,polynomial\n",), rows)
+        rows = (f"{name[y]},{name[x]},{poly(p)}" for (y, x), p in ordered)
+        return _lines(itertools.chain(["y,x,polynomial"], rows))
     poly = functools.cache(str)
     return _lines(f"p[{names[y]}, {names[x]}] = {poly(p)}" for (y, x), p in ordered)
 
@@ -368,10 +344,10 @@ def _element_pieces(fmt: str, head: dict, terms: list) -> Iterator[str]:
     ``terms`` the pairs (element text, polynomial) in print order."""
     if fmt == "json":
         poly = functools.cache(_poly_json)
-        return _json_pieces(head, "terms", (
+        return _pieces("json", {**head, "terms": (
             f'{{\n      "element": {_encode_str(name)},\n      "polynomial": {poly(p)}\n    }}'
             for name, p in terms
-        ))
+        )})
     poly = functools.cache(str)
     return _lines(f"{name}: {poly(p)}" for name, p in terms)
 
@@ -441,7 +417,7 @@ def _cmd_blocks(args) -> int:
         gens = " ".join(group.format_element(x) for x in b.stabilizer_generators)
         rows.append([rep, walls, str(b.regular).lower(), gens])
         lines.append(f"({rep})  regular={str(b.regular).lower():5}  walls=[{walls}]  stabilizer=[{gens}]")
-    _emit(args, payload, "\n".join(lines), rows)
+    _write_out(args, _pieces(args.format, payload, lines, rows))
     return 0
 
 
@@ -479,11 +455,10 @@ def _cmd_selfcheck(args) -> int:
 
     _save_class_cache(mod, args, on_disk)
     lines = [f"{'ok' if ok else 'FAIL'}  {name}" for name, ok in checks]
-    text = "\n".join(lines)
     payload = {"checks": [{"name": n, "ok": ok} for n, ok in checks]}
-    _emit(args, payload, text)
+    _write_out(args, _pieces(args.format, payload, lines))
     if not all(ok for _, ok in checks):
-        raise CertificationError("selfcheck failed: " + text)
+        raise CertificationError("selfcheck failed: " + "\n".join(lines))
     return 0
 
 
@@ -509,7 +484,7 @@ def _cmd_mult(args) -> int:
         "value": value.to_json(),
         "value_str": str(value),
     }
-    _emit(args, payload, str(value))
+    _write_out(args, _pieces(args.format, payload, [str(value)]))
     return 0
 
 
@@ -542,9 +517,8 @@ def _cmd_orders(args) -> int:
     names = {z: group.format_element(z) for z in poset.window}
     edges = sorted([names[a], names[b]] for a, b in poset.hasse_edges())
     payload = {"window": list(names.values()), "edges": edges}
-    text = "\n".join(f"{a} < {b}" for a, b in edges)
-    rows = [["lower", "upper"]] + edges
-    _emit(args, payload, text, rows)
+    lines = [f"{a} < {b}" for a, b in edges]
+    _write_out(args, _pieces(args.format, payload, lines, [["lower", "upper"], *edges]))
     return 0
 
 

@@ -292,10 +292,7 @@ class HeckeAlgebra(RightHeckeModule):
             except KeyError:
                 raise AssertionError("KL correction term outside the support of the product") from None
         if bound >= half:
-            raise ResourceError(
-                f"KL recursion at an element of length {n}: the coefficient bound "
-                f"({bound.bit_length()} bits) reaches the packed digit width of {width} bits"
-            )
+            raise laurent.bound_error(bound, "KL recursion", f"an element of length {n}")
         if acc.get(x) != 1:
             raise AssertionError("KL basis element has wrong leading coefficient")
         hit = cache[x] = (acc, bound)

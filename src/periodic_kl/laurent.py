@@ -37,7 +37,10 @@ class ResourceError(RuntimeError):
 
 
 class LaurentPoly:
-    __slots__ = ("coeffs",)
+    # ``coeffs`` is assigned only by the constructors (``__init__``, the
+    # operators that fill a ``__new__`` object and ``unpack``) and never
+    # mutated, so the hash is computed once, on first use, into ``_hash``.
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         d = dict(coeffs)
@@ -118,7 +121,10 @@ class LaurentPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = self._hash = hash(frozenset(self.coeffs.items()))
+        return h
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

@@ -18,6 +18,7 @@ from periodic_kl.orders import SemiInfinitePoset, standard_window
 from periodic_kl.periodic import PeriodicElement, PeriodicModule
 from periodic_kl.rootdata import root_datum
 from periodic_kl.weyl import AffineWeyl, ExtAffineElement
+from test_digests import FORMAT_DIGESTS
 
 DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
 
@@ -72,11 +73,13 @@ def _tokens(argv: str) -> list[str]:
     return re.findall(r"\S*\[[^\]]*\]|\S+", argv)
 
 
-@pytest.mark.parametrize("argv", sorted(DIGESTS))
+# Every pinned invocation: the benchmark's, and every other format and small
+# document of tests/test_digests.py.
+@pytest.mark.parametrize("argv", sorted({*DIGESTS, *FORMAT_DIGESTS}))
 def test_an_invocation_leaves_no_garbage_of_ours(argv):
     # The parser is built once per process, and building it leaves argparse
     # cycles behind; build it before measuring.  Everything else an
-    # invocation makes, its JSON output included, is freed by reference
+    # invocation makes, its output included, is freed by reference
     # counting.
     build_parser()
     with _collector_off():

@@ -5,8 +5,10 @@ holds the stdout sha256 of every benchmark invocation (Hasse diagrams,
 selfcheck runs, polynomial and multiplicity tables, ``mult`` queries and
 ``hecke kl`` elements, over A1 to A3, B2, C2 and G2); this module replays
 each of them through the command line and compares its digest.  The file
-is only read here.  The csv and text forms of every table argv, and
-``hecke mul`` and ``hecke bar`` on A1 and A2, are pinned below.
+is only read here.  The csv and text forms of every table argv, ``hecke
+mul`` and ``hecke bar`` on A1 and A2, and the small documents (``blocks``,
+``orders``, ``selfcheck`` and ``mult``) in the formats the benchmark does
+not print, are pinned below.
 """
 
 import contextlib
@@ -176,10 +178,106 @@ HECKE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("argv", sorted(TABLE_FORMAT_DIGESTS) + sorted(HECKE_DIGESTS))
+# sha256 of the stdout of the small documents, recorded before they shared the
+# table writers' encoders: ``blocks`` in every format on every datum, the
+# csv and text forms of every ``orders`` argv above, the json form of every
+# ``selfcheck`` argv above, and one text ``mult`` query of each kind on A1
+# and on A2.
+SMALL_DIGESTS = {
+    "blocks --type A --rank 1 --l 3 --format json":
+        "45170dcd34eae02fbb013409d1740b89d87b5f09505584b524af7b0c8dd0b8c8",
+    "blocks --type A --rank 1 --l 3 --format csv":
+        "4a375dacc22194b40376d06325ef774a1ef0ef381ccac87098bbc669e48e6bc0",
+    "blocks --type A --rank 1 --l 3 --format text":
+        "a9c51396d3d829e134e4707c86138f91bcdf5e4f92e7b8843f58325769c429f2",
+    "blocks --type A --rank 2 --l 5 --format json":
+        "2a654544b0384a2b958b146c264c3e504e0e577d884c58215a36c9f6f589eaa6",
+    "blocks --type A --rank 2 --l 5 --format csv":
+        "fd99ccc7697afce518c707039098e2ff61d8a68f477d9feb88da8e8e2b592967",
+    "blocks --type A --rank 2 --l 5 --format text":
+        "592758dfd78719b8122f496e238de2901ef99c85ba7579ca7f50dcad08c82485",
+    "blocks --type B --rank 2 --l 5 --format json":
+        "6cee8b1c6f657e232bae06ed73266b96279377b5545d0c0efe52b2a018c9a9b9",
+    "blocks --type B --rank 2 --l 5 --format csv":
+        "a5309cdf6ff452e6504cc8b2a51b468f9f2f15a0aa93366be9ad71cd6dc73602",
+    "blocks --type B --rank 2 --l 5 --format text":
+        "13cd6053d6c7e3a55432cfe739d96c661480d784ed01585231bfa59447c8da4a",
+    "blocks --type C --rank 2 --l 5 --format json":
+        "60fdcf766e1613e9e9ad4725d12f6e0c5c5e2f7ec6125e62c9483ee37fdf6e93",
+    "blocks --type C --rank 2 --l 5 --format csv":
+        "4547e840290977101b099eae771e6e5d558a39e48f83f2803f3e07349320837a",
+    "blocks --type C --rank 2 --l 5 --format text":
+        "144fabe84068a715f15edf6bcc175ed40b1156df58a4c11130efe2cd06ed1c62",
+    "blocks --type G --rank 2 --l 7 --format json":
+        "8432ee4236f8a4e1170a25bf52bc302f649c872480d7f8f1a60a5710eaa33165",
+    "blocks --type G --rank 2 --l 7 --format csv":
+        "60673231268774a8a444fb4efc5253260ce1879ceb32af0e0507d84eb674b355",
+    "blocks --type G --rank 2 --l 7 --format text":
+        "1047b5727d2209a2d08c6d83fc52c1ff20c5aeaec460d02c52b60957a70d8ab3",
+    "blocks --type A --rank 3 --l 5 --format json":
+        "521a8b683dfc575927c0fdb36de2070b8225bb55acd4816910010877437e6866",
+    "blocks --type A --rank 3 --l 5 --format csv":
+        "75891ae0ff2579be830637eb51aa8502629ace6acd4d5a5e67f78eb22c3a8d21",
+    "blocks --type A --rank 3 --l 5 --format text":
+        "c0a76c5e9b90984989583a02948ddbe4bc76ffb9c928246da5312cf6a591584c",
+    "orders hasse --type A --rank 2 --l 5 --height 2 --format csv":
+        "d0aa491957e55181774d3f3037c8def0bad2dd41fce23060b5664caba6c6ccd6",
+    "orders hasse --type A --rank 2 --l 5 --height 2 --format text":
+        "b96ea283d7bb0c15b03de09c214e67d1c580c85d8b7b7d9a56635a995128f0fd",
+    "orders hasse --type B --rank 2 --l 5 --height 1 --format csv":
+        "df3f00a3b69fbd0a27df0d2b142134afbe78439936146707a7c4fe56de29a322",
+    "orders hasse --type B --rank 2 --l 5 --height 1 --format text":
+        "0189654f106d63d19ea086f724865556490fb1505a9e5f34ba5315afc2dae8c1",
+    "orders hasse --type G --rank 2 --l 7 --height 0 --format csv":
+        "bf79938f14d3546d38be3647d1ed7e7b3d18967c78ec8e62d95aa3f8c54ff410",
+    "orders hasse --type G --rank 2 --l 7 --height 0 --format text":
+        "cf72b06797684722169c4768df6353e28e437a1a46ce7c953fc9266522c06614",
+    "selfcheck --type A --rank 1 --l 3 --height 6 --format json":
+        "bb7b68804e0d0e779a2727712b610f64d8d8226b145da1c0a46ddd6f0bf4eef0",
+    "selfcheck --type A --rank 2 --l 5 --height 1 --format json":
+        "bb7b68804e0d0e779a2727712b610f64d8d8226b145da1c0a46ddd6f0bf4eef0",
+    "selfcheck --type B --rank 2 --l 5 --height 0 --format json":
+        "bb7b68804e0d0e779a2727712b610f64d8d8226b145da1c0a46ddd6f0bf4eef0",
+    "selfcheck --type C --rank 2 --l 5 --height 0 --format json":
+        "bb7b68804e0d0e779a2727712b610f64d8d8226b145da1c0a46ddd6f0bf4eef0",
+    "selfcheck --type G --rank 2 --l 7 --height 0 --format json":
+        "bb7b68804e0d0e779a2727712b610f64d8d8226b145da1c0a46ddd6f0bf4eef0",
+    "mult simple-in-verma --type A --rank 1 --l 3 --x t(1)*w[] --y t(-1)*w[] --format text":
+        "709d6914543c2fc97bcfd636dc54cbf433073204909b9a08a1eed81f87741137",
+    "mult verma-in-projective --type A --rank 1 --l 3 --x t(0)*w[1] --y t(0)*w[] --nu=2 --format text":
+        "73324e1ab1db72ee9eb4fdf1c90a586d67e00ab58330d1cbfea26ecd0a77fa4d",
+    "mult baby --type A --rank 1 --l 3 --x t(1)*w[1] --y t(-1)*w[] --format text":
+        "73324e1ab1db72ee9eb4fdf1c90a586d67e00ab58330d1cbfea26ecd0a77fa4d",
+    "mult simple-in-verma --type A --rank 2 --l 5 --x t(-1,1)*w[] --y t(0,-1)*w[1 2] --format text":
+        "1dc6720d540dd683aa4e7bf6734dfece4c908bc5161b13a8449260c1d7331ee7",
+    "mult verma-in-projective --type A --rank 2 --l 5 --x t(-1,-1)*w[] --y t(0,0)*w[] --nu=2,2 --format text":
+        "0dc39d20ed9429b8772097b09dbb1ce204a212485f3aded9a3cf072a714fe990",
+    "mult baby --type A --rank 2 --l 5 --x t(-1,1)*w[2] --y t(0,-1)*w[1 2] --format text":
+        "73324e1ab1db72ee9eb4fdf1c90a586d67e00ab58330d1cbfea26ecd0a77fa4d",
+}
+
+BLOCKS_DATA = ("A --rank 1 --l 3", "A --rank 2 --l 5", "B --rank 2 --l 5",
+               "C --rank 2 --l 5", "G --rank 2 --l 7", "A --rank 3 --l 5")
+
+
+def test_every_small_document_has_a_digest():
+    blocks = [f"blocks --type {d} --format {fmt}" for d in BLOCKS_DATA for fmt in ("json", "csv", "text")]
+    orders = [f"{argv} --format {fmt}" for argv in PINNED if argv.startswith("orders") for fmt in ("csv", "text")]
+    selfchecks = [argv.replace("--format text", "--format json") for argv in PINNED if argv.startswith("selfcheck")]
+    mults = [argv for argv in SMALL_DIGESTS if argv.startswith("mult")]
+    assert sorted(SMALL_DIGESTS) == sorted(blocks + orders + selfchecks + mults)
+    assert sorted(argv.split()[1:6:4] for argv in mults) == sorted(
+        [kind, rank] for kind in ("baby", "simple-in-verma", "verma-in-projective") for rank in ("1", "2"))
+    assert all(argv.endswith("--format text") for argv in mults)
+
+
+FORMAT_DIGESTS = {**TABLE_FORMAT_DIGESTS, **HECKE_DIGESTS, **SMALL_DIGESTS}
+
+
+@pytest.mark.parametrize("argv", sorted(FORMAT_DIGESTS))
 def test_format_digest(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(_tokens(argv))
     assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == {**TABLE_FORMAT_DIGESTS, **HECKE_DIGESTS}[argv]
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == FORMAT_DIGESTS[argv]

@@ -1,7 +1,8 @@
-"""The CLI's JSON emitter prints what ``json.dumps(payload, sort_keys=True,
-indent=2)`` prints, and refuses every type a payload must not hold.  The
-writers of tables and Hecke elements print what the payload they replace
-printed in every format, and ``-o`` holds the bytes of stdout."""
+"""The CLI's JSON writer prints what ``json.dumps(payload, sort_keys=True,
+indent=2)`` prints, and refuses every type a payload must not hold; its csv
+rows print as ``csv.writer`` prints them.  The writers of tables and Hecke
+elements print what the payload they replace printed in every format, and
+``-o`` holds the bytes of stdout."""
 
 import contextlib
 import csv
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from periodic_kl import cli
-from periodic_kl.cli import _dumps, _element_pieces, _table_pieces, main
+from periodic_kl.cli import _dumps, _element_pieces, _pieces, _table_pieces, main
 from periodic_kl.laurent import ZERO, LaurentPoly
 
 
@@ -54,6 +55,21 @@ def test_explicit_cases(payload):
 def test_other_types_are_refused(payload):
     with pytest.raises(TypeError):
         _dumps(payload)
+
+
+def test_a_generator_is_a_list_of_its_items_texts():
+    # each text is written at the list's inner indentation, as _dumps writes the item there
+    items = [{"k": [1, None]}, [], "x", 2]
+    payload = {"a": (_dumps(v, "\n    ") for v in items), "b": (t for t in ())}
+    assert _dumps(payload) == _reference({"a": items, "b": []})
+
+
+@_settings
+@given(st.lists(st.lists(_texts, min_size=2, max_size=4), max_size=5))
+def test_csv_rows_of_two_or_more_fields_print_as_csv_writer_prints_them(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([["a", "b"], *rows])
+    assert "".join(_pieces("csv", {}, rows=[["a", "b"], *rows])) == buf.getvalue()
 
 
 A1 = ["--type", "A", "--rank", "1", "--l", "3"]

@@ -108,3 +108,24 @@ def test_bar_is_an_involutive_ring_homomorphism(a, b):
 def test_unpack_inverts_pack(p):
     bound = max(map(abs, p.coeffs.values()), default=0)
     assert unpack(pack(p), bound, "value", "key") == p
+
+
+@_settings
+@given(laurent_polys, laurent_polys)
+def test_equal_values_hash_equal_also_after_one_was_hashed(a, b):
+    # Each operand order fills its dict in its own order; the hash is kept
+    # per object from its first use on.
+    s, t = a + b, b + a
+    assert s is not t
+    first = hash(s)
+    assert hash(t) == first == hash(s) == hash(LaurentPoly(dict(reversed(s.coeffs.items()))))
+    assert {s: 1}[t] == 1
+    assert hash(V) != hash(VINV) and hash(V) == hash(LaurentPoly({1: 1})) != hash(V + V)
+
+
+@_settings
+@given(zv_polys)
+def test_an_unpacked_value_hashes_as_its_equal(p):
+    hash(p)
+    bound = max(map(abs, p.coeffs.values()), default=0)
+    assert hash(unpack(pack(p), bound, "value", "key")) == hash(p)
