@@ -12,16 +12,16 @@ of H_s + v.  The bar involution is the ring homomorphism with v -> v^{-1}
 and H_x -> (H_{x^{-1}})^{-1}; the self-dual (Kazhdan-Lusztig) basis
 element at x is the unique bar-invariant element of H_x + sum_{y < x}
 vZ[v] H_y (Bruhat order), computed by the standard multiply-by-(H_s +
-v)-and-correct recursion on the ids of the group's Cayley graph, with the
-corrections made in one walk down the lengths of the product's support.  Every coefficient that recursion meets lies in Z[v], so it runs
+v)-and-correct recursion on the ids of the group's Cayley graph, each
+correction read off the product as a mu-coefficient (Kazhdan-Lusztig
+1979).  Every coefficient that recursion meets lies in Z[v], so it runs
 on the packed integers of :mod:`.laurent` (``pack``/``unpack``, B =
 ``laurent._WIDTH`` bits per exponent, each c_e a balanced digit in
-[-2^(B-1), 2^(B-1))).  A sum of polynomials is one
-integer add, v^{+-1} is a shift by B bits, and the constant term is the
-signed low digit.  Only the element returned is decoded into a
-HeckeElement, each distinct value once, through the guarded ``unpack``;
-the decode is exact while every |c_e| < 2^(B-1), which a tracked bound
-proves (see
+[-2^(B-1), 2^(B-1))).  A sum of polynomials is one integer add, v^{+-1}
+is a shift by B bits, and the constant term is the signed low digit.
+Only the element returned is decoded into a HeckeElement, each distinct
+value once, through the guarded ``unpack``; the decode is exact while
+every |c_e| < 2^(B-1), which a tracked bound proves (see
 ``HeckeAlgebra.kl_basis``).  The recursion serves ``hecke kl`` on the
 command line; the periodic module carries its own self-dual basis.
 
@@ -171,23 +171,25 @@ class HeckeAlgebra(RightHeckeModule):
             acc[a] = v p_a + p_b,    acc[b] = p_a + v^{-1} p_b,
 
         from H_a (H_s + v) = H_b + v H_a and H_b (H_s + v) = H_a + v^{-1} H_b,
-        the rule of ``RightHeckeModule.act_cs``.
-        One walk over its keys, sorted by descending length, then subtracts
-        m C_y at every y below len(x) whose coefficient is not in vZ[v].  As
-        every coefficient is in Z[v], m (its bar-symmetric lower part) is the
-        constant term, the low digit, and the correction is one integer
-        multiply-add per term of C_y, applied as one bulk update.  C_y adds
-        terms only strictly below y, so each key is final when the walk
-        reaches it.  Every C_y visited stays packed in the memo; only C_x is
-        decoded.
+        the rule of ``RightHeckeModule.act_cs``.  The product is C_x + sum
+        mu(y, u) C_y over y < u with ys < y (Kazhdan-Lusztig, "Representations
+        of Coxeter groups and Hecke algebras", 1979), mu(y, u) the v term of
+        p_y.  As every p_z with z != u is in vZ[v], the low digit (constant
+        term) of acc[b] at an upper b != x is mu(b, u), and 0 at a lower a.
+        So each m C_b, m != 0, is recorded as its orbit is built and
+        subtracted once the product is complete, in any order: C_b is in H_b
+        + sum vZ[v] H_z, so it moves no constant term but b's.  Each is one
+        integer multiply-add per term of C_b, applied as one bulk update.
+        Every C_b used stays packed in the memo; only C_x is decoded.
 
         Support: the keys of the product are supp C_u together with its
         s-translates, which is [e, u] u [e, u]s = [e, x].  By positivity
         (Kazhdan-Lusztig, "Schubert varieties and Poincare duality", 1980)
         every coefficient of C_u (H_s + v) = C_x + sum mu C_z is a non-negative
         sum, and supp C_y = [e, y] for every y, so each correction term lies
-        in [e, y], inside [e, x]: it is already a key.  A miss is an internal
-        error (AssertionError), so no key is ever added behind the walk.
+        in [e, y], inside [e, x]: it is already a key.  A miss, a memoized
+        C_y outside [e, y], is an internal error (AssertionError): the new
+        key's constant term would never be read.
         The memo keeps the accumulator itself, with no filter: its keys are
         [e, x], and no coefficient on [e, x] is zero, as the coefficient of
         H_y in C_x is v^(len x - len y) P_{y,x}(v^-2) with P_{y,x}(0) = 1.
@@ -195,8 +197,8 @@ class HeckeAlgebra(RightHeckeModule):
         Decode: if p = sum c_e 2^(B e) with every |c_e| < 2^(B-1), then
         p = c_0 mod 2^B with c_0 in [-2^(B-1), 2^(B-1)), so
         c_0 = ((p + 2^(B-1)) mod 2^B) - 2^(B-1) and (p - c_0) / 2^B packs the
-        rest.  The walk reads the same digit with one big-integer operation,
-        c_0 = (p mod 2^B) - [p mod 2^B >= 2^(B-1)] 2^B.  Checks: the right
+        rest.  The recursion reads the same digit with one big-integer
+        operation, c_0 = (p mod 2^B) - [p mod 2^B >= 2^(B-1)] 2^B.  Checks: the right
         shift is exact only on a coefficient in vZ[v], so a down move first
         tests that its low digit is zero (this keeps every coefficient in
         Z[v], which makes m an integer); and the coefficient of H_x must come
@@ -255,6 +257,7 @@ class HeckeAlgebra(RightHeckeModule):
         cu, bound_u = self._kl_packed(~u)
         bound = 2 * bound_u
         acc: dict[int, int] = {}
+        mu: list[tuple[int, int]] = []  # (y, mu(y, u)) at every upper y != x with mu != 0
         get = cu.get
         for a, p in cu.items():
             b = nbr[a]
@@ -269,22 +272,19 @@ class HeckeAlgebra(RightHeckeModule):
                 if q & mask:
                     raise AssertionError("unexpected correction shape in KL recursion")
                 acc[a] = (p << width) + q
-                acc[b] = p + (q >> width)
+                y, c = b, p + (q >> width)
             elif ~b not in cu:  # the orbit {~b < a}: p_{~b} = 0, p_a = p (else done at ~b)
                 if p & mask:
                     raise AssertionError("unexpected correction shape in KL recursion")
                 acc[~b] = p
-                acc[a] = p >> width
-        order = sorted(acc, key=lens.__getitem__, reverse=True)
-        top = 0
-        while lens[order[top]] == n:
-            top += 1
-        for y in order[top:]:
-            m = acc[y] & mask  # the low digit, made balanced below
-            if not m:
+                y, c = a, p >> width
+            else:
                 continue
-            if m >= half:
-                m -= full
+            acc[y] = c  # y is the upper element, y != x: its low digit is mu(y, u)
+            m = c & mask
+            if m:
+                mu.append((y, m - full if m >= half else m))
+        for y, m in mu:
             cy, bound_y = cache.get(y) or self._kl_packed(y)
             bound += abs(m) * bound_y
             try:

@@ -281,8 +281,11 @@ def kl_basis_by_dicts(algebra: HeckeAlgebra, x: ExtAffineElement, memo: dict) ->
 
     One pass over the lengths len(x) - 1, ..., 0 then subtracts m C_y at
     every y whose coefficient is not in vZ[v], where m is its bar-symmetric
-    lower part, one shifted and scaled copy of C_y per monomial of m.
-    ``memo`` maps elements to their computed C_y and may be shared between
+    lower part, one shifted and scaled copy of C_y per monomial of m.  Each
+    m is read from the accumulator after every correction above it, with no
+    use of mu(y, u); ``HeckeAlgebra.kl_basis`` reads every m off the product
+    as mu(y, u) and needs no order, so the two do not share the step that
+    finds the corrections.  ``memo`` maps elements to their computed C_y and may be shared between
     calls on the same algebra.
     """
     hit = memo.get(x)

@@ -310,8 +310,9 @@ def test_kl_correction_outside_the_product_support_is_an_internal_error(a2):
 def test_kl_correction_by_a_negative_low_digit(a2):
     # x = t(1,1) has lowest right descent s_1 and u = x s_1; y = s_1 < u with
     # ys < y, and h_{y,u} = v^2 has no v term.  Planting C_u - v H_y makes the
-    # product's constant term at y equal p_{ys,u}(0) + [v] p_{y,u} - 1 = -1, so
-    # the walk corrects by m = -1: the balanced low digit's negative branch
+    # planted mu(y, u), the v term of p_y, equal -1: the product's constant
+    # term at the upper element y is p_{ys,u}(0) + [v] p_{y,u} = -1, so the
+    # recursion reads m = -1 there, the balanced low digit's negative branch
     W = a2.group
     x = W.parse_element("t(1,1)*w[]")
     u, y = W.right_multiply_gen(x, 1), W.simple_reflection(0)
@@ -328,6 +329,36 @@ def test_kl_correction_by_a_negative_low_digit(a2):
     # the planted -v H_y (H_s + v) = -v H_{ys} - H_y is exactly what the
     # correction by m C_y = -(H_y + v H_{ys}) takes back: C_x comes out true
     assert expected == kl_basis_by_dicts(HeckeAlgebra(W), x, {})
+
+
+@pytest.mark.parametrize("fixture", ["a1", "a2", "b2", "c2", "g2", "a3"])
+def test_kl_product_is_c_x_plus_mu_corrections(fixture, request):
+    # C_u (H_s + v) = C_x + sum_{ys < y} mu(y, u) C_y (Kazhdan-Lusztig 1979),
+    # mu(y, u) the v term of C_u at y: the identity the recursion reads its
+    # corrections from, checked at every memo entry x of seeded elements and
+    # of the first KL_ORBITS base element, the product by the dict rule
+    ctx = request.getfixturevalue(fixture)
+    W = ctx.group
+    H = HeckeAlgebra(W)
+    rng = random.Random(f"kl-mu:{fixture}")
+    xs = [random_ascent(W, om, rng.randint(8, 14), rng) for om in W.omega_elements.values()]
+    xs += [W.parse_element(text) for text in _kl_orbits().get((ctx.rd.cartan_type, ctx.rd.rank, ctx.rd.l), ())[:1]]
+    for x in xs:
+        H.kl_basis(x)
+    corrected = 0
+    for x in [W._elts[i] for i in H._kl_cache]:
+        if x.length == 0:
+            continue
+        j = next(k for k in W.affine_generator_indices() if W.right_descent(x, k))
+        cu = H.kl_basis(W.right_multiply_gen(x, j))
+        corrections = H.element({})
+        for y, p in cu.terms.items():
+            mu = p.coeffs.get(1, 0)
+            if mu and W.right_descent(y, j):
+                corrections = corrections + H.kl_basis(y).scale(mu)
+                corrected += 1
+        assert H.act_cs(cu, j) - H.kl_basis(x) == corrections, repr(x)
+    assert corrected > 0
 
 
 def test_kl_basis_at_a_narrow_digit_width(monkeypatch, a2):
