@@ -245,16 +245,7 @@ def _write(o, indent: str) -> Iterator[str]:
             return
         inner = indent + "  "
         sep, comma = "{" + inner, "," + inner
-        keys = sorted(o)  # the escaper refuses a non-str key
-        try:  # a dict of scalars only, as a polynomial is, is one piece
-            flat = comma.join([f"{_encode_str(key)}: {_SCALARS[type(o[key])](o[key])}" for key in keys])
-        except KeyError:  # a value that is not a scalar
-            pass
-        else:
-            yield sep + flat + indent + "}"
-            return
-        for key in keys:
-            item = o[key]
+        for key, item in sorted(o.items()):  # the escaper refuses a non-str key
             encode = _SCALARS.get(type(item))
             if encode is None:
                 yield sep + _encode_str(key) + ": "

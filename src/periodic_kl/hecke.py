@@ -166,7 +166,8 @@ class HeckeAlgebra(RightHeckeModule):
         Recursion: with s_j the lowest right descent of x and u = x s_j, the
         product C_u (H_s + v) is built in one {id: packed int} dict, on the
         ids of the group's Cayley graph.  Every s-orbit {a, b = as} with
-        a < b meeting the support of C_u is visited once, by one slot lookup:
+        a < b meeting the support of C_u is visited once, at a, by one slot
+        lookup:
 
             acc[a] = v p_a + p_b,    acc[b] = p_a + v^{-1} p_b,
 
@@ -189,7 +190,9 @@ class HeckeAlgebra(RightHeckeModule):
         sum, and supp C_y = [e, y] for every y, so each correction term lies
         in [e, y], inside [e, x]: it is already a key.  A miss, a memoized
         C_y outside [e, y], is an internal error (AssertionError): the new
-        key's constant term would never be read.
+        key's constant term would never be read.  So is an upper b in supp
+        C_u whose a is not: [e, u] is closed under going down, and the orbit
+        is visited at a.
         The memo keeps the accumulator itself, with no filter: its keys are
         [e, x], and no coefficient on [e, x] is zero, as the coefficient of
         H_y in C_x is v^(len x - len y) P_{y,x}(v^-2) with P_{y,x}(0) = 1.
@@ -257,7 +260,7 @@ class HeckeAlgebra(RightHeckeModule):
         cu, bound_u = self._kl_packed(~u)
         bound = 2 * bound_u
         acc: dict[int, int] = {}
-        mu: list[tuple[int, int]] = []  # (y, mu(y, u)) at every upper y != x with mu != 0
+        mu: list[tuple[int, int]] = []  # (b, mu(b, u)) at every upper b != x with mu != 0
         get = cu.get
         for a, p in cu.items():
             b = nbr[a]
@@ -272,18 +275,12 @@ class HeckeAlgebra(RightHeckeModule):
                 if q & mask:
                     raise AssertionError("unexpected correction shape in KL recursion")
                 acc[a] = (p << width) + q
-                y, c = b, p + (q >> width)
-            elif ~b not in cu:  # the orbit {~b < a}: p_{~b} = 0, p_a = p (else done at ~b)
-                if p & mask:
-                    raise AssertionError("unexpected correction shape in KL recursion")
-                acc[~b] = p
-                y, c = a, p >> width
-            else:
-                continue
-            acc[y] = c  # y is the upper element, y != x: its low digit is mu(y, u)
-            m = c & mask
-            if m:
-                mu.append((y, m - full if m >= half else m))
+                acc[b] = c = p + (q >> width)  # b is upper, b != x: its low digit is mu(b, u)
+                m = c & mask
+                if m:
+                    mu.append((b, m - full if m >= half else m))
+            elif ~b not in cu:  # the orbit {~b < a} is done at ~b, which supp C_u = [e, u] holds
+                raise AssertionError("KL basis element whose support is not closed under going down")
         for y, m in mu:
             cy, bound_y = cache.get(y) or self._kl_packed(y)
             bound += abs(m) * bound_y

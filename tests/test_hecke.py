@@ -307,6 +307,23 @@ def test_kl_correction_outside_the_product_support_is_an_internal_error(a2):
         H.kl_basis(w0)
 
 
+def test_kl_memo_entry_not_closed_under_going_down_is_an_internal_error(a2):
+    # the recursion at w0 visits each s_1-orbit of supp C_u at its lower
+    # element, u = w0 s_1; a stray upper element planted in C_u, whose lower
+    # element is not a key, has no visit and must not be dropped silently
+    W = a2.group
+    H = HeckeAlgebra(W)
+    w0 = W.element(Weight((0, 0)), W.w0.index)
+    u = W.right_multiply_gen(w0, 1)
+    z = W.translation(Weight((3, 3)))
+    stray = z if W.right_descent(z, 1) else W.right_multiply_gen(z, 1)
+    assert W.right_descent(stray, 1)
+    cu, bound = H._kl_packed(W._id(u))
+    H._kl_cache[W._id(u)] = ({**cu, W._id(stray): 1}, bound)
+    with pytest.raises(AssertionError, match="not closed under going down"):
+        H.kl_basis(w0)
+
+
 def test_kl_correction_by_a_negative_low_digit(a2):
     # x = t(1,1) has lowest right descent s_1 and u = x s_1; y = s_1 < u with
     # ys < y, and h_{y,u} = v^2 has no v term.  Planting C_u - v H_y makes the
