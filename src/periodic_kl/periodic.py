@@ -151,19 +151,35 @@ precomputed offset, and the terms are scanned by ascending offset sum, so
 each sum stops at the first term whose key sum exceeds that largest sum:
 its q and every later one are zero.
 
-The inversion and Koszul checks are evaluated once per orbit of
-simultaneous left translation and memoized: q, p and the Koszul sum are
-translation-equivariant, and (-1)^{len} is a character of
-the extended group (its value on a length-zero element is +1 and
-conjugation by one permutes the simple reflections), so len(t(nu) x) +
-len(t(nu) y) has the parity of len(x) + len(y).  The inversion sum at (y,
-z) therefore depends only on (z.trans - y.trans, y.w, z.w); it is
-evaluated at y = t(0) y.w, z = t(d) z.w from a per-class table of the rows
-x0 = w0 pos, pos in SD_{w0 t(0) z.w}, with x = t(d) x0 and len(t(d)) = <d,
-2 rho^> mod 2.  The Koszul sum at (y, x) depends only on (y.trans -
-x.trans, y.w, x.w) and still expands the operator over all subsets of the
-positive roots (grouped by subset sum), so the round trip is not a
-tautology.
+The inversion and Koszul checks depend only on the orbit of a pair under
+simultaneous left translation: q, p and the Koszul sum are
+translation-equivariant, and (-1)^{len} is a character of the extended
+group (its value on a length-zero element is +1 and conjugation by one
+permutes the simple reflections), so len(t(nu) x) + len(t(nu) y) has the
+parity of len(x) + len(y).  The inversion sum at (y, z) therefore depends
+only on (d = z.trans - y.trans, y.w, z.w); it is evaluated at y = t(0) y.w,
+z = t(d) z.w from a per-class table of the rows x0 = w0 pos, pos in SD_{w0
+t(0) z.w}, with x = t(d) x0 and len(t(d)) = <d, 2 rho^> mod 2.  The rows
+come in groups by the finite part of x0, each reading one generic table,
+and a group adds nothing once sum E(d) exceeds its threshold, the table's
+top minus the group's least row sum; the groups are kept by descending
+threshold, so each sum stops at the first group below sum E(d).  The
+Koszul sum at (y, x) depends only on (y.trans - x.trans, y.w, x.w) and
+still expands the operator over all subsets of the positive roots
+(grouped by subset sum), so the round trip is not a tautology.
+
+The per-pair entry points ``inversion_sum`` and ``koszul_of_series``
+memoize the decoded sum per orbit.  The two reports behind ``selfcheck``
+evaluate each distinct orbit of their window once and compare on packed
+integers.  ``inversion_report`` works by translation-difference block, as
+the tables do: the window's translation fibers are paired once per pair
+of fibers in one coset, and each (y.w, z.w) that a difference d uses is
+evaluated once and compared with delta.  ``koszul_report`` covers x in the
+window and y in supp SD_x, which is t(x.trans) times the terms (t, u) of
+class x.w: it evaluates each term of each class of the window once, at
+E(t), and compares with the term's packed p.  Both decode, and build
+elements, only for a deviation, which they report at every window pair of
+its orbit.
 
 Packed sums.  Every polynomial these sums touch lies in Z[v]: p is in
 {1} + vZ[v], and the partition series and the Koszul factors have only
@@ -180,9 +196,18 @@ partitions (every coefficient is positive), and |c_e| <= l1.  A summand
 whose bound is 0 is the zero polynomial and is skipped.  A value is
 decoded once per memo entry (the Koszul and inversion memos, and the
 decoded memo behind ``generic_polynomial`` and the tables), through the
-guarded ``laurent.unpack``: the decode is exact when the bound is below 2^(B-1),
-and otherwise a ResourceError names the value, its key and the bound's
-size before any digit that may have wrapped is read.
+guarded ``laurent.unpack``: the decode is exact when the bound is below
+2^(B-1), and otherwise a ResourceError names the value, its key and the
+bound's size before any digit that may have wrapped is read.  The reports
+compare without decoding, under the same guard: a polynomial whose
+coefficients all lie in [-2^(B-1), 2^(B-1)) is determined by its packed
+integer, because its coefficients are the balanced base-2^B digits of
+that integer and balanced digits are unique.  So once a sum's bound is
+below 2^(B-1) (else the same ResourceError), it equals its expected value
+exactly when the integers are equal.  The expected values are in range
+too: delta is 0 or 1, and a Koszul sum's bound counts the term's own p
+(the empty subset, and the row of the term itself with the empty
+partition), so it is at least l1(p).
 """
 
 from __future__ import annotations
@@ -212,6 +237,10 @@ MAX_SWEEP_STEPS = 500_000
 # Memo entries of ``_partitions`` one module may hold before it raises
 # ResourceError.
 MAX_PARTITION_STATES = 20_000
+
+# What a refused Koszul or inversion sum names, with its orbit key.
+_KOSZUL = "Koszul sum (y.trans - x.trans, y.w, x.w)"
+_INVERSION = "inversion sum (z.trans - y.trans, y.w, z.w)"
 
 
 class CertificationError(AssertionError):
@@ -263,7 +292,7 @@ class PeriodicModule(RightHeckeModule):
         self._generic_tables: dict[tuple[int, int], tuple[dict, dict, Optional[int]]] = {}
         self._generic_decoded: dict[tuple[tuple[int, ...], int, int, bool], LaurentPoly] = {}
         self._inversion_rows: dict[int, dict[int, list[tuple[int, tuple[int, ...], int, int]]]] = {}
-        self._inversion_plans: dict[tuple[int, int], list[tuple[tuple[dict, dict, int], list]]] = {}
+        self._inversion_plans: dict[tuple[int, int], list[tuple[int, tuple[dict, dict, int], list]]] = {}
         self._inversion_memo: dict = {}
         self._koszul_memo: dict = {}
         self._down_policy = self._choose_down_moves()
@@ -297,6 +326,7 @@ class PeriodicModule(RightHeckeModule):
 
     def p_polynomial(self, y: ExtAffineElement, x: ExtAffineElement) -> LaurentPoly:
         """Periodic polynomial p_{y,x}: coefficient of B_y in the self-dual element at x."""
+        self.group._check(y, x)
         hit = self._class(x.w.index).get((tuple(map(sub, y.trans, x.trans)), y.w.index))
         return ZERO if hit is None else hit[2]
 
@@ -647,6 +677,7 @@ class PeriodicModule(RightHeckeModule):
         if kind != "q" and kind != "qprime":
             raise ValueError(f"unknown generic polynomial kind {kind!r}; expected one of "
                              f"{', '.join(get_args(GenericKind))}")
+        self.group._check(y, x)
         rel = tuple(map(sub, y.trans, x.trans))
         return self._generic_entry(rel, y.w.index, x.w.index, kind == "q", self.rd.scaled_root_coordinates(rel))
 
@@ -754,14 +785,50 @@ class PeriodicModule(RightHeckeModule):
         value depends only on the orbit (y.trans - x.trans, y.w, x.w) and is
         memoized by it.
         """
+        self.group._check(y, x)
         rel = tuple(map(sub, y.trans, x.trans))
         key = (rel, y.w.index, x.w.index)
         hit = self._koszul_memo.get(key)
         if hit is None:
-            total, bound = self._q_sum(self._generic_table(key[1], key[2]),
-                                       self.rd.scaled_root_coordinates(rel), self._koszul_packed)
-            hit = self._koszul_memo[key] = unpack(total, bound, "Koszul sum (y.trans - x.trans, y.w, x.w)", key)
+            hit = self._koszul_memo[key] = unpack(
+                *self._koszul_sum(key[1], key[2], self.rd.scaled_root_coordinates(rel)), _KOSZUL, key)
         return hit
+
+    def _koszul_sum(self, u: int, c: int, target: tuple[int, ...]) -> tuple[int, int]:
+        """The Koszul sum at y = t(rel) u, x = t(0) c with E(rel) = ``target``,
+        packed, with a bound on its l1 norm."""
+        return self._q_sum(self._generic_table(u, c), target, self._koszul_packed)
+
+    def koszul_report(self, window: Sequence[ExtAffineElement]) -> list[tuple[ExtAffineElement, ExtAffineElement, LaurentPoly]]:
+        """Every deviation (y, x, K - p_{y,x}) of the Koszul round trip, K =
+        ``koszul_of_series(y, x)``, over x in the window and y in supp SD_x.
+
+        supp SD_x is t(x.trans) times the terms (t, u) of class x.w, and K
+        at y = t(x.trans + t) u depends only on (t, u, x.w), so each term of
+        each class of the window is evaluated once and compared, packed,
+        with its stored p (module docstring); a deviating term is reported
+        at every x of its class in the window.
+        """
+        g = self.group
+        g._check(*window)
+        by_class: dict[int, list[ExtAffineElement]] = {}
+        for x in window:
+            by_class.setdefault(x.w.index, []).append(x)
+        half = 1 << (laurent._WIDTH - 1)
+        scaled: dict[tuple[int, ...], tuple[int, ...]] = {}  # E(t) by translation t
+        bad = []
+        for c, xs in by_class.items():
+            for (t, u), (p, _, poly) in self._class(c).items():
+                target = scaled.get(t)
+                if target is None:
+                    target = scaled[t] = self.rd.scaled_root_coordinates(t)
+                total, bound = self._koszul_sum(u, c, target)
+                if bound >= half:
+                    raise bound_error(bound, _KOSZUL, (t, u, c))
+                if total != p:
+                    diff = unpack(total, bound, _KOSZUL, (t, u, c)) - poly
+                    bad += [(g._intern(tuple(map(add, x.trans, t)), u), x, diff) for x in xs]
+        return bad
 
     def _q_sum(self, table: tuple[dict, dict, Optional[int]], target: tuple[int, ...],
                terms: Iterable[tuple[int, tuple[int, ...], int, int]]) -> tuple[int, int]:
@@ -796,6 +863,7 @@ class PeriodicModule(RightHeckeModule):
         Memoized by the orbit (z.trans - y.trans, y.w, z.w) under simultaneous
         left translation and evaluated at y = t(0) y.w, z = t(d) z.w.
         """
+        self.group._check(y, z)
         d = tuple(map(sub, z.trans, y.trans))
         key = (d, y.w.index, z.w.index)
         hit = self._inversion_memo.get(key)
@@ -805,21 +873,17 @@ class PeriodicModule(RightHeckeModule):
 
     def _inversion_orbit(self, d: tuple[int, ...], yw: int, zw: int) -> LaurentPoly:
         """The inversion sum at y = t(0) yw, z = t(d) zw."""
-        plan = self._inversion_plans.get((yw, zw))
-        if plan is None:
-            groups = self._inversion_rows.get(zw)
-            if groups is None:
-                groups = self._inversion_rows[zw] = self._build_inversion_rows(zw)
-            # each group of rows with the generic table it reads
-            plan = []
-            for u, group in groups.items():
-                table = self._generic_table(u, yw)
-                if table[2] is not None:  # otherwise every q of the group is zero
-                    plan.append((table, group))
-            self._inversion_plans[(yw, zw)] = plan
-        target = self.rd.scaled_root_coordinates(d)
+        return unpack(*self._inversion_packed(d, self.rd.scaled_root_coordinates(d), yw, zw),
+                      _INVERSION, (d, yw, zw))
+
+    def _inversion_packed(self, d: tuple[int, ...], target: tuple[int, ...], yw: int, zw: int) -> tuple[int, int]:
+        """The inversion sum at y = t(0) yw, z = t(d) zw with E(d) = ``target``,
+        packed, with a bound on its l1 norm."""
+        need = sum(target)
         total = bound = 0
-        for table, group in plan:
+        for threshold, table, group in self._inversion_plan(yw, zw):
+            if threshold < need:
+                break  # this group's q are all zero, and so are every later group's
             part, part_bound = self._q_sum(table, target, group)
             total += part
             bound += part_bound
@@ -827,7 +891,28 @@ class PeriodicModule(RightHeckeModule):
         # mod 2, with len(t(d)) = <d, 2 rho^> mod 2; the rows carry (-1)^len(x0).
         if (sum(map(mul, self.rd.two_rho_check, d)) + self.group.finite_elements[yw].length) % 2:
             total = -total
-        return unpack(total, bound, "inversion sum (z.trans - y.trans, y.w, z.w)", (d, yw, zw))
+        return total, bound
+
+    def _inversion_plan(self, yw: int, zw: int) -> list[tuple[int, tuple[dict, dict, int], list]]:
+        """The groups of inversion rows of zw (``_build_inversion_rows``), each
+        with the generic table (u, yw) it reads and its threshold top - the
+        group's least reach, by descending threshold.  ``_q_sum`` stops a
+        group before its first row when sum E(d) exceeds that threshold, so
+        at such d the group and every later one add nothing.  A group whose
+        table has no term reads only zeros and is left out."""
+        plan = self._inversion_plans.get((yw, zw))
+        if plan is None:
+            groups = self._inversion_rows.get(zw)
+            if groups is None:
+                groups = self._inversion_rows[zw] = self._build_inversion_rows(zw)
+            plan = []
+            for u, group in groups.items():
+                table = self._generic_table(u, yw)
+                if table[2] is not None:
+                    plan.append((table[2] - group[0][0], table, group))
+            plan.sort(key=lambda entry: -entry[0])
+            self._inversion_plans[(yw, zw)] = plan
+        return plan
 
     def _build_inversion_rows(self, zw: int) -> dict[int, list[tuple[int, tuple[int, ...], int, int]]]:
         """The rows x0 = w0 pos over pos in SD_{w0 t(0) zw}, grouped by the finite
@@ -851,17 +936,49 @@ class PeriodicModule(RightHeckeModule):
         return groups
 
     def inversion_report(self, window: Sequence[ExtAffineElement]) -> list[tuple[ExtAffineElement, ExtAffineElement, LaurentPoly]]:
-        """All deviations of the inversion identity from delta on the window."""
-        cosets: dict[tuple, list[ExtAffineElement]] = {}
+        """Every deviation (y, z, S - delta_{y,z}) of the inversion identity, S =
+        ``inversion_sum(y, z)``, over the same-coset pairs of the window.
+
+        Evaluated by translation-difference block, as the tables are: the
+        window's translation fibers are paired once per pair of fibers in
+        one coset (the coset reads only the translation), and for each
+        difference d every (y.w, z.w) that its pairs use is evaluated once,
+        compared with delta packed (module docstring), and a deviation is
+        reported at every pair of the block with those finite parts.
+        """
+        self.group._check(*window)
+        fibers: dict[tuple[int, ...], list[ExtAffineElement]] = {}
         for z in window:
-            cosets.setdefault(z.omega_component, []).append(z)
+            fibers.setdefault(z.trans, []).append(z)
+        cosets: dict[tuple[int, ...], list[list[ExtAffineElement]]] = {}
+        for fiber in fibers.values():
+            cosets.setdefault(fiber[0].omega_component, []).append(fiber)
+        by_d: dict[tuple[int, ...], list[tuple[list, list]]] = {}
+        for coset in cosets.values():
+            for y_fiber in coset:
+                for z_fiber in coset:
+                    by_d.setdefault(tuple(map(sub, z_fiber[0].trans, y_fiber[0].trans)), []).append((y_fiber, z_fiber))
+        half = 1 << (laurent._WIDTH - 1)
         bad = []
-        for y in window:
-            for z in cosets[y.omega_component]:
-                val = self.inversion_sum(y, z)
-                expected = ONE if y == z else ZERO
-                if val != expected:
-                    bad.append((y, z, val - expected))
+        for d, pairs in by_d.items():
+            target = self.rd.scaled_root_coordinates(d)
+            diagonal = not any(d)
+            block: dict[tuple[int, int], LaurentPoly] = {}  # (y.w, z.w) -> S - delta
+            for y_fiber, z_fiber in pairs:
+                for y in y_fiber:
+                    yw = y.w.index
+                    for z in z_fiber:
+                        zw = z.w.index
+                        diff = block.get((yw, zw))
+                        if diff is None:
+                            total, bound = self._inversion_packed(d, target, yw, zw)
+                            if bound >= half:
+                                raise bound_error(bound, _INVERSION, (d, yw, zw))
+                            delta = 1 if diagonal and yw == zw else 0
+                            diff = block[yw, zw] = ZERO if total == delta else (
+                                unpack(total, bound, _INVERSION, (d, yw, zw)) - (ONE if delta else ZERO))
+                        if diff.coeffs:
+                            bad.append((y, z, diff))
         return bad
 
     # -- tables -------------------------------------------------------------------------------
@@ -888,6 +1005,7 @@ class PeriodicModule(RightHeckeModule):
         if kind not in get_args(KindName):
             raise ValueError(f"unknown table kind {kind!r}; expected one of {', '.join(get_args(KindName))}")
         win = tuple(window)
+        self.group._check(*win)
         return PolynomialTable(kind, win, self._table_entries(kind, win, win))
 
     def _table_entries(self, kind: KindName, ys: Sequence[ExtAffineElement],

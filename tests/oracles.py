@@ -5,8 +5,10 @@ lengths, exhaustive subword enumeration for the Bruhat order, a dense
 linear solve for self-dual basis elements, orbit enumeration for block
 combinatorics, and the per-pair element formulas of the inversion sum and
 the Koszul round trip (the module memoizes both per translation orbit).
-Apart from the last two, which read q and p from the module, none of it
-shares code paths with the production implementations it checks.  The
+Apart from the last two, which read q and p from the module, and the
+per-pair loops of the two selfcheck reports, which call the module's
+per-pair entry points, none of it shares code paths with the production
+implementations it checks.  The
 classical KL recursion on {exponent: coefficient} dicts is kept here too,
 as the formula the packed-integer recursion of ``HeckeAlgebra`` replaced,
 and so is the Bruhat order as one descent recursion per pair, which the
@@ -429,6 +431,37 @@ def koszul_of_series_per_pair(module: PeriodicModule, y: ExtAffineElement, x: Ex
         q = module.generic_polynomial(g.translate_left(sigma, y), x, "q")
         total = total + poly_shift(q, 2 * size).scale(-1 if size % 2 else 1)
     return total
+
+
+def inversion_report_per_pair(module: PeriodicModule, window: Sequence[ExtAffineElement]) -> list:
+    """The deviations (y, z, S - delta) of the inversion identity by one
+    ``inversion_sum`` call per same-coset window pair, which the report's
+    evaluation per translation-difference block replaced."""
+    cosets: dict[tuple, list[ExtAffineElement]] = {}
+    for z in window:
+        cosets.setdefault(z.omega_component, []).append(z)
+    bad = []
+    for y in window:
+        for z in cosets[y.omega_component]:
+            value = module.inversion_sum(y, z)
+            expected = ONE if y == z else ZERO
+            if value != expected:
+                bad.append((y, z, value - expected))
+    return bad
+
+
+def koszul_report_per_pair(module: PeriodicModule, window: Sequence[ExtAffineElement]) -> list:
+    """The deviations (y, x, K - p) of the Koszul round trip by one
+    ``koszul_of_series`` call per x in the window and y in the support of
+    the self-dual element at x, which the report's evaluation per class
+    term replaced."""
+    bad = []
+    for x in window:
+        for y, p in module.selfdual(x).terms.items():
+            value = module.koszul_of_series(y, x)
+            if value != p:
+                bad.append((y, x, value - p))
+    return bad
 
 
 def poset_rows_per_column(order: SemiInfiniteOrder, window) -> tuple[int, ...]:

@@ -86,6 +86,16 @@ def test_selfcheck_exits_3_when_the_guard_fires(monkeypatch, capsys):
     assert "the coefficient bound (" in lines[0]
 
 
+def test_koszul_report_refuses_a_sum_whose_bound_reaches_the_width(monkeypatch, b2):
+    # the B2 classes solve at 4 bits, but the bounds of the Koszul sums (up
+    # to 35 on the h1 window) do not fit
+    monkeypatch.setattr(laurent, "_WIDTH", 4)
+    M = PeriodicModule(b2.group)
+    with pytest.raises(ResourceError, match=r"^Koszul sum \(y.trans - x.trans, y.w, x.w\) at \(\(-?\d+, -?\d+\), \d+, \d+\): "
+                                            r"the coefficient bound \(\d+ bits\) reaches the packed digit width of 4 bits$"):
+        M.koszul_report(standard_window(b2.group, 1))
+
+
 def _l1(p: LaurentPoly) -> int:
     return sum(map(abs, p.coeffs.values()))
 

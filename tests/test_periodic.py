@@ -480,6 +480,26 @@ def test_selfdual_refuses_an_element_of_another_group(a1, a2):
     assert W._elements == before
 
 
+# every entry point of the periodic module that takes elements, given a
+# window: each refuses one from another group before any lookup
+_ENTRY_POINTS = {
+    "inversion_report": lambda M, w: M.inversion_report(w),
+    "koszul_report": lambda M, w: M.koszul_report(w),
+    "polynomial_table": lambda M, w: M.polynomial_table("generic_q", w),
+    "generic_polynomial": lambda M, w: M.generic_polynomial(w[0], w[-1]),
+    "p_polynomial": lambda M, w: M.p_polynomial(w[0], w[-1]),
+    "inversion_sum": lambda M, w: M.inversion_sum(w[0], w[-1]),
+    "koszul_of_series": lambda M, w: M.koszul_of_series(w[0], w[-1]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_entry_points_refuse_elements_of_another_group(a2, b2, entry):
+    M = PeriodicModule(a2.group)
+    with pytest.raises(ValueError, match="^elements belong to different root data$"):
+        _ENTRY_POINTS[entry](M, standard_window(b2.group, 1))
+
+
 # sha256 of every class element of the datum, as in ``_class_digest``
 _CLASS_DIGESTS = {
     "a1": "b64bbcb0e57805deca37ed638500146bf8b6f86f276abf3b860493c0890b7e87",
