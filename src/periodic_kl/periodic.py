@@ -895,11 +895,12 @@ class PeriodicModule(RightHeckeModule):
 
     def _inversion_plan(self, yw: int, zw: int) -> list[tuple[int, tuple[dict, dict, int], list]]:
         """The groups of inversion rows of zw (``_build_inversion_rows``), each
-        with the generic table (u, yw) it reads and its threshold top - the
-        group's least reach, by descending threshold.  ``_q_sum`` stops a
-        group before its first row when sum E(d) exceeds that threshold, so
-        at such d the group and every later one add nothing.  A group whose
-        table has no term reads only zeros and is left out."""
+        with the generic table (u, yw) it reads and its threshold, the
+        table's top minus the group's least reach, by descending threshold.
+        ``_q_sum`` stops a group before its first row when sum E(d) exceeds
+        that threshold, so at such d the group and every later one add
+        nothing.  A group whose table has no term reads only zeros and is
+        left out."""
         plan = self._inversion_plans.get((yw, zw))
         if plan is None:
             groups = self._inversion_rows.get(zw)

@@ -7,9 +7,13 @@ import time
 
 import pytest
 
+from periodic_kl import periodic
 from periodic_kl.cli import main
-from periodic_kl.laurent import LaurentPoly
+from periodic_kl.laurent import V, LaurentPoly
+from periodic_kl.orders import standard_window
 from periodic_kl.periodic import MAX_PARTITION_STATES, PeriodicModule
+from periodic_kl.rootdata import Weight
+from oracles import inversion_report_per_pair, koszul_report_per_pair
 
 
 def run_cli(args, tmp_path=None, name="out"):
@@ -167,6 +171,80 @@ def test_planted_koszul_term_fails_selfcheck(monkeypatch, capsys):
         return [(reach, at, 2 * f, 2 * lf), *rest]
 
     monkeypatch.setattr(PeriodicModule, "_koszul_packed", property(planted))
+    assert _selfcheck_lines(capsys) == [
+        "ok  order generated == translation characterization",
+        "ok  signed inversion identity q * p = delta",
+        "FAIL  Koszul operator inverts the geometric series",
+    ]
+
+
+def _by_keys(bad):
+    return sorted(bad, key=lambda entry: (entry[0].key, entry[1].key))
+
+
+def _plant_off_diagonal_row(monkeypatch, W):
+    # negate the row of largest reach in the w0 group of the identity
+    # class's inversion rows: the triangularity of SD keeps every diagonal
+    # sum, so only pairs y != z may deviate
+    build = PeriodicModule._build_inversion_rows
+
+    def planted(self, zw):
+        groups = build(self, zw)
+        if zw == 0:
+            group = groups[W.w0.index]
+            reach, at, p, lp = group[-1]
+            group[-1] = (reach, at, -p, lp)
+        return groups
+
+    monkeypatch.setattr(PeriodicModule, "_build_inversion_rows", planted)
+
+
+def test_planted_off_diagonal_inversion_row_fails_only_its_line(monkeypatch, capsys, a2):
+    _plant_off_diagonal_row(monkeypatch, a2.group)
+    window = standard_window(a2.group, 1)
+    bad = PeriodicModule(a2.group).inversion_report(window)
+    assert bad and all(y != z for y, z, _ in bad)
+    assert _by_keys(bad) == _by_keys(inversion_report_per_pair(PeriodicModule(a2.group), window))
+    assert _selfcheck_lines(capsys) == [
+        "ok  order generated == translation characterization",
+        "FAIL  signed inversion identity q * p = delta",
+        "ok  Koszul operator inverts the geometric series",
+    ]
+
+
+def _plant_stale_class_term(monkeypatch, W):
+    # after the inversion report, add v to the smallest non-lead term (t, u)
+    # of class w0, whose generic table was built from the solved value: the
+    # Koszul sums still invert that table, so exactly the pairs
+    # (t(x.trans + t) u, x) over the window's x of class w0 deviate, by -v
+    real = PeriodicModule.inversion_report
+    c = W.w0.index
+    planted_at = []
+
+    def planted(self, window):
+        bad = real(self, window)
+        terms = self._class(c)
+        t, u = min(key for key in terms if key != ((0,) * self.rd.rank, c))
+        self._generic_table(u, c)
+        terms[t, u] = periodic._term(terms[t, u][2] + V)
+        planted_at.append((t, u))
+        return bad
+
+    monkeypatch.setattr(PeriodicModule, "inversion_report", planted)
+    return planted_at
+
+
+def test_planted_class_term_fails_only_the_koszul_line(monkeypatch, capsys, a2):
+    W = a2.group
+    planted_at = _plant_stale_class_term(monkeypatch, W)
+    window = standard_window(W, 1)
+    M = PeriodicModule(W)
+    assert M.inversion_report(window) == []
+    (t, u), = planted_at
+    expected = [(W.element(Weight(tuple(map(sum, zip(x.trans, t)))), u), x, -V)
+                for x in window if x.w.index == W.w0.index]
+    assert len(expected) == 9
+    assert _by_keys(M.koszul_report(window)) == _by_keys(expected) == _by_keys(koszul_report_per_pair(M, window))
     assert _selfcheck_lines(capsys) == [
         "ok  order generated == translation characterization",
         "ok  signed inversion identity q * p = delta",

@@ -1,14 +1,13 @@
 """The selfcheck reports of the periodic module, evaluated per translation-
 difference block (inversion) and per class term (Koszul), against the
-per-pair loops they replaced."""
+per-pair loops they replaced; the planted defects of each report are in
+test_cli.py, next to the selfcheck lines they fail."""
 
 from operator import sub
 
 import pytest
 
-from periodic_kl import periodic
-from periodic_kl.cli import main
-from periodic_kl.laurent import V, unpack
+from periodic_kl.laurent import unpack
 from periodic_kl.orders import standard_window
 from periodic_kl.periodic import PeriodicModule
 from periodic_kl.rootdata import Weight
@@ -78,81 +77,3 @@ def test_a_ragged_window_reports_like_the_per_pair_loops(a2):
     M, N = PeriodicModule(a2.group), PeriodicModule(a2.group)
     assert M.inversion_report(window) == [] == inversion_report_per_pair(N, window)
     assert M.koszul_report(window) == [] == koszul_report_per_pair(N, window)
-
-
-def _selfcheck_lines(capsys):
-    code = main(["selfcheck", "--type", "A", "--rank", "2", "--l", "5", "--height", "1", "--format", "text"])
-    out, err = capsys.readouterr()
-    assert code == 4
-    assert err.startswith("internal consistency failure: selfcheck failed")
-    return out.splitlines()
-
-
-def _plant_off_diagonal_row(monkeypatch, W):
-    # negate the row of largest reach in the w0 group of the identity
-    # class's inversion rows: the triangularity of SD keeps every diagonal
-    # sum, so only pairs y != z may deviate
-    build = PeriodicModule._build_inversion_rows
-
-    def planted(self, zw):
-        groups = build(self, zw)
-        if zw == 0:
-            group = groups[W.w0.index]
-            reach, at, p, lp = group[-1]
-            group[-1] = (reach, at, -p, lp)
-        return groups
-
-    monkeypatch.setattr(PeriodicModule, "_build_inversion_rows", planted)
-
-
-def test_planted_off_diagonal_inversion_row_fails_only_its_line(monkeypatch, capsys, a2):
-    _plant_off_diagonal_row(monkeypatch, a2.group)
-    window = standard_window(a2.group, 1)
-    bad = PeriodicModule(a2.group).inversion_report(window)
-    assert bad and all(y != z for y, z, _ in bad)
-    assert _by_keys(bad) == _by_keys(inversion_report_per_pair(PeriodicModule(a2.group), window))
-    assert _selfcheck_lines(capsys) == [
-        "ok  order generated == translation characterization",
-        "FAIL  signed inversion identity q * p = delta",
-        "ok  Koszul operator inverts the geometric series",
-    ]
-
-
-def _plant_stale_class_term(monkeypatch, W):
-    # after the inversion report, add v to the smallest non-lead term (t, u)
-    # of class w0, whose generic table was built from the solved value: the
-    # Koszul sums still invert that table, so exactly the pairs
-    # (t(x.trans + t) u, x) over the window's x of class w0 deviate, by -v
-    real = PeriodicModule.inversion_report
-    c = W.w0.index
-    planted_at = []
-
-    def planted(self, window):
-        bad = real(self, window)
-        terms = self._class(c)
-        t, u = min(key for key in terms if key != ((0,) * self.rd.rank, c))
-        self._generic_table(u, c)
-        terms[t, u] = periodic._term(terms[t, u][2] + V)
-        planted_at.append((t, u))
-        return bad
-
-    monkeypatch.setattr(PeriodicModule, "inversion_report", planted)
-    return planted_at
-
-
-def test_planted_class_term_fails_only_the_koszul_line(monkeypatch, capsys, a2):
-    W = a2.group
-    planted_at = _plant_stale_class_term(monkeypatch, W)
-    window = standard_window(W, 1)
-    M = PeriodicModule(W)
-    assert M.inversion_report(window) == []
-    (t, u), = planted_at
-    expected = [(W.element(Weight(tuple(map(sum, zip(x.trans, t)))), u), x, -V)
-                for x in window if x.w.index == W.w0.index]
-    assert len(expected) == 9
-    assert _by_keys(M.koszul_report(window)) == _by_keys(expected) == _by_keys(koszul_report_per_pair(M, window))
-    assert _selfcheck_lines(capsys) == [
-        "ok  order generated == translation characterization",
-        "ok  signed inversion identity q * p = delta",
-        "FAIL  Koszul operator inverts the geometric series",
-    ]
