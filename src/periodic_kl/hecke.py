@@ -14,14 +14,17 @@ element at x is the unique bar-invariant element of H_x + sum_{y < x}
 vZ[v] H_y (Bruhat order), computed by the standard multiply-by-(H_s +
 v)-and-correct recursion on the ids of the group's Cayley graph, each
 correction read off the product as a mu-coefficient (Kazhdan-Lusztig
-1979).  Every coefficient that recursion meets lies in Z[v], so it runs
-on the packed integers of :mod:`.laurent` (``pack``/``unpack``, B =
-``laurent._WIDTH`` bits per exponent, each c_e a balanced digit in
-[-2^(B-1), 2^(B-1))).  A sum of polynomials is one integer add, v^{+-1}
-is a shift by B bits, and the constant term is the signed low digit.
-Only the element returned is decoded into a HeckeElement, each distinct
-value once, through the guarded ``unpack``; the decode is exact while
-every |c_e| < 2^(B-1), which a tracked bound proves (see
+1979).  Every coefficient that recursion meets lies in Z[v], and the one
+at H_z in C_x has only exponents of the parity of len x - len z, so it
+runs on the packed integers of :mod:`.laurent` at every other power of
+v: digit i is the coefficient of v^(par + 2i), par = (len x - len z) mod
+2, a balanced digit in [-2^(B-1), 2^(B-1)) of B = ``laurent._WIDTH``
+bits.  A sum of polynomials of one parity is one integer add, v^{+-1}
+moves a value to the other parity (no shift one way, a shift by B bits
+the other), and the low digit is the constant or the v term.  Only the
+element returned is decoded into a HeckeElement, each distinct (value,
+parity) pair once, through the guarded ``unpack``; the decode is exact
+while every |c_e| < 2^(B-1), which a tracked bound proves (see
 ``HeckeAlgebra.kl_basis``).  The recursion serves ``hecke kl`` on the
 command line; the periodic module carries its own self-dual basis.
 
@@ -163,25 +166,38 @@ class HeckeAlgebra(RightHeckeModule):
         Unique bar-invariant element of H_x + sum_{y<x} vZ[v] H_y.  The bound
         ``MAX_LENGTH`` on len(x) is checked before any work.
 
+        Packing: the coefficient of H_z in C_x is h_z = v^(len x - len z)
+        P_{z,x}(v^-2) (Kazhdan-Lusztig 1979, in Soergel's normalization,
+        Represent. Theory 1, 1997), so its exponents all have the parity
+        par = (len x - len z) mod 2.  Digit i of z's packed integer p_z is the
+        coefficient of v^(par + 2i): half the digits of packing every power
+        of v, and no value can hold a negative exponent or a term of the
+        wrong parity.
+
         Recursion: with s_j the lowest right descent of x and u = x s_j, the
         product C_u (H_s + v) is built in one {id: packed int} dict, on the
         ids of the group's Cayley graph.  Every s-orbit {a, b = as} with
         a < b meeting the support of C_u is visited once, at a, by one slot
-        lookup:
+        lookup.  From H_a (H_s + v) = H_b + v H_a and H_b (H_s + v) = H_a +
+        v^{-1} H_b, the rule of ``RightHeckeModule.act_cs``, the product has
+        v h_a + h_b at a and h_a + v^{-1} h_b at b.  As len b = len a + 1,
+        each of the two sums has one parity, and packed they are
 
-            acc[a] = v p_a + p_b,    acc[b] = p_a + v^{-1} p_b,
+            len u - len a even:  acc[a] = acc[b] = p_a + p_b  (one shared int),
+            len u - len a odd:   acc[b] = p_a + p_b / 2^B,  acc[a] = acc[b] 2^B.
 
-        from H_a (H_s + v) = H_b + v H_a and H_b (H_s + v) = H_a + v^{-1} H_b,
-        the rule of ``RightHeckeModule.act_cs``.  The product is C_x + sum
-        mu(y, u) C_y over y < u with ys < y (Kazhdan-Lusztig, "Representations
-        of Coxeter groups and Hecke algebras", 1979), mu(y, u) the v term of
-        p_y.  As every p_z with z != u is in vZ[v], the low digit (constant
-        term) of acc[b] at an upper b != x is mu(b, u), and 0 at a lower a.
-        So each m C_b, m != 0, is recorded as its orbit is built and
-        subtracted once the product is complete, in any order: C_b is in H_b
-        + sum vZ[v] H_z, so it moves no constant term but b's.  Each is one
-        integer multiply-add per term of C_b, applied as one bulk update.
-        Every C_b used stays packed in the memo; only C_x is decoded.
+        The product is C_x + sum mu(y, u) C_y over y < u with ys < y
+        (Kazhdan-Lusztig, "Representations of Coxeter groups and Hecke
+        algebras", 1979), mu(y, u) the v term of h_y, which is 0 unless
+        len u - len y is odd.  As every h_z with z != u is in vZ[v], the low
+        digit (constant term) of the even case's sum at an upper b != x is
+        h_a(0) + [v] h_b = mu(b, u); the odd case has len u - len b even, so
+        no correction.  Each m C_b, m != 0, is recorded as its orbit is
+        built and subtracted once the product is complete, in any order: C_b
+        is in H_b + sum vZ[v] H_z, so it moves no constant term but b's.  As
+        len x - len b is even, C_b is packed by the accumulator's parities, so
+        each is one integer multiply-add per term of C_b, applied as one bulk
+        update.  Every C_b used stays packed in the memo; only C_x is decoded.
 
         Support: the keys of the product are supp C_u together with its
         s-translates, which is [e, u] u [e, u]s = [e, x].  By positivity
@@ -197,44 +213,51 @@ class HeckeAlgebra(RightHeckeModule):
         [e, x], and no coefficient on [e, x] is zero, as the coefficient of
         H_y in C_x is v^(len x - len y) P_{y,x}(v^-2) with P_{y,x}(0) = 1.
 
-        Decode: if p = sum c_e 2^(B e) with every |c_e| < 2^(B-1), then
+        Decode: if p = sum c_i 2^(B i) with every |c_i| < 2^(B-1), then
         p = c_0 mod 2^B with c_0 in [-2^(B-1), 2^(B-1)), so
         c_0 = ((p + 2^(B-1)) mod 2^B) - 2^(B-1) and (p - c_0) / 2^B packs the
-        rest.  The recursion reads the same digit with one big-integer
-        operation, c_0 = (p mod 2^B) - [p mod 2^B >= 2^(B-1)] 2^B.  Checks: the right
-        shift is exact only on a coefficient in vZ[v], so a down move first
-        tests that its low digit is zero (this keeps every coefficient in
-        Z[v], which makes m an integer); and the coefficient of H_x must come
-        out 1.
+        rest; c_i is the coefficient of v^(par + 2i).  Each distinct pair
+        (value, par) is decoded once.  The recursion reads the low digit with
+        one big-integer operation, c_0 = (p mod 2^B) - [p mod 2^B >= 2^(B-1)]
+        2^B.  Checks: the odd case's down move p_b / 2^B is exact only when
+        the low digit of p_b, the constant term of h_b, is zero, so it first
+        tests that digit: a nonzero one, a v^-1 term of the product outside
+        Z[v], would be dropped by the shift instead of refused; and the
+        coefficient of H_x must come out 1.
 
         Overflow bound: each C_y carries a bound M_y on |coefficient|.  Every
         coefficient of C_u (H_s + v) is the sum of at most two coefficients
-        of C_u, and subtracting m C_y moves a coefficient by at most |m| M_y,
-        so every coefficient of the accumulator stays within
-        2 M_u + sum |m| M_y over the corrections made so far, and that sum
-        becomes M_x.  While it stays below 2^(B-1) no digit wraps, so every
-        m, low-digit test and decode is exact.  It only grows, so it is
-        checked once, when C_x is complete and before its lead is read: if
-        it reached 2^(B-1), a ResourceError names it, and no digit that may
-        have wrapped leaves the recursion.  The bound is loose: it grows by
+        of C_u, in one digit of the packed sum, and subtracting m C_y moves a
+        coefficient by at most |m| M_y, so every coefficient of the
+        accumulator stays within 2 M_u + sum |m| M_y over the corrections made
+        so far, and that sum becomes M_x.  While it stays below 2^(B-1) no
+        digit wraps, so every m, low-digit test and decode is exact.  It only
+        grows, so it is checked once, when C_x is complete and before its
+        lead is read: if it reached 2^(B-1), a ResourceError names it, and no
+        digit that may have wrapped leaves the recursion.  The bound is loose: it grows by
         about 1.3 bits per length, while the true coefficients stay below
         2^14 up to length 90 in G2.
         """
         check_length(x, "KL recursion")
-        terms, bound = self._kl_packed(self.group._id(x))
-        elts = self.group._elts
-        decoded: dict[int, LaurentPoly] = {}  # each distinct value once: equal terms share it
+        g = self.group
+        i = g._id(x)
+        terms, bound = self._kl_packed(i)
+        elts, lens, n = g._elts, g._lens, g._lens[i]
+        decoded: tuple[dict[int, LaurentPoly], ...] = ({}, {})  # by parity: each value once
         out = {}
         for z, p in terms.items():
-            q = decoded.get(p)
+            par = (n ^ lens[z]) & 1
+            q = decoded[par].get(p)
             if q is None:
-                q = decoded[p] = unpack(p, bound, "KL basis coefficient", elts[z])
+                coeffs = unpack(p, bound, "KL basis coefficient", elts[z]).coeffs
+                q = decoded[par][p] = LaurentPoly({par + 2 * e: c for e, c in coeffs.items()})
             out[elts[z]] = q
         return HeckeElement(out)
 
     def _kl_packed(self, x: int) -> tuple[dict[int, int], int]:
-        """C_x as {id: packed coefficient} and the bound M_x on its
-        coefficients, memoized by id: the recursion of ``kl_basis``."""
+        """C_x as {id: packed coefficient}, each packed by its parity, and the
+        bound M_x on its coefficients, memoized by id: the recursion and the
+        packing of ``kl_basis``."""
         cache = self._kl_cache
         hit = cache.get(x)
         if hit is not None:
@@ -268,17 +291,20 @@ class HeckeAlgebra(RightHeckeModule):
                 b = step(a, j)
             if b >= 0:  # the orbit {a < b}: p_a = p
                 q = get(b)
-                if q is None:  # p_b = 0: acc[b] shares p's int
-                    acc[a] = p << width
-                    acc[b] = p
-                    continue
-                if q & mask:
+                even = (n ^ lens[a]) & 1  # len u - len a even: acc[a], acc[b] share digits
+                if q is None:  # p_b = 0
+                    c = p
+                elif even:
+                    c = p + q  # b is upper, b != x: its low digit is mu(b, u)
+                    m = c & mask
+                    if m:
+                        mu.append((b, m - full if m >= half else m))
+                elif q & mask:
                     raise AssertionError("unexpected correction shape in KL recursion")
-                acc[a] = (p << width) + q
-                acc[b] = c = p + (q >> width)  # b is upper, b != x: its low digit is mu(b, u)
-                m = c & mask
-                if m:
-                    mu.append((b, m - full if m >= half else m))
+                else:
+                    c = p + (q >> width)
+                acc[b] = c
+                acc[a] = c if even else c << width
             elif ~b not in cu:  # the orbit {~b < a} is done at ~b, which supp C_u = [e, u] holds
                 raise AssertionError("KL basis element whose support is not closed under going down")
         for y, m in mu:

@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -324,23 +325,59 @@ def test_kl_memo_entry_not_closed_under_going_down_is_an_internal_error(a2):
         H.kl_basis(w0)
 
 
-def test_kl_correction_by_a_negative_low_digit(a2):
+def test_kl_down_move_with_a_constant_term_is_an_internal_error(a2):
     # x = t(1,1) has lowest right descent s_1 and u = x s_1; y = s_1 < u with
-    # ys < y, and h_{y,u} = v^2 has no v term.  Planting C_u - v H_y makes the
-    # planted mu(y, u), the v term of p_y, equal -1: the product's constant
-    # term at the upper element y is p_{ys,u}(0) + [v] p_{y,u} = -1, so the
-    # recursion reads m = -1 there, the balanced low digit's negative branch
+    # ys < y and len u - len y even, so the product reads v^{-1} h_{y,u}, the
+    # right shift of p_y, exact only on a p_y with no low digit (constant
+    # term).  A constant term planted in C_u at y must be refused, not
+    # shifted away
     W = a2.group
     x = W.parse_element("t(1,1)*w[]")
     u, y = W.right_multiply_gen(x, 1), W.simple_reflection(0)
-    assert u.length == x.length - 1 and W.right_descent(y, 1)
+    assert not W.right_descent(x, 0) and u.length == x.length - 1
+    assert W.right_descent(y, 1) and (u.length - y.length) % 2 == 0
+    H = HeckeAlgebra(W)
+    cu, bound = H._kl_packed(W._id(u))
+    H._kl_cache[W._id(u)] = ({**cu, W._id(y): cu[W._id(y)] + 1}, bound + 1)
+    with pytest.raises(AssertionError, match="unexpected correction shape"):
+        H.kl_basis(x)
+
+
+def test_kl_wrong_lead_is_an_internal_error(a2):
+    # the coefficient of H_x in C_u (H_s + v) is the lead of C_u, and no
+    # correction m C_y, y < x, moves it: a memoized C_u with lead 2 must be
+    # refused, not returned as a C_x with lead 2
+    W = a2.group
+    x = W.parse_element("t(1,1)*w[]")
+    u = W.right_multiply_gen(x, 1)
+    assert not W.right_descent(x, 0) and u.length == x.length - 1
+    H = HeckeAlgebra(W)
+    cu, bound = H._kl_packed(W._id(u))
+    H._kl_cache[W._id(u)] = ({**cu, W._id(u): 2}, bound + 1)
+    with pytest.raises(AssertionError, match="wrong leading coefficient"):
+        H.kl_basis(x)
+
+
+def test_kl_correction_by_a_negative_low_digit(a2):
+    # x = t(-2,1)*w[1] has lowest right descent s_1 and u = x s_1; y = s_1 < u
+    # with ys < y, and h_{y,u} = v^3 has no v term.  Planting C_u - v H_y
+    # makes the planted mu(y, u), the v term of h_{y,u}, equal -1: the
+    # product's constant term at the upper element y is h_{ys,u}(0) +
+    # [v] h_{y,u} = -1, so the recursion reads m = -1 there, the balanced low
+    # digit's negative branch.  As len u - len y is odd, p_y's digit i is the
+    # coefficient of v^(1 + 2i): the plant subtracts 1 from its low digit
+    W = a2.group
+    x = W.parse_element("t(-2,1)*w[1]")
+    u, y = W.right_multiply_gen(x, 1), W.simple_reflection(0)
+    assert not W.right_descent(x, 0) and u.length == x.length - 1
+    assert W.right_descent(y, 1) and (u.length - y.length) % 2 == 1
     true_u = kl_basis_by_dicts(HeckeAlgebra(W), u, {})
-    assert true_u.coefficient(y) == LaurentPoly({2: 1})
+    assert true_u.coefficient(y) == LaurentPoly({3: 1})
     planted = true_u - HeckeAlgebra(W).basis(y).scale(V)
 
     H = HeckeAlgebra(W)
     cu, bound = H._kl_packed(W._id(u))
-    H._kl_cache[W._id(u)] = ({**cu, W._id(y): cu[W._id(y)] - (1 << laurent._WIDTH)}, bound + 1)
+    H._kl_cache[W._id(u)] = ({**cu, W._id(y): cu[W._id(y)] - 1}, bound + 1)
     expected = kl_basis_by_dicts(HeckeAlgebra(W), x, {u: planted})
     assert H.kl_basis(x).terms == expected.terms
     # the planted -v H_y (H_s + v) = -v H_{ys} - H_y is exactly what the
@@ -413,13 +450,16 @@ def test_kl_overflow_guard(monkeypatch, capsys, b2):
     true = kl_basis_by_dicts(HeckeAlgebra(W), x, {})
     assert max(c for p in true.terms.values() for c in p.coeffs.values()) == 8
     monkeypatch.setattr(laurent, "_WIDTH", 4)
-    with pytest.raises(ResourceError, match="coefficient bound"):
+    # the recursion refuses first, at the memo entry whose tracked bound
+    # reaches the width, before the decode of C_x could
+    refusal = r"KL recursion at an element of length \d+: the coefficient bound"
+    with pytest.raises(ResourceError, match=f"^{refusal}"):
         HeckeAlgebra(W).kl_basis(x)
     code = main(["hecke", "kl", "--type", "B", "--rank", "2", "--l", "5", "--x", "t(4,-10)*w[1 2]"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("resource bound exceeded:"), lines
+    assert len(lines) == 1 and re.match(f"resource bound exceeded: {refusal}", lines[0]), lines
     assert "4 bits" in lines[0]
 
 

@@ -52,6 +52,8 @@ def test_guard_refuses_a_digit_that_would_wrap(monkeypatch, a2):
     # q = 2v^3 + v^5 here, and a 2-bit balanced digit in [-2, 2) cannot hold the 2
     W = a2.group
     y, x = W.parse_element("t(0,0)*w[2 1]"), W.parse_element("t(1,1)*w[1]")
+    # the classes this test preloads, solved at the full width before it is patched
+    classes = {w.index: class_element(a2.module, w.index) for w in W.finite_elements}
     monkeypatch.setattr(laurent, "_WIDTH", 2)
     # the class solve runs on the same digits, and its bounds (up to 4 on
     # A2) do not fit in 2 bits either: it refuses before reading one
@@ -60,8 +62,8 @@ def test_guard_refuses_a_digit_that_would_wrap(monkeypatch, a2):
         PeriodicModule(W)._class(x.w.index)
     # so the classes enter the store from the full-width solve, packed at 2 bits
     M = PeriodicModule(W)
-    for w in W.finite_elements:
-        M.preload_class(w.index, class_element(a2.module, w.index))
+    for w_index, element in classes.items():
+        M.preload_class(w_index, element)
     true = generic_polynomial_by_dicts(M, y, x)
     assert true == LaurentPoly({3: 2, 5: 1})
     with pytest.raises(ResourceError, match=r"^generic q \(y.trans - x.trans, y.w, x.w\) at \(\(-1, -1\), \d+, \d+\): "
