@@ -24,9 +24,10 @@ moves a value to the other parity (no shift one way, a shift by B bits
 the other), and the low digit is the constant or the v term.  Only the
 element returned is decoded into a HeckeElement, each distinct (value,
 parity) pair once, through the guarded ``unpack``; the decode is exact
-while every |c_e| < 2^(B-1), which a tracked bound proves (see
-``HeckeAlgebra.kl_basis``).  The recursion serves ``hecke kl`` on the
-command line; the periodic module carries its own self-dual basis.
+while every |c_e| < 2^(B-1), which a tracked bound, measured once it is
+large, proves (see ``HeckeAlgebra.kl_basis``).  The recursion serves
+``hecke kl`` on the command line; the periodic module carries its own
+self-dual basis.
 
 All caches are plain dicts owned by the algebra object; operations are
 pure apart from cache insertion.
@@ -34,7 +35,8 @@ pure apart from cache insertion.
 
 from __future__ import annotations
 
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterable
 
 from . import laurent
 from .laurent import ONE, V, VINV, Combination, LaurentPoly, ResourceError, unpack
@@ -234,9 +236,19 @@ class HeckeAlgebra(RightHeckeModule):
         digit wraps, so every m, low-digit test and decode is exact.  It only
         grows, so it is checked once, when C_x is complete and before its
         lead is read: if it reached 2^(B-1), a ResourceError names it, and no
-        digit that may have wrapped leaves the recursion.  The bound is loose: it grows by
-        about 1.3 bits per length, while the true coefficients stay below
-        2^14 up to length 90 in G2.
+        digit that may have wrapped leaves the recursion.
+
+        Measured bound: tracked alone, M_x grows by about 1.3 bits per length,
+        while the true coefficients stay below 2^14 up to length 90 in G2.  So
+        once a finished M_x reaches 2^(B/2), it is replaced by a measured one,
+        the least 2^(k-1), k on a short ladder, that holds every balanced digit
+        of C_x (``_measured_bound``: one add and one AND per value).  This is
+        sound.  M_x is formed from the bounds of C_u and of each C_y, each of
+        them measured or tracked and so a true bound on its coefficients; as
+        M_x < 2^(B-1), no digit of C_x wrapped, so its balanced digits are its
+        true coefficients, and the measurement bounds those.  A decoded
+        coefficient of C_x outside its stored bound is an internal error
+        (AssertionError).
         """
         check_length(x, "KL recursion")
         g = self.group
@@ -250,6 +262,8 @@ class HeckeAlgebra(RightHeckeModule):
             q = decoded[par].get(p)
             if q is None:
                 coeffs = unpack(p, bound, "KL basis coefficient", elts[z]).coeffs
+                if any(abs(c) > bound for c in coeffs.values()):
+                    raise AssertionError("KL basis coefficient outside its bound")
                 q = decoded[par][p] = LaurentPoly({par + 2 * e: c for e, c in coeffs.items()})
             out[elts[z]] = q
         return HeckeElement(out)
@@ -318,5 +332,36 @@ class HeckeAlgebra(RightHeckeModule):
             raise laurent.bound_error(bound, "KL recursion", f"an element of length {n}")
         if acc.get(x) != 1:
             raise AssertionError("KL basis element has wrong leading coefficient")
+        if bound >= 1 << (width // 2):
+            bound = _measured_bound(acc.values(), n, width, bound)
         hit = cache[x] = (acc, bound)
         return hit
+
+
+def _measured_bound(values: Iterable[int], n: int, width: int, bound: int) -> int:
+    """The least 2^(k-1), k in (B/8 + 1, B/4 + 1, B/2 + 1), with every
+    balanced digit of ``values``, the packed coefficients of a C_x with len x
+    = n, in [-2^(k-1), 2^(k-1)); ``bound``, their tracked bound, if no rung
+    holds them.
+
+    A value h_z has degree len x - len z <= n and one parity, so D = n // 2 + 1
+    digits hold it.  With R = sum_{i<D} 2^(B i), the balanced digits c_i of p
+    all lie in [-2^(k-1), 2^(k-1)) iff s = p + 2^(k-1) R is a non-negative
+    integer whose digits c_i + 2^(k-1) are all below 2^k, that is iff
+    s & ~((2^k - 1) R) = 0 (a negative s has infinitely many high bits set):
+    one add and one AND per value.  Balanced digits are unique, so the test
+    holds for any integer p.  The rungs are nested, so a value that passes
+    one passes every higher rung, and the values are read in one pass.
+    """
+    ones = ((1 << (width * (n // 2 + 1))) - 1) // ((1 << width) - 1)  # R
+    rest = iter(values)
+    for k in (width // 8 + 1, width // 4 + 1, width // 2 + 1):
+        low = 1 << (k - 1)
+        offset, high = low * ones, ~((2 * low - 1) * ones)
+        for p in rest:
+            if (p + offset) & high:
+                rest = chain((p,), rest)  # test it again at the next rung
+                break
+        else:
+            return low
+    return bound

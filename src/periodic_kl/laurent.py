@@ -6,7 +6,7 @@ so all arithmetic is exact and overflow-free.
 
 Hot loops whose polynomials all lie in Z[v] run on packed integers instead:
 ``pack`` sends c_0 + c_1 v + ... + c_k v^k to the Python int sum c_e 2^(B e),
-B = ``_WIDTH`` bits per exponent.  v -> 2^B is a ring homomorphism
+B = ``_WIDTH`` = 64 bits per exponent.  v -> 2^B is a ring homomorphism
 Z[v] -> Z, so every packed sum and product is exact, whatever the digit
 sizes.  ``unpack`` reads the balanced digits c_e in [-2^(B-1), 2^(B-1))
 back: if every |c_e| < 2^(B-1), then p = c_0 mod 2^B, so
@@ -28,8 +28,11 @@ from typing import Hashable, Iterable, Mapping
 
 __all__ = ["Combination", "LaurentPoly", "ResourceError", "ZERO", "ONE", "V", "VINV", "bound_error", "pack", "unpack"]
 
-# Bits per exponent of a packed Z[v] polynomial sum c_e 2^(_WIDTH e).
-_WIDTH = 128
+# Bits per exponent of a packed Z[v] polynomial sum c_e 2^(_WIDTH e).  The
+# largest bound met by the tests and the benchmark is 16 bits in the periodic
+# sums and 38 bits in the KL recursion, which measures its bound once it
+# reaches 2^(_WIDTH / 2) (``hecke``).
+_WIDTH = 64
 
 
 class ResourceError(RuntimeError):

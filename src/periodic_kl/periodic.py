@@ -184,8 +184,8 @@ its orbit.
 Packed sums.  Every polynomial these sums touch lies in Z[v]: p is in
 {1} + vZ[v], and the partition series and the Koszul factors have only
 exponents >= 0.  So they run on the packed integers of :mod:`.laurent`,
-f -> f(2^B) with B = ``laurent._WIDTH``, as the class solve does and from
-the same stored terms: a generic value is the integer sum of p * series
+f -> f(2^B) with B = ``laurent._WIDTH`` = 64, as the class solve does and
+from the same stored terms: a generic value is the integer sum of p * series
 over its rows, a Koszul or inversion sum the integer sum of q * factor or
 q * (+-p), each term one integer multiply-add.  v -> 2^B is a ring
 homomorphism Z[v] -> Z, so every packed sum and product is exact, whatever

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from periodic_kl import periodic
+from periodic_kl import laurent, periodic
 from periodic_kl.cli import main
 from periodic_kl.laurent import V, LaurentPoly
 from periodic_kl.orders import standard_window
@@ -512,20 +512,22 @@ def test_cache_load_discards_uncertified_classes(tmp_path, capsys, classes):
     assert capsys.readouterr().err == ""
 
 
-def test_planted_bound_at_2_to_the_127_exits_3(tmp_path, capsys):
-    # a cached class 0 with the off-lead coefficient 2^127 v passes the
-    # loader's checks (lead 1, the rest in vZ[v]); the solve of class 1 adds
-    # its l1 norm to the bound of each position the product puts it at, and
-    # refuses there before reading a digit that may have wrapped
+def test_planted_bound_at_half_the_digit_exits_3(tmp_path, capsys):
+    # a cached class 0 with the off-lead coefficient 2^(B-1) v, B the packed
+    # digit width, passes the loader's checks (lead 1, the rest in vZ[v]);
+    # the solve of class 1 adds its l1 norm to the bound of each position the
+    # product puts it at, and refuses there before reading a digit that may
+    # have wrapped
+    width = laurent._WIDTH
     cache = tmp_path / "cache"
-    _write_cache(cache, {"0": [["t(0)*w[]", {"0": 1}], ["t(0)*w[1]", {"1": 2 ** 127}]]})
+    _write_cache(cache, {"0": [["t(0)*w[]", {"0": 1}], ["t(0)*w[1]", {"1": 2 ** (width - 1)}]]})
     assert main([*A1_H0, "--cache-dir", str(cache)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(
         "resource bound exceeded: self-dual class t(0)*w[1] (trans, w) at "), lines
-    assert lines[0].endswith(": the coefficient bound (128 bits) reaches the packed digit width of 128 bits")
+    assert lines[0].endswith(f": the coefficient bound ({width} bits) reaches the packed digit width of {width} bits")
 
 
 def _age(path):

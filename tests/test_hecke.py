@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from periodic_kl import laurent
+from periodic_kl import hecke, laurent
 from periodic_kl.cli import main
 from periodic_kl.hecke import HeckeAlgebra, ResourceError
 from periodic_kl.laurent import LaurentPoly, ONE, V, VINV
@@ -425,7 +425,7 @@ def test_kl_basis_at_a_narrow_digit_width(monkeypatch, a2):
         assert H.kl_basis(x).terms == kl_basis_by_dicts(H, x, memo).terms
 
 
-@pytest.mark.parametrize("width", [4, 128])
+@pytest.mark.parametrize("width", [4, laurent._WIDTH])
 def test_unpack_reads_balanced_digits(monkeypatch, width):
     # every digit with |c| < 2^(B-1), the extremes and negative ones included,
     # decodes under its bound; a bound of 2^(B-1) is refused
@@ -462,6 +462,79 @@ def test_kl_overflow_guard(monkeypatch, capsys, b2):
     assert len(lines) == 1 and re.match(f"resource bound exceeded: {refusal}", lines[0]), lines
     assert "4 bits" in lines[0]
 
+
+
+def test_kl_measured_bound_admits_what_the_tracked_bound_refuses(monkeypatch, b2):
+    # at 8 bits the tracked bound of this benchmark element reaches 2^7 by
+    # length 7, while its coefficients stay at most 8: with each bound of at
+    # least 2^4 measured, the recursion completes, and every memo entry
+    # decodes to the dict oracle's element within its stored bound
+    W = b2.group
+    x = W.parse_element("t(4,-10)*w[1 2]")
+    memo: dict = {}
+    kl_basis_by_dicts(HeckeAlgebra(W), x, memo)
+    monkeypatch.setattr(laurent, "_WIDTH", 8)
+    H = HeckeAlgebra(W)
+    assert H.kl_basis(x) == memo[x]
+    for i in list(H._kl_cache):
+        assert H.kl_basis(W._elts[i]) == memo[W._elts[i]]
+    monkeypatch.setattr(hecke, "_measured_bound", lambda values, n, width, bound: bound)
+    with pytest.raises(ResourceError, match=r"^KL recursion at an element of length 7: the coefficient bound"):
+        HeckeAlgebra(W).kl_basis(x)
+
+
+@pytest.mark.parametrize("width", [8, 16, laurent._WIDTH])
+def test_measured_bound_is_the_least_rung_holding_every_digit(width):
+    # random packed values of at most n // 2 + 1 balanced digits, negative
+    # and extreme digits included: the measurement is the least rung 2^(k-1),
+    # k in (B/8 + 1, B/4 + 1, B/2 + 1), with every digit in [-2^(k-1),
+    # 2^(k-1)), and the tracked bound when no rung holds them
+    rungs = [1 << (k - 1) for k in (width // 8 + 1, width // 4 + 1, width // 2 + 1)]
+    half = 1 << (width - 1)
+    rng = random.Random(width)
+    for _ in range(300):
+        n = rng.randrange(12)
+        top = rng.choice(rungs + [rungs[-1] + 1, half])
+        rows = [[rng.choice([-top, top - 1, 0, rng.randrange(-top, top)]) for _ in range(rng.randint(0, n // 2 + 1))]
+                for _ in range(rng.randint(1, 4))]
+        packed = [sum(c << (width * i) for i, c in enumerate(row)) for row in rows]
+        digits = [c for row in rows for c in row]
+        expected = next((m for m in rungs if all(-m <= c < m for c in digits)), half - 1)
+        assert hecke._measured_bound(packed, n, width, half - 1) == expected
+
+
+def test_kl_memo_entry_outside_its_measured_bound_is_an_internal_error(monkeypatch, g2):
+    # at 16 bits this benchmark element's bound is measured at the rung 16,
+    # which holds its coefficients (at most 13); a memo entry with a
+    # coefficient past its stored bound must be refused, not returned
+    monkeypatch.setattr(laurent, "_WIDTH", 16)
+    W = g2.group
+    x = W.parse_element("t(2,2)*w[1 2 1 2 1 2]")
+    H = HeckeAlgebra(W)
+    H.kl_basis(x)
+    cx, bound = H._kl_cache[W._id(x)]
+    assert bound == 16
+    z = next(z for z in cx if z != W._id(x))
+    H._kl_cache[W._id(x)] = ({**cx, z: cx[z] + bound}, bound)
+    with pytest.raises(AssertionError, match="KL basis coefficient outside its bound"):
+        H.kl_basis(x)
+
+
+def test_kl_measurement_of_too_small_a_rung_is_an_internal_error(monkeypatch, g2):
+    # a measurement of that element forced from k = 5 down to k = 4 stores
+    # the bound 8, below its coefficient 13: the decode must refuse it
+    monkeypatch.setattr(laurent, "_WIDTH", 16)
+    W = g2.group
+    x = W.parse_element("t(2,2)*w[1 2 1 2 1 2]")
+    measured = hecke._measured_bound
+
+    def too_small(values, n, width, bound):
+        m = measured(values, n, width, bound)
+        return m // 2 if n == x.length else m
+
+    monkeypatch.setattr(hecke, "_measured_bound", too_small)
+    with pytest.raises(AssertionError, match="KL basis coefficient outside its bound"):
+        HeckeAlgebra(W).kl_basis(x)
 
 def test_json_encoding(a1):
     H, W = a1.hecke, a1.group

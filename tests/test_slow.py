@@ -4,12 +4,16 @@ Deselected by the ``addopts`` in ``pyproject.toml``; run them with
 ``pytest -m slow``.
 """
 
+import contextlib
+import hashlib
+import io
+
 import pytest
 
 from oracles import (every_table, generic_polynomial_by_dicts, kl_basis_by_dicts, module_with_classes_of,
                      poset_rows_per_column, tables_by_point_queries)
 from periodic_kl.cli import main
-from periodic_kl.hecke import HeckeAlgebra
+from periodic_kl.hecke import MAX_LENGTH, HeckeAlgebra
 from periodic_kl.orders import SemiInfinitePoset, standard_window
 from periodic_kl.periodic import PeriodicModule
 from periodic_kl.rootdata import Weight, dominance_leq
@@ -42,6 +46,20 @@ def test_kl_basis_matches_the_dict_oracle_g2_length_42(g2):
     assert x.length == 42
     H = HeckeAlgebra(W)
     assert H.kl_basis(x).terms == kl_basis_by_dicts(H, x, {}).terms
+
+
+def test_hecke_kl_at_the_length_bound_g2(g2):
+    # the longest element the command line admits: at 64-bit digits its
+    # tracked bound alone reaches 2^63 by length 50, while its coefficients
+    # stay below 2^12, so it completes through the measured bound; its stdout
+    # is pinned from 128-bit digits, where the tracked bound (82 bits) fit
+    argv = ["hecke", "kl", "--type", "G", "--rank", "2", "--l", "7", "--x", "t(5,4)*w[1 2 1 2 1 2]"]
+    assert g2.group.parse_element(argv[-1]).length == MAX_LENGTH
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "3602ff3b980a4aa798bb5e33964d2c40db9d6c758da27812646b8ae3ca13d73e")
 
 
 def test_koszul_round_trip_over_support_and_window_a3_h1(a3):
