@@ -140,7 +140,7 @@ def _load_class_cache(mod: PeriodicModule, cache: str, args) -> Optional[set[int
             lead = g.element(zero, idx)
             if el.coefficient(lead) == ONE and all(
                 p.in_v_times_Zv() for x, p in el.terms.items() if x != lead
-            ):
+            ) and all(x.omega_component == lead.omega_component for x in el.terms):
                 mod.preload_class(idx, el)
                 continue
         rejected.append(str(idx))

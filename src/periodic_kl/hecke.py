@@ -286,15 +286,9 @@ class HeckeAlgebra(RightHeckeModule):
         half = 1 << (width - 1)
         full = 1 << width
         mask = full - 1
-        for j, nbr in enumerate(g._nbrs):  # j, nbr: the lowest right descent s_j of x
-            u = nbr[x]
-            if u is None:
-                u = step(x, j)
-            if u < 0:
-                break
-        else:
-            raise AssertionError("positive-length element with no descent")
-        cu, bound_u = self._kl_packed(~u)
+        j, u = g._lowest_descent(x)  # s_j the lowest right descent of x, u = x s_j
+        nbr = g._nbrs[j]
+        cu, bound_u = self._kl_packed(u)
         bound = 2 * bound_u
         acc: dict[int, int] = {}
         mu: list[tuple[int, int]] = []  # (b, mu(b, u)) at every upper b != x with mu != 0

@@ -130,23 +130,22 @@ series.  The signed inversion identity
     sum_x (-1)^{len(x)+len(y)} q_{x,y} p_{w0 x, w0 z} = delta_{y,z}
 
 is exposed as a checkable report and exercised by the acceptance suite.
-A table of q or q' evaluates each distinct translation difference of its
-window once, as a block over pairs of finite parts, through the memo of
-the point queries (``polynomial_table``).
 
-Evaluation on integer keys and translation orbits.  A generic polynomial
-q_{y,x} reads a table built once per (x.w, y.w), and is zero outright when
-it fails the test below on that table's top; otherwise it is looked up by
-(y.trans - x.trans, y.w, x.w) in translation coordinates, and on a miss it
-is evaluated from the table's rows: the terms t(lam) y.w of SD_{t(0) x.w}
-as E = e * rc(lam) (integer, e the lattice index), grouped by E mod e; a
-term contributes iff E - E(y.trans - x.trans) is nonnegative and divisible
-by e, and the residue grouping settles the divisibility.  Nonnegativity
-needs sum E >= sum E(y.trans - x.trans), so each residue group is scanned
-by descending sum E until that fails, and q_{y,x} is zero outright when sum
-E(y.trans - x.trans) exceeds the table's largest sum E, its top.  The
-Koszul and inversion sums memoize q per table keyed by E(y.trans -
-x.trans), which is additive: a term's key is the orbit's E plus a
+Evaluation on integer keys and translation orbits.  SD_x lies in the
+coset of x (each class term t(lam) u has lam in the root lattice) and the
+series and the Koszul operator shift by roots, so q, q', the Koszul sum and
+the inversion sum vanish on a pair in two cosets: the per-pair entry points
+return zero for one, and the tables and ``inversion_report`` walk only
+same-coset pairs (``_coset_blocks``).  Otherwise q_{y,x} reads a table
+built once per (x.w, y.w); it is looked up by (rel = y.trans - x.trans,
+y.w, x.w), and on a miss evaluated from the table's rows, the terms
+t(lam) y.w of SD_{t(0) x.w} with root coordinates rc(lam) = E(lam) / e
+(E = e * rc integral, e the lattice index).  A term contributes iff
+rc(lam) - rc(rel) >= 0, which needs sum rc(lam) >= sum rc(rel), so the
+rows are scanned by descending sum until that fails, and q_{y,x} is zero
+outright when sum E(rel) exceeds the table's largest sum E, its top.  The
+Koszul and inversion sums memoize q per table keyed by E(rel), which is
+additive: a term's key is the orbit's E plus a
 precomputed offset, and the terms are scanned by ascending offset sum, so
 each sum stops at the first term whose key sum exceeds that largest sum:
 its q and every later one are zero.
@@ -169,12 +168,11 @@ still expands the operator over all subsets of the positive roots
 (grouped by subset sum), so the round trip is not a tautology.
 
 The per-pair entry points ``inversion_sum`` and ``koszul_of_series``
-memoize the decoded sum per orbit.  The two reports behind ``selfcheck``
-evaluate each distinct orbit of their window once and compare on packed
-integers.  ``inversion_report`` works by translation-difference block, as
-the tables do: the window's translation fibers are paired once per pair
-of fibers in one coset, and each (y.w, z.w) that a difference d uses is
-evaluated once and compared with delta.  ``koszul_report`` covers x in the
+evaluate and decode their pair's orbit on every call.  The two reports
+behind ``selfcheck`` evaluate each distinct orbit of their window once and
+compare on packed integers.  ``inversion_report`` runs on the tables'
+block walk: each (d, y.w, z.w) that a same-coset pair uses is evaluated
+once and compared with delta.  ``koszul_report`` covers x in the
 window and y in supp SD_x, which is t(x.trans) times the terms (t, u) of
 class x.w: it evaluates each term of each class of the window once, at
 E(t), and compares with the term's packed p.  Both decode, and build
@@ -193,10 +191,10 @@ the digit sizes.  Each value carries a bound on its l1 norm sum |c_e|,
 accumulated alongside it (bound += l1(q) * l1(p)): l1 is subadditive and
 submultiplicative, the l1 norm of a partition series is its number of
 partitions (every coefficient is positive), and |c_e| <= l1.  A summand
-whose bound is 0 is the zero polynomial and is skipped.  A value is
-decoded once per memo entry (the Koszul and inversion memos, and the
-decoded memo behind ``generic_polynomial`` and the tables), through the
-guarded ``laurent.unpack``: the decode is exact when the bound is below
+whose bound is 0 is the zero polynomial and is skipped.  A generic value
+is decoded once per entry of the memo behind ``generic_polynomial`` and
+the tables, and a Koszul or inversion sum once per call of its per-pair
+entry point, through the guarded ``laurent.unpack``: the decode is exact when the bound is below
 2^(B-1), and otherwise a ResourceError names the value, its key and the
 bound's size before any digit that may have wrapped is read.  The reports
 compare without decoding, under the same guard: a polynomial whose
@@ -215,7 +213,7 @@ from __future__ import annotations
 import heapq
 from functools import cached_property
 from operator import add, mul, sub
-from typing import Iterable, KeysView, Literal, Mapping, NamedTuple, Optional, Sequence, get_args
+from typing import Callable, Iterable, KeysView, Literal, Mapping, NamedTuple, Optional, Sequence, get_args
 
 from . import laurent
 from .hecke import RightHeckeModule
@@ -289,12 +287,10 @@ class PeriodicModule(RightHeckeModule):
         self._classes: dict[int, dict[Key, Term]] = {}
         self._in_progress: set[int] = set()
         self._partition_memo: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
-        self._generic_tables: dict[tuple[int, int], tuple[dict, dict, Optional[int]]] = {}
+        self._generic_tables: dict[tuple[int, int], tuple[dict, list, Optional[int]]] = {}
         self._generic_decoded: dict[tuple[tuple[int, ...], int, int, bool], LaurentPoly] = {}
         self._inversion_rows: dict[int, dict[int, list[tuple[int, tuple[int, ...], int, int]]]] = {}
         self._inversion_plans: dict[tuple[int, int], list[tuple[int, tuple[dict, dict, int], list]]] = {}
-        self._inversion_memo: dict = {}
-        self._koszul_memo: dict = {}
         self._down_policy = self._choose_down_moves()
 
     # -- basic constructions -----------------------------------------------------
@@ -394,8 +390,8 @@ class PeriodicModule(RightHeckeModule):
     def preload_class(self, w_index: int, element: PeriodicElement) -> None:
         """Enter a class element read from outside the solve (the command
         line's class cache) into the store, packed.  The caller has checked
-        that its lead t(0)w has coefficient 1 and every other coefficient
-        lies in vZ[v], so every coefficient packs."""
+        that its lead t(0)w has coefficient 1, every other coefficient lies
+        in vZ[v] and every term lies in the lead's coset, as in a solved class."""
         self._classes[w_index] = {x.key: _term(p) for x, p in element.terms.items()}
 
     def class_indices(self) -> KeysView[int]:
@@ -670,14 +666,16 @@ class PeriodicModule(RightHeckeModule):
 
         Coefficient of B_y in the positive-root geometric series applied to
         the self-dual element at x; only finitely many vector partitions
-        contribute, enumerated exactly.  By translation equivariance only the
-        relative position of y and x matters, which keys the memo.  Any
+        contribute, enumerated exactly: zero for y and x in two cosets, and
+        by translation equivariance keyed by their relative position.  Any
         ``kind`` but "q" or "qprime" raises ValueError.
         """
         if kind != "q" and kind != "qprime":
             raise ValueError(f"unknown generic polynomial kind {kind!r}; expected one of "
                              f"{', '.join(get_args(GenericKind))}")
         self.group._check(y, x)
+        if y.omega_component != x.omega_component:
+            return ZERO
         rel = tuple(map(sub, y.trans, x.trans))
         return self._generic_entry(rel, y.w.index, x.w.index, kind == "q", self.rd.scaled_root_coordinates(rel))
 
@@ -700,7 +698,7 @@ class PeriodicModule(RightHeckeModule):
                 "generic qprime (y.trans - x.trans, y.w, x.w)", key[:3])
         return hit
 
-    def _generic_table(self, u: int, c: int) -> tuple[dict, dict, Optional[int]]:
+    def _generic_table(self, u: int, c: int) -> tuple[dict, list, Optional[int]]:
         """(memo, rows, top) of the generic polynomials at y = t(rel) u, x = t(0) c.
 
         ``memo`` maps E(rel) = e * rc(rel) (injective in rel, and additive,
@@ -717,18 +715,18 @@ class PeriodicModule(RightHeckeModule):
             hit = self._generic_tables[key] = ({}, *self._build_generic_rows(c, u))
         return hit
 
-    def _generic_sum(self, target: tuple[int, ...], rows: dict, weighted: bool) -> tuple[int, int]:
-        """The generic polynomial with E(rel) = target over ``rows``, packed, with
-        a bound on its l1 norm."""
+    def _generic_sum(self, target: tuple[int, ...], rows: list, weighted: bool) -> tuple[int, int]:
+        """The generic polynomial with E(rel) = target (rel in the root lattice)
+        over ``rows``, packed, with a bound on its l1 norm."""
         e = self.rd.lattice_index_e
-        floor = tuple(t // e for t in target)
-        need = sum(floor)
+        at = tuple(t // e for t in target)  # rc(rel)
+        need = sum(at)
         memo = self._partition_memo
         total = bound = 0
-        for row_sum, row_floor, p, lp in rows.get(tuple(t % e for t in target), ()):
+        for row_sum, rc, p, lp in rows:
             if row_sum < need:
                 break  # every later row has a sigma with a negative sum
-            sigma = tuple(map(sub, row_floor, floor))
+            sigma = tuple(map(sub, rc, at))
             if min(sigma) >= 0:
                 series, n = memo.get((0, sigma)) or self._partitions(0, sigma)
                 if n:
@@ -736,25 +734,21 @@ class PeriodicModule(RightHeckeModule):
                     bound += lp * n
         return total, bound
 
-    def _build_generic_rows(self, c: int, u: int) -> tuple[dict, Optional[int]]:
-        """The terms t(lam) u of SD_{t(0)c} as (sum F, F = floor(E / e), packed
-        coefficient, its l1 norm) with E = e * rc(lam), grouped by E mod e and
-        sorted by descending sum F: sigma = (E - E(rel)) / e is integral
-        exactly when the residues agree, and then it is F - F(rel), which
-        can only be >= 0 while sum F >= sum F(rel).  With the largest sum E,
-        or None if there is no such term."""
+    def _build_generic_rows(self, c: int, u: int) -> tuple[list, Optional[int]]:
+        """The terms t(lam) u of SD_{t(0)c} as (sum rc(lam), rc(lam), packed
+        coefficient, its l1 norm), by descending sum rc(lam): lam lies in the
+        root lattice, so rc(lam) = E(lam) / e is integral, and a term
+        contributes at rel only while sigma = rc(lam) - rc(rel) >= 0, which
+        needs sum rc(lam) >= sum rc(rel).  With the largest sum E(lam), or
+        None if there is no such term."""
         e = self.rd.lattice_index_e
-        rows: dict[tuple[int, ...], list[tuple[int, tuple[int, ...], int, int]]] = {}
-        top = None
+        rows = []
         for (t, w), (p, lp, _) in self._class(c).items():
             if w == u:
-                scaled = self.rd.scaled_root_coordinates(t)
-                floor = tuple(s // e for s in scaled)
-                rows.setdefault(tuple(s % e for s in scaled), []).append((sum(floor), floor, p, lp))
-                top = sum(scaled) if top is None else max(top, sum(scaled))
-        for group in rows.values():
-            group.sort(key=lambda row: -row[0])
-        return rows, top
+                rc = tuple(s // e for s in self.rd.scaled_root_coordinates(t))
+                rows.append((sum(rc), rc, p, lp))
+        rows.sort(key=lambda row: -row[0])
+        return rows, e * rows[0][0] if rows else None
 
     @cached_property
     def _koszul_packed(self) -> list[tuple[int, tuple[int, ...], int, int]]:
@@ -781,18 +775,16 @@ class PeriodicModule(RightHeckeModule):
 
         Evaluating positionwise keeps everything exact: the operator pulls the
         series coefficient at t(sigma) y for each subset sum sigma.  By the
-        inverse relation between the two operators this equals p_{y,x}.  The
-        value depends only on the orbit (y.trans - x.trans, y.w, x.w) and is
-        memoized by it.
+        inverse relation between the two operators this equals p_{y,x}: zero
+        for y and x in two cosets, and otherwise evaluated at its orbit
+        (y.trans - x.trans, y.w, x.w).
         """
         self.group._check(y, x)
+        if y.omega_component != x.omega_component:
+            return ZERO
         rel = tuple(map(sub, y.trans, x.trans))
         key = (rel, y.w.index, x.w.index)
-        hit = self._koszul_memo.get(key)
-        if hit is None:
-            hit = self._koszul_memo[key] = unpack(
-                *self._koszul_sum(key[1], key[2], self.rd.scaled_root_coordinates(rel)), _KOSZUL, key)
-        return hit
+        return unpack(*self._koszul_sum(key[1], key[2], self.rd.scaled_root_coordinates(rel)), _KOSZUL, key)
 
     def _koszul_sum(self, u: int, c: int, target: tuple[int, ...]) -> tuple[int, int]:
         """The Koszul sum at y = t(rel) u, x = t(0) c with E(rel) = ``target``,
@@ -860,21 +852,15 @@ class PeriodicModule(RightHeckeModule):
     def inversion_sum(self, y: ExtAffineElement, z: ExtAffineElement) -> LaurentPoly:
         """sum_x (-1)^{len(x)+len(y)} q_{x,y} p_{w0 x, w0 z}; equals delta_{y,z}.
 
-        Memoized by the orbit (z.trans - y.trans, y.w, z.w) under simultaneous
-        left translation and evaluated at y = t(0) y.w, z = t(d) z.w.
+        Zero for y and z in two cosets; otherwise evaluated at the orbit's
+        representative y = t(0) y.w, z = t(d) z.w, d = z.trans - y.trans.
         """
         self.group._check(y, z)
+        if y.omega_component != z.omega_component:
+            return ZERO
         d = tuple(map(sub, z.trans, y.trans))
-        key = (d, y.w.index, z.w.index)
-        hit = self._inversion_memo.get(key)
-        if hit is None:
-            hit = self._inversion_memo[key] = self._inversion_orbit(*key)
-        return hit
-
-    def _inversion_orbit(self, d: tuple[int, ...], yw: int, zw: int) -> LaurentPoly:
-        """The inversion sum at y = t(0) yw, z = t(d) zw."""
-        return unpack(*self._inversion_packed(d, self.rd.scaled_root_coordinates(d), yw, zw),
-                      _INVERSION, (d, yw, zw))
+        return unpack(*self._inversion_packed(d, self.rd.scaled_root_coordinates(d), y.w.index, z.w.index),
+                      _INVERSION, (d, y.w.index, z.w.index))
 
     def _inversion_packed(self, d: tuple[int, ...], target: tuple[int, ...], yw: int, zw: int) -> tuple[int, int]:
         """The inversion sum at y = t(0) yw, z = t(d) zw with E(d) = ``target``,
@@ -940,47 +926,22 @@ class PeriodicModule(RightHeckeModule):
         """Every deviation (y, z, S - delta_{y,z}) of the inversion identity, S =
         ``inversion_sum(y, z)``, over the same-coset pairs of the window.
 
-        Evaluated by translation-difference block, as the tables are: the
-        window's translation fibers are paired once per pair of fibers in
-        one coset (the coset reads only the translation), and for each
-        difference d every (y.w, z.w) that its pairs use is evaluated once,
-        compared with delta packed (module docstring), and a deviation is
-        reported at every pair of the block with those finite parts.
+        Evaluated by ``_coset_blocks``, as the tables are: each (z.trans -
+        y.trans, y.w, z.w) that a pair uses once, compared with delta packed
+        (module docstring), and a deviation reported at every pair with it.
         """
         self.group._check(*window)
-        fibers: dict[tuple[int, ...], list[ExtAffineElement]] = {}
-        for z in window:
-            fibers.setdefault(z.trans, []).append(z)
-        cosets: dict[tuple[int, ...], list[list[ExtAffineElement]]] = {}
-        for fiber in fibers.values():
-            cosets.setdefault(fiber[0].omega_component, []).append(fiber)
-        by_d: dict[tuple[int, ...], list[tuple[list, list]]] = {}
-        for coset in cosets.values():
-            for y_fiber in coset:
-                for z_fiber in coset:
-                    by_d.setdefault(tuple(map(sub, z_fiber[0].trans, y_fiber[0].trans)), []).append((y_fiber, z_fiber))
         half = 1 << (laurent._WIDTH - 1)
-        bad = []
-        for d, pairs in by_d.items():
-            target = self.rd.scaled_root_coordinates(d)
-            diagonal = not any(d)
-            block: dict[tuple[int, int], LaurentPoly] = {}  # (y.w, z.w) -> S - delta
-            for y_fiber, z_fiber in pairs:
-                for y in y_fiber:
-                    yw = y.w.index
-                    for z in z_fiber:
-                        zw = z.w.index
-                        diff = block.get((yw, zw))
-                        if diff is None:
-                            total, bound = self._inversion_packed(d, target, yw, zw)
-                            if bound >= half:
-                                raise bound_error(bound, _INVERSION, (d, yw, zw))
-                            delta = 1 if diagonal and yw == zw else 0
-                            diff = block[yw, zw] = ZERO if total == delta else (
-                                unpack(total, bound, _INVERSION, (d, yw, zw)) - (ONE if delta else ZERO))
-                        if diff.coeffs:
-                            bad.append((y, z, diff))
-        return bad
+
+        def deviation(d: tuple[int, ...], target: tuple[int, ...], zw: int, yw: int) -> LaurentPoly:
+            total, bound = self._inversion_packed(d, target, yw, zw)
+            if bound >= half:
+                raise bound_error(bound, _INVERSION, (d, yw, zw))
+            delta = 0 if any(d) or yw != zw else 1
+            return ZERO if total == delta else (
+                unpack(total, bound, _INVERSION, (d, yw, zw)) - (ONE if delta else ZERO))
+
+        return [(y, z, diff) for (z, y), diff in self._coset_blocks(window, window, deviation).items()]
 
     # -- tables -------------------------------------------------------------------------------
 
@@ -988,20 +949,18 @@ class PeriodicModule(RightHeckeModule):
         """The nonzero entries (y, x) of one kind over the window; any other
         ``kind`` raises ValueError.
 
-        p is read from each x's class by key.  q and q' are evaluated once
-        per distinct translation difference of the window, as a block over
-        the pairs (u, c) of finite indices, and each block value is
-        relabelled onto every window pair with that difference.  This is
-        exact by translation invariance: t(nu) commutes with the right
-        action and fixes every e(lam), so SD_{t(nu) x} is the nu-shift of
-        SD_x, and the series operators commute with the shift; hence q_{y,x}
-        and q'_{y,x} depend only on (y.trans - x.trans, y.w, x.w), which is
-        the memo key of the point queries (``_generic_entry``), and the
-        block reads and fills that same memo.  The window may be any set of
-        elements (a ragged one holds only part of some translation fibers):
-        a block value is evaluated only when a pair of the window needs it,
-        so a table evaluates no (difference, u, c) that the point queries of
-        its pairs would not.
+        p is read from each x's class by key.  q and q' vanish on a pair in
+        two cosets (module docstring), so ``_coset_blocks`` evaluates them
+        over the window's same-coset pairs only.  This is exact by
+        translation invariance: t(nu) commutes with the right action and
+        fixes every e(lam), so SD_{t(nu) x} is the nu-shift of SD_x, and the
+        series operators commute with the shift; hence q_{y,x} and q'_{y,x}
+        depend only on (y.trans - x.trans, y.w, x.w), which is the memo key
+        of the point queries (``_generic_entry``), and the blocks read and
+        fill that same memo.  The window may be any set of elements (a
+        ragged one holds only part of some translation fibers): a table
+        evaluates no (difference, u, c) that the point queries of its pairs
+        would not.
         """
         if kind not in get_args(KindName):
             raise ValueError(f"unknown table kind {kind!r}; expected one of {', '.join(get_args(KindName))}")
@@ -1013,9 +972,9 @@ class PeriodicModule(RightHeckeModule):
                        xs: Sequence[ExtAffineElement]) -> dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly]:
         """The nonzero entries (y, x) of one kind over y in ``ys`` and x in ``xs``
         (see ``polynomial_table``)."""
-        entries: dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly] = {}
         if kind == "periodic_p":
             # the terms t(x.trans) src of SD_x, read by key from x's class
+            entries: dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly] = {}
             by_key = {y.key: y for y in ys}
             for x in xs:
                 for (t, u), (_, _, p) in self._class(x.w.index).items():
@@ -1023,22 +982,35 @@ class PeriodicModule(RightHeckeModule):
                     if y is not None:
                         entries[(y, x)] = p
             return entries
-        # the window's translation fibers, and their pairs by difference
+        weighted = kind == "generic_q"
+        entry = self._generic_entry
+        return self._coset_blocks(ys, xs, lambda rel, target, u, c: entry(rel, u, c, weighted, target))
+
+    def _coset_blocks(self, ys: Sequence[ExtAffineElement], xs: Sequence[ExtAffineElement],
+                      evaluate: Callable[[tuple[int, ...], tuple[int, ...], int, int], LaurentPoly]
+                      ) -> dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly]:
+        """The nonzero values evaluate(d, E(d), y.w, x.w), d = y.trans - x.trans,
+        over the same-coset pairs (y, x) of ``ys`` and ``xs``: the translation
+        fibers of the two are paired once per pair in one coset (the coset
+        reads only the translation), the pairs grouped by d, and each (d,
+        y.w, x.w) that a pair uses evaluated once."""
         y_fibers: dict[tuple[int, ...], list[ExtAffineElement]] = {}
         x_fibers: dict[tuple[int, ...], list[ExtAffineElement]] = {}
         for fibers, elements in ((y_fibers, ys), (x_fibers, xs)):
             for z in elements:
                 fibers.setdefault(z.trans, []).append(z)
-        by_rel: dict[tuple[int, ...], list[tuple[list, list]]] = {}
+        x_cosets: dict[tuple[int, ...], list[list[ExtAffineElement]]] = {}
+        for x_fiber in x_fibers.values():
+            x_cosets.setdefault(x_fiber[0].omega_component, []).append(x_fiber)
+        by_d: dict[tuple[int, ...], list[tuple[list, list]]] = {}
         for ty, y_fiber in y_fibers.items():
-            for tx, x_fiber in x_fibers.items():
-                by_rel.setdefault(tuple(map(sub, ty, tx)), []).append((y_fiber, x_fiber))
-        weighted = kind == "generic_q"
-        entry = self._generic_entry
+            for x_fiber in x_cosets.get(y_fiber[0].omega_component, ()):
+                by_d.setdefault(tuple(map(sub, ty, x_fiber[0].trans)), []).append((y_fiber, x_fiber))
+        values: dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly] = {}
         scaled = self.rd.scaled_root_coordinates
-        for rel, pairs in by_rel.items():
-            target = scaled(rel)
-            block: dict[int, dict[int, LaurentPoly]] = {}  # u -> c -> value
+        for d, pairs in by_d.items():
+            target = scaled(d)
+            block: dict[int, dict[int, LaurentPoly]] = {}  # y.w -> x.w -> value
             for y_fiber, x_fiber in pairs:
                 for y in y_fiber:
                     u = y.w.index
@@ -1047,12 +1019,12 @@ class PeriodicModule(RightHeckeModule):
                         row = block[u] = {}
                     for x in x_fiber:
                         c = x.w.index
-                        p = row.get(c)
-                        if p is None:
-                            p = row[c] = entry(rel, u, c, weighted, target)
-                        if p.coeffs:
-                            entries[(y, x)] = p
-        return entries
+                        value = row.get(c)
+                        if value is None:
+                            value = row[c] = evaluate(d, target, u, c)
+                        if value.coeffs:
+                            values[(y, x)] = value
+        return values
 
 
 def _term(p: LaurentPoly) -> Term:

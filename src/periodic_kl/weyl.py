@@ -391,6 +391,17 @@ class AffineWeyl:
             nbr[a], nbr[b] = (b, ~a) if up else (~b, a)
         return nbr[a]
 
+    def _lowest_descent(self, a: int) -> tuple[int, int]:
+        """(j, id of a s_j) for the lowest j with len(a s_j) < len(a), of an id
+        a of positive length; one with no descent is an internal error."""
+        for j, nbr in enumerate(self._nbrs):
+            b = nbr[a]
+            if b is None:
+                b = self._step(a, j)
+            if b < 0:
+                return j, ~b
+        raise AssertionError("positive-length element with no descent")
+
     def translate_left(self, nu: Weight, x: ExtAffineElement) -> ExtAffineElement:
         """t(nu) * x; cheap because it only shifts the translation part."""
         return self._intern(tuple(map(add, nu, x.trans)), x.w.index)
@@ -424,14 +435,8 @@ class AffineWeyl:
         n = self._lens[a]
         word_rev: list[int] = []
         for _ in range(n):
-            for j in range(self.num_affine_gens):
-                b = self._step(a, j)
-                if b < 0:
-                    word_rev.append(j)
-                    a = ~b
-                    break
-            else:
-                raise AssertionError("positive-length element with no descent")
+            j, a = self._lowest_descent(a)
+            word_rev.append(j)
         if self._lens[a] != 0:
             raise AssertionError(f"reduced word of {x!r}: {n} steps down end at length {self._lens[a]}")
         return tuple(reversed(word_rev)), self._elts[a]
@@ -479,17 +484,11 @@ class AffineWeyl:
                 else:
                     out[i] = x is y
         y = ids(y)
-        gens = range(self.num_affine_gens)
         while live:
             if not ly:
                 raise AssertionError(f"Bruhat walk from {self._elts[y]!r} outlives its length")
-            for j in gens:
-                ys = step(y, j)
-                if ys < 0:
-                    break
-            else:  # pragma: no cover
-                raise AssertionError("positive-length element with no descent")
-            y, ly = ~ys, ly - 1
+            j, y = self._lowest_descent(y)
+            ly -= 1
             nbr = self._nbrs[j]
             nxt = []
             for i, x in live:

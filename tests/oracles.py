@@ -4,7 +4,8 @@ Everything here is deliberately naive: breadth-first word search for
 lengths, exhaustive subword enumeration for the Bruhat order, a dense
 linear solve for self-dual basis elements, orbit enumeration for block
 combinatorics, and the per-pair element formulas of the inversion sum and
-the Koszul round trip (the module memoizes both per translation orbit).
+the Koszul round trip (the module evaluates both at the pair's
+translation orbit).
 Apart from the last two, which read q and p from the module, and the
 per-pair loops of the two selfcheck reports, which call the module's
 per-pair entry points, none of it shares code paths with the production

@@ -8,7 +8,8 @@ each of them through the command line and compares its digest.  The file
 is only read here.  The csv and text forms of every table argv, ``hecke
 mul`` and ``hecke bar`` on A1 and A2, and the small documents (``blocks``,
 ``orders``, ``selfcheck`` and ``mult``) in the formats the benchmark does
-not print, are pinned below.
+not print, and the q and truncated multiplicity tables over every coset of
+A2 and A3 windows, are pinned below.
 """
 
 import contextlib
@@ -271,7 +272,42 @@ def test_every_small_document_has_a_digest():
     assert all(argv.endswith("--format text") for argv in mults)
 
 
-FORMAT_DIGESTS = {**TABLE_FORMAT_DIGESTS, **HECKE_DIGESTS, **SMALL_DIGESTS}
+# sha256 of the stdout of the q and truncated multiplicity tables over every
+# coset of the e = 3 and e = 4 windows, recorded while the tables still
+# evaluated their cross-coset pairs.  The A3 height-0 window is t(0) W, one
+# coset, so the A3 height-1 window (four cosets) is pinned too, in json.
+ALL_COSET_DIGESTS = {
+    "table q --type A --rank 2 --l 5 --height 1 --coset all --format json":
+        "311f71902ef5a79f2d34a75f4a5a81997d4f9c2089c3b3972d54e1afa718ed65",
+    "table q --type A --rank 2 --l 5 --height 1 --coset all --format csv":
+        "6b264aa6310d31ff7a604bcb3ab5dd4f3c9dc855964b488e827283ffa9d4cb95",
+    "table q --type A --rank 2 --l 5 --height 1 --coset all --format text":
+        "910000913e8a8767e41873ce3db5cd811eec1c4403de5227f16b7feb4e452208",
+    "table verma-in-projective --type A --rank 2 --l 5 --height 1 --coset all --nu 2,2 --format json":
+        "3666c05d61b6e50b0fd6364ee96fa68debb0cfe15dd91c8de7a2f6eeeb8e5c96",
+    "table verma-in-projective --type A --rank 2 --l 5 --height 1 --coset all --nu 2,2 --format csv":
+        "4c73094d6666bb5061845d488242ef112c8a7a1ca4b3eb55eb458f6c3faa4aa3",
+    "table verma-in-projective --type A --rank 2 --l 5 --height 1 --coset all --nu 2,2 --format text":
+        "f1000827a57311bff71777ffcbb2b5b7cc8d5f4f0aea9e87ba4bff6a73712960",
+    "table q --type A --rank 3 --l 5 --height 0 --coset all --format json":
+        "97c7d4388ef83248c38858aa8a5495f301c9a7631ef73ec6d5cb9da2edf7e66c",
+    "table q --type A --rank 3 --l 5 --height 0 --coset all --format csv":
+        "3dcc2c7e41a5dbb8495788b57c3b1f458fa47a6daacdd5c79588c6cb5159f0fd",
+    "table q --type A --rank 3 --l 5 --height 0 --coset all --format text":
+        "3f4951cb75dc1947c43c3c00bb5f4826253d57820bfa531761ca02e5cd0fa650",
+    "table verma-in-projective --type A --rank 3 --l 5 --height 0 --coset all --nu 2,2,2 --format json":
+        "258a1a0af001bdc7bd11387bd93dd2a5aee4a26987c8d389e839a1b345eaa4ac",
+    "table verma-in-projective --type A --rank 3 --l 5 --height 0 --coset all --nu 2,2,2 --format csv":
+        "0dffed7ac5b331ee2a1ac46faed3d312165fceff9fae51cdf831f241b2af090f",
+    "table verma-in-projective --type A --rank 3 --l 5 --height 0 --coset all --nu 2,2,2 --format text":
+        "c4c31f323835199c40d54e3645a5b90bb17b401e0ef2b066518029ecc4778518",
+    "table q --type A --rank 3 --l 5 --height 1 --coset all --format json":
+        "ff96d638b14ad951896ffe4073e2cfa5273dace87b8922b9920c2a4abbf47749",
+    "table verma-in-projective --type A --rank 3 --l 5 --height 1 --coset all --nu 2,2,2 --format json":
+        "fb3baadbe63500c6d06e38a42b115124d0a4168062b4e49be3e7c23b55c13db3",
+}
+
+FORMAT_DIGESTS = {**TABLE_FORMAT_DIGESTS, **HECKE_DIGESTS, **SMALL_DIGESTS, **ALL_COSET_DIGESTS}
 
 
 @pytest.mark.parametrize("argv", sorted(FORMAT_DIGESTS))

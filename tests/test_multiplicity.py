@@ -1,4 +1,5 @@
 import random
+from operator import sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from periodic_kl.laurent import ONE, ZERO
 from periodic_kl.multiplicity import MultiplicityTables, enumerate_blocks
 from periodic_kl.orders import standard_window
+from periodic_kl.periodic import PeriodicModule
 from periodic_kl.rootdata import Weight, dominance_leq
 from periodic_kl.weyl import AffineWeyl
 from oracles import (dot_action, dot_orbit, dot_stabilizer, every_table, module_with_classes_of, point_queries,
@@ -244,6 +246,37 @@ def test_point_queries_after_a_table_add_no_memo_entry(b2):
             for b in window:
                 assert tables[kind].get((a, b), ZERO) == value(a, b)
     assert len(M._generic_decoded) == filled
+
+
+@pytest.mark.parametrize("name", ["a2", "b2"])
+def test_tables_evaluate_only_same_coset_blocks(monkeypatch, request, name):
+    # q and q' vanish at a pair in two cosets: the q, q' and truncated tables
+    # over every coset evaluate each (rel, u, c) of their same-coset pairs
+    # once, and no other
+    ctx = request.getfixturevalue(name)
+    W, rd = ctx.group, ctx.rd
+    window = standard_window(W, 1)
+    assert len({x.omega_component for x in window}) > 1
+    same = [(y, x) for y in window for x in window if y.omega_component == x.omega_component]
+    orbits = {(tuple(map(sub, y.trans, x.trans)), y.w.index, x.w.index) for y, x in same}
+    seen = []
+    real = PeriodicModule._generic_entry
+
+    def recording(self, rel, u, c, weighted, target):
+        seen.append((rel, u, c))
+        return real(self, rel, u, c, weighted, target)
+
+    monkeypatch.setattr(PeriodicModule, "_generic_entry", recording)
+    M = module_with_classes_of(ctx.module)
+    for kind in ("generic_q", "generic_qprime"):
+        seen.clear()
+        M.polynomial_table(kind, window)
+        assert len(seen) == len(orbits) and set(seen) == orbits
+    seen.clear()
+    MultiplicityTables(M).table("verma_in_projective_truncated", window, nu=Weight((2,) * rd.rank))
+    e = rd.lattice_index_e  # the truncated table reads the w0-twisted window
+    assert seen and len(set(seen)) == len(seen)
+    assert not any(E % e for rel, _, _ in seen for E in rd.scaled_root_coordinates(rel))
 
 
 @settings(derandomize=True, database=None, max_examples=25)

@@ -17,6 +17,7 @@ from oracles import (
     class_support_below_lead,
     e_element,
     elements_of_length_leq,
+    generic_polynomial_by_dicts,
     inversion_sum_per_pair,
     koszul_of_series_per_pair,
 )
@@ -262,20 +263,17 @@ def _same_coset_pairs(window):
     return [(y, z) for y in window for z in window if y.omega_component == z.omega_component]
 
 
-def test_orbit_memos_match_per_pair_formulas_on_all_a2_pairs(a2):
-    # every same-coset pair of the A2 l5 h1 window, in window order: most
-    # pairs find their orbit already filled by an earlier translate
+def test_orbit_sums_match_per_pair_formulas_on_all_a2_pairs(a2):
+    # every same-coset pair of the A2 l5 h1 window, in window order
     M = PeriodicModule(a2.group)
     pairs = _same_coset_pairs(standard_window(a2.group, 1))
     for y, z in pairs:
         assert M.inversion_sum(y, z) == inversion_sum_per_pair(M, y, z)
         assert M.koszul_of_series(y, z) == koszul_of_series_per_pair(M, y, z)
-    assert len(M._inversion_memo) < len(pairs) / 2
-    assert len(M._koszul_memo) < len(pairs) / 2
 
 
 @pytest.mark.parametrize("name,height", [("b2", 1), ("g2", 1)])
-def test_orbit_memos_match_per_pair_formulas_on_sampled_pairs(request, name, height):
+def test_orbit_sums_match_per_pair_formulas_and_translates_on_sampled_pairs(request, name, height):
     ctx = request.getfixturevalue(name)
     M, W = PeriodicModule(ctx.group), ctx.group
     rng = random.Random(11)
@@ -286,13 +284,35 @@ def test_orbit_memos_match_per_pair_formulas_on_sampled_pairs(request, name, hei
               for x in rng.sample(window, 30)]
     for y, z in pairs:
         nu = Weight(tuple(rng.choice((-2, -1, 1, 2)) for _ in range(ctx.rd.rank)))
-        # fill both orbit memos from a different translate of the pair first
-        M.inversion_sum(W.translate_left(nu, y), W.translate_left(nu, z))
-        M.koszul_of_series(W.translate_left(nu, y), W.translate_left(nu, z))
-        sizes = len(M._inversion_memo), len(M._koszul_memo)
-        assert M.inversion_sum(y, z) == inversion_sum_per_pair(M, y, z)
-        assert M.koszul_of_series(y, z) == koszul_of_series_per_pair(M, y, z)
-        assert (len(M._inversion_memo), len(M._koszul_memo)) == sizes
+        # a different translate of the pair has the pair's values
+        inversion = M.inversion_sum(W.translate_left(nu, y), W.translate_left(nu, z))
+        koszul = M.koszul_of_series(W.translate_left(nu, y), W.translate_left(nu, z))
+        assert M.inversion_sum(y, z) == inversion_sum_per_pair(M, y, z) == inversion
+        assert M.koszul_of_series(y, z) == koszul_of_series_per_pair(M, y, z) == koszul
+
+
+@pytest.mark.parametrize("name", DATA)
+def test_every_class_term_lies_in_the_root_lattice(request, name):
+    # SD_{t(0)w} lies in the coset of t(0)w, so the generic rows divide the
+    # scaled root coordinates of each term by e exactly
+    ctx = request.getfixturevalue(name)
+    rd = ctx.rd
+    e = rd.lattice_index_e
+    for w in ctx.group.finite_elements:
+        for t, _ in ctx.module._class(w.index):
+            assert not any(E % e for E in rd.scaled_root_coordinates(t)), (w, t)
+
+
+def test_cross_coset_queries_are_zero_and_fill_no_memo(b2):
+    M, W = PeriodicModule(b2.group), b2.group
+    window = standard_window(W, 1)
+    pairs = [(y, x) for y in window for x in window if y.omega_component != x.omega_component]
+    for y, x in pairs[::23]:
+        for kind in ("q", "qprime"):
+            assert M.generic_polynomial(y, x, kind) == ZERO == generic_polynomial_by_dicts(M, y, x, kind)
+        assert M.inversion_sum(y, x) == ZERO
+        assert M.koszul_of_series(y, x) == ZERO
+    assert not M._generic_decoded and not M._generic_tables
 
 
 def test_p_table_shape(a2):
