@@ -17,12 +17,11 @@ from .hecke import HeckeAlgebra, HeckeElement, ResourceError
 from .laurent import LaurentPoly
 from .multiplicity import (
     BlockLabel,
-    MultiplicityTable,
     MultiplicityTables,
     enumerate_blocks,
 )
 from .orders import SemiInfiniteOrder, SemiInfinitePoset, standard_window
-from .periodic import CertificationError, PeriodicElement, PeriodicModule, PolynomialTable
+from .periodic import CertificationError, PeriodicElement, PeriodicModule
 from .rootdata import RootDatum, Weight, dominance_leq, pairing, root_datum, validate_l
 from .weyl import AffineWeyl, ExtAffineElement, FiniteWeylElement
 
@@ -35,11 +34,9 @@ __all__ = [
     "HeckeAlgebra",
     "HeckeElement",
     "LaurentPoly",
-    "MultiplicityTable",
     "MultiplicityTables",
     "PeriodicElement",
     "PeriodicModule",
-    "PolynomialTable",
     "ResourceError",
     "RootDatum",
     "SemiInfiniteOrder",

@@ -76,8 +76,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--type", required=True, help="Cartan type letter (A, B, C, G)")
     parser.add_argument("--rank", required=True, type=int)
     parser.add_argument("--l", required=True, type=int, help="root-of-unity order")
-    parser.add_argument("--force", action="store_true",
-                        help="proceed despite validate_l warnings")
     parser.add_argument("--format", choices=["json", "csv", "text"], default="json")
     parser.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     parser.add_argument("--cache-dir", default=None,
@@ -89,13 +87,9 @@ def _build_context(args) -> tuple[RootDatum, AffineWeyl]:
         rd = root_datum(args.type.upper(), args.rank, args.l)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    violations, warnings = validate_l(rd)
+    violations = validate_l(rd)
     if violations:
         raise UsageError("invalid l: " + "; ".join(violations))
-    if warnings and not args.force:
-        raise UsageError(
-            "; ".join(warnings) + " (pass --force to proceed)"
-        )
     return rd, AffineWeyl(rd)
 
 
@@ -534,16 +528,14 @@ def _cmd_table(args) -> int:
     if args.which == "verma-in-projective":
         nu = _parse_weight(group, args.nu)
     if args.which in ("p", "q", "qprime"):
-        raw = mod.polynomial_table(kind, window)
-        entries_map = raw.entries  # keyed (y, x)
+        entries_map = mod.polynomial_table(kind, window)  # keyed (y, x)
     else:
-        tables = MultiplicityTables(mod)
-        raw = tables.table(kind, window, nu=nu)
-        entries_map = {(y, x): p for (x, y), p in raw.entries.items()}
+        entries_map = {(y, x): p for (x, y), p in MultiplicityTables(mod).table(kind, window, nu=nu).items()}
     _save_class_cache(mod, args, on_disk)
-    # Every entry pairs two window elements: name and rank each once.
+    # Every entry pairs two window elements: name and rank each once.  The
+    # window is in key order (``standard_window``).
     names = {z: group.format_element(z) for z in window}
-    rank = {z: i for i, z in enumerate(sorted(window, key=lambda z: z.key))}
+    rank = {z: i for i, z in enumerate(window)}
     n = len(rank)
     ordered = sorted(entries_map.items(), key=lambda kv: rank[kv[0][1]] * n + rank[kv[0][0]])
     head = {

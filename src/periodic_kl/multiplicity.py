@@ -43,7 +43,6 @@ from .weyl import AffineWeyl, ExtAffineElement
 
 __all__ = [
     "BlockLabel",
-    "MultiplicityTable",
     "enumerate_blocks",
     "MultiplicityTables",
 ]
@@ -112,13 +111,6 @@ TableKind = Literal[
 ]
 
 
-class MultiplicityTable(NamedTuple):
-    kind: TableKind
-    window: tuple[ExtAffineElement, ...]
-    truncation: Optional[Weight]
-    entries: dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly]
-
-
 class MultiplicityTables:
     """Graded multiplicities as views over one periodic-module context."""
 
@@ -161,10 +153,11 @@ class MultiplicityTables:
         kind: TableKind,
         window: Sequence[ExtAffineElement],
         nu: Optional[Weight] = None,
-    ) -> MultiplicityTable:
-        """The nonzero entries (x, y) over the window: the module's table of the
-        view's kind over the w0-twisted window, relabelled (module docstring).
-        ``nu`` is required by the truncated kind and refused by the others."""
+    ) -> dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly]:
+        """The nonzero entries {(x, y): polynomial} over the window: the
+        module's table of the view's kind over the w0-twisted window,
+        relabelled (module docstring).  ``nu`` is required by the truncated
+        kind and refused by the others."""
         if kind not in get_args(TableKind):
             raise ValueError(f"unknown table kind {kind!r}; expected one of {', '.join(get_args(TableKind))}")
         truncated = kind == "verma_in_projective_truncated"
@@ -172,14 +165,13 @@ class MultiplicityTables:
             raise ValueError("truncated table needs a truncation weight nu")
         if not truncated and nu is not None:
             raise ValueError(f"a truncation weight nu applies only to verma_in_projective_truncated, not {kind}")
-        win = tuple(window)
-        back = {self._twist(x): x for x in win}
+        back = {self._twist(x): x for x in window}
         twisted = list(back)
         if truncated:  # (x : y) = q'_{w0 y, w0 x}, over the y with y dot 0 <= l * nu
             top = self.rd.l * nu
             rows = [ty for ty, y in back.items() if dominance_leq(self.rd, self.group.dot_zero(y), top)]
             raw = self.module._table_entries("generic_qprime", rows, twisted)
-            return MultiplicityTable(kind, win, nu, {(back[b], back[a]): p for (a, b), p in raw.items()})
+            return {(back[b], back[a]): p for (a, b), p in raw.items()}
         # [x : y] = q_{w0 x, w0 y}, and the baby view p_{w0 x, w0 y}
         raw = self.module._table_entries("generic_q" if kind == "simple_in_verma" else "periodic_p", twisted, twisted)
-        return MultiplicityTable(kind, win, nu, {(back[a], back[b]): p for (a, b), p in raw.items()})
+        return {(back[a], back[b]): p for (a, b), p in raw.items()}

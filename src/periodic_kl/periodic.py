@@ -213,7 +213,7 @@ from __future__ import annotations
 import heapq
 from functools import cached_property
 from operator import add, mul, sub
-from typing import Callable, Iterable, KeysView, Literal, Mapping, NamedTuple, Optional, Sequence, get_args
+from typing import Callable, Iterable, KeysView, Literal, Mapping, Optional, Sequence, get_args
 
 from . import laurent
 from .hecke import RightHeckeModule
@@ -225,7 +225,6 @@ from .weyl import AffineWeyl, ExtAffineElement, element_text
 __all__ = [
     "PeriodicElement",
     "PeriodicModule",
-    "PolynomialTable",
     "CertificationError",
 ]
 
@@ -258,14 +257,6 @@ class PeriodicElement(Combination):
 
 KindName = Literal["periodic_p", "generic_q", "generic_qprime"]
 GenericKind = Literal["q", "qprime"]
-
-
-class PolynomialTable(NamedTuple):
-    """A windowed table of polynomials p_{y,x}, q_{y,x} or q'_{y,x}."""
-
-    kind: KindName
-    window: tuple[ExtAffineElement, ...]
-    entries: dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly]
 
 
 # An element's intern key (translation coordinates, finite index), and one
@@ -945,9 +936,10 @@ class PeriodicModule(RightHeckeModule):
 
     # -- tables -------------------------------------------------------------------------------
 
-    def polynomial_table(self, kind: KindName, window: Sequence[ExtAffineElement]) -> PolynomialTable:
-        """The nonzero entries (y, x) of one kind over the window; any other
-        ``kind`` raises ValueError.
+    def polynomial_table(self, kind: KindName, window: Sequence[ExtAffineElement]
+                         ) -> dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly]:
+        """The nonzero entries {(y, x): polynomial} of one kind over the
+        window; any other ``kind`` raises ValueError.
 
         p is read from each x's class by key.  q and q' vanish on a pair in
         two cosets (module docstring), so ``_coset_blocks`` evaluates them
@@ -966,7 +958,7 @@ class PeriodicModule(RightHeckeModule):
             raise ValueError(f"unknown table kind {kind!r}; expected one of {', '.join(get_args(KindName))}")
         win = tuple(window)
         self.group._check(*win)
-        return PolynomialTable(kind, win, self._table_entries(kind, win, win))
+        return self._table_entries(kind, win, win)
 
     def _table_entries(self, kind: KindName, ys: Sequence[ExtAffineElement],
                        xs: Sequence[ExtAffineElement]) -> dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly]:

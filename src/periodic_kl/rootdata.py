@@ -31,9 +31,8 @@ symmetrizers ``d_s``.
 The root-of-unity order ``l`` attached to a :class:`RootDatum` must be odd,
 larger than the Coxeter number, coprime to the lattice index ``e``, and
 coprime to 3 in type G2.  ``validate_l`` reports violations of these
-constraints; the additional prime-power condition is reported only as a
-warning since it is not needed for any computation done here.  An ``l``
-above ``MAX_L`` is refused before any check.
+constraints, and they are the only check on ``l``.  Results elsewhere may
+assume ``l`` is a prime power; nothing here depends on it.
 """
 
 from __future__ import annotations
@@ -41,8 +40,6 @@ from __future__ import annotations
 from math import gcd
 from operator import add, mul, neg, sub
 from typing import TYPE_CHECKING, Sequence
-
-from .laurent import ResourceError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -55,10 +52,6 @@ __all__ = [
     "dominance_leq",
     "validate_l",
 ]
-
-# Bound on l: the prime-power test is trial division, up to sqrt(l) steps.
-# The tests, goldens and bench use l <= 15.
-MAX_L = 1_000_000
 
 # Cartan matrices A[s][t] = <a_s^, a_t> and symmetrizers d_s (so that
 # d_s * A[s][t] is symmetric positive definite, with gcd(d_s) = 1).
@@ -263,21 +256,15 @@ def dominance_leq(rd: RootDatum, mu: Weight, lam: Weight) -> bool:
     return all(c >= 0 and c % e == 0 for c in rd.scaled_root_coordinates(lam - mu))
 
 
-def validate_l(rd: RootDatum) -> tuple[list[str], list[str]]:
-    """Check the constraints on the order ``l``.
-
-    Returns ``(violations, warnings)``; the datum is admissible iff
-    ``violations`` is empty.  A non-prime-power ``l`` only produces a warning.
-    An ``l`` above ``MAX_L`` raises ``ResourceError`` before any check.
-    """
+def validate_l(rd: RootDatum) -> list[str]:
+    """The violated constraints on the order ``l``; the datum is admissible
+    iff the list is empty.  Each check is a comparison or a residue of
+    ``l``, so an ``l`` of any size is checked at once."""
     l = rd.l
-    if l > MAX_L:
-        raise ResourceError(f"l={l} is above the bound of {MAX_L}")
     violations = []
-    warnings = []
     if l <= 0:
         violations.append(f"l={l} is not a positive integer")
-        return violations, warnings
+        return violations
     if l % 2 == 0:
         violations.append(f"l={l} is not odd")
     if l <= rd.coxeter_number:
@@ -286,9 +273,7 @@ def validate_l(rd: RootDatum) -> tuple[list[str], list[str]]:
         violations.append(f"l={l} is not coprime to the lattice index e={rd.lattice_index_e}")
     if rd.cartan_type == "G" and l % 3 == 0:
         violations.append(f"l={l} is not coprime to 3 (required in type G2)")
-    if not _is_prime_power(l):
-        warnings.append(f"l={l} is not a prime power (harmless; some external contexts assume it)")
-    return violations, warnings
+    return violations
 
 
 # -- small exact linear algebra helpers ----------------------------------------
@@ -308,16 +293,3 @@ def _adjugate(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """adj(m), with m adj(m) = det(m) I."""
     n = len(m)
     return tuple(tuple((-1) ** (i + j) * _det(_minor(m, j, i)) for j in range(n)) for i in range(n))
-
-
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1
-    return True

@@ -98,9 +98,9 @@ def every_table(module: PeriodicModule, window: Sequence[ExtAffineElement], nu: 
     p, q and q' keyed (y, x), and the multiplicity views keyed (x, y), the
     truncated one at ``nu``."""
     views = MultiplicityTables(module)
-    tables = {kind: module.polynomial_table(kind, window).entries for kind in get_args(KindName)}
+    tables = {kind: module.polynomial_table(kind, window) for kind in get_args(KindName)}
     for kind in get_args(TableKind):
-        tables[kind] = views.table(kind, window, nu=nu if kind == "verma_in_projective_truncated" else None).entries
+        tables[kind] = views.table(kind, window, nu=nu if kind == "verma_in_projective_truncated" else None)
     return tables
 
 

@@ -309,11 +309,26 @@ def test_table_formats_agree(tmp_path):
     assert [tuple(row) for row in csv.reader(rows.decode().splitlines()[1:])] == entries
 
 
-def test_force_for_warnings(tmp_path):
-    # l = 15 is admissible but not a prime power: requires --force
-    args = ["blocks", "--type", "A", "--rank", "1", "--l", "15"]
-    assert main(args + ["-o", str(tmp_path / "x.json")]) == 2
-    assert main(args + ["--force", "-o", str(tmp_path / "y.json")]) == 0
+def test_l_that_is_not_a_prime_power_runs_quietly(tmp_path, capsys):
+    # l = 15 is admissible; admissibility is the only check on l
+    assert main(["blocks", "--type", "A", "--rank", "1", "--l", "15", "-o", str(tmp_path / "x.json")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["blocks", *BASE_A1],
+    ["selfcheck", *BASE_A1, "--height", "0"],
+    ["mult", "baby", *BASE_A1, "--x", "t(0)*w[]", "--y", "t(0)*w[]"],
+    ["hecke", "kl", *BASE_A1, "--x", "t(0)*w[1]"],
+    ["orders", "hasse", *BASE_A1, "--height", "0"],
+    ["table", "p", *BASE_A1, "--height", "0"],
+])
+def test_force_is_not_an_option(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--force"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --force" in captured.err
 
 
 def test_resource_exit_code(monkeypatch, tmp_path):
@@ -369,12 +384,10 @@ def test_partition_state_bound_exit_code(capsys, x, y):
 
 
 @pytest.mark.parametrize("argv,bound", [
-    # trial division for the prime-power warning would take O(sqrt l) steps
-    ("table p --type A --rank 1 --l 1000000000000000003 --height 0", "above the bound of 1000000"),
     # the alcove walk visits (l + 1)^rank points
     ("blocks --type A --rank 2 --l 30011", "visits 900720144 points, above the bound of 100000"),
     # range(-1, l) would be materialized whole: a MemoryError before the bound
-    ("blocks --type A --rank 1 --l 100000000000031", "above the bound of 1000000"),
+    ("blocks --type A --rank 1 --l 100000000000031", "visits 100000000000032 points, above the bound of 100000"),
 ])
 def test_large_l_is_refused_before_any_work(capsys, argv, bound):
     start = time.perf_counter()
@@ -387,12 +400,36 @@ def test_large_l_is_refused_before_any_work(capsys, argv, bound):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("cartan_type,rank,l,height,x", [
+    ("A", 1, 3, 1, "t(3)*w[1]"),
+    ("A", 2, 5, 1, "t(-11,6)*w[2]"),
+    ("B", 2, 5, 1, "t(4,-10)*w[1 2]"),
+    ("G", 2, 7, 0, "t(2,2)*w[1 2 1 2 1 2]"),
+])
+def test_output_does_not_depend_on_the_admissible_l(capsys, cartan_type, rank, l, height, x):
+    # Once l is admissible no work here grows with it but the alcove walk of
+    # blocks: at a huge admissible l these subcommands print the default-l
+    # bytes, apart from the echoed "l" field.
+    huge = 10**30 + 1
+    window = ["--height", str(height)]
+    for command in (["table", "q", *window], ["selfcheck", *window], ["orders", "hasse", *window],
+                    ["hecke", "kl", "--x", x]):
+        outputs = []
+        for order in (l, huge):
+            assert main([*command, "--type", cartan_type, "--rank", str(rank), "--l", str(order)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        default, at_huge = outputs
+        assert at_huge.replace(f'"l": {huge},', f'"l": {l},') == default, command
+
+
 @pytest.mark.parametrize("argv,flag", [
     # the A3 h9 window is above its bound, which exits 3 once it is built
     ("table verma-in-projective --type A --rank 3 --l 5 --height 9", "--nu"),
-    # an l this large exits 3 once the root datum is built
-    ("mult verma-in-projective --type A --rank 1 --l 1000000000000000003 --x t(0)*w[] --y t(0)*w[]", "--nu"),
-    ("hecke mul --type A --rank 1 --l 1000000000000000003 --x t(0)*w[1]", "--y"),
+    # an even l is refused with another message once the root datum is built
+    ("mult verma-in-projective --type A --rank 1 --l 4 --x t(0)*w[] --y t(0)*w[]", "--nu"),
+    ("hecke mul --type A --rank 1 --l 4 --x t(0)*w[1]", "--y"),
 ])
 def test_a_missing_option_is_refused_before_any_work(capsys, argv, flag):
     code = main(argv.split())

@@ -9,10 +9,12 @@ is only read here.  The csv and text forms of every table argv, ``hecke
 mul`` and ``hecke bar`` on A1 and A2, and the small documents (``blocks``,
 ``orders``, ``selfcheck`` and ``mult``) in the formats the benchmark does
 not print, and the q and truncated multiplicity tables over every coset of
-A2 and A3 windows, are pinned below.
+A2 and A3 windows, are pinned below.  Every pinned invocation runs once, and
+that run also checks that it leaves no cyclic garbage (``test_acyclic``).
 """
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from periodic_kl.cli import main
+from periodic_kl.cli import build_parser, main
 
 DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
 PINNED = sorted(DIGESTS)
@@ -32,13 +34,41 @@ def _tokens(argv: str) -> list[str]:
     return re.findall(r"\S*\[[^\]]*\]|\S+", argv)
 
 
+@contextlib.contextmanager
+def collector_off():
+    """Run the body with the collector disabled, saving what it finds after."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        yield
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.collect()
+        gc.enable()
+
+
+def _digest(argv: list[str]) -> str:
+    """The sha256 of the stdout of a successful invocation that leaves no
+    cyclic garbage.  The parser is built once per process, and building it
+    leaves argparse cycles behind, so it is built before measuring.
+    Everything else an invocation makes, its output included, is freed by
+    reference counting."""
+    build_parser()
+    out = io.StringIO()
+    with collector_off():
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        gc.collect()
+        kinds = sorted({type(o).__qualname__ for o in gc.garbage})
+    assert kinds == []
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 @pytest.mark.parametrize("argv", PINNED)
 def test_stdout_digest(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(_tokens(argv))
-    assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DIGESTS[argv]
+    assert _digest(_tokens(argv)) == DIGESTS[argv]
 
 
 # sha256 of the ``--format text`` stdout of every ``hecke kl`` argv above, as
@@ -61,11 +91,7 @@ def test_every_kl_argv_has_a_text_digest():
 
 @pytest.mark.parametrize("argv", sorted(KL_TEXT_DIGESTS))
 def test_kl_text_digest(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(_tokens(argv) + ["--format", "text"])
-    assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == KL_TEXT_DIGESTS[argv]
+    assert _digest(_tokens(argv) + ["--format", "text"]) == KL_TEXT_DIGESTS[argv]
 
 
 # sha256 of the ``--format csv`` and ``--format text`` stdout of every
@@ -312,8 +338,4 @@ FORMAT_DIGESTS = {**TABLE_FORMAT_DIGESTS, **HECKE_DIGESTS, **SMALL_DIGESTS, **AL
 
 @pytest.mark.parametrize("argv", sorted(FORMAT_DIGESTS))
 def test_format_digest(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(_tokens(argv))
-    assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == FORMAT_DIGESTS[argv]
+    assert _digest(_tokens(argv)) == FORMAT_DIGESTS[argv]

@@ -536,6 +536,29 @@ def test_kl_measurement_of_too_small_a_rung_is_an_internal_error(monkeypatch, g2
     with pytest.raises(AssertionError, match="KL basis coefficient outside its bound"):
         HeckeAlgebra(W).kl_basis(x)
 
+
+def test_every_kl_memo_entry_lies_within_its_stored_bound(monkeypatch, g2):
+    # the recursion trusts the stored bound of every C_u and C_y it reads,
+    # and only the decode of the element returned compares digits with a
+    # bound: so every memo entry, measured or tracked, is checked here, at
+    # 16 bits, where dozens of this benchmark element's bounds are measured
+    monkeypatch.setattr(laurent, "_WIDTH", 16)
+    W = g2.group
+    measured = hecke._measured_bound
+    calls = []
+
+    def counted(values, n, width, bound):
+        calls.append(n)
+        return measured(values, n, width, bound)
+
+    monkeypatch.setattr(hecke, "_measured_bound", counted)
+    H = HeckeAlgebra(W)
+    H.kl_basis(W.parse_element("t(2,2)*w[1 2 1 2 1 2]"))
+    assert len(calls) > 40
+    for i, (cx, bound) in H._kl_cache.items():
+        digits = [c for p in cx.values() for c in laurent.unpack(p, (1 << 15) - 1, "memo entry", i).coeffs.values()]
+        assert all(abs(c) <= bound for c in digits), W._elts[i]
+
 def test_json_encoding(a1):
     H, W = a1.hecke, a1.group
     h = H.kl_basis(W.simple_reflection(0))

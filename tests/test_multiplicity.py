@@ -160,13 +160,14 @@ def test_table_builder(a1):
     W = a1.group
     win = standard_window(W, 1, coset=(0,))
     t1 = T.table("simple_in_verma", win)
-    assert all(t1.entries.get((x, x)) == ONE for x in win)
-    t2 = T.table("verma_in_projective_truncated", win, nu=Weight((2,)))
-    assert t2.truncation == Weight((2,))
+    assert all(t1.get((x, x)) == ONE for x in win)
+    nu = Weight((2,))
+    t2 = T.table("verma_in_projective_truncated", win, nu=nu)
+    assert t2 and all(dominance_leq(a1.rd, W.dot_zero(y), a1.rd.l * nu) for _, y in t2)
     with pytest.raises(ValueError):
         T.table("verma_in_projective_truncated", win)
     t3 = T.table("babyverma_in_projective", win)
-    assert all(t3.entries.get((x, x)) == ONE for x in win)
+    assert all(t3.get((x, x)) == ONE for x in win)
 
 
 @pytest.mark.parametrize("fixture", ["a1", "a2", "a3", "b2", "c2", "g2"])

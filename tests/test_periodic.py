@@ -320,8 +320,8 @@ def test_p_table_shape(a2):
     win = standard_window(W, 1, coset=(0, 0))
     table = M.polynomial_table("periodic_p", win)
     for x in win:
-        assert table.entries.get((x, x)) == ONE
-    for (y, x), p in table.entries.items():
+        assert table.get((x, x)) == ONE
+    for (y, x), p in table.items():
         if y != x:
             assert p.in_v_times_Zv()
             assert a2.order.leq(y, x)

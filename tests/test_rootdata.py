@@ -79,28 +79,26 @@ def test_root_coordinates_and_coset_tags():
 
 
 def test_validate_l():
-    ok, warn = validate_l(root_datum("A", 1, 3))
-    assert ok == [] and warn == []
+    assert validate_l(root_datum("A", 1, 3)) == []
 
-    viol, _ = validate_l(root_datum("A", 2, 3))
+    viol = validate_l(root_datum("A", 2, 3))
     assert any("Coxeter" in v for v in viol)
     assert any("coprime to the lattice index" in v for v in viol)
 
-    viol, warn = validate_l(root_datum("A", 2, 5))
-    assert viol == [] and warn == []
+    assert validate_l(root_datum("A", 2, 5)) == []
 
     # even l
-    viol, _ = validate_l(root_datum("A", 1, 4))
+    viol = validate_l(root_datum("A", 1, 4))
     assert any("odd" in v for v in viol)
 
     # G2: multiples of 3 rejected
-    viol, _ = validate_l(root_datum("G", 2, 9))
+    viol = validate_l(root_datum("G", 2, 9))
     assert any("coprime to 3" in v for v in viol)
 
-    # non prime power: warning only
-    viol, warn = validate_l(root_datum("A", 1, 15))
-    assert viol == []
-    assert any("prime power" in w for w in warn)
+    # admissibility is the only check: neither a non-prime-power l nor a
+    # huge one is refused
+    assert validate_l(root_datum("A", 1, 15)) == []
+    assert validate_l(root_datum("G", 2, 10**30 + 1)) == []
 
 
 def test_coxeter_numbers_and_lattice_index():
