@@ -1,8 +1,8 @@
 """Contexts are acyclic: a group, order, module or algebra and everything
 computed from it is freed by reference counting, never left to the cyclic
 collector.  Elements and combinations hold no pointer to their owner.  Each
-pinned command-line invocation is checked in the same run that checks its
-digest (``test_digests``)."""
+pinned command-line invocation is checked on the one run that
+``test_digests`` also reads for its digest."""
 
 import gc
 
@@ -14,7 +14,7 @@ from periodic_kl.orders import SemiInfinitePoset, standard_window
 from periodic_kl.periodic import PeriodicElement, PeriodicModule
 from periodic_kl.rootdata import root_datum
 from periodic_kl.weyl import AffineWeyl, ExtAffineElement
-from test_digests import collector_off
+from test_digests import FORMAT_DIGESTS, PINNED, collector_off, run_once
 
 
 def _exercise(cartan_type: str, rank: int, l: int, height: int) -> None:
@@ -46,6 +46,13 @@ def test_a_dropped_context_leaves_no_cyclic_garbage(cartan_type, rank, l, height
         found = gc.collect()
         kinds = sorted({type(o).__qualname__ for o in gc.garbage})
     assert found == 0, kinds
+
+
+# Every pinned invocation: the benchmark's, and every other format and small
+# document of tests/test_digests.py.
+@pytest.mark.parametrize("argv", sorted({*PINNED, *FORMAT_DIGESTS}))
+def test_an_invocation_leaves_no_garbage_of_ours(argv):
+    assert run_once(argv)[1] == []
 
 
 def test_elements_and_combinations_hold_no_owner():

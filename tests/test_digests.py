@@ -9,11 +9,12 @@ is only read here.  The csv and text forms of every table argv, ``hecke
 mul`` and ``hecke bar`` on A1 and A2, and the small documents (``blocks``,
 ``orders``, ``selfcheck`` and ``mult``) in the formats the benchmark does
 not print, and the q and truncated multiplicity tables over every coset of
-A2 and A3 windows, are pinned below.  Every pinned invocation runs once, and
-that run also checks that it leaves no cyclic garbage (``test_acyclic``).
+A2 and A3 windows, are pinned below.  Every pinned invocation runs once
+(``run_once``); ``test_acyclic`` checks that same run for cyclic garbage.
 """
 
 import contextlib
+import functools
 import gc
 import hashlib
 import io
@@ -49,26 +50,34 @@ def collector_off():
         gc.enable()
 
 
-def _digest(argv: list[str]) -> str:
-    """The sha256 of the stdout of a successful invocation that leaves no
-    cyclic garbage.  The parser is built once per process, and building it
-    leaves argparse cycles behind, so it is built before measuring.
-    Everything else an invocation makes, its output included, is freed by
-    reference counting."""
+@functools.cache
+def run_once(argv: str) -> tuple[str, list[str]]:
+    """The sha256 of the stdout of a successful invocation, and the kinds of
+    the cyclic garbage it leaves.  Each argv runs once per process: its digest
+    test here and its garbage test in ``test_acyclic`` read the same run.
+    The parser is built once per process, and building it leaves argparse
+    cycles behind, so it is built before measuring.  Everything else an
+    invocation makes, its output included, is freed by reference counting."""
     build_parser()
     out = io.StringIO()
     with collector_off():
         with contextlib.redirect_stdout(out):
-            assert main(argv) == 0
+            assert main(_tokens(argv)) == 0
         gc.collect()
         kinds = sorted({type(o).__qualname__ for o in gc.garbage})
+    return hashlib.sha256(out.getvalue().encode()).hexdigest(), kinds
+
+
+def _digest(argv: str) -> str:
+    """The digest of an invocation that leaves no cyclic garbage."""
+    digest, kinds = run_once(argv)
     assert kinds == []
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return digest
 
 
 @pytest.mark.parametrize("argv", PINNED)
 def test_stdout_digest(argv):
-    assert _digest(_tokens(argv)) == DIGESTS[argv]
+    assert _digest(argv) == DIGESTS[argv]
 
 
 # sha256 of the ``--format text`` stdout of every ``hecke kl`` argv above, as
@@ -91,7 +100,7 @@ def test_every_kl_argv_has_a_text_digest():
 
 @pytest.mark.parametrize("argv", sorted(KL_TEXT_DIGESTS))
 def test_kl_text_digest(argv):
-    assert _digest(_tokens(argv) + ["--format", "text"]) == KL_TEXT_DIGESTS[argv]
+    assert _digest(f"{argv} --format text") == KL_TEXT_DIGESTS[argv]
 
 
 # sha256 of the ``--format csv`` and ``--format text`` stdout of every
@@ -338,4 +347,4 @@ FORMAT_DIGESTS = {**TABLE_FORMAT_DIGESTS, **HECKE_DIGESTS, **SMALL_DIGESTS, **AL
 
 @pytest.mark.parametrize("argv", sorted(FORMAT_DIGESTS))
 def test_format_digest(argv):
-    assert _digest(_tokens(argv)) == FORMAT_DIGESTS[argv]
+    assert _digest(argv) == FORMAT_DIGESTS[argv]
