@@ -139,16 +139,21 @@ return zero for one, and the tables and ``inversion_report`` walk only
 same-coset pairs (``_coset_blocks``).  Otherwise q_{y,x} reads a table
 built once per (x.w, y.w); it is looked up by (rel = y.trans - x.trans,
 y.w, x.w), and on a miss evaluated from the table's rows, the terms
-t(lam) y.w of SD_{t(0) x.w} with root coordinates rc(lam) = E(lam) / e
-(E = e * rc integral, e the lattice index).  A term contributes iff
-rc(lam) - rc(rel) >= 0, which needs sum rc(lam) >= sum rc(rel), so the
-rows are scanned by descending sum until that fails, and q_{y,x} is zero
-outright when sum E(rel) exceeds the table's largest sum E, its top.  The
-Koszul and inversion sums memoize q per table keyed by E(rel), which is
-additive: a term's key is the orbit's E plus a
-precomputed offset, and the terms are scanned by ascending offset sum, so
-each sum stops at the first term whose key sum exceeds that largest sum:
-its q and every later one are zero.
+t(lam) y.w of SD_{t(0) x.w}, each with its scaled root coordinates E(lam)
+= e rc(lam) (e the lattice index; rc(lam) is integral) packed into one
+integer (see "Packed vectors" below).  The rows of every finite part of a
+class are built in one pass over it, each translation encoded once.  A term
+contributes iff sigma = E(lam) - E(rel) >= 0, one AND on the packed
+sigma, which needs sum E(lam) >= sum E(rel), so the rows are scanned by
+descending sum until that fails, and q_{y,x} is zero outright when sum
+E(rel) exceeds the table's largest sum E, its top.  The partition series
+at sigma is memoized per module keyed by the packed sigma, and only a
+miss decodes sigma into the tuple rc(sigma) of the partition recursion.
+The Koszul and inversion sums memoize q per table keyed by the packed
+E(rel), which is additive: a term's key is the orbit's key plus a packed
+offset, one integer add, and the terms are scanned by ascending offset
+sum, so each sum stops at the first term whose key sum exceeds that
+largest sum: its q and every later one are zero.
 
 The inversion and Koszul checks depend only on the orbit of a pair under
 simultaneous left translation: q, p and the Koszul sum are
@@ -158,7 +163,12 @@ permutes the simple reflections), so len(t(nu) x) + len(t(nu) y) has the
 parity of len(x) + len(y).  The inversion sum at (y, z) therefore depends
 only on (d = z.trans - y.trans, y.w, z.w); it is evaluated at y = t(0) y.w,
 z = t(d) z.w from a per-class table of the rows x0 = w0 pos, pos in SD_{w0
-t(0) z.w}, with x = t(d) x0 and len(t(d)) = <d, 2 rho^> mod 2.  The rows
+t(0) z.w}, with x = t(d) x0.  Here len(t(d)) = <d, 2 rho^> mod 2 is even,
+and so is <w0 lam, 2 rho^> for each x0 = t(w0 lam) w0 u: both vectors lie
+in the root lattice, and for mu = sum_j c_j alpha_j there, <mu, 2 rho^> =
+sum_j c_j <alpha_j, 2 rho^> = 2 sum_j c_j, since <alpha_j, rho^> = 1 for
+every simple root (rho^ is the sum of the fundamental coweights).  So a
+row's sign is (-1)^len(x0.w) and the sum's sign (-1)^len(y.w).  The rows
 come in groups by the finite part of x0, each reading one generic table,
 and a group adds nothing once sum E(d) exceeds its threshold, the table's
 top minus the group's least row sum; the groups are kept by descending
@@ -206,13 +216,46 @@ exactly when the integers are equal.  The expected values are in range
 too: delta is 0 or 1, and a Koszul sum's bound counts the term's own p
 (the empty subset, and the row of the term itself with the empty
 partition), so it is at least l1(p).
+
+Packed vectors.  Each root-lattice vector of these sums (E(lam) of each
+class term, each Koszul subset sum, each inversion-row offset E(x0.trans),
+and each target E(rel) or E(d)) is one integer P(E) = sum_i E_i 2^(F i),
+F = ``_FIELD`` = 32 bits per coordinate, a constant of its own (not
+``laurent._WIDTH``).  P is additive for any integers, so a vector add is
+one integer add, and E(lam) = sum_j lam_j E(omega_j) makes the encoding of
+a translation one dot product with the packed columns of e C^{-1}.
+Balanced base-2^F digits are unique, so P is injective on the vectors with
+every |E_i| < 2^(F-1), whose digits are their coordinates.  Exactness:
+every encoded vector is checked once, when it is encoded, to have every
+|E_i| < 2^(F-2), decided on E itself (the weight coordinates bound it;
+where they do not, E is computed), never on a packed value, which may have
+wrapped: rc(rel) = (-2^F, 1) on A2 packs to 0.  Let R = sum_{i < rank}
+2^(F i) and M = ~((2^(F-1) - 1) R), the mask of ``hecke._measured_bound``.
+A vector s with every |s_i| < 2^(F-1) has every s_i >= 0 iff P(s) & M = 0
+(then P(s) >= 0 has digits below 2^(F-1), so they are its balanced digits
+and its coordinates), and every s_i in [-2^(F-2), 2^(F-2)) iff (P(s) +
+2^(F-2) R) & M = 0 (the same test on s + 2^(F-2)).  A key of a Koszul or
+inversion sum is the sum of two encoded vectors, so its coordinates lie
+below 2^(F-1): the memo key is exact.  ``_generic_sum`` tests its key once
+with one add and one AND; a key in [-2^(F-2), 2^(F-2)) leaves every sigma
+= E(lam) - E(rel) below 2^(F-1), so each row's test is one AND, exact, and
+never a per-row range check.  Beyond the field (a target that cannot be
+encoded, or a key past the edge), the exact zero is kept: if some
+coordinate of E(rel) exceeds that coordinate's maximum over the table's
+rows, no sigma is >= 0 and q is zero (a Koszul sum reads q only at E(rel)
+plus subset sums >= 0, an inversion group at E(d) plus its offsets, at
+least E(d) plus their least coordinates, so the same test decides them).
+Otherwise a ResourceError names the bound: some coordinate of E(rel) is at
+or below -2^(F-2), and a row that contributes there needs a partition
+series with a coordinate near 2^(F-2) / e, far past
+``MAX_PARTITION_STATES``.
 """
 
 from __future__ import annotations
 
 import heapq
 from functools import cached_property
-from operator import add, mul, sub
+from operator import add, gt, itemgetter, mul, sub
 from typing import Callable, Iterable, KeysView, Literal, Mapping, Optional, Sequence, get_args
 
 from . import laurent
@@ -234,6 +277,11 @@ MAX_SWEEP_STEPS = 500_000
 # Memo entries of ``_partitions`` one module may hold before it raises
 # ResourceError.
 MAX_PARTITION_STATES = 20_000
+
+# Bits per coordinate of a packed root-lattice vector (module docstring,
+# "Packed vectors").  Every encoded vector has its coordinates below
+# 2^(_FIELD - 2) in absolute value.
+_FIELD = 32
 
 # What a refused Koszul or inversion sum names, with its orbit key.
 _KOSZUL = "Koszul sum (y.trans - x.trans, y.w, x.w)"
@@ -264,6 +312,12 @@ GenericKind = Literal["q", "qprime"]
 # coefficient decoded.
 Key = tuple[tuple[int, ...], int]
 Term = tuple[int, int, LaurentPoly]
+# A row of the generic, Koszul and inversion sums: (sum E, E packed, a packed
+# polynomial, its l1 norm), E a root-lattice vector in scaled root
+# coordinates; and an encoded target: (E packed, or None beyond the field,
+# sum E).
+Row = tuple[int, int, int, int]
+Target = tuple[Optional[int], int]
 
 
 class PeriodicModule(RightHeckeModule):
@@ -278,9 +332,12 @@ class PeriodicModule(RightHeckeModule):
         self._classes: dict[int, dict[Key, Term]] = {}
         self._in_progress: set[int] = set()
         self._partition_memo: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
+        self._series: dict[int, tuple[int, int]] = {}
+        self._encoded: dict[tuple[int, ...], tuple[int, int]] = {}
+        self._rows: dict[int, dict[int, list[Row]]] = {}
         self._generic_tables: dict[tuple[int, int], tuple[dict, list, Optional[int]]] = {}
         self._generic_decoded: dict[tuple[tuple[int, ...], int, int, bool], LaurentPoly] = {}
-        self._inversion_rows: dict[int, dict[int, list[tuple[int, tuple[int, ...], int, int]]]] = {}
+        self._inversion_rows: dict[int, dict[int, list[Row]]] = {}
         self._inversion_plans: dict[tuple[int, int], list[tuple[int, tuple[dict, dict, int], list]]] = {}
         self._down_policy = self._choose_down_moves()
 
@@ -651,6 +708,47 @@ class PeriodicModule(RightHeckeModule):
         e = rd.lattice_index_e
         return [tuple(c // e for c in rd.scaled_root_coordinates(b)) for b in rd.positive_roots]
 
+    @cached_property
+    def _vector_masks(self) -> tuple[int, int]:
+        """(M, 2^(F-2) R), R = sum_{i < rank} 2^(F i): for a packed vector whose
+        coordinates lie below 2^(F-1) in absolute value, P(s) & M = 0 iff every
+        s_i >= 0, and (P(a) + 2^(F-2) R) & M = 0 iff every a_i lies in
+        [-2^(F-2), 2^(F-2)) (module docstring).  M has every bit set but the
+        low F - 1 of each field: the mask of ``hecke._measured_bound`` at
+        k = F - 1."""
+        ones = _pack_vector((1,) * self.rd.rank)
+        return ~(((1 << (_FIELD - 1)) - 1) * ones), ones << (_FIELD - 2)
+
+    @cached_property
+    def _encoder(self) -> tuple[list[int], list[int], int]:
+        """The columns E(omega_j) of e C^{-1}, packed, their coordinate sums, and
+        the largest max |lam_j| at which every |E_i(lam)| is surely below
+        2^(F-2)."""
+        scaled = self.rd.scaled_inverse_cartan
+        columns = list(zip(*scaled))
+        spread = max(sum(map(abs, row)) for row in scaled)
+        return [_pack_vector(col) for col in columns], [sum(col) for col in columns], ((1 << (_FIELD - 2)) - 1) // spread
+
+    def _encode(self, trans: Sequence[int]) -> Target:
+        """(P(E(trans)), sum E(trans)) of a translation in the root lattice, one
+        dot product each; P(E) is None when some |E_i| reaches 2^(F-2), which
+        is decided on E itself, never on a packed value that may have wrapped."""
+        packed, sums, plain = self._encoder
+        total = sum(map(mul, sums, trans))
+        if max(map(abs, trans)) > plain and max(map(abs, self.rd.scaled_root_coordinates(trans))) >> (_FIELD - 2):
+            return None, total
+        return sum(map(mul, packed, trans)), total
+
+    def _encode_term(self, trans: tuple[int, ...]) -> tuple[int, int]:
+        """``_encode`` of a translation read from a class or the root datum,
+        into the memo ``_encoded`` that the class rows and ``koszul_report``
+        read first; a coordinate beyond the field raises ResourceError."""
+        packed, total = self._encode(trans)
+        if packed is None:
+            raise _field_error("root-lattice vector of the generic sums", trans)
+        hit = self._encoded[trans] = (packed, total)
+        return hit
+
     def generic_polynomial(self, y: ExtAffineElement, x: ExtAffineElement,
                            kind: GenericKind = "q") -> LaurentPoly:
         """q_{y,x} (weighted) or q'_{y,x} (unweighted), exactly.
@@ -668,97 +766,136 @@ class PeriodicModule(RightHeckeModule):
         if y.omega_component != x.omega_component:
             return ZERO
         rel = tuple(map(sub, y.trans, x.trans))
-        return self._generic_entry(rel, y.w.index, x.w.index, kind == "q", self.rd.scaled_root_coordinates(rel))
+        return self._generic_entry(rel, y.w.index, x.w.index, kind == "q", self._encode(rel))
 
     def _generic_entry(self, rel: tuple[int, ...], u: int, c: int, weighted: bool,
-                       target: tuple[int, ...]) -> LaurentPoly:
-        """q (``weighted``) or q' at y = t(rel) u, x = t(0) c, given E(rel) =
-        ``target``: the one evaluator of point queries and tables.  Zero
+                       target: Target) -> LaurentPoly:
+        """q (``weighted``) or q' at y = t(rel) u, x = t(0) c, given ``target``,
+        E(rel) encoded: the one evaluator of point queries and tables.  Zero
         outright, with no memo entry, when the table of (u, c) has no term
-        or sum E(rel) exceeds its top; otherwise read from the decoded memo,
-        keyed (rel, u, c, weighted), or evaluated into it."""
+        or sum E(rel) exceeds its top, or when E(rel) lies beyond the field
+        and ``_check_beyond_field`` finds it zero; otherwise read from the
+        decoded memo, keyed (rel, u, c, weighted), or evaluated into it."""
         _, rows, top = self._generic_table(u, c)
-        if top is None or sum(target) > top:
+        if top is None or target[1] > top:
             return ZERO
         key = (rel, u, c, weighted)
         hit = self._generic_decoded.get(key)
         if hit is None:
-            hit = self._generic_decoded[key] = unpack(
-                *self._generic_sum(target, rows, weighted),
-                "generic q (y.trans - x.trans, y.w, x.w)" if weighted else
-                "generic qprime (y.trans - x.trans, y.w, x.w)", key[:3])
+            what = ("generic q (y.trans - x.trans, y.w, x.w)" if weighted else
+                    "generic qprime (y.trans - x.trans, y.w, x.w)")
+            if target[0] is None:
+                self._check_beyond_field(rows, self.rd.scaled_root_coordinates(rel), what, key[:3])
+                return ZERO
+            hit = self._generic_decoded[key] = unpack(*self._generic_sum(*target, rows, weighted), what, key[:3])
         return hit
 
-    def _generic_table(self, u: int, c: int) -> tuple[dict, list, Optional[int]]:
+    def _generic_table(self, u: int, c: int) -> tuple[dict, list[Row], Optional[int]]:
         """(memo, rows, top) of the generic polynomials at y = t(rel) u, x = t(0) c.
 
-        ``memo`` maps E(rel) = e * rc(rel) (injective in rel, and additive,
-        so callers add precomputed offsets) to q packed, with a bound on its
-        l1 norm, filled by ``_generic_sum`` from ``rows``, the terms t(lam) u
-        of SD_{t(0)c} (see ``_build_generic_rows``), for the Koszul and
-        inversion sums.  ``top`` is the largest sum E(lam) over these terms,
-        or None if there is none: a term contributes at rel only if
-        E(lam) - E(rel) >= 0, so q and q' are zero unless sum E(rel) <= top.
+        ``rows`` are the terms t(lam) u of SD_{t(0)c} (``_class_rows``), and
+        ``top`` the largest sum E(lam) over them, or None if there is none:
+        a term contributes at rel only if E(lam) - E(rel) >= 0, so q and q'
+        are zero unless sum E(rel) <= top.  ``memo`` maps P(E(rel)) (additive,
+        so callers add packed offsets) to q packed, with a bound on its l1
+        norm, filled by ``_generic_sum`` for the Koszul and inversion sums.
         """
         key = (u, c)
         hit = self._generic_tables.get(key)
         if hit is None:
-            hit = self._generic_tables[key] = ({}, *self._build_generic_rows(c, u))
+            rows = self._class_rows(c).get(u, [])
+            hit = self._generic_tables[key] = ({}, rows, rows[0][0] if rows else None)
         return hit
 
-    def _generic_sum(self, target: tuple[int, ...], rows: list, weighted: bool) -> tuple[int, int]:
-        """The generic polynomial with E(rel) = target (rel in the root lattice)
-        over ``rows``, packed, with a bound on its l1 norm."""
-        e = self.rd.lattice_index_e
-        at = tuple(t // e for t in target)  # rc(rel)
-        need = sum(at)
-        memo = self._partition_memo
+    def _class_rows(self, c: int) -> dict[int, list[Row]]:
+        """The terms t(lam) u of SD_{t(0)c} by finite part u, as rows (sum E(lam),
+        P(E(lam)), packed coefficient, its l1 norm) by descending sum E(lam):
+        every finite part in one pass over the class, each translation
+        encoded once."""
+        hit = self._rows.get(c)
+        if hit is None:
+            hit = {}
+            encoded, encode = self._encoded.get, self._encode_term
+            for (t, u), (p, lp, _) in self._class(c).items():
+                key = encoded(t) or encode(t)
+                hit.setdefault(u, []).append((key[1], key[0], p, lp))
+            for rows in hit.values():
+                rows.sort(key=itemgetter(0), reverse=True)
+            self._rows[c] = hit
+        return hit
+
+    def _generic_sum(self, at: int, need: int, rows: list[Row], weighted: bool) -> tuple[int, int]:
+        """The generic polynomial at P(E(rel)) = ``at``, sum E(rel) = ``need``,
+        over ``rows``, packed, with a bound on its l1 norm.
+
+        A row contributes iff sigma = E(lam) - E(rel) >= 0, which needs sum
+        E(lam) >= need, so the rows are scanned by descending sum until that
+        fails.  Once one add and one AND have placed E(rel) in [-2^(F-2),
+        2^(F-2)), each sigma lies below 2^(F-1) and its test is one AND.  A
+        key beyond that (a target near the field's edge plus an offset) is
+        decoded and left to ``_check_beyond_field``.
+        """
+        mask, offset = self._vector_masks
+        if (at + offset) & mask:
+            scaled = _unpack_vector(at, self.rd.rank)
+            self._check_beyond_field(rows, scaled, "generic q", f"E(y.trans - x.trans) = {scaled}")
+            return 0, 0
+        get = self._series.get
         total = bound = 0
-        for row_sum, rc, p, lp in rows:
+        for row_sum, row, p, lp in rows:
             if row_sum < need:
                 break  # every later row has a sigma with a negative sum
-            sigma = tuple(map(sub, rc, at))
-            if min(sigma) >= 0:
-                series, n = memo.get((0, sigma)) or self._partitions(0, sigma)
-                if n:
-                    total += p * (series if weighted else n)
-                    bound += lp * n
+            sigma = row - at
+            if sigma & mask:
+                continue  # a coordinate of sigma is negative
+            series, n = get(sigma) or self._series_at(sigma)
+            if n:
+                total += p * (series if weighted else n)
+                bound += lp * n
         return total, bound
 
-    def _build_generic_rows(self, c: int, u: int) -> tuple[list, Optional[int]]:
-        """The terms t(lam) u of SD_{t(0)c} as (sum rc(lam), rc(lam), packed
-        coefficient, its l1 norm), by descending sum rc(lam): lam lies in the
-        root lattice, so rc(lam) = E(lam) / e is integral, and a term
-        contributes at rel only while sigma = rc(lam) - rc(rel) >= 0, which
-        needs sum rc(lam) >= sum rc(rel).  With the largest sum E(lam), or
-        None if there is no such term."""
-        e = self.rd.lattice_index_e
-        rows = []
-        for (t, w), (p, lp, _) in self._class(c).items():
-            if w == u:
-                rc = tuple(s // e for s in self.rd.scaled_root_coordinates(t))
-                rows.append((sum(rc), rc, p, lp))
-        rows.sort(key=lambda row: -row[0])
-        return rows, e * rows[0][0] if rows else None
+    def _series_at(self, sigma: int) -> tuple[int, int]:
+        """The partition series at the packed sigma >= 0, into the series memo:
+        its digits are E(sigma), divided by e into the tuple state
+        rc(sigma) of ``_partitions``."""
+        rd, field = self.rd, _FIELD
+        e, digit = rd.lattice_index_e, (1 << field) - 1
+        hit = self._series[sigma] = self._partitions(
+            0, tuple((sigma >> (field * i) & digit) // e for i in range(rd.rank)))
+        return hit
+
+    def _check_beyond_field(self, rows: list[Row], scaled: Sequence[int], what: str, key: object) -> None:
+        """Return if the generic polynomial over ``rows`` is zero at E(rel) =
+        ``scaled``, which lies beyond the field: some coordinate exceeds that
+        coordinate's maximum over the rows, so no sigma = E(lam) - E(rel) is
+        >= 0.  Otherwise raise ``_field_error``."""
+        rank = self.rd.rank
+        tops = map(max, zip(*(_unpack_vector(row[1], rank) for row in rows)))
+        if not any(map(gt, scaled, tops)):
+            raise _field_error(what, key)
 
     @cached_property
-    def _koszul_packed(self) -> list[tuple[int, tuple[int, ...], int, int]]:
+    def _koszul_packed(self) -> list[Row]:
         """prod_{a > 0} (1 - v^2 <-a>) expanded over the subsets S of the positive
         roots, one factor at a time: per subset sum sigma, the sum of the
-        monomials (-1)^|S| v^{2|S|}, as (sum E(sigma), E(sigma), that polynomial
-        packed, its l1 norm), by ascending sum E(sigma).  The subsets of one
-        size share a sign, so no two monomials cancel and the l1 norm is the
-        number of subsets.  Built on first use, so that constructing a module
-        stays cheap."""
+        monomials (-1)^|S| v^{2|S|}, as a row (sum E(sigma), P(E(sigma)), that
+        polynomial packed, its l1 norm), by ascending sum E(sigma).  The
+        subsets of one size share a sign, so no two monomials cancel and the
+        l1 norm is the number of subsets.  Built on first use, so that
+        constructing a module stays cheap."""
         step = 2 * laurent._WIDTH
         koszul: dict[tuple[int, ...], tuple[int, int]] = {(0,) * self.rd.rank: (1, 1)}
         for b in self.rd.positive_roots:
-            eb = self.rd.scaled_root_coordinates(b)
             for at, (f, n) in list(koszul.items()):
-                with_b = tuple(map(add, at, eb))
+                with_b = tuple(map(add, at, b))
                 g, k = koszul.get(with_b, (0, 0))
                 koszul[with_b] = (g - (f << step), k + n)
-        return sorted(((sum(at), at, f, n) for at, (f, n) in koszul.items()), key=lambda term: term[0])
+        rows = []
+        for at, (f, n) in koszul.items():
+            packed, total = self._encode_term(at)
+            rows.append((total, packed, f, n))
+        rows.sort(key=lambda row: row[0])
+        return rows
 
     def koszul_of_series(self, y: ExtAffineElement, x: ExtAffineElement) -> LaurentPoly:
         """Coefficient at y of the Koszul operator applied to the full (untruncated)
@@ -768,18 +905,26 @@ class PeriodicModule(RightHeckeModule):
         series coefficient at t(sigma) y for each subset sum sigma.  By the
         inverse relation between the two operators this equals p_{y,x}: zero
         for y and x in two cosets, and otherwise evaluated at its orbit
-        (y.trans - x.trans, y.w, x.w).
+        (y.trans - x.trans, y.w, x.w).  At an E(rel) beyond the field every q
+        it reads is at some E(rel) + E(S) >= E(rel), S a subset sum, so
+        ``_check_beyond_field`` at E(rel) decides it.
         """
         self.group._check(y, x)
         if y.omega_component != x.omega_component:
             return ZERO
         rel = tuple(map(sub, y.trans, x.trans))
         key = (rel, y.w.index, x.w.index)
-        return unpack(*self._koszul_sum(key[1], key[2], self.rd.scaled_root_coordinates(rel)), _KOSZUL, key)
+        target = self._encode(rel)
+        if target[0] is None:
+            _, rows, top = self._generic_table(key[1], key[2])
+            if top is not None and target[1] <= top:
+                self._check_beyond_field(rows, self.rd.scaled_root_coordinates(rel), _KOSZUL, key)
+            return ZERO
+        return unpack(*self._koszul_sum(key[1], key[2], target), _KOSZUL, key)
 
-    def _koszul_sum(self, u: int, c: int, target: tuple[int, ...]) -> tuple[int, int]:
-        """The Koszul sum at y = t(rel) u, x = t(0) c with E(rel) = ``target``,
-        packed, with a bound on its l1 norm."""
+    def _koszul_sum(self, u: int, c: int, target: Target) -> tuple[int, int]:
+        """The Koszul sum at y = t(rel) u, x = t(0) c with E(rel) encoded in
+        ``target``, packed, with a bound on its l1 norm."""
         return self._q_sum(self._generic_table(u, c), target, self._koszul_packed)
 
     def koszul_report(self, window: Sequence[ExtAffineElement]) -> list[tuple[ExtAffineElement, ExtAffineElement, LaurentPoly]]:
@@ -798,14 +943,11 @@ class PeriodicModule(RightHeckeModule):
         for x in window:
             by_class.setdefault(x.w.index, []).append(x)
         half = 1 << (laurent._WIDTH - 1)
-        scaled: dict[tuple[int, ...], tuple[int, ...]] = {}  # E(t) by translation t
+        encoded, encode = self._encoded.get, self._encode_term
         bad = []
         for c, xs in by_class.items():
             for (t, u), (p, _, poly) in self._class(c).items():
-                target = scaled.get(t)
-                if target is None:
-                    target = scaled[t] = self.rd.scaled_root_coordinates(t)
-                total, bound = self._koszul_sum(u, c, target)
+                total, bound = self._koszul_sum(u, c, encoded(t) or encode(t))
                 if bound >= half:
                     raise bound_error(bound, _KOSZUL, (t, u, c))
                 if total != p:
@@ -813,26 +955,28 @@ class PeriodicModule(RightHeckeModule):
                     bad += [(g._intern(tuple(map(add, x.trans, t)), u), x, diff) for x in xs]
         return bad
 
-    def _q_sum(self, table: tuple[dict, dict, Optional[int]], target: tuple[int, ...],
-               terms: Iterable[tuple[int, tuple[int, ...], int, int]]) -> tuple[int, int]:
-        """sum of q * f over the terms (reach, offset, f, l1 norm of f), packed, with
-        a bound on its l1 norm.  q is the weighted generic polynomial of
-        ``table`` = (memo, rows, top) at E(rel) = target + offset, read from the
-        memo or filled by ``_generic_sum``.  The terms come by ascending reach
-        (the sum of the offset), so the sum stops at the first whose reach
-        exceeds top - sum(target): its q and every later one are zero."""
+    def _q_sum(self, table: tuple[dict, list[Row], Optional[int]], target: Target,
+               terms: Iterable[Row]) -> tuple[int, int]:
+        """sum of q * f over the rows (reach, offset, f, l1 norm of f), packed,
+        with a bound on its l1 norm.  q is the weighted generic polynomial of
+        ``table`` = (memo, rows, top) at P(E(rel)) = target + offset, one
+        integer add, read from the memo or filled by ``_generic_sum``.  The
+        terms come by ascending reach (the sum of the offset), so the sum
+        stops at the first whose reach exceeds top - sum(target): its q and
+        every later one are zero.  The target is in the field."""
         memo, rows, top = table
         total = bound = 0
         if top is None:
             return total, bound
-        limit = top - sum(target)
+        key, need = target
+        limit = top - need
         for reach, offset, f, lf in terms:
             if reach > limit:
                 break
-            at = tuple(map(add, target, offset))
+            at = key + offset
             q = memo.get(at)
             if q is None:
-                q = memo[at] = self._generic_sum(at, rows, True)
+                q = memo[at] = self._generic_sum(at, need + reach, rows, True)
             if q[1]:
                 total += q[0] * f
                 bound += q[1] * lf
@@ -850,27 +994,37 @@ class PeriodicModule(RightHeckeModule):
         if y.omega_component != z.omega_component:
             return ZERO
         d = tuple(map(sub, z.trans, y.trans))
-        return unpack(*self._inversion_packed(d, self.rd.scaled_root_coordinates(d), y.w.index, z.w.index),
+        return unpack(*self._inversion_packed(d, self._encode(d), y.w.index, z.w.index),
                       _INVERSION, (d, y.w.index, z.w.index))
 
-    def _inversion_packed(self, d: tuple[int, ...], target: tuple[int, ...], yw: int, zw: int) -> tuple[int, int]:
-        """The inversion sum at y = t(0) yw, z = t(d) zw with E(d) = ``target``,
-        packed, with a bound on its l1 norm."""
-        need = sum(target)
+    def _inversion_packed(self, d: tuple[int, ...], target: Target, yw: int, zw: int) -> tuple[int, int]:
+        """The inversion sum at y = t(0) yw, z = t(d) zw with E(d) encoded in
+        ``target``, packed, with a bound on its l1 norm.  At an E(d) beyond the
+        field, a group's q are read at E(d) + E(x0.trans), each at or above
+        E(d) plus the group's least offsets, where ``_check_beyond_field``
+        decides them."""
+        key, need = target
         total = bound = 0
         for threshold, table, group in self._inversion_plan(yw, zw):
             if threshold < need:
                 break  # this group's q are all zero, and so are every later group's
+            if key is None:
+                rank = self.rd.rank
+                lows = map(min, zip(*(_unpack_vector(row[1], rank) for row in group)))
+                self._check_beyond_field(table[1], tuple(map(add, self.rd.scaled_root_coordinates(d), lows)),
+                                         _INVERSION, (d, yw, zw))
+                continue
             part, part_bound = self._q_sum(table, target, group)
             total += part
             bound += part_bound
-        # x = t(d) x0 and length parity is a character, so len(x) = len(t(d)) + len(x0)
-        # mod 2, with len(t(d)) = <d, 2 rho^> mod 2; the rows carry (-1)^len(x0).
-        if (sum(map(mul, self.rd.two_rho_check, d)) + self.group.finite_elements[yw].length) % 2:
+        # x = t(d) x0 and length parity is a character, so len(x) = len(t(d)) +
+        # len(x0) mod 2, where len(t(d)) = <d, 2 rho^> mod 2 is even (module
+        # docstring); the rows carry (-1)^len(x0)
+        if self.group.finite_elements[yw].length % 2:
             total = -total
         return total, bound
 
-    def _inversion_plan(self, yw: int, zw: int) -> list[tuple[int, tuple[dict, dict, int], list]]:
+    def _inversion_plan(self, yw: int, zw: int) -> list[tuple[int, tuple[dict, list[Row], int], list[Row]]]:
         """The groups of inversion rows of zw (``_build_inversion_rows``), each
         with the generic table (u, yw) it reads and its threshold, the
         table's top minus the group's least reach, by descending threshold.
@@ -892,23 +1046,24 @@ class PeriodicModule(RightHeckeModule):
             self._inversion_plans[(yw, zw)] = plan
         return plan
 
-    def _build_inversion_rows(self, zw: int) -> dict[int, list[tuple[int, tuple[int, ...], int, int]]]:
+    def _build_inversion_rows(self, zw: int) -> dict[int, list[Row]]:
         """The rows x0 = w0 pos over pos in SD_{w0 t(0) zw}, grouped by the finite
-        index of x0, as (sum E(x0.trans), E(x0.trans), (-1)^len(x0) p packed, l1
-        norm of p), by ascending sum E(x0.trans)."""
-        g, rd = self.group, self.rd
-        w0 = g.w0
+        index of x0, as (sum E(x0.trans), P(E(x0.trans)), (-1)^len(x0) p
+        packed, l1 norm of p), by ascending sum E(x0.trans)."""
+        g = self.group
+        w0, fins = g.w0, g.finite_elements
         w0_mul = g._fin_mul[w0.index]
-        groups: dict[int, list[tuple[int, tuple[int, ...], int, int]]] = {}
+        groups: dict[int, list[Row]] = {}
+        encoded: dict[tuple[int, ...], tuple[int, int]] = {}  # E(w0 lam) by lam
         # SD_{w0 t(0) zw} is the class of w0 zw; its term at pos = t(lam) u
         # gives x0 = t(w0 lam) (w0 u), whose length has the parity of
-        # <w0 lam, 2 rho^> + len(w0 u)
+        # len(w0 u), as <w0 lam, 2 rho^> is even (w0 lam lies in the root lattice)
         for (lam, u), (p, lp, _) in self._class(w0_mul[zw]).items():
-            trans = w0.apply(lam)
+            key = encoded.get(lam)
+            if key is None:
+                key = encoded[lam] = self._encode_term(w0.apply(lam))
             x0w = w0_mul[u]
-            offset = rd.scaled_root_coordinates(trans)
-            odd = (sum(map(mul, rd.two_rho_check, trans)) + g.finite_elements[x0w].length) % 2
-            groups.setdefault(x0w, []).append((sum(offset), offset, -p if odd else p, lp))
+            groups.setdefault(x0w, []).append((key[1], key[0], -p if fins[x0w].length % 2 else p, lp))
         for group in groups.values():
             group.sort(key=lambda row: row[0])
         return groups
@@ -924,7 +1079,7 @@ class PeriodicModule(RightHeckeModule):
         self.group._check(*window)
         half = 1 << (laurent._WIDTH - 1)
 
-        def deviation(d: tuple[int, ...], target: tuple[int, ...], zw: int, yw: int) -> LaurentPoly:
+        def deviation(d: tuple[int, ...], target: Target, zw: int, yw: int) -> LaurentPoly:
             total, bound = self._inversion_packed(d, target, yw, zw)
             if bound >= half:
                 raise bound_error(bound, _INVERSION, (d, yw, zw))
@@ -979,13 +1134,14 @@ class PeriodicModule(RightHeckeModule):
         return self._coset_blocks(ys, xs, lambda rel, target, u, c: entry(rel, u, c, weighted, target))
 
     def _coset_blocks(self, ys: Sequence[ExtAffineElement], xs: Sequence[ExtAffineElement],
-                      evaluate: Callable[[tuple[int, ...], tuple[int, ...], int, int], LaurentPoly]
+                      evaluate: Callable[[tuple[int, ...], Target, int, int], LaurentPoly]
                       ) -> dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly]:
-        """The nonzero values evaluate(d, E(d), y.w, x.w), d = y.trans - x.trans,
-        over the same-coset pairs (y, x) of ``ys`` and ``xs``: the translation
-        fibers of the two are paired once per pair in one coset (the coset
-        reads only the translation), the pairs grouped by d, and each (d,
-        y.w, x.w) that a pair uses evaluated once."""
+        """The nonzero values evaluate(d, target, y.w, x.w), d = y.trans -
+        x.trans and target its encoded E(d), over the same-coset pairs (y, x)
+        of ``ys`` and ``xs``: the translation fibers of the two are paired
+        once per pair in one coset (the coset reads only the translation),
+        the pairs grouped by d, each d encoded once, and each (d, y.w, x.w)
+        that a pair uses evaluated once."""
         y_fibers: dict[tuple[int, ...], list[ExtAffineElement]] = {}
         x_fibers: dict[tuple[int, ...], list[ExtAffineElement]] = {}
         for fibers, elements in ((y_fibers, ys), (x_fibers, xs)):
@@ -999,9 +1155,8 @@ class PeriodicModule(RightHeckeModule):
             for x_fiber in x_cosets.get(y_fiber[0].omega_component, ()):
                 by_d.setdefault(tuple(map(sub, ty, x_fiber[0].trans)), []).append((y_fiber, x_fiber))
         values: dict[tuple[ExtAffineElement, ExtAffineElement], LaurentPoly] = {}
-        scaled = self.rd.scaled_root_coordinates
         for d, pairs in by_d.items():
-            target = scaled(d)
+            target = self._encode(d)
             block: dict[int, dict[int, LaurentPoly]] = {}  # y.w -> x.w -> value
             for y_fiber, x_fiber in pairs:
                 for y in y_fiber:
@@ -1022,3 +1177,30 @@ class PeriodicModule(RightHeckeModule):
 def _term(p: LaurentPoly) -> Term:
     """A coefficient in Z[v] as a class term: packed, its l1 norm, itself."""
     return pack(p), sum(map(abs, p.coeffs.values())), p
+
+
+def _pack_vector(v: Iterable[int]) -> int:
+    """P(v) = sum v_i 2^(F i), F = ``_FIELD``: additive for any integers, and
+    decoded by ``_unpack_vector`` while every |v_i| < 2^(F-1)."""
+    field = _FIELD
+    return sum(c << (field * i) for i, c in enumerate(v))
+
+
+def _unpack_vector(packed: int, rank: int) -> tuple[int, ...]:
+    """The v with P(v) = ``packed``, given every |v_i| < 2^(F-1): its
+    balanced base-2^F digits, as ``laurent.unpack`` reads them."""
+    field = _FIELD
+    half, digit = 1 << (field - 1), (1 << field) - 1
+    out = []
+    for _ in range(rank):
+        c = ((packed + half) & digit) - half
+        out.append(c)
+        packed = (packed - c) >> field
+    return tuple(out)
+
+
+def _field_error(what: str, key: object) -> ResourceError:
+    """The refusal of ``what`` at ``key``, some scaled root coordinate of
+    whose vector reaches the bound 2^(_FIELD - 2) of a packed vector."""
+    return ResourceError(f"{what} at {key}: a scaled root coordinate reaches the packed vector bound "
+                         f"2^{_FIELD - 2} (periodic._FIELD = {_FIELD} bits)")

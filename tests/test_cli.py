@@ -149,8 +149,7 @@ def test_planted_inversion_row_fails_selfcheck(monkeypatch, capsys):
 
     def planted(self, zw):
         groups = build(self, zw)
-        zero = (0,) * self.rd.rank
-        groups[zw] = [(reach, at, -p if at == zero else p, lp) for reach, at, p, lp in groups[zw]]
+        groups[zw] = [(reach, at, -p if at == 0 else p, lp) for reach, at, p, lp in groups[zw]]
         return groups
 
     monkeypatch.setattr(PeriodicModule, "_build_inversion_rows", planted)
@@ -380,6 +379,21 @@ def test_partition_state_bound_exit_code(capsys, x, y):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("resource bound exceeded: partition series at ("), lines
     assert f"MAX_PARTITION_STATES={MAX_PARTITION_STATES}" in lines[0]
+    assert elapsed < 2.0
+
+
+def test_a_point_query_beyond_the_packed_field_exit_code(capsys):
+    # E(rel) = -3 * 2^31 (1, 1): every coordinate lies at or below the rows'
+    # maxima and beyond 2^30, where a packed vector would wrap
+    start = time.perf_counter()
+    code = main(["mult", "simple-in-verma", "--type", "A", "--rank", "2", "--l", "5",
+                 "--x", "t(2147483648,2147483648)*w[]", "--y", "t(0,0)*w[]"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource bound exceeded: generic q (y.trans - x.trans"), lines
+    assert lines[0].endswith(f"reaches the packed vector bound 2^30 (periodic._FIELD = {periodic._FIELD} bits)")
     assert elapsed < 2.0
 
 

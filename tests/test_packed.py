@@ -1,20 +1,22 @@
 """The packed Z[v] sums of the periodic layer against LaurentPoly oracles,
-at the shared digit width and at narrow ones."""
+at the shared digit width and at narrow ones, and the packed root-lattice
+vectors they read against tuples, at the real field width and at narrow
+ones."""
 
 import random
 from itertools import product
-from operator import sub
+from operator import add, sub
 
 import pytest
 
 from periodic_kl import laurent, periodic
 from periodic_kl.cli import main
 from periodic_kl.hecke import ResourceError
-from periodic_kl.laurent import ZERO, LaurentPoly
+from periodic_kl.laurent import ONE, ZERO, LaurentPoly
 from periodic_kl.orders import standard_window
-from periodic_kl.periodic import PeriodicModule
+from periodic_kl.periodic import PeriodicModule, _pack_vector, _unpack_vector
 from periodic_kl.rootdata import Weight
-from oracles import class_element, generic_polynomial_by_dicts, generic_terms_by_dicts
+from oracles import class_element, generic_polynomial_by_dicts, generic_terms_by_dicts, module_with_classes_of
 
 
 def _same_coset_pairs(window):
@@ -71,8 +73,7 @@ def test_guard_refuses_a_digit_that_would_wrap(monkeypatch, a2):
         M.generic_polynomial(y, x, "q")
     # what the guard keeps out: the same packed value read without it
     _, rows, _ = M._generic_table(y.w.index, x.w.index)
-    rel = tuple(map(sub, y.trans, x.trans))
-    packed, bound = M._generic_sum(a2.rd.scaled_root_coordinates(rel), rows, True)
+    packed, bound = M._generic_sum(*M._encode(tuple(map(sub, y.trans, x.trans))), rows, True)
     assert bound >= 2 and laurent.unpack(packed, 0, "", "") != true
 
 
@@ -172,3 +173,91 @@ def test_each_bound_dominates_the_l1_norms_of_its_terms(monkeypatch, request, na
                 need = sum(_l1(p) * _l1(series) for p, series in generic_terms_by_dicts(M, y, x, kind))
         assert bound >= need, (what, key, bound, need)
     assert kinds == ({"q", "qprime"} if generic else set()) | {"Koszul", "inversion", "self-dual"}
+
+
+@pytest.mark.parametrize("field", [periodic._FIELD, 6])
+def test_packed_vectors_agree_with_tuples_at_the_field_edges(monkeypatch, a1, a2, a3, field):
+    # every encoded coordinate lies within 2^(F-2) - 1 of zero; the sum of
+    # two such vectors must decode to the tuple sum, and the two AND tests
+    # must read the signs and the range of the tuples
+    monkeypatch.setattr(periodic, "_FIELD", field)
+    edge = (1 << (field - 2)) - 1
+    for ctx in (a1, a2, a3):
+        rank = ctx.rd.rank
+        mask, offset = PeriodicModule(ctx.group)._vector_masks
+        vectors = list(product((-edge, -edge + 1, -1, 0, 1, edge), repeat=rank))
+        packed = {v: _pack_vector(v) for v in vectors}
+        for a in vectors:
+            assert _unpack_vector(packed[a], rank) == a
+            for b in vectors:
+                total = tuple(map(add, a, b))
+                at = packed[a] + packed[b]
+                assert at == _pack_vector(total) and _unpack_vector(at, rank) == total
+                assert ((at + offset) & mask == 0) == all(-edge - 1 <= c <= edge for c in total), (a, b)
+                assert ((packed[a] - packed[b]) & mask == 0) == all(map(int.__ge__, a, b)), (a, b)
+
+
+def test_a_query_that_would_alias_in_the_field_is_zero(a2):
+    # rc(rel) = (-2^F, 1): packed without the range check, E(rel) = (-3 2^F,
+    # 3) reads as the zero vector, where q = 1; its second coordinate exceeds
+    # every row's, so q is zero exactly
+    W, rd, field = a2.group, a2.rd, periodic._FIELD
+    alpha1, alpha2 = rd.simple_roots
+    rel = Weight(-(1 << field) * a + b for a, b in zip(alpha1, alpha2))
+    assert rd.root_coordinates(rel) == (-(1 << field), 1)
+    assert sum(c << (field * i) for i, c in enumerate(rd.scaled_root_coordinates(rel))) == 0
+    M = PeriodicModule(W)
+    e, y = W.element(Weight((0, 0)), 0), W.element(rel, 0)
+    assert M.generic_polynomial(e, e, "q") == ONE
+    for kind in ("q", "qprime"):
+        assert M.generic_polynomial(y, e, kind) == ZERO
+    assert M.koszul_of_series(y, e) == ZERO == M.inversion_sum(e, y)
+
+
+def test_keys_past_the_field_edge_are_zero_or_refused(a2):
+    # a Koszul or inversion key is a target plus an offset, each within
+    # 2^(F-2) - 1 of zero, so it may lie past the edge though each part is
+    # encoded; such a key is decoded, and its q is zero when a coordinate
+    # exceeds the rows' maxima (here the one row of e(0) at t(0)e, E = 0),
+    # and refused otherwise
+    edge = (1 << (periodic._FIELD - 2)) - 1
+    M = PeriodicModule(a2.group)
+    _, rows, top = M._generic_table(0, 0)
+    assert [row[:2] for row in rows] == [(0, 0)] and top == 0
+    assert M._generic_sum(_pack_vector((edge, -edge)), 0, rows, True) == (0, 0)
+    assert M._generic_sum(_pack_vector((edge + 1, -edge - 1)), 0, rows, True) == (0, 0)
+    with pytest.raises(ResourceError, match=r"^generic q at E\(y.trans - x.trans\) = \(-\d+, 0\): "
+                                            r"a scaled root coordinate reaches the packed vector bound 2\^30 "):
+        M._generic_sum(_pack_vector((-edge - 2, 0)), -edge - 2, rows, True)
+    assert not M._series  # no key reached the partition series
+
+
+def _per_pair_values(M, pairs):
+    values = {}
+    for y, x in pairs:
+        for name, query in (("q", lambda: M.generic_polynomial(y, x, "q")),
+                            ("qprime", lambda: M.generic_polynomial(y, x, "qprime")),
+                            ("inversion", lambda: M.inversion_sum(y, x)),
+                            ("koszul", lambda: M.koszul_of_series(y, x))):
+            try:
+                values[name, y, x] = query()
+            except ResourceError as err:
+                values[name, y, x] = str(err)
+    return values
+
+
+@pytest.mark.parametrize("name,field,refused", [("a2", 6, False), ("a2", 4, True), ("b2", 5, True)])
+def test_narrow_fields_give_the_full_field_values_or_refuse(monkeypatch, request, name, field, refused):
+    # on the h1 window at a narrow field, every per-pair value is the one at
+    # the real field, or a refusal that names the field's bound: never a
+    # wrapped value, and no partial table left behind by a refusal
+    ctx = request.getfixturevalue(name)
+    pairs = _same_coset_pairs(standard_window(ctx.group, 1))
+    expected = _per_pair_values(module_with_classes_of(ctx.module), pairs)
+    monkeypatch.setattr(periodic, "_FIELD", field)
+    got = _per_pair_values(module_with_classes_of(ctx.module), pairs)
+    bound = f"reaches the packed vector bound 2^{field - 2} (periodic._FIELD = {field} bits)"
+    refusals = [key for key, value in got.items() if isinstance(value, str)]
+    assert all(bound in got[key] for key in refusals)
+    assert bool(refusals) == refused
+    assert all(got[key] == value for key, value in expected.items() if key not in refusals)

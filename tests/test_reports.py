@@ -37,7 +37,7 @@ def test_reports_match_the_per_pair_loops(monkeypatch, request, name, height, co
     real_inversion, real_koszul = PeriodicModule._inversion_packed, PeriodicModule._koszul_sum
 
     def recording_inversion(self, d, target, yw, zw):
-        assert (d, yw, zw) not in inversion and target == rd.scaled_root_coordinates(d)
+        assert (d, yw, zw) not in inversion and target == self._encode(d)
         out = inversion[d, yw, zw] = real_inversion(self, d, target, yw, zw)
         return out
 
@@ -61,7 +61,7 @@ def test_reports_match_the_per_pair_loops(monkeypatch, request, name, height, co
     assert inversion.keys() == orbits
     for (d, yw, zw), packed in inversion.items():
         assert unpack(*packed, "", "") == N.inversion_sum(W.element(zero, yw), W.element(Weight(d), zw))
-    terms = {(rd.scaled_root_coordinates(t), u, c): t
+    terms = {(M._encode(t), u, c): t
              for c in {x.w.index for x in window} for t, u in M._class(c)}
     assert koszul.keys() == terms.keys()
     for (target, u, c), packed in koszul.items():

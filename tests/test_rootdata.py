@@ -123,6 +123,15 @@ def test_scaled_inverse_cartan_is_e_times_the_inverse(typ, rank, l):
 
 
 @pytest.mark.parametrize("typ,rank,l", ALL_TYPES)
+def test_two_rho_check_pairs_every_simple_root_to_two(typ, rank, l):
+    # so <lam, 2 rho^> = 2 sum rc(lam) is even on the root lattice, which
+    # the inversion sum's sign relies on
+    rd = root_datum(typ, rank, l)
+    for alpha in rd.simple_roots:
+        assert sum(a * c for a, c in zip(alpha, rd.two_rho_check)) == 2, alpha
+
+
+@pytest.mark.parametrize("typ,rank,l", ALL_TYPES)
 def test_integer_forms_match_their_fraction_definitions(typ, rank, l):
     # Root coordinates c of lam are the rational solution of C c = lam.
     rd = root_datum(typ, rank, l)
