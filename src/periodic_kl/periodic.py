@@ -141,8 +141,9 @@ built once per (x.w, y.w); it is looked up by (rel = y.trans - x.trans,
 y.w, x.w), and on a miss evaluated from the table's rows, the terms
 t(lam) y.w of SD_{t(0) x.w}, each with its scaled root coordinates E(lam)
 = e rc(lam) (e the lattice index; rc(lam) is integral) packed into one
-integer (see "Packed vectors" below).  The rows of every finite part of a
-class are built in one pass over it, each translation encoded once.  A term
+integer (see "Packed vectors" below).  The rows of a finite part are built
+when the part is first read, so a point query encodes only its own part;
+each translation is encoded once per module.  A term
 contributes iff sigma = E(lam) - E(rel) >= 0, one AND on the packed
 sigma, which needs sum E(lam) >= sum E(rel), so the rows are scanned by
 descending sum until that fails, and q_{y,x} is zero outright when sum
@@ -334,7 +335,7 @@ class PeriodicModule(RightHeckeModule):
         self._partition_memo: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
         self._series: dict[int, tuple[int, int]] = {}
         self._encoded: dict[tuple[int, ...], tuple[int, int]] = {}
-        self._rows: dict[int, dict[int, list[Row]]] = {}
+        self._class_parts: dict[int, dict[int, list[tuple[tuple[int, ...], int, int]]]] = {}
         self._generic_tables: dict[tuple[int, int], tuple[dict, list, Optional[int]]] = {}
         self._generic_decoded: dict[tuple[tuple[int, ...], int, int, bool], LaurentPoly] = {}
         self._inversion_rows: dict[int, dict[int, list[Row]]] = {}
@@ -793,7 +794,7 @@ class PeriodicModule(RightHeckeModule):
     def _generic_table(self, u: int, c: int) -> tuple[dict, list[Row], Optional[int]]:
         """(memo, rows, top) of the generic polynomials at y = t(rel) u, x = t(0) c.
 
-        ``rows`` are the terms t(lam) u of SD_{t(0)c} (``_class_rows``), and
+        ``rows`` are the terms t(lam) u of SD_{t(0)c} (``_part_rows``), and
         ``top`` the largest sum E(lam) over them, or None if there is none:
         a term contributes at rel only if E(lam) - E(rel) >= 0, so q and q'
         are zero unless sum E(rel) <= top.  ``memo`` maps P(E(rel)) (additive,
@@ -803,26 +804,34 @@ class PeriodicModule(RightHeckeModule):
         key = (u, c)
         hit = self._generic_tables.get(key)
         if hit is None:
-            rows = self._class_rows(c).get(u, [])
+            rows = self._part_rows(u, c)
             hit = self._generic_tables[key] = ({}, rows, rows[0][0] if rows else None)
         return hit
 
-    def _class_rows(self, c: int) -> dict[int, list[Row]]:
-        """The terms t(lam) u of SD_{t(0)c} by finite part u, as rows (sum E(lam),
-        P(E(lam)), packed coefficient, its l1 norm) by descending sum E(lam):
-        every finite part in one pass over the class, each translation
-        encoded once."""
-        hit = self._rows.get(c)
-        if hit is None:
-            hit = {}
-            encoded, encode = self._encoded.get, self._encode_term
-            for (t, u), (p, lp, _) in self._class(c).items():
-                key = encoded(t) or encode(t)
-                hit.setdefault(u, []).append((key[1], key[0], p, lp))
-            for rows in hit.values():
-                rows.sort(key=itemgetter(0), reverse=True)
-            self._rows[c] = hit
-        return hit
+    def _part_rows(self, u: int, c: int) -> list[Row]:
+        """The terms t(lam) u of SD_{t(0)c} as rows (sum E(lam), P(E(lam)),
+        packed coefficient, its l1 norm) by descending sum E(lam).
+
+        Built on the first read of the finite part u, so a point query
+        encodes only the part it reads: the class is split by finite part
+        once (``_class_parts``, nothing encoded), and each translation is
+        encoded once per module through the memo ``_encoded``.  A
+        translation beyond the field raises before the part keeps a row."""
+        parts = self._class_parts.get(c)
+        if parts is None:
+            parts = self._class_parts[c] = {}
+            for (t, v), (p, lp, _) in self._class(c).items():
+                part = parts.get(v)
+                if part is None:
+                    part = parts[v] = []
+                part.append((t, p, lp))
+        encoded, encode = self._encoded.get, self._encode_term
+        rows = []
+        for t, p, lp in parts.get(u, ()):
+            key = encoded(t) or encode(t)
+            rows.append((key[1], key[0], p, lp))
+        rows.sort(key=itemgetter(0), reverse=True)
+        return rows
 
     def _generic_sum(self, at: int, need: int, rows: list[Row], weighted: bool) -> tuple[int, int]:
         """The generic polynomial at P(E(rel)) = ``at``, sum E(rel) = ``need``,

@@ -28,6 +28,19 @@ G2.  Positive roots are enumerated by closing the simple roots under simple
 reflections; nothing here is hard-coded beyond the Cartan matrices and the
 symmetrizers ``d_s``.
 
+Per-type tables.  Everything above is built from the Cartan matrix and the
+symmetrizers of the type alone, so :func:`type_tables` builds it once per
+(type, rank) and process, as a :class:`RootSystem`, together with the Weyl
+group tables of :mod:`.weyl`: at most six entries, one per supported type.
+The root system's fields are the Cartan matrix, ``d``, the symmetrized
+matrix ``sym``, ``e`` and the adjugate ``e * C^{-1}``, the simple roots and
+coroots, the positive roots, the coroot of every root, the highest and
+short dominant roots, ``rho``, the Coxeter number and ``2 rho^``.  None of
+them reads ``l``: the build takes only (type, rank), and ``l`` enters only
+through :class:`RootDatum`, which holds it next to a reference to the
+shared tables.  The tables are frozen records of tuples of integers and one
+read-only mapping, so no caller can edit them for the calls after it.
+
 The root-of-unity order ``l`` attached to a :class:`RootDatum` must be odd,
 larger than the Coxeter number, coprime to the lattice index ``e``, and
 coprime to 3 in type G2.  ``validate_l`` reports violations of these
@@ -37,8 +50,10 @@ assume ``l`` is a prime power; nothing here depends on it.
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd
 from operator import add, mul, neg, sub
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -48,6 +63,7 @@ __all__ = [
     "Weight",
     "RootDatum",
     "root_datum",
+    "type_tables",
     "pairing",
     "dominance_leq",
     "validate_l",
@@ -93,109 +109,28 @@ class Weight(tuple):
 
 
 class RootDatum:
-    """Immutable root-system context for one simple type, rank and order l.
+    """Root-system context for one simple type, rank and order l.
 
-    Use :func:`root_datum` to construct one.  All derived data (positive
-    roots, coroots, rho, Coxeter number, ...) is computed once here and the
-    object is safe to share; every operation on it is pure.
+    Use :func:`root_datum` to construct one.  It holds ``l`` and refers to
+    its type's shared :class:`TypeTables` (``tables``): positive roots,
+    coroots, rho, the Coxeter number, ... are the fields of ``tables.roots``,
+    read here as attributes.  Every operation on it is pure.
     """
 
     def __init__(self, cartan_type: str, rank: int, l: int):
-        key = (cartan_type, rank)
-        if key not in _CARTAN:
-            supported = ", ".join(f"{t}{r}" for t, r in sorted(_CARTAN))
-            raise ValueError(f"unsupported type {cartan_type}{rank}; supported: {supported}")
-        cartan, d = _CARTAN[key]
+        self.tables = type_tables(cartan_type, rank)
         self.cartan_type = cartan_type
         self.rank = rank
         self.l = l
-        self.cartan = tuple(tuple(row) for row in cartan)
-        self.d = tuple(d)
-
-        # Symmetrized pairing matrix (a_s, a_t) = d_s <a_s^, a_t>, integer valued
-        # on the root lattice; the extension to the weight lattice takes values
-        # in (1/e)Z and is not used in any computation here.
-        self.sym = tuple(tuple(self.d[s] * self.cartan[s][t] for t in range(rank)) for s in range(rank))
-        for s in range(rank):
-            for t in range(rank):
-                if self.sym[s][t] != self.sym[t][s]:
-                    raise AssertionError("symmetrized Cartan matrix is not symmetric")
-
-        # The one integer form of the root coordinates: e * C^{-1}, the
-        # adjugate of C, since det C = e > 0 for every supported type.  Row i
-        # maps fundamental coordinates to e times the i-th root coordinate.
-        self.lattice_index_e = _det(self.cartan)
-        if self.lattice_index_e <= 0:
-            raise AssertionError("Cartan matrix has no positive determinant")
-        self.scaled_inverse_cartan = _adjugate(self.cartan)
-
-        # Simple roots: weight coordinates are the columns of the Cartan matrix.
-        self.simple_roots = tuple(Weight(col) for col in zip(*self.cartan))
-        self.simple_coroots = tuple(tuple(1 if s == t else 0 for s in range(rank)) for t in range(rank))
-
-        self._build_roots()
-
-        self.rho = Weight((1,) * rank)
-        if tuple(map(sum, zip(*self.positive_roots))) != 2 * self.rho:
-            raise AssertionError("sum of positive roots is not 2*rho")
-
-        self.coxeter_number = 2 * len(self.positive_roots) // rank
-        # Height of the highest coroot is h - 1; cross-check.
-        if sum(self.coroot(self.short_dominant_root)) != self.coxeter_number - 1:
-            raise AssertionError("highest coroot height does not match Coxeter number")
-
-        self.two_rho_check = tuple(map(sum, zip(*map(self.coroot, self.positive_roots))))
+        roots = self.tables.roots
+        self.cartan, self.d, self.sym = roots.cartan, roots.d, roots.sym
+        self.lattice_index_e, self.scaled_inverse_cartan = roots.lattice_index_e, roots.scaled_inverse_cartan
+        self.simple_roots, self.simple_coroots = roots.simple_roots, roots.simple_coroots
+        self.positive_roots, self._coroots = roots.positive_roots, roots.coroots
+        self.highest_root, self.short_dominant_root = roots.highest_root, roots.short_dominant_root
+        self.rho, self.coxeter_number, self.two_rho_check = roots.rho, roots.coxeter_number, roots.two_rho_check
 
     # -- roots ---------------------------------------------------------------
-
-    def _build_roots(self) -> None:
-        rank = self.rank
-        # Close the simple roots under the simple reflections
-        # s_i(beta) = beta - <beta, a_i^> a_i.
-        roots = set(self.simple_roots)
-        frontier = list(roots)
-        while frontier:
-            beta = frontier.pop()
-            for i, alpha in enumerate(self.simple_roots):
-                image = beta - beta[i] * alpha
-                if image not in roots:
-                    roots.add(image)
-                    frontier.append(image)
-        # Root coordinates of a root are integers, E / e.
-        e = self.lattice_index_e
-        self._root_coords = {b: tuple(c // e for c in self.scaled_root_coordinates(b)) for b in roots}
-        # Positive roots sorted by height, then root coordinates: a canonical order.
-        self.positive_roots: tuple[Weight, ...] = tuple(sorted(
-            (b for b, rc in self._root_coords.items() if min(rc) >= 0),
-            key=lambda b: (sum(self._root_coords[b]), self._root_coords[b]),
-        ))
-
-        # The coroot of beta = sum_s c_s a_s: beta^ = sum_s (d_s c_s / d_beta) a_s^
-        # where d_beta = (beta, beta)/2.
-        self._coroots: dict[Weight, tuple[int, ...]] = {}
-        for wc, rc in self._root_coords.items():
-            norm2 = sum(rc[s] * self.sym[s][t] * rc[t] for s in range(rank) for t in range(rank))
-            d_beta, rem = divmod(norm2, 2)
-            assert rem == 0
-            coords = []
-            for s in range(rank):
-                num = self.d[s] * rc[s]
-                q, r = divmod(num, d_beta)
-                assert r == 0, "coroot coordinates must be integral"
-                coords.append(q)
-            self._coroots[wc] = tuple(coords)
-
-        # Highest root: maximal root coordinates among positive roots.
-        self.highest_root = max(self.positive_roots, key=lambda b: self._root_coords[b])
-        for b in self.positive_roots:
-            assert all(x <= y for x, y in zip(self._root_coords[b], self._root_coords[self.highest_root]))
-        # Short dominant root: the positive root whose coroot is the highest
-        # coroot.  This is the root through whose wall the affine simple
-        # reflection acts.
-        best = max(self.positive_roots, key=lambda b: self._coroots[b])
-        for b in self.positive_roots:
-            assert all(x <= y for x, y in zip(self._coroots[b], self._coroots[best]))
-        self.short_dominant_root = best
 
     def coroot(self, beta: Weight) -> tuple[int, ...]:
         """The coroot of a root ``beta``, as its coordinates in the simple coroots."""
@@ -203,11 +138,6 @@ class RootDatum:
             return self._coroots[beta]
         except KeyError:
             raise ValueError(f"{beta} is not a root") from None
-
-    def root_sign(self, beta: Weight) -> int:
-        """+1 for a positive root, -1 for a negative root."""
-        rc = self._root_coords[beta]
-        return 1 if all(c >= 0 for c in rc) else -1
 
     # -- coordinates ---------------------------------------------------------
 
@@ -227,16 +157,158 @@ class RootDatum:
         e = self.lattice_index_e
         return tuple(c % e for c in self.scaled_root_coordinates(lam))
 
-    def fundamental_weight(self, i: int) -> Weight:
-        return Weight(tuple(1 if j == i else 0 for j in range(self.rank)))
-
     def __repr__(self) -> str:
         return f"RootDatum({self.cartan_type}{self.rank}, l={self.l})"
 
 
 def root_datum(cartan_type: str, rank: int, l: int) -> RootDatum:
-    """Construct the root datum for ``cartan_type`` and ``rank`` at order ``l``."""
+    """A new root datum of ``cartan_type`` and ``rank`` at order ``l``, over the
+    type's tables (:func:`type_tables`, built on the first call per process);
+    an unsupported type raises ValueError.  ``l`` is not checked here: see
+    :func:`validate_l`."""
     return RootDatum(cartan_type, rank, l)
+
+
+class Frozen:
+    """A record of fields set once, by keyword, at construction: setting or
+    deleting a field afterwards raises AttributeError.  The per-type tables
+    are built of these and of tuples, so no caller can edit them."""
+
+    __slots__ = ()
+
+    def __init__(self, **fields: object):
+        if fields.keys() != set(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self.__slots__)}")
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: its type's tables are shared")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: its type's tables are shared")
+
+
+class RootSystem(Frozen):
+    """The root system of one type and rank: every table of :class:`RootDatum`
+    but ``l`` (module docstring), built once per process by
+    :func:`type_tables`.  Every field is a tuple of integers or an integer,
+    but ``coroots``, a read-only mapping from every root (positive and
+    negative) to its coroot."""
+
+    __slots__ = ("cartan", "d", "sym", "lattice_index_e", "scaled_inverse_cartan", "simple_roots",
+                 "simple_coroots", "positive_roots", "coroots", "highest_root", "short_dominant_root",
+                 "rho", "coxeter_number", "two_rho_check")
+
+
+class TypeTables(Frozen):
+    """The tables of one type and rank that do not read ``l``: its root
+    system ``roots`` and its Weyl groups' tables ``weyl``
+    (:class:`.weyl.WeylTables`)."""
+
+    __slots__ = ("roots", "weyl")
+
+
+@cache
+def type_tables(cartan_type: str, rank: int) -> TypeTables:
+    """The tables of ``cartan_type`` and ``rank``, built on the first call and
+    shared by every root datum and group of the type after it: the cache
+    holds at most one entry per supported type.  An unsupported type raises
+    ValueError and is not cached."""
+    from .weyl import build_weyl_tables  # weyl imports this module
+
+    roots = _build_root_system(cartan_type, rank)
+    return TypeTables(roots=roots, weyl=build_weyl_tables(roots))
+
+
+def _build_root_system(cartan_type: str, rank: int) -> RootSystem:
+    key = (cartan_type, rank)
+    if key not in _CARTAN:
+        supported = ", ".join(f"{t}{r}" for t, r in sorted(_CARTAN))
+        raise ValueError(f"unsupported type {cartan_type}{rank}; supported: {supported}")
+    cartan = tuple(map(tuple, _CARTAN[key][0]))
+    d = tuple(_CARTAN[key][1])
+
+    # Symmetrized pairing matrix (a_s, a_t) = d_s <a_s^, a_t>, integer valued
+    # on the root lattice; the extension to the weight lattice takes values
+    # in (1/e)Z and is not used in any computation here.
+    sym = tuple(tuple(d[s] * cartan[s][t] for t in range(rank)) for s in range(rank))
+    for s in range(rank):
+        for t in range(rank):
+            if sym[s][t] != sym[t][s]:
+                raise AssertionError("symmetrized Cartan matrix is not symmetric")
+
+    # The one integer form of the root coordinates: e * C^{-1}, the
+    # adjugate of C, since det C = e > 0 for every supported type.  Row i
+    # maps fundamental coordinates to e times the i-th root coordinate.
+    e = _det(cartan)
+    if e <= 0:
+        raise AssertionError("Cartan matrix has no positive determinant")
+    adjugate = _adjugate(cartan)
+
+    # Simple roots: weight coordinates are the columns of the Cartan matrix.
+    simple_roots = tuple(Weight(col) for col in zip(*cartan))
+    simple_coroots = tuple(tuple(1 if s == t else 0 for s in range(rank)) for t in range(rank))
+
+    # Close the simple roots under the simple reflections
+    # s_i(beta) = beta - <beta, a_i^> a_i.
+    roots = set(simple_roots)
+    frontier = list(roots)
+    while frontier:
+        beta = frontier.pop()
+        for i, alpha in enumerate(simple_roots):
+            image = beta - beta[i] * alpha
+            if image not in roots:
+                roots.add(image)
+                frontier.append(image)
+    # Root coordinates of a root are integers, E / e.
+    root_coords = {b: tuple(sum(map(mul, row, b)) // e for row in adjugate) for b in roots}
+    # Positive roots sorted by height, then root coordinates: a canonical order.
+    positive_roots = tuple(sorted(
+        (b for b, rc in root_coords.items() if min(rc) >= 0),
+        key=lambda b: (sum(root_coords[b]), root_coords[b]),
+    ))
+
+    # The coroot of beta = sum_s c_s a_s: beta^ = sum_s (d_s c_s / d_beta) a_s^
+    # where d_beta = (beta, beta)/2.
+    coroots: dict[Weight, tuple[int, ...]] = {}
+    for wc, rc in root_coords.items():
+        norm2 = sum(rc[s] * sym[s][t] * rc[t] for s in range(rank) for t in range(rank))
+        d_beta, rem = divmod(norm2, 2)
+        assert rem == 0
+        coords = []
+        for s in range(rank):
+            q, r = divmod(d[s] * rc[s], d_beta)
+            assert r == 0, "coroot coordinates must be integral"
+            coords.append(q)
+        coroots[wc] = tuple(coords)
+
+    # Highest root: maximal root coordinates among positive roots.
+    highest_root = max(positive_roots, key=lambda b: root_coords[b])
+    for b in positive_roots:
+        assert all(x <= y for x, y in zip(root_coords[b], root_coords[highest_root]))
+    # Short dominant root: the positive root whose coroot is the highest
+    # coroot.  This is the root through whose wall the affine simple
+    # reflection acts.
+    short_dominant_root = max(positive_roots, key=lambda b: coroots[b])
+    for b in positive_roots:
+        assert all(x <= y for x, y in zip(coroots[b], coroots[short_dominant_root]))
+
+    rho = Weight((1,) * rank)
+    if tuple(map(sum, zip(*positive_roots))) != 2 * rho:
+        raise AssertionError("sum of positive roots is not 2*rho")
+
+    coxeter_number = 2 * len(positive_roots) // rank
+    # Height of the highest coroot is h - 1; cross-check.
+    if sum(coroots[short_dominant_root]) != coxeter_number - 1:
+        raise AssertionError("highest coroot height does not match Coxeter number")
+
+    two_rho_check = tuple(map(sum, zip(*(coroots[b] for b in positive_roots))))
+    return RootSystem(cartan=cartan, d=d, sym=sym, lattice_index_e=e, scaled_inverse_cartan=adjugate,
+                      simple_roots=simple_roots, simple_coroots=simple_coroots, positive_roots=positive_roots,
+                      coroots=MappingProxyType(coroots), highest_root=highest_root,
+                      short_dominant_root=short_dominant_root, rho=rho, coxeter_number=coxeter_number,
+                      two_rho_check=two_rho_check)
 
 
 # -- operations ----------------------------------------------------------------

@@ -6,12 +6,29 @@ the finite Weyl group; the group law is
 
     (t(lam) w)(t(mu) u) = t(lam + w mu)(w u).
 
-The finite group is small for the supported ranks, so :class:`AffineWeyl`
-tabulates it completely at construction (matrices on fundamental-weight
-coordinates, lengths, reduced words, inverses, and the images ``w(beta)``
-with their signs for every positive root ``beta``).  An
-:class:`ExtAffineElement` is then a translation vector plus an entry of
-that table.  Elements are interned per group: :class:`AffineWeyl` alone
+The finite group is small for the supported ranks, so it is tabulated
+completely (matrices on fundamental-weight coordinates, lengths, reduced
+words, inverses, and the images ``w(beta)`` with their signs for every
+positive root ``beta``).  An :class:`ExtAffineElement` is then a
+translation vector plus an entry of that table.
+
+Per-type tables.  :func:`build_weyl_tables` builds, once per (type, rank)
+and process inside :func:`.rootdata.type_tables`, a :class:`WeylTables`:
+the finite elements with their length forms, the multiplication table
+``fin_mul``, ``root_images`` and ``sign_table``, the reflections
+``reflection_index``, ``w0``, the ``s_0`` data (``s0_root``,
+``s0_root_pos``, ``s0_finite_index``), ``right_steps``, ``rises`` and the
+intern keys (lam, w) of the length-zero elements by coset tag.  None of
+them reads ``l``: ``l`` enters the group only through the dot action
+x . 0 = w(rho) + l lam - rho (``dot_zero``), while these tables describe
+the group law, lengths and descents of t(lam) w, which are the same at
+every ``l``.  Every :class:`AffineWeyl` of the type refers to the same
+tables, which are tuples of integers and frozen
+:class:`FiniteWeylElement` objects, so no group can edit them for another.
+
+A group keeps its own state: the intern table of its elements, its Cayley
+graph and its length-zero elements ``omega_elements``, interned from the
+shared keys.  Elements are interned per group: :class:`AffineWeyl` alone
 creates them, from one table keyed by ``key = (translation coordinates,
 finite index)``, so equality is identity (elements of two groups never
 compare equal) and ``key`` is the canonical sort order.  An element points
@@ -22,8 +39,8 @@ Affine simple reflections are indexed ``0, 1, ..., rank`` where index ``0``
 is the reflection through the wall of the fundamental alcove not containing
 the origin; concretely ``s_0 = t(eta) s_eta`` with ``eta`` the dominant root
 whose coroot is the highest coroot.  The length-zero subgroup (isomorphic to
-(weight lattice)/(root lattice)) is enumerated once from the minuscule
-fundamental weights.
+(weight lattice)/(root lattice)) is enumerated once per type from the
+minuscule fundamental weights, on intern keys.
 
 Right multiplication by an affine simple reflection is written once, as
 the table ``right_steps`` built with the finite group: ``right_steps[j][w]
@@ -71,33 +88,36 @@ from __future__ import annotations
 from operator import add, mul
 from typing import Optional, Sequence
 
-from .rootdata import RootDatum, Weight, pairing
+from .rootdata import Frozen, RootDatum, RootSystem, Weight
 
 __all__ = [
     "AffineWeyl",
     "ExtAffineElement",
     "FiniteWeylElement",
+    "WeylTables",
+    "build_weyl_tables",
 ]
 
 
-class FiniteWeylElement:
+class FiniteWeylElement(Frozen):
     """Element of the finite Weyl group: an integer matrix on weight coordinates.
 
-    Instances are owned by an :class:`AffineWeyl` context and deduplicated, so
-    identity comparison through the context index is valid.
+    Instances are built once per type with its tables (:func:`build_weyl_tables`)
+    and shared by every group of the type, so they are frozen.  Identity
+    comparison through the table index is valid.
     """
 
     __slots__ = ("index", "matrix", "word", "text", "length", "inverse_index", "length_form")
 
-    def __init__(self, index: int, matrix: tuple[tuple[int, ...], ...], word: tuple[int, ...]):
-        self.index = index
-        self.matrix = matrix
-        self.word = word  # reduced word in simple-reflection indices (0-based)
-        self.text = f"w[{' '.join(str(i + 1) for i in word)}]"  # the printed form, 1-based
-        self.length = len(word)
-        self.inverse_index: int = -1  # filled by the context
-        # len(t(lam) w) = sum |<lam, row> - offset| over these pairs; filled by the context
-        self.length_form: tuple[tuple[tuple[int, ...], int], ...] = ()
+    def __init__(self, index: int, matrix: tuple[tuple[int, ...], ...], word: tuple[int, ...],
+                 inverse_index: int, length_form: tuple[tuple[tuple[int, ...], int], ...]):
+        super().__init__(
+            index=index, matrix=matrix,
+            word=word,  # reduced word in simple-reflection indices (0-based)
+            text=f"w[{' '.join(str(i + 1) for i in word)}]",  # the printed form, 1-based
+            length=len(word), inverse_index=inverse_index,
+            # len(t(lam) w) = sum |<lam, row> - offset| over these pairs
+            length_form=length_form)
 
     def apply(self, lam: Weight) -> Weight:
         return Weight(sum(map(mul, row, lam)) for row in self.matrix)
@@ -149,146 +169,177 @@ def element_text(trans: Sequence[int], w: FiniteWeylElement) -> str:
     return f"t({','.join(map(str, trans))})*{w.text}"
 
 
+class WeylTables(Frozen):
+    """The tables of one type's finite and extended affine Weyl groups
+    (module docstring), built once per process by :func:`build_weyl_tables`
+    and shared by every :class:`AffineWeyl` of the type.  ``omega_keys``
+    holds (coset tag, intern key (lam, w)) of every length-zero element."""
+
+    __slots__ = ("finite_elements", "fin_mul", "gen_indices", "root_images", "sign_table", "w0",
+                 "simple_root_pos", "reflection_index", "s0_root", "s0_root_pos", "s0_finite_index",
+                 "right_steps", "rises", "omega_keys")
+
+
+def build_weyl_tables(roots: RootSystem) -> WeylTables:
+    """The Weyl group tables of the root system ``roots``; run once per type,
+    by :func:`.rootdata.type_tables`."""
+    rank = len(roots.simple_roots)
+    coroots = roots.coroots
+
+    # -- finite group table ----------------------------------------------------
+
+    ident = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
+    matrices: list[tuple[tuple[int, ...], ...]] = [ident]
+    words: list[tuple[int, ...]] = [()]
+    index_of = {ident: 0}
+    # right[a][i] = index of a * s_i: the right Cayley table.  As s_i(lam) =
+    # lam - lam_i alpha_i, M s_i differs from M only in column i, which
+    # becomes M[:, i] - M alpha_i.
+    right: list[list[int]] = []
+    for a, matrix in enumerate(matrices):  # grows while it runs: a breadth-first search
+        row = []
+        for i, alpha in enumerate(roots.simple_roots):
+            m = tuple((*r[:i], r[i] - sum(map(mul, r, alpha)), *r[i + 1:]) for r in matrix)
+            if m not in index_of:
+                index_of[m] = len(matrices)
+                matrices.append(m)
+                words.append(words[a] + (i,))
+            row.append(index_of[m])
+        right.append(row)
+
+    # a * b follows b's reduced word from a: row[b] = right[row[b s_i]][i] with
+    # i the last letter of b's word, whose prefix b s_i precedes b in the search
+    parents = [(right[b][word[-1]], word[-1]) for b, word in enumerate(words) if word]
+    fin_mul = []
+    for a in range(len(matrices)):
+        row = [a]
+        for p, i in parents:
+            row.append(right[row[p]][i])
+        fin_mul.append(tuple(row))
+    inverses = [row.index(0) for row in fin_mul]
+
+    # root_images[w][k] = w(beta_k) and sign_table[w][k] = its sign, for
+    # the k-th positive root.
+    positive = set(roots.positive_roots)
+    root_images = tuple(tuple(Weight(sum(map(mul, r, beta)) for r in m) for beta in roots.positive_roots)
+                        for m in matrices)
+    sign_table = tuple(tuple(1 if beta in positive else -1 for beta in row) for row in root_images)
+    # Reduced words from BFS are geodesic, so word length is the Coxeter length;
+    # cross-check against the inversion count.
+    for word, signs in zip(words, sign_table):
+        assert signs.count(-1) == len(word), "BFS word is not reduced"
+    # Length forms: len(t(lam) w) = sum_k |<lam, beta_k^> - o_k(w)|, with the
+    # coroot coordinates of every positive root and o_k(w) = 1 iff w^{-1} beta_k < 0.
+    coroot_rows = tuple(coroots[beta] for beta in roots.positive_roots)
+    elements = tuple(
+        FiniteWeylElement(a, m, word, inv,
+                          tuple((row, 0 if s > 0 else 1) for row, s in zip(coroot_rows, sign_table[inv])))
+        for a, (m, word, inv) in enumerate(zip(matrices, words, inverses)))
+    w0 = max(elements, key=lambda el: el.length)
+    assert w0.length == len(roots.positive_roots)
+    pos_root_index = {beta: k for k, beta in enumerate(roots.positive_roots)}
+    simple_root_pos = tuple(pos_root_index[alpha] for alpha in roots.simple_roots)
+
+    def reflection(beta: Weight) -> int:
+        # s_beta(lam) = lam - <lam, beta^> beta, as a group index
+        cor = coroots[beta]
+        return index_of[tuple(
+            tuple((1 if r == c else 0) - beta[r] * cor[c] for c in range(rank)) for r in range(rank))]
+
+    # finite reflection s_beta for each positive root, as a group index.
+    reflection_index = tuple(map(reflection, roots.positive_roots))
+
+    # -- affine data -------------------------------------------------------------
+
+    eta = roots.short_dominant_root
+    s0_root_pos = pos_root_index[eta]
+    s0_finite_index = reflection(eta)
+    gen_indices = tuple(right[0])
+    # right_steps[j][w] = (offset, w') with t(lam) w s_j = t(lam + offset) w'
+    # for every lam: t(lam) w s_0 = t(lam + w(eta)) (w s_eta), with w(eta)
+    # from root_images, and t(lam) w s_i = t(lam) (w s_i)
+    zero = (0,) * rank
+    right_steps = (
+        tuple((images[s0_root_pos], row[s0_finite_index]) for images, row in zip(root_images, fin_mul)),
+        *(tuple((zero, row[i]) for row in fin_mul) for i in gen_indices))
+    # rises[j][w] = (r, o): len(t(lam) w s_j) = len(t(lam) w) + 1 iff <lam, r> >= o,
+    # and len(t(lam) w) - 1 otherwise (module docstring).  With beta = w(eta)
+    # for j = 0: r = beta^ and o = 0 or -1 for beta > 0 or < 0; with
+    # beta = w(alpha_j) for j >= 1: r = -beta^ and o = 0 or 1.
+    rises = tuple(
+        tuple((tuple(e * c for c in coroots[images[k]]), 0 if signs[k] > 0 else -e)
+              for images, signs in zip(root_images, sign_table))
+        for k, e in ((s0_root_pos, 1), *((k, -1) for k in simple_root_pos)))
+
+    # -- length-zero subgroup ------------------------------------------------------
+
+    # on intern keys (lam, w): the product (lam, a)(mu, b) = (lam + a(mu), ab),
+    # the length by the length forms and the coset tag E(lam) mod e
+    def multiply(x: tuple[Weight, int], y: tuple[Weight, int]) -> tuple[Weight, int]:
+        return x[0] + elements[x[1]].apply(y[0]), fin_mul[x[1]][y[1]]
+
+    def length(x: tuple[Weight, int]) -> int:
+        return sum(abs(sum(map(mul, row, x[0])) - o) for row, o in elements[x[1]].length_form)
+
+    def tag(lam: Sequence[int]) -> tuple[int, ...]:
+        return tuple(sum(map(mul, row, lam)) % roots.lattice_index_e for row in roots.scaled_inverse_cartan)
+
+    found: dict[tuple[int, ...], tuple[Weight, int]] = {tag(zero): (Weight(zero), 0)}
+    for i in range(rank):
+        wt = Weight(1 if j == i else 0 for j in range(rank))
+        if all(sum(map(mul, wt, coroots[b])) <= 1 for b in roots.positive_roots):
+            for w in elements:
+                if length((wt, w.index)) == 0:
+                    found.setdefault(tag(wt), (wt, w.index))
+                    break
+    # close under multiplication
+    changed = True
+    while changed:
+        changed = False
+        for a in list(found.values()):
+            for b in list(found.values()):
+                c = multiply(a, b)
+                c_tag = tag(c[0])
+                if c_tag not in found:
+                    found[c_tag] = c
+                    changed = True
+    if len(found) != roots.lattice_index_e:
+        raise AssertionError("length-zero subgroup has wrong size")
+
+    return WeylTables(finite_elements=elements, fin_mul=tuple(fin_mul), gen_indices=gen_indices,
+                      root_images=root_images, sign_table=sign_table, w0=w0, simple_root_pos=simple_root_pos,
+                      reflection_index=reflection_index, s0_root=eta, s0_root_pos=s0_root_pos,
+                      s0_finite_index=s0_finite_index, right_steps=right_steps, rises=rises,
+                      omega_keys=tuple(found.items()))
+
+
 class AffineWeyl:
-    """Context object: the extended affine Weyl group of a root datum."""
+    """Context object: the extended affine Weyl group of a root datum.
+
+    Its tables are the type's shared :class:`WeylTables`, read as attributes;
+    the group itself holds only its interned elements, its Cayley graph and
+    its length-zero elements (module docstring)."""
 
     def __init__(self, rd: RootDatum):
         self.rd = rd
+        tables = rd.tables.weyl
+        self.finite_elements, self._fin_mul, self._gen_indices = (
+            tables.finite_elements, tables.fin_mul, tables.gen_indices)
+        self.root_images, self.sign_table, self.w0 = tables.root_images, tables.sign_table, tables.w0
+        self.simple_root_pos, self.reflection_index = tables.simple_root_pos, tables.reflection_index
+        self.s0_root, self.s0_root_pos, self.s0_finite_index = (
+            tables.s0_root, tables.s0_root_pos, tables.s0_finite_index)
+        self.right_steps, self.rises = tables.right_steps, tables.rises
+        # affine generator list: index 0 is s_0, index i >= 1 is s_i.
+        self.num_affine_gens = rd.rank + 1
         self._elements: dict[tuple[Weight, int], ExtAffineElement] = {}
-        self._build_finite_group()
-        self._build_affine_data()
-        self._build_omega()
         # the right Cayley graph on dense ids (module docstring)
         self._ids: dict[ExtAffineElement, int] = {}
         self._elts: list[ExtAffineElement] = []
         self._lens: list[int] = []
         self._nbrs: list[list[int | None]] = [[] for _ in self.affine_generator_indices()]
-
-    # -- finite group table ----------------------------------------------------
-
-    def _build_finite_group(self) -> None:
-        rd = self.rd
-        rank = rd.rank
-        ident = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-        elements: list[FiniteWeylElement] = [FiniteWeylElement(0, ident, ())]
-        index_of = {ident: 0}
-        # right[a][i] = index of a * s_i: the right Cayley table.  As s_i(lam) =
-        # lam - lam_i alpha_i, M s_i differs from M only in column i, which
-        # becomes M[:, i] - M alpha_i.
-        right: list[list[int]] = []
-        for el in elements:  # grows while it runs: a breadth-first search
-            row = []
-            for i, alpha in enumerate(rd.simple_roots):
-                m = tuple((*r[:i], r[i] - sum(map(mul, r, alpha)), *r[i + 1:]) for r in el.matrix)
-                if m not in index_of:
-                    index_of[m] = len(elements)
-                    elements.append(FiniteWeylElement(len(elements), m, el.word + (i,)))
-                row.append(index_of[m])
-            right.append(row)
-        self.finite_elements: tuple[FiniteWeylElement, ...] = tuple(elements)
-        self._findex = index_of
-        self._gen_indices = right[0]
-
-        # a * b follows b's reduced word from a: row[b] = right[row[b s_i]][i] with
-        # i the last letter of b's word, whose prefix b s_i precedes b in the search
-        parents = [(right[b.index][b.word[-1]], b.word[-1]) for b in elements[1:]]
-        self._fin_mul = []
-        for a in elements:
-            row = [a.index]
-            for p, i in parents:
-                row.append(right[row[p]][i])
-            self._fin_mul.append(row)
-            a.inverse_index = row.index(0)
-
-        # root_images[w][k] = w(beta_k) and sign_table[w][k] = its sign, for
-        # the k-th positive root.
-        self.root_images = tuple(tuple(map(w.apply, rd.positive_roots)) for w in elements)
-        self.sign_table = tuple(tuple(map(rd.root_sign, row)) for row in self.root_images)
-        # Reduced words from BFS are geodesic, so word length is the Coxeter length;
-        # cross-check against the inversion count.
-        for a, signs in zip(elements, self.sign_table):
-            assert signs.count(-1) == a.length, "BFS word is not reduced"
-        self.w0 = max(elements, key=lambda e: e.length)
-        assert self.w0.length == len(rd.positive_roots)
-        # Length forms: len(t(lam) w) = sum_k |<lam, beta_k^> - o_k(w)|, with the
-        # coroot coordinates of every positive root and o_k(w) = 1 iff w^{-1} beta_k < 0.
-        coroot_rows = tuple(map(rd.coroot, rd.positive_roots))
-        for w in elements:
-            w.length_form = tuple(
-                (row, 0 if s > 0 else 1) for row, s in zip(coroot_rows, self.sign_table[w.inverse_index])
-            )
-        self._pos_root_index = {beta: k for k, beta in enumerate(rd.positive_roots)}
-        self.simple_root_pos = tuple(self._pos_root_index[a] for a in rd.simple_roots)
-        # finite reflection s_beta for each positive root, as a group index.
-        self.reflection_index = tuple(
-            self._findex[self._reflection_matrix(beta)] for beta in rd.positive_roots
-        )
-
-    # -- affine data -------------------------------------------------------------
-
-    def _build_affine_data(self) -> None:
-        rd = self.rd
-        eta = rd.short_dominant_root
-        self.s0_root = eta
-        self.s0_root_pos = self._pos_root_index[eta]
-        refl = self._reflection_matrix(eta)
-        self.s0_finite_index = self._findex[refl]
-        # affine generator list: index 0 is s_0, index i >= 1 is s_i.
-        self.num_affine_gens = rd.rank + 1
-        # right_steps[j][w] = (offset, w') with t(lam) w s_j = t(lam + offset) w'
-        # for every lam: t(lam) w s_0 = t(lam + w(eta)) (w s_eta), with w(eta)
-        # from root_images, and t(lam) w s_i = t(lam) (w s_i)
-        zero = (0,) * rd.rank
-        self.right_steps: tuple[tuple[tuple[tuple[int, ...], int], ...], ...] = (
-            tuple((images[self.s0_root_pos], row[self.s0_finite_index])
-                  for images, row in zip(self.root_images, self._fin_mul)),
-            *(tuple((zero, row[i]) for row in self._fin_mul) for i in self._gen_indices))
-        # rises[j][w] = (r, o): len(t(lam) w s_j) = len(t(lam) w) + 1 iff <lam, r> >= o,
-        # and len(t(lam) w) - 1 otherwise (module docstring).  With beta = w(eta)
-        # for j = 0: r = beta^ and o = 0 or -1 for beta > 0 or < 0; with
-        # beta = w(alpha_j) for j >= 1: r = -beta^ and o = 0 or 1.
-        self.rises: tuple[tuple[tuple[tuple[int, ...], int], ...], ...] = tuple(
-            tuple((tuple(e * c for c in rd.coroot(images[k])), 0 if signs[k] > 0 else -e)
-                  for images, signs in zip(self.root_images, self.sign_table))
-            for k, e in ((self.s0_root_pos, 1), *((k, -1) for k in self.simple_root_pos)))
-
-    def _reflection_matrix(self, beta: Weight) -> tuple[tuple[int, ...], ...]:
-        rd = self.rd
-        rank = rd.rank
-        cor = rd.coroot(beta)
-        # s_beta(lam) = lam - <lam, beta^> beta
-        return tuple(
-            tuple((1 if r == c else 0) - beta[r] * cor[c] for c in range(rank)) for r in range(rank)
-        )
-
-    # -- length-zero subgroup ------------------------------------------------------
-
-    def _build_omega(self) -> None:
-        rd = self.rd
-        found: dict[tuple[int, ...], ExtAffineElement] = {}
-        found[rd.coset_tag(Weight((0,) * rd.rank))] = self.identity()
-        for i in range(rd.rank):
-            wt = rd.fundamental_weight(i)
-            if all(pairing(rd, wt, rd.coroot(b)) <= 1 for b in rd.positive_roots):
-                for w in self.finite_elements:
-                    cand = self.element(wt, w)
-                    if self.length(cand) == 0:
-                        found.setdefault(rd.coset_tag(wt), cand)
-                        break
-        # close under multiplication
-        changed = True
-        while changed:
-            changed = False
-            for a in list(found.values()):
-                for b in list(found.values()):
-                    c = self.multiply(a, b)
-                    tag = c.omega_component
-                    if tag not in found:
-                        found[tag] = c
-                        changed = True
-        if len(found) != rd.lattice_index_e:
-            raise AssertionError("length-zero subgroup has wrong size")
-        self.omega_elements = found  # tag -> canonical length-0 element
+        # tag -> canonical length-0 element
+        self.omega_elements = {tag: self._intern(*key) for tag, key in tables.omega_keys}
 
     # -- element constructors ------------------------------------------------------
 

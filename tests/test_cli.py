@@ -423,19 +423,22 @@ def test_large_l_is_refused_before_any_work(capsys, argv, bound):
 def test_output_does_not_depend_on_the_admissible_l(capsys, cartan_type, rank, l, height, x):
     # Once l is admissible no work here grows with it but the alcove walk of
     # blocks: at a huge admissible l these subcommands print the default-l
-    # bytes, apart from the echoed "l" field.
+    # bytes, apart from the echoed "l" field.  The huge l runs both before
+    # and after the default one in this process, so the type's shared tables
+    # carry nothing from one l to the other.
     huge = 10**30 + 1
     window = ["--height", str(height)]
     for command in (["table", "q", *window], ["selfcheck", *window], ["orders", "hasse", *window],
                     ["hecke", "kl", "--x", x]):
         outputs = []
-        for order in (l, huge):
+        for order in (huge, l, huge):
             assert main([*command, "--type", cartan_type, "--rank", str(rank), "--l", str(order)]) == 0
             captured = capsys.readouterr()
             assert captured.err == ""
             outputs.append(captured.out)
-        default, at_huge = outputs
-        assert at_huge.replace(f'"l": {huge},', f'"l": {l},') == default, command
+        before, default, after = outputs
+        assert before == after, command
+        assert after.replace(f'"l": {huge},', f'"l": {l},') == default, command
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -31,6 +31,8 @@ SRC = ROOT / "src" / "periodic_kl"
 # Documented entry points with no caller in the library, by qualified name.
 ENTRY_POINTS = {
     "weyl.AffineWeyl.translation": "the package docstring's example builds a translation with it",
+    "weyl.AffineWeyl.identity": "the group's unit, a constructor next to element and translation; "
+                                "the length-zero keys are interned without it",
 }
 
 # Default-valued parameters that no call in the library passes, by qualified

@@ -59,7 +59,7 @@ def test_chain_example(a1):
 
 def test_cross_coset_incomparable(a1):
     W, O = a1.group, a1.order
-    w = a1.rd.fundamental_weight(0)
+    w = Weight((1,))  # the fundamental weight omega_1
     assert not O.leq(W.translation(w), W.identity())
     assert not O.leq(W.identity(), W.translation(w))
 

@@ -20,6 +20,7 @@ from oracles import (
     generic_polynomial_by_dicts,
     inversion_sum_per_pair,
     koszul_of_series_per_pair,
+    module_with_classes_of,
 )
 
 
@@ -342,7 +343,7 @@ def test_generic_table_equivariance(a2):
 
 def test_selfdual_nontrivial_coset(a1):
     M, W, O = a1.module, a1.group, a1.order
-    w1 = a1.rd.fundamental_weight(0)
+    w1 = Weight((1,))  # the fundamental weight omega_1
     x = W.multiply(W.translation(w1), W.simple_reflection(0))
     sd = M.selfdual(x)
     assert sd.coefficient(x) == ONE
@@ -476,6 +477,29 @@ def test_class_support_below_lead_by_order_search(request, name):
     ctx = request.getfixturevalue(name)
     for w in ctx.group.finite_elements:
         assert class_support_below_lead(ctx.module, w.index)
+
+
+@pytest.mark.parametrize("name", ["b2", "a3"])
+def test_a_point_query_encodes_only_the_finite_part_it_reads(request, name):
+    # a generic point query builds the rows of its own (u, c) table alone;
+    # the rows of every part, built on their first reads, are the terms of
+    # the class by finite part, by descending sum E(lam)
+    ctx = request.getfixturevalue(name)
+    W = ctx.group
+    M = module_with_classes_of(ctx.module)
+    c = W.w0.index
+    terms = M._class(c)
+    u = max({v for _, v in terms} - {c})
+    y = W.element(next(t for t, v in terms if v == u), u)
+    M.generic_polynomial(y, W.element((0,) * ctx.rd.rank, c))
+    assert set(M._generic_tables) == {(u, c)}
+    assert set(M._encoded) == {t for t, v in terms if v == u}
+    rows = {v: [] for v in range(len(W.finite_elements))}
+    for (t, v), (p, lp, _) in terms.items():
+        packed, total = M._encode(t)
+        rows[v].append((total, packed, p, lp))
+    for v, expected in rows.items():
+        assert M._generic_table(v, c)[1] == sorted(expected, key=lambda row: row[0], reverse=True), v
 
 
 @pytest.mark.parametrize("name", DATA)

@@ -1,12 +1,21 @@
 import contextlib
+import json
+import os
 import random
 import signal
+import subprocess
+import sys
+import textwrap
 from itertools import product
+from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
-from periodic_kl.rootdata import Weight, pairing, root_datum
-from periodic_kl.weyl import AffineWeyl, ExtAffineElement
+import periodic_kl
+from periodic_kl.cli import main
+from periodic_kl.rootdata import _CARTAN, Frozen, RootSystem, TypeTables, Weight, pairing, root_datum, type_tables
+from periodic_kl.weyl import AffineWeyl, ExtAffineElement, FiniteWeylElement, WeylTables
 from oracles import bfs_lengths, dot_action, elements_of_length_leq, from_word, subword_bruhat
 
 
@@ -318,3 +327,113 @@ def test_weights_are_their_coordinate_tuples(a2):
     assert type(rd.coroot(rd.positive_roots[0])) is tuple
     for y in elements_of_length_leq(W, 3):
         assert y.trans is y.key[0]
+
+
+# -- the per-type tables --------------------------------------------------------
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SHARED = ("finite_elements", "_fin_mul", "_gen_indices", "root_images", "sign_table", "w0",
+          "simple_root_pos", "reflection_index", "s0_root", "right_steps", "rises")
+
+
+def test_groups_of_one_type_share_its_tables_and_keep_their_own_state():
+    W5, W7 = AffineWeyl(root_datum("A", 2, 5)), AffineWeyl(root_datum("A", 2, 7))
+    assert W5.rd.tables is W7.rd.tables is type_tables("A", 2)
+    assert W5.rd.positive_roots is W7.rd.positive_roots
+    for name in SHARED:
+        assert getattr(W5, name) is getattr(W7, name), name
+    # a group's elements, Cayley graph and length-zero elements are its own
+    for name in ("_elements", "_ids", "_elts", "_lens", "_nbrs", "omega_elements"):
+        assert getattr(W5, name) is not getattr(W7, name), name
+    assert W5.omega_elements.keys() == W7.omega_elements.keys()
+    for tag, omega in W5.omega_elements.items():
+        assert omega is not W7.omega_elements[tag] and omega.key == W7.omega_elements[tag].key
+        assert omega.rd is W5.rd
+    x = W5.parse_element("t(1,-2)*w[1 2]")
+    W5.reduced_word(x)
+    assert W5._elts and not W7._elts and x.key not in W7._elements
+    assert W5.dot_zero(x) != W7.dot_zero(W7.parse_element("t(1,-2)*w[1 2]"))
+
+
+def test_a_type_is_built_once_per_process():
+    # the A2 and B2 table and mult invocations of the benchmark, replayed in
+    # one fresh process, build each type's tables on the first call only
+    probe = textwrap.dedent(f"""
+        import contextlib, io, json, sys
+        sys.path.insert(0, {str(BENCH)!r})
+        import workloads
+        from periodic_kl.cli import main
+        from periodic_kl.rootdata import type_tables
+
+        def datum(argv):
+            return argv[argv.index("--type") + 1] + argv[argv.index("--rank") + 1]
+
+        argvs = [inv.argv for inv in workloads.build("tables_cold", 0).invocations
+                 if inv.argv[0] in ("table", "mult") and datum(inv.argv) in ("A2", "B2")]
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(list(argv)) == 0, argv
+        info = type_tables.cache_info()
+        print(json.dumps([len(argvs), sorted(set(map(datum, argvs))), info.misses, info.hits, info.currsize]))
+    """)
+    src = str(Path(periodic_kl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    n, data, misses, hits, size = json.loads(result.stdout)
+    assert data == ["A2", "B2"] and n > 20
+    assert (misses, hits, size) == (2, n - 2, 2)
+
+
+def _reachable(obj):
+    """Every object reachable from ``obj`` through tuples, read-only mappings
+    and the fields of frozen records."""
+    seen, stack = {}, [obj]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen[id(o)] = o
+        if isinstance(o, tuple):
+            stack.extend(o)
+        elif isinstance(o, MappingProxyType):
+            stack.extend(o.keys())
+            stack.extend(o.values())
+        elif isinstance(o, Frozen):
+            stack.extend(getattr(o, name) for name in type(o).__slots__)
+    return seen.values()
+
+
+@pytest.mark.parametrize("key", sorted(_CARTAN), ids=lambda key: f"{key[0]}{key[1]}")
+def test_the_shared_tables_are_immutable(key):
+    tables = type_tables(*key)
+    kinds = {type(o) for o in _reachable(tables)}
+    assert kinds <= {int, str, tuple, Weight, MappingProxyType, FiniteWeylElement,
+                     TypeTables, RootSystem, WeylTables}, kinds
+    weyl, roots = tables.weyl, tables.roots
+    w = weyl.finite_elements[-1]
+    for container, index, value in ((weyl.right_steps[0], 0, ((0,) * key[1], 0)), (weyl.fin_mul[0], 0, 1),
+                                    (roots.positive_roots, 0, roots.rho), (roots.coroots, roots.rho, roots.rho),
+                                    (w.length_form, 0, ((0,) * key[1], 0))):
+        with pytest.raises(TypeError):
+            container[index] = value
+    for record in (tables, roots, weyl, w):
+        for name in type(record).__slots__:
+            with pytest.raises(AttributeError, match="frozen"):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError, match="frozen"):
+                delattr(record, name)
+    assert type_tables(*key) is tables
+
+
+def test_a_refused_edit_leaves_later_invocations_unchanged(capsys):
+    argv = ["table", "q", "--type", "A", "--rank", "2", "--l", "5", "--height", "1"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    weyl = type_tables("A", 2).weyl
+    with pytest.raises(TypeError):
+        weyl.rises[0][0] = ((0, 0), 0)
+    with pytest.raises(AttributeError):
+        weyl.w0.inverse_index = 0
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
