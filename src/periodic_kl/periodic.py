@@ -815,16 +815,19 @@ class PeriodicModule(RightHeckeModule):
         Built on the first read of the finite part u, so a point query
         encodes only the part it reads: the class is split by finite part
         once (``_class_parts``, nothing encoded), and each translation is
-        encoded once per module through the memo ``_encoded``.  A
-        translation beyond the field raises before the part keeps a row."""
+        encoded once per module through the memo ``_encoded``.  The split is
+        stored only once whole, so a class solve that refuses leaves none
+        behind, and a translation beyond the field raises before the part
+        keeps a row."""
         parts = self._class_parts.get(c)
         if parts is None:
-            parts = self._class_parts[c] = {}
+            parts = {}
             for (t, v), (p, lp, _) in self._class(c).items():
                 part = parts.get(v)
                 if part is None:
                     part = parts[v] = []
                 part.append((t, p, lp))
+            self._class_parts[c] = parts
         encoded, encode = self._encoded.get, self._encode_term
         rows = []
         for t, p, lp in parts.get(u, ()):

@@ -29,10 +29,11 @@ reflections; nothing here is hard-coded beyond the Cartan matrices and the
 symmetrizers ``d_s``.
 
 Per-type tables.  Everything above is built from the Cartan matrix and the
-symmetrizers of the type alone, so :func:`type_tables` builds it once per
-(type, rank) and process, as a :class:`RootSystem`, together with the Weyl
-group tables of :mod:`.weyl`: at most six entries, one per supported type.
-The root system's fields are the Cartan matrix, ``d``, the symmetrized
+symmetrizers of the type alone, so :func:`root_system` builds it once per
+(type, rank) and process, as a :class:`RootSystem`: at most six entries,
+one per supported type (the Weyl group tables of :mod:`.weyl` have their
+own cache, :func:`.weyl.weyl_tables`, built from this one).  The root
+system's fields are the Cartan matrix, ``d``, the symmetrized
 matrix ``sym``, ``e`` and the adjugate ``e * C^{-1}``, the simple roots and
 coroots, the positive roots, the coroot of every root, the highest and
 short dominant roots, ``rho``, the Coxeter number and ``2 rho^``.  None of
@@ -63,7 +64,7 @@ __all__ = [
     "Weight",
     "RootDatum",
     "root_datum",
-    "type_tables",
+    "root_system",
     "pairing",
     "dominance_leq",
     "validate_l",
@@ -112,17 +113,16 @@ class RootDatum:
     """Root-system context for one simple type, rank and order l.
 
     Use :func:`root_datum` to construct one.  It holds ``l`` and refers to
-    its type's shared :class:`TypeTables` (``tables``): positive roots,
-    coroots, rho, the Coxeter number, ... are the fields of ``tables.roots``,
-    read here as attributes.  Every operation on it is pure.
+    its type's shared :class:`RootSystem` (:func:`root_system`): positive
+    roots, coroots, rho, the Coxeter number, ... are its fields, read here
+    as attributes.  Every operation on it is pure.
     """
 
     def __init__(self, cartan_type: str, rank: int, l: int):
-        self.tables = type_tables(cartan_type, rank)
+        roots = root_system(cartan_type, rank)
         self.cartan_type = cartan_type
         self.rank = rank
         self.l = l
-        roots = self.tables.roots
         self.cartan, self.d, self.sym = roots.cartan, roots.d, roots.sym
         self.lattice_index_e, self.scaled_inverse_cartan = roots.lattice_index_e, roots.scaled_inverse_cartan
         self.simple_roots, self.simple_coroots = roots.simple_roots, roots.simple_coroots
@@ -143,7 +143,7 @@ class RootDatum:
 
     def scaled_root_coordinates(self, lam: Sequence[int]) -> tuple[int, ...]:
         """E = e * C^{-1} lam: e times the expansion of ``lam`` in the simple roots."""
-        return tuple(sum(map(mul, row, lam)) for row in self.scaled_inverse_cartan)
+        return scaled_coordinates(self.scaled_inverse_cartan, lam)
 
     def root_coordinates(self, lam: Sequence[int]) -> tuple[Fraction, ...]:
         """Expansion of a weight in the simple roots (exact rationals)."""
@@ -154,8 +154,7 @@ class RootDatum:
 
     def coset_tag(self, lam: Sequence[int]) -> tuple[int, ...]:
         """Class of ``lam`` in (weight lattice)/(root lattice), as a hashable tag."""
-        e = self.lattice_index_e
-        return tuple(c % e for c in self.scaled_root_coordinates(lam))
+        return coset_tag_of(self.scaled_inverse_cartan, self.lattice_index_e, lam)
 
     def __repr__(self) -> str:
         return f"RootDatum({self.cartan_type}{self.rank}, l={self.l})"
@@ -163,8 +162,8 @@ class RootDatum:
 
 def root_datum(cartan_type: str, rank: int, l: int) -> RootDatum:
     """A new root datum of ``cartan_type`` and ``rank`` at order ``l``, over the
-    type's tables (:func:`type_tables`, built on the first call per process);
-    an unsupported type raises ValueError.  ``l`` is not checked here: see
+    type's root system (:func:`root_system`, built on the first call per
+    process); an unsupported type raises ValueError.  ``l`` is not checked here: see
     :func:`validate_l`."""
     return RootDatum(cartan_type, rank, l)
 
@@ -192,7 +191,7 @@ class Frozen:
 class RootSystem(Frozen):
     """The root system of one type and rank: every table of :class:`RootDatum`
     but ``l`` (module docstring), built once per process by
-    :func:`type_tables`.  Every field is a tuple of integers or an integer,
+    :func:`root_system`.  Every field is a tuple of integers or an integer,
     but ``coroots``, a read-only mapping from every root (positive and
     negative) to its coroot."""
 
@@ -201,27 +200,23 @@ class RootSystem(Frozen):
                  "rho", "coxeter_number", "two_rho_check")
 
 
-class TypeTables(Frozen):
-    """The tables of one type and rank that do not read ``l``: its root
-    system ``roots`` and its Weyl groups' tables ``weyl``
-    (:class:`.weyl.WeylTables`)."""
+def scaled_coordinates(adjugate: Sequence[Sequence[int]], lam: Sequence[int]) -> tuple[int, ...]:
+    """E = ``adjugate`` lam: with the adjugate e * C^{-1} of the Cartan
+    matrix, e times the root coordinates of ``lam`` (module docstring)."""
+    return tuple(sum(map(mul, row, lam)) for row in adjugate)
 
-    __slots__ = ("roots", "weyl")
+
+def coset_tag_of(adjugate: Sequence[Sequence[int]], e: int, lam: Sequence[int]) -> tuple[int, ...]:
+    """The coset tag E mod e of ``lam`` in (weight lattice)/(root lattice)."""
+    return tuple(c % e for c in scaled_coordinates(adjugate, lam))
 
 
 @cache
-def type_tables(cartan_type: str, rank: int) -> TypeTables:
-    """The tables of ``cartan_type`` and ``rank``, built on the first call and
-    shared by every root datum and group of the type after it: the cache
-    holds at most one entry per supported type.  An unsupported type raises
+def root_system(cartan_type: str, rank: int) -> RootSystem:
+    """The root system of ``cartan_type`` and ``rank``, built on the first call
+    and shared by every root datum of the type after it: the cache holds at
+    most one entry per supported type.  An unsupported type raises
     ValueError and is not cached."""
-    from .weyl import build_weyl_tables  # weyl imports this module
-
-    roots = _build_root_system(cartan_type, rank)
-    return TypeTables(roots=roots, weyl=build_weyl_tables(roots))
-
-
-def _build_root_system(cartan_type: str, rank: int) -> RootSystem:
     key = (cartan_type, rank)
     if key not in _CARTAN:
         supported = ", ".join(f"{t}{r}" for t, r in sorted(_CARTAN))
@@ -262,7 +257,7 @@ def _build_root_system(cartan_type: str, rank: int) -> RootSystem:
                 roots.add(image)
                 frontier.append(image)
     # Root coordinates of a root are integers, E / e.
-    root_coords = {b: tuple(sum(map(mul, row, b)) // e for row in adjugate) for b in roots}
+    root_coords = {b: tuple(c // e for c in scaled_coordinates(adjugate, b)) for b in roots}
     # Positive roots sorted by height, then root coordinates: a canonical order.
     positive_roots = tuple(sorted(
         (b for b, rc in root_coords.items() if min(rc) >= 0),

@@ -12,8 +12,8 @@ words, inverses, and the images ``w(beta)`` with their signs for every
 positive root ``beta``).  An :class:`ExtAffineElement` is then a
 translation vector plus an entry of that table.
 
-Per-type tables.  :func:`build_weyl_tables` builds, once per (type, rank)
-and process inside :func:`.rootdata.type_tables`, a :class:`WeylTables`:
+Per-type tables.  :func:`weyl_tables` builds, once per (type, rank) and
+process, from the type's :func:`.rootdata.root_system`, a :class:`WeylTables`:
 the finite elements with their length forms, the multiplication table
 ``fin_mul``, ``root_images`` and ``sign_table``, the reflections
 ``reflection_index``, ``w0``, the ``s_0`` data (``s0_root``,
@@ -85,24 +85,27 @@ coset of the length-zero subgroup.
 
 from __future__ import annotations
 
+from functools import cache
 from operator import add, mul
 from typing import Optional, Sequence
 
-from .rootdata import Frozen, RootDatum, RootSystem, Weight
+from .rootdata import Frozen, RootDatum, Weight, coset_tag_of, root_system
 
 __all__ = [
     "AffineWeyl",
     "ExtAffineElement",
     "FiniteWeylElement",
     "WeylTables",
-    "build_weyl_tables",
+    "weyl_tables",
 ]
+
+Key = tuple[Sequence[int], int]  # (translation coordinates, finite index) of t(lam) w
 
 
 class FiniteWeylElement(Frozen):
     """Element of the finite Weyl group: an integer matrix on weight coordinates.
 
-    Instances are built once per type with its tables (:func:`build_weyl_tables`)
+    Instances are built once per type with its tables (:func:`weyl_tables`)
     and shared by every group of the type, so they are frozen.  Identity
     comparison through the table index is valid.
     """
@@ -149,8 +152,7 @@ class ExtAffineElement:
     @property
     def length(self) -> int:
         if self._length is None:
-            lam = self.trans
-            self._length = sum(abs(sum(map(mul, row, lam)) - o) for row, o in self.w.length_form)
+            self._length = key_length(self.w.length_form, self.trans)
         return self._length
 
     @property
@@ -163,6 +165,20 @@ class ExtAffineElement:
         return element_text(self.trans, self.w)
 
 
+def key_length(length_form: Sequence[tuple[Sequence[int], int]], lam: Sequence[int]) -> int:
+    """len(t(lam) w) by the Iwahori-Matsumoto formula, from the length form
+    of w (module docstring)."""
+    return sum(abs(sum(map(mul, row, lam)) - o) for row, o in length_form)
+
+
+def key_product(elements: Sequence[FiniteWeylElement], fin_mul: Sequence[Sequence[int]],
+                x: Key, y: Key) -> tuple[tuple[int, ...], int]:
+    """The key (lam + a(mu), ab) of the product of t(lam) a and t(mu) b, from
+    their keys x = (lam, a) and y = (mu, b)."""
+    (lam, a), (mu, b) = x, y
+    return tuple(c + sum(map(mul, row, mu)) for c, row in zip(lam, elements[a].matrix)), fin_mul[a][b]
+
+
 def element_text(trans: Sequence[int], w: FiniteWeylElement) -> str:
     """The printed form ``t(a1,...,ar)*w[i1 i2 ...]`` of t(trans) w, also for
     a key that no element was built for."""
@@ -171,7 +187,7 @@ def element_text(trans: Sequence[int], w: FiniteWeylElement) -> str:
 
 class WeylTables(Frozen):
     """The tables of one type's finite and extended affine Weyl groups
-    (module docstring), built once per process by :func:`build_weyl_tables`
+    (module docstring), built once per process by :func:`weyl_tables`
     and shared by every :class:`AffineWeyl` of the type.  ``omega_keys``
     holds (coset tag, intern key (lam, w)) of every length-zero element."""
 
@@ -180,10 +196,13 @@ class WeylTables(Frozen):
                  "right_steps", "rises", "omega_keys")
 
 
-def build_weyl_tables(roots: RootSystem) -> WeylTables:
-    """The Weyl group tables of the root system ``roots``; run once per type,
-    by :func:`.rootdata.type_tables`."""
-    rank = len(roots.simple_roots)
+@cache
+def weyl_tables(cartan_type: str, rank: int) -> WeylTables:
+    """The Weyl group tables of ``cartan_type`` and ``rank``, built on the
+    first call and shared by every group of the type after it: the cache
+    holds at most one entry per supported type.  An unsupported type raises
+    ValueError and is not cached."""
+    roots = root_system(cartan_type, rank)
     coroots = roots.coroots
 
     # -- finite group table ----------------------------------------------------
@@ -273,23 +292,16 @@ def build_weyl_tables(roots: RootSystem) -> WeylTables:
 
     # -- length-zero subgroup ------------------------------------------------------
 
-    # on intern keys (lam, w): the product (lam, a)(mu, b) = (lam + a(mu), ab),
-    # the length by the length forms and the coset tag E(lam) mod e
-    def multiply(x: tuple[Weight, int], y: tuple[Weight, int]) -> tuple[Weight, int]:
-        return x[0] + elements[x[1]].apply(y[0]), fin_mul[x[1]][y[1]]
-
-    def length(x: tuple[Weight, int]) -> int:
-        return sum(abs(sum(map(mul, row, x[0])) - o) for row, o in elements[x[1]].length_form)
-
+    # on intern keys (lam, w), tagged by the coset tag E(lam) mod e
     def tag(lam: Sequence[int]) -> tuple[int, ...]:
-        return tuple(sum(map(mul, row, lam)) % roots.lattice_index_e for row in roots.scaled_inverse_cartan)
+        return coset_tag_of(roots.scaled_inverse_cartan, roots.lattice_index_e, lam)
 
-    found: dict[tuple[int, ...], tuple[Weight, int]] = {tag(zero): (Weight(zero), 0)}
+    found: dict[tuple[int, ...], Key] = {tag(zero): (zero, 0)}
     for i in range(rank):
-        wt = Weight(1 if j == i else 0 for j in range(rank))
+        wt = tuple(1 if j == i else 0 for j in range(rank))
         if all(sum(map(mul, wt, coroots[b])) <= 1 for b in roots.positive_roots):
             for w in elements:
-                if length((wt, w.index)) == 0:
+                if key_length(w.length_form, wt) == 0:
                     found.setdefault(tag(wt), (wt, w.index))
                     break
     # close under multiplication
@@ -298,7 +310,7 @@ def build_weyl_tables(roots: RootSystem) -> WeylTables:
         changed = False
         for a in list(found.values()):
             for b in list(found.values()):
-                c = multiply(a, b)
+                c = key_product(elements, fin_mul, a, b)
                 c_tag = tag(c[0])
                 if c_tag not in found:
                     found[c_tag] = c
@@ -322,7 +334,7 @@ class AffineWeyl:
 
     def __init__(self, rd: RootDatum):
         self.rd = rd
-        tables = rd.tables.weyl
+        tables = weyl_tables(rd.cartan_type, rd.rank)
         self.finite_elements, self._fin_mul, self._gen_indices = (
             tables.finite_elements, tables.fin_mul, tables.gen_indices)
         self.root_images, self.sign_table, self.w0 = tables.root_images, tables.sign_table, tables.w0
@@ -386,9 +398,7 @@ class AffineWeyl:
 
     def multiply(self, x: ExtAffineElement, y: ExtAffineElement) -> ExtAffineElement:
         self._check(x, y)
-        mu = y.trans
-        coords = tuple(a + sum(map(mul, row, mu)) for a, row in zip(x.trans, x.w.matrix))
-        return self._intern(coords, self._fin_mul[x.w.index][y.w.index])
+        return self._intern(*key_product(self.finite_elements, self._fin_mul, x.key, y.key))
 
     def inverse(self, x: ExtAffineElement) -> ExtAffineElement:
         self._check(x)

@@ -502,6 +502,34 @@ def test_a_point_query_encodes_only_the_finite_part_it_reads(request, name):
         assert M._generic_table(v, c)[1] == sorted(expected, key=lambda row: row[0], reverse=True), v
 
 
+def test_a_refused_class_solve_leaves_no_rows_behind(monkeypatch, b2):
+    # a class solve that refuses keeps no split of the class: a later query
+    # on the same module refuses again rather than reading empty rows as
+    # zero, and once the solve succeeds it gives the fresh module's value
+    from periodic_kl.laurent import ResourceError
+
+    W = b2.group
+    M = module_with_classes_of(b2.module)
+    c = W.w0.index
+    t, u = next(key for key, term in M._class(c).items() if key[1] != c and term[0])
+    y, x = W.element(t, u), W.element((0,) * b2.rd.rank, c)
+    expected = module_with_classes_of(b2.module).generic_polynomial(y, x)
+    assert expected != ZERO
+    M._classes.pop(c)
+
+    def refuse(w_index):
+        raise ResourceError("planted refusal")
+
+    monkeypatch.setattr(M, "_class", refuse)
+    for _ in range(2):
+        with pytest.raises(ResourceError, match="planted refusal"):
+            M.generic_polynomial(y, x)
+    assert c not in M._class_parts and not M._generic_tables
+    monkeypatch.undo()
+    M.preload_class(c, class_element(b2.module, c))
+    assert M.generic_polynomial(y, x) == expected
+
+
 @pytest.mark.parametrize("name", DATA)
 def test_class_solve_builds_no_element(request, name):
     # the module's construction and every class solve read the group's

@@ -14,8 +14,8 @@ import pytest
 
 import periodic_kl
 from periodic_kl.cli import main
-from periodic_kl.rootdata import _CARTAN, Frozen, RootSystem, TypeTables, Weight, pairing, root_datum, type_tables
-from periodic_kl.weyl import AffineWeyl, ExtAffineElement, FiniteWeylElement, WeylTables
+from periodic_kl.rootdata import _CARTAN, Frozen, RootSystem, Weight, pairing, root_datum, root_system
+from periodic_kl.weyl import AffineWeyl, ExtAffineElement, FiniteWeylElement, WeylTables, weyl_tables
 from oracles import bfs_lengths, dot_action, elements_of_length_leq, from_word, subword_bruhat
 
 
@@ -338,8 +338,8 @@ SHARED = ("finite_elements", "_fin_mul", "_gen_indices", "root_images", "sign_ta
 
 def test_groups_of_one_type_share_its_tables_and_keep_their_own_state():
     W5, W7 = AffineWeyl(root_datum("A", 2, 5)), AffineWeyl(root_datum("A", 2, 7))
-    assert W5.rd.tables is W7.rd.tables is type_tables("A", 2)
-    assert W5.rd.positive_roots is W7.rd.positive_roots
+    assert W5.rd.positive_roots is W7.rd.positive_roots is root_system("A", 2).positive_roots
+    assert W5.finite_elements is weyl_tables("A", 2).finite_elements
     for name in SHARED:
         assert getattr(W5, name) is getattr(W7, name), name
     # a group's elements, Cayley graph and length-zero elements are its own
@@ -363,7 +363,8 @@ def test_a_type_is_built_once_per_process():
         sys.path.insert(0, {str(BENCH)!r})
         import workloads
         from periodic_kl.cli import main
-        from periodic_kl.rootdata import type_tables
+        from periodic_kl.rootdata import root_system
+        from periodic_kl.weyl import weyl_tables
 
         def datum(argv):
             return argv[argv.index("--type") + 1] + argv[argv.index("--rank") + 1]
@@ -373,16 +374,16 @@ def test_a_type_is_built_once_per_process():
         for argv in argvs:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(list(argv)) == 0, argv
-        info = type_tables.cache_info()
-        print(json.dumps([len(argvs), sorted(set(map(datum, argvs))), info.misses, info.hits, info.currsize]))
+        built = [(cache.cache_info().misses, cache.cache_info().currsize) for cache in (root_system, weyl_tables)]
+        print(json.dumps([len(argvs), sorted(set(map(datum, argvs))), built]))
     """)
     src = str(Path(periodic_kl.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    n, data, misses, hits, size = json.loads(result.stdout)
+    n, data, built = json.loads(result.stdout)
     assert data == ["A2", "B2"] and n > 20
-    assert (misses, hits, size) == (2, n - 2, 2)
+    assert built == [[2, 2], [2, 2]]
 
 
 def _reachable(obj):
@@ -406,31 +407,29 @@ def _reachable(obj):
 
 @pytest.mark.parametrize("key", sorted(_CARTAN), ids=lambda key: f"{key[0]}{key[1]}")
 def test_the_shared_tables_are_immutable(key):
-    tables = type_tables(*key)
-    kinds = {type(o) for o in _reachable(tables)}
-    assert kinds <= {int, str, tuple, Weight, MappingProxyType, FiniteWeylElement,
-                     TypeTables, RootSystem, WeylTables}, kinds
-    weyl, roots = tables.weyl, tables.roots
+    roots, weyl = root_system(*key), weyl_tables(*key)
+    kinds = {type(o) for o in _reachable((roots, weyl))}
+    assert kinds <= {int, str, tuple, Weight, MappingProxyType, FiniteWeylElement, RootSystem, WeylTables}, kinds
     w = weyl.finite_elements[-1]
     for container, index, value in ((weyl.right_steps[0], 0, ((0,) * key[1], 0)), (weyl.fin_mul[0], 0, 1),
                                     (roots.positive_roots, 0, roots.rho), (roots.coroots, roots.rho, roots.rho),
                                     (w.length_form, 0, ((0,) * key[1], 0))):
         with pytest.raises(TypeError):
             container[index] = value
-    for record in (tables, roots, weyl, w):
+    for record in (roots, weyl, w):
         for name in type(record).__slots__:
             with pytest.raises(AttributeError, match="frozen"):
                 setattr(record, name, 0)
             with pytest.raises(AttributeError, match="frozen"):
                 delattr(record, name)
-    assert type_tables(*key) is tables
+    assert root_system(*key) is roots and weyl_tables(*key) is weyl
 
 
 def test_a_refused_edit_leaves_later_invocations_unchanged(capsys):
     argv = ["table", "q", "--type", "A", "--rank", "2", "--l", "5", "--height", "1"]
     assert main(argv) == 0
     first = capsys.readouterr().out
-    weyl = type_tables("A", 2).weyl
+    weyl = weyl_tables("A", 2)
     with pytest.raises(TypeError):
         weyl.rises[0][0] = ((0, 0), 0)
     with pytest.raises(AttributeError):
