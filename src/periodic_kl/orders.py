@@ -11,7 +11,8 @@ local:
 
 so the relation holds iff ``sign(ht(b^) - l k) = sign(w(b))``.  Since
 ``ht(b^) <= h - 1 < l`` the sign of the scalar, hence the whole order, does
-not depend on the admissible ``l``.  For a *simple* reflection the test
+not depend on the admissible ``l``, and since it does not read ``lam``,
+left translation preserves the order.  For a *simple* reflection the test
 specializes to
 
 - finite ``s_i``:            ``x s_i <= x``  iff  ``w(alpha_i) > 0``;
@@ -20,35 +21,68 @@ specializes to
 with ``eta`` the dominant root whose coroot is highest.  These simple
 covers drive the periodic module action.  They do not generate the full
 order in rank >= 2 (e.g. in A2 the relation ``s_1 s_2 <= s_2`` needs the
-non-simple reflection through the highest root), and only the full
-reflection set makes the order agree with its Bruhat characterization
-below, so the closure here always uses all reflections.
+non-simple reflection through the highest root).
 
-Two elements are comparable only inside a common coset of the length-zero
-subgroup.  The order is decided one way, a finite window at a time
-(:meth:`SemiInfinitePoset.build`): one pass decides the window's columns
-(the ideal of each element within the window) in ascending height, each
-by a down-closure search along the generating moves.  Every element z
-carries E(z) = e * rc(z dot 0) as integers (scaled simple-root
-coordinates), so x dot 0 <= z dot 0 in dominance order iff E(z) - E(x) is
-a nonnegative multiple of e in every coordinate, and the height
-2 sum(E) / e strictly drops along every move.
+Closed form.  For ``x = t(lam) w`` and ``y = t(mu) v``,
 
-The pass is exact for any window.  The candidates of the column of y are
-the window elements x with x dot 0 <= y dot 0.  Every chain of moves from
-y down to a candidate x stays in [x dot 0, y dot 0], so the search never
-leaves the elements whose E dominates the meet (coordinatewise minimum)
-of the candidates' E and whose sum(E) is at least their least sum; the
-pruning loses no answer.  A window element z that the search reaches has
-lower height than y, so its column is already decided, and by induction
-on the height it is exactly the ideal of z within the window, each member
-of it below y: the search ORs it in and does not expand z.  Conversely, a
-chain from y to a candidate x either reaches x without meeting another
-window element or meets a first window element z >= x; either way x lands
-in the column of y.  The search runs on ``(translation, finite index)``
-keys and takes its moves from per-finite-element tables built on first
-use.  :meth:`SemiInfiniteOrder.leq` is the pass on the two-element window
-(x, y).
+    x <= y  iff  mu - lam - d(w, v) lies in Q+,
+
+Q+ the nonnegative integer combinations of the simple roots, with one apex
+``d(w, v)`` in the root lattice per pair of finite parts: the weight
+d(w, v) = wt(v^-1 => w^-1) of a shortest path from v^-1 to w^-1 in the
+quantum Bruhat graph (Brenti-Fomin-Postnikov) of the dual root system.
+Its vertices are the finite Weyl group; for a vertex u and a positive
+root b it has
+
+- a Bruhat edge u -> u s_b when len(u s_b) = len(u) + 1, of weight 0;
+- a quantum edge u -> u s_b when len(u s_b) = len(u) + 1 - 2 ht(b), of
+  weight b,
+
+with ht(b) the sum of the simple-root coordinates of b.  All shortest
+paths between two vertices have one weight (Postnikov, Proc. AMS 133,
+2005); :func:`_apex_table` finds the weights by one breadth-first search
+per source and raises AssertionError, an internal error, if two shortest
+paths disagree.  Ishii-Naito-Sagaki (Adv. Math. 290, 2016) relate the
+graph to the semi-infinite Bruhat order, in other conventions:
+
+- translations act here on the left, ``t(lam) w = w t(w^-1 lam)``, and the
+  order is generated by right multiplications ``x r``; the literature
+  writes ``w t_xi`` and multiplies reflections on the left.  Inverting
+  (``x^-1 = t(-w^-1 lam) w^-1``) exchanges the two sides and inverts the
+  finite parts, which is where the inverses in d come from;
+- translations run here over the weight lattice, where the literature has
+  the coroot lattice.  So the graph is that of the dual root system: its
+  quantum edges are read at root heights and weighted by roots.  On B2,
+  C2 and G2 the graph of the root system itself, with coroot heights and
+  coroot weights, gives other apexes, which fail check (b) below; a graph
+  that mixes root heights with coroot weights, or the converse, has
+  shortest paths of different weights there.
+
+Proof per type.  The library does not rest on that translation.  Call
+``<=_g`` the order the moves generate and ``<=_c`` the cone order above.
+Four finite checks give ``<=_g == <=_c`` for every lam, mu and admissible
+l:
+
+(a) d(w, w) = 0 and d(w, v) + d(v, u) - d(w, u) lies in Q+ for all w, v,
+    u, so ``<=_c`` is a preorder;
+(b) every generating move ``t(lam) w -> t(lam + k w(b)) w s_b`` satisfies
+    the cone condition at its least |k|: k = 0 when w(b) > 0, k = 1 when
+    w(b) < 0.  Every further k adds a positive multiple of |w(b)|, which
+    lies in Q+.  With (a), ``<=_g`` lies in ``<=_c``;
+(c) a search along the moves shows t(0) w <=_g t(d(w, v)) v for every
+    pair (w, v), and
+(d) t(0) v <=_g t(alpha_i) v for every v and every simple root alpha_i.
+    By translation, ``t(lam) w <=_c t(mu) v`` is then the chain
+    t(lam) w <=_g t(lam + d(w, v)) v <=_g ... <=_g t(mu) v, adding one
+    simple root per step, so ``<=_c`` lies in ``<=_g``.
+
+``tests/test_orders.py`` checks (a)-(d) on every type of
+``rootdata._CARTAN``; the search lives on in ``tests/oracles.py`` as an
+oracle of the order.
+
+:func:`_apex_table` holds E(d(w, v)) = e C^{-1} d(w, v) per type, built on
+the first ``leq`` or ``build``, never by a constructor.  ``leq`` is one cone
+test, and ``build`` reads a window's rows from per-finite-part masks.
 
 An independent characterization via deep dominant translation is provided:
 ``x <= y`` iff ``t(mu) x <= t(mu) y`` in Bruhat order once both elements
@@ -60,15 +94,15 @@ Agreement of the two routes is part of the acceptance suite.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from functools import cached_property
+from bisect import bisect_left
+from functools import cache, cached_property
 from itertools import product
-from operator import mul
+from operator import add, mul, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .laurent import ResourceError
-from .rootdata import Weight, pairing
-from .weyl import AffineWeyl, ExtAffineElement
+from .rootdata import Weight, pairing, root_system, scaled_coordinates
+from .weyl import AffineWeyl, ExtAffineElement, WeylTables, weyl_tables
 
 __all__ = [
     "SemiInfiniteOrder",
@@ -76,13 +110,78 @@ __all__ = [
     "standard_window",
 ]
 
-# Window size bound: tests enumerate up to 3,000 elements (A3, height 2) and
-# compute on up to 648 (A3, height 1).
+# Window size bound: the slow tests build the order on up to 3,000 elements
+# (A3, height 2), and the rows of a window take n^2 bits.
 MAX_WINDOW = 10_000
 
 # ``SemiInfiniteOrder.sufficient_mu`` takes (max translation height +
 # MU_MARGIN) * rho; any MU_MARGIN >= 1 passes every certificate.
 MU_MARGIN = 2
+
+Apexes = tuple[tuple[tuple[int, ...], ...], ...]  # apexes[w][v] = E(d(w, v))
+Graph = tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]  # graph[u]: (target, E(weight)) per edge
+
+
+@cache
+def _apex_table(cartan_type: str, rank: int) -> Apexes:
+    """``[w][v]`` = E(d(w, v)) for the finite indices w, v of the type (module
+    docstring), built on the first call per type and process: tuples of
+    integers, at most one entry per supported type."""
+    roots = root_system(cartan_type, rank)
+    labels = []
+    for beta in roots.positive_roots:
+        ev = scaled_coordinates(roots.scaled_inverse_cartan, beta)
+        labels.append((2 * sum(ev) // roots.lattice_index_e, ev))
+    tables = weyl_tables(cartan_type, rank)
+    return _apexes(tables, _quantum_bruhat_graph(tables, labels))
+
+
+def _quantum_bruhat_graph(tables: WeylTables, labels: Sequence[tuple[int, tuple[int, ...]]]) -> Graph:
+    """The edges (index of u s_b, E(weight)) out of every finite index u, from
+    one label (2 ht(b), E(b)) per positive root b (module docstring)."""
+    lengths = [w.length for w in tables.finite_elements]
+    zero = (0,) * len(labels[0][1])
+    graph = []
+    for u, row in enumerate(tables.fin_mul):
+        edges = []
+        for r, (drop, ev) in zip(tables.reflection_index, labels):
+            t = row[r]
+            if lengths[t] == lengths[u] + 1:
+                edges.append((t, zero))
+            elif lengths[t] == lengths[u] + 1 - drop:
+                edges.append((t, ev))
+        graph.append(tuple(edges))
+    return tuple(graph)
+
+
+def _apexes(tables: WeylTables, graph: Graph) -> Apexes:
+    """``[w][v]`` = the weight of a shortest path from v^-1 to w^-1 in
+    ``graph``, by one breadth-first search per source.  Every edge that
+    continues a shortest path must carry it to the weight already found, so
+    two shortest paths of different weights, like a vertex that no path
+    reaches, raise AssertionError."""
+    n = len(graph)
+    zero = (0,) * len(tables.finite_elements[0].matrix)
+    weights = []
+    for source in range(n):
+        depth, weight = {source: 0}, {source: zero}
+        frontier = [source]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for t, ev in graph[u]:
+                    wt = tuple(map(add, weight[u], ev))
+                    if t not in depth:
+                        depth[t], weight[t] = depth[u] + 1, wt
+                        nxt.append(t)
+                    elif depth[t] == depth[u] + 1 and weight[t] != wt:
+                        raise AssertionError(f"shortest paths from {source} to {t} differ in weight")
+            frontier = nxt
+        if len(weight) != n:
+            raise AssertionError(f"quantum Bruhat graph: {n - len(weight)} vertices unreachable from {source}")
+        weights.append(weight)
+    inv = [w.inverse_index for w in tables.finite_elements]
+    return tuple(tuple(weights[inv[v]][inv[w]] for v in range(n)) for w in range(n))
 
 
 class SemiInfiniteOrder:
@@ -99,8 +198,8 @@ class SemiInfiniteOrder:
         self._translate_cache: dict[tuple[ExtAffineElement, Weight], ExtAffineElement] = {}
 
     def height(self, x: ExtAffineElement) -> int:
-        """<x dot_l 0, 2 rho^> = 2 sum(E(x)) / e, strictly decreasing along the
-        semi-infinite order, from the linear form ``height_form``."""
+        """<x dot_l 0, 2 rho^>, strictly decreasing along the semi-infinite
+        order, from the linear form ``height_form``."""
         base, row = self.height_form
         return base[x.w.index] + sum(map(mul, row, x.trans))
 
@@ -108,11 +207,12 @@ class SemiInfiniteOrder:
     def height_form(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(h(t(0) w) per finite w, the row l * 2 rho^): the height is linear in
         the translation, h(t(lam) w) = h(t(0) w) + l <lam, 2 rho^>, since
-        t(lam) w dot 0 = (w dot 0) + l lam and <mu, 2 rho^> = 2 sum(E(mu)) / e."""
-        e = self.rd.lattice_index_e
-        offsets = self._dot_rc[0]
-        return (tuple(2 * sum(off) // e for off in offsets),
-                tuple(self.rd.l * c for c in self.rd.two_rho_check))
+        t(lam) w dot 0 = (w dot 0) + l lam, and <mu, 2 rho^> = 2 sum(E(mu)) / e."""
+        rd = self.rd
+        e = rd.lattice_index_e
+        return (tuple(2 * sum(rd.scaled_root_coordinates(w.apply(rd.rho) - rd.rho)) // e
+                      for w in self.group.finite_elements),
+                tuple(rd.l * c for c in rd.two_rho_check))
 
     # -- generating relations ----------------------------------------------------
 
@@ -123,96 +223,14 @@ class SemiInfiniteOrder:
     # -- exact comparison ----------------------------------------------------------
 
     def leq(self, x: ExtAffineElement, y: ExtAffineElement) -> bool:
-        """Exact semi-infinite comparison x <= y: the window pass on (x, y)."""
-        return x is y or bool(SemiInfinitePoset.build(self, (x, y)).rows[0] >> 1 & 1)
-
-    def _descend(self, start: tuple, ey: tuple[int, ...], rcs: list[tuple[int, ...]],
-                 decided: dict[tuple, int], found: int, goal: int) -> int:
-        """The down-closure search of the element with key ``start`` and E = ``ey``.
-
-        It descends by generating moves on keys ``(trans coords, w index)``,
-        only to elements whose E dominates the meet of the candidates' E
-        vectors ``rcs`` and whose sum(E) is at least their least sum.
-        Reaching a key of ``decided`` ORs its column into ``found`` and does
-        not expand that key.  The search ends when ``found`` equals ``goal``
-        or nothing is left to expand, and returns ``found``.
-        """
-        meet = tuple(map(min, zip(*rcs)))
-        floor = min(map(sum, rcs))
-        moves = self._moves
-        l = self.rd.l
-        seen = {start}
-        stack = [(*start, ey)]
-        while stack and found != goal:
-            trans, w, ev = stack.pop()
-            budget = sum(ev) - floor
-            slack = [v - m for v, m in zip(ev, meet)]
-            for a, k, dk, drop, nonzero, wbeta, rc, w2 in moves[w]:
-                amax = budget // drop
-                for i, r in nonzero:
-                    q = slack[i] // r
-                    if q < amax:
-                        amax = q
-                while a <= amax:
-                    nt = tuple(t + k * b for t, b in zip(trans, wbeta))
-                    key = (nt, w2)
-                    if key not in seen:
-                        seen.add(key)
-                        if key in decided:
-                            found |= decided[key]
-                        else:
-                            stack.append((nt, w2, tuple(v - a * r for v, r in zip(ev, rc))))
-                    a += l
-                    k += dk
-        return found
-
-    def _scaled_rc(self, z: ExtAffineElement) -> tuple[int, ...]:
-        """E(z) = e * rc(z dot 0) as integers, with z dot 0 = w rho - rho + l lam."""
-        offsets, rows = self._dot_rc
-        lam = z.trans
-        return tuple(off + sum(map(mul, row, lam)) for off, row in zip(offsets[z.w.index], rows))
-
-    @cached_property
-    def _dot_rc(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """E(t(0) w) per finite w, and the rows of l * e * C^{-1}."""
+        """Exact semi-infinite comparison x <= y: the cone test
+        E(y.trans - x.trans) - E(d(x.w, y.w)) >= 0 and = 0 mod e in every
+        coordinate (module docstring)."""
         rd = self.rd
-        offsets = tuple(
-            rd.scaled_root_coordinates(w.apply(rd.rho) - rd.rho) for w in self.group.finite_elements
-        )
-        rows = tuple(tuple(rd.l * c for c in row) for row in rd.scaled_inverse_cartan)
-        return offsets, rows
-
-    @cached_property
-    def _moves(self) -> tuple[tuple[tuple, ...], ...]:
-        """The generating moves z -> z r < z, r = t(k b) s_b, per finite part w of z.
-
-        For z = t(lam) w the move gives t(lam + k w(b)) (w s_b), lowers
-        z dot 0 by c w(b) with c = ht(b^) - l k, and is a strict descent iff
-        c and w(b) have the same sign.  Since 0 < ht(b^) < l, the admissible
-        |c| are ht(b^), ht(b^) + l, ... (k = 0, -1, ...) when w(b) > 0 and
-        l - ht(b^), 2l - ht(b^), ... (k = 1, 2, ...) when w(b) < 0.  One row
-        per positive root b holds: the least |c|, its k, the step of k per
-        step l of |c|, the drop of sum(E) per unit of |c|, the nonzero
-        entries of |E(w(b))|, w(b), |E(w(b))| and the index of w s_b.
-        """
-        rd, g = self.rd, self.group
-        l = rd.l
-        table = []
-        for w in g.finite_elements:
-            rows = []
-            for pos, beta in enumerate(rd.positive_roots):
-                wbeta = g.root_images[w.index][pos]
-                rc = tuple(map(abs, rd.scaled_root_coordinates(wbeta)))
-                ht = sum(rd.coroot(beta))
-                if g.sign_table[w.index][pos] > 0:
-                    first = (ht, 0, -1)
-                else:
-                    first = (l - ht, 1, 1)
-                nonzero = tuple((i, r) for i, r in enumerate(rc) if r)
-                w2 = g._fin_mul[w.index][g.reflection_index[pos]]
-                rows.append(first + (sum(rc), nonzero, wbeta, rc, w2))
-            table.append(tuple(rows))
-        return tuple(table)
+        e = rd.lattice_index_e
+        apex = _apex_table(rd.cartan_type, rd.rank)[x.w.index][y.w.index]
+        diff = scaled_coordinates(rd.scaled_inverse_cartan, tuple(map(sub, y.trans, x.trans)))
+        return all(c >= a and (c - a) % e == 0 for c, a in zip(diff, apex))
 
     # -- translation characterization ---------------------------------------------------
 
@@ -319,45 +337,49 @@ class SemiInfinitePoset(NamedTuple):
 
     @staticmethod
     def build(order: SemiInfiniteOrder, window: Sequence[ExtAffineElement]) -> "SemiInfinitePoset":
-        """The order on ``window`` from one pass that decides its columns in
-        ascending height.
+        """The order on ``window`` from the closed form (module docstring).
 
-        The column of y is the set of window elements x <= y.  Its
-        candidates, the x with E(y) - E(x) >= 0 and = 0 mod e in every
-        coordinate, are the bits of one mask per residue class of E mod e
-        ANDed with one prefix mask "E_c <= E_c(y)" per coordinate c.  Their
-        meet and least sum(E) bound the down-closure search of y, which ORs
-        in the column of every window element it reaches and does not
-        expand it (exact for any window: see the module docstring).
+        Each element carries T = E(lam) of its translation lam.  As E(d) = 0
+        mod e, x <= y needs T(x) = T(y) mod e, so the window is split by the
+        residue of T mod e and then by finite part v.  Each such block keeps,
+        per coordinate c, its values T_c sorted, each with the suffix mask
+        of the block's elements at or above it.  The row of x = t(lam) w is
+        the OR over the blocks of its residue of the AND over c of the
+        suffix masks read at T_c(x) + E_c(d(w, v)).
         """
         win = tuple(window)
-        n = len(win)
-        e = order.rd.lattice_index_e
-        es = [order._scaled_rc(z) for z in win]
-        classes: dict[tuple[int, ...], int] = {}
-        for i, ev in enumerate(es):
-            r = tuple(v % e for v in ev)
-            classes[r] = classes.get(r, 0) | 1 << i
-        prefixes = []
-        for c in range(order.rd.rank):
-            by = sorted(range(n), key=lambda i: es[i][c])
-            masks = [0]
-            for i in by:
-                masks.append(masks[-1] | 1 << i)
-            prefixes.append(([es[i][c] for i in by], masks))
-        decided: dict[tuple, int] = {}
-        for j in sorted(range(n), key=lambda j: sum(es[j])):
-            ey = es[j]
-            cand = classes[tuple(v % e for v in ey)]
-            for (values, masks), v in zip(prefixes, ey):
-                cand &= masks[bisect_right(values, v)]
-            rcs = [es[i] for i in _bits(cand)]
-            key = win[j].key
-            decided[key] = order._descend(key, ey, rcs, decided, 1 << j, cand)
-        rows = [0] * n
-        for j, z in enumerate(win):
-            for i in _bits(decided[z.key]):
-                rows[i] |= 1 << j
+        rd = order.rd
+        e = rd.lattice_index_e
+        apexes = _apex_table(rd.cartan_type, rd.rank)
+        ts = [scaled_coordinates(rd.scaled_inverse_cartan, z.trans) for z in win]
+        residues = [tuple(c % e for c in t) for t in ts]
+        blocks: dict[tuple[int, ...], dict[int, list[int]]] = {}
+        for j, (z, r) in enumerate(zip(win, residues)):
+            blocks.setdefault(r, {}).setdefault(z.w.index, []).append(j)
+        readers = {}
+        for r, parts in blocks.items():
+            readers[r] = reader = []
+            for v, members in parts.items():
+                suffixes = []
+                for c in range(rd.rank):
+                    by = sorted(members, key=lambda j: ts[j][c])
+                    masks = [0] * (len(by) + 1)
+                    for k in range(len(by) - 1, -1, -1):
+                        masks[k] = masks[k + 1] | 1 << by[k]
+                    suffixes.append(([ts[j][c] for j in by], masks))
+                reader.append((v, suffixes))
+        rows = []
+        for z, t, r in zip(win, ts, residues):
+            apex = apexes[z.w.index]
+            row = 0
+            for v, suffixes in readers[r]:
+                mask = -1
+                for (values, masks), c, a in zip(suffixes, t, apex[v]):
+                    mask &= masks[bisect_left(values, c + a)]
+                    if not mask:
+                        break
+                row |= mask
+            rows.append(row)
         poset = SemiInfinitePoset(win, tuple(rows))
         poset.check_partial_order()
         return poset

@@ -20,10 +20,13 @@ table kind by one point query per pair, which the tables' evaluation per
 translation difference replaced; like the inversion and Koszul oracles it
 reads q and p from the module, on modules that no table has filled.  The
 semi-infinite order of a window, and the support of each class below its
-lead, are decided here by the translation characterization (Bruhat order
-after a certified deep dominant translation), which shares no search with
-the window pass of ``SemiInfinitePoset.build`` or with the class solve's
-checked witnesses.  Lusztig's q-analogue of weight multiplicity, from
+lead, are decided here two more ways, neither sharing code with the closed
+form of ``SemiInfinitePoset.build`` or with the class solve's checked
+witnesses: by the translation characterization (Bruhat order after a
+certified deep dominant translation), and by a search along the moves that
+generate the order, the window pass that decided it before the closed
+form.  The search also decides the finite certificate that proves the
+closed form per type (``apex_certificate``).  Lusztig's q-analogue of weight multiplicity, from
 Kostant's q-partition function over the positive roots and a signed sum
 over the finite Weyl group, gives the spherical coefficients of the
 Kazhdan-Lusztig basis without any KL recursion.
@@ -37,9 +40,10 @@ periodic module's generators e(lam).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, product
-from operator import sub
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, get_args
 
 from periodic_kl.hecke import HeckeAlgebra, HeckeElement
@@ -468,7 +472,7 @@ def koszul_report_per_pair(module: PeriodicModule, window: Sequence[ExtAffineEle
 def poset_rows_per_column(order: SemiInfiniteOrder, window) -> tuple[int, ...]:
     """The rows of ``SemiInfinitePoset`` (bit j of row i iff window[i] <= window[j])
     from the translation characterization, one Bruhat column walk per window
-    element, sharing no search with the generating moves."""
+    element, sharing no code with the closed form or the move search."""
     win = tuple(window)
     mu = order.sufficient_mu(win)
     rows = [0] * len(win)
@@ -477,6 +481,188 @@ def poset_rows_per_column(order: SemiInfiniteOrder, window) -> tuple[int, ...]:
             if below:
                 rows[i] |= 1 << j
     return tuple(rows)
+
+
+def poset_rows_by_search(order: SemiInfiniteOrder, window) -> tuple[int, ...]:
+    """The rows of ``SemiInfinitePoset`` from the order the generating moves
+    generate: the window pass that decided the library's order before its
+    closed form, sharing no code with it or with the Bruhat oracle.
+
+    Every element z carries E(z) = e * rc(z dot 0) as integers, so x dot 0
+    <= z dot 0 in dominance order iff E(z) - E(x) is a nonnegative multiple
+    of e in every coordinate, and sum(E) strictly drops along every move.
+    The columns (all window x <= y) are decided in ascending height, each by
+    one down-closure search of y along the moves.  Its candidates, the x
+    with x dot 0 <= y dot 0, are the bits of one mask per residue class of E
+    mod e ANDed with one prefix mask per coordinate.  Every chain from y down
+    to a candidate x stays in [x dot 0, y dot 0], so the search never leaves
+    the elements whose E dominates the meet (coordinatewise minimum) of the
+    candidates' E and whose sum(E) is at least their least sum.  A window
+    element z that the search reaches is lower, so its column is already
+    decided and, by induction on the height, below y: the search ORs it in
+    and does not expand z.  A chain from y to a candidate x either reaches x
+    without meeting another window element or meets a first one z >= x;
+    either way x lands in the column of y, so the pass is exact for any
+    window.
+    """
+    rd, group = order.rd, order.group
+    win = tuple(window)
+    n = len(win)
+    e = rd.lattice_index_e
+    es = [rd.scaled_root_coordinates(group.dot_zero(z)) for z in win]
+    classes: dict[tuple[int, ...], int] = {}
+    for i, ev in enumerate(es):
+        r = tuple(v % e for v in ev)
+        classes[r] = classes.get(r, 0) | 1 << i
+    prefixes = []
+    for c in range(rd.rank):
+        by = sorted(range(n), key=lambda i: es[i][c])
+        masks = [0]
+        for i in by:
+            masks.append(masks[-1] | 1 << i)
+        prefixes.append(([es[i][c] for i in by], masks))
+    moves = _generating_moves(order)
+    decided: dict[tuple, int] = {}
+    for j in sorted(range(n), key=lambda j: sum(es[j])):
+        ey = es[j]
+        cand = classes[tuple(v % e for v in ey)]
+        for (values, masks), v in zip(prefixes, ey):
+            cand &= masks[bisect_right(values, v)]
+        rcs = [es[i] for i in _bits(cand)]
+        key = win[j].key
+        decided[key] = _descend(moves, rd.l, key, ey, rcs, decided, 1 << j, cand)
+    rows = [0] * n
+    for j, z in enumerate(win):
+        for i in _bits(decided[z.key]):
+            rows[i] |= 1 << j
+    return tuple(rows)
+
+
+def generated_leq(order: SemiInfiniteOrder, x: ExtAffineElement, y: ExtAffineElement) -> bool:
+    """x <= y in the order the generating moves generate: the search of
+    ``poset_rows_by_search`` on the window (x, y)."""
+    return x is y or bool(poset_rows_by_search(order, (x, y))[0] >> 1 & 1)
+
+
+def apex_certificate(order: SemiInfiniteOrder, apexes) -> list[str]:
+    """The failures of the first of the checks (a)-(d) of the ``orders``
+    module docstring that fails for the apex table ``apexes`` (``[w][v]`` =
+    E(d(w, v)) = e C^{-1} d(w, v)), or [] when all four pass and the table
+    proves x <= y iff mu - lam - d(w, v) in Q+ for the order's type.  (c)
+    and (d) are decided by ``generated_leq``."""
+    rd, g = order.rd, order.group
+    e = rd.lattice_index_e
+    n = len(g.finite_elements)
+    zero = Weight((0,) * rd.rank)
+
+    def in_cone(ev) -> bool:
+        return all(c >= 0 and c % e == 0 for c in ev)
+
+    def weight(ev) -> Weight:
+        return sum(((c // e) * alpha for c, alpha in zip(ev, rd.simple_roots)), zero)
+
+    # (a) <=_c is a preorder
+    fails = [f"(a) d({w}, {w}) = {apexes[w][w]}" for w in range(n) if any(apexes[w][w])]
+    fails += [f"(a) d({w}, {v}) + d({v}, {u}) - d({w}, {u}) not in Q+" for w, v, u in product(range(n), repeat=3)
+              if not in_cone(map(sub, map(add, apexes[w][v], apexes[v][u]), apexes[w][u]))]
+    if fails:
+        return fails
+    # (b) the move t(0) w -> t(k w(b)) w s_b at its least |k| lies in <=_c
+    for w in range(n):
+        for pos, wbeta in enumerate(g.root_images[w]):
+            k = 0 if g.sign_table[w][pos] > 0 else 1
+            ws = g._fin_mul[w][g.reflection_index[pos]]
+            gap = map(sub, rd.scaled_root_coordinates(-k * wbeta), apexes[ws][w])
+            if not in_cone(gap):
+                fails.append(f"(b) the move of root {pos} from t(0) w[{w}] (k = {k}) leaves the cone")
+    if fails:
+        return fails
+    # (c) t(0) w <=_g t(d(w, v)) v
+    for w, v in product(range(n), repeat=2):
+        if not generated_leq(order, g.element(zero, w), g.element(weight(apexes[w][v]), v)):
+            fails.append(f"(c) t(0) w[{w}] is not below t(d) w[{v}] in the generated order")
+    if fails:
+        return fails
+    # (d) t(0) v <=_g t(alpha_i) v
+    return [f"(d) t(0) w[{v}] is not below t(alpha_{i + 1}) w[{v}] in the generated order"
+            for v in range(n) for i, alpha in enumerate(rd.simple_roots)
+            if not generated_leq(order, g.element(zero, v), g.element(alpha, v))]
+
+
+def _generating_moves(order: SemiInfiniteOrder) -> tuple[tuple[tuple, ...], ...]:
+    """The generating moves z -> z r < z, r = t(k b) s_b, per finite part w of z.
+
+    For z = t(lam) w the move gives t(lam + k w(b)) (w s_b), lowers z dot 0
+    by c w(b) with c = ht(b^) - l k, and is a strict descent iff c and w(b)
+    have the same sign.  Since 0 < ht(b^) < l, the admissible |c| are
+    ht(b^), ht(b^) + l, ... (k = 0, -1, ...) when w(b) > 0 and l - ht(b^),
+    2l - ht(b^), ... (k = 1, 2, ...) when w(b) < 0.  One row per positive
+    root b holds: the least |c|, its k, the step of k per step l of |c|, the
+    drop of sum(E) per unit of |c|, the nonzero entries of |E(w(b))|, w(b),
+    |E(w(b))| and the index of w s_b.
+    """
+    rd, g = order.rd, order.group
+    l = rd.l
+    table = []
+    for w in g.finite_elements:
+        rows = []
+        for pos, beta in enumerate(rd.positive_roots):
+            wbeta = g.root_images[w.index][pos]
+            rc = tuple(map(abs, rd.scaled_root_coordinates(wbeta)))
+            ht = sum(rd.coroot(beta))
+            first = (ht, 0, -1) if g.sign_table[w.index][pos] > 0 else (l - ht, 1, 1)
+            nonzero = tuple((i, r) for i, r in enumerate(rc) if r)
+            w2 = g._fin_mul[w.index][g.reflection_index[pos]]
+            rows.append(first + (sum(rc), nonzero, wbeta, rc, w2))
+        table.append(tuple(rows))
+    return tuple(table)
+
+
+def _descend(moves, l: int, start: tuple, ey: tuple[int, ...], rcs: list[tuple[int, ...]],
+             decided: dict[tuple, int], found: int, goal: int) -> int:
+    """The down-closure search of the element with key ``start`` and E = ``ey``.
+
+    It descends by generating moves on keys ``(trans coords, w index)``, only
+    to elements whose E dominates the meet of the candidates' E vectors
+    ``rcs`` and whose sum(E) is at least their least sum.  Reaching a key of
+    ``decided`` ORs its column into ``found`` and does not expand that key.
+    The search ends when ``found`` equals ``goal`` or nothing is left to
+    expand, and returns ``found``.
+    """
+    meet = tuple(map(min, zip(*rcs)))
+    floor = min(map(sum, rcs))
+    seen = {start}
+    stack = [(*start, ey)]
+    while stack and found != goal:
+        trans, w, ev = stack.pop()
+        budget = sum(ev) - floor
+        slack = [v - m for v, m in zip(ev, meet)]
+        for a, k, dk, drop, nonzero, wbeta, rc, w2 in moves[w]:
+            amax = budget // drop
+            for i, r in nonzero:
+                q = slack[i] // r
+                if q < amax:
+                    amax = q
+            while a <= amax:
+                nt = tuple(t + k * b for t, b in zip(trans, wbeta))
+                key = (nt, w2)
+                if key not in seen:
+                    seen.add(key)
+                    if key in decided:
+                        found |= decided[key]
+                    else:
+                        stack.append((nt, w2, tuple(v - a * r for v, r in zip(ev, rc))))
+                a += l
+                k += dk
+    return found
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def module_with_classes_of(module: PeriodicModule) -> PeriodicModule:

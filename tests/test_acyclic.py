@@ -10,9 +10,9 @@ import pytest
 
 from periodic_kl.hecke import HeckeAlgebra, HeckeElement
 from periodic_kl.multiplicity import MultiplicityTables
-from periodic_kl.orders import SemiInfinitePoset, standard_window
+from periodic_kl.orders import SemiInfinitePoset, _apex_table, standard_window
 from periodic_kl.periodic import PeriodicElement, PeriodicModule
-from periodic_kl.rootdata import root_datum
+from periodic_kl.rootdata import _CARTAN, root_datum
 from periodic_kl.weyl import AffineWeyl, ExtAffineElement
 from test_digests import FORMAT_DIGESTS, PINNED, collector_off, run_once
 
@@ -58,3 +58,17 @@ def test_an_invocation_leaves_no_garbage_of_ours(argv):
 def test_elements_and_combinations_hold_no_owner():
     assert "group" not in ExtAffineElement.__slots__
     assert PeriodicElement.__slots__ == HeckeElement.__slots__ == ()
+
+
+def test_the_apex_cache_holds_only_integers():
+    # the per-type apex tables outlive every context: tuples of ints only,
+    # so they hold no group, element or root datum alive
+    def kinds(value):
+        yield type(value)
+        if type(value) is tuple:
+            for item in value:
+                yield from kinds(item)
+
+    for key in _CARTAN:
+        assert set(kinds(_apex_table(*key))) == {tuple, int}
+    assert _apex_table.cache_info().currsize <= len(_CARTAN)

@@ -2,9 +2,13 @@ import random
 
 import pytest
 
-from oracles import elements_of_length_leq, generating_relation_holds, poset_rows_per_column
-from periodic_kl.orders import SemiInfinitePoset, standard_window
-from periodic_kl.rootdata import Weight, dominance_leq
+from oracles import (apex_certificate, elements_of_length_leq, generating_relation_holds,
+                     poset_rows_by_search, poset_rows_per_column)
+from periodic_kl.orders import (SemiInfiniteOrder, SemiInfinitePoset, _apex_table, _apexes, _quantum_bruhat_graph,
+                                 standard_window)
+from periodic_kl.rootdata import (_CARTAN, Weight, dominance_leq, root_datum, root_system, scaled_coordinates,
+                                  validate_l)
+from periodic_kl.weyl import AffineWeyl, weyl_tables
 
 
 @pytest.mark.parametrize("fixture", ["a1", "a2", "b2", "c2", "g2", "a3"])
@@ -136,12 +140,12 @@ def test_poset_and_hasse(a1):
     poset.check_partial_order()
 
 
-@pytest.mark.parametrize("fixture", ["a2", "b2"])
-def test_leq_is_the_window_pass_on_two_elements(fixture, request):
-    # every ordered pair of the h1 window, all cosets, and False across cosets
+@pytest.mark.parametrize("fixture,height", [("a1", 2), ("a2", 1), ("b2", 1), ("c2", 1), ("g2", 1), ("a3", 0)])
+def test_leq_is_the_row_bit_on_every_pair(fixture, height, request):
+    # every ordered pair of the window, all cosets, and False across cosets
     ctx = request.getfixturevalue(fixture)
     O = ctx.order
-    win = standard_window(ctx.group, 1)
+    win = standard_window(ctx.group, height)
     rows = SemiInfinitePoset.build(O, win).rows
     for i, x in enumerate(win):
         for j, y in enumerate(win):
@@ -150,27 +154,116 @@ def test_leq_is_the_window_pass_on_two_elements(fixture, request):
                 assert not O.leq(x, y)
 
 
+def _both_oracles(order, win):
+    rows = SemiInfinitePoset.build(order, win).rows
+    assert rows == poset_rows_by_search(order, win)
+    assert rows == poset_rows_per_column(order, win)
+
+
 @pytest.mark.parametrize("fixture,height", [("a1", 6), ("a2", 2), ("b2", 1), ("c2", 1), ("g2", 1), ("a3", 0)])
 def test_build_matches_per_column_oracle(fixture, height, request):
-    # against the translation characterization, one Bruhat column per element
+    # against the generating-move search and the translation
+    # characterization, one Bruhat column per element
     ctx = request.getfixturevalue(fixture)
-    win = standard_window(ctx.group, height)
-    assert SemiInfinitePoset.build(ctx.order, win).rows == poset_rows_per_column(ctx.order, win)
+    _both_oracles(ctx.order, standard_window(ctx.group, height))
 
 
 def test_build_matches_per_column_oracle_on_cosets(a2):
     for coset in a2.group.omega_elements:
-        win = standard_window(a2.group, 1, coset)
-        assert SemiInfinitePoset.build(a2.order, win).rows == poset_rows_per_column(a2.order, win)
+        _both_oracles(a2.order, standard_window(a2.group, 1, coset))
 
 
 @pytest.mark.parametrize("fixture,height", [("a2", 2), ("b2", 2), ("c2", 1), ("g2", 1), ("a3", 1)])
 def test_build_matches_per_column_oracle_on_shuffled_subwindows(fixture, height, request):
-    # the pass sorts by height itself, so neither the order nor the gaps of
+    # the rows are read per element, so neither the order nor the gaps of
     # the window may matter
     ctx = request.getfixturevalue(fixture)
     full = standard_window(ctx.group, height)
     rng = random.Random(f"subwindow:{fixture}")
     for _ in range(6):
-        win = rng.sample(full, rng.randint(5, 60))
-        assert SemiInfinitePoset.build(ctx.order, win).rows == poset_rows_per_column(ctx.order, win)
+        _both_oracles(ctx.order, rng.sample(full, rng.randint(5, 60)))
+
+
+# -- the certificate of the closed form ------------------------------------------------
+
+
+TYPES = sorted(_CARTAN)
+TYPE_IDS = [f"{t}{r}" for t, r in TYPES]
+
+
+def _order_of(key):
+    """An order of the type ``key`` at its least admissible l."""
+    rd = next(rd for l in range(3, 100) if not validate_l(rd := root_datum(*key, l)))
+    return SemiInfiniteOrder(AffineWeyl(rd))
+
+
+def _labels(key, coroot_heights, coroot_weights):
+    """(2 ht, E(weight)) per positive root b: at root or coroot heights, and
+    weighted by b or by its coroot read in the simple roots."""
+    roots = root_system(*key)
+    e = roots.lattice_index_e
+    labels = []
+    for beta in roots.positive_roots:
+        root = scaled_coordinates(roots.scaled_inverse_cartan, beta)
+        coroot = tuple(e * c for c in roots.coroots[beta])
+        labels.append((2 * sum(coroot if coroot_heights else root) // e, coroot if coroot_weights else root))
+    return labels
+
+
+def _caught(order, build) -> str:
+    """'same' when ``build`` gives the type's apex table, 'caught' when it
+    raises AssertionError or its table fails the certificate, else 'missed'."""
+    rd = order.rd
+    try:
+        apexes = build()
+    except AssertionError:
+        return "caught"
+    if apexes == _apex_table(rd.cartan_type, rd.rank):
+        return "same"
+    return "caught" if apex_certificate(order, apexes) else "missed"
+
+
+@pytest.mark.parametrize("key", TYPES, ids=TYPE_IDS)
+def test_the_apex_certificate_holds(key):
+    # (a)-(d) of the orders docstring on every supported type, so the closed
+    # form is proved for all lam, mu and l of each
+    order = _order_of(key)
+    assert apex_certificate(order, _apex_table(*key)) == []
+    tables = weyl_tables(*key)
+    assert _apexes(tables, _quantum_bruhat_graph(tables, _labels(key, False, False))) == _apex_table(*key)
+
+
+@pytest.mark.parametrize("key", TYPES, ids=TYPE_IDS)
+def test_a_dropped_quantum_edge_fails_the_certificate(key):
+    # every single quantum edge dropped in turn: a drop that moves a shortest
+    # path's weight is caught, and some drop does
+    order, tables = _order_of(key), weyl_tables(*key)
+    graph = _quantum_bruhat_graph(tables, _labels(key, False, False))
+    outcomes = []
+    for u, edges in enumerate(graph):
+        for k, (_, weight) in enumerate(edges):
+            if any(weight):
+                dropped = (*graph[:u], edges[:k] + edges[k + 1:], *graph[u + 1:])
+                outcomes.append(_caught(order, lambda: _apexes(tables, dropped)))
+    assert "missed" not in outcomes and "caught" in outcomes
+
+
+@pytest.mark.parametrize("key", TYPES, ids=TYPE_IDS)
+def test_coroot_weighted_quantum_edges_fail_the_certificate(key):
+    # weighting quantum edges by coroots, at root or at coroot heights, is
+    # caught on every doubly laced type and changes nothing on a simply laced one
+    order, tables = _order_of(key), weyl_tables(*key)
+    for heights in (False, True):
+        outcome = _caught(order, lambda: _apexes(tables, _quantum_bruhat_graph(tables, _labels(key, heights, True))))
+        assert outcome == ("same" if key[0] == "A" else "caught"), heights
+
+
+@pytest.mark.parametrize("key", TYPES, ids=TYPE_IDS)
+def test_apexes_read_without_the_inverses_fail_the_certificate(key):
+    # d(w, v) = wt(v => w) in place of wt(v^-1 => w^-1): in A1 every
+    # element is its own inverse, elsewhere the table moves and is caught
+    order, apexes = _order_of(key), _apex_table(*key)
+    inv = [w.inverse_index for w in order.group.finite_elements]
+    outcome = _caught(order, lambda: tuple(tuple(apexes[inv[w]][inv[v]] for v in range(len(inv)))
+                                           for w in range(len(inv))))
+    assert outcome == ("same" if key == ("A", 1) else "caught")

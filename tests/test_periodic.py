@@ -8,7 +8,7 @@ import pytest
 
 from periodic_kl import laurent, periodic
 from periodic_kl.laurent import LaurentPoly, ONE, V, VINV, ZERO
-from periodic_kl.orders import standard_window
+from periodic_kl.orders import SemiInfinitePoset, standard_window
 from periodic_kl.periodic import PeriodicModule
 from periodic_kl.rootdata import Weight
 from periodic_kl.weyl import AffineWeyl
@@ -732,8 +732,20 @@ def test_linear_height_is_twice_the_root_coordinate_sum(request, name, height):
     ctx = request.getfixturevalue(name)
     order, e = ctx.order, ctx.rd.lattice_index_e
     for x in standard_window(ctx.group, height):
-        doubled = 2 * sum(order._scaled_rc(x))
+        doubled = 2 * sum(ctx.rd.scaled_root_coordinates(ctx.group.dot_zero(x)))
         assert doubled % e == 0 and order.height(x) == doubled // e, x
+
+
+@pytest.mark.parametrize("name,height", [("a1", 1), ("a2", 1), ("b2", 1), ("c2", 1), ("g2", 1), ("a3", 0)])
+def test_generic_support_is_the_semi_infinite_order(request, name, height):
+    # q_{y,x} and q'_{y,x} are nonzero on exactly the window pairs with
+    # y <= x: the generic layer and the order share no code
+    ctx = request.getfixturevalue(name)
+    win = standard_window(ctx.group, height)
+    rows = SemiInfinitePoset.build(ctx.order, win).rows
+    below = {(y, x) for i, y in enumerate(win) for j, x in enumerate(win) if rows[i] >> j & 1}
+    for kind in ("generic_q", "generic_qprime"):
+        assert set(ctx.module.polynomial_table(kind, win)) == below, kind
 
 
 def test_polynomial_table_refuses_an_unknown_kind(a1):

@@ -21,9 +21,21 @@ from periodic_kl.rootdata import Weight, dominance_leq
 pytestmark = pytest.mark.slow
 
 
-def test_build_matches_per_column_oracle_a3_h1(a3):
-    win = standard_window(a3.group, 1)
-    assert SemiInfinitePoset.build(a3.order, win).rows == poset_rows_per_column(a3.order, win)
+@pytest.mark.parametrize("name,height", [("a3", 1), ("a3", 2), ("g2", 3)])
+def test_build_matches_per_column_oracle_at_scale(request, name, height):
+    ctx = request.getfixturevalue(name)
+    win = standard_window(ctx.group, height)
+    assert SemiInfinitePoset.build(ctx.order, win).rows == poset_rows_per_column(ctx.order, win)
+
+
+def test_orders_hasse_g2_h2_is_the_searched_order():
+    # stdout pinned from the generating-move search that decided the order
+    # before its closed form
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["orders", "hasse", "--type", "G", "--rank", "2", "--l", "7", "--height", "2"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "0d953dc6d2bfa1d5993b222ce5120effecfbba67f4fe73f0f231e27d4e1091c2")
 
 
 @pytest.mark.parametrize("cartan,rank,l,height", [
