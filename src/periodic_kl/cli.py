@@ -34,9 +34,13 @@ or ``--y`` on ``hecke mul``.
 The self-dual class vectors (the expensive part) are cached on disk only
 with ``--cache-dir``.  Cache files carry a format version and the full
 (type, rank, l) key, and are written through a temporary file so a reader
-never sees a partial one.  A loaded class whose index is out of range,
-whose leading coefficient is not 1 or whose other coefficients are not all
-in vZ[v] is discarded with a warning on stderr and solved again.  The file
+never sees a partial one.  A loaded class SD_{t(0)w} is checked as a
+solved one is, bar the product relation: its index w lies in the finite
+Weyl group, its lead t(0)w has coefficient 1, its other coefficients lie
+in vZ[v], and each of its terms lies below the lead in the semi-infinite
+order (``SemiInfiniteOrder.below``, which implies the lead's coset).  A
+class that fails one check is discarded with a warning on stderr and
+solved again.  The file
 is rewritten only when it does not already hold exactly the classes of the
 run: a run served wholly from the cache leaves it untouched.
 """
@@ -128,13 +132,14 @@ def _load_class_cache(mod: PeriodicModule, cache: str, args) -> Optional[set[int
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed cache file {path}: {exc}") from None
     zero = Weight((0,) * g.rd.rank)
+    below = mod.order.below
     rejected = []
     for idx, el in sorted(loaded.items()):
         if 0 <= idx < len(g.finite_elements):
             lead = g.element(zero, idx)
             if el.coefficient(lead) == ONE and all(
                 p.in_v_times_Zv() for x, p in el.terms.items() if x != lead
-            ) and all(x.omega_component == lead.omega_component for x in el.terms):
+            ) and all(below(x.trans, x.w.index, idx) for x in el.terms):
                 mod.preload_class(idx, el)
                 continue
         rejected.append(str(idx))

@@ -81,8 +81,11 @@ l:
 oracle of the order.
 
 :func:`_apex_table` holds E(d(w, v)) = e C^{-1} d(w, v) per type, built on
-the first ``leq`` or ``build``, never by a constructor.  ``leq`` is one cone
-test, and ``build`` reads a window's rows from per-finite-part masks.
+the first ``leq``, ``build`` or class solve, never by a constructor.
+``below`` is one cone test on keys, "t(trans) u <= t(0) w"; ``leq`` calls
+it, and so do the class solve of :mod:`.periodic` and the command line's
+cache loader, which check each term of a class against its lead.
+``build`` reads a window's rows from per-finite-part masks.
 
 An independent characterization via deep dominant translation is provided:
 ``x <= y`` iff ``t(mu) x <= t(mu) y`` in Bruhat order once both elements
@@ -196,6 +199,7 @@ class SemiInfiniteOrder:
             for signs in group.sign_table
         )
         self._translate_cache: dict[tuple[ExtAffineElement, Weight], ExtAffineElement] = {}
+        self._neg_scaled: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def height(self, x: ExtAffineElement) -> int:
         """<x dot_l 0, 2 rho^>, strictly decreasing along the semi-infinite
@@ -223,14 +227,28 @@ class SemiInfiniteOrder:
     # -- exact comparison ----------------------------------------------------------
 
     def leq(self, x: ExtAffineElement, y: ExtAffineElement) -> bool:
-        """Exact semi-infinite comparison x <= y: the cone test
-        E(y.trans - x.trans) - E(d(x.w, y.w)) >= 0 and = 0 mod e in every
-        coordinate (module docstring)."""
-        rd = self.rd
-        e = rd.lattice_index_e
-        apex = _apex_table(rd.cartan_type, rd.rank)[x.w.index][y.w.index]
-        diff = scaled_coordinates(rd.scaled_inverse_cartan, tuple(map(sub, y.trans, x.trans)))
-        return all(c >= a and (c - a) % e == 0 for c, a in zip(diff, apex))
+        """Exact semi-infinite comparison x <= y: :meth:`below` of
+        t(x.trans - y.trans) x.w and t(0) y.w, by translation invariance."""
+        return self.below(tuple(map(sub, x.trans, y.trans)), x.w.index, y.w.index)
+
+    def below(self, trans: tuple[int, ...], u: int, w: int) -> bool:
+        """t(trans) u <= t(0) w on keys (finite indices u, w): the cone test
+        E(-trans) - E(d(u, w)) >= 0 and = 0 mod e in every coordinate (module
+        docstring), with E(-trans) memoized per translation."""
+        diff = self._neg_scaled.get(trans)
+        if diff is None:
+            diff = self._neg_scaled[trans] = scaled_coordinates(
+                self.rd.scaled_inverse_cartan, tuple(-c for c in trans))
+        e = self.rd.lattice_index_e
+        for c, a in zip(diff, self._apexes[u][w]):
+            if c < a or (c - a) % e:
+                return False
+        return True
+
+    @cached_property
+    def _apexes(self) -> Apexes:
+        """The type's :func:`_apex_table`, read on the first :meth:`below`."""
+        return _apex_table(self.rd.cartan_type, self.rd.rank)
 
     # -- translation characterization ---------------------------------------------------
 

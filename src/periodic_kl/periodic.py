@@ -94,27 +94,13 @@ packed with its exact l1 norm and decoded.  The tables below read the
 terms by key; a class read from the command line's cache is packed into
 the same store by ``preload_class``.  Elements are built only where the
 API returns them: ``selfdual`` and ``class_elements``.  The support
-check needs no order search.  Two facts carry it.  The order is invariant
-under left translation, and x <= y iff t(mu)x <= t(mu)y in the Bruhat order
-for deep dominant mu; right multiplication by s commutes with t(mu), so
-the order inherits Deodhar's lifting property (Bjorner-Brenti,
-Combinatorics of Coxeter Groups, Prop. 2.2.7): if ws < w and x <= ws, then
-x <= w and xs <= w.  Before the sweep, once per class, ws < w is the local
-descent test and ws = t(nu) sigma is the lead of SD_{ws}, whose support
-lies below it (class sigma is certified; translation invariance); and
-every term of P must lie in supp(SD_{ws}) or in supp(SD_{ws}) s, hence
-below w by lifting.  These checks read no other position, so a stray term
-stops the solve before it can seed a sweep.  The sweep records one witness
-per position when it is first queued, and after the sweep the witnesses of
-the remaining positions are checked in sweep order, i.e. by induction in
-decreasing height.  A position pushed by the correction at z is
-t(z.trans) src with z already checked and src in the support of the
-certified class z.w (or, for a correction by SD_w itself, already
-checked), hence below z and so below w.  Each witness costs a few
-lookups.  The checked set serves the support check of the final
-certification.  Together with uniqueness of the self-dual element these
-checks pin the result; a failure raises :class:`CertificationError` and
-indicates a bug, never bad input.
+check is the order's cone test on keys, ``SemiInfiniteOrder.below``: the
+sweep tests each position against the lead t(0)w when it pops it, before
+the position is counted against the step bound or can seed a correction,
+so a stray term stops the solve where the sweep reaches it, and every key
+of the result has been tested.  Together with uniqueness of the
+self-dual element these checks pin the result; a failure raises
+:class:`CertificationError` and indicates a bug, never bad input.
 
 The generic polynomials are coordinates of the positive-root geometric
 series applied to SD_x:
@@ -440,7 +426,7 @@ class PeriodicModule(RightHeckeModule):
         """Enter a class element read from outside the solve (the command
         line's class cache) into the store, packed.  The caller has checked
         that its lead t(0)w has coefficient 1, every other coefficient lies
-        in vZ[v] and every term lies in the lead's coset, as in a solved class."""
+        in vZ[v] and every term lies below the lead, as in a solved class."""
         self._classes[w_index] = {x.key: _term(p) for x, p in element.terms.items()}
 
     def class_indices(self) -> KeysView[int]:
@@ -509,7 +495,6 @@ class PeriodicModule(RightHeckeModule):
         name = element_text(lead[0], self.group.finite_elements[w_index])
         what = f"self-dual class {name} (trans, w)"
         acc = self._product(w_index)
-        self._check_product_terms(w_index, acc)
         product = {pos: entry[0] for pos, entry in acc.items()}
         hbase, hrow = self.order.height_form
 
@@ -522,10 +507,6 @@ class PeriodicModule(RightHeckeModule):
         fin: dict[Key, Term] = {}
         corrections: list[tuple[Key, int]] = []
         selfs: list[tuple[Key, int]] = []
-        # The witness of each queued position, recorded when it is first
-        # pushed: None for a term of the product, (z, src) for a position
-        # t(z.trans) src pushed by the correction at z.
-        witness: dict[Key, Optional[tuple[Key, Key]]] = dict.fromkeys(acc)
         # The queued positions by height, with a heap of the heights queued.
         buckets: dict[int, list[Key]] = {}
         for t, u in acc:
@@ -548,25 +529,26 @@ class PeriodicModule(RightHeckeModule):
                     entry[1] += am * lc
                 elif at != z:
                     acc[at] = [-m * c, am * lc]
-                    if at not in witness:
-                        witness[at] = (z, src)
-                        h = hbase[at[1]] + sum(map(mul, hrow, src[0])) + dz
-                        bucket = buckets.get(h)
-                        if bucket is None:
-                            buckets[h] = [at]
-                            heapq.heappush(heights, -h)
-                        else:
-                            bucket.append(at)
+                    h = hbase[at[1]] + sum(map(mul, hrow, src[0])) + dz
+                    bucket = buckets.get(h)
+                    if bucket is None:
+                        buckets[h] = [at]
+                        heapq.heappush(heights, -h)
+                    else:
+                        bucket.append(at)
 
-        swept: list[Key] = []
+        below = self.order.below
+        steps = 0
         while heights:
             for pos in buckets.pop(-heapq.heappop(heights)):
-                if len(swept) >= MAX_SWEEP_STEPS:
+                if not below(pos[0], pos[1], w_index):
+                    raise CertificationError("support escapes the semi-infinite ideal of the lead")
+                if steps >= MAX_SWEEP_STEPS:
                     raise ResourceError(
                         f"self-dual basis sweep of class {name} exceeded "
                         f"MAX_SWEEP_STEPS={MAX_SWEEP_STEPS} with {len(acc)} positions queued"
                     )
-                swept.append(pos)
+                steps += 1
                 val, bound = acc.pop(pos)
                 if bound >= half:  # a digit may have wrapped: read none
                     raise bound_error(bound, what, pos)
@@ -593,68 +575,17 @@ class PeriodicModule(RightHeckeModule):
                 for z, m in selfs:
                     subtract(z, m, ((pos, term),))
 
-        ideal = self._check_witnesses(w_index, swept, witness)
-        self._certify(w_index, fin, product, corrections, ideal)
+        self._certify(w_index, fin, product, corrections)
         return fin
 
-    def _check_product_terms(self, w_index: int, terms: Iterable[Key]) -> None:
-        """Check, before the sweep, that every term of the product P lies below
-        the lead t(0)w (see the module docstring).
-
-        The class's down move (j, nu, sigma) must be the local descent ws < w
-        onto the lead ws = t(nu) sigma of SD_{ws}, and each term must lie in
-        supp(SD_{ws}) or in supp(SD_{ws}) . s_j, read from the store.  No
-        term's check reads another position, so a stray term stops the
-        solve before its sweep starts.
-        """
-        j, nu, sigma = self._down_policy[w_index]
-        steps = self.group.right_steps[j]
-        if not (self.order._descents[w_index][j] and steps[w_index] == (nu, sigma)):
-            raise CertificationError("support escapes the semi-infinite ideal of the lead")
-        # x lies in supp(SD_{ws}) s iff x s does, as s is an involution; the
-        # support of SD_{ws} is t(nu) times that of class sigma
-        base = self._class(sigma)
-        moved = any(nu)
-        for t, u in terms:
-            if moved:
-                t = tuple(map(sub, t, nu))
-            if (t, u) not in base:
-                offset, us = steps[u]
-                if (tuple(map(add, t, offset)) if j == 0 else t, us) not in base:
-                    raise CertificationError("support escapes the semi-infinite ideal of the lead")
-
-    def _check_witnesses(self, w_index: int, swept: Sequence[Key],
-                         witness: Mapping[Key, Optional[tuple[Key, Key]]]) -> set[Key]:
-        """The swept positions of class ``w_index``, each checked to lie below the
-        lead t(0)w by its witness, in sweep order (see the module docstring).
-
-        A witness ``None`` marks a term of the product, which
-        ``_check_product_terms`` checked before the sweep.  A position
-        pushed by the correction at z must equal t(z.trans) src, with z
-        already checked and src either already checked (z in class w) or in
-        the support of the stored class z.w.
-        """
-        ideal: set[Key] = set()
-        for pos in swept:
-            via = witness[pos]
-            if via is not None:
-                z, src = via
-                if not (z in ideal and (tuple(map(add, z[0], src[0])), src[1]) == pos and src in (
-                        ideal if z[1] == w_index else self._classes[z[1]])):
-                    raise CertificationError("support escapes the semi-infinite ideal of the lead")
-            ideal.add(pos)
-        return ideal
-
     def _certify(self, w_index: int, result: Mapping[Key, Term], product: Mapping[Key, int],
-                 corrections: Sequence[tuple[Key, int]], ideal: set[Key]) -> None:
+                 corrections: Sequence[tuple[Key, int]]) -> None:
         mask = (1 << laurent._WIDTH) - 1
         lead = ((0,) * self.rd.rank, w_index)
         if result.get(lead, (0,))[0] != 1:
             raise CertificationError("certification: leading coefficient")
         if any(term[0] & mask for pos, term in result.items() if pos != lead):
             raise CertificationError("certification: coefficient not in vZ[v]")
-        if not ideal.issuperset(result):
-            raise CertificationError("certification: support outside the ideal")
         # product relation on complete vectors
         acc = {pos: term[0] for pos, term in result.items()}
         get = acc.get

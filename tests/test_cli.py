@@ -553,6 +553,7 @@ def _one_stderr_line(capsys, prefix):
     {"0": [["t(0)*w[]", {"0": 1}], ["t(0)*w[1]", {"-1": 1}]]},  # off-lead coefficient not in vZ[v]
     {"1": [["t(0)*w[1]", {"0": 1}]], "2": [["t(0)*w[1]", {"0": 1}]]},  # index outside W
     {"1": [["t(0)*w[1]", {"0": 1}], ["t(1)*w[]", {"1": 1}]]},  # a term outside the lead's coset
+    {"1": [["t(0)*w[1]", {"0": 1}], ["t(0)*w[]", {"1": 1}]]},  # a term above the lead
 ])
 def test_cache_load_discards_uncertified_classes(tmp_path, capsys, classes):
     _, expected = run_cli(A1_H0, tmp_path, "fresh.txt")

@@ -118,9 +118,9 @@ def test_each_bound_dominates_the_l1_norms_of_its_terms(monkeypatch, request, na
         seen[what, key] = bound
         return real_unpack(packed, bound, what, key)
 
-    def recording_certify(self, w_index, result, product, made, ideal):
+    def recording_certify(self, w_index, result, product, made):
         corrections[w_index] = [(W.element(Weight(z[0]), z[1]), m) for z, m in made]
-        return real_certify(self, w_index, result, product, made, ideal)
+        return real_certify(self, w_index, result, product, made)
 
     monkeypatch.setattr(periodic, "unpack", recording_unpack)
     monkeypatch.setattr(PeriodicModule, "_certify", recording_certify)

@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 import re
-from operator import add
 
 import pytest
 
@@ -10,7 +9,7 @@ from periodic_kl import laurent, periodic
 from periodic_kl.laurent import LaurentPoly, ONE, V, VINV, ZERO
 from periodic_kl.orders import SemiInfinitePoset, standard_window
 from periodic_kl.periodic import PeriodicModule
-from periodic_kl.rootdata import Weight
+from periodic_kl.rootdata import Weight, scaled_coordinates
 from periodic_kl.weyl import AffineWeyl
 from oracles import (
     class_element,
@@ -424,52 +423,73 @@ def test_negative_exponent_in_the_product_is_refused(a2):
     assert list(M._classes) == [sigma]
 
 
-def test_witness_check_correction_branch(a2):
-    # witnesses (z, src) of positions t(z.trans) src pushed by a correction
-    # at z, all on keys (translation coordinates, finite index)
+def test_correction_above_the_lead_is_refused(b2):
+    # B2 class w[2] is corrected once, by class w[2 1 2] at its lead z, a
+    # class its product does not read.  A term v^3 B_above planted in that
+    # class, above the lead of class w[2], reaches the sweep only through
+    # the correction at z; the cone test refuses it when the sweep pops it
     from periodic_kl.periodic import CertificationError
 
-    M, W = a2.module, a2.group
-    w = W.w0.index
-    j, nu, sigma = M._down_policy[w]
-    lead, z = ((0, 0), w), (tuple(nu), sigma)
-    src = next(x for x in M._class(sigma) if x[1] != sigma)
-    pos = (tuple(map(add, nu, src[0])), src[1])
-    escapes = "^support escapes the semi-infinite ideal of the lead$"
-
-    # witness None marks a product term, checked before the sweep: the lead
-    # and z = t(nu) sigma both lie in supp(base) or supp(base) . s_j
-    M._check_product_terms(w, [lead, z])
-    # z lies below the lead, but its own witness is checked first
-    ok = M._check_witnesses(w, [lead, z, pos], {lead: None, z: None, pos: (z, src)})
-    assert ok == {lead, z, pos}
-    with pytest.raises(CertificationError, match=escapes):
-        M._check_witnesses(w, [lead, pos], {lead: None, pos: (z, src)})
-    # src outside the support of class sigma
-    far = ((1, 1), 0)
-    pos_far = (tuple(map(add, nu, far[0])), 0)
-    with pytest.raises(CertificationError, match=escapes):
-        M._check_witnesses(w, [lead, z, pos_far], {lead: None, z: None, pos_far: (z, far)})
-    # a self-correction whose src is not yet checked
-    with pytest.raises(CertificationError, match=escapes):
-        M._check_witnesses(w, [lead, pos], {lead: None, pos: (lead, pos)})
-    # a position that is not t(z.trans) src
-    with pytest.raises(CertificationError, match=escapes):
-        M._check_witnesses(w, [lead, z, far], {lead: None, z: None, far: (z, src)})
+    W = b2.group
+    lead = W.parse_element("t(0,0)*w[2]")
+    z = W.parse_element("t(0,0)*w[2 1 2]")
+    above = W.translate_left(Weight((1, 1)), z)
+    assert not b2.order.leq(above, lead)
+    M = PeriodicModule(W)
+    assert M._down_policy[lead.w.index][2] != z.w.index
+    M.preload_class(z.w.index, class_element(b2.module, z.w.index) + M.basis(above).scale(LaurentPoly({3: 1})))
+    with pytest.raises(CertificationError, match="^support escapes the semi-infinite ideal of the lead$"):
+        M._class(lead.w.index)
+    assert lead.w.index not in M._classes
 
 
-def test_witness_check_requires_a_down_move(a2):
-    # product terms are witnessed by SD_{ws}, which only helps if ws < w
+def test_an_up_move_policy_is_refused(a2):
+    # the product SD_{ws} . (H_s + v) lies below w only for a descent
+    # ws < w.  Planted with the up move w0 s_1, which lies above w0 (its
+    # class preloaded, since its own down move leads back to w0), s_1
+    # descends the product's lead w0 s_1, whose coefficient 1 would become
+    # v^{-1}: the product refuses it as outside Z[v]
     from periodic_kl.periodic import CertificationError
 
     M, W = PeriodicModule(a2.group), a2.group
     w = W.w0.index
     lead = W.element(Weight((0, 0)), w)
-    up = W.right_multiply_gen(lead, 1)  # w0 s_1 lies above w0 in the order
-    assert not a2.order.descends(lead, 1)
+    up = W.right_multiply_gen(lead, 1)
+    assert not a2.order.descends(lead, 1) and a2.order.leq(lead, up)
     M._down_policy[w] = (1, up.trans, up.w.index)
+    M.preload_class(up.w.index, class_element(a2.module, up.w.index))
+    with pytest.raises(CertificationError, match=f"^coefficient at {re.escape(repr(up))} of class "
+                                                 f"{re.escape(repr(lead))} outside Z\\[v\\]$"):
+        M._class(w)
+    assert list(M._classes) == [up.w.index]
+
+
+def test_class_solve_reads_the_apex_table(a2, monkeypatch):
+    # the solve's support check is the order's cone test: one apex made
+    # stricter by e, at the finite parts (u, w) of a term t(lam) u of class
+    # w on the boundary of the cone there, must stop the solve of class w.
+    # The stricter table stands in for ``_apex_table``, so the cached real
+    # table is untouched, and a fresh module reads it again
+    from periodic_kl import orders
+    from periodic_kl.periodic import CertificationError
+
+    W, rd = a2.group, a2.rd
+    e, w = rd.lattice_index_e, W.w0.index
+    real = orders._apex_table(rd.cartan_type, rd.rank)
+    for lam, u in sorted(a2.module._class(w)):
+        diff = scaled_coordinates(rd.scaled_inverse_cartan, tuple(-c for c in lam))
+        tight = [i for i, (d, a) in enumerate(zip(diff, real[u][w])) if d == a]
+        if u != w and tight:
+            break
+    row = list(real[u])
+    row[w] = tuple(a + e * (i == tight[0]) for i, a in enumerate(row[w]))
+    stricter = real[:u] + (tuple(row),) + real[u + 1:]
+    monkeypatch.setattr(orders, "_apex_table", lambda cartan_type, rank: stricter)
+    M = PeriodicModule(W)
     with pytest.raises(CertificationError, match="^support escapes the semi-infinite ideal of the lead$"):
-        M._check_product_terms(w, [lead.key])
+        M._class(w)
+    monkeypatch.undo()
+    assert class_element(PeriodicModule(W), w) == class_element(a2.module, w)
 
 
 @pytest.mark.parametrize("name", ["a1", "a2", "a3", "b2", "c2", "g2"])
@@ -601,8 +621,8 @@ def test_planted_correction_term_queues_a_new_position(b2):
     # B2 class w[2] descends onto class w[2 1] and is corrected once, by class
     # w[2 1 2] at its lead z; the product does not read that class.  A term
     # v^3 B_far planted in it, far below z, lies outside the product's support:
-    # the correction alone queues far, witnessed by (z, far), and leaves
-    # -m v^3 there, which is in vZ[v] and so needs no further correction
+    # the correction alone queues far and leaves -m v^3 there, which is in
+    # vZ[v] and so needs no further correction
     W = b2.group
     lead = W.parse_element("t(0,0)*w[2]")
     z = W.parse_element("t(0,0)*w[2 1 2]")
@@ -612,23 +632,18 @@ def test_planted_correction_term_queues_a_new_position(b2):
     assert M._down_policy[lead.w.index][2] != z.w.index
     M.preload_class(z.w.index, class_element(b2.module, z.w.index) + M.basis(far).scale(LaurentPoly({3: 1})))
     seen = {}
-    check_witnesses, certify = M._check_witnesses, M._certify
+    certify = M._certify
 
-    def record_witnesses(w_index, swept, witness):
-        seen["witness"] = dict(witness)
-        return check_witnesses(w_index, swept, witness)
-
-    def record_certify(w_index, result, product, corrections, ideal):
+    def record_certify(w_index, result, product, corrections):
         seen["product"], seen["corrections"] = product, list(corrections)
-        return certify(w_index, result, product, corrections, ideal)
+        return certify(w_index, result, product, corrections)
 
-    M._check_witnesses, M._certify = record_witnesses, record_certify
+    M._certify = record_certify
     terms = M._class(lead.w.index)
     solved = class_element(M, lead.w.index)
     [(at, m)] = seen["corrections"]
     assert at == z.key
     assert far.key not in seen["product"] and far not in true.terms
-    assert seen["witness"][far.key] == (z.key, far.key)
     assert solved == true - M.basis(far).scale(m * LaurentPoly({3: 1}))
     assert M._classes[lead.w.index] is terms
 
@@ -674,20 +689,19 @@ def test_each_certification_check_fires(b2):
     M._certify = record
     w = b2.group.parse_element("t(0,0)*w[2]").w.index
     M._class(w)
-    [(w_index, result, product, corrections, ideal)] = [args for args in seen if args[0] == w]
+    [(w_index, result, product, corrections)] = [args for args in seen if args[0] == w]
     assert corrections
-    certify(w_index, result, product, corrections, ideal)
+    certify(w_index, result, product, corrections)
     lead = ((0, 0), w)
     off = min(pos for pos in result if pos != lead)
     c, l1, p = result[off]
 
-    def fails(message, result=result, product=product, ideal=ideal):
+    def fails(message, result=result, product=product):
         with pytest.raises(CertificationError, match=f"^certification: {message}$"):
-            certify(w_index, result, product, corrections, ideal)
+            certify(w_index, result, product, corrections)
 
     fails("leading coefficient", result={**result, lead: (2, 2, LaurentPoly({0: 2}))})
     fails(r"coefficient not in vZ\[v\]", result={**result, off: (c + 1, l1 + 1, p + ONE)})
-    fails("support outside the ideal", ideal=ideal - {off})
     fails("product relation fails on complete vectors",
           product={**product, off: product.get(off, 0) + (1 << laurent._WIDTH)})
 
