@@ -40,10 +40,10 @@ root b it has
 
 with ht(b) the sum of the simple-root coordinates of b.  All shortest
 paths between two vertices have one weight (Postnikov, Proc. AMS 133,
-2005); :func:`_apex_table` finds the weights by one breadth-first search
-per source and raises AssertionError, an internal error, if two shortest
-paths disagree.  Ishii-Naito-Sagaki (Adv. Math. 290, 2016) relate the
-graph to the semi-infinite Bruhat order, in other conventions:
+2005).  :func:`_apex_table` records one shortest path's weight per pair,
+by one breadth-first search per source; the checks below prove the table
+per type.  Ishii-Naito-Sagaki (Adv. Math. 290, 2016) relate the graph to
+the semi-infinite Bruhat order, in other conventions:
 
 - translations act here on the left, ``t(lam) w = w t(w^-1 lam)``, and the
   order is generated by right multiplications ``x r``; the literature
@@ -85,7 +85,7 @@ the first ``leq``, ``build`` or class solve, never by a constructor.
 ``below`` is one cone test on keys, "t(trans) u <= t(0) w"; ``leq`` calls
 it, and so do the class solve of :mod:`.periodic` and the command line's
 cache loader, which check each term of a class against its lead.
-``build`` reads a window's rows from per-finite-part masks.
+``build`` reads a window's rows from per-finite-part masks and that table.
 
 An independent characterization via deep dominant translation is provided:
 ``x <= y`` iff ``t(mu) x <= t(mu) y`` in Bruhat order once both elements
@@ -159,26 +159,23 @@ def _quantum_bruhat_graph(tables: WeylTables, labels: Sequence[tuple[int, tuple[
 
 def _apexes(tables: WeylTables, graph: Graph) -> Apexes:
     """``[w][v]`` = the weight of a shortest path from v^-1 to w^-1 in
-    ``graph``, by one breadth-first search per source.  Every edge that
-    continues a shortest path must carry it to the weight already found, so
-    two shortest paths of different weights, like a vertex that no path
-    reaches, raise AssertionError."""
+    ``graph``, by one breadth-first search per source that keeps the weight
+    of the path on which it first reaches a vertex.  A vertex that no path
+    reaches raises AssertionError; the per-type certificate (module
+    docstring) proves the weights kept."""
     n = len(graph)
     zero = (0,) * len(tables.finite_elements[0].matrix)
     weights = []
     for source in range(n):
-        depth, weight = {source: 0}, {source: zero}
+        weight = {source: zero}
         frontier = [source]
         while frontier:
             nxt = []
             for u in frontier:
                 for t, ev in graph[u]:
-                    wt = tuple(map(add, weight[u], ev))
-                    if t not in depth:
-                        depth[t], weight[t] = depth[u] + 1, wt
+                    if t not in weight:
+                        weight[t] = tuple(map(add, weight[u], ev))
                         nxt.append(t)
-                    elif depth[t] == depth[u] + 1 and weight[t] != wt:
-                        raise AssertionError(f"shortest paths from {source} to {t} differ in weight")
             frontier = nxt
         if len(weight) != n:
             raise AssertionError(f"quantum Bruhat graph: {n - len(weight)} vertices unreachable from {source}")
@@ -247,7 +244,7 @@ class SemiInfiniteOrder:
 
     @cached_property
     def _apexes(self) -> Apexes:
-        """The type's :func:`_apex_table`, read on the first :meth:`below`."""
+        """The type's :func:`_apex_table`, read on first use."""
         return _apex_table(self.rd.cartan_type, self.rd.rank)
 
     # -- translation characterization ---------------------------------------------------
@@ -329,29 +326,33 @@ class SemiInfinitePoset(NamedTuple):
     rows: tuple[int, ...]  # bit j of rows[i] iff window[i] <= window[j]
 
     def hasse_edges(self) -> list[tuple[ExtAffineElement, ExtAffineElement]]:
-        """Cover relations (a, b) with a covered by b, within the window.
+        """Cover relations (a, b) with a covered by b, within the window: the
+        strict up-set of a minus its members' strict up-sets."""
+        win = self.window
+        return [(win[i], win[j]) for i, up, above in self._up_sets() for j in _bits(up & ~above)]
 
-        The strict up-set of a minus the strict up-sets of its members leaves
-        exactly the elements covering a.
-        """
+    def check_partial_order(self) -> None:
+        """AssertionError unless the rows are a partial order: per element i,
+        with U_i its strict up-set and A_i its members' strict up-sets, bit i
+        of row i (reflexivity), i not in A_i (antisymmetry: else some j in
+        U_i has i in row j), and A_i inside row i (transitivity: each j in
+        U_i is in row i, so this is row j inside row i)."""
+        rows = self.rows
+        for i, up, above in self._up_sets():
+            row = rows[i]
+            assert row >> i & 1, "reflexivity violated"
+            assert not above >> i & 1, "antisymmetry violated"
+            assert above & ~row == 0, "transitivity violated"
+
+    def _up_sets(self):
+        """(i, U_i, A_i) per element i: U_i its strict up-set, A_i the union
+        of its members' strict up-sets."""
         strict = [row & ~(1 << i) for i, row in enumerate(self.rows)]
-        edges = []
         for i, up in enumerate(strict):
             above = 0
             for j in _bits(up):
                 above |= strict[j]
-            for j in _bits(up & ~above):
-                edges.append((self.window[i], self.window[j]))
-        return edges
-
-    def check_partial_order(self) -> None:
-        rows = self.rows
-        for i, row in enumerate(rows):
-            assert row >> i & 1
-            for j in _bits(row):
-                if j != i:
-                    assert not rows[j] >> i & 1, "antisymmetry violated"
-                assert rows[j] & ~row == 0, "transitivity violated"
+            yield i, up, above
 
     @staticmethod
     def build(order: SemiInfiniteOrder, window: Sequence[ExtAffineElement]) -> "SemiInfinitePoset":
@@ -368,7 +369,7 @@ class SemiInfinitePoset(NamedTuple):
         win = tuple(window)
         rd = order.rd
         e = rd.lattice_index_e
-        apexes = _apex_table(rd.cartan_type, rd.rank)
+        apexes = order._apexes
         ts = [scaled_coordinates(rd.scaled_inverse_cartan, z.trans) for z in win]
         residues = [tuple(c % e for c in t) for t in ts]
         blocks: dict[tuple[int, ...], dict[int, list[int]]] = {}

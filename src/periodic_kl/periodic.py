@@ -189,8 +189,8 @@ accumulated alongside it (bound += l1(q) * l1(p)): l1 is subadditive and
 submultiplicative, the l1 norm of a partition series is its number of
 partitions (every coefficient is positive), and |c_e| <= l1.  A summand
 whose bound is 0 is the zero polynomial and is skipped.  A generic value
-is decoded once per entry of the memo behind ``generic_polynomial`` and
-the tables, and a Koszul or inversion sum once per call of its per-pair
+is decoded once per ``_generic_entry`` call (point queries and tables),
+and a Koszul or inversion sum once per call of its per-pair
 entry point, through the guarded ``laurent.unpack``: the decode is exact when the bound is below
 2^(B-1), and otherwise a ResourceError names the value, its key and the
 bound's size before any digit that may have wrapped is read.  The reports
@@ -323,7 +323,6 @@ class PeriodicModule(RightHeckeModule):
         self._encoded: dict[tuple[int, ...], tuple[int, int]] = {}
         self._class_parts: dict[int, dict[int, list[tuple[tuple[int, ...], int, int]]]] = {}
         self._generic_tables: dict[tuple[int, int], tuple[dict, list, Optional[int]]] = {}
-        self._generic_decoded: dict[tuple[tuple[int, ...], int, int, bool], LaurentPoly] = {}
         self._inversion_rows: dict[int, dict[int, list[Row]]] = {}
         self._inversion_plans: dict[tuple[int, int], list[tuple[int, tuple[dict, dict, int], list]]] = {}
         self._down_policy = self._choose_down_moves()
@@ -704,23 +703,19 @@ class PeriodicModule(RightHeckeModule):
                        target: Target) -> LaurentPoly:
         """q (``weighted``) or q' at y = t(rel) u, x = t(0) c, given ``target``,
         E(rel) encoded: the one evaluator of point queries and tables.  Zero
-        outright, with no memo entry, when the table of (u, c) has no term
-        or sum E(rel) exceeds its top, or when E(rel) lies beyond the field
-        and ``_check_beyond_field`` finds it zero; otherwise read from the
-        decoded memo, keyed (rel, u, c, weighted), or evaluated into it."""
+        outright when the table of (u, c) has no term or sum E(rel) exceeds
+        its top, or when E(rel) lies beyond the field and
+        ``_check_beyond_field`` finds it zero; otherwise evaluated and
+        decoded.  A table asks once per (rel, u, c), and so does a query."""
         _, rows, top = self._generic_table(u, c)
         if top is None or target[1] > top:
             return ZERO
-        key = (rel, u, c, weighted)
-        hit = self._generic_decoded.get(key)
-        if hit is None:
-            what = ("generic q (y.trans - x.trans, y.w, x.w)" if weighted else
-                    "generic qprime (y.trans - x.trans, y.w, x.w)")
-            if target[0] is None:
-                self._check_beyond_field(rows, self.rd.scaled_root_coordinates(rel), what, key[:3])
-                return ZERO
-            hit = self._generic_decoded[key] = unpack(*self._generic_sum(*target, rows, weighted), what, key[:3])
-        return hit
+        what = ("generic q (y.trans - x.trans, y.w, x.w)" if weighted else
+                "generic qprime (y.trans - x.trans, y.w, x.w)")
+        if target[0] is None:
+            self._check_beyond_field(rows, self.rd.scaled_root_coordinates(rel), what, (rel, u, c))
+            return ZERO
+        return unpack(*self._generic_sum(*target, rows, weighted), what, (rel, u, c))
 
     def _generic_table(self, u: int, c: int) -> tuple[dict, list[Row], Optional[int]]:
         """(memo, rows, top) of the generic polynomials at y = t(rel) u, x = t(0) c.
@@ -1045,9 +1040,9 @@ class PeriodicModule(RightHeckeModule):
         translation invariance: t(nu) commutes with the right action and
         fixes every e(lam), so SD_{t(nu) x} is the nu-shift of SD_x, and the
         series operators commute with the shift; hence q_{y,x} and q'_{y,x}
-        depend only on (y.trans - x.trans, y.w, x.w), which is the memo key
-        of the point queries (``_generic_entry``), and the blocks read and
-        fill that same memo.  The window may be any set of elements (a
+        depend only on (y.trans - x.trans, y.w, x.w), the arguments of the
+        point queries' evaluator ``_generic_entry``, which the blocks call
+        once per such triple.  The window may be any set of elements (a
         ragged one holds only part of some translation fibers): a table
         evaluates no (difference, u, c) that the point queries of its pairs
         would not.

@@ -26,7 +26,9 @@ witnesses: by the translation characterization (Bruhat order after a
 certified deep dominant translation), and by a search along the moves that
 generate the order, the window pass that decided it before the closed
 form.  The search also decides the finite certificate that proves the
-closed form per type (``apex_certificate``).  Lusztig's q-analogue of weight multiplicity, from
+closed form per type (``apex_certificate``).  The covers of a window are
+read from its columns (``covers_by_columns``), where the library reads
+rows.  Lusztig's q-analogue of weight multiplicity, from
 Kostant's q-partition function over the positive roots and a signed sum
 over the finite Weyl group, gives the spherical coefficients of the
 Kazhdan-Lusztig basis without any KL recursion.
@@ -536,6 +538,25 @@ def poset_rows_by_search(order: SemiInfiniteOrder, window) -> tuple[int, ...]:
         for i in _bits(decided[z.key]):
             rows[i] |= 1 << j
     return tuple(rows)
+
+
+def covers_by_columns(rows: Sequence[int]) -> set[tuple[int, int]]:
+    """The cover pairs (i, j), i covered by j, of a partial order given by
+    ``rows`` (bit j of rows[i] iff i <= j), read off the columns: i < j is a
+    cover iff no k has i < k < j, that is iff the strict up-set of i (row i)
+    and the strict down-set of j (column j) do not meet.  Shares nothing
+    with ``SemiInfinitePoset.hasse_edges``, which reads rows only."""
+    columns = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            columns[j] |= 1 << i
+    covers = set()
+    for i, row in enumerate(rows):
+        up = row & ~(1 << i)
+        for j in _bits(up):
+            if not up & columns[j] & ~(1 << j):
+                covers.add((i, j))
+    return covers
 
 
 def generated_leq(order: SemiInfiniteOrder, x: ExtAffineElement, y: ExtAffineElement) -> bool:

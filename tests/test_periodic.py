@@ -312,7 +312,7 @@ def test_cross_coset_queries_are_zero_and_fill_no_memo(b2):
             assert M.generic_polynomial(y, x, kind) == ZERO == generic_polynomial_by_dicts(M, y, x, kind)
         assert M.inversion_sum(y, x) == ZERO
         assert M.koszul_of_series(y, x) == ZERO
-    assert not M._generic_decoded and not M._generic_tables
+    assert not M._generic_tables
 
 
 def test_p_table_shape(a2):

@@ -38,6 +38,16 @@ def test_orders_hasse_g2_h2_is_the_searched_order():
         "0d953dc6d2bfa1d5993b222ce5120effecfbba67f4fe73f0f231e27d4e1091c2")
 
 
+def test_orders_hasse_a3_h2_is_unchanged():
+    # stdout pinned from the per-bit partial-order check and cover walk
+    # that the whole-row ones replaced
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["orders", "hasse", "--type", "A", "--rank", "3", "--l", "5", "--height", "2"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "1c3744c8c182730eb2b4f64a62161170c326da2879276ac39707a232bc6e1014")
+
+
 @pytest.mark.parametrize("cartan,rank,l,height", [
     ("A", 3, 5, 1),
     ("G", 2, 7, 1),
