@@ -63,8 +63,12 @@ class BlockLabel(NamedTuple):
 def enumerate_blocks(group: AffineWeyl) -> list[BlockLabel]:
     """All lattice points of the closed fundamental alcove with stabilizers.
 
-    The walk visits the (l + 1)^rank points of the box [-1, l - 1]^rank; a box
-    of more than ``MAX_BLOCK_POINTS`` points is refused before the walk.
+    The walk visits the (l + 1)^rank points of the box [-1, l - 1]^rank in
+    ascending order; a box of more than ``MAX_BLOCK_POINTS`` points is
+    refused before the walk.  In the box every <lam + rho, alpha_i^> lies in
+    [0, l], and every positive coroot is at most eta^ coordinatewise
+    (``rootdata.root_system`` asserts it), so the upper wall alone decides
+    the closed alcove.
     """
     rd = group.rd
     l = rd.l
@@ -79,9 +83,8 @@ def enumerate_blocks(group: AffineWeyl) -> list[BlockLabel]:
     out = []
     for lam in map(Weight, product(range(-1, l), repeat=rank)):
         shifted = lam + rd.rho
-        if any(pairing(rd, shifted, rd.coroot(b)) < 0 for b in rd.positive_roots):
-            continue
-        if any(pairing(rd, shifted, rd.coroot(b)) > l for b in rd.positive_roots):
+        upper = pairing(rd, shifted, eta_check)
+        if upper > l:
             continue
         gens: list[ExtAffineElement] = []
         walls: list[str] = []
@@ -89,7 +92,7 @@ def enumerate_blocks(group: AffineWeyl) -> list[BlockLabel]:
             if pairing(rd, shifted, rd.simple_coroots[i]) == 0:
                 gens.append(group.simple_reflection(i))
                 walls.append(f"s{i + 1}")
-        if pairing(rd, shifted, eta_check) == l:
+        if upper == l:
             gens.append(group.affine_generator(0))
             walls.append("s0")
         out.append(
@@ -100,7 +103,6 @@ def enumerate_blocks(group: AffineWeyl) -> list[BlockLabel]:
                 regular=not gens,
             )
         )
-    out.sort(key=lambda b: b.representative)
     return out
 
 

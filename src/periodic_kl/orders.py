@@ -117,10 +117,6 @@ __all__ = [
 # (A3, height 2), and the rows of a window take n^2 bits.
 MAX_WINDOW = 10_000
 
-# ``SemiInfiniteOrder.sufficient_mu`` takes (max translation height +
-# MU_MARGIN) * rho; any MU_MARGIN >= 1 passes every certificate.
-MU_MARGIN = 2
-
 Apexes = tuple[tuple[tuple[int, ...], ...], ...]  # apexes[w][v] = E(d(w, v))
 Graph = tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]  # graph[u]: (target, E(weight)) per edge
 
@@ -298,19 +294,19 @@ class SemiInfiniteOrder:
         return tz
 
     def sufficient_mu(self, elements: Sequence[ExtAffineElement]) -> Weight:
-        """mu = (H + ``MU_MARGIN``) * rho, H the largest |coordinate| of the
-        elements' translation parts, with every alcove certificate checked and
-        the certified translates memoized for :meth:`column_via_translation`.
+        """mu = (H + 1) * rho, H the largest |coordinate| of the elements'
+        translation parts, with every alcove certificate checked and the
+        certified translates memoized for :meth:`column_via_translation`.
 
         Every certificate passes: for z = t(lam) w it pairs w(rho) + h (mu +
         lam) with each simple coroot alpha_i^.  <w rho, alpha_i^> = <rho,
         w^{-1} alpha_i^> is at least -(h - 1), as h - 1 is the height of the
-        highest coroot, and h <mu + lam, alpha_i^> = h (H + MU_MARGIN + lam_i)
-        >= MU_MARGIN h, so the sum is positive.  A failure is an internal
-        error (AssertionError).
+        highest coroot, and h <mu + lam, alpha_i^> = h (H + 1 + lam_i) >= h,
+        so the sum is positive.  A failure is an internal error
+        (AssertionError).
         """
         height = max((max(map(abs, z.trans)) for z in elements), default=0)
-        mu = (height + MU_MARGIN) * self.rd.rho
+        mu = (height + 1) * self.rd.rho
         try:
             for z in elements:
                 self._certified_translate(z, mu)

@@ -23,9 +23,11 @@ pure translations are base cases, SD_{t(lam)} = e(lam).  Left translation
 t(nu) commutes with the right action and fixes the e-family, hence
 SD_{t(nu)x} is the nu-shift of SD_x; everything therefore reduces to the
 |W| "class" elements SD_w, w in W.  For w != e pick an affine simple s with
-ws < w in the semi-infinite order (preferring s_0, which keeps the chain of
-class dependencies acyclic for the supported types; this is asserted at
-construction).  Then
+ws < w in the semi-infinite order, by a grounded search at construction
+(``_choose_down_moves``): from the identity class, each class takes its
+first descent, in generator order, onto a class that already has one, so
+the class dependencies form a tree.  No fixed preference of generators is
+acyclic on every type: preferring s_0 cycles on A2, A3 and G2.  Then
 
     P := SD_{ws} . (H_s + v)        (the rule of ``act_cs``)
 

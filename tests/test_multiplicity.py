@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from operator import sub
 
 import pytest
@@ -8,7 +9,7 @@ from periodic_kl.laurent import ONE, ZERO
 from periodic_kl.multiplicity import MultiplicityTables, enumerate_blocks
 from periodic_kl.orders import standard_window
 from periodic_kl.periodic import PeriodicModule
-from periodic_kl.rootdata import Weight, dominance_leq
+from periodic_kl.rootdata import _CARTAN, Weight, dominance_leq, pairing, root_datum, validate_l
 from periodic_kl.weyl import AffineWeyl
 from oracles import (dot_action, dot_orbit, dot_stabilizer, every_table, module_with_classes_of, point_queries,
                      tables_by_point_queries)
@@ -65,6 +66,33 @@ def test_blocks_a2_structure(a2):
     assert regular, "l > h guarantees a regular point"
     for b in labels:
         assert b.regular == (not b.stabilizer_generators)
+
+
+@pytest.mark.parametrize("key", sorted(_CARTAN), ids=[f"{t}{r}" for t, r in sorted(_CARTAN)])
+def test_blocks_match_the_all_coroot_alcove(key):
+    # the closed alcove by its definition, 0 <= <lam + rho, beta^> <= l for
+    # every positive root beta, over a box wider than the walk's, at the two
+    # least admissible l: the same representatives in ascending order, walls,
+    # regularity and wall reflections
+    cartan_type, rank = key
+    ls = [l for l in range(2, 20) if not validate_l(root_datum(cartan_type, rank, l))][:2]
+    assert len(ls) == 2
+    for l in ls:
+        rd = root_datum(cartan_type, rank, l)
+        W = AffineWeyl(rd)
+        eta_check = rd.coroot(rd.short_dominant_root)
+        expected = []
+        for lam in sorted(map(Weight, product(range(-2, l + 1), repeat=rank))):
+            shifted = lam + rd.rho
+            if all(0 <= pairing(rd, shifted, rd.coroot(b)) <= l for b in rd.positive_roots):
+                walls = [f"s{i + 1}" for i in range(rank) if pairing(rd, shifted, rd.simple_coroots[i]) == 0]
+                if pairing(rd, shifted, eta_check) == l:
+                    walls.append("s0")
+                expected.append((lam, tuple(walls), not walls))
+        labels = enumerate_blocks(W)
+        assert [(b.representative, b.walls, b.regular) for b in labels] == expected
+        for b in labels:
+            assert b.stabilizer_generators == tuple(W.affine_generator(int(wall[1:])) for wall in b.walls)
 
 
 def test_simple_in_verma(a1):

@@ -92,6 +92,21 @@ def test_translation_characterization_rejects_shallow_mu(a1):
         O.leq_via_translation(W.identity(), deep, Weight((0,)))
 
 
+@pytest.mark.parametrize("fixture,height,shallow_failures", [
+    ("a1", 1, 1), ("a2", 1, 17), ("b2", 1, 23), ("c2", 0, 7), ("g2", 1, 35), ("a3", 0, 23),
+])
+def test_sufficient_mu_takes_the_least_margin(fixture, height, shallow_failures, request):
+    # (H + 1) rho certifies every element of the window, and H rho fails
+    # the certificate of some element of the same window
+    ctx = request.getfixturevalue(fixture)
+    W, O = ctx.group, ctx.order
+    win = standard_window(W, height)
+    assert O.sufficient_mu(win) == (height + 1) * ctx.rd.rho
+    shallow = height * ctx.rd.rho
+    failures = [z for z in win if O.dominant_alcove_certificate(W.translate_left(shallow, z))]
+    assert len(failures) == shallow_failures
+
+
 def test_l_independence(a1, a1_l5):
     W3, W5 = a1.group, a1_l5.group
     O3, O5 = a1.order, a1_l5.order

@@ -184,6 +184,60 @@ def test_selfdual_translation_equivariance(a2):
         assert M.selfdual(W.translate_left(nu, x)) == M.shift(M.selfdual(x), nu)
 
 
+def _check_w_graph_relations(M):
+    """Assert the W-graph relations of every class element SD_x, x = t(0)w, at
+    every affine simple s, with C_s = H_s + v: SD_x . C_s = (v + v^-1) SD_x
+    when s descends x; otherwise SD_x . C_s - SD_{xs} peels, top height
+    first, into integer mu times SD_z, each z strictly below x and descended
+    by s."""
+    W, O = M.group, M.order
+    zero = (0,) * W.rd.rank
+    for w in W.finite_elements:
+        x = W.element(zero, w)
+        sd = M.selfdual(x)
+        for j in W.affine_generator_indices():
+            lhs = M.act_cs(sd, j)
+            if O.descends(x, j):
+                assert lhs == sd.scale(V + VINV), (x, j)
+                continue
+            rest = lhs - M.selfdual(W.right_multiply_gen(x, j))
+            while not rest.is_zero():
+                z = max(rest.terms, key=lambda y: (O.height(y), y.key))
+                mu = rest.terms[z]
+                assert set(mu.coeffs) == {0}, (x, j, z, mu)
+                assert z is not x and O.leq(z, x) and O.descends(z, j), (x, j, z)
+                rest = rest - M.selfdual(z).scale(mu)
+
+
+@pytest.mark.parametrize("name", DATA)
+def test_class_elements_satisfy_the_w_graph_relations(request, name):
+    _check_w_graph_relations(request.getfixturevalue(name).module)
+
+
+@pytest.mark.parametrize("name", ["a2", "b2", "g2"])
+def test_a_flipped_descent_breaks_the_w_graph_relations(request, monkeypatch, name):
+    # each entry of the descent table off the down-move policy, flipped in a
+    # fresh module, either breaks a relation or makes a class solve refuse.
+    # A runaway solve refuses at the step bound, lowered far above the at
+    # most 192 steps that any class of these types needs.
+    from periodic_kl.laurent import ResourceError
+    from periodic_kl.periodic import CertificationError
+
+    monkeypatch.setattr(periodic, "MAX_SWEEP_STEPS", 5_000)
+    W = AffineWeyl(request.getfixturevalue(name).rd)
+    policy = PeriodicModule(W)._down_policy
+    flips = [(w.index, j) for w in W.finite_elements for j in W.affine_generator_indices()
+             if w.index not in policy or policy[w.index][0] != j]
+    assert len(flips) == {"a2": 13, "b2": 17, "g2": 25}[name]
+    for w, j in flips:
+        M = PeriodicModule(W)
+        descents = [list(row) for row in M.order._descents]
+        descents[w][j] = not descents[w][j]
+        M.order._descents = tuple(map(tuple, descents))
+        with pytest.raises((AssertionError, CertificationError, ResourceError)):
+            _check_w_graph_relations(M)
+
+
 def test_translation_operator(a1):
     M, W = a1.module, a1.group
     alpha = a1.rd.simple_roots[0]

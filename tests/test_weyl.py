@@ -143,13 +143,21 @@ def test_length_subadditive(a2):
         assert z.length <= x.length + y.length
 
 
-def test_omega_elements(a1, a2, g2):
+def test_omega_elements(a1, a2, g2, b2, c2, a3):
     assert len(a1.group.omega_elements) == 2
     assert len(a2.group.omega_elements) == 3
     assert len(g2.group.omega_elements) == 1
-    for ctx in (a1, a2):
-        for om in ctx.group.omega_elements.values():
-            assert om.length == 0
+    # the minuscule search alone finds the whole length-zero subgroup: one
+    # element per coset tag, each of length 0, and they are every length-zero
+    # t(lam) w with lam in {-1, 0, 1}^rank
+    for ctx in (a1, a2, g2, b2, c2, a3):
+        W = ctx.group
+        omegas = W.omega_elements
+        assert len(omegas) == ctx.rd.lattice_index_e
+        for tag, om in omegas.items():
+            assert om.omega_component == tag and om.length == 0
+        box = (W.element(lam, w) for lam in product((-1, 0, 1), repeat=ctx.rd.rank) for w in W.finite_elements)
+        assert {x for x in box if x.length == 0} == set(omegas.values())
 
 
 @pytest.mark.parametrize("fixture,bound", [
