@@ -14,20 +14,24 @@ element at x is the unique bar-invariant element of H_x + sum_{y < x}
 vZ[v] H_y (Bruhat order), computed by the standard multiply-by-(H_s +
 v)-and-correct recursion on the ids of the group's Cayley graph, each
 correction read off the product as a mu-coefficient (Kazhdan-Lusztig
-1979).  Every coefficient that recursion meets lies in Z[v], and the one
-at H_z in C_x has only exponents of the parity of len x - len z, so it
-runs on the packed integers of :mod:`.laurent` at every other power of
-v: digit i is the coefficient of v^(par + 2i), par = (len x - len z) mod
-2, a balanced digit in [-2^(B-1), 2^(B-1)) of B = ``laurent._WIDTH``
-bits.  A sum of polynomials of one parity is one integer add, v^{+-1}
-moves a value to the other parity (no shift one way, a shift by B bits
-the other), and the low digit is the constant or the v term.  Only the
-element returned is decoded into a HeckeElement, each distinct (value,
-parity) pair once, through the guarded ``unpack``; the decode is exact
-while every |c_e| < 2^(B-1), which a tracked bound, measured once it is
-large, proves (see ``HeckeAlgebra.kl_basis``).  The recursion serves
-``hecke kl`` on the command line; the periodic module carries its own
-self-dual basis.
+1979).  It steps down from x to u = xs through a right descent s whose u
+is memoized, else one whose u has the most right descents: by the same
+paper (2.3.e) a correction other than some u t, t simple, has every right
+descent of u, so such a u admits the fewest corrections, each a memo
+entry with its own recursion.  Every coefficient that recursion meets
+lies in Z[v], and the one at H_z in C_x has only exponents of the parity
+of len x - len z, so it runs on the packed integers of :mod:`.laurent` at
+every other power of v: digit i is the coefficient of v^(par + 2i), par =
+(len x - len z) mod 2, a balanced digit in [-2^(B-1), 2^(B-1)) of B =
+``laurent._WIDTH`` bits.  A sum of polynomials of one parity is one
+integer add, v^{+-1} moves a value to the other parity (no shift one way,
+a shift by B bits the other), and the low digit is the constant or the v
+term.  Only the element returned is decoded into a HeckeElement, each
+distinct (value, parity) pair once, through the guarded ``unpack``; the
+decode is exact while every |c_e| < 2^(B-1), which a tracked bound,
+measured once it is large, proves (see ``HeckeAlgebra.kl_basis``).  The
+recursion serves ``hecke kl`` on the command line; the periodic module
+carries its own self-dual basis.
 
 All caches are plain dicts owned by the algebra object; operations are
 pure apart from cache insertion.
@@ -176,7 +180,7 @@ class HeckeAlgebra(RightHeckeModule):
         of v, and no value can hold a negative exponent or a term of the
         wrong parity.
 
-        Recursion: with s_j the lowest right descent of x and u = x s_j, the
+        Recursion: with s_j a right descent of x and u = x s_j, the
         product C_u (H_s + v) is built in one {id: packed int} dict, on the
         ids of the group's Cayley graph.  Every s-orbit {a, b = as} with
         a < b meeting the support of C_u is visited once, at a, by one slot
@@ -200,6 +204,19 @@ class HeckeAlgebra(RightHeckeModule):
         len x - len b is even, C_b is packed by the accumulator's parities, so
         each is one integer multiply-add per term of C_b, applied as one bulk
         update.  Every C_b used stays packed in the memo; only C_x is decoded.
+
+        Step: any right descent gives C_x, which is unique, so the recursion
+        takes the one that adds the fewest memo entries.  A u already in the
+        memo needs no recursion, so it takes the lowest j whose u is
+        memoized; if there is none, the j whose u has the most right
+        descents, the lowest j on ties, both read from the group's signed
+        slots.  By Kazhdan-Lusztig 1979 (2.3.e, for right descents), if
+        mu(y, u) != 0 with y < u and t is a right descent of u that y does not
+        have, then y = u t: every correction other than the u t has every
+        right descent of u, so the more right descents u has, the fewer y can
+        be corrections, and each new one is a memo entry with its own
+        recursion.  The path, and so the memo, depends on what was computed
+        before; C_x does not.
 
         Support: the keys of the product are supp C_u together with its
         s-translates, which is [e, u] u [e, u]s = [e, x].  By positivity
@@ -246,9 +263,13 @@ class HeckeAlgebra(RightHeckeModule):
         sound.  M_x is formed from the bounds of C_u and of each C_y, each of
         them measured or tracked and so a true bound on its coefficients; as
         M_x < 2^(B-1), no digit of C_x wrapped, so its balanced digits are its
-        true coefficients, and the measurement bounds those.  A decoded
-        coefficient of C_x outside its stored bound is an internal error
-        (AssertionError).
+        true coefficients, and the measurement bounds those.  Soundness rests
+        on every stored bound, so before the measurement replaces M_x, an
+        exact test (``_exceeds``: two adds, two xors, an AND and a shift per
+        value) confirms that no digit of C_x exceeds M_x; a digit past it
+        means that a stored bound of C_u or of some C_y was too small for its
+        coefficients, an internal error (AssertionError).  So is a decoded
+        coefficient of C_x outside its stored bound.
         """
         check_length(x, "KL recursion")
         g = self.group
@@ -271,7 +292,10 @@ class HeckeAlgebra(RightHeckeModule):
     def _kl_packed(self, x: int) -> tuple[dict[int, int], int]:
         """C_x as {id: packed coefficient}, each packed by its parity, and the
         bound M_x on its coefficients, memoized by id: the recursion and the
-        packing of ``kl_basis``."""
+        packing of ``kl_basis``.  It steps down through a right descent whose
+        u = x s_j is memoized, else one whose u has the most right descents,
+        as by Kazhdan-Lusztig 1979 (2.3.e) such a u admits the fewest
+        corrections (``kl_basis``, Step)."""
         cache = self._kl_cache
         hit = cache.get(x)
         if hit is not None:
@@ -286,7 +310,20 @@ class HeckeAlgebra(RightHeckeModule):
         half = 1 << (width - 1)
         full = 1 << width
         mask = full - 1
-        j, u = g._lowest_descent(x)  # s_j the lowest right descent of x, u = x s_j
+        gens = range(len(g._nbrs))
+        j, most = None, -1
+        for k in gens:
+            b = step(x, k)
+            if b >= 0:
+                continue
+            if ~b in cache:
+                j, u = k, ~b
+                break
+            d = sum(step(~b, t) < 0 for t in gens)
+            if d > most:
+                j, u, most = k, ~b, d
+        if j is None:
+            raise AssertionError("positive-length element with no descent")
         nbr = g._nbrs[j]
         cu, bound_u = self._kl_packed(u)
         bound = 2 * bound_u
@@ -327,6 +364,8 @@ class HeckeAlgebra(RightHeckeModule):
         if acc.get(x) != 1:
             raise AssertionError("KL basis element has wrong leading coefficient")
         if bound >= 1 << (width // 2):
+            if _exceeds(acc.values(), n, width, bound):
+                raise AssertionError("KL memo entry outside its tracked bound")
             bound = _measured_bound(acc.values(), n, width, bound)
         hit = cache[x] = (acc, bound)
         return hit
@@ -359,3 +398,31 @@ def _measured_bound(values: Iterable[int], n: int, width: int, bound: int) -> in
         else:
             return low
     return bound
+
+
+def _exceeds(values: Iterable[int], n: int, width: int, bound: int) -> bool:
+    """True iff some balanced digit of ``values``, the packed coefficients of
+    a C_x with len x = n, lies outside [-bound, bound], for 0 <= bound <
+    2^(B-1): an exact test, on no rung.
+
+    With D = n // 2 + 1 digits, R = sum_{i<D} 2^(B i) and T = ``bound``, the
+    balanced digits c_i of p all lie in [-T, T] iff s = p + T R is a
+    non-negative integer below 2^(B D) whose digits c_i + T are at most 2T,
+    that is iff adding c = (2^B - 1 - 2T) R to s carries out of no digit:
+    t = s + c < 2^(B D), and t ^ s ^ c, which holds the carry into each bit,
+    has no bit at B i for 0 < i <= D.  Then each d_i - T, d_i a digit of s,
+    is in [-T, T], inside the balanced range, so by uniqueness it is c_i.  A
+    negative s above -2^(B D) reaches t >= 0 only by a carry into bit B D,
+    and a lower one leaves t negative, so the test holds for any integer p:
+    two adds, two xors, an AND and a shift per value.
+    """
+    top = width * (n // 2 + 1)
+    ones = ((1 << top) - 1) // ((1 << width) - 1)  # R
+    offset, carry = bound * ones, ((1 << width) - 1 - 2 * bound) * ones
+    edges = ones << width
+    for p in values:
+        s = p + offset
+        t = s + carry
+        if t >> top or (t ^ s ^ carry) & edges:
+            return True
+    return False

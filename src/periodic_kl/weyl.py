@@ -446,7 +446,9 @@ class AffineWeyl:
 
     def _lowest_descent(self, a: int) -> tuple[int, int]:
         """(j, id of a s_j) for the lowest j with len(a s_j) < len(a), of an id
-        a of positive length; one with no descent is an internal error."""
+        a of positive length; one with no descent is an internal error.  The
+        canonical step of ``reduced_word`` and ``bruhat_column``; the KL
+        recursion chooses its own."""
         for j, nbr in enumerate(self._nbrs):
             b = nbr[a]
             if b is None:

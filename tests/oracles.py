@@ -294,7 +294,11 @@ def kl_basis_by_dicts(algebra: HeckeAlgebra, x: ExtAffineElement, memo: dict) ->
     m is read from the accumulator after every correction above it, with no
     use of mu(y, u); ``HeckeAlgebra.kl_basis`` reads every m off the product
     as mu(y, u) and needs no order, so the two do not share the step that
-    finds the corrections.  ``memo`` maps elements to their computed C_y and may be shared between
+    finds the corrections.  The oracle keeps the lowest descent on purpose:
+    ``HeckeAlgebra.kl_basis`` steps through a memoized u, else the u with
+    the most right descents, so the two reach each element by different
+    paths, and their agreement checks the library's step as well.
+    ``memo`` maps elements to their computed C_y and may be shared between
     calls on the same algebra.
     """
     hit = memo.get(x)

@@ -11,7 +11,7 @@ from periodic_kl.cli import main
 from periodic_kl.hecke import HeckeAlgebra, ResourceError
 from periodic_kl.laurent import LaurentPoly, ONE, V, VINV
 from periodic_kl.orders import standard_window
-from periodic_kl.rootdata import Weight
+from periodic_kl.rootdata import _CARTAN, Weight
 from periodic_kl.weyl import AffineWeyl
 from oracles import elements_of_length_leq, hecke_bar, kl_basis_by_dicts, kl_by_linear_solve
 
@@ -288,6 +288,21 @@ def test_every_kl_memo_entry_is_its_bruhat_interval_with_no_zero(fixture, reques
         assert all(column[:len(keys)]) and not any(column[len(keys):]), repr(y)
 
 
+def memo_reads(monkeypatch, H):
+    """The ids, in order, that H's KL recursion asks its memo for, recorded
+    around ``H._kl_packed``: after ``kl_basis(x)``, x's id, then the u = x s_j
+    that the recursion at x steps down to."""
+    reads = []
+    packed = H._kl_packed
+
+    def recorded(i):
+        reads.append(i)
+        return packed(i)
+
+    monkeypatch.setattr(H, "_kl_packed", recorded)
+    return reads
+
+
 def test_kl_correction_outside_the_product_support_is_an_internal_error(a2):
     # C_u (H_s + v) = C_{w0} + C_{s_1} for w0 = s_1 s_2 s_1 and u = w0 s_1, so
     # the recursion at w0 corrects by a memoized C_y; a stray term planted in
@@ -308,10 +323,11 @@ def test_kl_correction_outside_the_product_support_is_an_internal_error(a2):
         H.kl_basis(w0)
 
 
-def test_kl_memo_entry_not_closed_under_going_down_is_an_internal_error(a2):
-    # the recursion at w0 visits each s_1-orbit of supp C_u at its lower
-    # element, u = w0 s_1; a stray upper element planted in C_u, whose lower
-    # element is not a key, has no visit and must not be dropped silently
+def test_kl_memo_entry_not_closed_under_going_down_is_an_internal_error(monkeypatch, a2):
+    # the recursion at w0 steps down to u = w0 s_1, the one memoized u, and
+    # visits each s_1-orbit of supp C_u at its lower element; a stray upper
+    # element planted in C_u, whose lower element is not a key, has no visit
+    # and must not be dropped silently
     W = a2.group
     H = HeckeAlgebra(W)
     w0 = W.element(Weight((0, 0)), W.w0.index)
@@ -321,14 +337,17 @@ def test_kl_memo_entry_not_closed_under_going_down_is_an_internal_error(a2):
     assert W.right_descent(stray, 1)
     cu, bound = H._kl_packed(W._id(u))
     H._kl_cache[W._id(u)] = ({**cu, W._id(stray): 1}, bound)
+    reads = memo_reads(monkeypatch, H)
     with pytest.raises(AssertionError, match="not closed under going down"):
         H.kl_basis(w0)
+    assert reads[:2] == [W._id(w0), W._id(u)]
 
 
-def test_kl_down_move_with_a_constant_term_is_an_internal_error(a2):
-    # x = t(1,1) has lowest right descent s_1 and u = x s_1; y = s_1 < u with
-    # ys < y and len u - len y even, so the product reads v^{-1} h_{y,u}, the
-    # right shift of p_y, exact only on a p_y with no low digit (constant
+def test_kl_down_move_with_a_constant_term_is_an_internal_error(monkeypatch, a2):
+    # x = t(1,1) has right descent s_1, and the recursion steps down to the
+    # memoized u = x s_1 (asserted below); y = s_1 < u with ys < y and
+    # len u - len y even, so the product reads v^{-1} h_{y,u}, the right
+    # shift of p_y, exact only on a p_y with no low digit (constant
     # term).  A constant term planted in C_u at y must be refused, not
     # shifted away
     W = a2.group
@@ -339,14 +358,17 @@ def test_kl_down_move_with_a_constant_term_is_an_internal_error(a2):
     H = HeckeAlgebra(W)
     cu, bound = H._kl_packed(W._id(u))
     H._kl_cache[W._id(u)] = ({**cu, W._id(y): cu[W._id(y)] + 1}, bound + 1)
+    reads = memo_reads(monkeypatch, H)
     with pytest.raises(AssertionError, match="unexpected correction shape"):
         H.kl_basis(x)
+    assert reads[:2] == [W._id(x), W._id(u)]
 
 
-def test_kl_wrong_lead_is_an_internal_error(a2):
+def test_kl_wrong_lead_is_an_internal_error(monkeypatch, a2):
     # the coefficient of H_x in C_u (H_s + v) is the lead of C_u, and no
-    # correction m C_y, y < x, moves it: a memoized C_u with lead 2 must be
-    # refused, not returned as a C_x with lead 2
+    # correction m C_y, y < x, moves it: a memoized C_u with lead 2, which
+    # the recursion at x steps down to, must be refused, not returned as a
+    # C_x with lead 2
     W = a2.group
     x = W.parse_element("t(1,1)*w[]")
     u = W.right_multiply_gen(x, 1)
@@ -354,13 +376,16 @@ def test_kl_wrong_lead_is_an_internal_error(a2):
     H = HeckeAlgebra(W)
     cu, bound = H._kl_packed(W._id(u))
     H._kl_cache[W._id(u)] = ({**cu, W._id(u): 2}, bound + 1)
+    reads = memo_reads(monkeypatch, H)
     with pytest.raises(AssertionError, match="wrong leading coefficient"):
         H.kl_basis(x)
+    assert reads[:2] == [W._id(x), W._id(u)]
 
 
-def test_kl_correction_by_a_negative_low_digit(a2):
-    # x = t(-2,1)*w[1] has lowest right descent s_1 and u = x s_1; y = s_1 < u
-    # with ys < y, and h_{y,u} = v^3 has no v term.  Planting C_u - v H_y
+def test_kl_correction_by_a_negative_low_digit(monkeypatch, a2):
+    # x = t(-2,1)*w[1] has right descent s_1, and the recursion steps down to
+    # the memoized u = x s_1 (asserted below); y = s_1 < u with ys < y, and
+    # h_{y,u} = v^3 has no v term.  Planting C_u - v H_y
     # makes the planted mu(y, u), the v term of h_{y,u}, equal -1: the
     # product's constant term at the upper element y is h_{ys,u}(0) +
     # [v] h_{y,u} = -1, so the recursion reads m = -1 there, the balanced low
@@ -379,7 +404,9 @@ def test_kl_correction_by_a_negative_low_digit(a2):
     cu, bound = H._kl_packed(W._id(u))
     H._kl_cache[W._id(u)] = ({**cu, W._id(y): cu[W._id(y)] - 1}, bound + 1)
     expected = kl_basis_by_dicts(HeckeAlgebra(W), x, {u: planted})
+    reads = memo_reads(monkeypatch, H)
     assert H.kl_basis(x).terms == expected.terms
+    assert reads[:2] == [W._id(x), W._id(u)]
     # the planted -v H_y (H_s + v) = -v H_{ys} - H_y is exactly what the
     # correction by m C_y = -(H_y + v H_{ys}) takes back: C_x comes out true
     assert expected == kl_basis_by_dicts(HeckeAlgebra(W), x, {})
@@ -468,16 +495,19 @@ def test_kl_measured_bound_admits_what_the_tracked_bound_refuses(monkeypatch, b2
     # at 8 bits the tracked bound of this benchmark element reaches 2^7 by
     # length 7, while its coefficients stay at most 8: with each bound of at
     # least 2^4 measured, the recursion completes, and every memo entry
-    # decodes to the dict oracle's element within its stored bound
+    # decodes to the dict oracle's element within its stored bound.  The
+    # oracle steps down through the lowest descent, the recursion through
+    # another, so the oracle computes each entry its own walk did not reach
     W = b2.group
     x = W.parse_element("t(4,-10)*w[1 2]")
     memo: dict = {}
-    kl_basis_by_dicts(HeckeAlgebra(W), x, memo)
+    oracle = HeckeAlgebra(W)
+    kl_basis_by_dicts(oracle, x, memo)
     monkeypatch.setattr(laurent, "_WIDTH", 8)
     H = HeckeAlgebra(W)
     assert H.kl_basis(x) == memo[x]
     for i in list(H._kl_cache):
-        assert H.kl_basis(W._elts[i]) == memo[W._elts[i]]
+        assert H.kl_basis(W._elts[i]) == kl_basis_by_dicts(oracle, W._elts[i], memo)
     monkeypatch.setattr(hecke, "_measured_bound", lambda values, n, width, bound: bound)
     with pytest.raises(ResourceError, match=r"^KL recursion at an element of length 7: the coefficient bound"):
         HeckeAlgebra(W).kl_basis(x)
@@ -504,10 +534,11 @@ def test_measured_bound_is_the_least_rung_holding_every_digit(width):
 
 
 def test_kl_memo_entry_outside_its_measured_bound_is_an_internal_error(monkeypatch, g2):
-    # at 16 bits this benchmark element's bound is measured at the rung 16,
-    # which holds its coefficients (at most 13); a memo entry with a
-    # coefficient past its stored bound must be refused, not returned
-    monkeypatch.setattr(laurent, "_WIDTH", 16)
+    # at 8 bits this benchmark element's bound is measured at the rung 16
+    # (k = 5 of the rungs k in (2, 3, 5)), which holds its coefficients (at
+    # most 13); a memo entry with a coefficient past its stored bound must be
+    # refused, not returned
+    monkeypatch.setattr(laurent, "_WIDTH", 8)
     W = g2.group
     x = W.parse_element("t(2,2)*w[1 2 1 2 1 2]")
     H = HeckeAlgebra(W)
@@ -521,28 +552,34 @@ def test_kl_memo_entry_outside_its_measured_bound_is_an_internal_error(monkeypat
 
 
 def test_kl_measurement_of_too_small_a_rung_is_an_internal_error(monkeypatch, g2):
-    # a measurement of that element forced from k = 5 down to k = 4 stores
-    # the bound 8, below its coefficient 13: the decode must refuse it
-    monkeypatch.setattr(laurent, "_WIDTH", 16)
+    # a measurement of that element at 8 bits forced from k = 5 down to
+    # k = 4 stores the bound 8, below its coefficient 13: the decode must
+    # refuse it
+    monkeypatch.setattr(laurent, "_WIDTH", 8)
     W = g2.group
     x = W.parse_element("t(2,2)*w[1 2 1 2 1 2]")
     measured = hecke._measured_bound
+    forced = []
 
     def too_small(values, n, width, bound):
         m = measured(values, n, width, bound)
-        return m // 2 if n == x.length else m
+        if n != x.length:
+            return m
+        forced.append(m)
+        return m // 2
 
     monkeypatch.setattr(hecke, "_measured_bound", too_small)
     with pytest.raises(AssertionError, match="KL basis coefficient outside its bound"):
         HeckeAlgebra(W).kl_basis(x)
+    assert forced == [16]
 
 
 def test_every_kl_memo_entry_lies_within_its_stored_bound(monkeypatch, g2):
     # the recursion trusts the stored bound of every C_u and C_y it reads,
     # and only the decode of the element returned compares digits with a
     # bound: so every memo entry, measured or tracked, is checked here, at
-    # 16 bits, where dozens of this benchmark element's bounds are measured
-    monkeypatch.setattr(laurent, "_WIDTH", 16)
+    # 8 bits, where dozens of this benchmark element's bounds are measured
+    monkeypatch.setattr(laurent, "_WIDTH", 8)
     W = g2.group
     measured = hecke._measured_bound
     calls = []
@@ -554,10 +591,100 @@ def test_every_kl_memo_entry_lies_within_its_stored_bound(monkeypatch, g2):
     monkeypatch.setattr(hecke, "_measured_bound", counted)
     H = HeckeAlgebra(W)
     H.kl_basis(W.parse_element("t(2,2)*w[1 2 1 2 1 2]"))
-    assert len(calls) > 40
+    assert len(calls) > 30
     for i, (cx, bound) in H._kl_cache.items():
-        digits = [c for p in cx.values() for c in laurent.unpack(p, (1 << 15) - 1, "memo entry", i).coeffs.values()]
+        digits = [c for p in cx.values() for c in laurent.unpack(p, (1 << 7) - 1, "memo entry", i).coeffs.values()]
         assert all(abs(c) <= bound for c in digits), W._elts[i]
+
+@pytest.mark.parametrize("width", [8, 16, laurent._WIDTH])
+def test_exceeds_is_exact_at_every_bound(width):
+    # random packed values of at most n // 2 + 1 balanced digits, with digits
+    # at, just inside and just past the bound, negative ones and the
+    # extremes of the width included: the test refuses exactly the values
+    # with a digit past the bound
+    half = 1 << (width - 1)
+    rng = random.Random(f"exceeds:{width}")
+    for _ in range(300):
+        n = rng.randrange(12)
+        bound = rng.choice([0, 1, rng.randrange(half), half // 2, half - 2, half - 1])
+        near = [c for c in (-bound - 1, -bound, bound, bound + 1, -half, half - 1) if -half <= c < half]
+        rows = [[rng.choice(near + [0, rng.randrange(-half, half)]) for _ in range(rng.randint(0, n // 2 + 1))]
+                for _ in range(rng.randint(1, 4))]
+        packed = [sum(c << (width * i) for i, c in enumerate(row)) for row in rows]
+        expected = any(abs(c) > bound for row in rows for c in row)
+        assert hecke._exceeds(packed, n, width, bound) == expected, (n, bound, rows)
+    # a value past the n // 2 + 1 digits of a length-n element exceeds any bound
+    assert hecke._exceeds([1 << (width * 3)], 4, width, half - 1)
+
+
+@pytest.mark.parametrize("width,text,refusal", [
+    (16, "t(2,2)*w[1 2 1 2 1 2]", "KL basis coefficient outside its bound"),
+    (12, "t(-9,2)*w[2]", "KL memo entry outside its tracked bound"),
+    (12, "t(12,-5)*w[2 1 2 1]", "KL memo entry outside its tracked bound"),
+    (8, "t(-7,2)*w[]", "KL memo entry outside its tracked bound"),
+])
+def test_a_halved_measurement_is_refused(monkeypatch, g2, width, text, refusal):
+    # every measured bound halved makes some stored bounds too small for
+    # their entries.  Each measurement first confirms that no digit of C_x
+    # exceeds the tracked bound it replaces, which a too-small bound of C_u
+    # or of a C_y makes too small in turn, and the decode compares the
+    # element returned with its stored bound.  Unplanted, the first two
+    # complete and the last two reach the width's coefficient bound (a
+    # ResourceError); planted, the last two complete without the first
+    # check, their digits no longer proven exact
+    monkeypatch.setattr(laurent, "_WIDTH", width)
+    W = g2.group
+    x = W.parse_element(text)
+    measured = hecke._measured_bound
+    monkeypatch.setattr(hecke, "_measured_bound", lambda values, n, width, bound: measured(values, n, width, bound) // 2)
+    with pytest.raises(AssertionError, match=f"^{refusal}$"):
+        HeckeAlgebra(W).kl_basis(x)
+
+
+@pytest.mark.parametrize("key", sorted(_CARTAN), ids=lambda key: f"{key[0]}{key[1]}")
+def test_kl_basis_does_not_depend_on_what_the_memo_holds(request, key):
+    # the recursion at x steps down through a memoized u = x s_j when there
+    # is one, so its path depends on what was computed before; C_x is
+    # unique, so an algebra that first computed other elements, in a seeded
+    # order, and a fresh algebra give equal terms at every element
+    rd = request.getfixturevalue(f"{key[0].lower()}{key[1]}").rd
+    W = AffineWeyl(rd)
+    rng = random.Random(f"kl-history:{key}")
+    hi = 14 if key == ("A", 3) else 24
+    xs = []
+    for omega in W.omega_elements.values():
+        top = random_ascent(W, omega, hi, rng)
+        xs += [top, *(W.parse_element(repr(z)) for z in rng.sample(list(HeckeAlgebra(W).kl_basis(top).terms), 4))]
+    rng.shuffle(xs)
+    warm = HeckeAlgebra(W)
+    for x in xs:
+        warm.kl_basis(x)
+    for x in xs:
+        assert warm.kl_basis(x).terms == HeckeAlgebra(W).kl_basis(x).terms, W.format_element(x)
+
+
+# Memo entries and terms of a fresh algebra after kl_basis at each benchmark
+# element; stepping always through the lowest descent they were A2 128 and
+# 10,303, B2 89 and 9,611, G2 156 and 16,805, A3 303 and 44,775.
+_KL_MEMO_COUNTS = {
+    "a2": ("t(-11,6)*w[2]", 96, 7_843),
+    "b2": ("t(4,-10)*w[1 2]", 89, 9_395),
+    "g2": ("t(2,2)*w[1 2 1 2 1 2]", 68, 7_913),
+    "a3": ("t(2,3,-7)*w[1 2 1]", 176, 25_585),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(_KL_MEMO_COUNTS))
+def test_kl_memo_of_a_benchmark_element_stays_within_its_count(request, fixture):
+    rd = request.getfixturevalue(fixture).rd
+    text, entries, terms = _KL_MEMO_COUNTS[fixture]
+    assert text in _kl_orbits()[(rd.cartan_type, rd.rank, rd.l)]
+    W = AffineWeyl(rd)
+    H = HeckeAlgebra(W)
+    H.kl_basis(W.parse_element(text))
+    assert len(H._kl_cache) <= entries
+    assert sum(len(cy) for cy, _ in H._kl_cache.values()) <= terms
+
 
 def test_json_encoding(a1):
     H, W = a1.hecke, a1.group
@@ -570,9 +697,11 @@ def test_json_encoding(a1):
 
 def test_one_cayley_graph_serves_kl_bruhat_and_words(a3):
     # the group's signed slots are the one record of x s_j: after kl_basis(x),
-    # the reduced word of x and the Bruhat column of supp C_x walk slots the
-    # recursion already filled, and every filled slot agrees with _gen_step
-    # and with lengths computed without the graph
+    # the reduced word of x and the Bruhat column of supp C_x walk only ids
+    # the recursion already made (they step down through the lowest descent,
+    # the recursion through another, so they may fill slots it left empty,
+    # but each such slot joins two elements of [e, x]), and every filled
+    # slot agrees with _gen_step and with lengths computed without the graph
     text = _kl_orbits()[("A", 3, 5)][0]
     W = AffineWeyl(a3.rd)
     H = HeckeAlgebra(W)
@@ -586,8 +715,8 @@ def test_one_cayley_graph_serves_kl_bruhat_and_words(a3):
     ids, slots = len(W._elts), filled()
     W.reduced_word(x)
     assert all(W.bruhat_column(support, x))
-    assert (len(W._elts), filled()) == (ids, slots)
-    assert slots > 1000
+    assert len(W._elts) == ids
+    assert filled() >= slots > 1000
     # the graph gives each id met through a slot its neighbour's length +-1;
     # a group with no graph computes them by the Iwahori-Matsumoto formula
     fresh = AffineWeyl(a3.rd)

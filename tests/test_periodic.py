@@ -238,6 +238,37 @@ def test_a_flipped_descent_breaks_the_w_graph_relations(request, monkeypatch, na
             _check_w_graph_relations(M)
 
 
+@pytest.mark.parametrize("name", ["a2", "b2", "g2"])
+def test_a_wrong_right_step_breaks_the_w_graph_relations(request, monkeypatch, name):
+    # each right_steps entry at a (w, j) off the down-move policy, replaced in
+    # a fresh group by a wrong row (generator j + 1's row at w, or the
+    # identity step (0, w)), either breaks a relation or makes a class solve
+    # refuse.  The group reads it in every step x s_j it fills, and a class
+    # solve at every term of finite part w whose class steps down by s_j.
+    # The step bound is lowered as in the flipped-descent test
+    from periodic_kl.laurent import ResourceError
+    from periodic_kl.periodic import CertificationError
+
+    monkeypatch.setattr(periodic, "MAX_SWEEP_STEPS", 5_000)
+    rd = request.getfixturevalue(name).rd
+    W = AffineWeyl(rd)
+    policy = PeriodicModule(W)._down_policy
+    gens = W.affine_generator_indices()
+    plants = [(w.index, j) for w in W.finite_elements for j in gens
+              if w.index not in policy or policy[w.index][0] != j]
+    assert len(plants) == {"a2": 13, "b2": 17, "g2": 25}[name]
+    zero = (0,) * rd.rank
+    for w, j in plants:
+        for wrong in (W.right_steps[(j + 1) % len(gens)][w], (zero, w)):
+            W = AffineWeyl(rd)
+            steps = [list(row) for row in W.right_steps]
+            assert steps[j][w] != wrong
+            steps[j][w] = wrong
+            W.right_steps = tuple(map(tuple, steps))
+            with pytest.raises((AssertionError, CertificationError, ResourceError)):
+                _check_w_graph_relations(PeriodicModule(W))
+
+
 def test_translation_operator(a1):
     M, W = a1.module, a1.group
     alpha = a1.rd.simple_roots[0]

@@ -17,6 +17,7 @@ from periodic_kl.hecke import MAX_LENGTH, HeckeAlgebra
 from periodic_kl.orders import SemiInfinitePoset, standard_window
 from periodic_kl.periodic import PeriodicModule
 from periodic_kl.rootdata import Weight, dominance_leq
+from periodic_kl.weyl import AffineWeyl
 
 pytestmark = pytest.mark.slow
 
@@ -82,6 +83,16 @@ def test_hecke_kl_at_the_length_bound_g2(g2):
         assert main(argv) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
         "3602ff3b980a4aa798bb5e33964d2c40db9d6c758da27812646b8ae3ca13d73e")
+
+
+def test_kl_memo_at_the_length_bound_g2(g2):
+    # the memo of that element, stepping through a memoized u or else the u
+    # with the most right descents: 1,433 entries and 1,396,187 terms, where
+    # the lowest descent took 1,853 and 1,880,297
+    W = AffineWeyl(g2.rd)
+    H = HeckeAlgebra(W)
+    H.kl_basis(W.parse_element("t(5,4)*w[1 2 1 2 1 2]"))
+    assert sum(len(cy) for cy, _ in H._kl_cache.values()) <= 1_396_187
 
 
 def test_koszul_round_trip_over_support_and_window_a3_h1(a3):
